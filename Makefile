@@ -19,7 +19,7 @@ CHECK_SCALE  ?= 0.25
 CHECK_SHARDS ?= 1,8
 TOLERANCE    ?= 3.0
 
-.PHONY: build test race race-overlap fmt vet lint cover bench bench-test smoke smoke-examples serve-smoke bench-check bench-baseline profile
+.PHONY: build test race race-overlap fmt vet bench-module-check fuzz-smoke lint cover bench bench-test smoke smoke-examples serve-smoke bench-check bench-baseline profile
 
 build:
 	go build ./...
@@ -42,6 +42,18 @@ fmt:
 
 vet:
 	go vet ./...
+
+# bench-module-check vets and tests the benchmark, a module of its own that
+# root `go test ./...` does not descend into although it imports
+# minoaner/internal/... (-short skips its minutes-long all-workloads smoke).
+bench-module-check:
+	go -C benchmark vet ./...
+	go -C benchmark test -short ./...
+
+# fuzz-smoke runs the N-Triples reader's fuzz target for ten seconds on top
+# of its committed corpus.
+fuzz-smoke:
+	go test -run '^$$' -fuzz '^FuzzReadNTriples$$' -fuzztime 10s ./internal/kb
 
 # lint mirrors the CI lint job; requires golangci-lint on PATH.
 lint:
@@ -86,10 +98,11 @@ smoke:
 # serve-smoke exercises the real minoanerd binary end to end: build both
 # binaries, serve a generated dataset, load a pair, query it in both request
 # formats, byte-compare the candidate rows against `cmd/minoaner -query
-# -json`, then SIGTERM and assert a clean drain. Gated behind the env var so
+# -json`, then SIGTERM and assert a clean drain; a second server is sent
+# SIGTERM while it is still preloading a pair. Gated behind the env var so
 # plain `go test ./...` stays hermetic.
 serve-smoke:
-	MINOANER_SERVE_SMOKE=1 go test -run '^TestServeSmoke$$' -count=1 -v .
+	MINOANER_SERVE_SMOKE=1 go test -run '^TestServe(Smoke|TermDuringPreload)$$' -count=1 -v .
 
 # smoke-examples builds and runs every example program end to end (they are
 # self-contained and exit non-zero on broken invariants).

@@ -14,9 +14,8 @@
 // matching rule (R1–R3) that produced it. With -timeout the resolution is
 // aborted (exit status 1) once the duration elapses. With -shards P the
 // per-entity stages run over P contiguous E1 shards with bounded peak
-// memory (output is identical for every P). With -stream the KBs are loaded
-// through the streaming ingestion path, which interns tokens incrementally
-// instead of queueing the whole file.
+// memory (output is identical for every P). -stream is accepted and does
+// nothing: every load streams through the one ingester.
 //
 // With -query URI the batch run is replaced by a single per-entity query
 // against the build-once substrate: a URI present in E1 is replayed through
@@ -61,7 +60,7 @@ func main() {
 		quiet   = flag.Bool("quiet", false, "suppress the summary on stderr")
 		timeout = flag.Duration("timeout", 0, "abort resolution after this duration (0 = no limit)")
 		shards  = flag.Int("shards", 0, "split E1 into this many shards for memory-bounded execution (0 = monolithic)")
-		stream  = flag.Bool("stream", false, "load KBs through the streaming ingestion path")
+		_       = flag.Bool("stream", false, "no-op, kept for old command lines: every load streams")
 		query   = flag.String("query", "", "resolve one entity (an E1 URI, or a new URI with statements on stdin) instead of the batch pipeline")
 		jsonOut = flag.Bool("json", false, "with -query, emit candidates as a JSON array")
 		snapIn  = flag.String("snapshot", "", "load the substrate from this snapshot file instead of building from -e1/-e2")
@@ -106,11 +105,18 @@ func main() {
 				*snapIn, k1.Name(), k2.Name(), time.Since(start).Round(time.Microsecond))
 		}
 	} else {
-		var err error
-		k1, err = loadKB("E1", *e1Path, *format, *stream)
+		var (
+			err     error
+			skipped [2]int
+		)
+		// -timeout bounds resolution, not loading.
+		k1, k2, skipped, err = minoaner.LoadPair(context.Background(), *e1Path, *e2Path, *format, true)
 		exitOn(err)
-		k2, err = loadKB("E2", *e2Path, *format, *stream)
-		exitOn(err)
+		for i, path := range []string{*e1Path, *e2Path} {
+			if skipped[i] > 0 {
+				fmt.Fprintf(os.Stderr, "minoaner: %s: skipped %d malformed lines\n", path, skipped[i])
+			}
+		}
 		if *snapOut != "" || *query != "" {
 			sub, err = minoaner.BuildSubstrate(ctx, k1, k2, cfg)
 			exitOn(err)
@@ -213,37 +219,6 @@ func runQuery(ctx context.Context, k1 *minoaner.KB, sub *minoaner.Substrate, cfg
 		fmt.Fprintf(os.Stderr, "minoaner: query %s: %d candidates in %v (substrate built in %v)\n",
 			uri, len(ms), elapsed, sub.BuildDuration().Round(time.Millisecond))
 	}
-}
-
-func loadKB(name, path, format string, stream bool) (*minoaner.KB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var (
-		k       *minoaner.KB
-		skipped int
-	)
-	switch {
-	case format == "nt" && stream:
-		k, skipped, err = minoaner.StreamNTriples(name, f, true)
-	case format == "nt":
-		k, skipped, err = minoaner.LoadNTriples(name, f, true)
-	case format == "tsv" && stream:
-		k, skipped, err = minoaner.StreamTSV(name, f, true)
-	case format == "tsv":
-		k, skipped, err = minoaner.LoadTSV(name, f, true)
-	default:
-		return nil, fmt.Errorf("unknown format %q (want nt or tsv)", format)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if skipped > 0 {
-		fmt.Fprintf(os.Stderr, "minoaner: %s: skipped %d malformed lines\n", path, skipped)
-	}
-	return k, nil
 }
 
 func loadGroundTruth(k1, k2 *minoaner.KB, path string) (*minoaner.GroundTruth, int, error) {

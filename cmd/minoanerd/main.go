@@ -28,7 +28,8 @@
 //	GET    /healthz, /readyz         liveness / readiness
 //
 // On SIGINT/SIGTERM the server drains: readiness flips immediately,
-// in-flight queries finish (bounded by -drain), in-flight builds abort.
+// in-flight queries finish (bounded by -drain), in-flight builds — those of
+// pairs still preloading included — abort.
 //
 // Load test (against a running server):
 //
@@ -97,6 +98,10 @@ func main() {
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
 	})
+	// Installed before the first build starts: a signal during a preload must
+	// drain like any other, not kill the process by its default action.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
 	preloaded := make([]*server.Pair, 0, len(pairs))
 	for _, raw := range pairs {
 		spec, err := parsePairSpec(raw)
@@ -112,7 +117,13 @@ func main() {
 	// discover an ephemeral port.
 	fmt.Printf("minoanerd: listening on %s\n", bound)
 	for _, p := range preloaded {
-		<-p.Done()
+		select {
+		case <-p.Done():
+		case <-ctx.Done():
+		}
+		if ctx.Err() != nil {
+			break // Shutdown below aborts the builds still in flight
+		}
 		info := srv.Registry().Info(p)
 		if info.Status == server.StatusFailed {
 			exitOn(fmt.Errorf("preloading pair %s: %s", info.ID, info.Error))
@@ -121,8 +132,6 @@ func main() {
 			info.ID, info.LoadMS, info.PrewarmMS)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 	<-ctx.Done()
 	stop()
 	fmt.Println("minoanerd: draining...")

@@ -39,13 +39,17 @@ func main() {
 	}
 	fmt.Printf("wrote %s and %s\n", p1, p2)
 
-	// Load the dumps back — lenient mode skips malformed lines, which real
-	// web dumps always contain.
-	k1 := loadDump(p1, "Rexa")
-	k2 := loadDump(p2, "DBLP")
-	fmt.Printf("loaded %v and %v\n", k1, k2)
+	// Load the dumps back, both into one token and one schema dictionary —
+	// lenient mode skips malformed lines, which real web dumps always
+	// contain.
+	ctx := context.Background()
+	k1, k2, skipped, err := minoaner.LoadPair(ctx, p1, p2, "nt", true)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("loaded %v and %v (skipped %d + %d malformed lines)\n", k1, k2, skipped[0], skipped[1])
 
-	out, err := minoaner.Resolve(context.Background(), k1, k2, minoaner.DefaultConfig())
+	out, err := minoaner.Resolve(ctx, k1, k2, minoaner.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,9 +63,9 @@ func main() {
 			dataset.K2.Entity(p.E2).URI,
 		})
 	}
-	gt, skipped := minoaner.GroundTruthFromURIs(k1, k2, uriPairs)
-	if skipped != 0 {
-		log.Fatalf("%d ground-truth URIs lost in the round trip", skipped)
+	gt, lost := minoaner.GroundTruthFromURIs(k1, k2, uriPairs)
+	if lost != 0 {
+		log.Fatalf("%d ground-truth URIs lost in the round trip", lost)
 	}
 	m := minoaner.Evaluate(out.Pairs(), gt)
 	fmt.Printf("resolved the dumps: %d matches, %s\n", len(out.Matches), m)
@@ -87,20 +91,4 @@ func writeDump(path string, k *minoaner.KB) error {
 	}
 	defer f.Close()
 	return minoaner.WriteNTriples(f, k)
-}
-
-func loadDump(path, name string) *minoaner.KB {
-	f, err := os.Open(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	k, skipped, err := minoaner.LoadNTriples(name, f, true)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if skipped > 0 {
-		fmt.Printf("skipped %d malformed lines in %s\n", skipped, path)
-	}
-	return k
 }

@@ -226,7 +226,8 @@ type sequelPlan struct {
 }
 
 // Generate builds the dataset for the profile. It panics only on internal
-// invariant violations; profile errors are returned.
+// invariant violations; profile errors — a name space too small for the
+// entity counts among them — are returned.
 func Generate(p Profile) (*Dataset, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -248,6 +249,18 @@ func Generate(p Profile) (*Dataset, error) {
 	g.perm1 = g.rng.Perm(p.E1Size)
 	g.perm2 = g.rng.Perm(p.E2Size)
 	g.assignCategories()
+	// Every entity draws a unique name, a name-identified match one for the
+	// pair. With fewer names than that makeUniqueName would never return.
+	names := p.E1Size + p.E2Size
+	for _, shared := range g.hasName {
+		if shared {
+			names--
+		}
+	}
+	if names > p.nameCapacity() {
+		return nil, fmt.Errorf("datagen: profile %s needs %d unique names, NamePool²·YearPool = %d²·%d has %d (datagen.Scale grows the pools with the sizes)",
+			p.Name, names, p.NamePool, p.YearPool, p.nameCapacity())
+	}
 	g.buildNeighborTemplate()
 	profiles := g.emitEntities()
 	d := &Dataset{

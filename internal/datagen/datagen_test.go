@@ -2,6 +2,7 @@ package datagen
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"minoaner/internal/eval"
@@ -212,6 +213,42 @@ func TestScale(t *testing.T) {
 	q := Scale(Restaurant(), 0.001)
 	if q.Matches < 1 || q.E1Size < q.Matches || q.E2Size < q.Matches {
 		t.Errorf("extreme scale broken: %+v", q)
+	}
+}
+
+// Scale leaves the name pools of every preset alone at the scales in use
+// (pinned digests depend on it) and grows them once the scaled profile would
+// run out of unique names — where Generate used to spin forever.
+func TestScaleGrowsNamePoolsOnlyWhenNeeded(t *testing.T) {
+	for _, p := range Presets() {
+		for _, f := range []float64{0.05, 0.25, 1} {
+			if q := Scale(p, f); q.NamePool != p.NamePool || q.YearPool != p.YearPool {
+				t.Errorf("%s ×%g: name pools %d/%d, want the preset's %d/%d", p.Name, f, q.NamePool, q.YearPool, p.NamePool, p.YearPool)
+			}
+		}
+		for _, f := range []float64{2, 5, 40} {
+			q := Scale(p, f)
+			if load := q.nameDemand() / float64(q.nameCapacity()); load > maxNameLoad {
+				t.Errorf("%s ×%g: %.0f%% of the %d names in use, want at most %.0f%%", p.Name, f, 100*load, q.nameCapacity(), 100*maxNameLoad)
+			}
+		}
+	}
+	// 31,000 entities against the preset's 22,500 names.
+	d, err := Generate(Scale(Restaurant(), 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.K1.Len() != 339*12 || d.K2.Len() != 2256*12 {
+		t.Errorf("generated %d × %d entities", d.K1.Len(), d.K2.Len())
+	}
+}
+
+// A profile whose pools cannot name its entities is an error, not a hang.
+func TestGenerateRejectsExhaustedNameSpace(t *testing.T) {
+	p := tiny()
+	p.NamePool, p.YearPool = 3, 2
+	if _, err := Generate(p); err == nil || !strings.Contains(err.Error(), "unique names") {
+		t.Fatalf("Generate with 18 names for %d entities: err = %v", p.E1Size+p.E2Size, err)
 	}
 }
 

@@ -1,5 +1,7 @@
 package datagen
 
+import "math"
+
 // The four presets mirror the structural profiles of the paper's Table 1 at
 // single-machine scale. Entity counts are scaled down (the originals reach
 // 5.3M entities); the scale-invariant characteristics — relative KB size
@@ -110,7 +112,10 @@ func Presets() []Profile {
 // structural profile intact — used by fast tests and the scalability sweep.
 // The semi pool scales along so planted-evidence frequencies stay constant;
 // the noise pools do not, because their block sizes already scale with the
-// entity counts relative to the purging cap.
+// entity counts relative to the purging cap. The one exception are the name
+// pools, and only when the scaled profile would use more than maxNameLoad of
+// the NamePool²·YearPool unique names they can form: both then grow by the
+// same factor, just enough to get back under that load.
 func Scale(p Profile, factor float64) Profile {
 	scale := func(n int) int {
 		s := int(float64(n) * factor)
@@ -123,5 +128,25 @@ func Scale(p Profile, factor float64) Profile {
 	p.E1Size = maxInt(scale(p.E1Size), p.Matches)
 	p.E2Size = maxInt(scale(p.E2Size), p.Matches)
 	p.SemiPool = scale(p.SemiPool)
+	if over := p.nameDemand() / (maxNameLoad * float64(p.nameCapacity())); over > 1 {
+		grow := math.Cbrt(over) // the capacity is cubic in the pool sizes
+		p.NamePool = int(math.Ceil(float64(p.NamePool) * grow))
+		p.YearPool = int(math.Ceil(float64(p.YearPool) * grow))
+	}
 	return p
+}
+
+// maxNameLoad is the share of a profile's unique names Scale lets it use:
+// above it the rejection sampling of makeUniqueName slows sharply.
+const maxNameLoad = 0.8
+
+// nameCapacity is the number of distinct names makeUniqueName can form.
+func (p Profile) nameCapacity() int {
+	return maxInt(p.NamePool, 1) * maxInt(p.NamePool, 1) * maxInt(p.YearPool, 1)
+}
+
+// nameDemand is the expected number of unique names a dataset draws: one per
+// entity, a name-identified match sharing one across the pair.
+func (p Profile) nameDemand() float64 {
+	return float64(p.E1Size+p.E2Size) - p.PName*float64(p.Matches)
 }

@@ -1,9 +1,7 @@
 package kb
 
-import "slices"
-
-// columns is the KB's columnar schema-axis substrate, built once at Build
-// time: every entity's relations and attribute-value statements stored as
+// columns is the KB's columnar schema-axis substrate, laid out by
+// Builder.Build: every entity's relations and attribute-value statements stored as
 // flat, per-entity-span CSR arrays of dense schema IDs. Spans are ID-sorted
 // — relations by (PredID, Object), attribute statements by (AttrID,
 // ValueID) — so distinct-counting inside a span is an adjacency check and
@@ -24,56 +22,6 @@ type columns struct {
 	attrOff  []int32
 	attrName []AttrID
 	attrVal  []ValueID
-}
-
-// buildColumns interns every predicate, attribute name and normalized value
-// of the entities into sch and lays the statements out in sorted per-entity
-// spans. Each span is sorted by packing (id, payload) into one uint64 key —
-// schema IDs and entity/value IDs both fit 32 bits — so co-sorting the two
-// parallel columns is a single integer sort.
-func buildColumns(entities []Description, sch *Schema) columns {
-	nRel, nAttr := 0, 0
-	for i := range entities {
-		nRel += len(entities[i].Relations)
-		nAttr += len(entities[i].Attrs)
-	}
-	c := columns{
-		relOff:   make([]int32, len(entities)+1),
-		relPred:  make([]PredID, 0, nRel),
-		relObj:   make([]EntityID, 0, nRel),
-		attrOff:  make([]int32, len(entities)+1),
-		attrName: make([]AttrID, 0, nAttr),
-		attrVal:  make([]ValueID, 0, nAttr),
-	}
-	var scratch []uint64
-	for i := range entities {
-		d := &entities[i]
-		c.relOff[i] = int32(len(c.relPred))
-		scratch = scratch[:0]
-		for _, r := range d.Relations {
-			scratch = append(scratch, uint64(sch.InternPred(r.Predicate))<<32|uint64(uint32(r.Object)))
-		}
-		slices.Sort(scratch)
-		for _, key := range scratch {
-			c.relPred = append(c.relPred, PredID(key>>32))
-			c.relObj = append(c.relObj, EntityID(int32(uint32(key))))
-		}
-		c.attrOff[i] = int32(len(c.attrName))
-		scratch = scratch[:0]
-		for _, av := range d.Attrs {
-			a := sch.InternAttr(av.Attribute)
-			v := sch.InternValue(NormalizeName(av.Value))
-			scratch = append(scratch, uint64(a)<<32|uint64(v))
-		}
-		slices.Sort(scratch)
-		for _, key := range scratch {
-			c.attrName = append(c.attrName, AttrID(key>>32))
-			c.attrVal = append(c.attrVal, ValueID(uint32(key)))
-		}
-	}
-	c.relOff[len(entities)] = int32(len(c.relPred))
-	c.attrOff[len(entities)] = int32(len(c.attrName))
-	return c
 }
 
 // Schema returns the KB's schema dictionaries (predicates, attribute names,

@@ -116,20 +116,13 @@ func (f *FrozenStrings) Parts() (blob []byte, off []int64, sorted []uint32) {
 // NewFrozenInterner wraps a frozen string table as a read-only token
 // dictionary: TokenString/Lookup/Len route to the table, Intern panics.
 func NewFrozenInterner(fs *FrozenStrings) *Interner {
-	return &Interner{frozen: fs}
+	return &Interner{t: symtab{frozen: fs}}
 }
 
 // Freeze snapshots the interner's current contents as a frozen table with
 // lookup support (token ID i maps to string i, preserving the dense ID
 // space). A frozen interner returns its own table.
-func (in *Interner) Freeze() *FrozenStrings {
-	if in.frozen != nil {
-		return in.frozen
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return FreezeStrings(in.strs, true)
-}
+func (in *Interner) Freeze() *FrozenStrings { return in.t.freeze() }
 
 // NewFrozenSchema wraps three frozen tables (predicates, attribute names,
 // normalized values) as a read-only schema dictionary set. ID spaces are

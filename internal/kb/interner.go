@@ -1,7 +1,5 @@
 package kb
 
-import "sync"
-
 // TokenID is a dense identifier for a distinct token inside an Interner.
 // IDs are assigned in first-intern order (not lexicographic); every stage
 // that depends on deterministic ordering sorts by the token string, never by
@@ -13,89 +11,30 @@ type TokenID uint32
 // pipeline stage (Entity Frequency statistics, token blocking, valueSim
 // accumulation) operates on integer IDs instead of re-hashing strings.
 //
-// One Interner can back several KBs: build both sides of a clean-clean ER
-// pair with NewBuilderWithInterner and the same Interner, and the blocking
-// TokenIndex skips its token-space translation entirely. Interning is
-// guarded by a mutex so two Builders may Build concurrently; read accessors
-// (TokenString) are lock-free and must not race with interning — in the
-// pipeline all interning happens at KB build time, strictly before any
-// resolution stage reads the dictionary.
-type Interner struct {
-	mu   sync.Mutex
-	ids  map[string]TokenID
-	strs []string
-	// frozen, when set, backs a read-only dictionary loaded from a snapshot:
-	// reads route to the flat table and interning panics (see NewFrozenInterner).
-	frozen *FrozenStrings
-}
+// One Interner can back several KBs: LoadPair builds both sides of a
+// clean-clean ER pair over one (NewBuilderWithInterner does the same for
+// hand-built KBs), and the blocking TokenIndex skips its token-space
+// translation entirely. Interning is guarded by a mutex so two Builders may
+// run concurrently; read accessors (TokenString) are lock-free and must not
+// race with interning — in the pipeline all interning happens at KB build
+// time, strictly before any resolution stage reads the dictionary.
+type Interner struct{ t symtab }
 
 // NewInterner returns an empty token dictionary.
-func NewInterner() *Interner {
-	return &Interner{ids: make(map[string]TokenID)}
-}
+func NewInterner() *Interner { return &Interner{t: newSymtab()} }
 
 // Len returns the number of distinct tokens interned so far.
-func (in *Interner) Len() int {
-	if in.frozen != nil {
-		return in.frozen.Len()
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return len(in.strs)
-}
+func (in *Interner) Len() int { return in.t.len() }
 
 // Intern returns the ID of tok, assigning the next dense ID on first sight.
-func (in *Interner) Intern(tok string) TokenID {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.intern(tok)
-}
-
-func (in *Interner) intern(tok string) TokenID {
-	if in.frozen != nil {
-		panic("kb: Intern on a frozen (snapshot-backed) dictionary")
-	}
-	if id, ok := in.ids[tok]; ok {
-		return id
-	}
-	id := TokenID(len(in.strs))
-	in.ids[tok] = id
-	in.strs = append(in.strs, tok)
-	return id
-}
-
-// InternAll interns a batch of tokens under one lock acquisition and returns
-// their IDs in input order. Builders call it once per description.
-func (in *Interner) InternAll(toks []string) []TokenID {
-	if len(toks) == 0 {
-		return nil
-	}
-	out := make([]TokenID, len(toks))
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for i, t := range toks {
-		out[i] = in.intern(t)
-	}
-	return out
-}
+func (in *Interner) Intern(tok string) TokenID { return TokenID(in.t.intern(tok)) }
 
 // Lookup returns the ID of tok if it has been interned.
 func (in *Interner) Lookup(tok string) (TokenID, bool) {
-	if in.frozen != nil {
-		id, ok := in.frozen.Lookup(tok)
-		return TokenID(id), ok
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	id, ok := in.ids[tok]
-	return id, ok
+	id, ok := in.t.lookup(tok)
+	return TokenID(id), ok
 }
 
 // TokenString returns the string of an interned ID. It is lock-free (IDs are
 // never reassigned); callers must not race it with interning.
-func (in *Interner) TokenString(id TokenID) string {
-	if in.frozen != nil {
-		return in.frozen.At(int(id))
-	}
-	return in.strs[id]
-}
+func (in *Interner) TokenString(id TokenID) string { return in.t.str(uint32(id)) }

@@ -31,20 +31,6 @@ func TestInternerAssignsDenseStableIDs(t *testing.T) {
 	}
 }
 
-func TestInternAllPreservesOrder(t *testing.T) {
-	in := NewInterner()
-	toks := []string{"a", "b", "c"}
-	ids := in.InternAll(toks)
-	for i, id := range ids {
-		if in.TokenString(id) != toks[i] {
-			t.Errorf("ids[%d] = %q, want %q", i, in.TokenString(id), toks[i])
-		}
-	}
-	if in.InternAll(nil) != nil {
-		t.Error("InternAll(nil) should be nil")
-	}
-}
-
 // Two builders sharing one Interner (the clean-clean ER fast path) must not
 // race and must land the same token at the same ID in both KBs.
 func TestInternerSharedAcrossConcurrentBuilders(t *testing.T) {

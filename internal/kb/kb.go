@@ -3,11 +3,11 @@
 // pairs whose values are either literals or references to other entities of
 // the same knowledge base, forming an entity graph.
 //
-// A KB is immutable once built. Construction goes through a Builder, which
-// resolves object URIs into relations (edges to described entities) and keeps
-// unresolved URIs as plain literal values, exactly as the paper defines
-// relations(e) and neighbors(e): only objects that are themselves described
-// in the KB count as neighbors.
+// A KB is immutable once built. Construction goes through a Builder (see
+// ingest.go), which resolves object URIs into relations (edges to described
+// entities) and keeps unresolved URIs as plain literal values, exactly as the
+// paper defines relations(e) and neighbors(e): only objects that are
+// themselves described in the KB count as neighbors.
 package kb
 
 import (
@@ -241,126 +241,4 @@ func (k *KB) RelationNames() int {
 // String implements fmt.Stringer with a compact summary.
 func (k *KB) String() string {
 	return fmt.Sprintf("KB(%s: %d entities, %d triples)", k.name, k.size, k.triples)
-}
-
-// Builder accumulates raw triples and produces an immutable KB. Object values
-// that match the URI of a described entity become relations at Build time;
-// all other values are literal attributes.
-type Builder struct {
-	name     string
-	entities []Description
-	byURI    map[string]EntityID
-	dict     *Interner
-	schema   *Schema
-	// pending holds raw (subject, predicate, object) statements whose object
-	// may turn out to be an entity URI.
-	pending []rawTriple
-	tok     *Tokenizer
-}
-
-type rawTriple struct {
-	subject   EntityID
-	predicate string
-	object    string
-	// objectIsURI records whether the loader saw the object in URI position
-	// (e.g. <...> in N-Triples). Only URI objects can become relations.
-	objectIsURI bool
-}
-
-// NewBuilder returns a Builder for a KB with the given display name and its
-// own private token dictionary.
-func NewBuilder(name string) *Builder {
-	return NewBuilderWithInterner(name, NewInterner())
-}
-
-// NewBuilderWithInterner returns a Builder whose KB interns tokens into the
-// given shared dictionary (and into a private schema dictionary). Building
-// both KBs of an ER pair over one Interner puts them in the same token-ID
-// space, which the blocking TokenIndex exploits to skip per-token string
-// work entirely.
-func NewBuilderWithInterner(name string, dict *Interner) *Builder {
-	return NewBuilderWithDicts(name, dict, nil)
-}
-
-// NewBuilderWithDicts returns a Builder interning tokens into dict and
-// predicates/attribute names/normalized values into schema — the full
-// shared-dictionary pairing: build both KBs of an ER pair over one Interner
-// AND one Schema and every pipeline stage, token axis and schema axis alike,
-// runs on a single dense ID space. A nil dict or schema gets a fresh private
-// dictionary.
-func NewBuilderWithDicts(name string, dict *Interner, schema *Schema) *Builder {
-	if dict == nil {
-		dict = NewInterner()
-	}
-	if schema == nil {
-		schema = NewSchema()
-	}
-	return &Builder{
-		name:   name,
-		byURI:  make(map[string]EntityID),
-		dict:   dict,
-		schema: schema,
-		tok:    NewTokenizer(),
-	}
-}
-
-// AddEntity registers (or finds) the entity with the given URI and returns
-// its ID. Adding the same URI twice returns the same ID.
-func (b *Builder) AddEntity(uri string) EntityID {
-	if id, ok := b.byURI[uri]; ok {
-		return id
-	}
-	id := EntityID(len(b.entities))
-	b.entities = append(b.entities, Description{URI: uri})
-	b.byURI[uri] = id
-	return id
-}
-
-// AddLiteral attaches a literal attribute-value pair to the entity.
-func (b *Builder) AddLiteral(id EntityID, attribute, value string) {
-	b.pending = append(b.pending, rawTriple{id, attribute, value, false})
-}
-
-// AddObject attaches an object (URI-position) value. At Build time it becomes
-// a relation if the URI names a described entity, otherwise a literal.
-func (b *Builder) AddObject(id EntityID, predicate, objectURI string) {
-	b.pending = append(b.pending, rawTriple{id, predicate, objectURI, true})
-}
-
-// Len returns the number of entities registered so far.
-func (b *Builder) Len() int { return len(b.entities) }
-
-// Build finalizes the KB: it resolves object URIs to relations, tokenizes all
-// literal values, and returns the immutable KB. The Builder must not be used
-// afterwards.
-func (b *Builder) Build() *KB {
-	triples := 0
-	for _, t := range b.pending {
-		d := &b.entities[t.subject]
-		if t.objectIsURI {
-			if obj, ok := b.byURI[t.object]; ok {
-				d.Relations = append(d.Relations, Relation{Predicate: t.predicate, Object: obj})
-				triples++
-				continue
-			}
-		}
-		d.Attrs = append(d.Attrs, AttributeValue{Attribute: t.predicate, Value: t.object})
-		triples++
-	}
-	for i := range b.entities {
-		// TokenSet yields sorted strings; interning preserves that order, so
-		// TokenIDs stay string-ordered (the invariant Description documents).
-		b.entities[i].tokens = b.dict.InternAll(b.tok.TokenSet(&b.entities[i]))
-		b.entities[i].dict = b.dict
-	}
-	kb := &KB{
-		name: b.name, size: len(b.entities), entities: b.entities, byURI: b.byURI,
-		dict: b.dict, schema: b.schema,
-		cols:    buildColumns(b.entities, b.schema),
-		triples: triples,
-	}
-	b.entities = nil
-	b.byURI = nil
-	b.pending = nil
-	return kb
 }

@@ -2,11 +2,15 @@ package kb
 
 import (
 	"bufio"
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // ParseError describes a malformed statement encountered while loading a KB.
@@ -29,6 +33,51 @@ var (
 	errUnterminated     = fmt.Errorf("unterminated term")
 )
 
+// TripleSink consumes raw (subject, predicate, object) statements as
+// strings. Builder is the sink every loader feeds; ReadNTriples and ReadTSV
+// accept any other, at the price of one string per statement.
+type TripleSink interface {
+	// AddEntity registers (or finds) the entity with the given URI.
+	AddEntity(uri string) EntityID
+	// AddLiteral attaches a literal attribute-value pair.
+	AddLiteral(id EntityID, attribute, value string)
+	// AddObject attaches a URI-position object that becomes a relation if
+	// the URI names a described entity.
+	AddObject(id EntityID, predicate, objectURI string)
+}
+
+// termSink is what the readers feed: the three terms of one statement as
+// bytes that are only valid during the call. Builder implements it without
+// making a string of any of them.
+type termSink interface {
+	addTerms(subj, pred, obj []byte, objIsURI bool)
+}
+
+// stringSink adapts a TripleSink: one string per statement, cut in three.
+type stringSink struct {
+	sink TripleSink
+	buf  []byte
+}
+
+func (s *stringSink) addTerms(subj, pred, obj []byte, objIsURI bool) {
+	s.buf = append(append(append(s.buf[:0], subj...), pred...), obj...)
+	terms := string(s.buf)
+	p, o := len(subj), len(subj)+len(pred)
+	id := s.sink.AddEntity(terms[:p])
+	if objIsURI {
+		s.sink.AddObject(id, terms[p:o], terms[o:])
+	} else {
+		s.sink.AddLiteral(id, terms[p:o], terms[o:])
+	}
+}
+
+func termSinkOf(sink TripleSink) termSink {
+	if ts, ok := sink.(termSink); ok {
+		return ts
+	}
+	return &stringSink{sink: sink}
+}
+
 // LoadNTriples reads a KB in N-Triples format:
 //
 //	<subject> <predicate> <object-uri> .
@@ -39,12 +88,86 @@ var (
 // skipped. It returns the built KB and the number of skipped lines.
 func LoadNTriples(name string, r io.Reader, lenient bool) (*KB, int, error) {
 	b := NewBuilder(name)
-	skipped, err := ReadNTriples(b, r, lenient)
+	return load(b, func() (int, error) { return readNTriples(context.Background(), b, r, lenient) })
+}
+
+// StreamNTriples is LoadNTriples: there is one ingester, and it streams.
+//
+// Deprecated: call LoadNTriples.
+func StreamNTriples(name string, r io.Reader, lenient bool) (*KB, int, error) {
+	return LoadNTriples(name, r, lenient)
+}
+
+// LoadTSV reads a KB as tab-separated subject/predicate/object rows. Objects
+// are treated as entity URIs when they appear elsewhere as subjects (resolved
+// at Build time via AddObject) if uriObjects is true; otherwise every object
+// is a literal. Returns the KB and the number of skipped malformed rows.
+func LoadTSV(name string, r io.Reader, uriObjects bool) (*KB, int, error) {
+	b := NewBuilder(name)
+	return load(b, func() (int, error) { return readTSV(context.Background(), b, r, uriObjects) })
+}
+
+// load runs read, which feeds one input to b, and builds the KB. While the
+// input is read, the value stage runs beside the parser (see Builder.piped).
+func load(b *Builder, read func() (int, error)) (*KB, int, error) {
+	skipped, err := b.piped(read)
 	if err != nil {
-		return nil, skipped, wrapLoadErr(name, err)
+		return nil, skipped, wrapLoadErr(b.name, err)
 	}
 	return b.Build(), skipped, nil
 }
+
+// LoadPair ingests the two KBs of a clean-clean ER pair from files, E1 then
+// E2, into ONE token dictionary and ONE schema dictionary, both sized once
+// from the two file sizes. The pair then lives in a single dense ID space:
+// blocking takes its identity path instead of merging two dictionaries by
+// string, and a snapshot stores one dictionary instead of three. format is
+// "nt" (malformed lines are skipped when lenient, a *ParseError otherwise)
+// or "tsv" (objects naming a described entity become relations). It returns
+// the KBs and the skipped-line count of each file; ctx is observed while
+// reading.
+func LoadPair(ctx context.Context, path1, path2, format string, lenient bool) (k1, k2 *KB, skipped [2]int, err error) {
+	if format != "nt" && format != "tsv" {
+		return nil, nil, skipped, fmt.Errorf("unknown format %q (want nt or tsv)", format)
+	}
+	var files [2]*os.File
+	var size int64
+	for i, path := range []string{path1, path2} {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, nil, skipped, err
+		}
+		defer f.Close()
+		if st, err := f.Stat(); err == nil {
+			size += st.Size()
+		}
+		files[i] = f
+	}
+	dict, schema := NewInterner(), NewSchema()
+	dict.t.reserve(int(size / bytesPerToken))
+	schema.vals.reserve(int(size / bytesPerValue))
+	var kbs [2]*KB
+	for i, f := range files {
+		b := NewBuilderWithDicts(fmt.Sprintf("E%d", i+1), dict, schema)
+		read := func() (int, error) { return readNTriples(ctx, b, f, lenient) }
+		if format == "tsv" {
+			read = func() (int, error) { return readTSV(ctx, b, f, true) }
+		}
+		if kbs[i], skipped[i], err = load(b, read); err != nil {
+			return nil, nil, skipped, err
+		}
+	}
+	return kbs[0], kbs[1], skipped, nil
+}
+
+// Input bytes per distinct token and per distinct normalized value that
+// LoadPair sizes the shared dictionaries by. The generated pairs of the
+// benchmark have 43–113 and 46–60; a low guess costs a map growth or two, a
+// high one idle buckets.
+const (
+	bytesPerToken = 64
+	bytesPerValue = 48
+)
 
 // wrapLoadErr attributes a loader error to the KB being loaded, so a caller
 // reading several inputs can tell which one failed. Parse errors already
@@ -57,35 +180,46 @@ func wrapLoadErr(name string, err error) error {
 	return fmt.Errorf("kb: %s: %w", name, err)
 }
 
-// ReadNTriples scans N-Triples statements from r into any TripleSink — the
-// loader core shared by the two-pass (LoadNTriples) and streaming
-// (StreamNTriples) construction paths. It returns the number of skipped
-// malformed lines (lenient mode) or the first *ParseError.
-func ReadNTriples(sink TripleSink, r io.Reader, lenient bool) (int, error) {
+// newScanner reads lines of up to 16 MB without making a string of any.
+func newScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	return sc
+}
+
+// ctxEvery is how many lines the readers parse between looks at ctx.
+const ctxEvery = 1 << 12
+
+// ReadNTriples scans N-Triples statements from r into any TripleSink. It
+// returns the number of skipped malformed lines (lenient mode) or the first
+// *ParseError.
+func ReadNTriples(sink TripleSink, r io.Reader, lenient bool) (int, error) {
+	return readNTriples(context.Background(), termSinkOf(sink), r, lenient)
+}
+
+func readNTriples(ctx context.Context, sink termSink, r io.Reader, lenient bool) (int, error) {
+	sc := newScanner(r)
+	var unescaped []byte // reused by every escaped literal
 	skipped := 0
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		if lineNo%ctxEvery == 0 && ctx.Err() != nil {
+			return skipped, ctx.Err()
+		}
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		subj, pred, obj, objIsURI, err := parseNTLine(line)
+		subj, pred, obj, objIsURI, err := parseNTLine(line, &unescaped)
 		if err != nil {
 			if lenient {
 				skipped++
 				continue
 			}
-			return skipped, &ParseError{Line: lineNo, Text: line, Err: err}
+			return skipped, &ParseError{Line: lineNo, Text: string(line), Err: err}
 		}
-		id := sink.AddEntity(subj)
-		if objIsURI {
-			sink.AddObject(id, pred, obj)
-		} else {
-			sink.AddLiteral(id, pred, obj)
-		}
+		sink.addTerms(subj, pred, obj, objIsURI)
 	}
 	if err := sc.Err(); err != nil {
 		return skipped, fmt.Errorf("reading n-triples: %w", err)
@@ -93,153 +227,149 @@ func ReadNTriples(sink TripleSink, r io.Reader, lenient bool) (int, error) {
 	return skipped, nil
 }
 
-// parseNTLine parses one N-Triples statement into its three terms.
-func parseNTLine(line string) (subj, pred, obj string, objIsURI bool, err error) {
-	rest := line
-	subj, rest, err = parseSubject(rest)
-	if err != nil {
-		return "", "", "", false, errMissingSubject
+// parseNTLine parses one N-Triples statement into its three terms. The terms
+// alias line, except a literal with escapes, which is decoded into *scratch.
+func parseNTLine(line []byte, scratch *[]byte) (subj, pred, obj []byte, objIsURI bool, err error) {
+	subj, rest, ok := parseSubject(line)
+	if !ok {
+		return nil, nil, nil, false, errMissingSubject
 	}
-	pred, rest, err = parseURI(rest)
-	if err != nil {
-		return "", "", "", false, errMissingPredicate
+	pred, rest, ok = parseURI(rest)
+	if !ok {
+		return nil, nil, nil, false, errMissingPredicate
 	}
-	rest = strings.TrimLeft(rest, " \t")
-	if rest == "" {
-		return "", "", "", false, errMissingObject
+	rest = bytes.TrimLeft(rest, " \t")
+	if len(rest) == 0 {
+		return nil, nil, nil, false, errMissingObject
 	}
 	switch rest[0] {
 	case '<':
-		obj, _, err = parseURI(rest)
-		if err != nil {
-			return "", "", "", false, errMissingObject
+		if obj, _, ok = parseURI(rest); !ok {
+			return nil, nil, nil, false, errMissingObject
 		}
 		return subj, pred, obj, true, nil
 	case '"':
-		obj, err = parseLiteral(rest)
-		if err != nil {
-			return "", "", "", false, err
+		if obj, ok = parseLiteral(rest, scratch); !ok {
+			return nil, nil, nil, false, errUnterminated
 		}
 		return subj, pred, obj, false, nil
 	case '_': // blank node: treat its label as a URI-like identifier
-		end := strings.IndexAny(rest, " \t")
+		end := bytes.IndexAny(rest, " \t")
 		if end < 0 {
 			end = len(rest)
 		}
 		return subj, pred, rest[:end], true, nil
 	default:
-		return "", "", "", false, errMissingObject
+		return nil, nil, nil, false, errMissingObject
 	}
 }
 
 // parseSubject consumes a leading subject term: either <uri> or a blank node
 // label (_:x), whose label is used as the identifier.
-func parseSubject(s string) (subj, rest string, err error) {
-	s = strings.TrimLeft(s, " \t")
-	if strings.HasPrefix(s, "_") {
-		end := strings.IndexAny(s, " \t")
+func parseSubject(s []byte) (subj, rest []byte, ok bool) {
+	s = bytes.TrimLeft(s, " \t")
+	if len(s) > 0 && s[0] == '_' {
+		end := bytes.IndexAny(s, " \t")
 		if end < 0 {
-			return "", "", errUnterminated
+			return nil, nil, false
 		}
-		return s[:end], s[end:], nil
+		return s[:end], s[end:], true
 	}
 	return parseURI(s)
 }
 
 // parseURI consumes a leading <...> term and returns it without brackets.
-func parseURI(s string) (uri, rest string, err error) {
-	s = strings.TrimLeft(s, " \t")
-	if !strings.HasPrefix(s, "<") {
-		return "", "", errUnterminated
+func parseURI(s []byte) (uri, rest []byte, ok bool) {
+	s = bytes.TrimLeft(s, " \t")
+	if len(s) == 0 || s[0] != '<' {
+		return nil, nil, false
 	}
-	end := strings.IndexByte(s, '>')
+	end := bytes.IndexByte(s, '>')
 	if end < 0 {
-		return "", "", errUnterminated
+		return nil, nil, false
 	}
-	return s[1:end], s[end+1:], nil
+	return s[1:end], s[end+1:], true
 }
 
-// parseLiteral consumes a leading "..." literal (with \-escapes) and strips
-// any datatype (^^<...>) or language (@xx) suffix.
-func parseLiteral(s string) (string, error) {
-	if !strings.HasPrefix(s, `"`) {
-		return "", errUnterminated
+// parseLiteral consumes a leading "..." literal and strips any datatype
+// (^^<...>) or language (@xx) suffix. A literal without \-escapes is
+// returned as a view of s; one with escapes is decoded into (*scratch)[:0].
+func parseLiteral(s []byte, scratch *[]byte) ([]byte, bool) {
+	for i := 1; i < len(s); i++ {
+		switch s[i] {
+		case '"':
+			return s[1:i], true
+		case '\\':
+			return unescapeLiteral(s, i, scratch)
+		}
 	}
-	var b strings.Builder
-	i := 1
+	return nil, false
+}
+
+// unescapeLiteral finishes parseLiteral from the first backslash, at s[i].
+func unescapeLiteral(s []byte, i int, scratch *[]byte) ([]byte, bool) {
+	b := append((*scratch)[:0], s[1:i]...)
+	defer func() { *scratch = b }()
 	for i < len(s) {
 		c := s[i]
 		if c == '\\' && i+1 < len(s) {
 			switch s[i+1] {
 			case 'n':
-				b.WriteByte('\n')
+				b = append(b, '\n')
 			case 't':
-				b.WriteByte('\t')
+				b = append(b, '\t')
 			case 'r':
-				b.WriteByte('\r')
-			case '"':
-				b.WriteByte('"')
-			case '\\':
-				b.WriteByte('\\')
+				b = append(b, '\r')
 			case 'u':
-				if i+6 <= len(s) {
-					if n, err := strconv.ParseUint(s[i+2:i+6], 16, 32); err == nil {
-						b.WriteRune(rune(n))
-						i += 6
-						continue
-					}
+				if i+6 > len(s) {
+					return nil, false
 				}
-				return "", errUnterminated
-			default:
-				b.WriteByte(s[i+1])
+				r, err := strconv.ParseUint(string(s[i+2:i+6]), 16, 32)
+				if err != nil {
+					return nil, false
+				}
+				b = utf8.AppendRune(b, rune(r))
+				i += 6
+				continue
+			default: // \" and \\, and any other escaped byte stands for itself
+				b = append(b, s[i+1])
 			}
 			i += 2
 			continue
 		}
 		if c == '"' {
-			return b.String(), nil
+			return b, true
 		}
-		b.WriteByte(c)
+		b = append(b, c)
 		i++
 	}
-	return "", errUnterminated
-}
-
-// LoadTSV reads a KB as tab-separated subject/predicate/object rows. Objects
-// are treated as entity URIs when they appear elsewhere as subjects (resolved
-// at Build time via AddObject) if uriObjects is true; otherwise every object
-// is a literal. Returns the KB and the number of skipped malformed rows.
-func LoadTSV(name string, r io.Reader, uriObjects bool) (*KB, int, error) {
-	b := NewBuilder(name)
-	skipped, err := ReadTSV(b, r, uriObjects)
-	if err != nil {
-		return nil, skipped, wrapLoadErr(name, err)
-	}
-	return b.Build(), skipped, nil
+	return nil, false
 }
 
 // ReadTSV scans tab-separated subject/predicate/object rows from r into any
 // TripleSink, returning the number of skipped malformed rows.
 func ReadTSV(sink TripleSink, r io.Reader, uriObjects bool) (int, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	return readTSV(context.Background(), termSinkOf(sink), r, uriObjects)
+}
+
+func readTSV(ctx context.Context, sink termSink, r io.Reader, uriObjects bool) (int, error) {
+	sc := newScanner(r)
 	skipped := 0
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
+	for lineNo := 1; sc.Scan(); lineNo++ {
+		if lineNo%ctxEvery == 0 && ctx.Err() != nil {
+			return skipped, ctx.Err()
+		}
+		line := sc.Bytes()
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		parts := strings.SplitN(line, "\t", 3)
-		if len(parts) != 3 || parts[0] == "" || parts[1] == "" {
+		subj, rest, ok1 := bytes.Cut(line, []byte{'\t'})
+		pred, obj, ok2 := bytes.Cut(rest, []byte{'\t'})
+		if !ok1 || !ok2 || len(subj) == 0 || len(pred) == 0 {
 			skipped++
 			continue
 		}
-		id := sink.AddEntity(parts[0])
-		if uriObjects {
-			sink.AddObject(id, parts[1], parts[2])
-		} else {
-			sink.AddLiteral(id, parts[1], parts[2])
-		}
+		sink.addTerms(subj, pred, obj, uriObjects)
 	}
 	if err := sc.Err(); err != nil {
 		return skipped, fmt.Errorf("reading tsv: %w", err)

@@ -1,6 +1,9 @@
 package kb
 
-import "sync"
+import (
+	"sync"
+	"unsafe"
+)
 
 // PredID is a dense identifier for a distinct relation predicate inside a
 // Schema. Like TokenID, IDs are assigned in first-intern order; stages that
@@ -18,13 +21,16 @@ type AttrID uint32
 // name(e) function skip per-call normalization entirely.
 type ValueID uint32
 
-// symtab is the shared string-interning core behind the schema dictionaries:
-// a mutex-guarded map plus an append-only string table, exactly the Interner
-// discipline (IDs never reassigned, reads lock-free once interning is done).
+// symtab is the string-interning core behind the token Interner and the
+// three schema dictionaries: a mutex-guarded map plus an append-only string
+// table (IDs never reassigned, reads lock-free once interning is done).
+// Strings interned from bytes are carved out of an arena, so a dictionary of
+// a million short strings costs a few dozen allocations, not a million.
 type symtab struct {
-	mu   sync.Mutex
-	ids  map[string]uint32
-	strs []string
+	mu    sync.Mutex
+	ids   map[string]uint32
+	strs  []string
+	arena arena
 	// frozen, when set, backs a read-only dictionary loaded from a snapshot:
 	// reads route to the flat table and interning panics (see NewFrozenSchema).
 	frozen *FrozenStrings
@@ -35,18 +41,47 @@ func newSymtab() symtab {
 }
 
 func (t *symtab) intern(s string) uint32 {
-	if t.frozen != nil {
-		panic("kb: intern into a frozen (snapshot-backed) schema dictionary")
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.frozen != nil {
+		panic("kb: intern into a frozen (snapshot-backed) dictionary")
+	}
 	if id, ok := t.ids[s]; ok {
 		return id
 	}
+	return t.add(s)
+}
+
+// internBytes is intern for text still sitting in a read buffer: the lookup
+// allocates nothing, and only a first sighting copies b (into the arena).
+// The caller holds t.mu — the ingester takes it once per literal, not once
+// per token.
+func (t *symtab) internBytes(b []byte) uint32 {
+	if id, ok := t.ids[string(b)]; ok {
+		return id
+	}
+	if t.frozen != nil {
+		panic("kb: intern into a frozen (snapshot-backed) dictionary")
+	}
+	return t.add(t.arena.add(b))
+}
+
+func (t *symtab) add(s string) uint32 {
 	id := uint32(len(t.strs))
 	t.ids[s] = id
 	t.strs = append(t.strs, s)
 	return id
+}
+
+// reserve sizes a still-empty dictionary for n strings, so that loading a
+// large KB does not grow the map a dozen times on the way.
+func (t *symtab) reserve(n int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.frozen == nil && len(t.strs) == 0 {
+		t.ids = make(map[string]uint32, n)
+		t.strs = make([]string, 0, n)
+	}
 }
 
 func (t *symtab) lookup(s string) (uint32, bool) {
@@ -76,6 +111,36 @@ func (t *symtab) str(id uint32) string {
 		return t.frozen.At(int(id))
 	}
 	return t.strs[id]
+}
+
+// snapshot returns the strings interned so far. The result is safe to read
+// while other goroutines keep interning: entries are never rewritten.
+func (t *symtab) snapshot() []string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.strs[:len(t.strs):len(t.strs)]
+}
+
+// arena hands out immutable strings carved from large byte chunks. Chunks
+// start small, so the thousands of tiny dictionaries tests build stay tiny.
+type arena struct {
+	chunk []byte // current chunk; its length is the part handed out
+	size  int    // capacity of the current chunk's size class
+}
+
+const maxArenaChunk = 1 << 20
+
+func (a *arena) add(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	if cap(a.chunk)-len(a.chunk) < len(b) {
+		a.size = min(max(2*a.size, 1<<10), maxArenaChunk)
+		a.chunk = make([]byte, 0, max(a.size, len(b)))
+	}
+	n := len(a.chunk)
+	a.chunk = append(a.chunk, b...)
+	return unsafe.String(&a.chunk[n], len(b))
 }
 
 // Schema is the schema-axis counterpart of the token Interner: the shared

@@ -127,48 +127,3 @@ func TestSharedSchemaAcrossPair(t *testing.T) {
 		t.Errorf("k1 distinct counts = %d attrs, %d preds", k1.Attributes(), k1.RelationNames())
 	}
 }
-
-// The streaming builder must produce the same columns as the two-pass one.
-func TestStreamBuilderColumnsMatchBuilder(t *testing.T) {
-	feed := func(b TripleSink) {
-		a := b.AddEntity("a")
-		b.AddObject(a, "linked", "b") // forward reference
-		b.AddLiteral(a, "name", "Alpha Beta")
-		bb := b.AddEntity("b")
-		b.AddLiteral(bb, "name", "Gamma")
-		b.AddObject(bb, "linked", "a")
-		b.AddObject(a, "ref", "external") // never resolves → literal
-	}
-	tb := NewBuilder("T")
-	feed(tb)
-	sb := NewStreamBuilder("T")
-	feed(sb)
-	k1, k2 := tb.Build(), sb.Build()
-	for i := 0; i < k1.Len(); i++ {
-		id := EntityID(i)
-		p1, o1 := k1.RelationColumns(id)
-		p2, o2 := k2.RelationColumns(id)
-		if !slices.Equal(k1ToStrings(k1, p1), k1ToStrings(k2, p2)) || !slices.Equal(o1, o2) {
-			t.Errorf("entity %d: relation columns differ", i)
-		}
-		a1, v1 := k1.AttributeColumns(id)
-		a2, v2 := k2.AttributeColumns(id)
-		if len(a1) != len(a2) {
-			t.Fatalf("entity %d: attribute span sizes differ", i)
-		}
-		for j := range a1 {
-			if k1.Schema().Attr(a1[j]) != k2.Schema().Attr(a2[j]) ||
-				k1.Schema().Value(v1[j]) != k2.Schema().Value(v2[j]) {
-				t.Errorf("entity %d row %d: attribute columns differ", i, j)
-			}
-		}
-	}
-}
-
-func k1ToStrings(k *KB, preds []PredID) []string {
-	out := make([]string, len(preds))
-	for i, p := range preds {
-		out[i] = k.Schema().Pred(p)
-	}
-	return out
-}

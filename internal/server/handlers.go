@@ -104,7 +104,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, aerr)
 		return
 	}
-	resp, aerr := s.query(r.Context(), r.PathValue("id"), &req)
+	p, aerr := s.acquire(w, r)
+	if aerr != nil {
+		return
+	}
+	defer p.Release()
+	resp, aerr := s.query(r.Context(), p, &req)
 	if aerr != nil {
 		s.writeError(w, aerr)
 		return
@@ -118,7 +123,12 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, aerr)
 		return
 	}
-	resp, aerr := s.resolve(r.Context(), r.PathValue("id"), &req)
+	p, aerr := s.acquire(w, r)
+	if aerr != nil {
+		return
+	}
+	defer p.Release()
+	resp, aerr := s.resolve(r.Context(), p, &req)
 	if aerr != nil {
 		s.writeError(w, aerr)
 		return
@@ -136,10 +146,23 @@ func (s *Server) handleEntities(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	resp, aerr := s.entities(r.PathValue("id"), limit)
+	p, aerr := s.acquire(w, r)
 	if aerr != nil {
-		s.writeError(w, aerr)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	defer p.Release()
+	s.writeJSON(w, http.StatusOK, s.entities(p, limit))
+}
+
+// acquire takes a reference on the request's pair, or answers the request
+// with the reason it cannot. The handler holds the reference until its
+// response is written: the response's strings alias the pair's substrate,
+// which for a snapshot-backed pair is a mapping that Delete would otherwise
+// be free to unmap.
+func (s *Server) acquire(w http.ResponseWriter, r *http.Request) (*Pair, *apiError) {
+	p, aerr := s.reg.Acquire(r.PathValue("id"))
+	if aerr != nil {
+		s.writeError(w, aerr)
+	}
+	return p, aerr
 }

@@ -11,8 +11,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -34,6 +32,12 @@ type Pair struct {
 	status string
 	sub    *core.Substrate
 	err    error
+	// loaded is the open snapshot whose mapping sub aliases, for a pair that
+	// came from one. refs counts who may still read sub: the registry while
+	// the pair is registered, and every request between Acquire and Release.
+	// Whoever takes it to zero unmaps.
+	loaded *snapshot.Loaded
+	refs   atomic.Int64
 
 	loadWall    time.Duration
 	prewarmWall time.Duration
@@ -52,6 +56,16 @@ func (p *Pair) ID() string { return p.id }
 // Done returns a channel closed once the pair's build has finished.
 func (p *Pair) Done() <-chan struct{} { return p.done }
 
+// Release gives back a reference taken by Registry.Acquire. The last one out
+// of a deleted pair unmaps its snapshot.
+func (p *Pair) Release() {
+	if p.refs.Add(-1) == 0 && p.loaded != nil {
+		// A failed munmap leaves the pages mapped, which is all that never
+		// closing did.
+		_ = p.loaded.Close()
+	}
+}
+
 // Registry holds the loaded pairs. It is safe for concurrent use.
 type Registry struct {
 	mu    sync.Mutex
@@ -67,9 +81,8 @@ type Registry struct {
 	// observable: N concurrent loads of one pair must leave it at 1.
 	builds atomic.Int64
 
-	// buildPair is swappable by tests to control build duration and failure;
-	// the default loads the KBs from the spec's paths and builds the
-	// substrate.
+	// buildPair builds a pair from its KB files; swappable by tests to
+	// control build duration and failure.
 	buildPair func(ctx context.Context, p *Pair) (*core.Substrate, time.Duration, error)
 }
 
@@ -130,6 +143,7 @@ func (r *Registry) Load(spec LoadPairRequest) (*Pair, bool, error) {
 		cancel: cancel,
 		done:   make(chan struct{}),
 	}
+	p.refs.Store(1)
 	r.pairs[id] = p
 	r.builds.Add(1)
 	r.wg.Add(1)
@@ -154,6 +168,7 @@ func (r *Registry) AddSubstrate(id string, spec LoadPairRequest, sub *core.Subst
 		cancel: func() {},
 		done:   make(chan struct{}),
 	}
+	p.refs.Store(1)
 	close(p.done)
 	r.pairs[id] = p
 	return p, nil
@@ -163,7 +178,22 @@ func (r *Registry) AddSubstrate(id string, spec LoadPairRequest, sub *core.Subst
 func (r *Registry) runBuild(ctx context.Context, p *Pair) {
 	defer r.wg.Done()
 	defer p.cancel() // release the ctx once the build settles
-	sub, loadWall, err := r.buildPair(ctx, p)
+	var (
+		sub      *core.Substrate
+		loaded   *snapshot.Loaded
+		loadWall time.Duration
+		err      error
+	)
+	if p.spec.Snapshot != "" {
+		// Snapshot-sourced pair: the mmap open replaces KB parsing AND the
+		// substrate build.
+		t0 := time.Now()
+		if loaded, err = snapshot.OpenSubstrate(p.spec.Snapshot); err == nil {
+			sub, loadWall = loaded.Substrate(), time.Since(t0)
+		}
+	} else {
+		sub, loadWall, err = r.buildPair(ctx, p)
+	}
 	var prewarmWall time.Duration
 	if err == nil && (p.spec.Prewarm == nil || *p.spec.Prewarm) {
 		t0 := time.Now()
@@ -178,6 +208,9 @@ func (r *Registry) runBuild(ctx context.Context, p *Pair) {
 		}
 	}
 	r.mu.Lock()
+	// Deleted while it was building: no request can reach the pair and
+	// nobody will release it, so the mapping is closed here.
+	orphan := p.refs.Load() == 0
 	if err != nil {
 		p.status = StatusFailed
 		p.err = err
@@ -186,6 +219,9 @@ func (r *Registry) runBuild(ctx context.Context, p *Pair) {
 		p.sub = sub
 		p.loadWall = loadWall
 		p.prewarmWall = prewarmWall
+		if !orphan {
+			p.loaded = loaded
+		}
 		if p.spec.Snapshot != "" {
 			// A snapshot carries its own build configuration; queries and
 			// resolves must use it, not the spec's defaults.
@@ -193,33 +229,17 @@ func (r *Registry) runBuild(ctx context.Context, p *Pair) {
 		}
 	}
 	r.mu.Unlock()
+	if loaded != nil && (err != nil || orphan) {
+		_ = loaded.Close() // as in Release
+	}
 	close(p.done)
 }
 
-// defaultBuild loads the two KBs from the spec's paths and builds the shared
-// substrate under the build context.
+// defaultBuild loads the two KBs from the spec's paths into shared
+// dictionaries and builds the substrate, all under the build context.
 func (r *Registry) defaultBuild(ctx context.Context, p *Pair) (*core.Substrate, time.Duration, error) {
-	if p.spec.Snapshot != "" {
-		// Snapshot-sourced pair: the mmap open replaces KB parsing AND the
-		// substrate build. The mapping lives for the process lifetime — the
-		// registry never unmaps, since queries may hold the substrate after
-		// Delete (see Loaded.Close).
-		t0 := time.Now()
-		loaded, err := snapshot.OpenSubstrate(p.spec.Snapshot)
-		if err != nil {
-			return nil, 0, err
-		}
-		return loaded.Substrate(), time.Since(t0), nil
-	}
 	t0 := time.Now()
-	k1, err := loadKBFile("E1", p.spec.E1, p.spec.Format, p.spec.Stream)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	k2, err := loadKBFile("E2", p.spec.E2, p.spec.Format, p.spec.Stream)
+	k1, k2, _, err := kb.LoadPair(ctx, p.spec.E1, p.spec.E2, p.spec.Format, true)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -231,29 +251,6 @@ func (r *Registry) defaultBuild(ctx context.Context, p *Pair) (*core.Substrate, 
 	return sub, loadWall, nil
 }
 
-// loadKBFile parses one KB dump in the requested format.
-func loadKBFile(name, path, format string, stream bool) (*kb.KB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	load := func(r io.Reader) (*kb.KB, int, error) {
-		switch {
-		case format == "nt" && stream:
-			return kb.StreamNTriples(name, r, true)
-		case format == "nt":
-			return kb.LoadNTriples(name, r, true)
-		case stream:
-			return kb.StreamTSV(name, r, true)
-		default:
-			return kb.LoadTSV(name, r, true)
-		}
-	}
-	k, _, err := load(f)
-	return k, err
-}
-
 // Get returns the pair registered under id.
 func (r *Registry) Get(id string) (*Pair, bool) {
 	r.mu.Lock()
@@ -262,14 +259,15 @@ func (r *Registry) Get(id string) (*Pair, bool) {
 	return p, ok
 }
 
-// Delete unregisters a pair, aborting its build if still in flight. The
-// substrate itself is released to the garbage collector once in-flight
-// queries holding it return.
+// Delete unregisters a pair, aborting its build if still in flight. Requests
+// that acquired the pair before keep its substrate, and the snapshot mapping
+// under it, until they release it; the last of them unmaps.
 func (r *Registry) Delete(id string) bool {
 	r.mu.Lock()
 	p, ok := r.pairs[id]
 	if ok {
 		delete(r.pairs, id)
+		p.Release() // the registry's own reference
 	}
 	r.mu.Unlock()
 	if ok {
@@ -336,24 +334,27 @@ func (r *Registry) Len() int {
 // singleflight invariant's observable.
 func (r *Registry) Builds() int64 { return r.builds.Load() }
 
-// Substrate returns a ready pair's shared substrate, or a *apiError
-// describing why it is unavailable.
-func (r *Registry) Substrate(id string) (*Pair, *core.Substrate, *apiError) {
+// Acquire returns the ready pair registered under id with a reference held,
+// or a *apiError describing why it is unavailable. Until the caller's
+// Release the pair's substrate stays readable, even if the pair is deleted
+// meanwhile; a deleted pair cannot be acquired.
+func (r *Registry) Acquire(id string) (*Pair, *apiError) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	p, ok := r.pairs[id]
 	if !ok {
-		return nil, nil, errPairNotFound(id)
+		return nil, errPairNotFound(id)
 	}
 	switch p.status {
 	case StatusBuilding:
-		return nil, nil, &apiError{status: 409, code: CodePairNotReady,
+		return nil, &apiError{status: 409, code: CodePairNotReady,
 			msg: fmt.Sprintf("pair %q is still building; poll GET /v1/pairs/%s", id, id)}
 	case StatusFailed:
-		return nil, nil, &apiError{status: 500, code: CodePairFailed,
+		return nil, &apiError{status: 500, code: CodePairFailed,
 			msg: fmt.Sprintf("pair %q failed to build: %v", id, p.err)}
 	}
-	return p, p.sub, nil
+	p.refs.Add(1) // a registered pair holds the registry's reference, so this is never the first
+	return p, nil
 }
 
 // Close aborts every in-flight build and waits for the build goroutines to

@@ -1,8 +1,8 @@
 // The service layer between the HTTP handlers and the library: request
 // semantics (replay vs explicit query format, matching-side overrides,
 // per-request deadlines) live here, handlers.go only translates HTTP. Every
-// method consumes the registry's shared substrates — nothing in this file
-// builds pair-level state.
+// method works on a pair the handler has acquired from the registry —
+// nothing in this file builds pair-level state.
 package server
 
 import (
@@ -92,11 +92,8 @@ func entityQuery(sub *core.Substrate, req *QueryRequest) (core.EntityQuery, *api
 
 // query resolves one entity description against a loaded pair's shared
 // substrate under the request deadline.
-func (s *Server) query(ctx context.Context, id string, req *QueryRequest) (*QueryResponse, *apiError) {
-	p, sub, aerr := s.reg.Substrate(id)
-	if aerr != nil {
-		return nil, aerr
-	}
+func (s *Server) query(ctx context.Context, p *Pair, req *QueryRequest) (*QueryResponse, *apiError) {
+	sub := p.sub
 	q, aerr := entityQuery(sub, req)
 	if aerr != nil {
 		return nil, aerr
@@ -121,7 +118,7 @@ func (s *Server) query(ctx context.Context, id string, req *QueryRequest) (*Quer
 	}
 	p.queries.Add(1)
 	return &QueryResponse{
-		Pair:       id,
+		Pair:       p.id,
 		URI:        q.URI,
 		Candidates: Candidates(ms),
 		ElapsedUS:  float64(time.Since(t0).Microseconds()),
@@ -130,11 +127,8 @@ func (s *Server) query(ctx context.Context, id string, req *QueryRequest) (*Quer
 
 // resolve runs a batch resolution over the pair's shared substrate, applying
 // only the matching-side overrides of the request.
-func (s *Server) resolve(ctx context.Context, id string, req *ResolveRequest) (*ResolveResponse, *apiError) {
-	p, sub, aerr := s.reg.Substrate(id)
-	if aerr != nil {
-		return nil, aerr
-	}
+func (s *Server) resolve(ctx context.Context, p *Pair, req *ResolveRequest) (*ResolveResponse, *apiError) {
+	sub := p.sub
 	cfg := p.cfg
 	if req.Theta != 0 {
 		cfg.Theta = req.Theta
@@ -157,7 +151,7 @@ func (s *Server) resolve(ctx context.Context, id string, req *ResolveRequest) (*
 		return nil, badRequest("%v", err)
 	}
 	resp := &ResolveResponse{
-		Pair:        id,
+		Pair:        p.id,
 		Matches:     make([]ResolveMatch, 0, len(out.Matches)),
 		MatchCount:  len(out.Matches),
 		GraphEdges:  out.GraphEdges,
@@ -177,11 +171,8 @@ func (s *Server) resolve(ctx context.Context, id string, req *ResolveRequest) (*
 
 // entities returns a prefix of the pair's E1 URIs — the replay corpus for
 // load tests and smoke checks.
-func (s *Server) entities(id string, limit int) (*EntitiesResponse, *apiError) {
-	_, sub, aerr := s.reg.Substrate(id)
-	if aerr != nil {
-		return nil, aerr
-	}
+func (s *Server) entities(p *Pair, limit int) *EntitiesResponse {
+	sub := p.sub
 	n := sub.K1().Len()
 	if limit <= 0 || limit > n {
 		limit = n
@@ -190,5 +181,5 @@ func (s *Server) entities(id string, limit int) (*EntitiesResponse, *apiError) {
 	for i := range uris {
 		uris[i] = sub.K1().Entity(kb.EntityID(i)).URI
 	}
-	return &EntitiesResponse{Pair: id, Count: n, URIs: uris}, nil
+	return &EntitiesResponse{Pair: p.id, Count: n, URIs: uris}
 }

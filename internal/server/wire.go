@@ -88,7 +88,8 @@ type LoadPairRequest struct {
 	E2 string `json:"e2"`
 	// Format is "nt" (default) or "tsv".
 	Format string `json:"format,omitempty"`
-	// Stream selects the memory-bounded streaming ingestion path.
+	// Stream is accepted and ignored: every load streams through the one
+	// ingester (it used to select a second construction path).
 	Stream bool `json:"stream,omitempty"`
 	// Prewarm (default true) front-loads the lazy query state after the
 	// substrate build, so the first query does not pay for it.

@@ -38,8 +38,8 @@ func (l *Loaded) Mapped() bool { return l.mapped }
 
 // Close releases the mapping, if any. The substrate must have drained all
 // queries first: after Close, slices that aliased the mapping fault on
-// access. Long-lived servers that cannot prove drain should simply not call
-// Close and let the mapping live for the process lifetime.
+// access. The server's registry proves the drain by counting references
+// (server.Registry.Acquire / Pair.Release) and closes on the last release.
 func (l *Loaded) Close() error {
 	if !l.mapped {
 		return nil

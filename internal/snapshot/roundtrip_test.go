@@ -62,9 +62,8 @@ func loadPinned(t *testing.T, dataset string) string {
 	return ""
 }
 
-// buildPreset generates a preset pair at the pinned-fixture scale (0.1) and
-// builds its substrate.
-func buildPreset(t *testing.T, name string) *core.Substrate {
+// generatePreset generates a preset pair at the pinned-fixture scale (0.1).
+func generatePreset(t *testing.T, name string) *datagen.Dataset {
 	t.Helper()
 	for _, profile := range datagen.Presets() {
 		if profile.Name != name {
@@ -74,14 +73,21 @@ func buildPreset(t *testing.T, name string) *core.Substrate {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sub, err := core.BuildSubstrate(context.Background(), d.K1, d.K2, core.Config{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sub
+		return d
 	}
 	t.Fatalf("unknown preset %s", name)
 	return nil
+}
+
+// buildPreset builds the substrate of a generated preset pair.
+func buildPreset(t *testing.T, name string) *core.Substrate {
+	t.Helper()
+	d := generatePreset(t, name)
+	sub, err := core.BuildSubstrate(context.Background(), d.K1, d.K2, core.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sub
 }
 
 func resolveDigest(t *testing.T, sub *core.Substrate) string {

@@ -8,8 +8,7 @@
 // entity descriptions that refer to the same real-world entity without any
 // schema alignment, training data or expert configuration:
 //
-//	k1, _, _ := minoaner.LoadNTriples("dbpedia", f1, true)
-//	k2, _, _ := minoaner.LoadNTriples("wikidata", f2, true)
+//	k1, k2, _, err := minoaner.LoadPair(ctx, "dbpedia.nt", "wikidata.nt", "nt", true)
 //	out, err := minoaner.Resolve(ctx, k1, k2, minoaner.DefaultConfig())
 //	for _, m := range out.Matches {
 //	    fmt.Println(k1.Entity(m.Pair.E1).URI, "=", k2.Entity(m.Pair.E2).URI, m.Rule)
@@ -115,37 +114,10 @@ func NewBuilderWithDicts(name string, dict *Interner, schema *Schema) *Builder {
 	return kb.NewBuilderWithDicts(name, dict, schema)
 }
 
-// StreamBuilder is the memory-bounded KB construction path: statements are
-// tokenized and interned as they arrive, and only forward-referenced object
-// statements are held until Build — instead of queueing the whole input.
-type StreamBuilder = kb.StreamBuilder
-
-// NewStreamBuilder starts a streaming KB build with the given display name.
-func NewStreamBuilder(name string) *StreamBuilder { return kb.NewStreamBuilder(name) }
-
-// NewStreamBuilderWithInterner starts a streaming KB build over a shared
-// token dictionary (see NewBuilderWithInterner).
-func NewStreamBuilderWithInterner(name string, dict *Interner) *StreamBuilder {
-	return kb.NewStreamBuilderWithInterner(name, dict)
-}
-
-// NewStreamBuilderWithDicts starts a streaming KB build over a shared token
-// dictionary and a shared schema dictionary (see NewBuilderWithDicts).
-func NewStreamBuilderWithDicts(name string, dict *Interner, schema *Schema) *StreamBuilder {
-	return kb.NewStreamBuilderWithDicts(name, dict, schema)
-}
-
 // LoadNTriples reads a KB in N-Triples format; lenient skips malformed
 // lines instead of failing. It returns the KB and the skipped-line count.
 func LoadNTriples(name string, r io.Reader, lenient bool) (*KB, int, error) {
 	return kb.LoadNTriples(name, r, lenient)
-}
-
-// StreamNTriples is LoadNTriples through the streaming construction path —
-// tokens are interned incrementally instead of after a whole-file pass, so
-// peak load memory tracks the KB, not the raw statement queue.
-func StreamNTriples(name string, r io.Reader, lenient bool) (*KB, int, error) {
-	return kb.StreamNTriples(name, r, lenient)
 }
 
 // LoadTSV reads a KB from tab-separated subject/predicate/object rows.
@@ -153,9 +125,29 @@ func LoadTSV(name string, r io.Reader, uriObjects bool) (*KB, int, error) {
 	return kb.LoadTSV(name, r, uriObjects)
 }
 
-// StreamTSV is LoadTSV through the streaming construction path.
+// LoadPair ingests the two KBs of a pair from files — E1 then E2, format
+// "nt" or "tsv" — into one shared token dictionary and one shared schema
+// dictionary. This is the fast path to Resolve and BuildSubstrate: blocking
+// runs on a single dense ID space instead of merging two dictionaries by
+// string, and a snapshot of the pair stores one dictionary instead of three.
+// KBs loaded one at a time still resolve to the same matches. It returns the
+// KBs and the skipped-line count of each file.
+func LoadPair(ctx context.Context, path1, path2, format string, lenient bool) (k1, k2 *KB, skipped [2]int, err error) {
+	return kb.LoadPair(ctx, path1, path2, format, lenient)
+}
+
+// StreamNTriples is LoadNTriples.
+//
+// Deprecated: every load streams through the one ingester; call LoadNTriples.
+func StreamNTriples(name string, r io.Reader, lenient bool) (*KB, int, error) {
+	return kb.LoadNTriples(name, r, lenient)
+}
+
+// StreamTSV is LoadTSV.
+//
+// Deprecated: every load streams through the one ingester; call LoadTSV.
 func StreamTSV(name string, r io.Reader, uriObjects bool) (*KB, int, error) {
-	return kb.StreamTSV(name, r, uriObjects)
+	return kb.LoadTSV(name, r, uriObjects)
 }
 
 // WriteNTriples serializes a KB in N-Triples format.

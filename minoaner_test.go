@@ -159,12 +159,6 @@ func TestPublicAPIStreamLoaders(t *testing.T) {
 	if err != nil || k2.Len() != 1 {
 		t.Error("StreamTSV facade")
 	}
-	b := NewStreamBuilderWithInterner("x", NewInterner())
-	e := b.AddEntity("u")
-	b.AddLiteral(e, "p", "tok")
-	if b.Build().Len() != 1 {
-		t.Error("StreamBuilder facade")
-	}
 }
 
 func TestPublicAPIResolveCancellation(t *testing.T) {

@@ -197,6 +197,57 @@ func TestServeSmoke(t *testing.T) {
 	}
 }
 
+// TestServeTermDuringPreload sends SIGTERM while a -pair is still being
+// built: the server must abort the build and leave through the drain path
+// with status 0, not die by the signal's default action.
+func TestServeTermDuringPreload(t *testing.T) {
+	if os.Getenv("MINOANER_SERVE_SMOKE") == "" {
+		t.Skip("set MINOANER_SERVE_SMOKE=1 (or run `make serve-smoke`) to exercise the minoanerd binary")
+	}
+	tmp := t.TempDir()
+	// Large enough that the preload takes a second or so.
+	d, err := minoaner.GenerateBenchmark(minoaner.YAGOIMDbProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e1Path, e2Path := filepath.Join(tmp, "e1.nt"), filepath.Join(tmp, "e2.nt")
+	writeKB(t, e1Path, d.K1)
+	writeKB(t, e2Path, d.K2)
+	serverBin := buildBinary(t, tmp, "minoanerd", "./cmd/minoanerd")
+
+	var stdout bytes.Buffer
+	srv := exec.Command(serverBin, "-addr", "127.0.0.1:0", "-quiet",
+		"-pair", fmt.Sprintf(`{"id":"big","e1":%q,"e2":%q}`, e1Path, e2Path))
+	srv.Stdout, srv.Stderr = &stdout, os.Stderr
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Process.Kill() //nolint:errcheck // last-resort cleanup
+	// The build starts before the listener; give the process time to get
+	// into it, then ask it to stop.
+	time.Sleep(200 * time.Millisecond)
+	if err := srv.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Wait() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("minoanerd exited uncleanly on SIGTERM during a preload: %v\n%s", err, stdout.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("minoanerd did not exit within 30s of SIGTERM")
+	}
+	out := stdout.String()
+	if strings.Contains(out, "pair big ready") {
+		t.Skipf("the preload finished before the signal arrived; nothing was tested:\n%s", out)
+	}
+	if !strings.Contains(out, "draining") || !strings.Contains(out, "shutdown complete") {
+		t.Errorf("drain messages missing from stdout:\n%s", out)
+	}
+}
+
 // writeKB serializes one KB as N-Triples.
 func writeKB(t *testing.T, path string, k *minoaner.KB) {
 	t.Helper()
