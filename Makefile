@@ -31,7 +31,7 @@ race:
 	go test -race ./...
 
 # race-overlap exercises the overlapped substrate build and the concurrent
-# sharded-γ construction under the race detector at an explicit workers=2
+# γ sides of graph construction under the race detector at an explicit workers=2
 # engine (the smallest size where the removed barriers matter), repeated so
 # goroutine interleavings vary.
 race-overlap:
@@ -50,10 +50,11 @@ bench-module-check:
 	go -C benchmark vet ./...
 	go -C benchmark test -short ./...
 
-# fuzz-smoke runs the N-Triples reader's fuzz target for ten seconds on top
-# of its committed corpus.
+# fuzz-smoke runs each fuzz target — the N-Triples reader, the snapshot
+# loader — for ten seconds on top of its committed corpus.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzReadNTriples$$' -fuzztime 10s ./internal/kb
+	go test -run '^$$' -fuzz '^FuzzOpenSubstrate$$' -fuzztime 10s ./internal/snapshot
 
 # lint mirrors the CI lint job; requires golangci-lint on PATH.
 lint:

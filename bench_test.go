@@ -23,6 +23,8 @@ package minoaner
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -35,6 +37,7 @@ import (
 	"minoaner/internal/kb"
 	"minoaner/internal/matching"
 	"minoaner/internal/parallel"
+	"minoaner/internal/snapshot"
 	"minoaner/internal/stats"
 )
 
@@ -208,7 +211,10 @@ func benchComponents() (*datagen.Dataset, graph.Input, *graph.Graph) {
 	budget := blocking.ComparisonBudget(d.K1.Len(), d.K2.Len(), 0.0005)
 	in.TokenBlocks, _ = blocking.PurgeAbove(in.TokenBlocks, budget)
 	in.TokenIndex, _ = in.TokenIndex.PurgeAbove(budget)
-	g := graph.Build(eng, in)
+	g, _, err := graph.BuildTimedCtx(context.Background(), eng, in)
+	if err != nil {
+		panic(err)
+	}
 	return d, in, g
 }
 
@@ -274,17 +280,83 @@ func BenchmarkStageGraphConstruction(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := graph.Build(eng, in)
+		g, _, err := graph.BuildTimedCtx(context.Background(), eng, in)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if g.Edges() == 0 {
 			b.Fatal("no edges")
 		}
 	}
 }
 
+// yagoSubstrate builds the substrate of the full YAGO-IMDb preset: the pair
+// the two allocation guards below run on.
+func yagoSubstrate(b *testing.B) *core.Substrate {
+	b.Helper()
+	d, err := datagen.Generate(datagen.YAGOIMDb())
+	if err != nil {
+		b.Fatal(err)
+	}
+	sub, err := core.BuildSubstrate(context.Background(), d.K1, d.K2, core.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sub
+}
+
+// BenchmarkGraphBuild guards what building the whole graph allocates:
+// allocs/op counts a handful per scheduling span, not one per row, and B/op
+// stays near the size of the row sets themselves.
+func BenchmarkGraphBuild(b *testing.B) {
+	sub := yagoSubstrate(b)
+	top1, top2 := sub.TopNeighbors()
+	in := graph.Input{
+		K1: sub.K1(), K2: sub.K2(), NameBlocks: sub.NameBlocks(), TokenIndex: sub.TokenIndex(),
+		Top1: top1, Top2: top2, K: sub.Config().TopK,
+	}
+	eng := parallel.New(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, _, err := graph.BuildTimedCtx(context.Background(), eng, in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if g.Edges() == 0 {
+			b.Fatal("no edges")
+		}
+	}
+}
+
+// BenchmarkSnapshotWrite guards what writing a snapshot allocates: with the
+// graph built beforehand, B/op is what has to be derived — frozen
+// dictionaries and the per-description KB tables — not a copy of the file.
+func BenchmarkSnapshotWrite(b *testing.B) {
+	sub := yagoSubstrate(b)
+	if err := sub.PrewarmQueries(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "pair.snap")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := snapshot.WriteSubstrateFile(path, sub); err != nil {
+			b.Fatal(err)
+		}
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(st.Size())
+}
+
 // BenchmarkBuildBeta guards the scoreboard β pass in isolation: the heavy
 // direction (the larger KB against the E1 candidate space) over the purged
 // token index, K=15. Allocation counts are part of the guard — the
-// per-worker scoreboard leaves one row allocation per entity.
+// per-worker scoreboard and per-span row buffers leave a handful of
+// allocations per span.
 func BenchmarkBuildBeta(b *testing.B) {
 	d, in, _ := benchComponents()
 	eng := parallel.New(0)
@@ -295,7 +367,7 @@ func BenchmarkBuildBeta(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rows) != d.K2.Len() {
+		if rows.Len() != d.K2.Len() {
 			b.Fatal("wrong row count")
 		}
 	}
@@ -307,16 +379,14 @@ func BenchmarkBuildBeta(b *testing.B) {
 func BenchmarkGammaRows(b *testing.B) {
 	_, in, g := benchComponents()
 	eng := parallel.New(0)
-	adj1 := graph.MergeAdjacency(g.Beta1, g.Beta2, len(in.Top1))
-	in2 := stats.TopInNeighbors(in.Top2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := graph.GammaRowsCtx(context.Background(), eng, in.Top1, adj1, in2, in.K)
+		rows, err := g.Gamma1Span(context.Background(), eng, parallel.Span{Lo: 0, Hi: len(in.Top1)}, graph.Rows[graph.Edge]{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rows) != len(in.Top1) {
+		if rows.Len() != len(in.Top1) {
 			b.Fatal("wrong row count")
 		}
 	}
@@ -328,7 +398,10 @@ func BenchmarkStageMatching(b *testing.B) {
 	cfg := matching.DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := matching.Run(eng, g, d.K1, d.K2, cfg)
+		res, err := matching.RunCtx(context.Background(), eng, g, d.K1, d.K2, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(res.Matches) == 0 {
 			b.Fatal("no matches")
 		}
@@ -398,7 +471,7 @@ func BenchmarkStatisticsTopInNeighbors(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if in := stats.TopInNeighbors(top); len(in) != len(top) {
+		if in := graph.TopInNeighbors(top); in.Len() != len(top) {
 			b.Fatal("wrong row count")
 		}
 	}

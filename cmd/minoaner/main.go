@@ -82,6 +82,7 @@ func main() {
 	cfg.Theta = *theta
 	cfg.Workers = *workers
 	cfg.ShardCount = *shards
+	cfg.OmitTokenBlocks = true // nothing below reads the Table-2 view
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -151,9 +152,9 @@ func main() {
 	w := bufio.NewWriter(os.Stdout)
 	for _, m := range out.Matches {
 		if *rules {
-			fmt.Fprintf(w, "%s\t%s\t%s\n", k1.Entity(m.Pair.E1).URI, k2.Entity(m.Pair.E2).URI, m.Rule)
+			fmt.Fprintf(w, "%s\t%s\t%s\n", k1.URI(m.Pair.E1), k2.URI(m.Pair.E2), m.Rule)
 		} else {
-			fmt.Fprintf(w, "%s\t%s\n", k1.Entity(m.Pair.E1).URI, k2.Entity(m.Pair.E2).URI)
+			fmt.Fprintf(w, "%s\t%s\n", k1.URI(m.Pair.E1), k2.URI(m.Pair.E2))
 		}
 	}
 	exitOn(w.Flush())

@@ -36,7 +36,10 @@ func (ix *TokenIndex) SnapshotColumns() IndexColumns {
 }
 
 // TokenIndexFromColumns reassembles a dictionary-backed TokenIndex from its
-// raw columns (the inverse of SnapshotColumns), validating the CSR shape.
+// raw columns (the inverse of SnapshotColumns), validating the CSR shape and
+// the translation tables' targets; that the tables cover their KBs'
+// dictionaries and the members name entities is for the caller, who knows
+// the KBs, to check.
 // The live-slot count is recomputed from the weights rather than trusted.
 func TokenIndexFromColumns(c IndexColumns) (*TokenIndex, error) {
 	if c.Dict == nil {
@@ -51,6 +54,13 @@ func TokenIndexFromColumns(c IndexColumns) (*TokenIndex, error) {
 	}
 	if err := checkMemberCSR(c.Off2, c.Mem2, n, "e2"); err != nil {
 		return nil, err
+	}
+	for _, t := range [][]int32{c.T1, c.T2} {
+		for _, s := range t {
+			if s < -1 || int(s) >= n {
+				return nil, fmt.Errorf("blocking: token index from columns: translation to slot %d of %d", s, n)
+			}
+		}
 	}
 	ix := &TokenIndex{
 		dict: c.Dict, t1: c.T1, t2: c.T2,

@@ -44,11 +44,11 @@ type Config struct {
 	// Workers sets the parallel engine size; 0 uses all cores.
 	Workers int
 	// ShardCount (P) splits E1 into P contiguous entity shards and runs the
-	// per-entity stages (top-neighbor extraction, β/γ rows, rank
+	// per-shard stages (top-neighbor extraction, E1-side γ rows, rank
 	// aggregation) one shard at a time with bounded transient memory —
-	// see ResolveSharded. 0 or 1 selects the monolithic pipeline unless
-	// MaxShardBytes implies a larger count. Output is byte-identical to the
-	// monolithic run for every value.
+	// see ResolveSharded. 0 or 1 leaves the span size to the pipeline unless
+	// MaxShardBytes implies a larger count. Output is byte-identical for
+	// every value.
 	ShardCount int
 	// MaxShardBytes caps the estimated size of the dominant per-shard
 	// structure (the shard's γ candidate rows); when ShardCount is 0 the
@@ -143,9 +143,10 @@ type Timings struct {
 	Graph         time.Duration
 	// GraphBeta covers name evidence plus both β directions (one concurrent
 	// barrier); GraphGamma the adjacency merges, in-neighbor reversals and
-	// both γ directions — in the sharded pipeline including the E1 γ rows
-	// produced on demand during matching. They sum to slightly less than
-	// Graph, which also counts input assembly around the two phases.
+	// both γ directions, including the E1 γ rows produced on demand during
+	// matching. The graph is built once per substrate: every Output matched
+	// over it reports that one construction (zero for a graph installed from
+	// a snapshot) plus its own γ rows.
 	GraphBeta  time.Duration
 	GraphGamma time.Duration
 	Matching   time.Duration
@@ -197,9 +198,9 @@ func Resolve(k1, k2 *kb.KB, cfg Config) (*Output, error) {
 // progressive/any-time ER and request timeouts in a serving deployment both
 // need.
 //
-// When cfg requests sharded execution (ShardCount > 1, or a MaxShardBytes
-// budget that implies more than one shard), resolution runs over the
-// partitioned engine — see ResolveSharded; output is identical either way.
+// cfg's sharding fields (ShardCount, MaxShardBytes) only bound how much of
+// E1 the per-shard stages hold at a time — see ResolveSharded; output is
+// identical for every value.
 func ResolveContext(ctx context.Context, k1, k2 *kb.KB, cfg Config) (*Output, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -214,14 +215,19 @@ func ResolveContext(ctx context.Context, k1, k2 *kb.KB, cfg Config) (*Output, er
 	return resolveWith(ctx, eng, sub, cfg, p)
 }
 
-// ResolveWith runs resolution (graph construction + matching, stages 3–4)
-// over a prebuilt substrate. Only the matching-side parameters of cfg apply
-// — TopK, Theta, Rules, Workers and the sharding fields; the substrate's
-// baked-in build parameters (NameK, RelN, MaxBlockFraction) are used as
-// frozen. Calling BuildSubstrate then ResolveWith with one Config is
-// byte-identical to Resolve with that Config; the substrate is not mutated,
-// so several ResolveWith calls (e.g. rule ablations over one substrate) may
-// run concurrently.
+// ResolveWith runs resolution (stages 3–4) over a prebuilt substrate: it
+// matches over the substrate's one disjunctive blocking graph — built on
+// first use, installed as-is on a substrate opened from a snapshot, and
+// shared with QueryEntity, PrewarmQueries and the snapshot writer — and
+// computes only the E1-side γ rows and the matching itself. Only the
+// matching-side parameters of cfg apply — TopK, Theta, Rules, Workers and
+// the sharding fields; the substrate's baked-in build parameters (NameK,
+// RelN, MaxBlockFraction) are used as frozen. A TopK other than the
+// substrate's builds a private graph for this call and drops it afterwards.
+// Calling BuildSubstrate then ResolveWith with one Config is byte-identical
+// to Resolve with that Config; the substrate's graph is never mutated, so
+// several ResolveWith calls (e.g. rule ablations over one substrate) may run
+// concurrently.
 func ResolveWith(ctx context.Context, sub *Substrate, cfg Config) (*Output, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -231,12 +237,17 @@ func ResolveWith(ctx context.Context, sub *Substrate, cfg Config) (*Output, erro
 	return resolveWith(ctx, eng, sub, cfg, cfg.effectiveShards(sub.k1.Len()))
 }
 
+// gammaSpanRows bounds how many E1 entities' γ rows a resolution holds at a
+// time (about 4 MB at K = 15); a sharded run uses its shards when they are
+// smaller.
+const gammaSpanRows = 1 << 14
+
 // resolveWith is the internal resolution over a normalized Config and
-// resolved shard count. Output.Timings carries the substrate's stage-1/2
-// wall clock plus this call's own stages; Total adds the substrate build to
-// the resolution elapsed, keeping the historical whole-pipeline meaning.
+// resolved shard count. Output.Timings carries the wall clock of everything
+// the output rests on: the substrate's stages, the graph's one-time
+// construction — whichever call paid for it — and this call's own γ rows
+// and matching; Total is their sum, the historical whole-pipeline meaning.
 func resolveWith(ctx context.Context, eng *parallel.Engine, sub *Substrate, cfg Config, p int) (*Output, error) {
-	start := time.Now()
 	out := &Output{
 		NameBlocks:     sub.nameBlocks,
 		PurgedBlocks:   sub.purgedBlocks,
@@ -245,51 +256,49 @@ func resolveWith(ctx context.Context, eng *parallel.Engine, sub *Substrate, cfg 
 		NameAttrs2:     sub.nameAttrs2,
 		Timings:        sub.timings,
 	}
-	in := graph.Input{
-		K1: sub.k1, K2: sub.k2,
-		NameBlocks: sub.nameBlocks,
-		TokenIndex: sub.tokenIx,
-		Top1:       sub.top1,
-		Top2:       sub.top2,
-		K:          cfg.TopK,
-	}
 	if !cfg.OmitTokenBlocks {
 		out.TokenBlocks = sub.TokenBlocks()
-		in.TokenBlocks = out.TokenBlocks
 	}
 	mc := *cfg.Rules
 	mc.Theta = cfg.Theta
 
-	if p > 1 {
-		if err := resolveShardedStages(ctx, eng, sub, in, mc, p, out); err != nil {
-			return nil, err
-		}
-		out.Timings.Total = sub.buildWall + time.Since(start)
-		return out, nil
+	// Stage 3 — disjunctive blocking graph (Algorithm 1).
+	pg, err := sub.graphFor(ctx, eng, cfg.TopK)
+	if err != nil {
+		return nil, err
 	}
 
-	// Stage 3 — disjunctive blocking graph (Algorithm 1), with the β and γ
-	// weighting phases timed separately for the regression gate.
+	// Stage 4 — non-iterative matching (Algorithm 2). The γ rows of each E1
+	// span are built on demand; the time spent on them is accounted to the
+	// graph stage and the rows are tallied so GraphEdges counts the whole
+	// graph, even though its E1-side γ rows never exist at once.
+	n1 := sub.k1.Len()
+	spans := shardSpans(n1, max(p, (n1+gammaSpanRows-1)/gammaSpanRows))
 	t0 := time.Now()
-	g, gt, err := graph.BuildTimedCtx(ctx, eng, in)
+	var (
+		gammaTime   time.Duration
+		gamma1Edges int
+		rows        graph.Rows[graph.Edge] // one span's, reused for the next
+	)
+	gammaFor := func(gctx context.Context, s parallel.Span) (_ graph.Rows[graph.Edge], err error) {
+		gt := time.Now()
+		rows, err = pg.g.Gamma1Span(gctx, eng, s, rows)
+		gammaTime += time.Since(gt)
+		gamma1Edges += len(rows.Flat)
+		return rows, err
+	}
+	res, err := matching.RunShardedCtx(ctx, eng, pg.g, sub.k1, sub.k2, mc, spans, gammaFor)
 	if err != nil {
 		return nil, err
 	}
-	out.GraphEdges = g.Edges()
-	out.Timings.Graph = time.Since(t0)
-	out.Timings.GraphBeta = gt.Beta
-	out.Timings.GraphGamma = gt.Gamma
-
-	// Stage 4 — non-iterative matching (Algorithm 2).
-	t0 = time.Now()
-	res, err := matching.RunCtx(ctx, eng, g, sub.k1, sub.k2, mc)
-	if err != nil {
-		return nil, err
-	}
+	elapsed := time.Since(t0)
 	out.Matches = res.Matches
 	out.RemovedByR4 = res.RemovedByR4
-	out.Timings.Matching = time.Since(t0)
-
-	out.Timings.Total = sub.buildWall + time.Since(start)
+	out.GraphEdges = pg.g.Edges() + gamma1Edges
+	out.Timings.Graph = pg.wall + gammaTime
+	out.Timings.GraphBeta = pg.tm.Beta
+	out.Timings.GraphGamma = pg.tm.Gamma + gammaTime
+	out.Timings.Matching = elapsed - gammaTime
+	out.Timings.Total = sub.buildWall + pg.wall + elapsed
 	return out, nil
 }

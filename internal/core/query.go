@@ -95,19 +95,28 @@ type nameUsers struct {
 }
 
 // queryState is the lazily built read-only state shared by every query on
-// one substrate: the frozen disjunctive blocking graph of the pair (Gamma1
-// left to the scope — per-query γ rows are computed on demand, never
-// materialized for all of E1), the name-usage index behind the α rule, and
-// the scratch pool.
+// one substrate: the pair's graph (per-query γ rows are computed on demand
+// from it, never materialized for all of E1), the name-usage index behind
+// the α rule, and the scratch pool.
 type queryState struct {
-	g     *graph.Graph
-	scope *graph.Gamma1Scope
+	g *graph.Graph
 	// Exactly one of names/sorted is set: names is the map the lazy build
 	// produces; sorted is the name-ordered flat index a snapshot install
 	// provides (its strings may alias a memory-mapped region).
 	names  map[string]nameUsers
 	sorted []NameUsage
 	pool   sync.Pool // *querySlot
+}
+
+// newQueryState wraps a graph and one form of the name index with a scratch
+// pool sized for the pair.
+func (s *Substrate) newQueryState(g *graph.Graph, names map[string]nameUsers, sorted []NameUsage) *queryState {
+	st := &queryState{g: g, names: names, sorted: sorted}
+	n2, k := s.k2.Len(), s.cfg.TopK
+	st.pool.New = func() any {
+		return &querySlot{qs: graph.NewQueryScratch(n2, k), agg: matching.NewAggScratch()}
+	}
+	return st
 }
 
 // lookupName resolves one normalized name against whichever index form the
@@ -133,42 +142,32 @@ type querySlot struct {
 	agg *matching.AggScratch
 }
 
-// queryState returns the substrate's query state, building it on first use.
-// The build is serialized by queryMu but retryable (unlike sync.Once): a
-// cancelled context fails the build without poisoning the substrate.
+// queryState returns the substrate's query state, building it — and the
+// shared graph under it, if no one has yet — on first use. The build is
+// serialized by lazyMu but retryable (unlike sync.Once): a cancelled context
+// fails that call without poisoning the substrate.
 func (s *Substrate) queryState(ctx context.Context) (*queryState, error) {
 	if st := s.query.Load(); st != nil {
 		return st, nil
 	}
-	s.queryMu.Lock()
-	defer s.queryMu.Unlock()
+	s.lazyMu.Lock()
+	defer s.lazyMu.Unlock()
 	if st := s.query.Load(); st != nil {
 		return st, nil
 	}
-	eng := parallel.New(s.cfg.Workers)
-	g, scope, _, err := graph.BuildShardedCtx(ctx, eng, graph.Input{
-		K1: s.k1, K2: s.k2,
-		NameBlocks: s.nameBlocks,
-		TokenIndex: s.tokenIx,
-		Top1:       s.top1,
-		Top2:       s.top2,
-		K:          s.cfg.TopK,
-	}, []parallel.Span{{Lo: 0, Hi: s.k1.Len()}})
+	pg, err := s.sharedGraphLocked(ctx, parallel.New(s.cfg.Workers))
 	if err != nil {
 		return nil, err
 	}
-	st := &queryState{g: g, scope: scope, names: buildNameIndex(s)}
-	n2, k := s.k2.Len(), s.cfg.TopK
-	st.pool.New = func() any {
-		return &querySlot{qs: graph.NewQueryScratch(n2, k), agg: matching.NewAggScratch()}
-	}
+	st := s.newQueryState(pg.g, buildNameIndex(s), nil)
 	s.query.Store(st)
 	return st, nil
 }
 
 // PrewarmQueries forces the lazy query state to exist, so the first
-// QueryEntity call does not pay the one-time graph construction. Idempotent
-// and safe to call concurrently.
+// QueryEntity call does not pay the one-time graph construction (a no-op on
+// the graph when a ResolveWith already built it). Idempotent and safe to
+// call concurrently.
 func (s *Substrate) PrewarmQueries(ctx context.Context) error {
 	_, err := s.queryState(ctx)
 	return err
@@ -293,7 +292,10 @@ func QueryEntity(ctx context.Context, sub *Substrate, q EntityQuery, cfg Config)
 
 	slot := st.pool.Get().(*querySlot)
 	defer st.pool.Put(slot)
-	beta := graph.BetaRowForTokens(sub.tokenIx, tids, true, slot.qs, sub.cfg.TopK)
+	beta, err := graph.BetaRowForTokens(sub.tokenIx, tids, true, slot.qs, sub.cfg.TopK)
+	if err != nil {
+		return nil, err
+	}
 
 	// γ probe: the query's top-neighbor list over the frozen relation ranks,
 	// propagated through the frozen β adjacency.
@@ -315,7 +317,9 @@ func QueryEntity(ctx context.Context, sub *Substrate, q EntityQuery, cfg Config)
 			groups[i], ranks[i], objs[i] = r.group, r.rank, r.obj
 		}
 		top := stats.TopNeighborsOf(groups, ranks, objs, sub.cfg.RelN)
-		gamma = st.scope.RowFor(top, slot.qs)
+		if gamma, err = st.g.Gamma1RowFor(top, slot.qs); err != nil {
+			return nil, err
+		}
 	}
 
 	// α probe: a normalized name shared with exactly one K2 entity and used

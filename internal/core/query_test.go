@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"minoaner/internal/datagen"
@@ -15,9 +17,9 @@ import (
 	"minoaner/internal/parallel"
 )
 
-// buildBatchGraph rebuilds the monolithic disjunctive blocking graph over a
-// substrate — the frozen batch rows QueryEntity must reproduce entity for
-// entity.
+// buildBatchGraph builds the whole disjunctive blocking graph over a
+// substrate, E1-side γ rows included — the batch rows QueryEntity must
+// reproduce entity for entity.
 func buildBatchGraph(t *testing.T, sub *Substrate) *graph.Graph {
 	t.Helper()
 	eng := parallel.New(sub.cfg.Workers)
@@ -42,10 +44,10 @@ func buildBatchGraph(t *testing.T, sub *Substrate) *graph.Graph {
 // rule claims (R1 membership, R2's top-β-weight ≥ 1 predicate, R3's top
 // aggregate pick) and R4's reciprocity bit.
 func expectedQueryMatches(sub *Substrate, g *graph.Graph, e kb.EntityID, mc matching.Config) []QueryMatch {
-	beta, gamma := g.Beta1[e], g.Gamma1[e]
+	beta, gamma := g.Beta1.Row(int(e)), g.Gamma1.Row(int(e))
 	var alpha []kb.EntityID
 	if mc.EnableR1 {
-		alpha = g.Alpha1[e]
+		alpha = g.Alpha1.Row(int(e))
 	}
 	ranking := matching.RankAggregateRow(matching.NewAggScratch(), beta, gamma, mc.Theta, mc.UseNeighbors)
 	r2cand := kb.NoEntity
@@ -414,5 +416,113 @@ func TestOmitTokenBlocks(t *testing.T) {
 	}
 	if sub.TokenBlocks() != tb {
 		t.Fatal("TokenBlocks must cache its materialization")
+	}
+}
+
+// A ResolveWith whose TopK differs from the substrate's builds a private
+// graph: its output equals a fresh Resolve at that TopK, the substrate's own
+// graph is neither built nor replaced by it, and the queries and resolutions
+// that follow see the substrate's TopK as before.
+func TestTopKOverrideBuildsPrivateGraph(t *testing.T) {
+	ctx := context.Background()
+	k1, k2 := randomPair(700, 80)
+	sub, err := BuildSubstrate(ctx, k1, k2, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDefault, err := Resolve(k1, k2, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantK2, err := Resolve(k1, k2, Config{Workers: 2, TopK: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if digest(t, wantK2) == digest(t, wantDefault) {
+		t.Fatal("TopK 2 resolves like TopK 15; test is vacuous")
+	}
+	q := QueryFromEntity(k1, 12)
+	wantRows, err := QueryEntity(ctx, sub, q, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := sub.graph.Load()
+	for round := 0; round < 2; round++ {
+		out, err := ResolveWith(ctx, sub, Config{Workers: 2, TopK: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if digest(t, out) != digest(t, wantK2) {
+			t.Fatal("ResolveWith at TopK 2 differs from a fresh Resolve at TopK 2")
+		}
+	}
+	if sub.graph.Load() != shared || sub.graphBuilds.Load() != 1 {
+		t.Fatal("a TopK override touched the substrate's shared graph")
+	}
+	rows, err := QueryEntity(ctx, sub, q, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rows, wantRows) {
+		t.Fatal("query rows changed after a TopK override")
+	}
+	out, err := ResolveWith(ctx, sub, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if digest(t, out) != digest(t, wantDefault) {
+		t.Fatal("ResolveWith at the substrate's TopK differs after a TopK override")
+	}
+}
+
+// flipCtx reports cancellation from its after-th Err call on: a context
+// that gives up at a chosen point inside the work it is handed to.
+type flipCtx struct {
+	context.Context
+	after int32
+	calls atomic.Int32
+	done  chan struct{}
+	once  sync.Once
+}
+
+func (c *flipCtx) Err() error {
+	if c.calls.Add(1) <= c.after {
+		return nil
+	}
+	c.once.Do(func() { close(c.done) })
+	return context.Canceled
+}
+
+func (c *flipCtx) Done() <-chan struct{} { return c.done }
+
+// A context cancelled in the middle of the graph build fails the call that
+// brought it and nothing else: the substrate keeps no half-built graph, and
+// the next caller builds it.
+func TestCancelledGraphBuildFailsThatCallOnly(t *testing.T) {
+	k1, k2 := skewedKBs(300)
+	sub, err := BuildSubstrate(context.Background(), k1, k2, Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Resolve(k1, k2, Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &flipCtx{Context: context.Background(), after: 4, done: make(chan struct{})}
+	if _, err := ResolveWith(ctx, sub, Config{Workers: 1}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ResolveWith under a context cancelled mid-build = %v, want context.Canceled", err)
+	}
+	if ctx.calls.Load() <= ctx.after || sub.graphBuilds.Load() != 0 || sub.graph.Load() != nil {
+		t.Fatal("the cancelled build was not abandoned mid-way")
+	}
+	if err := sub.PrewarmQueries(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("PrewarmQueries under the cancelled context = %v, want context.Canceled", err)
+	}
+	out, err := ResolveWith(context.Background(), sub, Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if digest(t, out) != digest(t, want) || sub.graphBuilds.Load() != 1 {
+		t.Fatal("the call after a cancelled build did not build the graph and resolve as usual")
 	}
 }

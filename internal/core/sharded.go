@@ -1,11 +1,12 @@
 // Sharded, memory-bounded execution of the MinoanER pipeline: E1 is split
-// into P contiguous entity shards and every per-entity stage — top-neighbor
-// extraction, β row construction, E1-side γ construction and rank
-// aggregation — runs one shard at a time over the SHARED blocking substrate
-// (name blocks and the columnar TokenIndex are built once, exactly as in the
-// monolithic pipeline). Per-shard results merge in span order, so the output
-// is byte-identical to Resolve for every shard count; only the lifetime of
-// the transient per-shard state changes. This is the in-process analogue of
+// into P contiguous entity shards and the stages whose state is per E1
+// entity and transient — top-neighbor extraction, E1-side γ construction and
+// rank aggregation — run one shard at a time over the SHARED substrate and
+// graph (built once, whatever P is). Per-shard results merge in span order,
+// so the output is byte-identical to Resolve for every shard count; only the
+// lifetime of the transient per-shard state changes. Every resolution runs
+// this way: P = 1 merely leaves the span size to the pipeline
+// (gammaSpanRows). This is the in-process analogue of
 // the paper's executor partitioning (§4.1) and the seam a later multi-process
 // distribution plugs into: each shard touches only its E1 span plus the
 // shared read-only indices.
@@ -13,11 +14,8 @@ package core
 
 import (
 	"context"
-	"time"
 
-	"minoaner/internal/graph"
 	"minoaner/internal/kb"
-	"minoaner/internal/matching"
 	"minoaner/internal/parallel"
 )
 
@@ -58,14 +56,12 @@ func shardSpans(n, p int) []parallel.Span {
 
 // ResolveSharded runs the full MinoanER pipeline with E1 split into p
 // contiguous shards — the same BuildSubstrate + resolveWith composition as
-// ResolveContext, with the per-entity stages sharded. Output (matches, rule
-// provenance, R4 removals, graph edge count, block statistics) is
-// byte-identical to Resolve / ResolveContext on the same inputs for every p;
-// peak memory drops because the E1-side γ lists — the largest per-node
-// structure the monolithic graph retains — and the per-shard transients live
-// one shard at a time, and because the two γ adjacencies are built
-// sequentially instead of held together. p < 1 falls back to the count
-// implied by cfg (ShardCount / MaxShardBytes, else 1).
+// ResolveContext. Output (matches, rule provenance, R4 removals, graph edge
+// count, block statistics) is byte-identical to Resolve / ResolveContext on
+// the same inputs for every p; a larger p lowers the memory the E1-side γ
+// rows — the largest per-node structure of the graph — and the other
+// per-shard transients hold at a time. p < 1 falls back to the count implied
+// by cfg (ShardCount / MaxShardBytes, else 1).
 func ResolveSharded(ctx context.Context, k1, k2 *kb.KB, cfg Config, p int) (*Output, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -80,53 +76,4 @@ func ResolveSharded(ctx context.Context, k1, k2 *kb.KB, cfg Config, p int) (*Out
 		return nil, err
 	}
 	return resolveWith(ctx, eng, sub, cfg, p)
-}
-
-// resolveShardedStages runs stages 3–4 over a substrate with E1 split into p
-// shards, filling out's matches, edge counts and graph/matching timings.
-func resolveShardedStages(ctx context.Context, eng *parallel.Engine, sub *Substrate, in graph.Input, mc matching.Config, p int, out *Output) error {
-	shards := shardSpans(sub.k1.Len(), p)
-
-	// Stage 3 — disjunctive blocking graph, sharded: α, both β directions
-	// and the E2-side γ lists are materialized; the E1-side γ rows are left
-	// to the scope and produced per shard during matching.
-	t0 := time.Now()
-	g, scope, gt, err := graph.BuildShardedCtx(ctx, eng, in, shards)
-	if err != nil {
-		return err
-	}
-	out.Timings.Graph = time.Since(t0)
-	out.Timings.GraphBeta = gt.Beta
-	out.Timings.GraphGamma = gt.Gamma
-
-	// Stage 4 — matching. The γ rows of each shard are built on demand; the
-	// time spent inside the scope is accounted to the graph stage and the
-	// rows are tallied so GraphEdges reports the same count as a monolithic
-	// run, even though the full Gamma1 never exists at once.
-	t0 = time.Now()
-	var gammaTime time.Duration
-	gamma1Edges := 0
-	gammaFor := func(gctx context.Context, s parallel.Span) ([][]graph.Edge, error) {
-		gt := time.Now()
-		rows, err := scope.BuildSpan(gctx, s)
-		gammaTime += time.Since(gt)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range rows {
-			gamma1Edges += len(r)
-		}
-		return rows, nil
-	}
-	res, err := matching.RunShardedCtx(ctx, eng, g, sub.k1, sub.k2, mc, shards, gammaFor)
-	if err != nil {
-		return err
-	}
-	out.Matches = res.Matches
-	out.RemovedByR4 = res.RemovedByR4
-	out.GraphEdges = g.Edges() + gamma1Edges
-	out.Timings.Graph += gammaTime
-	out.Timings.GraphGamma += gammaTime
-	out.Timings.Matching = time.Since(t0) - gammaTime
-	return nil
 }

@@ -4,23 +4,19 @@
 // rows, name blocks and the purged token index — and SubstrateFromParts is
 // its inverse. The name lookups are NOT serialized: stats.NewNameLookup is a
 // cheap bitset over the (already loaded) schema, so the loader re-derives
-// them. QueryState is the optional second half: the prewarmed per-entity
-// query state (frozen graph, γ scope inputs, name-usage index) exported as
-// flat data, so a snapshot-loaded substrate answers its first query without
-// re-running graph construction.
+// them. QueryState is the second half: the pair's graph and the name-usage
+// index of the query path, so a snapshot-loaded substrate resolves in batch
+// and answers its first query without re-running graph construction.
 package core
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"minoaner/internal/blocking"
 	"minoaner/internal/graph"
 	"minoaner/internal/kb"
-	"minoaner/internal/matching"
-	"minoaner/internal/parallel"
 	"minoaner/internal/stats"
 )
 
@@ -79,6 +75,12 @@ func SubstrateFromParts(p SubstrateParts) (*Substrate, error) {
 	if len(p.Ranks1) != p.K1.Schema().Preds() || len(p.Ranks2) != p.K2.Schema().Preds() {
 		return nil, fmt.Errorf("core: substrate from parts: relation ranks disagree with schema sizes")
 	}
+	// Parts may come from a file. The config is installed as it is, so it
+	// must be one normalize could have produced; the entity IDs in the parts
+	// are range-checked before their first whole walk (verifyLocked).
+	if c := p.Config; c.TopK <= 0 || c.NameK < 0 || c.RelN < 0 || c.Workers < 0 || c.Workers > maxStoredWorkers {
+		return nil, fmt.Errorf("core: substrate from parts: config k=%d K=%d N=%d workers=%d out of range", c.NameK, c.TopK, c.RelN, c.Workers)
+	}
 	return &Substrate{
 		k1: p.K1, k2: p.K2, cfg: p.Config,
 		nameAttrs1: p.NameAttrs1, nameAttrs2: p.NameAttrs2,
@@ -89,8 +91,13 @@ func SubstrateFromParts(p SubstrateParts) (*Substrate, error) {
 		nameBlocks: p.NameBlocks, tokenIx: p.TokenIndex,
 		purgedBlocks: p.PurgedBlocks, purgeThreshold: p.PurgeThreshold,
 		timings: p.Timings, buildWall: p.BuildWall,
+		unverified: true,
 	}, nil
 }
+
+// maxStoredWorkers bounds the worker count a stored config may ask engines
+// for: scratch is allocated per worker before any work is split.
+const maxStoredWorkers = 1 << 12
 
 // NameUsage is the flat form of one name-usage index entry: how many
 // entities of each side carry the normalized name, and the sole carrier per
@@ -101,64 +108,69 @@ type NameUsage struct {
 	E1, E2 kb.EntityID
 }
 
-// QueryState is the exported, flat form of the prewarmed per-entity query
-// state: the frozen disjunctive blocking graph (Gamma1 left empty — γ rows
-// are produced per query from the scope), the γ scope and the name-usage
-// index sorted by name.
+// QueryState is what a snapshot stores beyond the substrate's parts: the
+// pair's disjunctive blocking graph (Gamma1 not materialized — its rows are
+// produced on demand) and the name-usage index sorted by name.
 type QueryState struct {
 	Graph *graph.Graph
-	Scope *graph.Gamma1Scope
 	Names []NameUsage
 }
 
-// ExportQueryState prewarms the substrate (if needed) and returns its query
-// state in flat form for serialization. The Names slice is sorted by name.
+// ExportQueryState prewarms the substrate (if needed) and returns its graph
+// and name-usage index for serialization. The Names slice is sorted by name.
 func (s *Substrate) ExportQueryState(ctx context.Context) (*QueryState, error) {
 	st, err := s.queryState(ctx)
 	if err != nil {
 		return nil, err
 	}
-	out := &QueryState{Graph: st.g, Scope: st.scope}
+	out := &QueryState{Graph: st.g, Names: st.sorted}
 	if st.names != nil {
-		out.Names = make([]NameUsage, 0, len(st.names))
+		names := make([]string, 0, len(st.names))
+		users := make([]nameUsers, 0, len(st.names))
 		for n, u := range st.names {
-			out.Names = append(out.Names, NameUsage{Name: n, N1: u.n1, N2: u.n2, E1: u.e1, E2: u.e2})
+			names, users = append(names, n), append(users, u)
 		}
-		sort.Slice(out.Names, func(i, j int) bool { return out.Names[i].Name < out.Names[j].Name })
-	} else {
-		out.Names = st.sorted
+		out.Names = make([]NameUsage, len(names))
+		for i, at := range kb.SortedOrder(names) {
+			u := users[at]
+			out.Names[i] = NameUsage{Name: names[at], N1: u.n1, N2: u.n2, E1: u.e1, E2: u.e2}
+		}
 	}
 	return out, nil
 }
 
-// InstallQueryState installs a previously exported query state, so the first
-// QueryEntity call pays no graph construction (the snapshot warm-start path).
+// InstallQueryState installs a previously exported graph and name index, so
+// neither ResolveWith nor the first QueryEntity call pays graph construction
+// (the snapshot warm-start path). The graph must be pruned to the
+// substrate's TopK and laid out for the pair (CheckShape), which is enough
+// for the query kernels — they check the rows they touch; its targets are
+// range-checked before the first batch resolution walks it whole.
 // Names must be sorted by name; α probes then binary-search the slice
 // instead of a map. Installing over an already built state replaces it.
 func (s *Substrate) InstallQueryState(qs *QueryState) error {
-	if qs == nil || qs.Graph == nil || qs.Scope == nil {
-		return fmt.Errorf("core: install query state: missing graph or scope")
+	if qs == nil || qs.Graph == nil {
+		return fmt.Errorf("core: install query state: missing graph")
 	}
-	if len(qs.Graph.Alpha1) != s.k1.Len() || len(qs.Graph.Alpha2) != s.k2.Len() {
-		return fmt.Errorf("core: install query state: graph sized (%d, %d), substrate (%d, %d)",
-			len(qs.Graph.Alpha1), len(qs.Graph.Alpha2), s.k1.Len(), s.k2.Len())
+	if qs.Graph.K != s.cfg.TopK {
+		return fmt.Errorf("core: install query state: graph pruned to K=%d, substrate to %d", qs.Graph.K, s.cfg.TopK)
 	}
-	for i := 1; i < len(qs.Names); i++ {
-		if qs.Names[i-1].Name > qs.Names[i].Name {
+	n1, n2 := s.k1.Len(), s.k2.Len()
+	if err := qs.Graph.CheckShape(n1, n2); err != nil {
+		return fmt.Errorf("core: install query state: %w", err)
+	}
+	for i, u := range qs.Names {
+		if i > 0 && qs.Names[i-1].Name > u.Name {
 			return fmt.Errorf("core: install query state: names not sorted at %d", i)
 		}
+		// The α rule reads a carrier only where it is the sole one.
+		if (u.N1 == 1 && (u.E1 < 0 || int(u.E1) >= n1)) || (u.N2 == 1 && (u.E2 < 0 || int(u.E2) >= n2)) {
+			return fmt.Errorf("core: install query state: name %d carried by an entity outside the pair", i)
+		}
 	}
-	st := &queryState{g: qs.Graph, scope: qs.Scope, sorted: qs.Names}
-	n2, k := s.k2.Len(), s.cfg.TopK
-	st.pool.New = func() any {
-		return &querySlot{qs: graph.NewQueryScratch(n2, k), agg: matching.NewAggScratch()}
-	}
-	s.queryMu.Lock()
-	s.query.Store(st)
-	s.queryMu.Unlock()
+	s.lazyMu.Lock()
+	s.graph.Store(nil)
+	s.query.Store(s.newQueryState(qs.Graph, nil, qs.Names))
+	s.unverified = true
+	s.lazyMu.Unlock()
 	return nil
 }
-
-// QueryEngine returns a parallel engine sized to the substrate's configured
-// worker count — the engine a loader hands to graph.NewGamma1Scope.
-func (s *Substrate) QueryEngine() *parallel.Engine { return parallel.New(s.cfg.Workers) }

@@ -11,11 +11,13 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"minoaner/internal/blocking"
+	"minoaner/internal/graph"
 	"minoaner/internal/kb"
 	"minoaner/internal/parallel"
 	"minoaner/internal/stats"
@@ -25,8 +27,8 @@ import (
 // stages 1–2 of the pipeline (statistics and composite blocking) frozen into
 // an immutable value. It is safe for concurrent use — nothing in it mutates
 // after BuildSubstrate returns except three lazily built, internally
-// synchronized caches (the materialized token-block collection, the query
-// graph and the per-query scratch pool).
+// synchronized caches (the materialized token-block collection, the pair's
+// disjunctive blocking graph and the per-entity query state).
 //
 // Build-time parameters (NameK, RelN, MaxBlockFraction, sharding) are baked
 // in: ResolveWith and QueryEntity consume the substrate as-is and only
@@ -58,11 +60,93 @@ type Substrate struct {
 	blocksOnce  sync.Once
 	tokenBlocks *blocking.Collection
 
-	// query is the lazily built per-entity query state; queryMu serializes
-	// the first build (singleflight — unlike sync.Once a failed build can be
-	// retried, e.g. after a cancelled context).
-	query   atomic.Pointer[queryState]
-	queryMu sync.Mutex
+	// graph is the pair's disjunctive blocking graph at the substrate's TopK,
+	// built on first use or installed from a snapshot, and read by batch
+	// resolution, the query path and the snapshot writer alike. lazyMu
+	// serializes its build and that of the query state on top of it
+	// (singleflight — unlike sync.Once a failed build can be retried, e.g.
+	// after a cancelled context); graphBuilds counts builds, for the tests.
+	graph       atomic.Pointer[pairGraph]
+	query       atomic.Pointer[queryState]
+	lazyMu      sync.Mutex
+	graphBuilds atomic.Int32
+
+	// unverified marks a substrate assembled from parts that may have come
+	// from a file, shape-checked only: before anything walks its columns
+	// whole — a graph build, a batch resolution — verifyLocked range-checks
+	// every entity ID in them, once, and keeps the verdict (lazyMu).
+	unverified bool
+	corrupt    error
+}
+
+// pairGraph is a built graph with the clock of its construction.
+type pairGraph struct {
+	g    *graph.Graph
+	tm   graph.Timings
+	wall time.Duration
+}
+
+// buildGraph runs Algorithm 1 over the substrate with candidate rows pruned
+// to k.
+func (s *Substrate) buildGraph(ctx context.Context, eng *parallel.Engine, k int) (*pairGraph, error) {
+	t0 := time.Now()
+	g, tm, err := graph.BuildSharedCtx(ctx, eng, graph.Input{
+		K1: s.k1, K2: s.k2,
+		NameBlocks: s.nameBlocks,
+		TokenIndex: s.tokenIx,
+		Top1:       s.top1,
+		Top2:       s.top2,
+		K:          k,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &pairGraph{g: g, tm: tm, wall: time.Since(t0)}, nil
+}
+
+// graphFor returns the graph to match over at row bound k: the substrate's
+// shared graph — built by the first caller that needs it, under that
+// caller's context — or, for a k other than the substrate's TopK, a private
+// one the substrate does not keep.
+func (s *Substrate) graphFor(ctx context.Context, eng *parallel.Engine, k int) (*pairGraph, error) {
+	if pg := s.graph.Load(); pg != nil && k == s.cfg.TopK {
+		return pg, nil
+	}
+	s.lazyMu.Lock()
+	if k == s.cfg.TopK {
+		defer s.lazyMu.Unlock()
+		return s.sharedGraphLocked(ctx, eng)
+	}
+	err := s.verifyLocked()
+	s.lazyMu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	return s.buildGraph(ctx, eng, k)
+}
+
+// sharedGraphLocked is the build-once step of graphFor; lazyMu is held. A
+// graph installed from a snapshot is the query state's until it is verified
+// here, and the shared graph from then on.
+func (s *Substrate) sharedGraphLocked(ctx context.Context, eng *parallel.Engine) (*pairGraph, error) {
+	if pg := s.graph.Load(); pg != nil {
+		return pg, nil
+	}
+	if err := s.verifyLocked(); err != nil {
+		return nil, err
+	}
+	if st := s.query.Load(); st != nil {
+		pg := &pairGraph{g: st.g}
+		s.graph.Store(pg)
+		return pg, nil
+	}
+	pg, err := s.buildGraph(ctx, eng, s.cfg.TopK)
+	if err != nil {
+		return nil, err
+	}
+	s.graphBuilds.Add(1)
+	s.graph.Store(pg)
+	return pg, nil
 }
 
 // BuildSubstrate runs stages 1–2 of the pipeline — statistics (name
@@ -276,6 +360,38 @@ func (sub *Substrate) blockTokens(ctx context.Context, eng *parallel.Engine) err
 	}
 	sub.timings.BlockingToken = time.Since(t0)
 	return nil
+}
+
+// verifyLocked range-checks, on first call, every entity ID of a substrate
+// assembled from parts — top-neighbor rows, token-index members, name-block
+// members, and the targets of an installed graph: whatever graph
+// construction or batch matching later uses as an index. lazyMu is held.
+func (s *Substrate) verifyLocked() error {
+	if !s.unverified {
+		return s.corrupt
+	}
+	s.unverified = false
+	n1, n2 := s.k1.Len(), s.k2.Len()
+	ix := s.tokenIx.SnapshotColumns()
+	inRange := kb.IDsBelow(ix.Mem1, n1) && kb.IDsBelow(ix.Mem2, n2)
+	for _, row := range s.top1 {
+		inRange = inRange && kb.IDsBelow(row, n1)
+	}
+	for _, row := range s.top2 {
+		inRange = inRange && kb.IDsBelow(row, n2)
+	}
+	for i := range s.nameBlocks.Blocks {
+		b := &s.nameBlocks.Blocks[i]
+		inRange = inRange && kb.IDsBelow(b.E1, n1) && kb.IDsBelow(b.E2, n2)
+	}
+	if !inRange {
+		s.corrupt = fmt.Errorf("core: substrate from parts: %w", graph.ErrOutOfRange)
+	} else if st := s.query.Load(); st != nil {
+		if err := st.g.CheckTargets(n1, n2); err != nil {
+			s.corrupt = fmt.Errorf("core: installed graph: %w", err)
+		}
+	}
+	return s.corrupt
 }
 
 // K1 returns the substrate's first (query-side) KB.

@@ -15,9 +15,9 @@ import (
 // per weight (K), and relN top relations per entity (N). Token blocks are
 // not purged here; callers that need Block Purging apply it to both
 // Input.TokenBlocks (blocking.PurgeAbove) and Input.TokenIndex
-// (TokenIndex.PurgeAbove) before Build, as the core pipeline does. If only
-// the collection is purged, BuildCtx notices the mismatch and derives a
-// consistent index view from the collection.
+// (TokenIndex.PurgeAbove) before building, as the core pipeline does. If
+// only the collection is purged, the builder notices the mismatch and derives
+// a consistent index view from the collection.
 func InputFor(e *parallel.Engine, k1, k2 *kb.KB, nameK, topK, relN int) Input {
 	in, _ := InputForCtx(context.Background(), e, k1, k2, nameK, topK, relN)
 	return in

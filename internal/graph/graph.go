@@ -18,32 +18,49 @@ package graph
 import (
 	"cmp"
 	"context"
+	"errors"
+	"fmt"
 	"slices"
 	"time"
 
 	"minoaner/internal/blocking"
 	"minoaner/internal/kb"
 	"minoaner/internal/parallel"
-	"minoaner/internal/stats"
 )
 
 // Edge is a directed, weighted candidate edge to an entity of the other KB.
+// It is a 16-byte record without implicit padding — pad is a real, always
+// zero field — so the bytes of an []Edge are the bytes a snapshot stores.
 type Edge struct {
 	To     kb.EntityID
+	pad    uint32
 	Weight float64
 }
 
-// Graph is the pruned, directed disjunctive blocking graph. Slices are
-// indexed by EntityID; *1 fields describe edges out of E1 nodes (pointing to
-// E2 entities) and *2 fields the reverse direction.
+// Graph is the pruned, directed disjunctive blocking graph of one KB pair —
+// the one artifact batch matching, the per-entity query path and the
+// snapshot writer all read. Row sets are indexed by EntityID; *1 fields
+// describe edges out of E1 nodes (pointing to E2 entities) and *2 fields the
+// reverse direction. A Graph is immutable once built or installed.
 type Graph struct {
-	// Alpha1[i] lists the E2 entities sharing a globally unique name with
-	// E1 entity i (α = 1 edges). Alpha2 is the reverse direction.
-	Alpha1, Alpha2 [][]kb.EntityID
-	// Beta1[i] holds up to K candidates sorted by decreasing valueSim.
-	Beta1, Beta2 [][]Edge
-	// Gamma1[i] holds up to K candidates sorted by decreasing neighborNSim.
-	Gamma1, Gamma2 [][]Edge
+	// Alpha1 row i lists the E2 entities sharing a globally unique name with
+	// E1 entity i (α = 1 edges), sorted. Alpha2 is the reverse direction.
+	Alpha1, Alpha2 Rows[kb.EntityID]
+	// Beta1 row i holds up to K candidates sorted by decreasing valueSim.
+	Beta1, Beta2 Rows[Edge]
+	// Gamma2 row j holds up to K candidates sorted by decreasing
+	// neighborNSim. Gamma1 — the largest per-node structure — has no rows
+	// unless BuildTimedCtx materialized it: consumers stream its rows in
+	// spans (Gamma1Span) or compute one (Gamma1RowFor) from the inputs below.
+	Gamma1, Gamma2 Rows[Edge]
+
+	// The inputs of E1-side γ rows: E1's top-neighbor lists (shared with the
+	// substrate), the β edges of both directions merged into E1's undirected
+	// adjacency, the reverse top-neighbor index of E2, and the row bound K.
+	Top1 [][]kb.EntityID
+	Adj1 Rows[Edge]
+	In2  Rows[kb.EntityID]
+	K    int
 }
 
 // Input bundles everything Algorithm 1 needs.
@@ -53,9 +70,9 @@ type Input struct {
 	NameBlocks, TokenBlocks *blocking.Collection
 	// TokenIndex is the columnar token index the β stage walks. Optional: it
 	// should describe the same purged block set as TokenBlocks (the pipeline
-	// and InputForCtx thread it through). When absent, BuildCtx derives an
+	// and InputForCtx thread it through). When absent, the builder derives an
 	// index view from TokenBlocks; when the two disagree, the more-purged
-	// side wins (see BuildCtx), so purging either view alone still takes
+	// side wins (see resolveIndex), so purging either view alone still takes
 	// effect.
 	TokenIndex *blocking.TokenIndex
 	// Top1/Top2 are the per-entity top-neighbor lists of each KB
@@ -72,47 +89,43 @@ type Input struct {
 type Timings struct {
 	// Beta covers name evidence and both β directions: they run concurrently
 	// (Figure 4), so they are timed as one barrier. Gamma covers the
-	// adjacency merges, the in-neighbor reversals and both γ directions; in
-	// the sharded pipeline the deferred E1 γ rows are added by the caller as
-	// they are produced.
+	// adjacency merges, the in-neighbor reversals and the E2-side γ rows; the
+	// E1-side rows are added by whoever produces them (BuildTimedCtx, or the
+	// pipeline as it streams them through matching).
 	Beta, Gamma time.Duration
 }
 
-// BuildCtx runs Algorithm 1: name evidence, value evidence, neighbor
-// evidence, with top-K pruning per node. All three stages are data-parallel
-// over entities; stage boundaries are synchronization barriers exactly as in
-// the Spark architecture of Figure 4. Per-entity candidate accumulation is
+// BuildSharedCtx runs Algorithm 1 — name evidence, value evidence, neighbor
+// evidence, with top-K pruning per node — up to the point where every
+// consumer can read the graph: α, both β directions, the E2-side γ rows and
+// the inputs from which E1-side γ rows are produced on demand. All stages
+// are data-parallel over entities; per-entity candidate accumulation is
 // heavily skewed (entities in large token blocks touch far more candidates),
 // so the β and γ passes run under the dynamic chunked scheduler. The first
 // error — in practice only ctx cancellation — aborts all stages.
-func BuildCtx(ctx context.Context, e *parallel.Engine, in Input) (*Graph, error) {
-	g, _, err := BuildTimedCtx(ctx, e, in)
-	return g, err
-}
-
-// BuildTimedCtx is BuildCtx with the per-phase wall clock reported back.
-func BuildTimedCtx(ctx context.Context, e *parallel.Engine, in Input) (*Graph, Timings, error) {
-	g := &Graph{
-		Alpha1: make([][]kb.EntityID, in.K1.Len()),
-		Alpha2: make([][]kb.EntityID, in.K2.Len()),
-	}
+//
+// With more than one worker the two γ sides build concurrently; at one
+// worker they run in sequence.
+func BuildSharedCtx(ctx context.Context, e *parallel.Engine, in Input) (*Graph, Timings, error) {
+	g := &Graph{Top1: in.Top1, K: in.K}
 	var tm Timings
 	ce := e.Chunked()
 	ix := resolveIndex(in)
-	var beta1, beta2 [][]Edge
+	n1, n2 := in.K1.Len(), in.K2.Len()
 	t0 := time.Now()
 	// Name evidence and the two directions of value evidence are mutually
 	// independent (Figure 4 runs them concurrently).
 	err := e.ConcurrentCtx(ctx,
-		func(context.Context) error { g.buildAlpha(in); return nil },
-		func(sc context.Context) error {
-			var err error
-			beta1, err = buildBeta(sc, ce, ix, in.K1, in.K2.Len(), true, in.K)
+		func(context.Context) error {
+			g.Alpha1, g.Alpha2 = buildAlpha(in.NameBlocks, n1, n2)
+			return nil
+		},
+		func(sc context.Context) (err error) {
+			g.Beta1, err = BetaRowsCtx(sc, ce, ix, in.K1, n2, true, in.K)
 			return err
 		},
-		func(sc context.Context) error {
-			var err error
-			beta2, err = buildBeta(sc, ce, ix, in.K2, in.K1.Len(), false, in.K)
+		func(sc context.Context) (err error) {
+			g.Beta2, err = BetaRowsCtx(sc, ce, ix, in.K2, n1, false, in.K)
 			return err
 		},
 	)
@@ -120,19 +133,48 @@ func BuildTimedCtx(ctx context.Context, e *parallel.Engine, in Input) (*Graph, T
 		return nil, tm, err
 	}
 	tm.Beta = time.Since(t0)
-	g.Beta1, g.Beta2 = beta1, beta2
+
+	// γ: the retained β edges of both directions form one undirected edge
+	// set. It is merged once, indexed by E2 node for the E2-side rows, and
+	// transposed for the E1 side.
 	t0 = time.Now()
-	if err := g.buildGamma(ctx, ce, in); err != nil {
+	adj2 := MergeAdjacency(e, g.Beta2, g.Beta1)
+	side2 := func(sc context.Context) (err error) {
+		in1 := TopInNeighbors(in.Top1)
+		g.Gamma2, err = gammaRows(sc, ce, parallel.Span{Lo: 0, Hi: n2}, in.Top2, adj2, in1, in.K, Rows[Edge]{})
+		return err
+	}
+	side1 := func(context.Context) error {
+		g.Adj1 = transposeEdges(adj2, n1)
+		g.In2 = TopInNeighbors(in.Top2)
+		return nil
+	}
+	if e.Workers() > 1 {
+		err = e.ConcurrentCtx(ctx, side2, side1)
+	} else if err = side2(ctx); err == nil {
+		err = side1(ctx)
+	}
+	if err != nil {
 		return nil, tm, err
 	}
 	tm.Gamma = time.Since(t0)
 	return g, tm, nil
 }
 
-// Build is BuildCtx without cancellation.
-func Build(e *parallel.Engine, in Input) *Graph {
-	g, _ := BuildCtx(context.Background(), e, in)
-	return g
+// BuildTimedCtx is BuildSharedCtx plus every E1-side γ row, materialized in
+// Gamma1: the whole graph of Algorithm 1 at once, for callers that count or
+// inspect its edges. The pipeline never holds Gamma1 whole.
+func BuildTimedCtx(ctx context.Context, e *parallel.Engine, in Input) (*Graph, Timings, error) {
+	g, tm, err := BuildSharedCtx(ctx, e, in)
+	if err != nil {
+		return nil, tm, err
+	}
+	t0 := time.Now()
+	if g.Gamma1, err = g.Gamma1Span(ctx, e, parallel.Span{Lo: 0, Hi: in.K1.Len()}, Rows[Edge]{}); err != nil {
+		return nil, tm, err
+	}
+	tm.Gamma += time.Since(t0)
+	return g, tm, nil
 }
 
 // resolveIndex picks the token index the β stage walks. Both β directions
@@ -163,312 +205,316 @@ func resolveIndex(in Input) *blocking.TokenIndex {
 }
 
 // buildAlpha scans the name blocks for 1×1 blocks: a name used by exactly
-// one entity of each KB (Algorithm 1, lines 5–9). Pairs are gathered first
-// and deduplicated with one sort+compact per node, so an entity carrying
-// many unique names costs O(d log d) instead of the quadratic append-scan of
-// the earlier appendUnique idiom.
-func (g *Graph) buildAlpha(in Input) {
-	for i := range in.NameBlocks.Blocks {
-		b := &in.NameBlocks.Blocks[i]
-		if len(b.E1) == 1 && len(b.E2) == 1 {
-			e1, e2 := b.E1[0], b.E2[0]
-			g.Alpha1[e1] = append(g.Alpha1[e1], e2)
-			g.Alpha2[e2] = append(g.Alpha2[e2], e1)
+// one entity of each KB (Algorithm 1, lines 5–9). Pairs are counted, then
+// scattered, then each node's row is sorted and deduplicated once, so an
+// entity carrying many unique names costs O(d log d).
+func buildAlpha(nameBlocks *blocking.Collection, n1, n2 int) (alpha1, alpha2 Rows[kb.EntityID]) {
+	alpha1.Off, alpha2.Off = make([]int64, n1+1), make([]int64, n2+1)
+	unique := func(b *blocking.Block) bool { return len(b.E1) == 1 && len(b.E2) == 1 }
+	for i := range nameBlocks.Blocks {
+		if b := &nameBlocks.Blocks[i]; unique(b) {
+			alpha1.Off[b.E1[0]+1]++
+			alpha2.Off[b.E2[0]+1]++
 		}
 	}
-	for i := range g.Alpha1 {
-		slices.Sort(g.Alpha1[i])
-		g.Alpha1[i] = slices.Compact(g.Alpha1[i])
+	prefixSums(alpha1.Off)
+	prefixSums(alpha2.Off)
+	alpha1.Flat, alpha2.Flat = make([]kb.EntityID, alpha1.Off[n1]), make([]kb.EntityID, alpha2.Off[n2])
+	cur1, cur2 := slices.Clone(alpha1.Off[:n1]), slices.Clone(alpha2.Off[:n2])
+	for i := range nameBlocks.Blocks {
+		if b := &nameBlocks.Blocks[i]; unique(b) {
+			e1, e2 := b.E1[0], b.E2[0]
+			alpha1.Flat[cur1[e1]] = e2
+			cur1[e1]++
+			alpha2.Flat[cur2[e2]] = e1
+			cur2[e2]++
+		}
 	}
-	for i := range g.Alpha2 {
-		slices.Sort(g.Alpha2[i])
-		g.Alpha2[i] = slices.Compact(g.Alpha2[i])
-	}
+	sortCompactIDs(&alpha1)
+	sortCompactIDs(&alpha2)
+	return alpha1, alpha2
 }
 
-// buildBeta computes, for every entity of one side, its top-K candidates by
-// valueSim (Algorithm 1, lines 10–19). The per-token contribution is
+// BetaRowsCtx computes, for every entity of one side, its top-K candidates by
+// valueSim (Algorithm 1, lines 10–19) — the value-evidence phase, exported
+// for the stage benchmark that guards it in isolation. otherLen is the entity
+// count of the OTHER KB (the candidate ID space). The per-token contribution is
 // 1/log2(|b1|·|b2|+1): since token-block side sizes equal the per-KB entity
 // frequencies, summing over shared blocks yields exactly Def. 2.1. The walk
 // is purely columnar — token IDs into CSR member arrays with weights
 // precomputed once per index, scattered into a per-worker scoreboard over
 // the other KB's entity IDs (otherLen) — with no string hashing and no map
-// insertion per (entity, token).
-func buildBeta(ctx context.Context, e *parallel.Engine, ix *blocking.TokenIndex, from *kb.KB, otherLen int, fromIsE1 bool, k int) ([][]Edge, error) {
-	return buildBetaSpan(ctx, e, ix, from, otherLen, fromIsE1, k, parallel.Span{Lo: 0, Hi: from.Len()})
-}
-
-// BetaRowsCtx computes one side's full β candidate rows — the value-evidence
-// phase in isolation, exported for the stage benchmarks that guard it.
-// otherLen is the entity count of the OTHER KB (the candidate ID space);
-// BuildCtx composes this with the α and γ phases.
-func BetaRowsCtx(ctx context.Context, e *parallel.Engine, ix *blocking.TokenIndex, from *kb.KB, otherLen int, fromIsE1 bool, k int) ([][]Edge, error) {
-	return buildBeta(ctx, e, ix, from, otherLen, fromIsE1, k)
-}
-
-// buildBetaSpan computes the β rows of one contiguous entity span, returning
-// s.Len() rows (row i describes entity s.Lo+i). Rows are per-entity
-// independent, so concatenating span results in span order is identical to
-// one full-range pass — the invariant sharded construction relies on.
-//
-// Accumulation order per candidate is the token-walk order, identical to the
-// historical map accumulation, so per-candidate float sums — and with them
-// every retained weight — are bit-identical to buildBetaSpanMap.
-func buildBetaSpan(ctx context.Context, e *parallel.Engine, ix *blocking.TokenIndex, from *kb.KB, otherLen int, fromIsE1 bool, k int, s parallel.Span) ([][]Edge, error) {
-	return parallel.MapLocalCtx(ctx, e, s.Len(),
-		func() *boardScratch { return newBoardScratch(otherLen, k) },
-		func(sc *boardScratch, i int) ([]Edge, error) {
-			d := from.Entity(kb.EntityID(s.Lo + i))
-			board := sc.board
-			ix.ForEachShared(d, fromIsE1, func(w float64, others []kb.EntityID) {
-				for _, o := range others {
-					board.Add(o, w)
-				}
-			})
-			return sc.row(k), nil
-		})
-}
-
-// buildBetaSpanMap is the retained map-based reference implementation of
-// buildBetaSpan — a freshly allocated accumulator per entity, full sort in
-// topK. The property tests pin the scoreboard path to it row for row, and
-// the graph benchmarks keep the before/after comparison honest.
-func buildBetaSpanMap(ctx context.Context, e *parallel.Engine, ix *blocking.TokenIndex, from *kb.KB, fromIsE1 bool, k int, s parallel.Span) ([][]Edge, error) {
-	return parallel.MapCtx(ctx, e, s.Len(), func(i int) ([]Edge, error) {
-		d := from.Entity(kb.EntityID(s.Lo + i))
-		var acc map[kb.EntityID]float64
-		ix.ForEachShared(d, fromIsE1, func(w float64, others []kb.EntityID) {
-			if acc == nil {
-				acc = make(map[kb.EntityID]float64, len(others))
-			}
+// insertion per (entity, token). Accumulation order per candidate is the
+// token-walk order, so per-candidate float sums — and with them every
+// retained weight — are bit-identical to the map-based reference the
+// property tests keep.
+func BetaRowsCtx(ctx context.Context, e *parallel.Engine, ix *blocking.TokenIndex, from *kb.KB, otherLen int, fromIsE1 bool, k int) (Rows[Edge], error) {
+	return emitRows(ctx, e, from.Len(), otherLen, k, Rows[Edge]{}, func(board *Scoreboard, i int) {
+		ix.ForEachShared(from.Entity(kb.EntityID(i)), fromIsE1, func(w float64, others []kb.EntityID) {
 			for _, o := range others {
-				acc[o] += w
+				board.Add(o, w)
 			}
 		})
-		return topK(acc, k), nil
 	})
 }
 
-// topK selects the k highest-weighted candidates, breaking ties by entity ID
-// for determinism, and returns them sorted by decreasing weight. Zero
-// weights are dropped (pruning of trivial edges, §3.3). Retained as the
-// map-based reference side of the topKBoard property tests.
-func topK(acc map[kb.EntityID]float64, k int) []Edge {
-	if len(acc) == 0 || k <= 0 {
-		return nil
-	}
-	edges := make([]Edge, 0, len(acc))
-	for to, w := range acc {
-		if w > 0 {
-			edges = append(edges, Edge{to, w})
-		}
-	}
-	slices.SortFunc(edges, edgeCmp)
-	if len(edges) > k {
-		edges = edges[:k]
-	}
-	return edges
-}
-
-// buildGamma propagates β weights to in-neighbor pairs (Algorithm 1, lines
-// 20–33): if valueSim(x, y) = β and x is a top neighbor of a while y is a
-// top neighbor of b, then β contributes to neighborNSim(a, b). The retained
-// (pruned) β-edges of both directions feed the propagation, merged into one
-// undirected adjacency so no contribution is double counted.
-func (g *Graph) buildGamma(ctx context.Context, e *parallel.Engine, in Input) error {
-	adj1 := MergeAdjacency(g.Beta1, g.Beta2, in.K1.Len())
-	adj2 := MergeAdjacency(g.Beta2, g.Beta1, in.K2.Len())
-
-	// getTopInNeighbors (Algorithm 1, lines 44–47): in1[x] lists the E1
-	// entities that have x among their top neighbors.
-	in1 := stats.TopInNeighbors(in.Top1)
-	in2 := stats.TopInNeighbors(in.Top2)
-
-	// Gather formulation of lines 20–27: γ(a, b) = Σ β(na, y) over a's top
-	// neighbors na and their retained β-edges (na, y) with y a top neighbor
-	// of b, i.e. b ∈ in2[y].
-	gamma1, err := gammaRows(ctx, e, parallel.Span{Lo: 0, Hi: in.K1.Len()}, in.Top1, adj1, in2, in.K)
-	if err != nil {
-		return err
-	}
-	gamma2, err := gammaRows(ctx, e, parallel.Span{Lo: 0, Hi: in.K2.Len()}, in.Top2, adj2, in1, in.K)
-	if err != nil {
-		return err
-	}
-	g.Gamma1, g.Gamma2 = gamma1, gamma2
-	return nil
-}
-
-// gammaRows computes the γ candidate rows of one side for a contiguous node
-// span: row i holds the pruned neighbor-similarity candidates of node s.Lo+i.
-// top is the side's own top-neighbor lists, adj its merged undirected β
-// adjacency, and inOther the reverse top-neighbor index of the OTHER side —
-// whose length is also the candidate ID space the per-worker scoreboard
-// covers. Rows are per-node independent, so span concatenation in order
-// reproduces the full-range pass exactly; per-candidate sums follow the same
-// neighbor-walk order as the retained map reference (gammaRowsMap), keeping
-// the weights bit-identical.
-func gammaRows(ctx context.Context, e *parallel.Engine, s parallel.Span, top [][]kb.EntityID, adj [][]Edge, inOther [][]kb.EntityID, k int) ([][]Edge, error) {
-	return parallel.MapLocalCtx(ctx, e, s.Len(),
-		func() *boardScratch { return newBoardScratch(len(inOther), k) },
-		func(sc *boardScratch, i int) ([]Edge, error) {
-			board := sc.board
-			for _, na := range top[s.Lo+i] {
-				for _, edge := range adj[na] {
-					for _, b := range inOther[edge.To] {
-						board.Add(b, edge.Weight)
-					}
-				}
-			}
-			return sc.row(k), nil
-		})
-}
-
-// GammaRowsCtx computes one side's full γ candidate rows from its
-// top-neighbor lists, its merged undirected β adjacency (MergeAdjacency) and
-// the reverse top-neighbor index of the other side (stats.TopInNeighbors) —
-// the neighbor-evidence phase in isolation, exported for the stage
-// benchmarks that guard it.
-func GammaRowsCtx(ctx context.Context, e *parallel.Engine, top [][]kb.EntityID, adj [][]Edge, inOther [][]kb.EntityID, k int) ([][]Edge, error) {
-	return gammaRows(ctx, e, parallel.Span{Lo: 0, Hi: len(top)}, top, adj, inOther, k)
-}
-
-// gammaRowsMap is the retained map-based reference implementation of
-// gammaRows, the pin of the scoreboard property tests and the "before" side
-// of the γ benchmarks.
-func gammaRowsMap(ctx context.Context, e *parallel.Engine, s parallel.Span, top [][]kb.EntityID, adj [][]Edge, inOther [][]kb.EntityID, k int) ([][]Edge, error) {
-	return parallel.MapCtx(ctx, e, s.Len(), func(i int) ([]Edge, error) {
-		var acc map[kb.EntityID]float64
+// gammaRows propagates β weights to in-neighbor pairs (Algorithm 1, lines
+// 20–33) for one side's contiguous node span: if valueSim(x, y) = β and x is
+// a top neighbor of a while y is a top neighbor of b, then β contributes to
+// neighborNSim(a, b). Row i holds the pruned candidates of node s.Lo+i. top
+// is the side's own top-neighbor lists, adj its merged undirected β
+// adjacency — both directions' retained edges, so no contribution is
+// counted twice — and inOther the reverse top-neighbor index of the OTHER
+// side, whose length is also the candidate ID space. Rows are per-node
+// independent, so concatenating spans in order reproduces the full-range
+// pass exactly; per-candidate sums follow the neighbor-walk order of the
+// map-based reference, keeping the weights bit-identical. reuse is passed on
+// to emitRows.
+func gammaRows(ctx context.Context, e *parallel.Engine, s parallel.Span, top [][]kb.EntityID, adj Rows[Edge], inOther Rows[kb.EntityID], k int, reuse Rows[Edge]) (Rows[Edge], error) {
+	return emitRows(ctx, e, s.Len(), inOther.Len(), k, reuse, func(board *Scoreboard, i int) {
 		for _, na := range top[s.Lo+i] {
-			for _, edge := range adj[na] {
-				ins := inOther[edge.To]
-				if len(ins) == 0 {
-					continue
-				}
-				if acc == nil {
-					acc = make(map[kb.EntityID]float64)
-				}
-				for _, b := range ins {
-					acc[b] += edge.Weight
+			for _, edge := range adj.Row(int(na)) {
+				for _, b := range inOther.Row(int(edge.To)) {
+					board.Add(b, edge.Weight)
 				}
 			}
 		}
-		return topK(acc, k), nil
 	})
+}
+
+// Gamma1Span computes the γ rows of one contiguous E1 span: s.Len() rows,
+// row i describing entity s.Lo+i. Consumers that walk all of E1 pull the
+// rows span by span and hand each set back as reuse when asking for the
+// next, so one span's arrays serve the whole walk.
+func (g *Graph) Gamma1Span(ctx context.Context, e *parallel.Engine, s parallel.Span, reuse Rows[Edge]) (Rows[Edge], error) {
+	return gammaRows(ctx, e.Chunked(), s, g.Top1, g.Adj1, g.In2, g.K, reuse)
+}
+
+// byTarget orders edges by target, the heavier of two edges to one target
+// first.
+func byTarget(a, b Edge) int {
+	if a.To != b.To {
+		return cmp.Compare(a.To, b.To)
+	}
+	return cmp.Compare(b.Weight, a.Weight)
 }
 
 // MergeAdjacency merges the directed retained β-edges of both directions
-// into an undirected adjacency for one side: out[x] holds each neighbor y at
-// most once with its β weight, sorted by entity ID. When both directions
-// retained the edge (x, y) their β weights coincide (valueSim is symmetric),
-// but the dedup is still made deterministic by sorting ties on descending
-// weight before compacting — the kept edge never depends on input order.
-func MergeAdjacency(own [][]Edge, reverse [][]Edge, n int) [][]Edge {
-	out := make([][]Edge, n)
-	for x := range own {
-		out[x] = append(out[x], own[x]...)
-	}
-	for y := range reverse {
-		for _, edge := range reverse[y] {
-			out[edge.To] = append(out[edge.To], Edge{kb.EntityID(y), edge.Weight})
-		}
-	}
-	for x := range out {
-		if len(out[x]) < 2 {
-			continue
-		}
-		slices.SortFunc(out[x], func(a, b Edge) int {
-			if a.To != b.To {
-				return cmp.Compare(a.To, b.To)
+// into an undirected adjacency for one side: row x holds each neighbor y at
+// most once with its β weight, sorted by entity ID. own holds the side's own
+// rows, reverse the other side's, whose targets index own's rows. When both
+// directions retained the edge (x, y) their β weights coincide (valueSim is
+// symmetric), but the merge keeps the highest weight of any duplicates, so
+// the kept edge never depends on input order.
+//
+// A counting pass sizes the result exactly — a reverse edge already present
+// in its own row adds nothing. Each row is then laid out as two runs sorted
+// by target: the own edges (at most K, sorted here) and the reverse-only
+// edges, which arrive in ascending order of their source; one in-place merge
+// per row finishes it. Only rows that repeat a target within one direction,
+// which pruned candidate rows never do, leave the array with spare capacity.
+//
+// The passes look a reverse edge's target row up at random, which is what
+// they cost; every worker therefore takes a contiguous range of rows and
+// scans all reverse edges for the ones that land in it.
+func MergeAdjacency(e *parallel.Engine, own, reverse Rows[Edge]) Rows[Edge] {
+	e = parallel.New(e.Workers()) // one static span per worker, whatever e's schedule
+	n := own.Len()
+	out := Rows[Edge]{Off: make([]int64, n+1)}
+	ownLen := func(x kb.EntityID) int64 { return own.Off[x+1] - own.Off[x] }
+	// landing calls visit for every reverse edge (y → x) with x in s.
+	landing := func(s parallel.Span, visit func(x, y kb.EntityID, w float64)) {
+		for y := 0; y < reverse.Len(); y++ {
+			for _, edge := range reverse.Row(y) {
+				if int(edge.To) >= s.Lo && int(edge.To) < s.Hi {
+					visit(edge.To, kb.EntityID(y), edge.Weight)
+				}
 			}
-			return cmp.Compare(b.Weight, a.Weight)
+		}
+	}
+	e.ForSpans(n, func(s parallel.Span) {
+		for x := s.Lo; x < s.Hi; x++ {
+			out.Off[x+1] = ownLen(kb.EntityID(x))
+		}
+		landing(s, func(x, y kb.EntityID, _ float64) {
+			if indexEdge(own.Row(int(x)), y) < 0 {
+				out.Off[x+1]++
+			}
 		})
-		dst := out[x][:1]
-		for _, edge := range out[x][1:] {
-			if edge.To != dst[len(dst)-1].To {
-				dst = append(dst, edge)
+	})
+	prefixSums(out.Off)
+	out.Flat = make([]Edge, out.Off[n])
+	cur := make([]int64, n)
+	// Each span finishes its rows at a write cursor that starts at the span's
+	// first row and never passes the row it is on: the own run moves to
+	// scratch first, and a reverse-only edge is read before anything is
+	// written at or beyond it. A span that dropped repeats ends short.
+	ends := parallel.MapSpans(e, n, func(s parallel.Span) int64 {
+		longest := int64(0)
+		for x := s.Lo; x < s.Hi; x++ {
+			run := out.Flat[out.Off[x]:][:copy(out.Flat[out.Off[x]:], own.Row(x))]
+			slices.SortFunc(run, byTarget)
+			cur[x] = out.Off[x] + int64(len(run))
+			longest = max(longest, int64(len(run)))
+		}
+		landing(s, func(x, y kb.EntityID, w float64) {
+			run := out.Flat[out.Off[x] : out.Off[x]+ownLen(x)]
+			if j := indexEdge(run, y); j >= 0 {
+				run[j].Weight = max(run[j].Weight, w)
+				return
+			}
+			out.Flat[cur[x]] = Edge{To: y, Weight: w}
+			cur[x]++
+		})
+		scratch := make([]Edge, 0, longest)
+		w, start := out.Off[s.Lo], out.Off[s.Lo]
+		for x := s.Lo; x < s.Hi; x++ {
+			end := out.Off[x+1]
+			a := append(scratch[:0], out.Flat[start:start+ownLen(kb.EntityID(x))]...)
+			b := out.Flat[start+int64(len(a)) : end]
+			rowStart := w
+			if w != start { // never for a span's first row, whose offset the span before reads
+				out.Off[x] = w
+			}
+			for len(a) > 0 || len(b) > 0 {
+				var next Edge
+				if len(b) == 0 || (len(a) > 0 && byTarget(a[0], b[0]) <= 0) {
+					next, a = a[0], a[1:]
+				} else {
+					next, b = b[0], b[1:]
+				}
+				if last := w - 1; last >= rowStart && out.Flat[last].To == next.To {
+					out.Flat[last].Weight = max(out.Flat[last].Weight, next.Weight)
+					continue
+				}
+				out.Flat[w] = next
+				w++
+			}
+			start = end
+		}
+		return w
+	})
+	// Close the gaps short spans left, if any.
+	w := int64(0)
+	for i, s := range e.Partitions(n) {
+		from := out.Off[s.Lo]
+		if shift := from - w; shift > 0 {
+			copy(out.Flat[w:], out.Flat[from:ends[i]])
+			for x := s.Lo; x < s.Hi; x++ {
+				out.Off[x] -= shift
 			}
 		}
-		out[x] = dst
+		w += ends[i] - from
 	}
+	out.Off[n] = w
+	out.Flat = out.Flat[:w]
 	return out
 }
 
-// BetaWeight returns the retained valueSim from an E1 node to an E2 node
-// (0 if the directed edge was pruned).
-func (g *Graph) BetaWeight(e1, e2 kb.EntityID) float64 {
-	for _, edge := range g.Beta1[e1] {
-		if edge.To == e2 {
-			return edge.Weight
+// transposeEdges turns an undirected adjacency indexed by one side into the
+// same adjacency indexed by the other, whose n nodes are r's targets: row x
+// of the result holds (y, w) for every (x, w) in row y of r. Sources are
+// visited in ascending order, so rows come out sorted by entity ID — the
+// result equals MergeAdjacency with the directions swapped, at the price of
+// a counting pass and a scatter.
+func transposeEdges(r Rows[Edge], n int) Rows[Edge] {
+	t := Rows[Edge]{Off: make([]int64, n+1), Flat: make([]Edge, len(r.Flat))}
+	for _, edge := range r.Flat {
+		t.Off[edge.To+1]++
+	}
+	prefixSums(t.Off)
+	cur := slices.Clone(t.Off[:n])
+	for y := 0; y < r.Len(); y++ {
+		for _, edge := range r.Row(y) {
+			t.Flat[cur[edge.To]] = Edge{To: kb.EntityID(y), Weight: edge.Weight}
+			cur[edge.To]++
 		}
 	}
-	return 0
+	return t
 }
 
-// HasDirectedEdge1 reports whether the directed edge from E1 node e1 to E2
-// node e2 survived pruning under any evidence (α, β or γ) — the G.E
-// membership test of the reciprocity rule R4.
-func (g *Graph) HasDirectedEdge1(e1, e2 kb.EntityID) bool {
-	return containsID(g.Alpha1[e1], e2) || containsEdge(g.Beta1[e1], e2) || containsEdge(g.Gamma1[e1], e2)
-}
-
-// HasDirectedEdge2 is HasDirectedEdge1 for the E2 → E1 direction.
-func (g *Graph) HasDirectedEdge2(e2, e1 kb.EntityID) bool {
-	return containsID(g.Alpha2[e2], e1) || containsEdge(g.Beta2[e2], e1) || containsEdge(g.Gamma2[e2], e1)
-}
-
-// HasDirectedEdge1NoGamma is HasDirectedEdge1 restricted to α/β evidence.
-// The sharded matcher uses it together with EdgeListContains over the
-// shard-local γ rows, which are never retained in the Graph.
+// HasDirectedEdge1NoGamma reports whether the directed edge from E1 node e1
+// to E2 node e2 survived pruning under α or β evidence. Together with
+// EdgeListContains over the γ row of e1 — which is never retained in the
+// Graph — it is the G.E membership test of the reciprocity rule R4.
 func (g *Graph) HasDirectedEdge1NoGamma(e1, e2 kb.EntityID) bool {
-	return containsID(g.Alpha1[e1], e2) || containsEdge(g.Beta1[e1], e2)
+	return slices.Contains(g.Alpha1.Row(int(e1)), e2) || indexEdge(g.Beta1.Row(int(e1)), e2) >= 0
+}
+
+// HasDirectedEdge2 reports whether the directed edge from E2 node e2 to E1
+// node e1 survived pruning under any evidence (α, β or γ).
+func (g *Graph) HasDirectedEdge2(e2, e1 kb.EntityID) bool {
+	return slices.Contains(g.Alpha2.Row(int(e2)), e1) ||
+		indexEdge(g.Beta2.Row(int(e2)), e1) >= 0 || indexEdge(g.Gamma2.Row(int(e2)), e1) >= 0
 }
 
 // EdgeListContains reports whether an edge list holds an edge to the given
 // node — the G.E membership test over an externally held candidate row.
-func EdgeListContains(es []Edge, to kb.EntityID) bool {
-	return containsEdge(es, to)
-}
+func EdgeListContains(es []Edge, to kb.EntityID) bool { return indexEdge(es, to) >= 0 }
 
-func containsID(xs []kb.EntityID, x kb.EntityID) bool {
-	for _, y := range xs {
-		if y == x {
-			return true
-		}
-	}
-	return false
-}
-
-func containsEdge(es []Edge, to kb.EntityID) bool {
-	for _, e := range es {
+// indexEdge returns the position of the edge to the given node, or -1.
+func indexEdge(es []Edge, to kb.EntityID) int {
+	for i, e := range es {
 		if e.To == to {
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 // Edges returns the total number of directed edges retained in the graph,
-// used by complexity assertions (|E| ≤ 2·(2K+names)·(|E1|+|E2|)).
+// used by complexity assertions (|E| ≤ 2·(2K+names)·(|E1|+|E2|)). The
+// E1-side γ edges count only when Gamma1 is materialized.
 func (g *Graph) Edges() int {
-	total := 0
-	for _, xs := range g.Alpha1 {
-		total += len(xs)
+	return len(g.Alpha1.Flat) + len(g.Alpha2.Flat) + len(g.Beta1.Flat) + len(g.Beta2.Flat) +
+		len(g.Gamma1.Flat) + len(g.Gamma2.Flat)
+}
+
+// CheckShape validates the layout of a graph that came from outside the
+// program (a snapshot) against the pair's entity counts: a positive row
+// bound, one top-neighbor list per E1 entity, and offset tables that cover
+// their flat arrays — everything that makes taking a row safe, at the price
+// of reading the offset tables only.
+func (g *Graph) CheckShape(n1, n2 int) error {
+	if g.K <= 0 {
+		return fmt.Errorf("graph: row bound K=%d must be positive", g.K)
 	}
-	for _, xs := range g.Alpha2 {
-		total += len(xs)
+	if len(g.Top1) != n1 {
+		return fmt.Errorf("graph: %d top-neighbor rows for %d E1 entities", len(g.Top1), n1)
 	}
-	for _, es := range g.Beta1 {
-		total += len(es)
+	err := errors.Join(
+		g.Alpha1.check(n1, "alpha1"), g.Alpha2.check(n2, "alpha2"), g.In2.check(n2, "in2"),
+		g.Beta1.check(n1, "beta1"), g.Beta2.check(n2, "beta2"), g.Gamma2.check(n2, "gamma2"), g.Adj1.check(n1, "adj1"))
+	if g.Gamma1.Off != nil {
+		err = errors.Join(err, g.Gamma1.check(n1, "gamma1"))
 	}
-	for _, es := range g.Beta2 {
-		total += len(es)
+	return err
+}
+
+// ErrOutOfRange reports an entity ID or edge target that names no entity of
+// the KB it points into — possible only in a graph installed from a file.
+var ErrOutOfRange = errors.New("graph: entity ID outside its KB")
+
+// CheckTargets range-checks every entity ID and edge target of a graph that
+// passed CheckShape: whatever a consumer later uses as an index must lie
+// inside the array it indexes. It reads the whole graph, so a loader leaves
+// it to the first consumer that walks the whole graph anyway; the
+// per-entity query kernels check the few rows they touch themselves.
+func (g *Graph) CheckTargets(n1, n2 int) error {
+	ok := kb.IDsBelow(g.Alpha1.Flat, n2) && kb.IDsBelow(g.Alpha2.Flat, n1) && kb.IDsBelow(g.In2.Flat, n2)
+	for _, row := range g.Top1 {
+		ok = ok && kb.IDsBelow(row, n1)
 	}
-	for _, es := range g.Gamma1 {
-		total += len(es)
+	for _, c := range []struct {
+		edges []Edge
+		below int
+	}{{g.Beta1.Flat, n2}, {g.Beta2.Flat, n1}, {g.Gamma1.Flat, n2}, {g.Gamma2.Flat, n1}, {g.Adj1.Flat, n2}} {
+		for _, edge := range c.edges {
+			ok = ok && edge.To >= 0 && int(edge.To) < c.below
+		}
 	}
-	for _, es := range g.Gamma2 {
-		total += len(es)
+	if !ok {
+		return ErrOutOfRange
 	}
-	return total
+	return nil
 }

@@ -2,9 +2,12 @@ package graph
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -22,8 +25,17 @@ var seq = parallel.Sequential()
 func buildFigure1Graph(t *testing.T, e *parallel.Engine, k int) (*kb.KB, *kb.KB, *Graph) {
 	t.Helper()
 	w, d := testkb.Figure1()
-	in := InputFor(e, w, d, 2, k, 2)
-	return w, d, Build(e, in)
+	return w, d, mustBuild(t, e, InputFor(e, w, d, 2, k, 2))
+}
+
+// mustBuild builds the whole graph, E1-side γ rows included.
+func mustBuild(t testing.TB, e *parallel.Engine, in Input) *Graph {
+	t.Helper()
+	g, _, err := BuildTimedCtx(context.Background(), e, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 func TestAlphaEdgesFromUniqueNames(t *testing.T) {
@@ -31,11 +43,11 @@ func TestAlphaEdgesFromUniqueNames(t *testing.T) {
 	chef1 := w.Lookup("w:JohnLakeA")
 	chef2 := d.Lookup("d:JonnyLake")
 	// Example 3.4: the chefs share the unique name "J. Lake" → α = 1.
-	if !containsID(g.Alpha1[chef1], chef2) {
-		t.Errorf("Alpha1[chef1] = %v, want to contain chef2=%d", g.Alpha1[chef1], chef2)
+	if row := g.Alpha1.Row(int(chef1)); !slices.Contains(row, chef2) {
+		t.Errorf("Alpha1[chef1] = %v, want to contain chef2=%d", row, chef2)
 	}
-	if !containsID(g.Alpha2[chef2], chef1) {
-		t.Errorf("Alpha2[chef2] = %v, want to contain chef1=%d", g.Alpha2[chef2], chef1)
+	if row := g.Alpha2.Row(int(chef2)); !slices.Contains(row, chef1) {
+		t.Errorf("Alpha2[chef2] = %v, want to contain chef1=%d", row, chef1)
 	}
 }
 
@@ -47,7 +59,7 @@ func TestBetaMatchesDirectValueSim(t *testing.T) {
 	for i := 0; i < w.Len(); i++ {
 		for j := 0; j < d.Len(); j++ {
 			want := stats.ValueSim(w.Entity(kb.EntityID(i)), d.Entity(kb.EntityID(j)), ef1, ef2)
-			got := g.BetaWeight(kb.EntityID(i), kb.EntityID(j))
+			got := g.betaWeight(kb.EntityID(i), kb.EntityID(j))
 			if math.Abs(got-want) > 1e-9 {
 				t.Errorf("β(%d,%d) = %v, want valueSim %v", i, j, got, want)
 			}
@@ -57,7 +69,7 @@ func TestBetaMatchesDirectValueSim(t *testing.T) {
 
 func TestBetaSortedAndBounded(t *testing.T) {
 	_, _, g := buildFigure1Graph(t, seq, 2)
-	for i, es := range g.Beta1 {
+	for i, es := range slicesOf(g.Beta1) {
 		if len(es) > 2 {
 			t.Fatalf("Beta1[%d] has %d edges, K=2", i, len(es))
 		}
@@ -81,25 +93,25 @@ func TestGammaPropagation(t *testing.T) {
 	// Example 3.4: Restaurant1–Restaurant2 get a non-zero γ because their
 	// top neighbors (chefs; Bray/Berkshire) have non-zero β edges.
 	var gammaR1R2 float64
-	for _, edge := range g.Gamma1[r1] {
+	for _, edge := range g.Gamma1.Row(int(r1)) {
 		if edge.To == r2 {
 			gammaR1R2 = edge.Weight
 		}
 	}
 	if gammaR1R2 <= 0 {
-		t.Fatalf("γ(Restaurant1, Restaurant2) = %v, want > 0 (Gamma1: %v)", gammaR1R2, g.Gamma1[r1])
+		t.Fatalf("γ(Restaurant1, Restaurant2) = %v, want > 0 (Gamma1: %v)", gammaR1R2, g.Gamma1.Row(int(r1)))
 	}
 	// γ must equal the sum of β over top-neighbor pairs (Def. 2.5 via
 	// retained edges).
 	var want float64
 	in := InputFor(seq, w, d, 2, 5, 2)
 	adj := map[[2]kb.EntityID]float64{}
-	for x, es := range g.Beta1 {
+	for x, es := range slicesOf(g.Beta1) {
 		for _, e := range es {
 			adj[[2]kb.EntityID{kb.EntityID(x), e.To}] = e.Weight
 		}
 	}
-	for y, es := range g.Beta2 {
+	for y, es := range slicesOf(g.Beta2) {
 		for _, e := range es {
 			adj[[2]kb.EntityID{e.To, kb.EntityID(y)}] = e.Weight
 		}
@@ -120,9 +132,9 @@ func TestGammaSymmetryOfPairWeight(t *testing.T) {
 	w, d, g := buildFigure1Graph(t, seq, 100)
 	_ = w
 	_ = d
-	for a, es := range g.Gamma1 {
+	for a, es := range slicesOf(g.Gamma1) {
 		for _, e := range es {
-			for _, back := range g.Gamma2[e.To] {
+			for _, back := range g.Gamma2.Row(int(e.To)) {
 				if int(back.To) == a && math.Abs(back.Weight-e.Weight) > 1e-9 {
 					t.Fatalf("γ asymmetric: %v vs %v", e.Weight, back.Weight)
 				}
@@ -135,13 +147,13 @@ func TestHasDirectedEdge(t *testing.T) {
 	w, d, g := buildFigure1Graph(t, seq, 5)
 	chef1 := w.Lookup("w:JohnLakeA")
 	chef2 := d.Lookup("d:JonnyLake")
-	if !g.HasDirectedEdge1(chef1, chef2) || !g.HasDirectedEdge2(chef2, chef1) {
+	if !g.HasDirectedEdge1NoGamma(chef1, chef2) || !g.HasDirectedEdge2(chef2, chef1) {
 		t.Error("chef pair must be reciprocally connected")
 	}
 	uk := w.Lookup("w:UK")
 	// UK shares tokens with England ("england"? no: UK's tokens are
 	// "united kingdom"); it should have no edge to the chef.
-	if g.HasDirectedEdge1(uk, chef2) {
+	if g.HasDirectedEdge1NoGamma(uk, chef2) || EdgeListContains(g.Gamma1.Row(int(uk)), chef2) {
 		t.Error("UK → chef edge should not exist")
 	}
 }
@@ -169,7 +181,7 @@ func TestEdgesBound(t *testing.T) {
 func TestTopK(t *testing.T) {
 	acc := map[kb.EntityID]float64{1: 0.5, 2: 2.0, 3: 1.0, 4: 0, 5: -1}
 	got := topK(acc, 2)
-	want := []Edge{{2, 2.0}, {3, 1.0}}
+	want := []Edge{{To: 2, Weight: 2.0}, {To: 3, Weight: 1.0}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("topK = %v, want %v", got, want)
 	}
@@ -229,7 +241,7 @@ func TestTopKProperty(t *testing.T) {
 func TestMergeAdjacency(t *testing.T) {
 	beta1 := [][]Edge{{{To: 0, Weight: 1.0}, {To: 1, Weight: 0.5}}}
 	beta2 := [][]Edge{{{To: 0, Weight: 1.0}}, {}} // E2 node 0 retains edge to E1 node 0
-	adj := MergeAdjacency(beta1, beta2, 1)
+	adj := slicesOf(MergeAdjacency(seq, rowsOf(beta1), rowsOf(beta2)))
 	if len(adj[0]) != 2 {
 		t.Fatalf("adj[0] = %v, want deduped 2 edges", adj[0])
 	}
@@ -243,14 +255,12 @@ func TestMergeAdjacency(t *testing.T) {
 // weights coincide because valueSim is symmetric; the tie rule makes the
 // merge order-insensitive by construction, not by accident.)
 func TestMergeAdjacencyTieBreaking(t *testing.T) {
-	ownFirst := MergeAdjacency(
-		[][]Edge{{{To: 3, Weight: 0.25}}},
-		[][]Edge{nil, nil, nil, {{To: 0, Weight: 0.75}}},
-		1)
-	reverseFirst := MergeAdjacency(
-		[][]Edge{{{To: 3, Weight: 0.75}}},
-		[][]Edge{nil, nil, nil, {{To: 0, Weight: 0.25}}},
-		1)
+	ownFirst := slicesOf(MergeAdjacency(seq,
+		rowsOf([][]Edge{{{To: 3, Weight: 0.25}}}),
+		rowsOf([][]Edge{nil, nil, nil, {{To: 0, Weight: 0.75}}})))
+	reverseFirst := slicesOf(MergeAdjacency(seq,
+		rowsOf([][]Edge{{{To: 3, Weight: 0.75}}}),
+		rowsOf([][]Edge{nil, nil, nil, {{To: 0, Weight: 0.25}}})))
 	for name, adj := range map[string][][]Edge{"own-low": ownFirst, "own-high": reverseFirst} {
 		if len(adj[0]) != 1 {
 			t.Fatalf("%s: adj[0] = %v, want 1 deduped edge", name, adj[0])
@@ -260,10 +270,9 @@ func TestMergeAdjacencyTieBreaking(t *testing.T) {
 		}
 	}
 	// Multiple duplicates interleaved with distinct neighbors.
-	adj := MergeAdjacency(
-		[][]Edge{{{To: 1, Weight: 0.5}, {To: 2, Weight: 0.9}}},
-		[][]Edge{nil, {{To: 0, Weight: 0.5}}, {{To: 0, Weight: 0.9}}, {{To: 0, Weight: 0.1}}},
-		1)
+	adj := slicesOf(MergeAdjacency(seq,
+		rowsOf([][]Edge{{{To: 1, Weight: 0.5}, {To: 2, Weight: 0.9}}}),
+		rowsOf([][]Edge{nil, {{To: 0, Weight: 0.5}}, {{To: 0, Weight: 0.9}}, {{To: 0, Weight: 0.1}}})))
 	want := []Edge{{To: 1, Weight: 0.5}, {To: 2, Weight: 0.9}, {To: 3, Weight: 0.1}}
 	if !reflect.DeepEqual(adj[0], want) {
 		t.Errorf("adj[0] = %v, want %v", adj[0], want)
@@ -275,7 +284,7 @@ func TestMergeAdjacencyTieBreaking(t *testing.T) {
 func TestTopKTieBreaking(t *testing.T) {
 	acc := map[kb.EntityID]float64{8: 0.5, 2: 0.5, 5: 0.5, 1: 0.25}
 	got := topK(acc, 3)
-	want := []Edge{{2, 0.5}, {5, 0.5}, {8, 0.5}}
+	want := []Edge{{To: 2, Weight: 0.5}, {To: 5, Weight: 0.5}, {To: 8, Weight: 0.5}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("topK ties = %v, want %v (ID 1 with lower weight truncated)", got, want)
 	}
@@ -298,15 +307,17 @@ func uniqueNameBlocks(nBlocks int) *blocking.Collection {
 }
 
 func TestBuildAlphaDeduplicates(t *testing.T) {
-	g := &Graph{Alpha1: make([][]kb.EntityID, 1), Alpha2: make([][]kb.EntityID, 4)}
-	g.buildAlpha(Input{NameBlocks: uniqueNameBlocks(100)})
-	if want := []kb.EntityID{0, 1, 2, 3}; !reflect.DeepEqual(g.Alpha1[0], want) {
-		t.Errorf("Alpha1[0] = %v, want sorted deduped %v", g.Alpha1[0], want)
+	alpha1, alpha2 := buildAlpha(uniqueNameBlocks(100), 1, 4)
+	if want := []kb.EntityID{0, 1, 2, 3}; !reflect.DeepEqual(alpha1.Row(0), want) {
+		t.Errorf("Alpha1[0] = %v, want sorted deduped %v", alpha1.Row(0), want)
 	}
-	for j := range g.Alpha2 {
-		if !reflect.DeepEqual(g.Alpha2[j], []kb.EntityID{0}) {
-			t.Errorf("Alpha2[%d] = %v, want [0]", j, g.Alpha2[j])
+	for j := 0; j < alpha2.Len(); j++ {
+		if !reflect.DeepEqual(alpha2.Row(j), []kb.EntityID{0}) {
+			t.Errorf("Alpha2[%d] = %v, want [0]", j, alpha2.Row(j))
 		}
+	}
+	if int(alpha1.Off[1]) != len(alpha1.Flat) || int(alpha2.Off[4]) != len(alpha2.Flat) {
+		t.Error("deduplicated rows no longer cover the flat arrays")
 	}
 }
 
@@ -315,49 +326,199 @@ func TestBuildAlphaDeduplicates(t *testing.T) {
 // sorted+compact keeps it O(n log n). A regression shows up as a
 // catastrophic ns/op jump.
 func BenchmarkBuildAlphaSkewedNames(b *testing.B) {
-	in := Input{NameBlocks: uniqueNameBlocks(10000)}
+	blocks := uniqueNameBlocks(10000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g := &Graph{Alpha1: make([][]kb.EntityID, 1), Alpha2: make([][]kb.EntityID, 4)}
-		g.buildAlpha(in)
+		buildAlpha(blocks, 1, 4)
 	}
 }
 
-// BuildShardedCtx must reproduce BuildCtx exactly: α, β, γ2 in the returned
-// graph, and the scope's per-shard γ1 rows concatenated in span order must
-// equal the monolithic Gamma1 for every shard plan.
-func TestBuildShardedMatchesMonolithic(t *testing.T) {
+// The shared graph must be the materialized one minus Gamma1, and the γ1
+// rows pulled from it span by span, concatenated in span order, must equal
+// the materialized Gamma1 for every span plan.
+func TestGamma1SpansMatchMaterialized(t *testing.T) {
 	w, d := testkb.Figure1()
 	in := InputFor(seq, w, d, 2, 5, 2)
-	want := Build(seq, in)
+	want := mustBuild(t, seq, in)
+	g, _, err := BuildSharedCtx(context.Background(), seq, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Gamma1.Len() != 0 {
+		t.Error("shared graph materialized Gamma1")
+	}
+	whole := *want
+	whole.Gamma1 = Rows[Edge]{}
+	if !reflect.DeepEqual(g, &whole) {
+		t.Error("shared graph differs from the materialized one outside Gamma1")
+	}
 	for _, p := range []int{1, 2, 3, 16} {
-		shards := parallel.New(p).Partitions(w.Len())
-		g, scope, _, err := BuildShardedCtx(context.Background(), seq, in, shards)
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		if !reflect.DeepEqual(g.Alpha1, want.Alpha1) || !reflect.DeepEqual(g.Alpha2, want.Alpha2) {
-			t.Errorf("p=%d: alpha differs", p)
-		}
-		if !reflect.DeepEqual(g.Beta1, want.Beta1) || !reflect.DeepEqual(g.Beta2, want.Beta2) {
-			t.Errorf("p=%d: beta differs", p)
-		}
-		if !reflect.DeepEqual(g.Gamma2, want.Gamma2) {
-			t.Errorf("p=%d: gamma2 differs", p)
-		}
-		if g.Gamma1 != nil {
-			t.Errorf("p=%d: sharded graph materialized Gamma1", p)
-		}
-		gamma1 := make([][]Edge, 0, w.Len())
-		for _, s := range shards {
-			rows, err := scope.BuildSpan(context.Background(), s)
+		var gamma1 [][]Edge
+		for _, s := range parallel.New(p).Partitions(w.Len()) {
+			rows, err := g.Gamma1Span(context.Background(), seq, s, Rows[Edge]{})
 			if err != nil {
 				t.Fatalf("p=%d span %v: %v", p, s, err)
 			}
-			gamma1 = append(gamma1, rows...)
+			gamma1 = append(gamma1, slicesOf(rows)...)
 		}
-		if !reflect.DeepEqual(gamma1, want.Gamma1) {
+		if !reflect.DeepEqual(gamma1, slicesOf(want.Gamma1)) {
 			t.Errorf("p=%d: concatenated gamma1 rows differ", p)
+		}
+	}
+	if err := errors.Join(g.CheckShape(w.Len(), d.Len()), g.CheckTargets(w.Len(), d.Len())); err != nil {
+		t.Errorf("a built graph must pass both checks: %v", err)
+	}
+}
+
+// MergeAdjacency's counting pass, scatter and in-place compaction must equal
+// the append-per-edge reference on random graphs, including rows that
+// repeat a target with unequal weights within one direction and across
+// both, empty rows, and no rows at all.
+func TestMergeAdjacencyMatchesAppendReference(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	randomRows := func(n, targets int) [][]Edge {
+		rows := make([][]Edge, n)
+		for i := range rows {
+			for c := r.Intn(6); c > 0 && targets > 0; c-- {
+				rows[i] = append(rows[i], Edge{To: kb.EntityID(r.Intn(targets)), Weight: float64(1+r.Intn(4)) / 4})
+			}
+		}
+		return rows
+	}
+	for trial := 0; trial < 200; trial++ {
+		n, m := r.Intn(12), r.Intn(12)
+		if trial == 0 {
+			n, m = 0, 0
+		}
+		own, reverse := randomRows(n, m), randomRows(m, n)
+		want := mergeAdjacencyAppend(own, reverse, n)
+		// Spans that drop repeats end short of their successors: one worker,
+		// several, and more workers than rows all have to close the gaps.
+		e := parallel.New(1 + trial%4)
+		got := MergeAdjacency(e, rowsOf(own), rowsOf(reverse))
+		if got.Len() != n {
+			t.Fatalf("trial %d: %d rows, want %d", trial, got.Len(), n)
+		}
+		if err := got.check(n, "merged"); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for x := 0; x < n; x++ {
+			if !slices.Equal(got.Row(x), want[x]) {
+				t.Fatalf("trial %d row %d:\n got %v\nwant %v\n own %v\n reverse %v", trial, x, got.Row(x), want[x], own, reverse)
+			}
+		}
+		// The other side's adjacency, transposed, is the same adjacency.
+		if swapped := transposeEdges(MergeAdjacency(e, rowsOf(reverse), rowsOf(own)), n); !reflect.DeepEqual(slicesOf(swapped), slicesOf(got)) {
+			t.Fatalf("trial %d: transposed adjacency of the other side differs:\n got %v\nwant %v", trial, slicesOf(swapped), slicesOf(got))
+		}
+	}
+	// Rows without repeats inside one direction — what pruned candidate rows
+	// are — must come out at their exact size.
+	own := [][]Edge{{{To: 0, Weight: 1}, {To: 1, Weight: 0.5}}, {{To: 1, Weight: 0.25}}}
+	reverse := [][]Edge{{{To: 0, Weight: 1}, {To: 1, Weight: 0.75}}, {{To: 1, Weight: 0.25}}}
+	if got := MergeAdjacency(parallel.New(2), rowsOf(own), rowsOf(reverse)); cap(got.Flat) != len(got.Flat) || len(got.Flat) != 4 {
+		t.Errorf("merged adjacency holds %d edges in capacity %d, want 4 in 4", len(got.Flat), cap(got.Flat))
+	}
+}
+
+func TestTopInNeighborsReverses(t *testing.T) {
+	top := [][]kb.EntityID{{1, 2}, {2}, nil, {0, 2}}
+	in := TopInNeighbors(top)
+	want := [][]kb.EntityID{{3}, {0}, {0, 1, 3}, nil}
+	if !reflect.DeepEqual(slicesOf(in), want) {
+		t.Errorf("TopInNeighbors = %v, want %v", slicesOf(in), want)
+	}
+	if TopInNeighbors(nil).Len() != 0 {
+		t.Error("no rows in, no rows out")
+	}
+	// Exact inversion on the Figure 1 fixture: src ∈ in[dst] ⇔ dst ∈ top[src].
+	w, d := testkb.Figure1()
+	top = InputFor(seq, w, d, 2, 5, 3).Top1
+	in = TopInNeighbors(top)
+	if !slices.Contains(in.Row(int(w.Lookup("w:JohnLakeA"))), w.Lookup("w:Restaurant1")) {
+		t.Error("inNeighbors(chef) must contain Restaurant1")
+	}
+	edges := 0
+	for src, ns := range top {
+		for _, dst := range ns {
+			edges++
+			if !slices.Contains(in.Row(int(dst)), kb.EntityID(src)) {
+				t.Fatalf("in-neighbor index not the inverse of top-neighbor index")
+			}
+		}
+	}
+	if edges != len(in.Flat) {
+		t.Fatalf("reverse index holds %d entries for %d top-neighbor edges", len(in.Flat), edges)
+	}
+}
+
+// CheckShape must refuse every layout that makes taking a row unsafe, and
+// CheckTargets every index a consumer would later follow out of range —
+// each leaving the other's ground alone.
+func TestChecksRejectDamagedGraphs(t *testing.T) {
+	w, d := testkb.Figure1()
+	in := InputFor(seq, w, d, 2, 5, 2)
+	n1, n2 := w.Len(), d.Len()
+	for name, c := range map[string]struct {
+		damage func(g *Graph)
+		shape  bool
+	}{
+		"beta1 target":   {func(g *Graph) { g.Beta1.Flat[0].To = kb.EntityID(n2) }, false},
+		"beta2 target":   {func(g *Graph) { g.Beta2.Flat[0].To = -1 }, false},
+		"gamma2 target":  {func(g *Graph) { g.Gamma2.Flat[0].To = kb.EntityID(n1) }, false},
+		"adj1 target":    {func(g *Graph) { g.Adj1.Flat[0].To = kb.EntityID(n2) }, false},
+		"alpha1 target":  {func(g *Graph) { g.Alpha1.Flat[0] = kb.EntityID(n2) }, false},
+		"in2 entity":     {func(g *Graph) { g.In2.Flat[0] = kb.EntityID(n2) }, false},
+		"top1 neighbor":  {func(g *Graph) { g.Top1[0] = []kb.EntityID{kb.EntityID(n1)} }, false},
+		"top1 rows":      {func(g *Graph) { g.Top1 = g.Top1[:n1-1] }, true},
+		"offsets short":  {func(g *Graph) { g.Beta1.Off = g.Beta1.Off[:n1] }, true},
+		"offsets beyond": {func(g *Graph) { g.Adj1.Off[n1]++ }, true},
+		"offsets fall":   {func(g *Graph) { g.Gamma2.Off[1] = g.Gamma2.Off[n2] + 1 }, true},
+		"row bound":      {func(g *Graph) { g.K = 0 }, true},
+	} {
+		g, _, err := BuildSharedCtx(context.Background(), seq, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Top1 = slices.Clone(g.Top1) // the fixture's rows are shared with in
+		c.damage(g)
+		if shapeErr := g.CheckShape(n1, n2); (shapeErr != nil) != c.shape {
+			t.Errorf("%s: CheckShape = %v", name, shapeErr)
+		} else if !c.shape && !errors.Is(g.CheckTargets(n1, n2), ErrOutOfRange) {
+			t.Errorf("%s: CheckTargets passed a damaged graph", name)
+		}
+	}
+}
+
+// The query kernels follow targets of a graph that only passed CheckShape:
+// they must refuse the out-of-range ones they meet and leave the scratch
+// clean for the next query.
+func TestQueryKernelsCheckWhatTheyFollow(t *testing.T) {
+	w, d := testkb.Figure1()
+	in := InputFor(seq, w, d, 2, 5, 2)
+	g, _, err := BuildSharedCtx(context.Background(), seq, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := NewQueryScratch(d.Len(), g.K)
+	r1 := w.Lookup("w:Restaurant1")
+	want, err := g.Gamma1RowFor(in.Top1[r1], qs)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("Gamma1RowFor = %v, %v; want a row", want, err)
+	}
+	na := in.Top1[r1][0]
+	adj, in2 := g.Adj1.Row(int(na)), g.In2.Row(int(g.Adj1.Row(int(na))[0].To))
+	for name, at := range map[string]*kb.EntityID{"adjacency target": &adj[0].To, "reverse-index entity": &in2[0]} {
+		for _, bad := range []kb.EntityID{-1, kb.EntityID(d.Len())} {
+			good := *at
+			*at = bad
+			if _, err := g.Gamma1RowFor(in.Top1[r1], qs); !errors.Is(err, ErrOutOfRange) {
+				t.Errorf("%s %d: Gamma1RowFor = %v, want ErrOutOfRange", name, bad, err)
+			}
+			*at = good
+			if got, err := g.Gamma1RowFor(in.Top1[r1], qs); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %d: the row after a refused walk = %v, %v; want %v", name, bad, got, err, want)
+			}
 		}
 	}
 }
@@ -366,7 +527,7 @@ func TestEmptyKBsGraph(t *testing.T) {
 	k1 := kb.NewBuilder("A").Build()
 	k2 := kb.NewBuilder("B").Build()
 	in := InputFor(seq, k1, k2, 2, 5, 2)
-	g := Build(seq, in)
+	g := mustBuild(t, seq, in)
 	if g.Edges() != 0 {
 		t.Errorf("empty KBs produced %d edges", g.Edges())
 	}
@@ -381,7 +542,7 @@ func TestNoSharedTokens(t *testing.T) {
 	y := b2.AddEntity("y")
 	b2.AddLiteral(y, "label", "gamma delta")
 	k2 := b2.Build()
-	g := Build(seq, InputFor(seq, k1, k2, 1, 5, 2))
+	g := mustBuild(t, seq, InputFor(seq, k1, k2, 1, 5, 2))
 	if g.Edges() != 0 {
 		t.Errorf("disjoint KBs produced %d edges", g.Edges())
 	}
@@ -389,30 +550,30 @@ func TestNoSharedTokens(t *testing.T) {
 
 // Block Purging must take effect no matter which of the two token views a
 // caller purges: both one-sided purges must match the fully consistent
-// reference, per BuildCtx's "more-purged side wins" rule.
+// reference, per resolveIndex's "more-purged side wins" rule.
 func TestBuildHonorsOneSidedPurging(t *testing.T) {
 	w, d := testkb.Figure1()
 	const threshold = 1 // keep only 1×1 token blocks
 	ref := InputFor(seq, w, d, 2, 15, 2)
 	ref.TokenBlocks, _ = blocking.PurgeAbove(ref.TokenBlocks, threshold)
 	ref.TokenIndex, _ = ref.TokenIndex.PurgeAbove(threshold)
-	want := Build(seq, ref)
+	want := mustBuild(t, seq, ref)
 
 	indexOnly := InputFor(seq, w, d, 2, 15, 2)
 	indexOnly.TokenIndex, _ = indexOnly.TokenIndex.PurgeAbove(threshold)
-	if g := Build(seq, indexOnly); !reflect.DeepEqual(g.Beta1, want.Beta1) || !reflect.DeepEqual(g.Beta2, want.Beta2) {
+	if g := mustBuild(t, seq, indexOnly); !reflect.DeepEqual(g.Beta1, want.Beta1) || !reflect.DeepEqual(g.Beta2, want.Beta2) {
 		t.Error("index-only purge was not honored")
 	}
 
 	collectionOnly := InputFor(seq, w, d, 2, 15, 2)
 	collectionOnly.TokenBlocks, _ = blocking.PurgeAbove(collectionOnly.TokenBlocks, threshold)
-	if g := Build(seq, collectionOnly); !reflect.DeepEqual(g.Beta1, want.Beta1) || !reflect.DeepEqual(g.Beta2, want.Beta2) {
+	if g := mustBuild(t, seq, collectionOnly); !reflect.DeepEqual(g.Beta1, want.Beta1) || !reflect.DeepEqual(g.Beta2, want.Beta2) {
 		t.Error("collection-only purge was not honored")
 	}
 
 	// Sanity: purging at this threshold actually removed something, so the
 	// comparisons above are not vacuous.
-	unpurged := Build(seq, InputFor(seq, w, d, 2, 15, 2))
+	unpurged := mustBuild(t, seq, InputFor(seq, w, d, 2, 15, 2))
 	if reflect.DeepEqual(unpurged.Beta1, want.Beta1) {
 		t.Error("threshold removed nothing; test is vacuous")
 	}

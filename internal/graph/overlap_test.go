@@ -9,47 +9,44 @@ import (
 	"minoaner/internal/testkb"
 )
 
-// The concurrent γ builds of BuildShardedCtx (workers > 1) must reproduce
-// the sequential one-worker result exactly: same E2-side γ rows, same
-// deferred E1-side rows out of the scope. The CI race step runs this under
-// -race at workers=2, where the removed sequencing would hide races.
-func TestShardedGammaOverlapDeterminism(t *testing.T) {
+// The concurrent γ sides of BuildSharedCtx (workers > 1) must reproduce the
+// sequential one-worker result exactly: same graph, same E1-side rows pulled
+// from it afterwards. The CI race step runs this under -race at workers=2,
+// where the removed sequencing would hide races.
+func TestGammaOverlapDeterminism(t *testing.T) {
 	w, d := testkb.Figure1()
 	in := InputFor(seq, w, d, 2, 5, 2)
 	mid := (w.Len() + 1) / 2
-	shards := []parallel.Span{{Lo: 0, Hi: mid}, {Lo: mid, Hi: w.Len()}}
+	spans := []parallel.Span{{Lo: 0, Hi: mid}, {Lo: mid, Hi: w.Len()}}
 	ctx := context.Background()
 
-	gRef, scopeRef, _, err := BuildShardedCtx(ctx, seq, in, shards)
+	gRef, _, err := BuildSharedCtx(ctx, seq, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refRows := make([][][]Edge, len(shards))
-	for i, s := range shards {
-		if refRows[i], err = scopeRef.BuildSpan(ctx, s); err != nil {
+	refRows := make([]Rows[Edge], len(spans))
+	for i, s := range spans {
+		if refRows[i], err = gRef.Gamma1Span(ctx, seq, s, Rows[Edge]{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	for _, workers := range []int{2, 4} {
 		e := parallel.New(workers)
-		g, scope, _, err := BuildShardedCtx(ctx, e, in, shards)
+		g, _, err := BuildSharedCtx(ctx, e, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(g.Gamma2, gRef.Gamma2) {
-			t.Fatalf("workers=%d: Gamma2 differs from sequential build", workers)
+		if !reflect.DeepEqual(g, gRef) {
+			t.Fatalf("workers=%d: graph differs from sequential build", workers)
 		}
-		if !reflect.DeepEqual(g.Beta1, gRef.Beta1) || !reflect.DeepEqual(g.Beta2, gRef.Beta2) {
-			t.Fatalf("workers=%d: β rows differ from sequential build", workers)
-		}
-		for i, s := range shards {
-			rows, err := scope.BuildSpan(ctx, s)
+		for i, s := range spans {
+			rows, err := g.Gamma1Span(ctx, e, s, Rows[Edge]{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(rows, refRows[i]) {
-				t.Fatalf("workers=%d: γ1 rows of shard %d differ from sequential build", workers, i)
+				t.Fatalf("workers=%d: γ1 rows of span %d differ from sequential build", workers, i)
 			}
 		}
 	}

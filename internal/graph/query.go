@@ -2,7 +2,7 @@
 // passes of Algorithm 1, used by the substrate query path to weight ONE new
 // description against a frozen graph instead of rebuilding candidate rows
 // for a whole KB. Each kernel is the loop body of its batch counterpart
-// (buildBetaSpan, gammaRows) applied to caller-resolved inputs, so a query
+// (BetaRowsCtx, gammaRows) applied to caller-resolved inputs, so a query
 // that mirrors a KB member's statements reproduces that member's batch row
 // bit for bit — the equivalence the core package's property tests pin.
 package graph
@@ -29,39 +29,49 @@ func NewQueryScratch(otherLen, k int) *QueryScratch {
 }
 
 // BetaRowForTokens computes the β candidate row of one synthetic entity from
-// its resolved token IDs: the token walk of buildBetaSpan over explicit IDs
+// its resolved token IDs: the token walk of BetaRowsCtx over explicit IDs
 // instead of a stored description. tids must be in token-STRING order — the
 // order kb.Description.TokenIDs presents — and resolved against the shared
 // interner without interning (kb.Interner.Lookup); tokens unknown to the
 // dictionary must be dropped by the caller, which matches the batch walk
 // because an unknown token indexes no block. The index is never mutated, so
-// concurrent query walks are safe.
-func BetaRowForTokens(ix *blocking.TokenIndex, tids []kb.TokenID, fromE1 bool, qs *QueryScratch, k int) []Edge {
+// concurrent query walks are safe. An index loaded from a file may name
+// entities that do not exist: the walk checks the members it scatters and
+// fails with ErrOutOfRange.
+func BetaRowForTokens(ix *blocking.TokenIndex, tids []kb.TokenID, fromE1 bool, qs *QueryScratch, k int) ([]Edge, error) {
 	board := qs.sc.board
+	inRange := true
 	ix.ForEachSharedTokens(tids, fromE1, func(w float64, others []kb.EntityID) {
 		for _, o := range others {
-			board.Add(o, w)
+			if inRange = inRange && board.Has(o); inRange {
+				board.Add(o, w)
+			}
 		}
 	})
-	return qs.sc.row(k)
+	return qs.sc.finishRow(k, inRange)
 }
 
-// RowFor computes the γ candidate row of one synthetic E1-side entity from
-// its top-neighbor list (stats.TopNeighborsOf over relations resolved to K1
-// entities) — the loop body of gammaRows against the scope's frozen merged
-// adjacency and reverse top-neighbor index. The scope is read-only, so
-// concurrent RowFor calls with distinct scratches are safe.
-func (sc *Gamma1Scope) RowFor(top []kb.EntityID, qs *QueryScratch) []Edge {
+// Gamma1RowFor computes the γ candidate row of one synthetic E1-side entity
+// from its top-neighbor list (stats.TopNeighborsOf over relations resolved to
+// K1 entities) — the loop body of gammaRows against the graph's frozen
+// merged adjacency and reverse top-neighbor index. The graph is read-only,
+// so concurrent calls with distinct scratches are safe. Like
+// BetaRowForTokens it checks the targets and entities it follows, so a graph
+// that only passed CheckShape can be queried.
+func (g *Graph) Gamma1RowFor(top []kb.EntityID, qs *QueryScratch) ([]Edge, error) {
 	board := qs.sc.board
+	inRange := true
 	for _, na := range top {
-		for _, edge := range sc.adj1[na] {
-			for _, b := range sc.in2[edge.To] {
-				board.Add(b, edge.Weight)
+		for _, edge := range g.Adj1.Row(int(na)) {
+			if inRange = inRange && board.Has(edge.To); !inRange {
+				break
+			}
+			for _, b := range g.In2.Row(int(edge.To)) {
+				if inRange = inRange && board.Has(b); inRange {
+					board.Add(b, edge.Weight)
+				}
 			}
 		}
 	}
-	return qs.sc.row(sc.k)
+	return qs.sc.finishRow(g.K, inRange)
 }
-
-// K reports the per-row candidate bound the scope prunes to.
-func (sc *Gamma1Scope) K() int { return sc.k }

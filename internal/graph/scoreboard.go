@@ -17,9 +17,11 @@ package graph
 
 import (
 	"cmp"
+	"context"
 	"slices"
 
 	"minoaner/internal/kb"
+	"minoaner/internal/parallel"
 )
 
 // Scoreboard is a dense score accumulator over the entity IDs of one KB
@@ -28,7 +30,7 @@ import (
 // contribution must therefore be strictly positive (true for both users:
 // per-token weights and retained β weights are > 0). Reset is O(touched).
 // A Scoreboard is not safe for concurrent use; hand each worker its own
-// via parallel.ForLocalCtx / MapLocalCtx.
+// via parallel.ForLocalCtx.
 type Scoreboard struct {
 	score   []float64
 	touched []kb.EntityID
@@ -46,6 +48,9 @@ func (b *Scoreboard) Add(to kb.EntityID, w float64) {
 	}
 	b.score[to] += w
 }
+
+// Has reports whether the board has a slot for the candidate.
+func (b *Scoreboard) Has(to kb.EntityID) bool { return uint(to) < uint(len(b.score)) }
 
 // Reset clears the board in O(touched), making it ready for the next
 // entity. Forgetting to reset leaks one entity's scores into the next — the
@@ -70,16 +75,16 @@ func edgeCmp(a, b Edge) int {
 // edgeBetter reports whether a ranks strictly ahead of b under edgeCmp.
 func edgeBetter(a, b Edge) bool { return edgeCmp(a, b) < 0 }
 
-// topKBoard selects the k best candidates of a touched board under edgeCmp
-// and returns them as a freshly allocated row, sorted — the same row the
-// map-based topK produces from the same sums, without sorting all touched
-// candidates: a bounded min-heap (root = worst kept) scans the touched list
-// in O(touched · log k), then one k-element sort orders the survivors.
-// heapBuf is the reusable heap scratch (cap ≥ k); the board is left
-// untouched, callers reset it separately.
-func topKBoard(b *Scoreboard, k int, heapBuf []Edge) []Edge {
+// appendTopK selects the k best candidates of a touched board under edgeCmp
+// and appends them to dst, sorted — the row the map-based reference selects
+// from the same sums, without sorting all touched candidates: a bounded
+// min-heap (root = worst kept) scans the touched list in O(touched · log k),
+// then one k-element sort orders the survivors. heapBuf is the reusable heap
+// scratch (cap ≥ k); the board is left untouched, callers reset it
+// separately.
+func appendTopK(dst []Edge, b *Scoreboard, k int, heapBuf []Edge) []Edge {
 	if len(b.touched) == 0 || k <= 0 {
-		return nil
+		return dst
 	}
 	h := heapBuf[:0]
 	for _, to := range b.touched {
@@ -98,13 +103,10 @@ func topKBoard(b *Scoreboard, k int, heapBuf []Edge) []Edge {
 			siftDown(h, 0)
 		}
 	}
-	if len(h) == 0 {
-		return nil
-	}
-	out := make([]Edge, len(h))
-	copy(out, h)
-	slices.SortFunc(out, edgeCmp)
-	return out
+	n := len(dst)
+	dst = append(dst, h...)
+	slices.SortFunc(dst[n:], edgeCmp)
+	return dst
 }
 
 // heapWorse is the heap order: a sorts below b when a ranks BEHIND b under
@@ -142,23 +144,69 @@ func siftDown(h []Edge, i int) {
 
 // boardScratch is the per-worker scratch of the β and γ passes: one
 // scoreboard over the other KB's entity IDs plus the reusable top-K heap
-// buffer. With it, the only per-entity allocation left is the emitted row.
+// buffer. With it, a pass allocates nothing per entity.
 type boardScratch struct {
 	board *Scoreboard
 	heap  []Edge
 }
 
 func newBoardScratch(n, k int) *boardScratch {
-	if k < 0 {
-		k = 0
-	}
-	return &boardScratch{board: NewScoreboard(n), heap: make([]Edge, 0, k)}
+	// A row holds at most one edge per candidate, however large k is.
+	return &boardScratch{board: NewScoreboard(n), heap: make([]Edge, 0, max(min(k, n), 0))}
 }
 
-// row extracts the top-k candidates of the accumulated board and resets it
-// for the next entity.
-func (sc *boardScratch) row(k int) []Edge {
-	out := topKBoard(sc.board, k, sc.heap)
+// appendRow appends the top-k candidates of the accumulated board to dst and
+// resets the board for the next entity.
+func (sc *boardScratch) appendRow(dst []Edge, k int) []Edge {
+	dst = appendTopK(dst, sc.board, k, sc.heap)
 	sc.board.Reset()
-	return out
+	return dst
+}
+
+// finishRow ends a query kernel's walk: the top-k row of the board, or
+// ErrOutOfRange when the walk met a candidate the board has no slot for.
+func (sc *boardScratch) finishRow(k int, inRange bool) ([]Edge, error) {
+	if !inRange {
+		sc.board.Reset()
+		return nil, ErrOutOfRange
+	}
+	return sc.appendRow(nil, k), nil
+}
+
+// emitRows computes the candidate rows of n consecutive nodes: fill
+// accumulates node i's evidence on the board it is handed, and the top k of
+// each board become row i. A row cannot exceed min(k, otherLen) edges, so
+// every node writes its row at a fixed stride into one array sized for that
+// bound — no allocation per row or per span, whatever the schedule — and one
+// serial pass then closes the gaps. reuse is a row set the caller is done
+// with; its arrays back the result where they are large enough.
+func emitRows(ctx context.Context, e *parallel.Engine, n, otherLen, k int, reuse Rows[Edge], fill func(board *Scoreboard, i int)) (Rows[Edge], error) {
+	stride := max(min(k, otherLen), 0)
+	rows := Rows[Edge]{Off: slices.Grow(reuse.Off[:0], n+1)[:n+1], Flat: slices.Grow(reuse.Flat[:0], n*stride)[:n*stride]}
+	fresh := cap(reuse.Flat) < n*stride
+	err := parallel.ForLocalCtx(ctx, e, n,
+		func() *boardScratch { return newBoardScratch(otherLen, k) },
+		func(sc *boardScratch, i int) error {
+			fill(sc.board, i)
+			at := i * stride
+			rows.Off[i+1] = int64(len(sc.appendRow(rows.Flat[at:at:at+stride], k)))
+			return nil
+		})
+	if err != nil {
+		return Rows[Edge]{}, err
+	}
+	rows.Off[0] = 0
+	w := int64(0)
+	for i := 0; i < n; i++ {
+		m := rows.Off[i+1]
+		copy(rows.Flat[w:w+m], rows.Flat[i*stride:])
+		w += m
+		rows.Off[i+1] = w
+	}
+	rows.Flat = rows.Flat[:w]
+	if fresh && int(w) < cap(rows.Flat)/2 {
+		// Mostly short rows: do not keep the bound's worth of memory alive.
+		rows.Flat = slices.Clone(rows.Flat)
+	}
+	return rows, nil
 }

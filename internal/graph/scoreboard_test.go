@@ -16,38 +16,38 @@ import (
 func TestScoreboardAddReset(t *testing.T) {
 	b := NewScoreboard(10)
 	heap := make([]Edge, 0, 4)
-	if row := topKBoard(b, 4, heap); row != nil {
+	if row := appendTopK(nil, b, 4, heap); row != nil {
 		t.Errorf("empty board row = %v, want nil", row)
 	}
 	b.Add(3, 0.5)
 	b.Add(7, 0.25)
 	b.Add(3, 0.25)
 	want := []Edge{{To: 3, Weight: 0.75}, {To: 7, Weight: 0.25}}
-	if row := topKBoard(b, 4, heap); !reflect.DeepEqual(row, want) {
+	if row := appendTopK(nil, b, 4, heap); !reflect.DeepEqual(row, want) {
 		t.Errorf("row = %v, want %v (accumulated sums)", row, want)
 	}
 	// Ties order toward the lower ID regardless of touch order.
 	b.Add(7, 0.5)
 	want = []Edge{{To: 3, Weight: 0.75}, {To: 7, Weight: 0.75}}
-	if row := topKBoard(b, 4, heap); !reflect.DeepEqual(row, want) {
+	if row := appendTopK(nil, b, 4, heap); !reflect.DeepEqual(row, want) {
 		t.Errorf("tied row = %v, want %v", row, want)
 	}
 	b.Reset()
-	if row := topKBoard(b, 4, heap); row != nil {
+	if row := appendTopK(nil, b, 4, heap); row != nil {
 		t.Errorf("row after Reset = %v, want nil", row)
 	}
 	// The board is fully reusable: stale scores must not survive the reset.
 	b.Add(5, 0.125)
 	want = []Edge{{To: 5, Weight: 0.125}}
-	if row := topKBoard(b, 4, heap); !reflect.DeepEqual(row, want) {
+	if row := appendTopK(nil, b, 4, heap); !reflect.DeepEqual(row, want) {
 		t.Errorf("row after reuse = %v, want %v", row, want)
 	}
 }
 
-// topKBoard must select and order exactly the candidates the map-based topK
+// appendTopK must select and order exactly the candidates the map-based topK
 // selects from identical accumulations, for every k — including heavy
 // weight ties, where the unique (weight desc, ID asc) order decides.
-func TestTopKBoardMatchesMapTopK(t *testing.T) {
+func TestAppendTopKMatchesMapTopK(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	board := NewScoreboard(200)
 	heap := make([]Edge, 0, 200)
@@ -62,7 +62,7 @@ func TestTopKBoardMatchesMapTopK(t *testing.T) {
 		}
 		for _, k := range []int{0, 1, 2, 5, 15, 200} {
 			want := topK(acc, k)
-			got := topKBoard(board, k, heap)
+			got := appendTopK(nil, board, k, heap)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d k=%d:\nboard: %v\nmap:   %v", trial, k, got, want)
 			}
@@ -96,33 +96,33 @@ func randomTokenKBs(r *rand.Rand, n1, n2, vocab int) (*kb.KB, *kb.KB) {
 // would drag candidates of entity i into entity i+1's row.
 func TestBetaRowsScoreboardMatchesMapReference(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
+	ctx := context.Background()
 	for trial := 0; trial < 5; trial++ {
 		k1, k2 := randomTokenKBs(r, 40+r.Intn(40), 60+r.Intn(60), 30)
 		ix := blocking.NewTokenIndex(parallel.New(2), k1, k2)
-		full := parallel.Span{Lo: 0, Hi: k1.Len()}
-		want, err := buildBetaSpanMap(context.Background(), parallel.Sequential(), ix, k1, true, 5, full)
+		want, err := betaRowsMap(ctx, parallel.Sequential(), ix, k1, true, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, e := range []*parallel.Engine{parallel.Sequential(), parallel.New(2).Chunked(), parallel.New(7)} {
-			got, err := buildBetaSpan(context.Background(), e, ix, k1, k2.Len(), true, 5, full)
+			got, err := BetaRowsCtx(ctx, e, ix, k1, k2.Len(), true, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
+			if !reflect.DeepEqual(slicesOf(got), want) {
 				t.Fatalf("trial %d workers=%d: scoreboard β rows differ from map reference", trial, e.Workers())
 			}
 		}
 		// The reverse direction, for symmetry.
-		want2, err := buildBetaSpanMap(context.Background(), parallel.Sequential(), ix, k2, false, 5, parallel.Span{Lo: 0, Hi: k2.Len()})
+		want2, err := betaRowsMap(ctx, parallel.Sequential(), ix, k2, false, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got2, err := buildBetaSpan(context.Background(), parallel.Sequential(), ix, k2, k1.Len(), false, 5, parallel.Span{Lo: 0, Hi: k2.Len()})
+		got2, err := BetaRowsCtx(ctx, parallel.Sequential(), ix, k2, k1.Len(), false, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got2, want2) {
+		if !reflect.DeepEqual(slicesOf(got2), want2) {
 			t.Fatalf("trial %d: reverse-direction β rows differ from map reference", trial)
 		}
 	}
@@ -144,16 +144,15 @@ func TestBetaRowsDirtyBoardWouldBeCaught(t *testing.T) {
 	}
 	k1, k2 := b1.Build(), b2.Build()
 	ix := blocking.NewTokenIndex(parallel.Sequential(), k1, k2)
-	full := parallel.Span{Lo: 0, Hi: k1.Len()}
-	want, err := buildBetaSpanMap(context.Background(), parallel.Sequential(), ix, k1, true, 10, full)
+	want, err := betaRowsMap(context.Background(), parallel.Sequential(), ix, k1, true, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := buildBetaSpan(context.Background(), parallel.Sequential(), ix, k1, k2.Len(), true, 10, full)
+	got, err := BetaRowsCtx(context.Background(), parallel.Sequential(), ix, k1, k2.Len(), true, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(slicesOf(got), want) {
 		t.Fatal("reused scoreboard diverged from fresh-per-entity reference (dirty board leaked)")
 	}
 	if len(want[0]) == 0 {
@@ -185,24 +184,26 @@ func randomGammaInputs(r *rand.Rand, n1, n2 int) (top [][]kb.EntityID, adj [][]E
 
 // The scoreboard γ pass must reproduce the map reference for any worker
 // count, and concatenating arbitrary span partitions must reproduce the
-// full-range pass — the invariant sharded construction and the Gamma1Scope
-// rely on, now over reused scratch state.
+// full-range pass — the invariant streamed γ1 rows rely on, over reused
+// scratch state.
 func TestGammaRowsScoreboardMatchesMapReference(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
+	ctx := context.Background()
 	for trial := 0; trial < 10; trial++ {
 		n1, n2 := 30+r.Intn(50), 30+r.Intn(50)
 		top, adj, inOther := randomGammaInputs(r, n1, n2)
+		flatAdj, flatIn := rowsOf(adj), rowsOf(inOther)
 		full := parallel.Span{Lo: 0, Hi: n1}
-		want, err := gammaRowsMap(context.Background(), parallel.Sequential(), full, top, adj, inOther, 4)
+		want, err := gammaRowsMap(ctx, parallel.Sequential(), full, top, adj, inOther, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, e := range []*parallel.Engine{parallel.Sequential(), parallel.New(3).Chunked(), parallel.New(8)} {
-			got, err := gammaRows(context.Background(), e, full, top, adj, inOther, 4)
+			got, err := gammaRows(ctx, e, full, top, flatAdj, flatIn, 4, Rows[Edge]{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
+			if !reflect.DeepEqual(slicesOf(got), want) {
 				t.Fatalf("trial %d workers=%d: scoreboard γ rows differ from map reference", trial, e.Workers())
 			}
 		}
@@ -210,11 +211,11 @@ func TestGammaRowsScoreboardMatchesMapReference(t *testing.T) {
 		var rows [][]Edge
 		for lo := 0; lo < n1; {
 			hi := lo + 1 + r.Intn(n1-lo)
-			part, err := gammaRows(context.Background(), parallel.New(2).Chunked(), parallel.Span{Lo: lo, Hi: hi}, top, adj, inOther, 4)
+			part, err := gammaRows(ctx, parallel.New(2).Chunked(), parallel.Span{Lo: lo, Hi: hi}, top, flatAdj, flatIn, 4, Rows[Edge]{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows = append(rows, part...)
+			rows = append(rows, slicesOf(part)...)
 			lo = hi
 		}
 		if !reflect.DeepEqual(rows, want) {
@@ -236,11 +237,10 @@ func benchBetaInputs(b *testing.B) (*kb.KB, *kb.KB, *blocking.TokenIndex) {
 func BenchmarkBetaRows(b *testing.B) {
 	k1, k2, ix := benchBetaInputs(b)
 	eng := parallel.New(0)
-	full := parallel.Span{Lo: 0, Hi: k2.Len()}
 	b.Run("scoreboard", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := buildBetaSpan(context.Background(), eng, ix, k2, k1.Len(), false, 15, full); err != nil {
+			if _, err := BetaRowsCtx(context.Background(), eng, ix, k2, k1.Len(), false, 15); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -248,7 +248,7 @@ func BenchmarkBetaRows(b *testing.B) {
 	b.Run("map", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := buildBetaSpanMap(context.Background(), eng, ix, k2, false, 15, full); err != nil {
+			if _, err := betaRowsMap(context.Background(), eng, ix, k2, false, 15); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -260,10 +260,11 @@ func BenchmarkGammaRowsStage(b *testing.B) {
 	top, adj, inOther := randomGammaInputs(r, 2000, 2000)
 	eng := parallel.New(0)
 	full := parallel.Span{Lo: 0, Hi: len(top)}
+	flatAdj, flatIn := rowsOf(adj), rowsOf(inOther)
 	b.Run("scoreboard", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := gammaRows(context.Background(), eng, full, top, adj, inOther, 15); err != nil {
+			if _, err := gammaRows(context.Background(), eng, full, top, flatAdj, flatIn, 15, Rows[Edge]{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -16,3 +16,8 @@ func RefLoadNTriples(name string, r io.Reader, lenient bool) (*KB, int, error) {
 }
 
 var DiffKB = diffKB
+
+// DescriptionsBuilt reports whether k holds its Description array — always
+// true for a built KB, and true for a snapshot-backed one only once
+// something asked for a *Description.
+func DescriptionsBuilt(k *KB) bool { return k.lazy == nil || k.entities != nil }

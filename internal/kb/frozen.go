@@ -9,9 +9,9 @@
 package kb
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"unsafe"
 )
@@ -29,7 +29,8 @@ type FrozenStrings struct {
 // NewFrozenStrings assembles a frozen table over caller-provided backing
 // arrays (typically views into a memory-mapped snapshot region; the table
 // aliases them). off must hold n+1 non-decreasing offsets covering blob
-// exactly; sorted must be nil or hold n entries.
+// exactly; sorted must be nil or hold n indices below n (an entry that is in
+// range but out of order only makes Lookup miss).
 func NewFrozenStrings(blob []byte, off []int64, sorted []uint32) (*FrozenStrings, error) {
 	if len(off) == 0 {
 		return nil, fmt.Errorf("kb: frozen strings: empty offset table")
@@ -45,6 +46,11 @@ func NewFrozenStrings(blob []byte, off []int64, sorted []uint32) (*FrozenStrings
 	}
 	if sorted != nil && len(sorted) != n {
 		return nil, fmt.Errorf("kb: frozen strings: sorted permutation has %d entries, want %d", len(sorted), n)
+	}
+	for _, i := range sorted {
+		if int(i) >= n {
+			return nil, fmt.Errorf("kb: frozen strings: sorted permutation names string %d of %d", i, n)
+		}
 	}
 	return &FrozenStrings{blob: blob, off: off, sorted: sorted}, nil
 }
@@ -67,15 +73,33 @@ func FreezeStrings(strs []string, withLookup bool) *FrozenStrings {
 	}
 	f.off[len(strs)] = int64(len(f.blob))
 	if withLookup {
-		f.sorted = make([]uint32, len(strs))
-		for i := range f.sorted {
-			f.sorted[i] = uint32(i)
-		}
-		sort.Slice(f.sorted, func(a, b int) bool {
-			return f.At(int(f.sorted[a])) < f.At(int(f.sorted[b]))
-		})
+		f.sorted = SortedOrder(strs)
 	}
 	return f
+}
+
+// SortedOrder returns the indices of strs in string order (equal strings by
+// index) — the ingester's keyed sort: strings compare by their first eight
+// bytes as one integer, and as strings only where those tie.
+func SortedOrder(strs []string) []uint32 {
+	keys := make([]tokenKey, len(strs))
+	for i, s := range strs {
+		keys[i] = tokenKey{prefixKey(s), TokenID(i)}
+	}
+	slices.SortFunc(keys, func(a, c tokenKey) int {
+		if a.prefix != c.prefix {
+			return cmp.Compare(a.prefix, c.prefix)
+		}
+		if byString := strings.Compare(strs[a.id], strs[c.id]); byString != 0 {
+			return byString
+		}
+		return cmp.Compare(a.id, c.id)
+	})
+	order := make([]uint32, len(strs))
+	for i, k := range keys {
+		order[i] = uint32(k.id)
+	}
+	return order
 }
 
 // Len returns the number of strings.

@@ -454,16 +454,22 @@ type tokenKey struct {
 func tokenKeys(strs []string) []uint64 {
 	keys := make([]uint64, len(strs))
 	for id, s := range strs {
-		var k uint64
-		for i := 0; i < 8; i++ {
-			k <<= 8
-			if i < len(s) {
-				k |= uint64(s[i])
-			}
-		}
-		keys[id] = k
+		keys[id] = prefixKey(s)
 	}
 	return keys
+}
+
+// prefixKey packs the first eight bytes of s, zero-padded, big-endian: two
+// strings whose keys differ order as their keys do.
+func prefixKey(s string) uint64 {
+	var k uint64
+	for i := 0; i < 8; i++ {
+		k <<= 8
+		if i < len(s) {
+			k |= uint64(s[i])
+		}
+	}
+	return k
 }
 
 // sortTokens orders toks by token string and drops duplicates, in place; it

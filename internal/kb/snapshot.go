@@ -135,6 +135,28 @@ func AssembleKB(p SnapshotParts) (*KB, error) {
 	if p.TokenOff[0] != 0 || p.TokenOff[n] != int64(len(p.Tokens)) {
 		return nil, fmt.Errorf("kb: assemble: token offsets do not cover %d tokens", len(p.Tokens))
 	}
+	for i := 0; i < n; i++ {
+		if p.TokenOff[i] > p.TokenOff[i+1] {
+			return nil, fmt.Errorf("kb: assemble: token offsets decrease at %d", i)
+		}
+	}
+	// Every ID a description or a pipeline stage later follows into a
+	// dictionary or back into the KB must land inside it.
+	sch := p.Schema
+	for _, c := range []struct {
+		ok   bool
+		what string
+	}{
+		{IDsBelow(p.Tokens, p.Dict.Len()), "token"},
+		{IDsBelow(p.RelPred, sch.Preds()) && IDsBelow(p.StmtRelPred, sch.Preds()), "predicate"},
+		{IDsBelow(p.AttrName, sch.Attrs()) && IDsBelow(p.StmtAttrName, sch.Attrs()), "attribute"},
+		{IDsBelow(p.AttrVal, sch.Values()), "value"},
+		{IDsBelow(p.RelObj, n) && IDsBelow(p.StmtRelObj, n), "relation object"},
+	} {
+		if !c.ok {
+			return nil, fmt.Errorf("kb: assemble: %s ID out of range", c.what)
+		}
+	}
 
 	// Descriptions are NOT materialized here: every other column installs as
 	// a view, and the query path answers from the columnar substrate and the
@@ -234,6 +256,17 @@ func fillChunks(wg *sync.WaitGroup, n int, fn func(lo, hi int)) {
 			fn(lo, hi)
 		}()
 	}
+}
+
+// IDsBelow reports whether every ID lies in [0, n) — the range check for
+// columns that came from a file and will be used as indices.
+func IDsBelow[T ~int32 | ~uint32](ids []T, n int) bool {
+	for _, id := range ids {
+		if id < 0 || int64(id) >= int64(n) {
+			return false
+		}
+	}
+	return true
 }
 
 // checkOffsets32 validates a CSR offset table: first 0, non-decreasing, last

@@ -106,51 +106,17 @@ type matcher struct {
 	matches  []Match
 }
 
-// RunCtx executes Algorithm 2 on the pruned disjunctive blocking graph.
-// Candidate evaluation in R2/R3 is skewed per entity, so those passes use
-// the dynamic chunked scheduler; cancellation is observed between rules and
-// between chunks within a rule.
+// RunCtx executes Algorithm 2 on a graph whose E1-side γ rows are
+// materialized (graph.BuildTimedCtx): the one-span form of RunShardedCtx,
+// with Gamma1 standing in for the streamed rows.
 func RunCtx(ctx context.Context, e *parallel.Engine, g *graph.Graph, k1, k2 *kb.KB, cfg Config) (*Result, error) {
-	m := &matcher{
-		g: g, k1: k1, k2: k2, cfg: cfg, eng: e.Chunked(),
-		matched1: make([]bool, k1.Len()),
-		matched2: make([]bool, k2.Len()),
-	}
-	if cfg.EnableR1 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		m.runR1()
-	}
-	if cfg.EnableR2 {
-		if err := m.runR2(ctx); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.EnableR3 {
-		if err := m.runR3(ctx); err != nil {
-			return nil, err
-		}
-	}
-	res := &Result{}
-	if cfg.EnableR4 {
-		kept := m.matches[:0]
-		for _, match := range m.matches {
-			if m.reciprocal(match.Pair) {
-				kept = append(kept, match)
-			} else {
-				res.RemovedByR4++
-			}
-		}
-		m.matches = kept
-	}
-	sortMatches(m.matches)
-	res.Matches = m.matches
-	return res, nil
+	whole := []parallel.Span{{Lo: 0, Hi: k1.Len()}}
+	return RunShardedCtx(ctx, e, g, k1, k2, cfg, whole,
+		func(context.Context, parallel.Span) (graph.Rows[graph.Edge], error) { return g.Gamma1, nil })
 }
 
-// sortMatches orders matches by (E1, E2) — the canonical output order shared
-// by the monolithic and sharded runners.
+// sortMatches orders matches by (E1, E2) — the canonical output order for
+// every span plan.
 func sortMatches(ms []Match) {
 	sort.Slice(ms, func(i, j int) bool {
 		a, b := ms[i].Pair, ms[j].Pair
@@ -159,12 +125,6 @@ func sortMatches(ms []Match) {
 		}
 		return a.E2 < b.E2
 	})
-}
-
-// Run is RunCtx without cancellation.
-func Run(e *parallel.Engine, g *graph.Graph, k1, k2 *kb.KB, cfg Config) *Result {
-	res, _ := RunCtx(context.Background(), e, g, k1, k2, cfg)
-	return res
 }
 
 // commit records a match if both endpoints are still free, preserving the
@@ -182,8 +142,8 @@ func (m *matcher) commit(p eval.Pair, rule Rule) bool {
 // runR1 applies the Name Matching Rule (Algorithm 2, lines 2–4): every α=1
 // edge becomes a match. Edges are visited in entity order for determinism.
 func (m *matcher) runR1() {
-	for i := range m.g.Alpha1 {
-		for _, j := range m.g.Alpha1[i] {
+	for i := 0; i < m.g.Alpha1.Len(); i++ {
+		for _, j := range m.g.Alpha1.Row(i) {
 			m.commit(eval.Pair{E1: kb.EntityID(i), E2: j}, RuleName)
 		}
 	}
@@ -192,44 +152,29 @@ func (m *matcher) runR1() {
 // runR2 applies the Value Matching Rule (lines 5–9): for every unmatched
 // entity of the smaller KB, take its top value candidate and accept it when
 // β ≥ 1 — i.e. the pair shares one globally unique token, or several
-// infrequent ones. Candidate evaluation is parallel; commits are sequential
-// in entity order.
-func (m *matcher) runR2(ctx context.Context) error {
-	if m.k1.Len() <= m.k2.Len() {
-		tops, err := parallel.MapCtx(ctx, m.eng, m.k1.Len(), func(i int) (graph.Edge, error) {
-			if m.matched1[i] || len(m.g.Beta1[i]) == 0 {
-				return graph.Edge{To: kb.NoEntity}, nil
-			}
-			return m.g.Beta1[i][0], nil
-		})
-		if err != nil {
-			return err
-		}
-		for i, top := range tops {
-			if top.To != kb.NoEntity && top.Weight >= 1 {
-				m.commit(eval.Pair{E1: kb.EntityID(i), E2: top.To}, RuleValue)
-			}
-		}
-		return nil
+// infrequent ones. Commits are sequential in entity order; a commit marks
+// only its own node on the walked side, so no later node's test depends on
+// an earlier commit.
+func (m *matcher) runR2() {
+	fromE1 := m.k1.Len() <= m.k2.Len()
+	matched, beta := m.matched1, m.g.Beta1
+	if !fromE1 {
+		matched, beta = m.matched2, m.g.Beta2
 	}
-	tops, err := parallel.MapCtx(ctx, m.eng, m.k2.Len(), func(j int) (graph.Edge, error) {
-		if m.matched2[j] || len(m.g.Beta2[j]) == 0 {
-			return graph.Edge{To: kb.NoEntity}, nil
+	for i := range matched {
+		row := beta.Row(i)
+		if matched[i] || len(row) == 0 || row[0].Weight < 1 {
+			continue
 		}
-		return m.g.Beta2[j][0], nil
-	})
-	if err != nil {
-		return err
-	}
-	for j, top := range tops {
-		if top.To != kb.NoEntity && top.Weight >= 1 {
-			m.commit(eval.Pair{E1: top.To, E2: kb.EntityID(j)}, RuleValue)
+		p := eval.Pair{E1: kb.EntityID(i), E2: row[0].To}
+		if !fromE1 {
+			p = eval.Pair{E1: row[0].To, E2: kb.EntityID(i)}
 		}
+		m.commit(p, RuleValue)
 	}
-	return nil
 }
 
-// runR3 applies the Rank Aggregation Matching Rule (lines 10–23) to every
+// Rule R3, the Rank Aggregation Matching Rule (lines 10–23), applies to every
 // remaining unmatched node of both KBs: each candidate scores
 // θ·rank/|valCands| from the β list plus (1−θ)·rank/|ngbCands| from the γ
 // list. A pair is matched when each side is the other's top aggregate
@@ -245,28 +190,8 @@ func (m *matcher) runR2(ctx context.Context) error {
 // Aggregation is parallel per node with one reusable bounded scoreboard per
 // worker (the worker-local-scratch discipline of the β/γ passes); commits
 // are sequential in entity order.
-func (m *matcher) runR3(ctx context.Context) error {
-	pick1, err := parallel.MapLocalCtx(ctx, m.eng, m.k1.Len(), newAggBoard,
-		func(sb *aggBoard, i int) (pick, error) {
-			return m.pick1At(sb, i, m.g.Gamma1[i]), nil
-		})
-	if err != nil {
-		return err
-	}
-	pick2, err := m.pick2All(ctx)
-	if err != nil {
-		return err
-	}
-	for i, p := range pick1 {
-		if p.to == kb.NoEntity {
-			continue
-		}
-		if back := pick2[p.to]; back.to == kb.EntityID(i) {
-			m.commit(eval.Pair{E1: kb.EntityID(i), E2: p.to}, RuleRank)
-		}
-	}
-	return nil
-}
+//
+// RunShardedCtx drives it: pick2All first, then pick1At span by span.
 
 // pick is one node's top aggregate candidate under R3 (NoEntity if the node
 // is already matched or has no candidates).
@@ -318,27 +243,26 @@ func (b *aggBoard) best() (kb.EntityID, float64) {
 
 func (b *aggBoard) reset() { b.cands = b.cands[:0] }
 
-// pick1At computes the R3 pick of E1 node i with an explicitly supplied γ
-// candidate row — Gamma1[i] in the monolithic run, the shard-local row in
-// the sharded run — accumulating on the caller's board.
+// pick1At computes the R3 pick of E1 node i from its γ candidate row, which
+// the caller holds only while i's span is live, accumulating on the caller's
+// board.
 func (m *matcher) pick1At(sb *aggBoard, i int, ngb []graph.Edge) pick {
 	if m.matched1[i] {
 		return pick{to: kb.NoEntity}
 	}
-	to, score := m.aggregate(sb, m.g.Beta1[i], ngb)
+	to, score := m.aggregate(sb, m.g.Beta1.Row(i), ngb)
 	return pick{to, score}
 }
 
 // pick2All computes the R3 picks of every E2 node against the post-R2
-// matched state. Both the monolithic and the sharded matcher take this exact
-// snapshot before any R3 commit.
+// matched state — the snapshot taken before any R3 commit.
 func (m *matcher) pick2All(ctx context.Context) ([]pick, error) {
 	return parallel.MapLocalCtx(ctx, m.eng, m.k2.Len(), newAggBoard,
 		func(sb *aggBoard, j int) (pick, error) {
 			if m.matched2[j] {
 				return pick{to: kb.NoEntity}, nil
 			}
-			to, score := m.aggregate(sb, m.g.Beta2[j], m.g.Gamma2[j])
+			to, score := m.aggregate(sb, m.g.Beta2.Row(j), m.g.Gamma2.Row(j))
 			return pick{to, score}, nil
 		})
 }
@@ -369,40 +293,4 @@ func (m *matcher) aggregate(sb *aggBoard, valCands, ngbCands []graph.Edge) (kb.E
 	best, bestScore := sb.best()
 	sb.reset()
 	return best, bestScore
-}
-
-// aggregateMap is the retained map-based reference implementation of
-// aggregate, the pin of the scoreboard property test.
-func (m *matcher) aggregateMap(valCands, ngbCands []graph.Edge) (kb.EntityID, float64) {
-	if !m.cfg.UseNeighbors {
-		ngbCands = nil
-	}
-	if len(valCands) == 0 && len(ngbCands) == 0 {
-		return kb.NoEntity, 0
-	}
-	agg := make(map[kb.EntityID]float64, len(valCands)+len(ngbCands))
-	n := len(valCands)
-	for idx, e := range valCands {
-		rank := n - idx
-		agg[e.To] += m.cfg.Theta * float64(rank) / float64(n)
-	}
-	n = len(ngbCands)
-	for idx, e := range ngbCands {
-		rank := n - idx
-		agg[e.To] += (1 - m.cfg.Theta) * float64(rank) / float64(n)
-	}
-	best := kb.NoEntity
-	bestScore := -1.0
-	for to, s := range agg {
-		if s > bestScore || (s == bestScore && to < best) {
-			best, bestScore = to, s
-		}
-	}
-	return best, bestScore
-}
-
-// reciprocal implements R4 (lines 24–26): both directed edges must exist in
-// the pruned graph.
-func (m *matcher) reciprocal(p eval.Pair) bool {
-	return m.g.HasDirectedEdge1(p.E1, p.E2) && m.g.HasDirectedEdge2(p.E2, p.E1)
 }

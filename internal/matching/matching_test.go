@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -17,10 +18,29 @@ var seq = parallel.Sequential()
 func figure1Run(t *testing.T, e *parallel.Engine, cfg Config) (*kb.KB, *kb.KB, *Result) {
 	t.Helper()
 	w, d := testkb.Figure1()
-	in := graph.InputFor(e, w, d, 2, 5, 2)
-	g := graph.Build(e, in)
-	return w, d, Run(e, g, w, d, cfg)
+	return w, d, run(t, e, buildGraph(t, e, graph.InputFor(e, w, d, 2, 5, 2)), w, d, cfg)
 }
+
+func buildGraph(t *testing.T, e *parallel.Engine, in graph.Input) *graph.Graph {
+	t.Helper()
+	g, _, err := graph.BuildTimedCtx(context.Background(), e, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func run(t *testing.T, e *parallel.Engine, g *graph.Graph, k1, k2 *kb.KB, cfg Config) *Result {
+	t.Helper()
+	res, err := RunCtx(context.Background(), e, g, k1, k2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// emptyRows is a set of n rows without elements.
+func emptyRows[T any](n int) graph.Rows[T] { return graph.Rows[T]{Off: make([]int64, n+1)} }
 
 func pairURIs(w, d *kb.KB, res *Result) map[[2]string]Rule {
 	out := map[[2]string]Rule{}
@@ -94,20 +114,20 @@ func TestR4FiltersNonReciprocal(t *testing.T) {
 	// Build a graph by hand: E1 node 0 has a β-edge to E2 node 0, but E2
 	// node 0's only retained edge points elsewhere → not reciprocal.
 	g := &graph.Graph{
-		Alpha1: make([][]kb.EntityID, 2),
-		Alpha2: make([][]kb.EntityID, 2),
-		Beta1:  [][]graph.Edge{{{To: 0, Weight: 2.0}}, nil},
-		Beta2:  [][]graph.Edge{{{To: 1, Weight: 2.0}}, nil},
-		Gamma1: make([][]graph.Edge, 2),
-		Gamma2: make([][]graph.Edge, 2),
+		Alpha1: emptyRows[kb.EntityID](2),
+		Alpha2: emptyRows[kb.EntityID](2),
+		Beta1:  graph.Rows[graph.Edge]{Off: []int64{0, 1, 1}, Flat: []graph.Edge{{To: 0, Weight: 2.0}}},
+		Beta2:  graph.Rows[graph.Edge]{Off: []int64{0, 1, 1}, Flat: []graph.Edge{{To: 1, Weight: 2.0}}},
+		Gamma1: emptyRows[graph.Edge](2),
+		Gamma2: emptyRows[graph.Edge](2),
 	}
 	k1 := twoEntityKB("A")
 	k2 := twoEntityKB("B")
-	with := Run(seq, g, k1, k2, Config{Theta: 0.6, EnableR2: true, EnableR4: true, UseNeighbors: true})
+	with := run(t, seq, g, k1, k2, Config{Theta: 0.6, EnableR2: true, EnableR4: true, UseNeighbors: true})
 	if len(with.Matches) != 0 || with.RemovedByR4 != 1 {
 		t.Errorf("R4 should remove the non-reciprocal match: %+v", with)
 	}
-	without := Run(seq, g, k1, k2, Config{Theta: 0.6, EnableR2: true, UseNeighbors: true})
+	without := run(t, seq, g, k1, k2, Config{Theta: 0.6, EnableR2: true, UseNeighbors: true})
 	if len(without.Matches) != 1 {
 		t.Errorf("without R4 the match should survive: %+v", without)
 	}
@@ -167,8 +187,8 @@ func TestR2ScansSmallerKB(t *testing.T) {
 	x := b2.AddEntity("x")
 	b2.AddLiteral(x, "label", "token-a")
 	k2 := b2.Build()
-	g := graph.Build(seq, graph.InputFor(seq, k1, k2, 1, 5, 2))
-	res := Run(seq, g, k1, k2, Config{Theta: 0.6, EnableR2: true, UseNeighbors: true})
+	g := buildGraph(t, seq, graph.InputFor(seq, k1, k2, 1, 5, 2))
+	res := run(t, seq, g, k1, k2, Config{Theta: 0.6, EnableR2: true, UseNeighbors: true})
 	if len(res.Matches) != 1 {
 		t.Fatalf("matches = %v, want a–x", res.Matches)
 	}

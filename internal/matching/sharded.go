@@ -11,27 +11,28 @@ import (
 )
 
 // GammaFor supplies the E1-side γ candidate rows of one contiguous entity
-// shard on demand (graph.Gamma1Scope.BuildSpan behind a timing/accounting
-// wrapper in the core pipeline). The returned slice must hold s.Len() rows,
-// row i describing entity s.Lo+i. RunShardedCtx calls it exactly once per
-// shard, in shard order, and drops the rows before requesting the next
-// shard — that single-shard lifetime is what bounds the matcher's memory.
-type GammaFor func(ctx context.Context, s parallel.Span) ([][]graph.Edge, error)
+// span on demand (graph.Graph.Gamma1Span behind a timing/accounting wrapper
+// in the core pipeline). The returned set must hold s.Len() rows, row i
+// describing entity s.Lo+i. RunShardedCtx calls it exactly once per span, in
+// span order, and drops the rows before requesting the next span — that
+// single-span lifetime is what bounds the matcher's memory.
+type GammaFor func(ctx context.Context, s parallel.Span) (graph.Rows[graph.Edge], error)
 
-// RunShardedCtx executes Algorithm 2 over a graph built by
-// graph.BuildShardedCtx, whose Gamma1 lists are not materialized: the γ rows
-// of each E1 shard are pulled from gammaFor when rule R3 reaches the shard
-// and released right after the shard's rank-aggregation picks and R4
-// reciprocity evidence have been extracted.
+// RunShardedCtx executes Algorithm 2 — the one matcher loop — over a graph
+// whose E1-side γ rows are not held: the rows of each E1 span are pulled from
+// gammaFor when rule R3 reaches the span and released right after the span's
+// rank-aggregation picks and R4 reciprocity evidence have been extracted.
+// Candidate evaluation in R2/R3 is skewed per entity, so those passes use
+// the dynamic chunked scheduler; cancellation is observed between rules and
+// between chunks within a rule.
 //
-// shards must be the same partition of [0, k1.Len()) into contiguous
-// ascending spans that built the graph. The rule structure keeps the output
-// byte-identical to RunCtx on the equivalent monolithic graph for EVERY
-// shard plan: R1 and R2 are global passes exactly as in RunCtx; R3 takes its
-// E2-side pick snapshot before any R3 commit and then processes E1 entities
-// in ascending order (shards are ascending, commits inside a shard are
-// ascending); R4 evaluates the same reciprocity predicate, with the γ
-// membership bit captured while the shard's rows were live.
+// shards must partition [0, k1.Len()) into contiguous ascending spans. The
+// output is byte-identical for EVERY span plan: R1 and R2 are global passes;
+// R3 takes its E2-side pick snapshot before any R3 commit and then
+// processes E1 entities in ascending order (spans are ascending, commits
+// inside a span are ascending); R4 — both directed edges must exist in the
+// pruned graph (lines 24–26) — is evaluated with the γ membership bit
+// captured while the span's rows were live.
 func RunShardedCtx(ctx context.Context, e *parallel.Engine, g *graph.Graph, k1, k2 *kb.KB, cfg Config, shards []parallel.Span, gammaFor GammaFor) (*Result, error) {
 	m := &matcher{
 		g: g, k1: k1, k2: k2, cfg: cfg, eng: e.Chunked(),
@@ -45,9 +46,10 @@ func RunShardedCtx(ctx context.Context, e *parallel.Engine, g *graph.Graph, k1, 
 		m.runR1()
 	}
 	if cfg.EnableR2 {
-		if err := m.runR2(ctx); err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		m.runR2()
 	}
 	var pick2 []pick
 	if cfg.EnableR3 {
@@ -65,13 +67,13 @@ func RunShardedCtx(ctx context.Context, e *parallel.Engine, g *graph.Graph, k1, 
 		if err != nil {
 			return nil, err
 		}
-		if len(rows) != s.Len() {
-			return nil, fmt.Errorf("matching: gammaFor returned %d rows for shard [%d,%d)", len(rows), s.Lo, s.Hi)
+		if rows.Len() != s.Len() {
+			return nil, fmt.Errorf("matching: gammaFor returned %d rows for span [%d,%d)", rows.Len(), s.Lo, s.Hi)
 		}
 		if cfg.EnableR3 {
 			picks, err := parallel.MapLocalCtx(ctx, m.eng, s.Len(), newAggBoard,
 				func(sb *aggBoard, i int) (pick, error) {
-					return m.pick1At(sb, s.Lo+i, rows[i]), nil
+					return m.pick1At(sb, s.Lo+i, rows.Row(i)), nil
 				})
 			if err != nil {
 				return nil, err
@@ -95,7 +97,7 @@ func RunShardedCtx(ctx context.Context, e *parallel.Engine, g *graph.Graph, k1, 
 			for idx := range m.matches {
 				p := m.matches[idx].Pair
 				if int(p.E1) >= s.Lo && int(p.E1) < s.Hi {
-					gammaHas[idx] = graph.EdgeListContains(rows[int(p.E1)-s.Lo], p.E2)
+					gammaHas[idx] = graph.EdgeListContains(rows.Row(int(p.E1)-s.Lo), p.E2)
 				}
 			}
 		}

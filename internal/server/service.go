@@ -161,8 +161,8 @@ func (s *Server) resolve(ctx context.Context, p *Pair, req *ResolveRequest) (*Re
 	k1, k2 := sub.K1(), sub.K2()
 	for _, m := range out.Matches {
 		resp.Matches = append(resp.Matches, ResolveMatch{
-			URI1: k1.Entity(m.Pair.E1).URI,
-			URI2: k2.Entity(m.Pair.E2).URI,
+			URI1: k1.URI(m.Pair.E1),
+			URI2: k2.URI(m.Pair.E2),
 			Rule: m.Rule.String(),
 		})
 	}
@@ -179,7 +179,7 @@ func (s *Server) entities(p *Pair, limit int) *EntitiesResponse {
 	}
 	uris := make([]string, limit)
 	for i := range uris {
-		uris[i] = sub.K1().Entity(kb.EntityID(i)).URI
+		uris[i] = sub.K1().URI(kb.EntityID(i))
 	}
 	return &EntitiesResponse{Pair: p.id, Count: n, URIs: uris}
 }

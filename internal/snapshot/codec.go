@@ -33,6 +33,56 @@ func hostLittleEndian() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }
 
+// littleEndian is the zero-copy precondition, decided once.
+var littleEndian = hostLittleEndian()
+
+// rawBytes reinterprets a numeric column as its in-memory bytes.
+func rawBytes[T any](v []T) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*int(unsafe.Sizeof(v[0])))
+}
+
+// The *Bytes functions give a column's section bytes: on a little-endian
+// host the array itself (the element encodings ARE the in-memory layout —
+// see the assertions above), elsewhere the explicit little-endian encoding.
+
+func u32Bytes[T ~uint32](v []T) []byte {
+	if littleEndian {
+		return rawBytes(v)
+	}
+	return encU32s(v)
+}
+
+func i32Bytes[T ~int32](v []T) []byte {
+	if littleEndian {
+		return rawBytes(v)
+	}
+	return encI32s(v)
+}
+
+func i64Bytes(v []int64) []byte {
+	if littleEndian {
+		return rawBytes(v)
+	}
+	return encI64s(v)
+}
+
+func f64Bytes(v []float64) []byte {
+	if littleEndian {
+		return rawBytes(v)
+	}
+	return encF64s(v)
+}
+
+func edgeBytes(v []graph.Edge) []byte {
+	if littleEndian {
+		return rawBytes(v)
+	}
+	return encEdges(v)
+}
+
 func encU32s[T ~uint32](v []T) []byte {
 	b := make([]byte, 4*len(v))
 	for i, x := range v {
@@ -66,8 +116,8 @@ func encF64s(v []float64) []byte {
 }
 
 // encEdges writes 16-byte records {to int32, pad uint32(0), weight float64
-// bits} — the in-memory little-endian layout of graph.Edge, with the padding
-// pinned to zero for deterministic files.
+// bits} — the in-memory little-endian layout of graph.Edge, whose pad field
+// is always zero.
 func encEdges(v []graph.Edge) []byte {
 	b := make([]byte, 16*len(v))
 	for i, e := range v {
@@ -205,8 +255,8 @@ func nested[T any](off []int64, flat []T, what string) ([][]T, error) {
 	}
 	out := make([][]T, n)
 	for i := 0; i < n; i++ {
-		if off[i] > off[i+1] {
-			return nil, fmt.Errorf("%w: %s offsets decrease at %d", ErrCorrupt, what, i)
+		if off[i] > off[i+1] || off[i+1] > int64(len(flat)) {
+			return nil, fmt.Errorf("%w: %s offsets [%d, %d) at row %d", ErrCorrupt, what, off[i], off[i+1], i)
 		}
 		out[i] = flat[off[i]:off[i+1]:off[i+1]]
 	}
@@ -229,27 +279,6 @@ func nestedSection[T ~int32](h *header, copyMode bool, offID, flatID uint32, wha
 		return nil, err
 	}
 	flat, err := viewI32s[T](fb, copyMode, what)
-	if err != nil {
-		return nil, err
-	}
-	return nested(off, flat, what)
-}
-
-// nestedEdgeSection reads an (offset, edges) section pair into its ragged view.
-func nestedEdgeSection(h *header, copyMode bool, offID, flatID uint32, what string) ([][]graph.Edge, error) {
-	ob, err := h.section(offID)
-	if err != nil {
-		return nil, err
-	}
-	fb, err := h.section(flatID)
-	if err != nil {
-		return nil, err
-	}
-	off, err := viewI64s(ob, copyMode, what+" offsets")
-	if err != nil {
-		return nil, err
-	}
-	flat, err := viewEdges(fb, copyMode, what)
 	if err != nil {
 		return nil, err
 	}

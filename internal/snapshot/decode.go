@@ -107,6 +107,9 @@ func decode(data []byte, copyMode bool) (*core.Substrate, error) {
 		return nil, fmt.Errorf("%w: meta: %v", ErrCorrupt, err)
 	}
 
+	if h.flags&flagTokenDictShared != 0 && h.flags&flagSharedDict == 0 {
+		return nil, fmt.Errorf("%w: token index shares KB1's dictionary but KB2 does not", ErrCorrupt)
+	}
 	dict1, err := decodeDict(h, copyMode, dict1Base, "dict1")
 	if err != nil {
 		return nil, err
@@ -183,7 +186,7 @@ func decode(data []byte, copyMode bool) (*core.Substrate, error) {
 	})
 	part(4, func() error {
 		var err error
-		tokenIx, err = decodeTokenIndex(h, copyMode, dict1)
+		tokenIx, err = decodeTokenIndex(h, copyMode, dict1, dict2)
 		return err
 	})
 	wg.Wait()
@@ -361,7 +364,7 @@ func decodeNameBlocks(h *header, copyMode bool) (*blocking.Collection, error) {
 	return &blocking.Collection{Blocks: blocks}, nil
 }
 
-func decodeTokenIndex(h *header, copyMode bool, dict1 *kb.Interner) (*blocking.TokenIndex, error) {
+func decodeTokenIndex(h *header, copyMode bool, dict1, dict2 *kb.Interner) (*blocking.TokenIndex, error) {
 	ixDict := dict1
 	var t1, t2 []int32
 	if h.flags&flagTokenDictShared == 0 {
@@ -375,6 +378,10 @@ func decodeTokenIndex(h *header, copyMode bool, dict1 *kb.Interner) (*blocking.T
 		}
 		if t2, err = readI32Section[int32](h, copyMode, secTokT2, "token translation t2"); err != nil {
 			return nil, err
+		}
+		if len(t1) != dict1.Len() || len(t2) != dict2.Len() {
+			return nil, fmt.Errorf("%w: token translation tables of %d and %d entries for dictionaries of %d and %d",
+				ErrCorrupt, len(t1), len(t2), dict1.Len(), dict2.Len())
 		}
 	}
 	// The member CSRs are installed as flat views — TokenIndexFromColumns
@@ -415,33 +422,46 @@ func decodeTokenIndex(h *header, copyMode bool, dict1 *kb.Interner) (*blocking.T
 }
 
 func decodeQueryState(h *header, copyMode bool, sub *core.Substrate, top1 [][]kb.EntityID) error {
-	alpha1, err := nestedSection[kb.EntityID](h, copyMode, secAlpha1Off, secAlpha1Flat, "alpha1")
-	if err != nil {
-		return err
+	// The graph's row sets install as they are stored — two views each, no
+	// per-row work; core.InstallQueryState range-checks them before use.
+	g := &graph.Graph{Top1: top1, K: sub.Config().TopK}
+	var err error
+	for _, r := range []struct {
+		rows          *graph.Rows[kb.EntityID]
+		offID, flatID uint32
+		what          string
+	}{
+		{&g.Alpha1, secAlpha1Off, secAlpha1Flat, "alpha1"},
+		{&g.Alpha2, secAlpha2Off, secAlpha2Flat, "alpha2"},
+		{&g.In2, secIn2Off, secIn2Flat, "in2"},
+	} {
+		if r.rows.Off, err = readI64Section(h, copyMode, r.offID, r.what+" offsets"); err != nil {
+			return err
+		}
+		if r.rows.Flat, err = readI32Section[kb.EntityID](h, copyMode, r.flatID, r.what); err != nil {
+			return err
+		}
 	}
-	alpha2, err := nestedSection[kb.EntityID](h, copyMode, secAlpha2Off, secAlpha2Flat, "alpha2")
-	if err != nil {
-		return err
-	}
-	beta1, err := nestedEdgeSection(h, copyMode, secBeta1Off, secBeta1Edges, "beta1")
-	if err != nil {
-		return err
-	}
-	beta2, err := nestedEdgeSection(h, copyMode, secBeta2Off, secBeta2Edges, "beta2")
-	if err != nil {
-		return err
-	}
-	gamma2, err := nestedEdgeSection(h, copyMode, secGamma2Off, secGamma2Edges, "gamma2")
-	if err != nil {
-		return err
-	}
-	adj1, err := nestedEdgeSection(h, copyMode, secAdj1Off, secAdj1Edges, "adj1")
-	if err != nil {
-		return err
-	}
-	in2, err := nestedSection[kb.EntityID](h, copyMode, secIn2Off, secIn2Flat, "in2")
-	if err != nil {
-		return err
+	for _, r := range []struct {
+		rows          *graph.Rows[graph.Edge]
+		offID, flatID uint32
+		what          string
+	}{
+		{&g.Beta1, secBeta1Off, secBeta1Edges, "beta1"},
+		{&g.Beta2, secBeta2Off, secBeta2Edges, "beta2"},
+		{&g.Gamma2, secGamma2Off, secGamma2Edges, "gamma2"},
+		{&g.Adj1, secAdj1Off, secAdj1Edges, "adj1"},
+	} {
+		if r.rows.Off, err = readI64Section(h, copyMode, r.offID, r.what+" offsets"); err != nil {
+			return err
+		}
+		fb, err := h.section(r.flatID)
+		if err != nil {
+			return err
+		}
+		if r.rows.Flat, err = viewEdges(fb, copyMode, r.what); err != nil {
+			return err
+		}
 	}
 
 	text, err := frozenSection(h, copyMode, secNamesText, "name usage text")
@@ -473,9 +493,7 @@ func decodeQueryState(h *header, copyMode bool, sub *core.Substrate, top1 [][]kb
 		names[i] = core.NameUsage{Name: text.At(i), N1: n1[i], N2: n2[i], E1: ue1[i], E2: ue2[i]}
 	}
 
-	g := &graph.Graph{Alpha1: alpha1, Alpha2: alpha2, Beta1: beta1, Beta2: beta2, Gamma2: gamma2}
-	scope := graph.NewGamma1Scope(sub.QueryEngine(), top1, adj1, in2, sub.Config().TopK)
-	if err := sub.InstallQueryState(&core.QueryState{Graph: g, Scope: scope, Names: names}); err != nil {
+	if err := sub.InstallQueryState(&core.QueryState{Graph: g, Names: names}); err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return nil

@@ -1,9 +1,9 @@
 // Snapshot encoder: WriteSubstrate serializes a built substrate — both KBs,
 // dictionaries, columnar spans, ranks, top-neighbor rows, name blocks, the
-// purged token index, and (always) the prewarmed query state — into the
-// sectioned format described in format.go. Files are deterministic for a
-// given substrate: section order, padding bytes and struct padding inside
-// edge records are all pinned.
+// purged token index, and (always) the graph with the query path's name
+// index — into the sectioned format described in format.go. Files are
+// deterministic for a given substrate: section order, padding bytes and the
+// pad field inside edge records are all pinned.
 package snapshot
 
 import (
@@ -15,11 +15,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"minoaner/internal/blocking"
 	"minoaner/internal/core"
 	"minoaner/internal/graph"
 	"minoaner/internal/kb"
+	"minoaner/internal/parallel"
 )
 
 // metaV1 is the JSON payload of the meta section: everything scalar or
@@ -44,125 +46,129 @@ type metaV1 struct {
 	BuildWallNS int64        `json:"build_wall_ns"`
 }
 
-// secWriter accumulates sections in file order, then lays out the header,
-// table and 8-padded section bodies.
-type secWriter struct {
-	secs []struct {
-		id   uint32
-		data []byte
-	}
+// section is one entry of the section table with its bytes.
+type section struct {
+	id   uint32
+	data []byte
 }
 
-func (sw *secWriter) add(id uint32, data []byte) {
-	sw.secs = append(sw.secs, struct {
-		id   uint32
-		data []byte
-	}{id, data})
+// group is a run of consecutive sections prepared together. count is how
+// many sections prepare returns — the table is sized before any group has
+// run, so the count is declared, and checked when the group is written.
+type group struct {
+	count   int
+	prepare func() []section
 }
 
 func pad8(n int) int64 { return int64((n + 7) &^ 7) }
 
-func (sw *secWriter) writeTo(out io.Writer, flags uint32) error {
-	count := len(sw.secs)
-	tableEnd := int64(headerSize) + int64(count)*tableEntry
-	head := make([]byte, tableEnd)
-	copy(head, magic[:])
-	binary.LittleEndian.PutUint32(head[8:], formatVersion)
-	binary.LittleEndian.PutUint32(head[12:], flags)
-	binary.LittleEndian.PutUint32(head[16:], uint32(count))
-	off := tableEnd // headerSize and tableEntry are both multiples of 8
-	for i, s := range sw.secs {
-		e := head[headerSize+i*tableEntry:]
-		binary.LittleEndian.PutUint32(e, s.id)
-		binary.LittleEndian.PutUint64(e[8:], uint64(off))
-		binary.LittleEndian.PutUint64(e[16:], uint64(len(s.data)))
-		off += pad8(len(s.data))
-	}
-	if _, err := out.Write(head); err != nil {
-		return err
-	}
-	var zeros [8]byte
-	for _, s := range sw.secs {
-		if _, err := out.Write(s.data); err != nil {
-			return err
-		}
-		if p := pad8(len(s.data)) - int64(len(s.data)); p > 0 {
-			if _, err := out.Write(zeros[:p]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
+// Sections of a frozen string table, with and without its sorted permutation.
+const (
+	lookupTable = 3
+	plainTable  = 2
+	// kbSections is what kbGroup emits for one KB.
+	kbSections = lookupTable + 13
+)
 
-func (sw *secWriter) addFrozen(base uint32, fs *kb.FrozenStrings) {
+func frozenSections(base uint32, fs *kb.FrozenStrings) []section {
 	blob, off, sorted := fs.Parts()
-	sw.add(base+frozenBlob, blob)
-	sw.add(base+frozenOff, encI64s(off))
+	secs := []section{{base + frozenBlob, blob}, {base + frozenOff, i64Bytes(off)}}
 	if sorted != nil {
-		sw.add(base+frozenSorted, encU32s(sorted))
+		secs = append(secs, section{base + frozenSorted, u32Bytes(sorted)})
 	}
+	return secs
 }
 
-func (sw *secWriter) addEntityCSR(offID, flatID uint32, rows [][]kb.EntityID) {
+// rowSections lays a ragged [][]T out as its (offsets, flat) section pair —
+// the copy that row sets not yet held flat still pay.
+func rowSections[T ~int32](offID, flatID uint32, rows [][]T) []section {
 	off, flat := flatten(rows)
-	sw.add(offID, encI64s(off))
-	sw.add(flatID, encI32s(flat))
+	return []section{{offID, i64Bytes(off)}, {flatID, i32Bytes(flat)}}
 }
 
-func (sw *secWriter) addEdgeCSR(offID, flatID uint32, rows [][]graph.Edge) {
-	off, flat := flatten(rows)
-	sw.add(offID, encI64s(off))
-	sw.add(flatID, encEdges(flat))
+func idRows(offID, flatID uint32, r graph.Rows[kb.EntityID]) []section {
+	return []section{{offID, i64Bytes(r.Off)}, {flatID, i32Bytes(r.Flat)}}
 }
 
-func (sw *secWriter) addKB(base uint32, p kb.SnapshotParts) {
-	sw.addFrozen(base+kbURIBlob, p.URIs)
-	sw.add(base+kbTokenOff, encI64s(p.TokenOff))
-	sw.add(base+kbTokens, encU32s(p.Tokens))
-	sw.add(base+kbRelOff, encI32s(p.RelOff))
-	sw.add(base+kbRelPred, encU32s(p.RelPred))
-	sw.add(base+kbRelObj, encI32s(p.RelObj))
-	sw.add(base+kbAttrOff, encI32s(p.AttrOff))
-	sw.add(base+kbAttrName, encU32s(p.AttrName))
-	sw.add(base+kbAttrVal, encU32s(p.AttrVal))
-	sw.add(base+kbStmtAttrName, encU32s(p.StmtAttrName))
-	blob, off, _ := p.StmtVals.Parts()
-	sw.add(base+kbStmtValBlob, blob)
-	sw.add(base+kbStmtValOff, encI64s(off))
-	sw.add(base+kbStmtRelPred, encU32s(p.StmtRelPred))
-	sw.add(base+kbStmtRelObj, encI32s(p.StmtRelObj))
+func edgeRows(offID, flatID uint32, r graph.Rows[graph.Edge]) []section {
+	return []section{{offID, i64Bytes(r.Off)}, {flatID, edgeBytes(r.Flat)}}
 }
 
-// WriteSubstrate serializes sub, including its prewarmed query state (the
-// substrate is prewarmed first if it has not served a query yet — snapshots
-// exist to make warm starts instant, so the query state always ships).
+// kbGroup decomposes one KB. The columns are the KB's own arrays; the URI,
+// token and statement tables are still derived per description here.
+func kbGroup(base uint32, k *kb.KB) group {
+	return group{kbSections, func() []section {
+		p := k.SnapshotParts()
+		blob, off, _ := p.StmtVals.Parts()
+		return append(frozenSections(base+kbURIBlob, p.URIs),
+			section{base + kbTokenOff, i64Bytes(p.TokenOff)},
+			section{base + kbTokens, u32Bytes(p.Tokens)},
+			section{base + kbRelOff, i32Bytes(p.RelOff)},
+			section{base + kbRelPred, u32Bytes(p.RelPred)},
+			section{base + kbRelObj, i32Bytes(p.RelObj)},
+			section{base + kbAttrOff, i32Bytes(p.AttrOff)},
+			section{base + kbAttrName, u32Bytes(p.AttrName)},
+			section{base + kbAttrVal, u32Bytes(p.AttrVal)},
+			section{base + kbStmtAttrName, u32Bytes(p.StmtAttrName)},
+			section{base + kbStmtValBlob, blob},
+			section{base + kbStmtValOff, i64Bytes(off)},
+			section{base + kbStmtRelPred, u32Bytes(p.StmtRelPred)},
+			section{base + kbStmtRelObj, i32Bytes(p.StmtRelObj)})
+	}}
+}
+
+func schemaGroup(predsBase, attrsBase, valsBase uint32, sch *kb.Schema) group {
+	return group{3 * lookupTable, func() []section {
+		preds, attrs, vals := sch.Freeze()
+		return slices.Concat(frozenSections(predsBase, preds), frozenSections(attrsBase, attrs), frozenSections(valsBase, vals))
+	}}
+}
+
+func dictGroup(base uint32, dict *kb.Interner) group {
+	return group{lookupTable, func() []section { return frozenSections(base, dict.Freeze()) }}
+}
+
+// ready wraps sections that need no preparation.
+func ready(secs ...[]section) group {
+	all := slices.Concat(secs...)
+	return group{len(all), func() []section { return all }}
+}
+
+// WriteSubstrate serializes sub, including its graph and query-path name
+// index (the substrate's graph is built first if nothing has needed it yet —
+// snapshots exist to make warm starts instant, so it always ships). On
+// little-endian hosts the graph, KB-column and index sections are the bytes
+// of the arrays the substrate already holds; what has to be derived —
+// frozen dictionaries, the per-description KB tables, the name index — is
+// prepared group by group on the substrate's workers while this goroutine
+// writes finished groups in table order. A writer that can seek is streamed
+// to (the table is patched in at the end); any other gets the same bytes
+// once every group is ready.
 func WriteSubstrate(w io.Writer, sub *core.Substrate) error {
-	qs, err := sub.ExportQueryState(context.Background())
+	ctx := context.Background()
+	qs, err := sub.ExportQueryState(ctx)
 	if err != nil {
 		return fmt.Errorf("snapshot: export query state: %w", err)
 	}
 	p := sub.Parts()
-	kp1, kp2 := p.K1.SnapshotParts(), p.K2.SnapshotParts()
+	dict1, dict2 := p.K1.TokenDict(), p.K2.TokenDict()
+	schema1, schema2 := p.K1.Schema(), p.K2.Schema()
 	ix := p.TokenIndex.SnapshotColumns()
 
 	flags := uint32(flagQueryState)
-	sharedDict := kp2.Dict == kp1.Dict
-	sharedSchema := kp2.Schema == kp1.Schema
-	tokenDictShared := ix.Dict == kp1.Dict
-	if sharedDict {
+	if dict2 == dict1 {
 		flags |= flagSharedDict
 	}
-	if sharedSchema {
+	if schema2 == schema1 {
 		flags |= flagSharedSchema
 	}
-	if tokenDictShared {
+	if ix.Dict == dict1 {
 		flags |= flagTokenDictShared
 	}
 
 	meta := metaV1{
-		K1Name: kp1.Name, K2Name: kp2.Name,
-		K1Triples: kp1.Triples, K2Triples: kp2.Triples,
+		K1Name: p.K1.Name(), K2Name: p.K2.Name(),
+		K1Triples: p.K1.Triples(), K2Triples: p.K2.Triples(),
 		Config:     p.Config,
 		NameAttrs1: p.NameAttrs1, NameAttrs2: p.NameAttrs2,
 		PurgedBlocks: p.PurgedBlocks, PurgeThreshold: p.PurgeThreshold,
@@ -173,54 +179,141 @@ func WriteSubstrate(w io.Writer, sub *core.Substrate) error {
 		return fmt.Errorf("snapshot: encode meta: %w", err)
 	}
 
-	sw := &secWriter{}
-	sw.add(secMeta, metaBytes)
-
-	sw.addFrozen(dict1Base, kp1.Dict.Freeze())
-	if !sharedDict {
-		sw.addFrozen(dict2Base, kp2.Dict.Freeze())
+	plan := []group{ready([]section{{secMeta, metaBytes}}), dictGroup(dict1Base, dict1)}
+	if flags&flagSharedDict == 0 {
+		plan = append(plan, dictGroup(dict2Base, dict2))
 	}
-	preds1, attrs1, vals1 := kp1.Schema.Freeze()
-	sw.addFrozen(schema1PredsBase, preds1)
-	sw.addFrozen(schema1AttrsBase, attrs1)
-	sw.addFrozen(schema1ValsBase, vals1)
-	if !sharedSchema {
-		preds2, attrs2, vals2 := kp2.Schema.Freeze()
-		sw.addFrozen(schema2PredsBase, preds2)
-		sw.addFrozen(schema2AttrsBase, attrs2)
-		sw.addFrozen(schema2ValsBase, vals2)
+	plan = append(plan, schemaGroup(schema1PredsBase, schema1AttrsBase, schema1ValsBase, schema1))
+	if flags&flagSharedSchema == 0 {
+		plan = append(plan, schemaGroup(schema2PredsBase, schema2AttrsBase, schema2ValsBase, schema2))
 	}
-
-	sw.addKB(kb1Base, kp1)
-	sw.addKB(kb2Base, kp2)
-
-	sw.add(secRanks1, encI32s(p.Ranks1))
-	sw.add(secRanks2, encI32s(p.Ranks2))
-	sw.addEntityCSR(secTop1Off, secTop1Flat, p.Top1)
-	sw.addEntityCSR(secTop2Off, secTop2Flat, p.Top2)
-
-	addNameBlocks(sw, p.NameBlocks)
-
-	if !tokenDictShared {
-		sw.addFrozen(jointDictBase, ix.Dict.Freeze())
-		sw.add(secTokT1, encI32s(ix.T1))
-		sw.add(secTokT2, encI32s(ix.T2))
+	plan = append(plan, kbGroup(kb1Base, p.K1), kbGroup(kb2Base, p.K2),
+		group{6 + plainTable + 4, func() []section {
+			return slices.Concat(
+				[]section{{secRanks1, i32Bytes(p.Ranks1)}, {secRanks2, i32Bytes(p.Ranks2)}},
+				rowSections(secTop1Off, secTop1Flat, p.Top1),
+				rowSections(secTop2Off, secTop2Flat, p.Top2),
+				nameBlockSections(p.NameBlocks))
+		}})
+	if flags&flagTokenDictShared == 0 {
+		plan = append(plan, dictGroup(jointDictBase, ix.Dict),
+			ready([]section{{secTokT1, i32Bytes(ix.T1)}, {secTokT2, i32Bytes(ix.T2)}}))
 	}
-	// The member CSRs are stored exactly as the index holds them (i32
-	// offsets + flat member arrays), so a little-endian loader installs
-	// views with zero per-slot work.
-	sw.add(secTokE1Off, encI32s(ix.Off1))
-	sw.add(secTokE1Flat, encI32s(ix.Mem1))
-	sw.add(secTokE2Off, encI32s(ix.Off2))
-	sw.add(secTokE2Flat, encI32s(ix.Mem2))
-	sw.add(secTokWeight, encF64s(ix.Weight))
+	g := qs.Graph
+	plan = append(plan,
+		// The member CSRs are stored exactly as the index holds them (i32
+		// offsets + flat member arrays), so a little-endian loader installs
+		// views with zero per-slot work. The graph's E1 top-neighbor rows are
+		// the substrate's own (already in secTop1*).
+		ready([]section{
+			{secTokE1Off, i32Bytes(ix.Off1)}, {secTokE1Flat, i32Bytes(ix.Mem1)},
+			{secTokE2Off, i32Bytes(ix.Off2)}, {secTokE2Flat, i32Bytes(ix.Mem2)},
+			{secTokWeight, f64Bytes(ix.Weight)}},
+			idRows(secAlpha1Off, secAlpha1Flat, g.Alpha1), idRows(secAlpha2Off, secAlpha2Flat, g.Alpha2),
+			edgeRows(secBeta1Off, secBeta1Edges, g.Beta1), edgeRows(secBeta2Off, secBeta2Edges, g.Beta2),
+			edgeRows(secGamma2Off, secGamma2Edges, g.Gamma2),
+			edgeRows(secAdj1Off, secAdj1Edges, g.Adj1), idRows(secIn2Off, secIn2Flat, g.In2)),
+		group{plainTable + 4, func() []section { return nameUsageSections(qs.Names) }})
 
-	addQueryState(sw, qs)
-
-	return sw.writeTo(w, flags)
+	return writeGroups(ctx, w, flags, plan, parallel.New(p.Config.Workers))
 }
 
-func addNameBlocks(sw *secWriter, c *blocking.Collection) {
+// writeGroups lays out header, section table and 8-padded section bodies.
+// The groups are prepared on eng, claimed in table order; this goroutine
+// writes each as soon as it and every earlier one are done, and drops it.
+func writeGroups(ctx context.Context, w io.Writer, flags uint32, plan []group, eng *parallel.Engine) error {
+	count := 0
+	for _, g := range plan {
+		count += g.count
+	}
+	tableEnd := int64(headerSize) + int64(count)*tableEntry
+	head := make([]byte, tableEnd)
+	copy(head, magic[:])
+	binary.LittleEndian.PutUint32(head[8:], formatVersion)
+	binary.LittleEndian.PutUint32(head[12:], flags)
+	binary.LittleEndian.PutUint32(head[16:], uint32(count))
+
+	prepared := make([][]section, len(plan))
+	done := make([]chan struct{}, len(plan))
+	for i := range done {
+		done[i] = make(chan struct{})
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	producer := make(chan struct{})
+	go func() {
+		defer close(producer)
+		// One group per claim: the chunked schedule hands them out in order.
+		_ = eng.Chunked().ForCtx(ctx, len(plan), func(i int) error {
+			prepared[i] = plan[i].prepare()
+			close(done[i])
+			return nil
+		})
+	}()
+	defer func() {
+		cancel()
+		<-producer
+	}()
+
+	entry, off := 0, tableEnd // headerSize and tableEntry are both multiples of 8
+	lay := func(i int) error {
+		<-done[i]
+		if len(prepared[i]) != plan[i].count {
+			return fmt.Errorf("snapshot: group %d prepared %d sections, declared %d", i, len(prepared[i]), plan[i].count)
+		}
+		for _, s := range prepared[i] {
+			e := head[headerSize+entry*tableEntry:]
+			binary.LittleEndian.PutUint32(e, s.id)
+			binary.LittleEndian.PutUint64(e[8:], uint64(off))
+			binary.LittleEndian.PutUint64(e[16:], uint64(len(s.data)))
+			off += pad8(len(s.data))
+			entry++
+		}
+		return nil
+	}
+	seeker, streaming := w.(io.WriteSeeker)
+	if !streaming {
+		for i := range plan {
+			if err := lay(i); err != nil {
+				return err
+			}
+		}
+	}
+	if _, err := w.Write(head); err != nil {
+		return err
+	}
+	var zeros [8]byte
+	for i := range plan {
+		if streaming {
+			if err := lay(i); err != nil {
+				return err
+			}
+		}
+		for _, s := range prepared[i] {
+			if _, err := w.Write(s.data); err != nil {
+				return err
+			}
+			if p := pad8(len(s.data)) - int64(len(s.data)); p > 0 {
+				if _, err := w.Write(zeros[:p]); err != nil {
+					return err
+				}
+			}
+		}
+		prepared[i] = nil
+	}
+	if !streaming {
+		return nil
+	}
+	if _, err := seeker.Seek(0, io.SeekStart); err != nil {
+		return err
+	}
+	if _, err := w.Write(head); err != nil {
+		return err
+	}
+	_, err := seeker.Seek(0, io.SeekEnd)
+	return err
+}
+
+func nameBlockSections(c *blocking.Collection) []section {
 	keys := make([]string, len(c.Blocks))
 	rows1 := make([][]kb.EntityID, len(c.Blocks))
 	rows2 := make([][]kb.EntityID, len(c.Blocks))
@@ -229,37 +322,37 @@ func addNameBlocks(sw *secWriter, c *blocking.Collection) {
 		rows1[i] = c.Blocks[i].E1
 		rows2[i] = c.Blocks[i].E2
 	}
-	sw.addFrozen(secNameKeys, kb.FreezeStrings(keys, false))
-	sw.addEntityCSR(secNameE1Off, secNameE1Flat, rows1)
-	sw.addEntityCSR(secNameE2Off, secNameE2Flat, rows2)
+	return slices.Concat(frozenSections(secNameKeys, kb.FreezeStrings(keys, false)),
+		rowSections(secNameE1Off, secNameE1Flat, rows1),
+		rowSections(secNameE2Off, secNameE2Flat, rows2))
 }
 
-func addQueryState(sw *secWriter, qs *core.QueryState) {
-	sw.addEntityCSR(secAlpha1Off, secAlpha1Flat, qs.Graph.Alpha1)
-	sw.addEntityCSR(secAlpha2Off, secAlpha2Flat, qs.Graph.Alpha2)
-	sw.addEdgeCSR(secBeta1Off, secBeta1Edges, qs.Graph.Beta1)
-	sw.addEdgeCSR(secBeta2Off, secBeta2Edges, qs.Graph.Beta2)
-	sw.addEdgeCSR(secGamma2Off, secGamma2Edges, qs.Graph.Gamma2)
-	// The scope's top1 rows are the substrate's own top-neighbor rows (already
-	// in secTop1*); only the merged β adjacency and the E2 reverse index are
-	// scope-specific.
-	_, adj1, in2, _ := qs.Scope.SnapshotParts()
-	sw.addEdgeCSR(secAdj1Off, secAdj1Edges, adj1)
-	sw.addEntityCSR(secIn2Off, secIn2Flat, in2)
-
-	names := make([]string, len(qs.Names))
-	n1 := make([]int32, len(qs.Names))
-	n2 := make([]int32, len(qs.Names))
-	e1 := make([]kb.EntityID, len(qs.Names))
-	e2 := make([]kb.EntityID, len(qs.Names))
-	for i, u := range qs.Names {
+func nameUsageSections(us []core.NameUsage) []section {
+	names := make([]string, len(us))
+	n1 := make([]int32, len(us))
+	n2 := make([]int32, len(us))
+	e1 := make([]kb.EntityID, len(us))
+	e2 := make([]kb.EntityID, len(us))
+	for i, u := range us {
 		names[i], n1[i], n2[i], e1[i], e2[i] = u.Name, u.N1, u.N2, u.E1, u.E2
 	}
-	sw.addFrozen(secNamesText, kb.FreezeStrings(names, false))
-	sw.add(secNamesN1, encI32s(n1))
-	sw.add(secNamesN2, encI32s(n2))
-	sw.add(secNamesE1, encI32s(e1))
-	sw.add(secNamesE2, encI32s(e2))
+	return append(frozenSections(secNamesText, kb.FreezeStrings(names, false)),
+		section{secNamesN1, i32Bytes(n1)}, section{secNamesN2, i32Bytes(n2)},
+		section{secNamesE1, i32Bytes(e1)}, section{secNamesE2, i32Bytes(e2)})
+}
+
+// fileSink is the temp file behind its write buffer: small sections and
+// padding coalesce, large ones pass through, and a seek flushes first.
+type fileSink struct {
+	*bufio.Writer
+	f *os.File
+}
+
+func (s fileSink) Seek(offset int64, whence int) (int64, error) {
+	if err := s.Flush(); err != nil {
+		return 0, err
+	}
+	return s.f.Seek(offset, whence)
 }
 
 // WriteSubstrateFile writes the snapshot to path atomically (temp file in the
@@ -271,8 +364,8 @@ func WriteSubstrateFile(path string, sub *core.Substrate) error {
 		return err
 	}
 	tmp := f.Name()
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if err := WriteSubstrate(bw, sub); err != nil {
+	bw := bufio.NewWriterSize(f, 1<<16)
+	if err := WriteSubstrate(fileSink{bw, f}, sub); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err

@@ -1,0 +1,236 @@
+package snapshot
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"minoaner/internal/core"
+	"minoaner/internal/graph"
+	"minoaner/internal/kb"
+)
+
+// tinySubstrate is a pair small enough to mutate byte by byte and rich
+// enough to fill every section: shared and unique names, shared tokens,
+// relations in both KBs, private dictionaries.
+func tinySubstrate(t testing.TB) *core.Substrate {
+	t.Helper()
+	b1, b2 := kb.NewBuilder("T1"), kb.NewBuilder("T2")
+	for i := 0; i < 6; i++ {
+		e1 := b1.AddEntity(fmt.Sprintf("t1:e%d", i))
+		e2 := b2.AddEntity(fmt.Sprintf("t2:e%d", i))
+		b1.AddLiteral(e1, "name", fmt.Sprintf("item %d alpha", i))
+		b2.AddLiteral(e2, "label", fmt.Sprintf("item %d beta", i))
+		b1.AddLiteral(e1, "note", "common words here")
+		b2.AddLiteral(e2, "note", "common words there")
+		if i > 0 {
+			b1.AddObject(e1, "next", fmt.Sprintf("t1:e%d", i-1))
+			b2.AddObject(e2, "prev", fmt.Sprintf("t2:e%d", i-1))
+		}
+	}
+	sub, err := core.BuildSubstrate(context.Background(), b1.Build(), b2.Build(), core.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Without its build clocks the substrate's snapshot is the same bytes on
+	// every run: the committed corpus is derived from it.
+	parts := sub.Parts()
+	parts.Timings, parts.BuildWall = core.Timings{}, 0
+	if sub, err = core.SubstrateFromParts(parts); err != nil {
+		t.Fatal(err)
+	}
+	return sub
+}
+
+// fuzzSeeds derives the committed corpus from the tiny snapshot: the image
+// itself, truncations, and flips aimed at what the loader installs without
+// copying — the section table, offset tables, edge targets and entity IDs of
+// the graph, and the sorted permutations of the dictionaries.
+func fuzzSeeds(t testing.TB) map[string][]byte {
+	img := snapshotBytes(t, tinySubstrate(t))
+	h, err := parseHeader(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := func(id uint32) int { // offset of a section's first byte in the image
+		for i := 0; ; i++ {
+			e := img[headerSize+i*tableEntry:]
+			if binary.LittleEndian.Uint32(e) == id {
+				return int(binary.LittleEndian.Uint64(e[8:]))
+			}
+		}
+	}
+	flip := func(off int, b byte) []byte {
+		out := bytes.Clone(img)
+		out[off] ^= b
+		return out
+	}
+	last := func(id uint32) int { return at(id) + len(h.sections[id]) }
+	return map[string][]byte{
+		"valid":               img,
+		"cut-in-table":        img[:headerSize+tableEntry+3],
+		"cut-in-sections":     img[:len(img)*2/3],
+		"cut-last-byte":       img[:len(img)-1],
+		"table-length":        flip(headerSize+16, 0x10),
+		"table-offset":        flip(headerSize+tableEntry+9, 0x01),
+		"table-id":            flip(headerSize+2*tableEntry, 0x40),
+		"flags":               flip(12, 0x07),
+		"beta1-offsets":       flip(at(secBeta1Off)+8, 0x20),
+		"adj1-last-offset":    flip(last(secAdj1Off)-8, 0x01),
+		"gamma2-offsets-fall": flip(at(secGamma2Off)+9, 0x01),
+		"beta1-target":        flip(at(secBeta1Edges), 0x40),
+		"beta2-target-neg":    flip(at(secBeta2Edges)+3, 0x80),
+		"adj1-target":         flip(at(secAdj1Edges)+16, 0x10),
+		"in2-entity":          flip(at(secIn2Flat), 0x20),
+		"alpha1-target":       flip(at(secAlpha1Flat), 0x08),
+		"top1-neighbor":       flip(at(secTop1Flat), 0x40),
+		"dict-sorted":         flip(at(dict1Base+frozenSorted), 0x80),
+		"dict-sorted-swap":    flip(at(dict1Base+frozenSorted), 0x03),
+		"uri-sorted":          flip(at(kb1Base+kbURISorted)+4, 0x10),
+		"uri-offsets":         flip(at(kb1Base+kbURIOff)+8, 0x04),
+		"token-members":       flip(at(secTokE2Flat), 0x10),
+		"token-translation":   flip(at(secTokT1), 0x40),
+		"kb-tokens":           flip(at(kb1Base+kbTokens), 0x40),
+		"kb-statement-object": flip(at(kb2Base+kbStmtRelObj), 0x08),
+		"kb-attribute-name":   flip(at(kb1Base+kbStmtAttrName), 0x10),
+		"name-usage-carrier":  flip(at(secNamesE2), 0x10),
+		"name-block-member":   flip(at(secNameE1Flat), 0x20),
+		"meta-json":           flip(at(secMeta)+1, 0x01),
+	}
+}
+
+// TestFuzzCorpusCommitted keeps testdata/fuzz/FuzzOpenSubstrate equal to
+// fuzzSeeds (rewrite it with MINOANER_UPDATE_FUZZ_CORPUS=1) and runs the
+// fuzz property on every seed, so plain `go test` covers the corpus.
+func TestFuzzCorpusCommitted(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzOpenSubstrate")
+	for name, data := range fuzzSeeds(t) {
+		entry := []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data))
+		path := filepath.Join(dir, name)
+		if os.Getenv("MINOANER_UPDATE_FUZZ_CORPUS") != "" {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, entry, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, entry) {
+			t.Errorf("corpus entry %s is missing or stale (%v)", name, err)
+		}
+		t.Run(name, func(t *testing.T) { checkOpen(t, data) })
+	}
+}
+
+// TestLoaderSurvivesEveryFlip is the exhaustive little brother of the fuzz
+// target: every byte of the tiny snapshot flipped, every aligned word set to
+// all ones, each image decoded and — when it decodes — used. A panic on a
+// worker goroutine takes the test binary down, which is the failure.
+func TestLoaderSurvivesEveryFlip(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweeps 10⁴ images")
+	}
+	img := snapshotBytes(t, tinySubstrate(t))
+	try := func(data []byte) {
+		if read, err := ReadSubstrate(data); err == nil {
+			exercise(read.Substrate())
+		}
+	}
+	for off := range img {
+		data := bytes.Clone(img)
+		data[off] ^= 0x81
+		try(data)
+	}
+	for off := 0; off+4 <= len(img); off += 4 {
+		data := bytes.Clone(img)
+		binary.LittleEndian.PutUint32(data[off:], 0xffffffff)
+		try(data)
+	}
+}
+
+// An edge target that names no entity passes the loader — it checks shapes,
+// not 10⁸ bytes of IDs — and is refused by whoever walks it first: the batch
+// resolution, every time it is asked, before any kernel runs.
+func TestDamagedTargetIsRefusedAtFirstWalk(t *testing.T) {
+	read, err := ReadSubstrate(fuzzSeeds(t)["beta2-target-neg"])
+	if err != nil {
+		t.Fatalf("a damaged target must not fail the load: %v", err)
+	}
+	for round := 0; round < 2; round++ {
+		if _, err := core.ResolveWith(context.Background(), read.Substrate(), core.Config{Workers: 2}); !errors.Is(err, graph.ErrOutOfRange) {
+			t.Fatalf("round %d: ResolveWith = %v, want ErrOutOfRange", round, err)
+		}
+	}
+	if _, err := core.ResolveWith(context.Background(), read.Substrate(), core.Config{TopK: 3}); !errors.Is(err, graph.ErrOutOfRange) {
+		t.Fatalf("a private graph over the damaged substrate = %v, want ErrOutOfRange", err)
+	}
+}
+
+// FuzzOpenSubstrate feeds arbitrary bytes to both decoders. The loader
+// installs views over bytes it did not write, so the property is the one an
+// operator relies on: a typed error, or a substrate that can be used.
+func FuzzOpenSubstrate(f *testing.F) {
+	f.Fuzz(checkOpen)
+}
+
+func checkOpen(t *testing.T, data []byte) {
+	typed := func(err error) bool {
+		for _, want := range []error{ErrBadMagic, ErrVersion, ErrTruncated, ErrMisaligned, ErrCorrupt} {
+			if errors.Is(err, want) {
+				return true
+			}
+		}
+		return false
+	}
+	read, err := ReadSubstrate(bytes.Clone(data))
+	if err != nil {
+		if !typed(err) {
+			t.Fatalf("ReadSubstrate: untyped error %v", err)
+		}
+	} else {
+		exercise(read.Substrate())
+	}
+	path := filepath.Join(t.TempDir(), "fuzz.snap")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opened, openErr := OpenSubstrate(path)
+	if (openErr == nil) != (err == nil) {
+		t.Fatalf("OpenSubstrate: %v, ReadSubstrate: %v", openErr, err)
+	}
+	if openErr != nil {
+		if !typed(openErr) {
+			t.Fatalf("OpenSubstrate: untyped error %v", openErr)
+		}
+		return
+	}
+	exercise(opened.Substrate())
+	if err := opened.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// exercise runs what a loaded substrate exists for: a batch resolution, one
+// replayed and one newly described entity. Results are not judged — flipped
+// bytes that stay in range describe some other, valid pair — only that each
+// call returns: an error is an answer too (an ID the loader leaves to the
+// first walk to check, a URI a damaged permutation no longer finds).
+func exercise(sub *core.Substrate) {
+	ctx := context.Background()
+	cfg := core.Config{Workers: 1}
+	_, _ = core.ResolveWith(ctx, sub, cfg)
+	describe := core.EntityQuery{
+		URI:   "q:new",
+		Attrs: []kb.AttributeValue{{Attribute: "name", Value: "item 3 alpha common"}},
+	}
+	if k1 := sub.K1(); k1.Len() > 0 {
+		describe.Objects = []core.QueryObject{{Predicate: "next", Object: k1.URI(0)}}
+		_, _ = core.QueryEntity(ctx, sub, core.QueryFromEntity(k1, kb.EntityID(k1.Len()-1)), cfg)
+	}
+	_, _ = core.QueryEntity(ctx, sub, describe, cfg)
+}

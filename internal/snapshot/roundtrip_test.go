@@ -82,12 +82,15 @@ func generatePreset(t *testing.T, name string) *datagen.Dataset {
 // buildPreset builds the substrate of a generated preset pair.
 func buildPreset(t *testing.T, name string) *core.Substrate {
 	t.Helper()
-	d := generatePreset(t, name)
-	sub, err := core.BuildSubstrate(context.Background(), d.K1, d.K2, core.Config{Workers: 1})
+	sub, err := buildWith(generatePreset(t, name), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sub
+}
+
+func buildWith(d *datagen.Dataset, workers int) (*core.Substrate, error) {
+	return core.BuildSubstrate(context.Background(), d.K1, d.K2, core.Config{Workers: workers})
 }
 
 func resolveDigest(t *testing.T, sub *core.Substrate) string {
@@ -99,7 +102,7 @@ func resolveDigest(t *testing.T, sub *core.Substrate) string {
 	return pinnedDigest(out)
 }
 
-func snapshotBytes(t *testing.T, sub *core.Substrate) []byte {
+func snapshotBytes(t testing.TB, sub *core.Substrate) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := WriteSubstrate(&buf, sub); err != nil {

@@ -468,42 +468,6 @@ func TopNeighbors(e *parallel.Engine, k *kb.KB, order map[string]int, n int) [][
 	return out
 }
 
-// TopInNeighbors reverses a TopNeighbors index: result[e] lists the entities
-// that have e among their top neighbors (Algorithm 1, lines 44–47). Lists
-// are sorted by entity ID. The reversal is a counting pass + scatter fill
-// into one flat array (mirroring blocking.TokenIndex): sources are visited
-// in ascending order, so every per-entity list comes out sorted without a
-// sort step, and the result is |E| slice views over a single allocation.
-func TopInNeighbors(top [][]kb.EntityID) [][]kb.EntityID {
-	counts := make([]int32, len(top))
-	total := 0
-	for _, neighbors := range top {
-		total += len(neighbors)
-		for _, dst := range neighbors {
-			counts[dst]++
-		}
-	}
-	flat := make([]kb.EntityID, total)
-	off := prefixSums(counts)
-	cur := off[:len(top)] // reuse: advanced as the sequential fill cursor
-	for src, neighbors := range top {
-		for _, dst := range neighbors {
-			flat[cur[dst]] = kb.EntityID(src)
-			cur[dst]++
-		}
-	}
-	in := make([][]kb.EntityID, len(top))
-	lo := int32(0)
-	for dst := range in {
-		hi := cur[dst]
-		if hi > lo {
-			in[dst] = flat[lo:hi]
-		}
-		lo = hi
-	}
-	return in
-}
-
 // ValueSim computes Def. 2.1 directly from the two descriptions and EF
 // indices:
 //

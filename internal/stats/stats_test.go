@@ -214,39 +214,6 @@ func TestTopNeighbors(t *testing.T) {
 	}
 }
 
-func TestTopInNeighborsReverses(t *testing.T) {
-	w, _ := testkb.Figure1()
-	rel := RelationImportances(seq, w)
-	order := GlobalRelationOrder(rel)
-	top := TopNeighbors(seq, w, order, 3)
-	in := TopInNeighbors(top)
-	r1 := w.Lookup("w:Restaurant1")
-	chef := w.Lookup("w:JohnLakeA")
-	found := false
-	for _, e := range in[chef] {
-		if e == r1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("inNeighbors(chef) = %v, want to contain Restaurant1", in[chef])
-	}
-	// Exact inversion property: src ∈ in[dst] ⇔ dst ∈ top[src].
-	for src, ns := range top {
-		for _, dst := range ns {
-			ok := false
-			for _, back := range in[dst] {
-				if int(back) == src {
-					ok = true
-				}
-			}
-			if !ok {
-				t.Fatalf("in-neighbor index not the inverse of top-neighbor index")
-			}
-		}
-	}
-}
-
 func TestTopNeighborsParallelDeterminism(t *testing.T) {
 	w, _ := testkb.Figure1()
 	rel := RelationImportances(seq, w)

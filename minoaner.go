@@ -11,7 +11,7 @@
 //	k1, k2, _, err := minoaner.LoadPair(ctx, "dbpedia.nt", "wikidata.nt", "nt", true)
 //	out, err := minoaner.Resolve(ctx, k1, k2, minoaner.DefaultConfig())
 //	for _, m := range out.Matches {
-//	    fmt.Println(k1.Entity(m.Pair.E1).URI, "=", k2.Entity(m.Pair.E2).URI, m.Rule)
+//	    fmt.Println(k1.URI(m.Pair.E1), "=", k2.URI(m.Pair.E2), m.Rule)
 //	}
 //
 // The pipeline follows the paper end to end: token-based value similarity
