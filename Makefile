@@ -99,9 +99,11 @@ smoke:
 # serve-smoke exercises the real minoanerd binary end to end: build both
 # binaries, serve a generated dataset, load a pair, query it in both request
 # formats, byte-compare the candidate rows against `cmd/minoaner -query
-# -json`, then SIGTERM and assert a clean drain; a second server is sent
-# SIGTERM while it is still preloading a pair. Gated behind the env var so
-# plain `go test ./...` stays hermetic.
+# -json`, require 200 queries beside the build of a second pair — a child
+# process of the server, looked for under /proc — to keep a median under 5 ms
+# at one processor, then SIGTERM and assert a clean drain; a second server is
+# sent SIGTERM while it is still preloading a pair. Gated behind the env var
+# so plain `go test ./...` stays hermetic.
 serve-smoke:
 	MINOANER_SERVE_SMOKE=1 go test -run '^TestServe(Smoke|TermDuringPreload)$$' -count=1 -v .
 

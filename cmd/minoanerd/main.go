@@ -27,17 +27,14 @@
 //	GET    /v1/pairs/{id}/entities   E1 URI prefix (load-test corpus)
 //	GET    /healthz, /readyz         liveness / readiness
 //
+// A pair loaded from KB files is built by a child process — this binary
+// started again with the single argument "build-child" — and mapped from the
+// snapshot the child writes, so queries never share a processor or a heap
+// with a build.
+//
 // On SIGINT/SIGTERM the server drains: readiness flips immediately,
 // in-flight queries finish (bounded by -drain), in-flight builds — those of
-// pairs still preloading included — abort.
-//
-// Load test (against a running server):
-//
-//	minoanerd -loadtest -target http://127.0.0.1:7870 -pair ID \
-//	          [-clients 4] [-queries 2000]
-//
-// fetches the pair's E1 URIs and hammers the query endpoint with the given
-// concurrency, reporting qps and latency percentiles.
+// pairs still preloading included — are killed.
 package main
 
 import (
@@ -45,9 +42,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -58,6 +53,9 @@ import (
 )
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == server.BuildChildArg {
+		os.Exit(server.BuildChild(os.Stdin, os.Stdout, os.Stderr))
+	}
 	var (
 		addr       = flag.String("addr", "127.0.0.1:7870", "listen address (use :0 for an ephemeral port)")
 		drain      = flag.Duration("drain", 15*time.Second, "graceful-shutdown drain window for in-flight requests")
@@ -66,37 +64,26 @@ func main() {
 		maxBody    = flag.Int64("max-body", 1<<20, "request body size limit in bytes")
 		quiet      = flag.Bool("quiet", false, "suppress per-request access logs")
 
-		loadtest = flag.Bool("loadtest", false, "run the load-test client instead of serving")
-		target   = flag.String("target", "http://127.0.0.1:7870", "base URL of the server to load-test")
-		clients  = flag.Int("clients", 4, "concurrent load-test clients")
-		queries  = flag.Int("queries", 2000, "total load-test requests")
-
 		pairs []string
 	)
-	flag.Func("pair", "serve: preload a pair (JSON LoadPairRequest or a .snap path; repeatable); loadtest: the pair ID to hammer",
+	flag.Func("pair", "preload a pair (JSON LoadPairRequest or a .snap path; repeatable)",
 		func(v string) error { pairs = append(pairs, v); return nil })
 	flag.Parse()
-
-	if *loadtest {
-		if len(pairs) != 1 {
-			fmt.Fprintln(os.Stderr, "minoanerd: -loadtest requires exactly one -pair ID")
-			os.Exit(2)
-		}
-		runLoadtest(*target, pairs[0], *clients, *queries)
-		return
-	}
 
 	level := slog.LevelInfo
 	if *quiet {
 		level = slog.LevelWarn
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+	self, err := os.Executable()
+	exitOn(err)
 	srv := server.New(server.Options{
 		Addr:           *addr,
 		Logger:         logger,
 		MaxBodyBytes:   *maxBody,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
+		BuildCommand:   []string{self, server.BuildChildArg},
 	})
 	// Installed before the first build starts: a signal during a preload must
 	// drain like any other, not kill the process by its default action.
@@ -156,37 +143,6 @@ func parsePairSpec(raw string) (server.LoadPairRequest, error) {
 		return spec, nil
 	}
 	return spec, fmt.Errorf("-pair %q is neither a JSON spec nor a .snap path", raw)
-}
-
-// runLoadtest fetches the pair's E1 URIs and hammers the query endpoint.
-func runLoadtest(target, pairID string, clients, queries int) {
-	if pairID == "" {
-		fmt.Fprintln(os.Stderr, "minoanerd: -loadtest requires -pair")
-		os.Exit(2)
-	}
-	resp, err := http.Get(fmt.Sprintf("%s/v1/pairs/%s/entities?limit=0", target, pairID))
-	exitOn(err)
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	exitOn(err)
-	if resp.StatusCode != http.StatusOK {
-		exitOn(fmt.Errorf("fetching entities: status %d: %s", resp.StatusCode, body))
-	}
-	var ents server.EntitiesResponse
-	exitOn(json.Unmarshal(body, &ents))
-	if len(ents.URIs) == 0 {
-		exitOn(fmt.Errorf("pair %s has no E1 entities to query", pairID))
-	}
-	reqs := make([]server.QueryRequest, len(ents.URIs))
-	for i, uri := range ents.URIs {
-		reqs[i] = server.QueryRequest{URI: uri}
-	}
-	res, err := server.LoadTest(context.Background(), target, pairID, reqs, server.LoadOptions{
-		Clients: clients,
-		Queries: queries,
-	})
-	fmt.Println("minoanerd loadtest:", res)
-	exitOn(err)
 }
 
 func exitOn(err error) {

@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"math"
+	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -14,6 +17,8 @@ import (
 	"runtime/metrics"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"minoaner/internal/core"
@@ -400,8 +405,8 @@ func benchSnapshot(d *datagen.Dataset, cfg core.Config, sub *core.Substrate, qr 
 }
 
 // benchLoad measures the served query path: the prewarmed substrate is
-// registered in a real server.Server on a loopback port and the load-test
-// harness replays E1 through POST /v1/pairs/{id}/query at each concurrency
+// registered in a real server.Server on a loopback port and closed-loop
+// clients replay E1 through POST /v1/pairs/{id}/query at each concurrency
 // level. One substrate serves every run — the server's contract — so the
 // data points differ only in client parallelism.
 func benchLoad(d *datagen.Dataset, sub *core.Substrate, clients []int) ([]LoadRun, error) {
@@ -418,28 +423,88 @@ func benchLoad(d *datagen.Dataset, sub *core.Substrate, clients []int) ([]LoadRu
 		defer cancel()
 		_ = srv.Shutdown(ctx)
 	}()
-	base := "http://" + addr.String()
-	reqs := make([]server.QueryRequest, d.K1.Len())
-	for i := range reqs {
-		reqs[i] = server.QueryRequest{URI: d.K1.Entity(kb.EntityID(i)).URI}
+	url := "http://" + addr.String() + "/v1/pairs/bench/query"
+	bodies := make([][]byte, d.K1.Len())
+	for i := range bodies {
+		if bodies[i], err = json.Marshal(server.QueryRequest{URI: d.K1.Entity(kb.EntityID(i)).URI}); err != nil {
+			return nil, err
+		}
 	}
 	runs := make([]LoadRun, 0, len(clients))
 	for _, c := range clients {
-		res, err := server.LoadTest(context.Background(), base, "bench", reqs,
-			server.LoadOptions{Clients: c, Queries: benchLoadQueryCount})
+		run, err := loadRun(url, bodies, c, benchLoadQueryCount)
 		if err != nil {
 			return nil, err
 		}
-		runs = append(runs, LoadRun{
-			Clients: res.Clients,
-			Queries: res.Queries,
-			QPS:     res.QPS,
-			P50US:   res.P50US,
-			P95US:   res.P95US,
-			P99US:   res.P99US,
-		})
+		runs = append(runs, run)
 	}
 	return runs, nil
+}
+
+// loadRun posts queries requests, cycling through bodies, from clients
+// goroutines that each wait for an answer before sending the next. Bodies
+// are marshaled by the caller, so a sample is transport plus kernel. Any
+// failed request fails the run.
+func loadRun(url string, bodies [][]byte, clients, queries int) (LoadRun, error) {
+	client := &http.Client{
+		Timeout:   30 * time.Second,
+		Transport: &http.Transport{MaxIdleConnsPerHost: clients},
+	}
+	defer client.CloseIdleConnections()
+	var (
+		next atomic.Int64 // the requests handed out so far
+		wg   sync.WaitGroup
+	)
+	lat := make([]time.Duration, queries)
+	errs := make([]error, clients)
+	start := time.Now()
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for errs[c] == nil {
+				i := int(next.Add(1)) - 1
+				if i >= queries {
+					return
+				}
+				t0 := time.Now()
+				errs[c] = postQuery(client, url, bodies[i%len(bodies)])
+				lat[i] = time.Since(t0)
+			}
+		}()
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	if err := errors.Join(errs...); err != nil {
+		return LoadRun{}, fmt.Errorf("load run at %d clients: %w", clients, err)
+	}
+	slices.Sort(lat)
+	return LoadRun{
+		Clients: clients,
+		Queries: queries,
+		QPS:     float64(queries) / elapsed.Seconds(),
+		P50US:   percentileUS(lat, 0.50),
+		P95US:   percentileUS(lat, 0.95),
+		P99US:   percentileUS(lat, 0.99),
+	}, nil
+}
+
+// postQuery issues one query request and drains the response; any status but
+// 200 is an error carrying the envelope body.
+func postQuery(client *http.Client, url string, body []byte) error {
+	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(data))
+	}
+	return nil
 }
 
 // percentileUS reads the p-th percentile (nearest-rank) of sorted latencies

@@ -1,7 +1,8 @@
 // The substrate registry: the server-side home of the "build once, share
 // across requests" discipline. Each entry owns one immutable core.Substrate
-// built by a single goroutine; concurrent loads of the same pair coalesce
-// onto that one build (the in-library singleflight of
+// built once — in a child process when the registry has a build command, by
+// a goroutine of this process otherwise; concurrent loads of the same pair
+// coalesce onto that one build (the in-library singleflight of
 // Substrate.PrewarmQueries lifted to the service layer), every request after
 // that shares the frozen substrate, and nothing is ever rebuilt per request.
 package server
@@ -11,13 +12,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"log/slog"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"minoaner/internal/core"
-	"minoaner/internal/kb"
 	"minoaner/internal/snapshot"
 )
 
@@ -33,14 +34,13 @@ type Pair struct {
 	sub    *core.Substrate
 	err    error
 	// loaded is the open snapshot whose mapping sub aliases, for a pair that
-	// came from one. refs counts who may still read sub: the registry while
-	// the pair is registered, and every request between Acquire and Release.
-	// Whoever takes it to zero unmaps.
+	// came from one or was built by a child process. refs counts who may
+	// still read sub: the registry while the pair is registered, and every
+	// request between Acquire and Release. Whoever takes it to zero unmaps.
 	loaded *snapshot.Loaded
 	refs   atomic.Int64
 
-	loadWall    time.Duration
-	prewarmWall time.Duration
+	report buildReport
 
 	// cancel aborts the in-flight build; done closes when the build goroutine
 	// finishes (success or failure), so waiters and shutdown can join it.
@@ -81,22 +81,27 @@ type Registry struct {
 	// observable: N concurrent loads of one pair must leave it at 1.
 	builds atomic.Int64
 
-	// buildPair builds a pair from its KB files; swappable by tests to
+	// buildCommand, when set, is the argv of the one-shot process that builds
+	// a pair from its KB files (see buildchild.go). Without it buildPair does
+	// the same work on a goroutine of this process; tests swap buildPair to
 	// control build duration and failure.
-	buildPair func(ctx context.Context, p *Pair) (*core.Substrate, time.Duration, error)
+	buildCommand []string
+	buildPair    func(ctx context.Context, spec LoadPairRequest) (*core.Substrate, buildReport, error)
+
+	log *slog.Logger
 }
 
 // NewRegistry returns an empty registry whose builds abort when the registry
 // is closed.
 func NewRegistry() *Registry {
 	ctx, cancel := context.WithCancel(context.Background())
-	r := &Registry{
-		pairs:   make(map[string]*Pair),
-		baseCtx: ctx,
-		abort:   cancel,
+	return &Registry{
+		pairs:     make(map[string]*Pair),
+		baseCtx:   ctx,
+		abort:     cancel,
+		buildPair: defaultBuild,
+		log:       slog.Default(),
 	}
-	r.buildPair = r.defaultBuild
-	return r
 }
 
 // Load registers the pair described by spec and starts its asynchronous
@@ -179,32 +184,29 @@ func (r *Registry) runBuild(ctx context.Context, p *Pair) {
 	defer r.wg.Done()
 	defer p.cancel() // release the ctx once the build settles
 	var (
-		sub      *core.Substrate
-		loaded   *snapshot.Loaded
-		loadWall time.Duration
-		err      error
+		sub    *core.Substrate
+		loaded *snapshot.Loaded
+		rep    buildReport
+		err    error
 	)
-	if p.spec.Snapshot != "" {
-		// Snapshot-sourced pair: the mmap open replaces KB parsing AND the
-		// substrate build.
+	switch {
+	case p.spec.Snapshot != "":
+		// Snapshot-sourced pair: the mmap open replaces KB parsing, the
+		// substrate build and the prewarm.
 		t0 := time.Now()
-		if loaded, err = snapshot.OpenSubstrate(p.spec.Snapshot); err == nil {
-			sub, loadWall = loaded.Substrate(), time.Since(t0)
-		}
-	} else {
-		sub, loadWall, err = r.buildPair(ctx, p)
+		loaded, err = snapshot.OpenSubstrate(p.spec.Snapshot)
+		rep.LoadMS = msOf(time.Since(t0))
+	case len(r.buildCommand) > 0:
+		loaded, rep, err = r.buildInChild(ctx, p.spec)
+	default:
+		sub, rep, err = r.buildPair(ctx, p.spec)
 	}
-	var prewarmWall time.Duration
-	if err == nil && (p.spec.Prewarm == nil || *p.spec.Prewarm) {
-		t0 := time.Now()
-		err = sub.PrewarmQueries(ctx)
-		prewarmWall = time.Since(t0)
+	if loaded != nil {
+		sub = loaded.Substrate()
 	}
-	if err == nil && p.spec.SaveSnapshot != "" {
-		// Persisting is part of the load contract: a pair that claims to have
-		// saved its snapshot but didn't would poison later warm starts.
-		if werr := snapshot.WriteSubstrateFile(p.spec.SaveSnapshot, sub); werr != nil {
-			err = fmt.Errorf("save snapshot: %w", werr)
+	for i, path := range []string{p.spec.E1, p.spec.E2} {
+		if rep.Skipped[i] > 0 {
+			r.log.Warn("skipped malformed lines", "pair", p.id, "path", path, "lines", rep.Skipped[i])
 		}
 	}
 	r.mu.Lock()
@@ -217,12 +219,11 @@ func (r *Registry) runBuild(ctx context.Context, p *Pair) {
 	} else {
 		p.status = StatusReady
 		p.sub = sub
-		p.loadWall = loadWall
-		p.prewarmWall = prewarmWall
+		p.report = rep
 		if !orphan {
 			p.loaded = loaded
 		}
-		if p.spec.Snapshot != "" {
+		if loaded != nil {
 			// A snapshot carries its own build configuration; queries and
 			// resolves must use it, not the spec's defaults.
 			p.cfg = sub.Config()
@@ -233,22 +234,6 @@ func (r *Registry) runBuild(ctx context.Context, p *Pair) {
 		_ = loaded.Close() // as in Release
 	}
 	close(p.done)
-}
-
-// defaultBuild loads the two KBs from the spec's paths into shared
-// dictionaries and builds the substrate, all under the build context.
-func (r *Registry) defaultBuild(ctx context.Context, p *Pair) (*core.Substrate, time.Duration, error) {
-	t0 := time.Now()
-	k1, k2, _, err := kb.LoadPair(ctx, p.spec.E1, p.spec.E2, p.spec.Format, true)
-	if err != nil {
-		return nil, 0, err
-	}
-	loadWall := time.Since(t0)
-	sub, err := core.BuildSubstrate(ctx, k1, k2, p.cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	return sub, loadWall, nil
 }
 
 // Get returns the pair registered under id.
@@ -309,9 +294,9 @@ func (r *Registry) infoLocked(p *Pair) PairInfo {
 	case StatusReady:
 		info.E1Size = p.sub.K1().Len()
 		info.E2Size = p.sub.K2().Len()
-		info.LoadMS = msOf(p.loadWall)
+		info.LoadMS = p.report.LoadMS
 		info.BuildMS = msOf(p.sub.BuildDuration())
-		info.PrewarmMS = msOf(p.prewarmWall)
+		info.PrewarmMS = p.report.PrewarmMS
 		t := p.sub.Timings()
 		info.Timings = &PairTimings{
 			StatisticsMS: msOf(t.Statistics),
@@ -365,7 +350,9 @@ func (r *Registry) Close() {
 }
 
 // deriveID hashes the load spec into a deterministic pair ID, so identical
-// concurrent loads without an explicit ID coalesce onto one entry.
+// concurrent loads without an explicit ID coalesce onto one entry. Stream
+// and Prewarm no longer select anything; they stay in the hash so that the
+// IDs clients already hold do not change.
 func deriveID(spec LoadPairRequest) string {
 	h := sha256.New()
 	prewarm := spec.Prewarm == nil || *spec.Prewarm

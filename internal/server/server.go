@@ -12,6 +12,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"runtime/debug"
 	"sync/atomic"
 	"time"
 )
@@ -30,6 +31,14 @@ type Options struct {
 	// (default 5m).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
+	// BuildCommand, when set, is the argv of a process that runs BuildChild:
+	// every pair loaded from KB files is then built by one such child and
+	// mapped from the snapshot it writes, so a build shares neither
+	// processors nor heap with the queries. cmd/minoanerd sets it to its own
+	// executable plus BuildChildArg. Empty, the same build runs on a
+	// goroutine of this process — the choice for a program that embeds the
+	// server, whose binary cannot be started again with a surprise argument.
+	BuildCommand []string
 }
 
 func (o Options) withDefaults() Options {
@@ -63,18 +72,17 @@ type Server struct {
 	// balancers stop routing before the listener closes.
 	ready atomic.Bool
 
-	// holdQuery, when non-nil, parks every query until the channel closes —
-	// a test hook for the shutdown-drain test; queryEntered, when non-nil,
-	// receives one value as each query reaches the hold point, so tests can
-	// tell a request is in flight. Never set in production, and only set
-	// before Start so the handlers race-free read them.
-	holdQuery    chan struct{}
-	queryEntered chan struct{}
+	// beforeQuery, when non-nil, runs inside every query once its pair is
+	// acquired and its deadline is ticking — a test hook to park or fail a
+	// request in flight. Never set in production, and only set before Start
+	// so the handlers race-free read it.
+	beforeQuery func()
 }
 
 // New builds a Server with an empty registry.
 func New(opts Options) *Server {
 	s := &Server{opts: opts.withDefaults(), reg: NewRegistry()}
+	s.reg.buildCommand, s.reg.log = s.opts.BuildCommand, s.opts.Logger
 	s.http = &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
@@ -156,7 +164,7 @@ func (s *Server) accessLog(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w}
 		t0 := time.Now()
-		next.ServeHTTP(sw, r)
+		s.contain(next, sw, r)
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
@@ -168,6 +176,29 @@ func (s *Server) accessLog(next http.Handler) http.Handler {
 			"dur", time.Since(t0).Round(time.Microsecond).String(),
 		)
 	})
+}
+
+// contain serves one request and keeps a panic in its handler from taking
+// the process down: the stack is logged and the request answered 500 with the
+// internal envelope — or, when a response was already under way, cut off, so
+// the client sees a broken connection rather than half a body. The pair goes
+// on serving: the handler's deferred Release has run by the time the panic
+// arrives here.
+func (s *Server) contain(next http.Handler, sw *statusWriter, r *http.Request) {
+	defer func() {
+		v := recover()
+		if v == nil {
+			return
+		}
+		s.opts.Logger.Error("handler panicked", "method", r.Method, "path", r.URL.Path,
+			"panic", v, "stack", string(debug.Stack()))
+		if sw.status != 0 {
+			panic(http.ErrAbortHandler)
+		}
+		s.writeError(sw, &apiError{status: http.StatusInternalServerError, code: CodeInternal,
+			msg: "the server failed on this request; the pair keeps serving"})
+	}()
+	next.ServeHTTP(sw, r)
 }
 
 // Addr returns the bound listen address after Start.

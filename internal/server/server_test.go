@@ -10,14 +10,48 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"minoaner/internal/core"
 	"minoaner/internal/testkb"
 )
+
+// TestMain lets the test binary stand in for minoanerd as the build child:
+// started with BuildChildArg it runs the child body, or — with one more
+// argument — one of the misbehaving children of buildchild_test.go.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == BuildChildArg {
+		if len(os.Args) > 2 {
+			os.Exit(badChild(os.Args[2]))
+		}
+		os.Exit(BuildChild(os.Stdin, os.Stdout, os.Stderr))
+	}
+	os.Exit(m.Run())
+}
+
+// badChild is a build child that reads its spec and then goes wrong.
+func badChild(how string) int {
+	var spec LoadPairRequest
+	if err := json.NewDecoder(os.Stdin).Decode(&spec); err != nil {
+		return 2
+	}
+	switch how {
+	case "garbage": // reports success over a file that is no snapshot
+		if err := os.WriteFile(spec.SaveSnapshot, bytes.Repeat([]byte("not a snapshot "), 64), 0o644); err != nil {
+			return 2
+		}
+		fmt.Println("{}")
+		return 0
+	case "panic":
+		panic("the build went wrong")
+	}
+	return 2
+}
 
 // figure1Substrate builds the paper's Figure 1 pair into a query-ready
 // substrate — small enough that every test can afford a fresh one.
@@ -36,6 +70,17 @@ func figure1Substrate(t *testing.T) *core.Substrate {
 
 func quietOptions() Options {
 	return Options{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}
+}
+
+// parkQueries makes every query of s announce itself on entered and then
+// wait for hold to close, so a test can act while a request is in flight.
+func parkQueries(s *Server) (hold, entered chan struct{}) {
+	hold, entered = make(chan struct{}), make(chan struct{})
+	s.beforeQuery = func() {
+		entered <- struct{}{}
+		<-hold
+	}
+	return hold, entered
 }
 
 // newTestServer wires a Server's handler under httptest and registers the
@@ -241,13 +286,13 @@ func TestConcurrentFirstLoadSingleflight(t *testing.T) {
 	s := New(quietOptions())
 	sub := figure1Substrate(t)
 	release := make(chan struct{})
-	s.reg.buildPair = func(ctx context.Context, p *Pair) (*core.Substrate, time.Duration, error) {
+	s.reg.buildPair = func(ctx context.Context, _ LoadPairRequest) (*core.Substrate, buildReport, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
-			return nil, 0, ctx.Err()
+			return nil, buildReport{}, ctx.Err()
 		}
-		return sub, 0, nil
+		return sub, buildReport{}, nil
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -325,8 +370,8 @@ func TestConcurrentFirstLoadSingleflight(t *testing.T) {
 
 func TestBuildFailureAndDelete(t *testing.T) {
 	s := New(quietOptions())
-	s.reg.buildPair = func(ctx context.Context, p *Pair) (*core.Substrate, time.Duration, error) {
-		return nil, 0, errors.New("synthetic parse failure")
+	s.reg.buildPair = func(ctx context.Context, _ LoadPairRequest) (*core.Substrate, buildReport, error) {
+		return nil, buildReport{}, errors.New("synthetic parse failure")
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -356,10 +401,10 @@ func TestBuildFailureAndDelete(t *testing.T) {
 func TestQueryOnBuildingPair(t *testing.T) {
 	s := New(quietOptions())
 	aborted := make(chan error, 1)
-	s.reg.buildPair = func(ctx context.Context, p *Pair) (*core.Substrate, time.Duration, error) {
+	s.reg.buildPair = func(ctx context.Context, _ LoadPairRequest) (*core.Substrate, buildReport, error) {
 		<-ctx.Done() // park until delete/shutdown aborts us
 		aborted <- ctx.Err()
-		return nil, 0, ctx.Err()
+		return nil, buildReport{}, ctx.Err()
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -394,10 +439,7 @@ func TestQueryDeadlineMidQuery(t *testing.T) {
 	if _, err := s.reg.AddSubstrate("fig1", LoadPairRequest{E1: "mem:wd", E2: "mem:dbp"}, sub); err != nil {
 		t.Fatal(err)
 	}
-	hold := make(chan struct{})
-	entered := make(chan struct{})
-	s.holdQuery = hold
-	s.queryEntered = entered
+	hold, entered := parkQueries(s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -441,15 +483,12 @@ func TestGracefulShutdownDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	buildAborted := make(chan struct{})
-	s.reg.buildPair = func(ctx context.Context, p *Pair) (*core.Substrate, time.Duration, error) {
+	s.reg.buildPair = func(ctx context.Context, _ LoadPairRequest) (*core.Substrate, buildReport, error) {
 		<-ctx.Done()
 		close(buildAborted)
-		return nil, 0, ctx.Err()
+		return nil, buildReport{}, ctx.Err()
 	}
-	hold := make(chan struct{})
-	entered := make(chan struct{})
-	s.holdQuery = hold
-	s.queryEntered = entered
+	hold, entered := parkQueries(s)
 
 	addr, err := s.Start()
 	if err != nil {
@@ -512,32 +551,27 @@ func TestGracefulShutdownDrain(t *testing.T) {
 	}
 }
 
-// TestLoadTestHarness drives the load-test client against an in-process
-// server and sanity-checks its accounting.
-func TestLoadTestHarness(t *testing.T) {
-	_, ts := newTestServer(t)
-	reqs := []QueryRequest{{URI: "w:Restaurant1"}, {URI: "w:JohnLakeA"}}
-	res, err := LoadTest(context.Background(), ts.URL, "fig1", reqs, LoadOptions{Clients: 3, Queries: 24})
-	if err != nil {
-		t.Fatal(err)
+// TestHandlerPanicIsContained makes one query panic inside its handler, with
+// the pair acquired: the request is answered 500 internal, the reference it
+// held is given back, and the next query — same client, same connection pool
+// — is answered by the same pair.
+func TestHandlerPanicIsContained(t *testing.T) {
+	s, ts := newTestServer(t)
+	var panicked atomic.Bool
+	s.beforeQuery = func() {
+		if panicked.CompareAndSwap(false, true) {
+			panic("boom")
+		}
 	}
-	if res.Queries != 24 || res.Errors != 0 {
-		t.Fatalf("load test = %+v, want 24 clean queries", res)
+	if status, code := errCode(t, http.MethodPost, ts.URL+"/v1/pairs/fig1/query", `{"uri":"w:Restaurant1"}`); status != 500 || code != CodeInternal {
+		t.Fatalf("panicking query = %d %q, want 500 %q", status, code, CodeInternal)
 	}
-	if res.QPS <= 0 || res.P50US <= 0 || res.P99US < res.P50US {
-		t.Errorf("load test percentiles look wrong: %+v", res)
+	p, _ := s.reg.Get("fig1")
+	if refs := p.refs.Load(); refs != 1 {
+		t.Errorf("pair holds %d references after the panic, want the registry's 1", refs)
 	}
-	if s := res.String(); !strings.Contains(s, "qps=") || !strings.Contains(s, "p99=") {
-		t.Errorf("report line = %q", s)
-	}
-
-	// Failures are counted, the run completes, and the first body is carried
-	// in the error.
-	bad, err := LoadTest(context.Background(), ts.URL, "nope", reqs, LoadOptions{Clients: 2, Queries: 4})
-	if err == nil || bad.Errors != 4 {
-		t.Errorf("load test on missing pair = %+v, %v; want 4 errors", bad, err)
-	}
-	if err != nil && !strings.Contains(err.Error(), CodePairNotFound) {
-		t.Errorf("load test error %q does not carry the envelope", err)
+	var q QueryResponse
+	if status := doJSON(t, http.MethodPost, ts.URL+"/v1/pairs/fig1/query", `{"uri":"w:Restaurant1"}`, &q); status != 200 || len(q.Candidates) == 0 {
+		t.Fatalf("query after the panic = %d %+v, want candidates", status, q)
 	}
 }

@@ -100,13 +100,8 @@ func (s *Server) query(ctx context.Context, p *Pair, req *QueryRequest) (*QueryR
 	}
 	qctx, cancel := s.requestCtx(ctx, req.TimeoutMS)
 	defer cancel()
-	if s.holdQuery != nil {
-		// Test hook: park the in-flight query so the shutdown-drain and
-		// deadline tests can observe it. Nil in production.
-		if s.queryEntered != nil {
-			s.queryEntered <- struct{}{}
-		}
-		<-s.holdQuery
+	if s.beforeQuery != nil {
+		s.beforeQuery()
 	}
 	t0 := time.Now()
 	ms, err := core.QueryEntity(qctx, sub, q, p.cfg)

@@ -172,8 +172,7 @@ func TestDeleteUnmapsSnapshot(t *testing.T) {
 func TestDeleteWaitsForInFlightQuery(t *testing.T) {
 	path, _, uri := restaurantSnapshot(t)
 	s := New(quietOptions())
-	hold, entered := make(chan struct{}), make(chan struct{})
-	s.holdQuery, s.queryEntered = hold, entered
+	hold, entered := parkQueries(s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	loadSnapshotPair(t, s, ts.URL, "snap", path)

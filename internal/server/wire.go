@@ -91,8 +91,9 @@ type LoadPairRequest struct {
 	// Stream is accepted and ignored: every load streams through the one
 	// ingester (it used to select a second construction path).
 	Stream bool `json:"stream,omitempty"`
-	// Prewarm (default true) front-loads the lazy query state after the
-	// substrate build, so the first query does not pay for it.
+	// Prewarm is accepted and ignored, like Stream: every pair is served from
+	// a snapshot or built the way one is, and a snapshot always carries the
+	// query state, so the first query never pays for it.
 	Prewarm *bool `json:"prewarm,omitempty"`
 	// Config carries the build parameters (defaults: the paper's). Ignored
 	// when Snapshot is set — a snapshot carries its build configuration.
@@ -101,9 +102,11 @@ type LoadPairRequest struct {
 	// snapshot instead of KB dumps: the file is memory-mapped and the pair is
 	// query-ready (persisted query state included) without any rebuild.
 	Snapshot string `json:"snapshot,omitempty"`
-	// SaveSnapshot, when set, persists the substrate (with prewarmed query
-	// state) to this server-local path once the build succeeds, so later
-	// loads can warm-start from it. Mutually exclusive with Snapshot.
+	// SaveSnapshot, when set, persists the substrate (with its query state)
+	// to this server-local path once the build succeeds, so later loads can
+	// warm-start from it. Mutually exclusive with Snapshot. Without it a pair
+	// built by minoanerd still passes through a snapshot: a temporary file
+	// under TMPDIR, unlinked as soon as it is mapped.
 	SaveSnapshot string `json:"save_snapshot,omitempty"`
 }
 
@@ -136,9 +139,9 @@ type PairInfo struct {
 	// E1Size/E2Size are entity counts, present once the pair is ready.
 	E1Size int `json:"e1_size,omitempty"`
 	E2Size int `json:"e2_size,omitempty"`
-	// BuildMS is the substrate build wall clock; PrewarmMS the lazy
-	// query-state construction (0 when prewarm was disabled); LoadMS the KB
-	// parse+index time before the build.
+	// BuildMS is the substrate build wall clock; PrewarmMS the query-state
+	// construction after it (0 for a pair loaded from a snapshot, which
+	// carries that state); LoadMS the KB parse+index time before the build.
 	LoadMS    float64      `json:"load_ms,omitempty"`
 	BuildMS   float64      `json:"build_ms,omitempty"`
 	PrewarmMS float64      `json:"prewarm_ms,omitempty"`

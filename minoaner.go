@@ -306,7 +306,10 @@ func QueryCandidates(ms []QueryMatch) []QueryCandidate { return server.Candidate
 type Server = server.Server
 
 // ServerOptions configures NewServer; the zero value serves on a random
-// localhost port with production defaults.
+// localhost port with production defaults and builds pairs in-process.
+// BuildCommand moves each build into a child process the way cmd/minoanerd
+// does — point it at a minoanerd binary: {"/path/to/minoanerd",
+// "build-child"}.
 type ServerOptions = server.Options
 
 // NewServer builds a resolution server with an empty pair registry.

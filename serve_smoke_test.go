@@ -7,8 +7,9 @@ package minoaner_test
 // two front-ends share one wire schema. Then load a second pair from a
 // substrate snapshot written by the CLI, assert its candidates match the
 // built pair byte for byte and that its readiness wall-clock (open +
-// prewarm) beats the full rebuild path. Finally SIGTERM the server and
-// assert a clean drain.
+// prewarm) beats the full rebuild path. Then build a larger pair from
+// N-Triples and, while its build child runs, require 200 queries on the first
+// pair to stay fast. Finally SIGTERM the server and assert a clean drain.
 //
 // The test spawns the go toolchain and a server process, so it only runs
 // when MINOANER_SERVE_SMOKE=1 (the `make serve-smoke` entry point; CI sets
@@ -24,6 +25,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -55,6 +58,8 @@ func TestServeSmoke(t *testing.T) {
 	// Start the server on an ephemeral port and discover it from the listen
 	// line on stdout.
 	srv := exec.Command(serverBin, "-addr", "127.0.0.1:0", "-quiet")
+	// One processor: where a build inside the server would starve queries.
+	srv.Env = append(os.Environ(), "GOMAXPROCS=1")
 	stdout, err := srv.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -176,6 +181,58 @@ func TestServeSmoke(t *testing.T) {
 	}
 	t.Logf("warm start: snapshot ready in %.2fms vs rebuild %.2fms", warm, rebuild)
 
+	// Queries do not wait for builds: while a pair large enough to build for
+	// a second or more is building — in a child process of the server — the
+	// first pair answers as if nothing else were going on. With the build
+	// inside the server the median here was about 15 ms at one processor.
+	big, err := minoaner.GenerateBenchmark(minoaner.ScaleProfile(minoaner.YAGOIMDbProfile(), 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigE1, bigE2 := filepath.Join(tmp, "big1.nt"), filepath.Join(tmp, "big2.nt")
+	writeKB(t, bigE1, big.K1)
+	writeKB(t, bigE2, big.K2)
+	resp = httpJSON(t, http.MethodPost, base+"/v1/pairs", fmt.Sprintf(`{"id":"big","e1":%q,"e2":%q}`, bigE1, bigE2))
+	if resp.status != http.StatusAccepted {
+		t.Fatalf("load big pair = %d: %s", resp.status, resp.body)
+	}
+	sawChild := false
+	for deadline := time.Now().Add(10 * time.Second); !sawChild && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		kids, ok := childrenOf(srv.Process.Pid)
+		if !ok {
+			t.Log("no /proc: not checking for the build child")
+			break
+		}
+		for _, argv := range kids {
+			sawChild = sawChild || len(argv) > 1 && argv[1] == "build-child"
+		}
+	}
+	if _, ok := childrenOf(srv.Process.Pid); ok && !sawChild {
+		t.Error("no child of the server with argv[1] == build-child while the big pair builds")
+	}
+	lat := make([]time.Duration, 200)
+	replayBody := fmt.Sprintf(`{"uri":%q}`, replayURI)
+	for i := range lat {
+		t0 := time.Now()
+		if r := httpJSON(t, http.MethodPost, base+"/v1/pairs/smoke/query", replayBody); r.status != http.StatusOK {
+			t.Fatalf("query %d beside the build = %d: %s", i, r.status, r.body)
+		}
+		lat[i] = time.Since(t0)
+	}
+	if r := httpJSON(t, http.MethodGet, base+"/v1/pairs/big", ""); !bytes.Contains(r.body, []byte(`"building"`)) {
+		t.Errorf("the big pair finished building before the 200 queries did; they measured nothing: %s", r.body)
+	}
+	slices.Sort(lat)
+	if median := lat[len(lat)/2]; median > 5*time.Millisecond {
+		t.Errorf("median query beside a build took %v, want under 5ms", median)
+	} else {
+		t.Logf("median query beside a build: %v (slowest %v)", median, lat[len(lat)-1])
+	}
+	awaitReady(t, base, "big")
+	if kids, _ := childrenOf(srv.Process.Pid); len(kids) != 0 {
+		t.Errorf("children of the server left after the build: %v", kids)
+	}
+
 	// SIGTERM: the server must drain and exit cleanly.
 	if err := srv.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
@@ -246,6 +303,32 @@ func TestServeTermDuringPreload(t *testing.T) {
 	if !strings.Contains(out, "draining") || !strings.Contains(out, "shutdown complete") {
 		t.Errorf("drain messages missing from stdout:\n%s", out)
 	}
+}
+
+// childrenOf lists the child processes of pid, zombies included, by their
+// pid with their arguments (none for a zombie); ok is false where there is no
+// /proc to read them from.
+func childrenOf(pid int) (kids map[int][]string, ok bool) {
+	stats, _ := filepath.Glob("/proc/[0-9]*/stat")
+	if len(stats) == 0 {
+		return nil, false
+	}
+	kids = make(map[int][]string)
+	for _, path := range stats {
+		stat, err := os.ReadFile(path)
+		if err != nil {
+			continue // gone since the glob
+		}
+		// pid (comm) state ppid ...; comm may itself hold spaces and brackets.
+		f := strings.Fields(string(stat[bytes.LastIndexByte(stat, ')')+1:]))
+		if len(f) < 2 || f[1] != strconv.Itoa(pid) {
+			continue
+		}
+		kid, _ := strconv.Atoi(filepath.Base(filepath.Dir(path)))
+		cmdline, _ := os.ReadFile(filepath.Join(filepath.Dir(path), "cmdline"))
+		kids[kid] = strings.Split(strings.TrimSuffix(string(cmdline), "\x00"), "\x00")
+	}
+	return kids, true
 }
 
 // writeKB serializes one KB as N-Triples.
