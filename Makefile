@@ -50,10 +50,12 @@ bench-module-check:
 	go -C benchmark vet ./...
 	go -C benchmark test -short ./...
 
-# fuzz-smoke runs each fuzz target — the N-Triples reader, the snapshot
-# loader — for ten seconds on top of its committed corpus.
+# fuzz-smoke runs each fuzz target — the N-Triples reader, the string table
+# behind the dictionaries, the snapshot loader — for ten seconds on top of
+# its committed corpus.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzReadNTriples$$' -fuzztime 10s ./internal/kb
+	go test -run '^$$' -fuzz '^FuzzInterner$$' -fuzztime 10s ./internal/kb
 	go test -run '^$$' -fuzz '^FuzzOpenSubstrate$$' -fuzztime 10s ./internal/snapshot
 
 # lint mirrors the CI lint job; requires golangci-lint on PATH.

@@ -1,11 +1,12 @@
-// Frozen (read-only, flat) string tables: the serialization-side counterpart
-// of the Interner/Schema dictionaries. A FrozenStrings stores every string of
-// one dictionary as a single byte blob plus CSR offsets, with an optional
+// Frozen (read-only, flat) string tables. A FrozenStrings stores every string
+// of one dictionary as a single byte blob plus CSR offsets, with an optional
 // string-sorted permutation enabling binary-search Lookup — no map, no
-// per-string allocation, so a dictionary loaded from a memory-mapped
-// snapshot aliases the mapping and costs O(1) to "build". Frozen tables are
-// immutable; interning into one panics, which is exactly the read-only
-// contract a snapshot-backed KB promises.
+// per-string allocation. It is the layout every dictionary has from the
+// start (see symtab): freezing a live one aliases its bytes, and one loaded
+// from a memory-mapped snapshot aliases the mapping, so both cost O(1) to
+// "build" apart from the permutation. Frozen tables are immutable; interning
+// into one panics, which is exactly the read-only contract a snapshot-backed
+// KB promises.
 package kb
 
 import (
@@ -73,29 +74,35 @@ func FreezeStrings(strs []string, withLookup bool) *FrozenStrings {
 	}
 	f.off[len(strs)] = int64(len(f.blob))
 	if withLookup {
-		f.sorted = SortedOrder(strs)
+		f.sorted = sortedOrder(len(strs), f.At)
 	}
 	return f
 }
 
 // SortedOrder returns the indices of strs in string order (equal strings by
-// index) — the ingester's keyed sort: strings compare by their first eight
-// bytes as one integer, and as strings only where those tie.
+// index).
 func SortedOrder(strs []string) []uint32 {
-	keys := make([]tokenKey, len(strs))
-	for i, s := range strs {
-		keys[i] = tokenKey{prefixKey(s), TokenID(i)}
+	return sortedOrder(len(strs), func(i int) string { return strs[i] })
+}
+
+// sortedOrder is SortedOrder over any indexed table — the ingester's keyed
+// sort: strings compare by their first eight bytes as one integer, and as
+// strings only where those tie.
+func sortedOrder(n int, at func(int) string) []uint32 {
+	keys := make([]tokenKey, n)
+	for i := range keys {
+		keys[i] = tokenKey{prefixKey(at(i)), TokenID(i)}
 	}
 	slices.SortFunc(keys, func(a, c tokenKey) int {
 		if a.prefix != c.prefix {
 			return cmp.Compare(a.prefix, c.prefix)
 		}
-		if byString := strings.Compare(strs[a.id], strs[c.id]); byString != 0 {
+		if byString := strings.Compare(at(int(a.id)), at(int(c.id))); byString != 0 {
 			return byString
 		}
 		return cmp.Compare(a.id, c.id)
 	})
-	order := make([]uint32, len(strs))
+	order := make([]uint32, n)
 	for i, k := range keys {
 		order[i] = uint32(k.id)
 	}
@@ -140,12 +147,13 @@ func (f *FrozenStrings) Parts() (blob []byte, off []int64, sorted []uint32) {
 // NewFrozenInterner wraps a frozen string table as a read-only token
 // dictionary: TokenString/Lookup/Len route to the table, Intern panics.
 func NewFrozenInterner(fs *FrozenStrings) *Interner {
-	return &Interner{t: symtab{frozen: fs}}
+	return &Interner{t: frozenSymtab(fs)}
 }
 
-// Freeze snapshots the interner's current contents as a frozen table with
+// Freeze returns the interner's current contents as a frozen table with
 // lookup support (token ID i maps to string i, preserving the dense ID
-// space). A frozen interner returns its own table.
+// space). The table aliases the dictionary's own bytes; only the sorted
+// permutation is computed. A frozen interner returns its own table.
 func (in *Interner) Freeze() *FrozenStrings { return in.t.freeze() }
 
 // NewFrozenSchema wraps three frozen tables (predicates, attribute names,
@@ -153,24 +161,11 @@ func (in *Interner) Freeze() *FrozenStrings { return in.t.freeze() }
 // positional, so a schema round-tripped through Freeze/NewFrozenSchema
 // assigns exactly the original IDs.
 func NewFrozenSchema(preds, attrs, vals *FrozenStrings) *Schema {
-	return &Schema{
-		preds: symtab{frozen: preds},
-		attrs: symtab{frozen: attrs},
-		vals:  symtab{frozen: vals},
-	}
+	return &Schema{preds: frozenSymtab(preds), attrs: frozenSymtab(attrs), vals: frozenSymtab(vals)}
 }
 
-// Freeze snapshots the schema's three dictionaries as frozen tables with
-// lookup support.
+// Freeze returns the schema's three dictionaries as frozen tables with
+// lookup support, aliasing them like Interner.Freeze.
 func (s *Schema) Freeze() (preds, attrs, vals *FrozenStrings) {
 	return s.preds.freeze(), s.attrs.freeze(), s.vals.freeze()
-}
-
-func (t *symtab) freeze() *FrozenStrings {
-	if t.frozen != nil {
-		return t.frozen
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return FreezeStrings(t.strs, true)
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"minoaner/internal/parallel"
 )
@@ -30,24 +31,25 @@ import (
 // paper defines relations(e) and neighbors(e). An object URI that is only
 // described later in the input, or never, is settled at Build in place, so a
 // description's statements keep their input order.
+//
+// Subject URIs are interned into a table of the Builder's own, which the KB
+// keeps: EntityID i is string i, and an object URI is looked up in it.
 type Builder struct {
 	name   string
 	dict   *Interner
 	schema *Schema
 
-	byURI map[string]EntityID
-	uris  []string
+	uris *symtab
 	// last is the subject of the previous statement: dumps group statements
-	// by subject, which saves the map lookup.
+	// by subject, which saves the lookup.
 	last EntityID
-	// text backs every URI and literal that arrived as bytes.
+	// text backs every literal and pending object URI that arrived as bytes.
 	text arena
 
 	// preds are the distinct predicates in first-seen order. Whether one is
 	// an attribute name, a relation predicate or both is only known at
 	// Build, which is when they enter the schema dictionaries.
-	preds   []string
-	predIDs map[string]uint32
+	preds symtab
 
 	stmts []statement
 	// toks holds the token occurrences of every literal, in statement order.
@@ -96,31 +98,22 @@ func NewBuilderWithDicts(name string, dict *Interner, schema *Schema) *Builder {
 	if schema == nil {
 		schema = NewSchema()
 	}
+	uris := newSymtab()
 	return &Builder{
-		name:    name,
-		dict:    dict,
-		schema:  schema,
-		byURI:   make(map[string]EntityID),
-		last:    NoEntity,
-		predIDs: make(map[string]uint32),
-		values:  valueStage{vals: &schema.vals},
+		name:   name,
+		dict:   dict,
+		schema: schema,
+		uris:   &uris,
+		last:   NoEntity,
+		preds:  newSymtab(),
+		values: valueStage{vals: &schema.vals},
 	}
 }
 
 // AddEntity registers (or finds) the entity with the given URI and returns
 // its ID. Adding the same URI twice returns the same ID.
 func (b *Builder) AddEntity(uri string) EntityID {
-	if id, ok := b.byURI[uri]; ok {
-		return id
-	}
-	return b.newEntity(uri)
-}
-
-func (b *Builder) newEntity(uri string) EntityID {
-	id := EntityID(len(b.uris))
-	b.uris = append(b.uris, uri)
-	b.byURI[uri] = id
-	return id
+	return EntityID(b.uris.internBytes(bytesOf(uri)))
 }
 
 // AddLiteral attaches a literal attribute-value pair to the entity.
@@ -133,8 +126,8 @@ func (b *Builder) AddLiteral(id EntityID, attribute, value string) {
 // otherwise a literal.
 func (b *Builder) AddObject(id EntityID, predicate, objectURI string) {
 	st := statement{subj: id, pred: b.pred(predicate), obj: objPending, text: objectURI}
-	if obj, ok := b.byURI[objectURI]; ok {
-		st.obj, st.text = obj, ""
+	if obj, ok := b.uris.find(bytesOf(objectURI)); ok {
+		st.obj, st.text = EntityID(obj), ""
 	}
 	b.stmts = appendDoubling(b.stmts, st)
 }
@@ -143,35 +136,21 @@ func (b *Builder) AddObject(id EntityID, predicate, objectURI string) {
 // read buffer. Nothing is copied that the KB does not keep.
 func (b *Builder) addTerms(subj, pred, obj []byte, objIsURI bool) {
 	id := b.last
-	if id < 0 || b.uris[id] != string(subj) {
-		var ok bool
-		if id, ok = b.byURI[string(subj)]; !ok {
-			id = b.newEntity(b.text.add(subj))
-		}
+	if id < 0 || b.uris.str(uint32(id)) != string(subj) {
+		id = EntityID(b.uris.internBytes(subj))
 		b.last = id
 	}
-	p, ok := b.predIDs[string(pred)]
-	if !ok {
-		p = b.pred(string(pred))
-	}
+	p := b.preds.internBytes(pred)
 	if !objIsURI {
 		b.literal(id, p, b.text.add(obj))
-	} else if o, ok := b.byURI[string(obj)]; ok {
-		b.stmts = appendDoubling(b.stmts, statement{subj: id, pred: p, obj: o})
+	} else if o, ok := b.uris.find(obj); ok {
+		b.stmts = appendDoubling(b.stmts, statement{subj: id, pred: p, obj: EntityID(o)})
 	} else {
 		b.stmts = appendDoubling(b.stmts, statement{subj: id, pred: p, obj: objPending, text: b.text.add(obj)})
 	}
 }
 
-func (b *Builder) pred(name string) uint32 {
-	if p, ok := b.predIDs[name]; ok {
-		return p
-	}
-	p := uint32(len(b.preds))
-	b.preds = append(b.preds, name)
-	b.predIDs[name] = p
-	return p
-}
+func (b *Builder) pred(name string) uint32 { return b.preds.internBytes(bytesOf(name)) }
 
 func (b *Builder) literal(id EntityID, pred uint32, value string) {
 	b.stmts = appendDoubling(b.stmts, statement{subj: id, pred: pred, obj: objLiteral, ntok: b.tokenize(value), text: value})
@@ -208,7 +187,31 @@ func appendDoubling[T any](s []T, v T) []T {
 }
 
 // Len returns the number of entities registered so far.
-func (b *Builder) Len() int { return len(b.uris) }
+func (b *Builder) Len() int { return b.uris.tab.Len() }
+
+// arena hands out immutable strings carved from large byte chunks, so the
+// literals of a million statements cost a few dozen allocations, not a
+// million. Chunks start small, so the thousands of tiny KBs tests build stay
+// tiny.
+type arena struct {
+	chunk []byte // current chunk; its length is the part handed out
+	size  int    // capacity of the current chunk's size class
+}
+
+const maxArenaChunk = 1 << 20
+
+func (a *arena) add(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	if cap(a.chunk)-len(a.chunk) < len(b) {
+		a.size = min(max(2*a.size, 1<<10), maxArenaChunk)
+		a.chunk = make([]byte, 0, max(a.size, len(b)))
+	}
+	n := len(a.chunk)
+	a.chunk = append(a.chunk, b...)
+	return unsafe.String(&a.chunk[n], len(b))
+}
 
 // valueStage is the second stage: it turns literal values into ValueIDs, in
 // the order they were added.
@@ -269,7 +272,7 @@ func (b *Builder) piped(read func() (int, error)) (int, error) {
 	}
 	v := &b.values
 	// A few batches of slack let the parser run on while the value stage
-	// sits in a map growth, with at most a megabyte of text in flight.
+	// sits in an index growth, with at most a megabyte of text in flight.
 	v.ch = make(chan []string, 4)
 	done := make(chan struct{})
 	go func() {
@@ -290,7 +293,7 @@ func (b *Builder) piped(read func() (int, error)) (int, error) {
 // Build finalizes the KB and returns it. The Builder must not be used
 // afterwards.
 func (b *Builder) Build() *KB {
-	n := len(b.uris)
+	n := b.uris.tab.Len()
 
 	// Pass 1, in statement order: settle every object URI that named no
 	// entity when it arrived — a forward reference is the relation it looks
@@ -306,8 +309,8 @@ func (b *Builder) Build() *KB {
 	for i := range b.stmts {
 		st := &b.stmts[i]
 		if st.obj == objPending {
-			if obj, ok := b.byURI[st.text]; ok {
-				st.obj, st.text = obj, ""
+			if obj, ok := b.uris.find(bytesOf(st.text)); ok {
+				st.obj, st.text = EntityID(obj), ""
 			} else {
 				st.obj, st.ntok = objDemoted, b.tokenize(st.text)
 				b.values.add(st.text)
@@ -345,7 +348,7 @@ func (b *Builder) Build() *KB {
 		if st.obj >= 0 {
 			j := relAt[st.subj]
 			relAt[st.subj]++
-			rels[j] = Relation{Predicate: b.preds[st.pred], Object: st.obj}
+			rels[j] = Relation{Predicate: b.preds.str(st.pred), Object: st.obj}
 			c.relPred[j], c.relObj[j] = PredID(st.pred), st.obj
 			continue
 		}
@@ -355,7 +358,7 @@ func (b *Builder) Build() *KB {
 		}
 		j := attrAt[st.subj]
 		attrAt[st.subj]++
-		attrs[j] = AttributeValue{Attribute: b.preds[st.pred], Value: st.text}
+		attrs[j] = AttributeValue{Attribute: b.preds.str(st.pred), Value: st.text}
 		c.attrName[j], c.attrVal[j] = AttrID(st.pred), b.values.ids[*v]
 		*v++
 		copy(gathered[tokAt[st.subj]:], b.toks[*t:*t+int(st.ntok)])
@@ -367,14 +370,14 @@ func (b *Builder) Build() *KB {
 
 	// Pass 3: predicates enter the schema dictionaries in the order the
 	// finished KB lists them — by entity, then by statement.
-	internColumn(c.relPred, b.preds, b.schema.InternPred)
-	internColumn(c.attrName, b.preds, b.schema.InternAttr)
+	internColumn(c.relPred, &b.preds, b.schema.InternPred)
+	internColumn(c.attrName, &b.preds, b.schema.InternAttr)
 
 	// Pass 4, over entity spans in parallel: sort each entity's two column
 	// spans by (schema ID, payload) and its tokens by token string, dropping
 	// duplicates. tokLen[i] is what is left of entity i's tokens.
-	strs := b.dict.t.snapshot()
-	keys := tokenKeys(strs)
+	strs := b.dict.t.view()
+	keys := tokenKeys(&strs)
 	tokLen := make([]int32, n)
 	parallel.New(0).ForSpans(n, func(s parallel.Span) {
 		var packed []uint64
@@ -382,7 +385,7 @@ func (b *Builder) Build() *KB {
 		for i := s.Lo; i < s.Hi; i++ {
 			packed = sortColumns(packed, c.relPred[relOff[i]:relOff[i+1]], c.relObj[relOff[i]:relOff[i+1]])
 			packed = sortColumns(packed, c.attrName[attrOff[i]:attrOff[i+1]], c.attrVal[attrOff[i]:attrOff[i+1]])
-			byString, tokLen[i] = sortTokens(byString, gathered[tokOff[i]:tokOff[i+1]], keys, strs)
+			byString, tokLen[i] = sortTokens(byString, gathered[tokOff[i]:tokOff[i+1]], keys, &strs)
 		}
 	})
 
@@ -396,7 +399,7 @@ func (b *Builder) Build() *KB {
 		lo := len(tokens)
 		tokens = append(tokens, gathered[tokOff[i]:tokOff[i]+int(tokLen[i])]...)
 		entities[i] = Description{
-			URI:       b.uris[i],
+			URI:       b.uris.str(uint32(i)),
 			Attrs:     attrs[attrOff[i]:attrOff[i+1]:attrOff[i+1]],
 			Relations: rels[relOff[i]:relOff[i+1]:relOff[i+1]],
 			tokens:    tokens[lo:len(tokens):len(tokens)],
@@ -404,21 +407,21 @@ func (b *Builder) Build() *KB {
 		}
 	}
 	kb := &KB{
-		name: b.name, size: n, entities: entities, byURI: b.byURI,
+		name: b.name, size: n, entities: entities, uris: b.uris,
 		dict: b.dict, schema: b.schema, cols: c, triples: triples,
 	}
-	b.byURI, b.uris = nil, nil
+	b.uris = nil
 	return kb
 }
 
 // internColumn replaces the Builder-local predicate IDs of col, in place, by
 // the IDs intern assigns — called in column order, once per distinct name.
-func internColumn[ID ~uint32](col []ID, names []string, intern func(string) ID) {
-	ids := make([]ID, len(names))
-	seen := make([]bool, len(names))
+func internColumn[ID ~uint32](col []ID, names *symtab, intern func(string) ID) {
+	ids := make([]ID, names.tab.Len())
+	seen := make([]bool, len(ids))
 	for j, local := range col {
 		if !seen[local] {
-			seen[local], ids[local] = true, intern(names[local])
+			seen[local], ids[local] = true, intern(names.str(uint32(local)))
 		}
 		col[j] = ids[local]
 	}
@@ -451,10 +454,10 @@ type tokenKey struct {
 	id     TokenID
 }
 
-func tokenKeys(strs []string) []uint64 {
-	keys := make([]uint64, len(strs))
-	for id, s := range strs {
-		keys[id] = prefixKey(s)
+func tokenKeys(strs *FrozenStrings) []uint64 {
+	keys := make([]uint64, strs.Len())
+	for id := range keys {
+		keys[id] = prefixKey(strs.At(id))
 	}
 	return keys
 }
@@ -474,7 +477,7 @@ func prefixKey(s string) uint64 {
 
 // sortTokens orders toks by token string and drops duplicates, in place; it
 // returns how many are left. scratch is returned for reuse.
-func sortTokens(scratch []tokenKey, toks []TokenID, keys []uint64, strs []string) ([]tokenKey, int32) {
+func sortTokens(scratch []tokenKey, toks []TokenID, keys []uint64, strs *FrozenStrings) ([]tokenKey, int32) {
 	scratch = scratch[:0]
 	for _, id := range toks {
 		scratch = append(scratch, tokenKey{keys[id], id})
@@ -486,7 +489,7 @@ func sortTokens(scratch []tokenKey, toks []TokenID, keys []uint64, strs []string
 		if a.id == c.id {
 			return 0
 		}
-		return strings.Compare(strs[a.id], strs[c.id])
+		return strings.Compare(strs.At(int(a.id)), strs.At(int(c.id)))
 	})
 	n := 0
 	for j, k := range scratch {

@@ -103,14 +103,14 @@ type KB struct {
 	name     string
 	size     int
 	entities []Description
-	byURI    map[string]EntityID
-	dict     *Interner
-	schema   *Schema
-	cols     columns
-	triples  int
-	// frozenURIs backs Lookup for snapshot-loaded KBs, replacing the byURI
-	// map with a binary search over the frozen URI table (byURI is nil then).
-	frozenURIs *FrozenStrings
+	// uris holds the entity URIs in EntityID order: the Builder's table of a
+	// built KB (looked up through its index), the frozen table of a
+	// snapshot-loaded one (looked up by binary search).
+	uris    *symtab
+	dict    *Interner
+	schema  *Schema
+	cols    columns
+	triples int
 	// lazy defers description materialization for snapshot-loaded KBs: the
 	// columnar substrate answers everything a query needs, so the per-entity
 	// Description array is only built on first access (see ents).
@@ -139,26 +139,16 @@ func (k *KB) Triples() int { return k.triples }
 // URI should use URI, which never triggers materialization.
 func (k *KB) Entity(id EntityID) *Description { return &k.ents()[id] }
 
-// URI returns the URI of entity id without materializing descriptions: on a
-// snapshot-loaded KB it reads the frozen URI table directly, keeping the
-// query path's candidate formatting free of the lazy Description build.
-func (k *KB) URI(id EntityID) string {
-	if k.frozenURIs != nil {
-		return k.frozenURIs.At(int(id))
-	}
-	return k.entities[id].URI
-}
+// URI returns the URI of entity id without materializing descriptions,
+// keeping the query path's candidate formatting free of a snapshot-loaded
+// KB's lazy Description build.
+func (k *KB) URI(id EntityID) string { return k.uris.str(uint32(id)) }
 
-// Lookup finds an entity by URI, returning NoEntity if absent.
+// Lookup finds an entity by URI, returning NoEntity if absent. It takes no
+// lock: a KB's URI table is never written once the KB is built.
 func (k *KB) Lookup(uri string) EntityID {
-	if k.byURI == nil && k.frozenURIs != nil {
-		if i, ok := k.frozenURIs.Lookup(uri); ok {
-			return EntityID(i)
-		}
-		return NoEntity
-	}
-	if id, ok := k.byURI[uri]; ok {
-		return id
+	if id, ok := k.uris.find(bytesOf(uri)); ok {
+		return EntityID(id)
 	}
 	return NoEntity
 }

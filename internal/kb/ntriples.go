@@ -162,8 +162,8 @@ func LoadPair(ctx context.Context, path1, path2, format string, lenient bool) (k
 
 // Input bytes per distinct token and per distinct normalized value that
 // LoadPair sizes the shared dictionaries by. The generated pairs of the
-// benchmark have 43–113 and 46–60; a low guess costs a map growth or two, a
-// high one idle buckets.
+// benchmark have 43–113 and 46–60; a low guess costs an index growth or two,
+// a high one idle slots (eight bytes each).
 const (
 	bytesPerToken = 64
 	bytesPerValue = 48

@@ -257,8 +257,12 @@ func (b *refBuilder) Build() *KB {
 		}
 		b.entities[i].dict = b.dict
 	}
+	uris := newSymtab()
+	for i := range b.entities {
+		uris.intern(b.entities[i].URI)
+	}
 	return &KB{
-		name: b.name, size: len(b.entities), entities: b.entities, byURI: b.byURI,
+		name: b.name, size: len(b.entities), entities: b.entities, uris: &uris,
 		dict: b.dict, schema: b.schema,
 		cols:    refBuildColumns(b.entities, b.schema),
 		triples: len(b.pending),

@@ -1,6 +1,8 @@
 package kb
 
 import (
+	"hash/maphash"
+	"slices"
 	"sync"
 	"unsafe"
 )
@@ -21,126 +23,183 @@ type AttrID uint32
 // name(e) function skip per-call normalization entirely.
 type ValueID uint32
 
-// symtab is the string-interning core behind the token Interner and the
-// three schema dictionaries: a mutex-guarded map plus an append-only string
-// table (IDs never reassigned, reads lock-free once interning is done).
-// Strings interned from bytes are carved out of an arena, so a dictionary of
-// a million short strings costs a few dozen allocations, not a million.
+// symtab is the string table behind the token Interner, the three schema
+// dictionaries, a KB's URIs and a Builder's predicates. Its strings are laid
+// out, in first-intern order, exactly as a FrozenStrings (one byte blob plus
+// offsets), and a live table adds an open-addressing index over them. There
+// is no Go pointer per string — no map, no string headers — so the garbage
+// collector has nothing to scan, and freezing the table copies nothing.
+//
+// The index is a power-of-two array of slots, each empty (0) or a 32-bit
+// hash tag over id+1, probed linearly and kept at most 3/4 full. The hash is
+// hash/maphash under a seed drawn per table, so no input can be crafted to
+// collide; IDs are assigned in first-intern order all the same, a function
+// of the input alone. Growth re-places every slot by its stored tag without
+// hashing a string again.
+//
+// A frozen table (a snapshot's dictionary) has no index: it looks strings up
+// through its sorted permutation, and interning into it panics.
 type symtab struct {
-	mu    sync.Mutex
-	ids   map[string]uint32
-	strs  []string
-	arena arena
-	// frozen, when set, backs a read-only dictionary loaded from a snapshot:
-	// reads route to the flat table and interning panics (see NewFrozenSchema).
-	frozen *FrozenStrings
+	mu     sync.Mutex
+	tab    FrozenStrings
+	index  []uint64
+	seed   maphash.Seed
+	frozen bool // set at construction only, so read without the lock
 }
 
+// minIndex is the index size of a new table; minBlob the first blob chunk.
+// Both start small, so the thousands of tiny dictionaries tests build stay
+// tiny.
+const (
+	minIndex = 8
+	minBlob  = 1 << 10
+)
+
 func newSymtab() symtab {
-	return symtab{ids: make(map[string]uint32)}
+	return symtab{tab: FrozenStrings{off: []int64{0}}, index: make([]uint64, minIndex), seed: maphash.MakeSeed()}
+}
+
+func frozenSymtab(fs *FrozenStrings) symtab {
+	return symtab{tab: *fs, frozen: true}
 }
 
 func (t *symtab) intern(s string) uint32 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.frozen != nil {
-		panic("kb: intern into a frozen (snapshot-backed) dictionary")
-	}
-	if id, ok := t.ids[s]; ok {
-		return id
-	}
-	return t.add(s)
+	return t.internBytes(bytesOf(s))
 }
 
 // internBytes is intern for text still sitting in a read buffer: the lookup
-// allocates nothing, and only a first sighting copies b (into the arena).
+// allocates nothing, and only a first sighting copies b (onto the blob).
 // The caller holds t.mu — the ingester takes it once per literal, not once
-// per token.
+// per token — or is the only goroutine that uses the table.
 func (t *symtab) internBytes(b []byte) uint32 {
-	if id, ok := t.ids[string(b)]; ok {
-		return id
-	}
-	if t.frozen != nil {
+	if t.frozen {
 		panic("kb: intern into a frozen (snapshot-backed) dictionary")
 	}
-	return t.add(t.arena.add(b))
-}
-
-func (t *symtab) add(s string) uint32 {
-	id := uint32(len(t.strs))
-	t.ids[s] = id
-	t.strs = append(t.strs, s)
+	tag := uint32(maphash.Bytes(t.seed, b))
+	slot, id, ok := t.probe(b, tag)
+	if ok {
+		return id
+	}
+	id = uint32(t.tab.Len())
+	if cap(t.tab.blob)-len(t.tab.blob) < len(b) {
+		// Doubling: a string handed out earlier keeps the old array alive
+		// and unchanged, since appends never write below the length.
+		t.tab.blob = slices.Grow(t.tab.blob, max(len(t.tab.blob), len(b), minBlob))
+	}
+	t.tab.blob = append(t.tab.blob, b...)
+	t.tab.off = appendDoubling(t.tab.off, int64(len(t.tab.blob)))
+	t.index[slot] = uint64(tag)<<32 | uint64(id+1)
+	if 4*(int(id)+1) > 3*len(t.index) {
+		t.grow(2 * len(t.index))
+	}
 	return id
 }
 
+// probe finds b in the index, or else the empty slot where it belongs.
+func (t *symtab) probe(b []byte, tag uint32) (slot int, id uint32, ok bool) {
+	mask := len(t.index) - 1
+	for slot = int(tag) & mask; ; slot = (slot + 1) & mask {
+		e := t.index[slot]
+		if e == 0 {
+			return slot, 0, false
+		}
+		if uint32(e>>32) == tag {
+			id = uint32(e) - 1
+			if string(t.tab.blob[t.tab.off[id]:t.tab.off[id+1]]) == string(b) {
+				return slot, id, true
+			}
+		}
+	}
+}
+
+// grow re-places every slot into a fresh index of n slots.
+func (t *symtab) grow(n int) {
+	index := make([]uint64, n)
+	mask := n - 1
+	for _, e := range t.index {
+		if e == 0 {
+			continue
+		}
+		slot := int(e>>32) & mask
+		for index[slot] != 0 {
+			slot = (slot + 1) & mask
+		}
+		index[slot] = e
+	}
+	t.index = index
+}
+
 // reserve sizes a still-empty dictionary for n strings, so that loading a
-// large KB does not grow the map a dozen times on the way.
+// large KB does not grow the index a dozen times on the way.
 func (t *symtab) reserve(n int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.frozen == nil && len(t.strs) == 0 {
-		t.ids = make(map[string]uint32, n)
-		t.strs = make([]string, 0, n)
+	if t.frozen || t.tab.Len() > 0 {
+		return
 	}
+	size := minIndex
+	for 3*size < 4*n {
+		size *= 2
+	}
+	t.index = make([]uint64, size)
+	t.tab.off = make([]int64, 1, n+1)
 }
 
-func (t *symtab) lookup(s string) (uint32, bool) {
-	if t.frozen != nil {
-		return t.frozen.Lookup(s)
+// find looks b up without taking t.mu: the caller holds it, or nobody
+// interns into the table any more (a built KB's URIs, a frozen table).
+func (t *symtab) find(b []byte) (uint32, bool) {
+	if t.frozen {
+		return t.tab.Lookup(unsafe.String(unsafe.SliceData(b), len(b)))
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	id, ok := t.ids[s]
+	_, id, ok := t.probe(b, uint32(maphash.Bytes(t.seed, b)))
 	return id, ok
 }
 
-func (t *symtab) len() int {
-	if t.frozen != nil {
-		return t.frozen.Len()
+func (t *symtab) lookup(s string) (uint32, bool) {
+	if !t.frozen {
+		t.mu.Lock()
+		defer t.mu.Unlock()
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.strs)
+	return t.find(bytesOf(s))
+}
+
+func (t *symtab) len() int {
+	if !t.frozen {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+	}
+	return t.tab.Len()
 }
 
 // str is lock-free: IDs are never reassigned. Callers must not race it with
 // interning — in the pipeline all interning happens at KB build time,
 // strictly before any resolution stage reads the dictionary.
-func (t *symtab) str(id uint32) string {
-	if t.frozen != nil {
-		return t.frozen.At(int(id))
+func (t *symtab) str(id uint32) string { return t.tab.At(int(id)) }
+
+// view returns the strings interned so far as a table of their own (without
+// a sorted permutation, unless the table is frozen). The view is safe to read
+// while other goroutines keep interning: interning only appends past the
+// view's end, and growth moves the table to new arrays, leaving the view's
+// as they were.
+func (t *symtab) view() FrozenStrings {
+	if !t.frozen {
+		t.mu.Lock()
+		defer t.mu.Unlock()
 	}
-	return t.strs[id]
+	blob, off := t.tab.blob, t.tab.off
+	return FrozenStrings{blob: blob[:len(blob):len(blob)], off: off[:len(off):len(off)], sorted: t.tab.sorted}
 }
 
-// snapshot returns the strings interned so far. The result is safe to read
-// while other goroutines keep interning: entries are never rewritten.
-func (t *symtab) snapshot() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.strs[:len(t.strs):len(t.strs)]
-}
-
-// arena hands out immutable strings carved from large byte chunks. Chunks
-// start small, so the thousands of tiny dictionaries tests build stay tiny.
-type arena struct {
-	chunk []byte // current chunk; its length is the part handed out
-	size  int    // capacity of the current chunk's size class
-}
-
-const maxArenaChunk = 1 << 20
-
-func (a *arena) add(b []byte) string {
-	if len(b) == 0 {
-		return ""
+// freeze returns the table as a frozen one with lookup support: a view plus
+// the sorted permutation, which is all it computes.
+func (t *symtab) freeze() *FrozenStrings {
+	f := t.view()
+	if !t.frozen {
+		f.sorted = sortedOrder(f.Len(), f.At)
 	}
-	if cap(a.chunk)-len(a.chunk) < len(b) {
-		a.size = min(max(2*a.size, 1<<10), maxArenaChunk)
-		a.chunk = make([]byte, 0, max(a.size, len(b)))
-	}
-	n := len(a.chunk)
-	a.chunk = append(a.chunk, b...)
-	return unsafe.String(&a.chunk[n], len(b))
+	return &f
 }
 
 // Schema is the schema-axis counterpart of the token Interner: the shared

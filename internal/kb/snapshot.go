@@ -25,8 +25,7 @@ type SnapshotParts struct {
 	Dict   *Interner
 	Schema *Schema
 
-	// URIs holds entity URIs in EntityID order, with lookup support
-	// (replacing the byURI map).
+	// URIs holds entity URIs in EntityID order, with lookup support.
 	URIs *FrozenStrings
 
 	// TokenOff/Tokens is the per-entity token CSR: entity i's sorted distinct
@@ -52,8 +51,8 @@ type SnapshotParts struct {
 }
 
 // SnapshotParts decomposes the KB for serialization. The returned slices
-// partly alias the KB (columns, token IDs); the URI and statement tables are
-// materialized fresh.
+// partly alias the KB (columns, URI bytes); the token CSR and the statement
+// tables are materialized fresh.
 func (k *KB) SnapshotParts() SnapshotParts {
 	ents := k.ents()
 	n := len(ents)
@@ -70,13 +69,11 @@ func (k *KB) SnapshotParts() SnapshotParts {
 		AttrName: k.cols.attrName,
 		AttrVal:  k.cols.attrVal,
 	}
-	uris := make([]string, n)
 	nTok := 0
 	for i := range ents {
-		uris[i] = ents[i].URI
 		nTok += len(ents[i].tokens)
 	}
-	p.URIs = FreezeStrings(uris, true)
+	p.URIs = k.uris.freeze()
 	p.Tokens = make([]TokenID, 0, nTok)
 	for i := range ents {
 		p.TokenOff[i] = int64(len(p.Tokens))
@@ -163,6 +160,7 @@ func AssembleKB(p SnapshotParts) (*KB, error) {
 	// frozen URI table alone, so the per-entity Description array — the
 	// dominant cost of opening a snapshot — is deferred until something
 	// actually asks for a *Description (see KB.ents).
+	uris := frozenSymtab(p.URIs)
 	return &KB{
 		name:   p.Name,
 		size:   n,
@@ -172,9 +170,9 @@ func AssembleKB(p SnapshotParts) (*KB, error) {
 			relOff: p.RelOff, relPred: p.RelPred, relObj: p.RelObj,
 			attrOff: p.AttrOff, attrName: p.AttrName, attrVal: p.AttrVal,
 		},
-		triples:    p.Triples,
-		frozenURIs: p.URIs,
-		lazy:       &lazyDescriptions{parts: p},
+		triples: p.Triples,
+		uris:    &uris,
+		lazy:    &lazyDescriptions{parts: p},
 	}, nil
 }
 

@@ -94,8 +94,9 @@ func edgeRows(offID, flatID uint32, r graph.Rows[graph.Edge]) []section {
 	return []section{{offID, i64Bytes(r.Off)}, {flatID, edgeBytes(r.Flat)}}
 }
 
-// kbGroup decomposes one KB. The columns are the KB's own arrays; the URI,
-// token and statement tables are still derived per description here.
+// kbGroup decomposes one KB. The columns and the URI table are the KB's own
+// arrays (the URIs gain their sorted permutation); the token and statement
+// tables are still derived per description here.
 func kbGroup(base uint32, k *kb.KB) group {
 	return group{kbSections, func() []section {
 		p := k.SnapshotParts()
@@ -137,13 +138,13 @@ func ready(secs ...[]section) group {
 // WriteSubstrate serializes sub, including its graph and query-path name
 // index (the substrate's graph is built first if nothing has needed it yet —
 // snapshots exist to make warm starts instant, so it always ships). On
-// little-endian hosts the graph, KB-column and index sections are the bytes
-// of the arrays the substrate already holds; what has to be derived —
-// frozen dictionaries, the per-description KB tables, the name index — is
-// prepared group by group on the substrate's workers while this goroutine
-// writes finished groups in table order. A writer that can seek is streamed
-// to (the table is patched in at the end); any other gets the same bytes
-// once every group is ready.
+// little-endian hosts the graph, KB-column, dictionary and index sections
+// are the bytes of the arrays the substrate already holds; what has to be
+// derived — the dictionaries' sorted permutations, the per-description KB
+// tables, the name index — is prepared group by group on the substrate's
+// workers while this goroutine writes finished groups in table order. A
+// writer that can seek is streamed to (the table is patched in at the end);
+// any other gets the same bytes once every group is ready.
 func WriteSubstrate(w io.Writer, sub *core.Substrate) error {
 	ctx := context.Background()
 	qs, err := sub.ExportQueryState(ctx)
