@@ -1,25 +1,8 @@
 # Developer entry points. CI runs the same steps (see .github/workflows/ci.yml).
+# End-to-end performance is measured by the repository benchmark under
+# benchmark/ (see BENCHMARK.json and benchmark/README.md).
 
-SCALE ?= 0.5
-REPS  ?= 3
-# The primary bench run is pinned to one core so data points are comparable
-# across machines and over time; PAR_WORKERS adds extra monolithic data
-# points at other engine sizes (0 = all cores), so the records — and the
-# regression gate — also watch parallel scaling, not just 1-core speed. The
-# default sweep records the {1,2,4,8} scaling curve of the overlapped
-# substrate build per dataset.
-BENCH_WORKERS ?= 1
-PAR_WORKERS   ?= 1,2,4,8
-# bench-check compares against the committed baseline, so its scale, shard
-# counts and worker counts must match the ones the baseline was recorded
-# with. The tolerance is deliberately loose: per-stage wall-clock on shared
-# CI runners routinely swings ~2× between runs, and the gate exists to
-# catch order-of-magnitude algorithmic blowups, not scheduler jitter.
-CHECK_SCALE  ?= 0.25
-CHECK_SHARDS ?= 1,8
-TOLERANCE    ?= 3.0
-
-.PHONY: build test race race-overlap fmt vet bench-module-check fuzz-smoke lint cover bench bench-test smoke smoke-examples serve-smoke bench-check bench-baseline profile
+.PHONY: build test race race-overlap fmt vet bench-module-check fuzz-smoke lint cover bench-test smoke smoke-examples serve-smoke
 
 build:
 	go build ./...
@@ -67,25 +50,19 @@ cover:
 	go test -race -covermode=atomic -coverprofile=coverage.out ./...
 	go tool cover -func=coverage.out | tail -n 1
 
-# bench emits BENCH_<date>.json with per-stage wall-clock timings for every
-# Table-1 preset — the perf trajectory data points the ROADMAP asks for —
-# measured at 1 core, plus a workers=GOMAXPROCS data point per dataset.
-bench:
-	go run ./cmd/experiments -bench -scale $(SCALE) -reps $(REPS) -shards $(CHECK_SHARDS) \
-		-workers $(BENCH_WORKERS) -parworkers $(PAR_WORKERS)
-
 # bench-test runs the Go benchmark suite (tables, figures, stages, ablations).
 bench-test:
 	go test -bench . -run '^$$' -benchmem .
 
-# smoke is the fast CI variant: one small preset, one repetition, plus a
-# CLI round trip through the per-entity query path (-query, both output
-# formats) on a generated dataset, and a snapshot round trip: the substrate
-# is persisted with -save-snapshot, reloaded with -snapshot, and the two
-# query paths must emit byte-identical candidates JSON.
+# smoke is the fast CI variant: one small preset through the pipeline
+# benchmark and through cmd/experiments, plus a CLI round trip through the
+# per-entity query path (-query, both output formats) on a generated
+# dataset, and a snapshot round trip: the substrate is persisted with
+# -save-snapshot, reloaded with -snapshot, and the two query paths must emit
+# byte-identical candidates JSON.
 smoke:
 	go test -run '^$$' -bench '^BenchmarkPipelineRestaurant$$' -benchtime 1x .
-	go run ./cmd/experiments -bench -datasets Restaurant -reps 1 -benchout /tmp/bench-smoke.json
+	go run ./cmd/experiments -table 1 -datasets Restaurant -scale 0.2
 	go run ./cmd/datagen -preset Restaurant -scale 0.2 -out /tmp/minoaner-query-smoke
 	go run ./cmd/minoaner -e1 /tmp/minoaner-query-smoke/e1.nt -e2 /tmp/minoaner-query-smoke/e2.nt \
 		-query "$$(head -1 /tmp/minoaner-query-smoke/gt.tsv | cut -f1)"
@@ -113,25 +90,3 @@ serve-smoke:
 # self-contained and exit non-zero on broken invariants).
 smoke-examples:
 	@set -e; for d in examples/*/; do echo "== $$d"; go run ./$$d >/dev/null; done
-
-# bench-check is the CI benchmark-regression gate: re-measure at the
-# baseline's scale and fail on a >$(TOLERANCE)× per-stage regression (or an
-# F1/determinism break) against the committed BENCH_baseline.json.
-bench-check:
-	go run ./cmd/experiments -bench -scale $(CHECK_SCALE) -reps $(REPS) -shards $(CHECK_SHARDS) \
-		-workers $(BENCH_WORKERS) -parworkers $(PAR_WORKERS) \
-		-benchout /tmp/bench-current.json -check BENCH_baseline.json -tolerance $(TOLERANCE)
-
-# bench-baseline refreshes the committed gate baseline on the current tree
-# (run after an intentional perf change, commit the result).
-bench-baseline:
-	go run ./cmd/experiments -bench -scale $(CHECK_SCALE) -reps $(REPS) -shards $(CHECK_SHARDS) \
-		-workers $(BENCH_WORKERS) -parworkers $(PAR_WORKERS) \
-		-benchout BENCH_baseline.json
-
-# profile emits pprof CPU and heap profiles for one preset pipeline run
-# (inspect with `go tool pprof cpu.pprof` / `go tool pprof mem.pprof`).
-PROFILE_DATASET ?= Rexa-DBLP
-profile:
-	go run ./cmd/experiments -bench -datasets $(PROFILE_DATASET) -scale $(SCALE) -reps $(REPS) \
-		-benchout /tmp/bench-profile.json -cpuprofile cpu.pprof -memprofile mem.pprof

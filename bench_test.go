@@ -479,9 +479,10 @@ func BenchmarkStatisticsTopInNeighbors(b *testing.B) {
 
 // BenchmarkQueryEntity guards the per-entity query path: one QueryEntity
 // call per iteration against a prewarmed substrate, cycling through E1 — the
-// "build once, query many" latency the bench-check gate holds percentiles
-// on. Allocations are part of the guard: each query should only pay for its
-// own candidate rows, never for substrate state.
+// "build once, query many" latency whose percentiles the repository benchmark
+// reports as core.query_p50_us and core.query_p99_us. Allocations are part of
+// the guard: each query should only pay for its own candidate rows, never
+// for substrate state.
 func BenchmarkQueryEntity(b *testing.B) {
 	d, err := datagen.Generate(datagen.Scale(datagen.BBCMusicDBpedia(), 0.25))
 	if err != nil {

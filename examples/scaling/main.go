@@ -89,9 +89,9 @@ func main() {
 }
 
 // timeAndPeakHeap runs fn, sampling the live heap (~1 kHz) under aggressive
-// GC so the peak reflects the working set rather than collector laziness. It
-// mirrors the sampler behind `cmd/experiments -bench` (peak_heap_mb) so the
-// example's numbers are comparable with the committed BENCH reports.
+// GC so the peak reflects the working set rather than collector laziness.
+// The sampler misses sub-millisecond spikes, so the peak is a trajectory
+// figure, not a bound.
 func timeAndPeakHeap(fn func() error) (time.Duration, uint64, error) {
 	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
 	read := func() uint64 {

@@ -121,8 +121,8 @@ func (c Config) normalize() (Config, error) {
 // Timings records wall-clock durations per pipeline stage; the matching
 // share of total time is reported in §6.2. The statistics stage is further
 // broken into its three sub-stages (each one barrier of Figure 4's left
-// column) so the benchmark-regression gate can pin the columnar statistics
-// substrate per pass, not just in aggregate.
+// column). No caller reads the sub-stage clocks; they stay because the
+// snapshot's meta section serializes Timings as a whole.
 type Timings struct {
 	Statistics time.Duration
 	// StatsAttributes covers attribute-importance / name discovery for both

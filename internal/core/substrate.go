@@ -171,13 +171,13 @@ func BuildSubstrate(ctx context.Context, k1, k2 *kb.KB, cfg Config) (*Substrate,
 // depends on nothing from statistics, so it overlaps all of stage 1; name
 // blocking needs only the discovered name attributes, so it starts as soon
 // as those land, overlapping the relation and top-neighbor passes. Every
-// sub-stage keeps its own clock, so the regression gate's per-stage columns
+// sub-stage keeps its own clock, so the per-stage Timings fields
 // stay meaningful: Statistics and Blocking are reported as the SUM of their
 // sub-clocks (CPU-work semantics, identical to the historical barrier walls
 // at one worker), while buildWall records the real — shorter, overlapped —
 // elapsed time. At Workers() == 1 the same sub-stages run in topological
 // order instead: overlap cannot help one worker, and sequential clocks keep
-// the 1-core bench columns free of goroutine-interleaving noise.
+// the 1-core stage clocks free of goroutine-interleaving noise.
 func buildSubstrate(ctx context.Context, eng *parallel.Engine, k1, k2 *kb.KB, cfg Config, p int) (*Substrate, error) {
 	sub := &Substrate{k1: k1, k2: k2, cfg: cfg}
 	start := time.Now()

@@ -3,6 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"minoaner/internal/core"
+	"minoaner/internal/eval"
 )
 
 // testSuite builds a small-scale suite covering all four presets.
@@ -169,6 +172,47 @@ func TestFigure5SweepsComplete(t *testing.T) {
 	}
 	if !strings.Contains(FormatFigure5(points), "theta") {
 		t.Error("FormatFigure5 output")
+	}
+}
+
+// TestPresetAccuracy pins the pipeline's effectiveness on every preset at
+// scale 0.25, at one worker and at all cores: the match count exactly, and
+// F1 to at most 0.05 below the recorded value. The recorded values were
+// measured at scale 0.25 with the default configuration: Restaurant 28
+// matches at F1 0.880, Rexa-DBLP 298 at 0.993, BBCmusic-DBpedia 613 at 0.968
+// and YAGO-IMDb 1715 at 0.969.
+func TestPresetAccuracy(t *testing.T) {
+	recorded := []struct {
+		dataset string
+		matches int
+		f1      float64
+	}{
+		{"Restaurant", 28, 0.880},
+		{"Rexa-DBLP", 298, 0.993},
+		{"BBCmusic-DBpedia", 613, 0.968},
+		{"YAGO-IMDb", 1715, 0.969},
+	}
+	s := testSuite(t, 0.25)
+	for _, want := range recorded {
+		d, err := s.Dataset(want.dataset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 0} {
+			cfg := core.DefaultConfig()
+			cfg.Workers = workers
+			out, err := core.Resolve(d.K1, d.K2, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(out.Matches); got != want.matches {
+				t.Errorf("%s workers=%d: %d matches, want %d", want.dataset, workers, got, want.matches)
+			}
+			if f1 := eval.Evaluate(out.Pairs(), d.GT).F1; f1 < want.f1-0.05 {
+				t.Errorf("%s workers=%d: F1 %.3f more than 0.05 below the recorded %.3f",
+					want.dataset, workers, f1, want.f1)
+			}
+		}
 	}
 }
 

@@ -92,6 +92,3 @@ func (s *Suite) Names() []string {
 	}
 	return out
 }
-
-// Workers exposes the configured engine size.
-func (s *Suite) Workers() int { return s.opts.Workers }

@@ -84,8 +84,8 @@ type Input struct {
 }
 
 // Timings records the wall clock of the two weighting phases of Algorithm 1
-// — the sub-stage split the benchmark-regression gate pins (graph_beta_ms /
-// graph_gamma_ms, mirroring the statistics sub-stages).
+// — the sub-stage split the repository benchmark reports as graph.beta_s /
+// graph.gamma_s, mirroring the statistics sub-stages.
 type Timings struct {
 	// Beta covers name evidence and both β directions: they run concurrently
 	// (Figure 4), so they are timed as one barrier. Gamma covers the
