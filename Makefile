@@ -13,12 +13,13 @@ test:
 race:
 	go test -race ./...
 
-# race-overlap exercises the overlapped substrate build and the concurrent
-# γ sides of graph construction under the race detector at an explicit workers=2
-# engine (the smallest size where the removed barriers matter), repeated so
-# goroutine interleavings vary.
+# race-overlap exercises the overlapped substrate build, the concurrent γ
+# sides of graph construction and the streamed batch resolve, whose γ rows are
+# chosen by a row demand read while spans fill, under the race detector at an
+# explicit workers=2 engine (the smallest size where the removed barriers
+# matter), repeated so goroutine interleavings vary.
 race-overlap:
-	go test -race -count=2 -run 'Overlap' ./internal/core ./internal/graph
+	go test -race -count=2 -run 'Overlap|StreamedResolve' ./internal/core ./internal/graph
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi

@@ -375,20 +375,33 @@ func BenchmarkBuildBeta(b *testing.B) {
 
 // BenchmarkGammaRows guards the scoreboard γ pass in isolation: E1-side
 // neighbor propagation over the merged β adjacency and E2's reverse
-// top-neighbor index, K=15.
+// top-neighbor index, K=15. "all" computes every row; "every-other" asks for
+// every second row and only counts the edges of the rest, the form a batch
+// resolve uses once R1 and R2 have matched part of E1.
 func BenchmarkGammaRows(b *testing.B) {
 	_, in, g := benchComponents()
 	eng := parallel.New(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := g.Gamma1Span(context.Background(), eng, parallel.Span{Lo: 0, Hi: len(in.Top1)}, graph.Rows[graph.Edge]{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rows.Len() != len(in.Top1) {
-			b.Fatal("wrong row count")
-		}
+	whole := parallel.Span{Lo: 0, Hi: len(in.Top1)}
+	everyOther := make([]bool, whole.Hi)
+	for i := range everyOther {
+		everyOther[i] = i%2 == 0
+	}
+	for _, c := range []struct {
+		name string
+		need []bool
+	}{{"all", nil}, {"every-other", everyOther}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rows, edges, err := g.Gamma1Span(context.Background(), eng, whole, c.need, graph.Rows[graph.Edge]{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rows.Len() != whole.Hi || edges < len(rows.Flat) {
+					b.Fatal("wrong row or edge count")
+				}
+			}
+		})
 	}
 }
 

@@ -269,9 +269,10 @@ func resolveWith(ctx context.Context, eng *parallel.Engine, sub *Substrate, cfg 
 	}
 
 	// Stage 4 — non-iterative matching (Algorithm 2). The γ rows of each E1
-	// span are built on demand; the time spent on them is accounted to the
-	// graph stage and the rows are tallied so GraphEdges counts the whole
-	// graph, even though its E1-side γ rows never exist at once.
+	// span are built on demand, and only those R3 and R4 will read; the time
+	// spent on them is accounted to the graph stage. Gamma1Span counts the
+	// edges of every row, built or not, so GraphEdges counts the whole graph,
+	// though its E1-side γ rows never exist at once and some are never built.
 	n1 := sub.k1.Len()
 	spans := shardSpans(n1, max(p, (n1+gammaSpanRows-1)/gammaSpanRows))
 	t0 := time.Now()
@@ -280,11 +281,12 @@ func resolveWith(ctx context.Context, eng *parallel.Engine, sub *Substrate, cfg 
 		gamma1Edges int
 		rows        graph.Rows[graph.Edge] // one span's, reused for the next
 	)
-	gammaFor := func(gctx context.Context, s parallel.Span) (_ graph.Rows[graph.Edge], err error) {
+	gammaFor := func(gctx context.Context, s parallel.Span, need []bool) (_ graph.Rows[graph.Edge], err error) {
 		gt := time.Now()
-		rows, err = pg.g.Gamma1Span(gctx, eng, s, rows)
+		var edges int
+		rows, edges, err = pg.g.Gamma1Span(gctx, eng, s, need, rows)
 		gammaTime += time.Since(gt)
-		gamma1Edges += len(rows.Flat)
+		gamma1Edges += edges
 		return rows, err
 	}
 	res, err := matching.RunShardedCtx(ctx, eng, pg.g, sub.k1, sub.k2, mc, spans, gammaFor)

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -51,7 +52,9 @@ type Graph struct {
 	// Gamma2 row j holds up to K candidates sorted by decreasing
 	// neighborNSim. Gamma1 — the largest per-node structure — has no rows
 	// unless BuildTimedCtx materialized it: consumers stream its rows in
-	// spans (Gamma1Span) or compute one (Gamma1RowFor) from the inputs below.
+	// spans (Gamma1Span), computing only the rows they will read and the
+	// lengths of the others, or compute one (Gamma1RowFor) from the inputs
+	// below.
 	Gamma1, Gamma2 Rows[Edge]
 
 	// The inputs of E1-side γ rows: E1's top-neighbor lists (shared with the
@@ -141,7 +144,7 @@ func BuildSharedCtx(ctx context.Context, e *parallel.Engine, in Input) (*Graph, 
 	adj2 := MergeAdjacency(e, g.Beta2, g.Beta1)
 	side2 := func(sc context.Context) (err error) {
 		in1 := TopInNeighbors(in.Top1)
-		g.Gamma2, err = gammaRows(sc, ce, parallel.Span{Lo: 0, Hi: n2}, in.Top2, adj2, in1, in.K, Rows[Edge]{})
+		g.Gamma2, _, err = gammaRows(sc, ce, parallel.Span{Lo: 0, Hi: n2}, in.Top2, adj2, in1, in.K, nil, Rows[Edge]{})
 		return err
 	}
 	side1 := func(context.Context) error {
@@ -170,7 +173,7 @@ func BuildTimedCtx(ctx context.Context, e *parallel.Engine, in Input) (*Graph, T
 		return nil, tm, err
 	}
 	t0 := time.Now()
-	if g.Gamma1, err = g.Gamma1Span(ctx, e, parallel.Span{Lo: 0, Hi: in.K1.Len()}, Rows[Edge]{}); err != nil {
+	if g.Gamma1, _, err = g.Gamma1Span(ctx, e, parallel.Span{Lo: 0, Hi: in.K1.Len()}, nil, Rows[Edge]{}); err != nil {
 		return nil, tm, err
 	}
 	tm.Gamma += time.Since(t0)
@@ -249,13 +252,14 @@ func buildAlpha(nameBlocks *blocking.Collection, n1, n2 int) (alpha1, alpha2 Row
 // retained weight — are bit-identical to the map-based reference the
 // property tests keep.
 func BetaRowsCtx(ctx context.Context, e *parallel.Engine, ix *blocking.TokenIndex, from *kb.KB, otherLen int, fromIsE1 bool, k int) (Rows[Edge], error) {
-	return emitRows(ctx, e, from.Len(), otherLen, k, Rows[Edge]{}, func(board *Scoreboard, i int) {
+	rows, _, err := emitRows(ctx, e, from.Len(), otherLen, k, nil, Rows[Edge]{}, func(board *Scoreboard, i, _ int) {
 		ix.ForEachShared(from.Entity(kb.EntityID(i)), fromIsE1, func(w float64, others []kb.EntityID) {
 			for _, o := range others {
 				board.Add(o, w)
 			}
 		})
 	})
+	return rows, err
 }
 
 // gammaRows propagates β weights to in-neighbor pairs (Algorithm 1, lines
@@ -268,26 +272,36 @@ func BetaRowsCtx(ctx context.Context, e *parallel.Engine, ix *blocking.TokenInde
 // side, whose length is also the candidate ID space. Rows are per-node
 // independent, so concatenating spans in order reproduces the full-range
 // pass exactly; per-candidate sums follow the neighbor-walk order of the
-// map-based reference, keeping the weights bit-identical. reuse is passed on
-// to emitRows.
-func gammaRows(ctx context.Context, e *parallel.Engine, s parallel.Span, top [][]kb.EntityID, adj Rows[Edge], inOther Rows[kb.EntityID], k int, reuse Rows[Edge]) (Rows[Edge], error) {
-	return emitRows(ctx, e, s.Len(), inOther.Len(), k, reuse, func(board *Scoreboard, i int) {
+// map-based reference, keeping the weights bit-identical. need (indexed by
+// the side's node IDs, nil for every row), reuse and the edge count are
+// those of emitRows.
+func gammaRows(ctx context.Context, e *parallel.Engine, s parallel.Span, top [][]kb.EntityID, adj Rows[Edge], inOther Rows[kb.EntityID], k int, need []bool, reuse Rows[Edge]) (Rows[Edge], int, error) {
+	if need != nil {
+		need = need[s.Lo:s.Hi]
+	}
+	return emitRows(ctx, e, s.Len(), inOther.Len(), k, need, reuse, func(board *Scoreboard, i, limit int) {
 		for _, na := range top[s.Lo+i] {
 			for _, edge := range adj.Row(int(na)) {
 				for _, b := range inOther.Row(int(edge.To)) {
 					board.Add(b, edge.Weight)
+				}
+				if len(board.touched) >= limit {
+					return
 				}
 			}
 		}
 	})
 }
 
-// Gamma1Span computes the γ rows of one contiguous E1 span: s.Len() rows,
-// row i describing entity s.Lo+i. Consumers that walk all of E1 pull the
-// rows span by span and hand each set back as reuse when asking for the
-// next, so one span's arrays serve the whole walk.
-func (g *Graph) Gamma1Span(ctx context.Context, e *parallel.Engine, s parallel.Span, reuse Rows[Edge]) (Rows[Edge], error) {
-	return gammaRows(ctx, e.Chunked(), s, g.Top1, g.Adj1, g.In2, g.K, reuse)
+// Gamma1Span computes the γ rows of one contiguous E1 span — s.Len() rows,
+// row i describing entity s.Lo+i — and the number of edges those rows hold
+// in the graph. need, when not nil, flags per E1 entity the rows a consumer
+// will read: every other row comes back empty, and only its length is
+// counted, from a walk cut off once K candidates are touched. Consumers that
+// walk all of E1 pull the rows span by span and hand each set back as reuse
+// when asking for the next, so one span's arrays serve the whole walk.
+func (g *Graph) Gamma1Span(ctx context.Context, e *parallel.Engine, s parallel.Span, need []bool, reuse Rows[Edge]) (Rows[Edge], int, error) {
+	return gammaRows(ctx, e.Chunked(), s, g.Top1, g.Adj1, g.In2, g.K, need, reuse)
 }
 
 // byTarget orders edges by target, the heavier of two edges to one target
@@ -495,26 +509,38 @@ func (g *Graph) CheckShape(n1, n2 int) error {
 // the KB it points into — possible only in a graph installed from a file.
 var ErrOutOfRange = errors.New("graph: entity ID outside its KB")
 
+// ErrBadWeight reports an edge weight that is not strictly positive and
+// finite — possible only in a graph installed from a file. The scoreboard
+// tells an untouched candidate by its zero score, so a weight that can
+// cancel a sum would let one candidate enter a row twice.
+var ErrBadWeight = errors.New("graph: edge weight not strictly positive and finite")
+
 // CheckTargets range-checks every entity ID and edge target of a graph that
-// passed CheckShape: whatever a consumer later uses as an index must lie
-// inside the array it indexes. It reads the whole graph, so a loader leaves
-// it to the first consumer that walks the whole graph anyway; the
-// per-entity query kernels check the few rows they touch themselves.
+// passed CheckShape — whatever a consumer later uses as an index must lie
+// inside the array it indexes — and checks every edge weight (ErrBadWeight).
+// It reads the whole graph, so a loader leaves it to the first consumer that
+// walks the whole graph anyway; the per-entity query kernels check the few
+// rows they touch themselves.
 func (g *Graph) CheckTargets(n1, n2 int) error {
 	ok := kb.IDsBelow(g.Alpha1.Flat, n2) && kb.IDsBelow(g.Alpha2.Flat, n1) && kb.IDsBelow(g.In2.Flat, n2)
 	for _, row := range g.Top1 {
 		ok = ok && kb.IDsBelow(row, n1)
 	}
+	weighted := true
 	for _, c := range []struct {
 		edges []Edge
 		below int
 	}{{g.Beta1.Flat, n2}, {g.Beta2.Flat, n1}, {g.Gamma1.Flat, n2}, {g.Gamma2.Flat, n1}, {g.Adj1.Flat, n2}} {
 		for _, edge := range c.edges {
 			ok = ok && edge.To >= 0 && int(edge.To) < c.below
+			weighted = weighted && edge.Weight > 0 && edge.Weight <= math.MaxFloat64
 		}
 	}
-	if !ok {
+	switch {
+	case !ok:
 		return ErrOutOfRange
+	case !weighted:
+		return ErrBadWeight
 	}
 	return nil
 }

@@ -355,7 +355,7 @@ func TestGamma1SpansMatchMaterialized(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 16} {
 		var gamma1 [][]Edge
 		for _, s := range parallel.New(p).Partitions(w.Len()) {
-			rows, err := g.Gamma1Span(context.Background(), seq, s, Rows[Edge]{})
+			rows, _, err := g.Gamma1Span(context.Background(), seq, s, nil, Rows[Edge]{})
 			if err != nil {
 				t.Fatalf("p=%d span %v: %v", p, s, err)
 			}
@@ -486,6 +486,36 @@ func TestChecksRejectDamagedGraphs(t *testing.T) {
 			t.Errorf("%s: CheckShape = %v", name, shapeErr)
 		} else if !c.shape && !errors.Is(g.CheckTargets(n1, n2), ErrOutOfRange) {
 			t.Errorf("%s: CheckTargets passed a damaged graph", name)
+		}
+	}
+}
+
+// Every edge weight must be strictly positive and finite: the scoreboard
+// tells untouched candidates by their zero score.
+func TestCheckTargetsRejectsBadWeights(t *testing.T) {
+	w, d := testkb.Figure1()
+	in := InputFor(seq, w, d, 2, 5, 2)
+	n1, n2 := w.Len(), d.Len()
+	for _, bad := range []float64{0, -0.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, edges := range map[string]func(g *Graph) []Edge{
+			"beta1":  func(g *Graph) []Edge { return g.Beta1.Flat },
+			"beta2":  func(g *Graph) []Edge { return g.Beta2.Flat },
+			"gamma1": func(g *Graph) []Edge { return g.Gamma1.Flat },
+			"gamma2": func(g *Graph) []Edge { return g.Gamma2.Flat },
+			"adj1":   func(g *Graph) []Edge { return g.Adj1.Flat },
+		} {
+			g, _, err := BuildTimedCtx(context.Background(), seq, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := g.CheckTargets(n1, n2); err != nil {
+				t.Fatalf("a built graph must pass: %v", err)
+			}
+			es := edges(g)
+			es[len(es)/2].Weight = bad
+			if err := g.CheckTargets(n1, n2); !errors.Is(err, ErrBadWeight) {
+				t.Errorf("%s weight %v: CheckTargets = %v, want ErrBadWeight", name, bad, err)
+			}
 		}
 	}
 }

@@ -26,7 +26,7 @@ func TestGammaOverlapDeterminism(t *testing.T) {
 	}
 	refRows := make([]Rows[Edge], len(spans))
 	for i, s := range spans {
-		if refRows[i], err = gRef.Gamma1Span(ctx, seq, s, Rows[Edge]{}); err != nil {
+		if refRows[i], _, err = gRef.Gamma1Span(ctx, seq, s, nil, Rows[Edge]{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -41,7 +41,7 @@ func TestGammaOverlapDeterminism(t *testing.T) {
 			t.Fatalf("workers=%d: graph differs from sequential build", workers)
 		}
 		for i, s := range spans {
-			rows, err := g.Gamma1Span(ctx, e, s, Rows[Edge]{})
+			rows, _, err := g.Gamma1Span(ctx, e, s, nil, Rows[Edge]{})
 			if err != nil {
 				t.Fatal(err)
 			}

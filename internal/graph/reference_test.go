@@ -48,11 +48,20 @@ func topK(acc map[kb.EntityID]float64, k int) []Edge {
 			edges = append(edges, Edge{To: to, Weight: w})
 		}
 	}
-	slices.SortFunc(edges, edgeCmp)
+	slices.SortFunc(edges, refEdgeCmp)
 	if len(edges) > k {
 		edges = edges[:k]
 	}
 	return edges
+}
+
+// refEdgeCmp is the reference's own statement of the canonical candidate-row
+// order: decreasing weight, ties by increasing entity ID.
+func refEdgeCmp(a, b Edge) int {
+	if a.Weight != b.Weight {
+		return cmp.Compare(b.Weight, a.Weight)
+	}
+	return cmp.Compare(a.To, b.To)
 }
 
 // betaRowsMap is the map-based reference of BetaRowsCtx.

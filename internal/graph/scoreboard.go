@@ -16,8 +16,8 @@
 package graph
 
 import (
-	"cmp"
 	"context"
+	"math"
 	"slices"
 
 	"minoaner/internal/kb"
@@ -62,61 +62,62 @@ func (b *Scoreboard) Reset() {
 	b.touched = b.touched[:0]
 }
 
-// edgeCmp is the canonical candidate-row order: decreasing weight, ties by
-// increasing entity ID. It is total (no two edges of one row share an ID),
-// which is what makes every selection over it order-independent.
-func edgeCmp(a, b Edge) int {
-	if a.Weight != b.Weight {
-		return cmp.Compare(b.Weight, a.Weight)
-	}
-	return cmp.Compare(a.To, b.To)
+// better reports whether a ranks strictly ahead of b in a candidate row:
+// the heavier edge first, ties toward the lower entity ID. The order is total
+// (no two edges of one row share an ID), which is what makes every selection
+// over it order-independent.
+func better(a, b Edge) bool {
+	return a.Weight > b.Weight || (a.Weight == b.Weight && a.To < b.To)
 }
 
-// edgeBetter reports whether a ranks strictly ahead of b under edgeCmp.
-func edgeBetter(a, b Edge) bool { return edgeCmp(a, b) < 0 }
-
-// appendTopK selects the k best candidates of a touched board under edgeCmp
-// and appends them to dst, sorted — the row the map-based reference selects
-// from the same sums, without sorting all touched candidates: a bounded
-// min-heap (root = worst kept) scans the touched list in O(touched · log k),
-// then one k-element sort orders the survivors. heapBuf is the reusable heap
-// scratch (cap ≥ k); the board is left untouched, callers reset it
-// separately.
+// appendTopK selects the k best candidates of a touched board and appends
+// them to dst, ordered by better — the row the map-based reference selects
+// from the same sums, without sorting all touched candidates. The first k
+// candidates fill a bounded heap whose root is the worst one kept; every
+// later candidate is rejected with two float compares against the root's
+// cached weight and ID unless it beats the root, so the common case costs no
+// heap operation. An insertion sort then orders the ≤ k survivors. heapBuf
+// is the reusable heap scratch (cap ≥ k); the board is left untouched,
+// callers reset it separately.
 func appendTopK(dst []Edge, b *Scoreboard, k int, heapBuf []Edge) []Edge {
 	if len(b.touched) == 0 || k <= 0 {
 		return dst
 	}
 	h := heapBuf[:0]
-	for _, to := range b.touched {
-		w := b.score[to]
-		if w <= 0 {
-			// Unreachable with positive contributions; kept as the same
-			// trivial-edge pruning guard the map path applied (§3.3).
-			continue
-		}
-		e := Edge{To: to, Weight: w}
-		if len(h) < k {
-			h = append(h, e)
-			siftUp(h, len(h)-1)
-		} else if edgeBetter(e, h[0]) {
-			h[0] = e
-			siftDown(h, 0)
+	rest := b.touched
+	for len(rest) > 0 && len(h) < k {
+		h = append(h, Edge{To: rest[0], Weight: b.score[rest[0]]})
+		siftUp(h, len(h)-1)
+		rest = rest[1:]
+	}
+	if len(rest) > 0 {
+		rootW, rootTo := h[0].Weight, h[0].To
+		for _, to := range rest {
+			if w := b.score[to]; w > rootW || (w == rootW && to < rootTo) {
+				h[0] = Edge{To: to, Weight: w}
+				siftDown(h, 0)
+				rootW, rootTo = h[0].Weight, h[0].To
+			}
 		}
 	}
 	n := len(dst)
-	dst = append(dst, h...)
-	slices.SortFunc(dst[n:], edgeCmp)
+	dst = slices.Grow(dst, len(h))
+	for _, e := range h {
+		j := len(dst)
+		dst = append(dst, e)
+		for ; j > n && better(e, dst[j-1]); j-- {
+			dst[j] = dst[j-1]
+		}
+		dst[j] = e
+	}
 	return dst
 }
 
-// heapWorse is the heap order: a sorts below b when a ranks BEHIND b under
-// edgeCmp, so the root is always the worst kept candidate.
-func heapWorse(a, b Edge) bool { return edgeBetter(b, a) }
-
+// siftUp and siftDown keep the worst kept candidate at the heap's root.
 func siftUp(h []Edge, i int) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if !heapWorse(h[i], h[p]) {
+		if !better(h[p], h[i]) {
 			return
 		}
 		h[i], h[p] = h[p], h[i]
@@ -128,10 +129,10 @@ func siftDown(h []Edge, i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		m := i
-		if l < len(h) && heapWorse(h[l], h[m]) {
+		if l < len(h) && better(h[m], h[l]) {
 			m = l
 		}
-		if r < len(h) && heapWorse(h[r], h[m]) {
+		if r < len(h) && better(h[m], h[r]) {
 			m = r
 		}
 		if m == i {
@@ -180,33 +181,52 @@ func (sc *boardScratch) finishRow(k int, inRange bool) ([]Edge, error) {
 // bound — no allocation per row or per span, whatever the schedule — and one
 // serial pass then closes the gaps. reuse is a row set the caller is done
 // with; its arrays back the result where they are large enough.
-func emitRows(ctx context.Context, e *parallel.Engine, n, otherLen, k int, reuse Rows[Edge], fill func(board *Scoreboard, i int)) (Rows[Edge], error) {
+//
+// need, when not nil, holds one flag per node. A node whose flag is false
+// gets an empty row: fill may stop once limit candidates are touched (it
+// checks between evidence items, so it may touch more), which is enough to
+// know the row's length, min(k, touched). The second result counts the
+// edges of every row, computed or not. A caller that passes need streams the
+// rows and hands them back as reuse, so only a result computed whole is
+// trimmed to its size.
+func emitRows(ctx context.Context, e *parallel.Engine, n, otherLen, k int, need []bool, reuse Rows[Edge], fill func(board *Scoreboard, i, limit int)) (Rows[Edge], int, error) {
 	stride := max(min(k, otherLen), 0)
 	rows := Rows[Edge]{Off: slices.Grow(reuse.Off[:0], n+1)[:n+1], Flat: slices.Grow(reuse.Flat[:0], n*stride)[:n*stride]}
 	fresh := cap(reuse.Flat) < n*stride
 	err := parallel.ForLocalCtx(ctx, e, n,
 		func() *boardScratch { return newBoardScratch(otherLen, k) },
 		func(sc *boardScratch, i int) error {
-			fill(sc.board, i)
+			if need != nil && !need[i] {
+				// The length is recorded negated; the pass below tells it
+				// from a computed row's by its sign.
+				fill(sc.board, i, stride)
+				rows.Off[i+1] = -int64(min(len(sc.board.touched), stride))
+				sc.board.Reset()
+				return nil
+			}
+			fill(sc.board, i, math.MaxInt)
 			at := i * stride
 			rows.Off[i+1] = int64(len(sc.appendRow(rows.Flat[at:at:at+stride], k)))
 			return nil
 		})
 	if err != nil {
-		return Rows[Edge]{}, err
+		return Rows[Edge]{}, 0, err
 	}
 	rows.Off[0] = 0
-	w := int64(0)
+	w, uncomputed := int64(0), int64(0)
 	for i := 0; i < n; i++ {
 		m := rows.Off[i+1]
+		if m < 0 {
+			uncomputed, m = uncomputed-m, 0
+		}
 		copy(rows.Flat[w:w+m], rows.Flat[i*stride:])
 		w += m
 		rows.Off[i+1] = w
 	}
 	rows.Flat = rows.Flat[:w]
-	if fresh && int(w) < cap(rows.Flat)/2 {
+	if fresh && need == nil && int(w) < cap(rows.Flat)/2 {
 		// Mostly short rows: do not keep the bound's worth of memory alive.
 		rows.Flat = slices.Clone(rows.Flat)
 	}
-	return rows, nil
+	return rows, int(w + uncomputed), nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,28 +47,74 @@ func TestScoreboardAddReset(t *testing.T) {
 
 // appendTopK must select and order exactly the candidates the map-based topK
 // selects from identical accumulations, for every k — including heavy
-// weight ties, where the unique (weight desc, ID asc) order decides.
+// weight ties, where the unique (weight desc, ID asc) order decides. Small
+// boards cover the heap's fill phase; boards of 1,000–4,096 candidates
+// touched in random order mostly exercise the rejection against the root.
 func TestAppendTopKMatchesMapTopK(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	board := NewScoreboard(200)
-	heap := make([]Edge, 0, 200)
-	for trial := 0; trial < 200; trial++ {
-		acc := make(map[kb.EntityID]float64)
-		// Contributions drawn from a tiny weight alphabet to force ties.
-		for add := r.Intn(60); add > 0; add-- {
-			to := kb.EntityID(r.Intn(200))
-			w := float64(1+r.Intn(4)) / 4
-			acc[to] += w
-			board.Add(to, w)
-		}
+	const ids = 8192
+	board := NewScoreboard(ids)
+	heap := make([]Edge, 0, ids)
+	check := func(trial int, acc map[kb.EntityID]float64) {
+		t.Helper()
 		for _, k := range []int{0, 1, 2, 5, 15, 200} {
 			want := topK(acc, k)
 			got := appendTopK(nil, board, k, heap)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d k=%d:\nboard: %v\nmap:   %v", trial, k, got, want)
+				t.Fatalf("trial %d k=%d (%d touched):\nboard: %v\nmap:   %v", trial, k, len(acc), got, want)
 			}
 		}
 		board.Reset()
+	}
+	// Contributions drawn from a tiny weight alphabet to force ties.
+	weight := func() float64 { return float64(1+r.Intn(4)) / 4 }
+	for trial := 0; trial < 200; trial++ {
+		acc := make(map[kb.EntityID]float64)
+		for add := r.Intn(60); add > 0; add-- {
+			to := kb.EntityID(r.Intn(200))
+			w := weight()
+			acc[to] += w
+			board.Add(to, w)
+		}
+		check(trial, acc)
+	}
+	for trial := 0; trial < 20; trial++ {
+		acc := make(map[kb.EntityID]float64)
+		for _, i := range r.Perm(ids)[:1000+r.Intn(3097)] {
+			to := kb.EntityID(i)
+			for adds := 1 + r.Intn(3); adds > 0; adds-- {
+				w := weight()
+				acc[to] += w
+				board.Add(to, w)
+			}
+		}
+		check(trial, acc)
+	}
+}
+
+// Selecting a row is the inner loop of every β and γ pass: it must not
+// allocate once the board and the destination have their capacity. A query
+// kernel selects into no destination at all and pays for its row once.
+func TestAppendRowAllocatesNothing(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	sc := newBoardScratch(500, 15)
+	fill := func() {
+		for add := 0; add < 300; add++ {
+			sc.board.Add(kb.EntityID(r.Intn(500)), float64(1+r.Intn(4))/4)
+		}
+	}
+	dst := make([]Edge, 0, 15)
+	if allocs := testing.AllocsPerRun(100, func() {
+		fill()
+		dst = sc.appendRow(dst[:0], 15)
+	}); allocs != 0 {
+		t.Errorf("appendRow allocates %v times per row, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		fill()
+		dst = sc.appendRow(nil, 15)
+	}); allocs != 1 {
+		t.Errorf("appendRow into no destination allocates %v times per row, want 1", allocs)
 	}
 }
 
@@ -199,7 +246,7 @@ func TestGammaRowsScoreboardMatchesMapReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, e := range []*parallel.Engine{parallel.Sequential(), parallel.New(3).Chunked(), parallel.New(8)} {
-			got, err := gammaRows(ctx, e, full, top, flatAdj, flatIn, 4, Rows[Edge]{})
+			got, _, err := gammaRows(ctx, e, full, top, flatAdj, flatIn, 4, nil, Rows[Edge]{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -211,7 +258,7 @@ func TestGammaRowsScoreboardMatchesMapReference(t *testing.T) {
 		var rows [][]Edge
 		for lo := 0; lo < n1; {
 			hi := lo + 1 + r.Intn(n1-lo)
-			part, err := gammaRows(ctx, parallel.New(2).Chunked(), parallel.Span{Lo: lo, Hi: hi}, top, flatAdj, flatIn, 4, Rows[Edge]{})
+			part, _, err := gammaRows(ctx, parallel.New(2).Chunked(), parallel.Span{Lo: lo, Hi: hi}, top, flatAdj, flatIn, 4, nil, Rows[Edge]{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,6 +268,84 @@ func TestGammaRowsScoreboardMatchesMapReference(t *testing.T) {
 		if !reflect.DeepEqual(rows, want) {
 			t.Fatalf("trial %d: concatenated γ spans differ from full-range pass", trial)
 		}
+	}
+}
+
+// randomGamma1Graph is a graph holding only the inputs of E1-side γ rows,
+// random ones from randomGammaInputs.
+func randomGamma1Graph(r *rand.Rand, n1, n2, k int) *Graph {
+	top, adj, in2 := randomGammaInputs(r, n1, n2)
+	return &Graph{Top1: top, Adj1: rowsOf(adj), In2: rowsOf(in2), K: k}
+}
+
+// A span computed for a demand must hold, in every needed row, the row the
+// full pass computes, leave every other row empty, and count the edges of
+// all rows — whatever K, span plan or worker count, and with reused arrays.
+func TestGamma1SpanComputesOnlyNeededRows(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	ctx := context.Background()
+	for trial := 0; trial < 40; trial++ {
+		n1, n2 := 20+r.Intn(60), 20+r.Intn(60)
+		g := randomGamma1Graph(r, n1, n2, []int{1, 2, 4, 15}[trial%4])
+		full, _, err := g.Gamma1Span(ctx, seq, parallel.Span{Lo: 0, Hi: n1}, nil, Rows[Edge]{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		need := make([]bool, n1)
+		for i := range need {
+			need[i] = r.Intn(3) == 0
+		}
+		e := []*parallel.Engine{seq, parallel.New(2), parallel.New(5)}[trial%3]
+		var (
+			rows  Rows[Edge]
+			edges int
+		)
+		for _, s := range parallel.New(1 + r.Intn(4)).Partitions(n1) {
+			var m int
+			if rows, m, err = g.Gamma1Span(ctx, e, s, need, rows); err != nil {
+				t.Fatal(err)
+			}
+			edges += m
+			for i := s.Lo; i < s.Hi; i++ {
+				want := full.Row(i)
+				if !need[i] {
+					want = nil
+				}
+				if got := rows.Row(i - s.Lo); !slices.Equal(got, want) {
+					t.Fatalf("trial %d row %d (needed %v): got %v, want %v", trial, i, need[i], got, want)
+				}
+			}
+		}
+		if edges != len(full.Flat) {
+			t.Fatalf("trial %d: spans count %d edges, the full pass holds %d", trial, edges, len(full.Flat))
+		}
+	}
+}
+
+// Streaming every span of a resolve through one reused row set must
+// allocate no more when half the rows are not needed than when all are: a
+// half-empty span must not be trimmed to its size, or the next span could
+// not reuse it.
+func TestGamma1SpanDemandKeepsReuse(t *testing.T) {
+	g := randomGamma1Graph(rand.New(rand.NewSource(31)), 2000, 600, 4)
+	spans := parallel.New(4).Partitions(len(g.Top1))
+	half := make([]bool, len(g.Top1))
+	for i := range half {
+		half[i] = i%2 == 0
+	}
+	stream := func(need []bool) float64 {
+		return testing.AllocsPerRun(10, func() {
+			var rows Rows[Edge]
+			for _, s := range spans {
+				var err error
+				if rows, _, err = g.Gamma1Span(context.Background(), seq, s, need, rows); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	if all, demand := stream(nil), stream(half); demand > all {
+		t.Errorf("streaming with half the rows needed allocates %v times, with all rows %v", demand, all)
 	}
 }
 
@@ -264,7 +389,7 @@ func BenchmarkGammaRowsStage(b *testing.B) {
 	b.Run("scoreboard", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := gammaRows(context.Background(), eng, full, top, flatAdj, flatIn, 15, Rows[Edge]{}); err != nil {
+			if _, _, err := gammaRows(context.Background(), eng, full, top, flatAdj, flatIn, 15, nil, Rows[Edge]{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -112,7 +112,7 @@ type matcher struct {
 func RunCtx(ctx context.Context, e *parallel.Engine, g *graph.Graph, k1, k2 *kb.KB, cfg Config) (*Result, error) {
 	whole := []parallel.Span{{Lo: 0, Hi: k1.Len()}}
 	return RunShardedCtx(ctx, e, g, k1, k2, cfg, whole,
-		func(context.Context, parallel.Span) (graph.Rows[graph.Edge], error) { return g.Gamma1, nil })
+		func(context.Context, parallel.Span, []bool) (graph.Rows[graph.Edge], error) { return g.Gamma1, nil })
 }
 
 // sortMatches orders matches by (E1, E2) — the canonical output order for

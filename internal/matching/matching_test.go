@@ -285,3 +285,75 @@ func TestAggregateScoreboardMatchesMapReference(t *testing.T) {
 		}
 	}
 }
+
+// demanded serves the rows of a materialized Gamma1 the way a streaming
+// producer does: the rows the demand flags, and empty rows for the rest.
+func demanded(g *graph.Graph) GammaFor {
+	return func(_ context.Context, s parallel.Span, need []bool) (graph.Rows[graph.Edge], error) {
+		rows := graph.Rows[graph.Edge]{Off: make([]int64, s.Len()+1)}
+		for i := s.Lo; i < s.Hi; i++ {
+			if need[i] {
+				rows.Flat = append(rows.Flat, g.Gamma1.Row(i)...)
+			}
+			rows.Off[i-s.Lo+1] = int64(len(rows.Flat))
+		}
+		return rows, nil
+	}
+}
+
+// Matching over only the demanded γ rows must equal matching over all of
+// them. R2 walks E2 here (E1 is the larger KB), so its match (0, 0) has no
+// α or β1 edge from E1: R4 finds the E1→E2 edge in γ only, in the row of an
+// entity R3 never reads, and the demand must ask for that row.
+func TestRowDemandCoversR4(t *testing.T) {
+	g := &graph.Graph{
+		Alpha1: emptyRows[kb.EntityID](2),
+		Alpha2: emptyRows[kb.EntityID](1),
+		Beta1:  emptyRows[graph.Edge](2),
+		Beta2:  graph.Rows[graph.Edge]{Off: []int64{0, 1}, Flat: []graph.Edge{{To: 0, Weight: 2}}},
+		Gamma1: graph.Rows[graph.Edge]{Off: []int64{0, 1, 1}, Flat: []graph.Edge{{To: 0, Weight: 1}}},
+		Gamma2: emptyRows[graph.Edge](1),
+	}
+	b := kb.NewBuilder("B")
+	b.AddLiteral(b.AddEntity("B0"), "label", "x")
+	k1, k2 := twoEntityKB("A"), b.Build()
+	whole := []parallel.Span{{Lo: 0, Hi: k1.Len()}}
+	for name, cfg := range map[string]Config{
+		"R2+R4":    {Theta: 0.6, EnableR2: true, EnableR4: true, UseNeighbors: true},
+		"R2+R3+R4": {Theta: 0.6, EnableR2: true, EnableR3: true, EnableR4: true, UseNeighbors: true},
+	} {
+		want := run(t, seq, g, k1, k2, cfg)
+		if len(want.Matches) != 1 || want.RemovedByR4 != 0 {
+			t.Fatalf("%s: reference %+v, want the R2 match kept by its γ edge", name, want)
+		}
+		got, err := RunShardedCtx(context.Background(), seq, g, k1, k2, cfg, whole, demanded(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: over the demanded rows %+v, over all rows %+v", name, got, want)
+		}
+	}
+	// The same on the Figure 1 graph, for every rule ablation and span plan.
+	w, d := testkb.Figure1()
+	fig := buildGraph(t, seq, graph.InputFor(seq, w, d, 2, 5, 2))
+	for _, cfg := range []Config{
+		DefaultConfig(),
+		{Theta: 0.6, EnableR2: true, EnableR3: true, EnableR4: true, UseNeighbors: true},
+		{Theta: 0.6, EnableR1: true, EnableR3: true, EnableR4: true, UseNeighbors: true},
+		{Theta: 0.6, EnableR1: true, EnableR2: true, EnableR4: true, UseNeighbors: true},
+		{Theta: 0.6, EnableR1: true, EnableR2: true, EnableR3: true, UseNeighbors: true},
+		{Theta: 0.6, EnableR1: true, EnableR2: true, EnableR3: true, EnableR4: true},
+	} {
+		want := run(t, seq, fig, w, d, cfg)
+		for _, p := range []int{1, 3} {
+			got, err := RunShardedCtx(context.Background(), seq, fig, w, d, cfg, parallel.New(p).Partitions(w.Len()), demanded(fig))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%+v p=%d: over the demanded rows %+v, over all rows %+v", cfg, p, got, want)
+			}
+		}
+	}
+}

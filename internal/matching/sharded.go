@@ -13,10 +13,12 @@ import (
 // GammaFor supplies the E1-side γ candidate rows of one contiguous entity
 // span on demand (graph.Graph.Gamma1Span behind a timing/accounting wrapper
 // in the core pipeline). The returned set must hold s.Len() rows, row i
-// describing entity s.Lo+i. RunShardedCtx calls it exactly once per span, in
-// span order, and drops the rows before requesting the next span — that
-// single-span lifetime is what bounds the matcher's memory.
-type GammaFor func(ctx context.Context, s parallel.Span) (graph.Rows[graph.Edge], error)
+// describing entity s.Lo+i. need flags, per E1 entity, the rows Algorithm 2
+// will read (see RunShardedCtx); a row whose flag is false may come back
+// empty. RunShardedCtx calls it exactly once per span, in span order, and
+// drops the rows before requesting the next span — that single-span
+// lifetime is what bounds the matcher's memory.
+type GammaFor func(ctx context.Context, s parallel.Span, need []bool) (graph.Rows[graph.Edge], error)
 
 // RunShardedCtx executes Algorithm 2 — the one matcher loop — over a graph
 // whose E1-side γ rows are not held: the rows of each E1 span are pulled from
@@ -33,6 +35,9 @@ type GammaFor func(ctx context.Context, s parallel.Span) (graph.Rows[graph.Edge]
 // inside a span are ascending); R4 — both directed edges must exist in the
 // pruned graph (lines 24–26) — is evaluated with the γ membership bit
 // captured while the span's rows were live.
+//
+// Only the γ rows the rules read are asked for: the demand is fixed after
+// R2 (rowsNeeded) and handed to gammaFor with every span.
 func RunShardedCtx(ctx context.Context, e *parallel.Engine, g *graph.Graph, k1, k2 *kb.KB, cfg Config, shards []parallel.Span, gammaFor GammaFor) (*Result, error) {
 	m := &matcher{
 		g: g, k1: k1, k2: k2, cfg: cfg, eng: e.Chunked(),
@@ -60,10 +65,12 @@ func RunShardedCtx(ctx context.Context, e *parallel.Engine, g *graph.Graph, k1, 
 	}
 	// gammaHas[idx] records, for match idx, whether the directed γ edge
 	// E1→E2 exists — evaluated while the γ rows of the match's shard are
-	// live, standing in for the Gamma1 leg of HasDirectedEdge1.
+	// live, standing in for the Gamma1 leg of HasDirectedEdge1. A match
+	// whose E1 row is not needed keeps false: R4 does not look at it.
 	var gammaHas []bool
+	need := m.rowsNeeded()
 	for _, s := range shards {
-		rows, err := gammaFor(ctx, s)
+		rows, err := gammaFor(ctx, s, need)
 		if err != nil {
 			return nil, err
 		}
@@ -96,7 +103,7 @@ func RunShardedCtx(ctx context.Context, e *parallel.Engine, g *graph.Graph, k1, 
 			}
 			for idx := range m.matches {
 				p := m.matches[idx].Pair
-				if int(p.E1) >= s.Lo && int(p.E1) < s.Hi {
+				if int(p.E1) >= s.Lo && int(p.E1) < s.Hi && need[p.E1] {
 					gammaHas[idx] = graph.EdgeListContains(rows.Row(int(p.E1)-s.Lo), p.E2)
 				}
 			}
@@ -121,4 +128,27 @@ func RunShardedCtx(ctx context.Context, e *parallel.Engine, g *graph.Graph, k1, 
 	sortMatches(m.matches)
 	res.Matches = m.matches
 	return res, nil
+}
+
+// rowsNeeded returns, per E1 entity, whether Algorithm 2 reads its γ row
+// after R1 and R2: R3 aggregates the row of every entity still unmatched,
+// and R4 looks for a match's E1→E2 edge in it unless the match's α or β
+// edges already hold it. It is taken once, before R3 commits anything, so
+// the workers that fill a span's rows read a value nothing writes.
+func (m *matcher) rowsNeeded() []bool {
+	need := make([]bool, len(m.matched1))
+	if m.cfg.EnableR3 {
+		for i, matched := range m.matched1 {
+			need[i] = !matched
+		}
+	}
+	if m.cfg.EnableR4 {
+		for _, match := range m.matches {
+			p := match.Pair
+			if !m.g.HasDirectedEdge1NoGamma(p.E1, p.E2) {
+				need[p.E1] = true
+			}
+		}
+	}
+	return need
 }

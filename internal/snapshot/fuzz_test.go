@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -71,6 +72,11 @@ func fuzzSeeds(t testing.TB) map[string][]byte {
 		return out
 	}
 	last := func(id uint32) int { return at(id) + len(h.sections[id]) }
+	word := func(off int, v uint64) []byte {
+		out := bytes.Clone(img)
+		binary.LittleEndian.PutUint64(out[off:], v)
+		return out
+	}
 	return map[string][]byte{
 		"valid":               img,
 		"cut-in-table":        img[:headerSize+tableEntry+3],
@@ -86,6 +92,7 @@ func fuzzSeeds(t testing.TB) map[string][]byte {
 		"beta1-target":        flip(at(secBeta1Edges), 0x40),
 		"beta2-target-neg":    flip(at(secBeta2Edges)+3, 0x80),
 		"adj1-target":         flip(at(secAdj1Edges)+16, 0x10),
+		"adj1-weight-nan":     word(at(secAdj1Edges)+8, math.Float64bits(math.NaN())),
 		"in2-entity":          flip(at(secIn2Flat), 0x20),
 		"alpha1-target":       flip(at(secAlpha1Flat), 0x08),
 		"top1-neighbor":       flip(at(secTop1Flat), 0x40),
@@ -168,6 +175,24 @@ func TestDamagedTargetIsRefusedAtFirstWalk(t *testing.T) {
 	}
 	if _, err := core.ResolveWith(context.Background(), read.Substrate(), core.Config{TopK: 3}); !errors.Is(err, graph.ErrOutOfRange) {
 		t.Fatalf("a private graph over the damaged substrate = %v, want ErrOutOfRange", err)
+	}
+}
+
+// An edge weight that is not strictly positive and finite passes the loader
+// like a damaged target does, and is refused the same way: by the first walk
+// of the whole graph, every time, before any kernel runs.
+func TestDamagedWeightIsRefusedAtFirstWalk(t *testing.T) {
+	read, err := ReadSubstrate(fuzzSeeds(t)["adj1-weight-nan"])
+	if err != nil {
+		t.Fatalf("a damaged weight must not fail the load: %v", err)
+	}
+	for round := 0; round < 2; round++ {
+		if _, err := core.ResolveWith(context.Background(), read.Substrate(), core.Config{Workers: 2}); !errors.Is(err, graph.ErrBadWeight) {
+			t.Fatalf("round %d: ResolveWith = %v, want ErrBadWeight", round, err)
+		}
+	}
+	if _, err := core.ResolveWith(context.Background(), read.Substrate(), core.Config{TopK: 3}); !errors.Is(err, graph.ErrBadWeight) {
+		t.Fatalf("a private graph over the damaged substrate = %v, want ErrBadWeight", err)
 	}
 }
 
