@@ -17,9 +17,11 @@ race:
 # sides of graph construction and the streamed batch resolve, whose γ rows are
 # chosen by a row demand read while spans fill, under the race detector at an
 # explicit workers=2 engine (the smallest size where the removed barriers
-# matter), repeated so goroutine interleavings vary.
+# matter), plus sixteen readers of a freshly opened snapshot racing for the
+# checks its open deferred (each must run exactly once), repeated so
+# goroutine interleavings vary.
 race-overlap:
-	go test -race -count=2 -run 'Overlap|StreamedResolve' ./internal/core ./internal/graph
+	go test -race -count=2 -run 'Overlap|StreamedResolve' ./internal/core ./internal/graph ./internal/kb
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi

@@ -478,13 +478,14 @@ func BenchmarkStatisticsTopInNeighbors(b *testing.B) {
 	d := benchStatsKB(b)
 	eng := parallel.New(0)
 	ranks := stats.RelationRanks(d.K2, stats.RelationImportances(eng, d.K2))
-	top, err := stats.TopNeighborsRanksCtx(context.Background(), eng, d.K2, ranks, 3)
+	nested, err := stats.TopNeighborsRanksCtx(context.Background(), eng, d.K2, ranks, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
+	top := graph.RowsOf(nested)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if in := graph.TopInNeighbors(top); in.Len() != len(top) {
+		if in := graph.TopInNeighbors(top); in.Len() != top.Len() {
 			b.Fatal("wrong row count")
 		}
 	}

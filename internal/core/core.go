@@ -11,6 +11,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -248,8 +249,14 @@ const gammaSpanRows = 1 << 14
 // construction — whichever call paid for it — and this call's own γ rows
 // and matching; Total is their sum, the historical whole-pipeline meaning.
 func resolveWith(ctx context.Context, eng *parallel.Engine, sub *Substrate, cfg Config, p int) (*Output, error) {
+	// The output hands the block collections out whole, so a substrate from
+	// parts checks their members first, and its matches name entities whose
+	// URIs every caller prints, so it checks both URI tables too.
+	if err := errors.Join(sub.nameBlockCheck.Run(), sub.k1.CheckURIs(), sub.k2.CheckURIs()); err != nil {
+		return nil, err
+	}
 	out := &Output{
-		NameBlocks:     sub.nameBlocks,
+		NameBlocks:     sub.NameBlocks(),
 		PurgedBlocks:   sub.purgedBlocks,
 		PurgeThreshold: sub.purgeThreshold,
 		NameAttrs1:     sub.nameAttrs1,
@@ -257,6 +264,9 @@ func resolveWith(ctx context.Context, eng *parallel.Engine, sub *Substrate, cfg 
 		Timings:        sub.timings,
 	}
 	if !cfg.OmitTokenBlocks {
+		if err := sub.tokenCheck.Run(); err != nil {
+			return nil, err
+		}
 		out.TokenBlocks = sub.TokenBlocks()
 	}
 	mc := *cfg.Rules

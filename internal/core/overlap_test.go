@@ -26,14 +26,14 @@ func TestSubstrateOverlapDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.nameBlocks.Len() == 0 {
+	if ref.NameBlocks().Len() == 0 {
 		t.Fatal("skewed fixture produced no name blocks; test is vacuous")
 	}
 	mapRef, err := blocking.NameBlocksMapRef(ctx, parallel.New(1), k1, k2, ref.nameAttrs1, ref.nameAttrs2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ref.nameBlocks, mapRef) {
+	if !reflect.DeepEqual(ref.NameBlocks(), mapRef) {
 		t.Fatal("substrate name blocks differ from the string-grouped reference")
 	}
 	refTokens := ref.tokenIx.Collection()
@@ -46,7 +46,7 @@ func TestSubstrateOverlapDeterminism(t *testing.T) {
 			if !reflect.DeepEqual(sub.nameAttrs1, ref.nameAttrs1) || !reflect.DeepEqual(sub.nameAttrs2, ref.nameAttrs2) {
 				t.Fatalf("workers=%d: name attributes differ from sequential build", workers)
 			}
-			if !reflect.DeepEqual(sub.nameBlocks, ref.nameBlocks) {
+			if !reflect.DeepEqual(sub.NameBlocks(), ref.NameBlocks()) {
 				t.Fatalf("workers=%d: name blocks differ from sequential build", workers)
 			}
 			if !reflect.DeepEqual(sub.tokenIx.Collection(), refTokens) {

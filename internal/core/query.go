@@ -11,9 +11,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 
@@ -43,6 +45,10 @@ type EntityQuery struct {
 	// reciprocity flag is evaluated against its back-edges. Leave empty for
 	// a genuinely new entity.
 	SelfURI string
+
+	// err records damage QueryFromEntity met reading the entity from a
+	// snapshot-loaded KB; QueryEntity refuses the query with it.
+	err error
 }
 
 // QueryObject is one relation statement of an EntityQuery.
@@ -76,12 +82,14 @@ type QueryMatch struct {
 
 // QueryFromEntity builds the EntityQuery that re-describes an existing K1
 // entity — statement for statement, with SelfURI set — so callers and tests
-// can replay KB members through the query path.
+// can replay KB members through the query path. It reads that one entity
+// (kb.KB.Describe); if its rows in a snapshot-loaded KB are damaged, the
+// query carries the error and QueryEntity refuses it.
 func QueryFromEntity(k *kb.KB, id kb.EntityID) EntityQuery {
-	d := k.Entity(id)
-	q := EntityQuery{URI: d.URI, SelfURI: d.URI, Attrs: slices.Clone(d.Attrs)}
+	d, err := k.Describe(id)
+	q := EntityQuery{URI: d.URI, SelfURI: d.URI, Attrs: slices.Clone(d.Attrs), err: err}
 	for _, r := range d.Relations {
-		q.Objects = append(q.Objects, QueryObject{Predicate: r.Predicate, Object: k.Entity(r.Object).URI})
+		q.Objects = append(q.Objects, QueryObject{Predicate: r.Predicate, Object: k.URI(r.Object)})
 	}
 	return q
 }
@@ -102,15 +110,18 @@ type queryState struct {
 	g *graph.Graph
 	// Exactly one of names/sorted is set: names is the map the lazy build
 	// produces; sorted is the name-ordered flat index a snapshot install
-	// provides (its strings may alias a memory-mapped region).
+	// provides (its columns may alias a memory-mapped region).
 	names  map[string]nameUsers
-	sorted []NameUsage
+	sorted NameUsages
 	pool   sync.Pool // *querySlot
+	// The deferred checks of an installed state (nil for a built one): the
+	// graph's targets and weights, and the name index's order and carriers.
+	graphCheck, namesCheck *kb.Deferred
 }
 
 // newQueryState wraps a graph and one form of the name index with a scratch
 // pool sized for the pair.
-func (s *Substrate) newQueryState(g *graph.Graph, names map[string]nameUsers, sorted []NameUsage) *queryState {
+func (s *Substrate) newQueryState(g *graph.Graph, names map[string]nameUsers, sorted NameUsages) *queryState {
 	st := &queryState{g: g, names: names, sorted: sorted}
 	n2, k := s.k2.Len(), s.cfg.TopK
 	st.pool.New = func() any {
@@ -120,20 +131,25 @@ func (s *Substrate) newQueryState(g *graph.Graph, names map[string]nameUsers, so
 }
 
 // lookupName resolves one normalized name against whichever index form the
-// state carries.
-func (st *queryState) lookupName(n string) (nameUsers, bool) {
+// state carries. Over an installed index it checks what it touches: a hit is
+// exact whatever the order, so only a miss — or a damaged entry — runs the
+// index's deferred check, whose failure every later lookup reports.
+func (st *queryState) lookupName(n string, n1, n2 int) (nameUsers, bool, error) {
 	if st.names != nil {
 		u, ok := st.names[n]
-		return u, ok
+		return u, ok, nil
 	}
-	i, ok := slices.BinarySearchFunc(st.sorted, n, func(u NameUsage, target string) int {
-		return strings.Compare(u.Name, target)
-	})
-	if !ok {
-		return nameUsers{}, false
+	t := st.sorted
+	if err := st.namesCheck.Known(); err != nil {
+		return nameUsers{}, false, err
 	}
-	u := st.sorted[i]
-	return nameUsers{n1: u.N1, n2: u.N2, e1: u.E1, e2: u.E2}, true
+	i, ok := sort.Find(t.Len(), func(i int) int { return strings.Compare(n, t.Names.At(i)) })
+	if !ok || t.Names.Err() != nil || !t.carriersIn(i, n1, n2) {
+		if err := st.namesCheck.Run(); err != nil || !ok {
+			return nameUsers{}, false, err
+		}
+	}
+	return nameUsers{n1: t.N1[i], n2: t.N2[i], e1: t.E1[i], e2: t.E2[i]}, true, nil
 }
 
 // querySlot is the scratch one in-flight query owns.
@@ -159,7 +175,7 @@ func (s *Substrate) queryState(ctx context.Context) (*queryState, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := s.newQueryState(pg.g, buildNameIndex(s), nil)
+	st := s.newQueryState(pg.g, buildNameIndex(s), NameUsages{})
 	s.query.Store(st)
 	return st, nil
 }
@@ -215,6 +231,9 @@ func QueryEntity(ctx context.Context, sub *Substrate, q EntityQuery, cfg Config)
 	if err != nil {
 		return nil, err
 	}
+	if q.err != nil {
+		return nil, q.err
+	}
 	st, err := sub.queryState(ctx)
 	if err != nil {
 		return nil, err
@@ -225,6 +244,9 @@ func QueryEntity(ctx context.Context, sub *Substrate, q EntityQuery, cfg Config)
 	self := kb.NoEntity
 	if q.SelfURI != "" {
 		if self = sub.k1.Lookup(q.SelfURI); self == kb.NoEntity {
+			if err := sub.k1.Err(); err != nil {
+				return nil, err
+			}
 			return nil, fmt.Errorf("core: query SelfURI %q is not a K1 entity", q.SelfURI)
 		}
 	}
@@ -327,8 +349,12 @@ func QueryEntity(ctx context.Context, sub *Substrate, q EntityQuery, cfg Config)
 	var alpha []kb.EntityID
 	if mc.EnableR1 {
 		d := kb.Description{Attrs: attrs}
+		n1, n2 := sub.k1.Len(), sub.k2.Len()
 		for _, n := range stats.NamesOf(&d, sub.nameAttrs1) {
-			u, ok := st.lookupName(n)
+			u, ok, err := st.lookupName(n, n1, n2)
+			if err != nil {
+				return nil, err
+			}
 			if !ok || u.n2 != 1 {
 				continue
 			}
@@ -390,6 +416,11 @@ func QueryEntity(ctx context.Context, sub *Substrate, q EntityQuery, cfg Config)
 			rule = matching.RuleRank
 		}
 		out = append(out, emit(e.To, rule, e.Weight))
+	}
+	// The dictionaries, URI tables and schema of a snapshot-loaded pair
+	// check the strings they touch; damage they met fails the query.
+	if err := errors.Join(sub.k1.Err(), sub.k2.Err()); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

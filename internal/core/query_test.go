@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"minoaner/internal/kb"
 	"minoaner/internal/matching"
 	"minoaner/internal/parallel"
+	"minoaner/internal/testkb"
 )
 
 // buildBatchGraph builds the whole disjunctive blocking graph over a
@@ -25,11 +27,11 @@ func buildBatchGraph(t *testing.T, sub *Substrate) *graph.Graph {
 	eng := parallel.New(sub.cfg.Workers)
 	g, _, err := graph.BuildTimedCtx(context.Background(), eng, graph.Input{
 		K1: sub.k1, K2: sub.k2,
-		NameBlocks:  sub.nameBlocks,
+		NameBlocks:  sub.NameBlocks(),
 		TokenBlocks: sub.TokenBlocks(),
 		TokenIndex:  sub.tokenIx,
-		Top1:        sub.top1,
-		Top2:        sub.top2,
+		Top1:        sub.top1.Nested(),
+		Top2:        sub.top2.Nested(),
 		K:           sub.cfg.TopK,
 	})
 	if err != nil {
@@ -524,5 +526,42 @@ func TestCancelledGraphBuildFailsThatCallOnly(t *testing.T) {
 	}
 	if digest(t, out) != digest(t, want) || sub.graphBuilds.Load() != 1 {
 		t.Fatal("the call after a cancelled build did not build the graph and resolve as usual")
+	}
+}
+
+// A name whose sole carrier names no entity is refused by the first query
+// that hits it, and every query after that: an installed name index checks
+// the entries a lookup touches.
+func TestDamagedNameCarrierIsRefusedAtFirstUse(t *testing.T) {
+	ctx := context.Background()
+	w, d := testkb.Figure1()
+	sub, err := BuildSubstrate(ctx, w, d, Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := sub.ExportQueryState(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := qs.Names
+	hit := -1
+	for i := range names.Len() {
+		if names.N1[i] == 1 && names.N2[i] == 1 {
+			hit = i
+		}
+	}
+	if hit < 0 {
+		t.Fatal("Figure 1 has no unique shared name; test is vacuous")
+	}
+	names.E2 = slices.Clone(names.E2)
+	names.E2[hit] = kb.EntityID(d.Len())
+	if err := sub.InstallQueryState(&QueryState{Graph: qs.Graph, Names: names}); err != nil {
+		t.Fatalf("a damaged carrier is the first lookup's to find, not the install's: %v", err)
+	}
+	for round := 0; round < 2; round++ {
+		q := QueryFromEntity(w, names.E1[hit])
+		if _, err := QueryEntity(ctx, sub, q, Config{Workers: 1}); !errors.Is(err, kb.ErrCorrupt) {
+			t.Fatalf("round %d: QueryEntity = %v, want kb.ErrCorrupt", round, err)
+		}
 	}
 }

@@ -7,10 +7,17 @@
 // them. QueryState is the second half: the pair's graph and the name-usage
 // index of the query path, so a snapshot-loaded substrate resolves in batch
 // and answers its first query without re-running graph construction.
+//
+// Every row set travels flat (graph.Rows, kb.FrozenStrings), so assembling
+// a substrate from a file's views allocates per section, not per entity or
+// per name. Only shapes are checked on assembly; the ID ranges, permutations
+// and orders that would take a walk over a whole section are deferred
+// checks (kb.Deferred), run by the first reader of that section.
 package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -29,15 +36,32 @@ type SubstrateParts struct {
 
 	NameAttrs1, NameAttrs2 []string
 	Ranks1, Ranks2         []int32
-	Top1, Top2             [][]kb.EntityID
+	Top1, Top2             graph.Rows[kb.EntityID]
 
-	NameBlocks     *blocking.Collection
+	NameBlocks     NameBlockRows
 	TokenIndex     *blocking.TokenIndex
 	PurgedBlocks   int
 	PurgeThreshold int64
 
 	Timings   Timings
 	BuildWall time.Duration
+}
+
+// NameBlockRows is the name-block collection in the flat form a snapshot
+// stores: block i has key Keys.At(i) and members E1.Row(i) and E2.Row(i).
+type NameBlockRows struct {
+	Keys   *kb.FrozenStrings
+	E1, E2 graph.Rows[kb.EntityID]
+}
+
+// nameBlockRowsOf lays a name-block collection out flat.
+func nameBlockRowsOf(c *blocking.Collection) NameBlockRows {
+	keys := make([]string, len(c.Blocks))
+	rows1, rows2 := make([][]kb.EntityID, len(c.Blocks)), make([][]kb.EntityID, len(c.Blocks))
+	for i, b := range c.Blocks {
+		keys[i], rows1[i], rows2[i] = b.Key, b.E1, b.E2
+	}
+	return NameBlockRows{Keys: kb.FreezeStrings(keys, false), E1: graph.RowsOf(rows1), E2: graph.RowsOf(rows2)}
 }
 
 // Parts decomposes the substrate for serialization. Slices alias the
@@ -48,7 +72,7 @@ func (s *Substrate) Parts() SubstrateParts {
 		NameAttrs1: s.nameAttrs1, NameAttrs2: s.nameAttrs2,
 		Ranks1: s.ranks1, Ranks2: s.ranks2,
 		Top1: s.top1, Top2: s.top2,
-		NameBlocks: s.nameBlocks, TokenIndex: s.tokenIx,
+		NameBlocks: s.nameRows, TokenIndex: s.tokenIx,
 		PurgedBlocks: s.purgedBlocks, PurgeThreshold: s.purgeThreshold,
 		Timings: s.timings, BuildWall: s.buildWall,
 	}
@@ -57,30 +81,38 @@ func (s *Substrate) Parts() SubstrateParts {
 // RelationRanks returns the dense per-predicate importance ranks of each KB.
 func (s *Substrate) RelationRanks() (ranks1, ranks2 []int32) { return s.ranks1, s.ranks2 }
 
-// TopNeighbors returns the per-entity top-neighbor rows of each KB.
-func (s *Substrate) TopNeighbors() (top1, top2 [][]kb.EntityID) { return s.top1, s.top2 }
+// TopNeighbors returns the per-entity top-neighbor rows of each KB. The rows
+// alias the substrate's flat arrays.
+func (s *Substrate) TopNeighbors() (top1, top2 [][]kb.EntityID) {
+	return s.top1.Nested(), s.top2.Nested()
+}
 
 // SubstrateFromParts reassembles an immutable substrate (the inverse of
 // Parts). The name lookups are re-derived from the loaded schema; everything
 // else is installed as-is, so ResolveWith and QueryEntity over the result
-// are byte-identical to the originally built substrate.
+// are byte-identical to the originally built substrate. Parts may come from
+// a file: their shapes are checked here, and the entity IDs in the top rows,
+// the token index and the name blocks by deferred checks, before the first
+// walk over each (Verify runs them all).
 func SubstrateFromParts(p SubstrateParts) (*Substrate, error) {
-	if p.K1 == nil || p.K2 == nil || p.NameBlocks == nil || p.TokenIndex == nil {
+	nb := p.NameBlocks
+	if p.K1 == nil || p.K2 == nil || nb.Keys == nil || p.TokenIndex == nil {
 		return nil, fmt.Errorf("core: substrate from parts: missing KB, name blocks or token index")
 	}
-	if len(p.Top1) != p.K1.Len() || len(p.Top2) != p.K2.Len() {
-		return nil, fmt.Errorf("core: substrate from parts: top-neighbor rows (%d, %d) disagree with KB sizes (%d, %d)",
-			len(p.Top1), len(p.Top2), p.K1.Len(), p.K2.Len())
+	n1, n2 := p.K1.Len(), p.K2.Len()
+	if err := errors.Join(p.Top1.CheckShape(n1, "top1"), p.Top2.CheckShape(n2, "top2"),
+		nb.E1.CheckShape(nb.Keys.Len(), "name blocks e1"), nb.E2.CheckShape(nb.Keys.Len(), "name blocks e2")); err != nil {
+		return nil, fmt.Errorf("core: substrate from parts: %w", err)
 	}
 	if len(p.Ranks1) != p.K1.Schema().Preds() || len(p.Ranks2) != p.K2.Schema().Preds() {
 		return nil, fmt.Errorf("core: substrate from parts: relation ranks disagree with schema sizes")
 	}
-	// Parts may come from a file. The config is installed as it is, so it
-	// must be one normalize could have produced; the entity IDs in the parts
-	// are range-checked before their first whole walk (verifyLocked).
+	// The config is installed as it is, so it must be one normalize could
+	// have produced.
 	if c := p.Config; c.TopK <= 0 || c.NameK < 0 || c.RelN < 0 || c.Workers < 0 || c.Workers > maxStoredWorkers {
 		return nil, fmt.Errorf("core: substrate from parts: config k=%d K=%d N=%d workers=%d out of range", c.NameK, c.TopK, c.RelN, c.Workers)
 	}
+	ix := p.TokenIndex.SnapshotColumns()
 	return &Substrate{
 		k1: p.K1, k2: p.K2, cfg: p.Config,
 		nameAttrs1: p.NameAttrs1, nameAttrs2: p.NameAttrs2,
@@ -88,36 +120,57 @@ func SubstrateFromParts(p SubstrateParts) (*Substrate, error) {
 		names2: stats.NewNameLookup(p.K2, p.NameAttrs2),
 		ranks1: p.Ranks1, ranks2: p.Ranks2,
 		top1: p.Top1, top2: p.Top2,
-		nameBlocks: p.NameBlocks, tokenIx: p.TokenIndex,
+		nameRows: nb, tokenIx: p.TokenIndex,
 		purgedBlocks: p.PurgedBlocks, purgeThreshold: p.PurgeThreshold,
 		timings: p.Timings, buildWall: p.BuildWall,
-		unverified: true,
+
+		top1Check: kb.NewDeferred("top1", func() error { return idsBelow(p.Top1.Flat, n1) }),
+		top2Check: kb.NewDeferred("top2", func() error { return idsBelow(p.Top2.Flat, n2) }),
+		tokenCheck: kb.NewDeferred("token index", func() error {
+			return errors.Join(ix.Dict.Check(), idsBelow(ix.Mem1, n1), idsBelow(ix.Mem2, n2))
+		}),
+		nameBlockCheck: kb.NewDeferred("name blocks", func() error {
+			return errors.Join(nb.Keys.Check(), idsBelow(nb.E1.Flat, n1), idsBelow(nb.E2.Flat, n2))
+		}),
 	}, nil
+}
+
+// idsBelow is kb.IDsBelow as a check: graph.ErrOutOfRange if an ID names
+// no entity of the n the column points into.
+func idsBelow(ids []kb.EntityID, n int) error {
+	if !kb.IDsBelow(ids, n) {
+		return graph.ErrOutOfRange
+	}
+	return nil
 }
 
 // maxStoredWorkers bounds the worker count a stored config may ask engines
 // for: scratch is allocated per worker before any work is split.
 const maxStoredWorkers = 1 << 12
 
-// NameUsage is the flat form of one name-usage index entry: how many
-// entities of each side carry the normalized name, and the sole carrier per
-// side when that count is 1 (the only case the α rule consults).
-type NameUsage struct {
-	Name   string
-	N1, N2 int32
-	E1, E2 kb.EntityID
+// NameUsages is the name-usage index of the query path in flat columns,
+// sorted by name: entry i says how many entities of each side carry the
+// normalized name Names.At(i), and the sole carrier per side where that
+// count is 1 (the only case the α rule consults).
+type NameUsages struct {
+	Names  *kb.FrozenStrings
+	N1, N2 []int32
+	E1, E2 []kb.EntityID
 }
+
+// Len returns the number of names.
+func (u NameUsages) Len() int { return len(u.N1) }
 
 // QueryState is what a snapshot stores beyond the substrate's parts: the
 // pair's disjunctive blocking graph (Gamma1 not materialized — its rows are
 // produced on demand) and the name-usage index sorted by name.
 type QueryState struct {
 	Graph *graph.Graph
-	Names []NameUsage
+	Names NameUsages
 }
 
 // ExportQueryState prewarms the substrate (if needed) and returns its graph
-// and name-usage index for serialization. The Names slice is sorted by name.
+// and name-usage index for serialization.
 func (s *Substrate) ExportQueryState(ctx context.Context) (*QueryState, error) {
 	st, err := s.queryState(ctx)
 	if err != nil {
@@ -130,11 +183,18 @@ func (s *Substrate) ExportQueryState(ctx context.Context) (*QueryState, error) {
 		for n, u := range st.names {
 			names, users = append(names, n), append(users, u)
 		}
-		out.Names = make([]NameUsage, len(names))
-		for i, at := range kb.SortedOrder(names) {
-			u := users[at]
-			out.Names[i] = NameUsage{Name: names[at], N1: u.n1, N2: u.n2, E1: u.e1, E2: u.e2}
+		order := kb.SortedOrder(names)
+		t := NameUsages{
+			N1: make([]int32, len(order)), N2: make([]int32, len(order)),
+			E1: make([]kb.EntityID, len(order)), E2: make([]kb.EntityID, len(order)),
 		}
+		sorted := make([]string, len(order))
+		for i, at := range order {
+			u := users[at]
+			sorted[i], t.N1[i], t.N2[i], t.E1[i], t.E2[i] = names[at], u.n1, u.n2, u.e1, u.e2
+		}
+		t.Names = kb.FreezeStrings(sorted, false)
+		out.Names = t
 	}
 	return out, nil
 }
@@ -142,35 +202,54 @@ func (s *Substrate) ExportQueryState(ctx context.Context) (*QueryState, error) {
 // InstallQueryState installs a previously exported graph and name index, so
 // neither ResolveWith nor the first QueryEntity call pays graph construction
 // (the snapshot warm-start path). The graph must be pruned to the
-// substrate's TopK and laid out for the pair (CheckShape), which is enough
-// for the query kernels — they check the rows they touch; its targets are
-// range-checked before the first batch resolution walks it whole.
-// Names must be sorted by name; α probes then binary-search the slice
-// instead of a map. Installing over an already built state replaces it.
+// substrate's TopK and laid out for the pair (CheckShape), and the name
+// columns of one length, which is enough for the query kernels: they check
+// the rows they touch. The graph's targets are checked before the first
+// batch resolution walks it whole; the names' order and carriers before the
+// first lookup that misses (a hit is exact whatever the order) or when a
+// lookup touches a damaged entry. Installing over an already built state
+// replaces it.
 func (s *Substrate) InstallQueryState(qs *QueryState) error {
 	if qs == nil || qs.Graph == nil {
 		return fmt.Errorf("core: install query state: missing graph")
 	}
-	if qs.Graph.K != s.cfg.TopK {
-		return fmt.Errorf("core: install query state: graph pruned to K=%d, substrate to %d", qs.Graph.K, s.cfg.TopK)
+	g, names := qs.Graph, qs.Names
+	if g.K != s.cfg.TopK {
+		return fmt.Errorf("core: install query state: graph pruned to K=%d, substrate to %d", g.K, s.cfg.TopK)
 	}
 	n1, n2 := s.k1.Len(), s.k2.Len()
-	if err := qs.Graph.CheckShape(n1, n2); err != nil {
+	if err := g.CheckShape(n1, n2); err != nil {
 		return fmt.Errorf("core: install query state: %w", err)
 	}
-	for i, u := range qs.Names {
-		if i > 0 && qs.Names[i-1].Name > u.Name {
-			return fmt.Errorf("core: install query state: names not sorted at %d", i)
-		}
-		// The α rule reads a carrier only where it is the sole one.
-		if (u.N1 == 1 && (u.E1 < 0 || int(u.E1) >= n1)) || (u.N2 == 1 && (u.E2 < 0 || int(u.E2) >= n2)) {
-			return fmt.Errorf("core: install query state: name %d carried by an entity outside the pair", i)
-		}
+	if n := names.Len(); names.Names == nil || names.Names.Len() != n || len(names.N2) != n || len(names.E1) != n || len(names.E2) != n {
+		return fmt.Errorf("core: install query state: name usage columns of unequal length")
 	}
+	st := s.newQueryState(g, nil, names)
+	st.graphCheck = kb.NewDeferred("installed graph", func() error { return g.CheckTargets(n1, n2) })
+	st.namesCheck = kb.NewDeferred("name usage", func() error {
+		if err := names.Names.Check(); err != nil {
+			return err
+		}
+		for i := range names.Len() {
+			if i > 0 && names.Names.At(i-1) > names.Names.At(i) {
+				return fmt.Errorf("names not sorted at %d", i)
+			}
+			// The α rule reads a carrier only where it is the sole one.
+			if !names.carriersIn(i, n1, n2) {
+				return fmt.Errorf("name %d carried by an entity outside the pair", i)
+			}
+		}
+		return nil
+	})
 	s.lazyMu.Lock()
 	s.graph.Store(nil)
-	s.query.Store(s.newQueryState(qs.Graph, nil, qs.Names))
-	s.unverified = true
+	s.query.Store(st)
 	s.lazyMu.Unlock()
 	return nil
+}
+
+// carriersIn reports whether entry i's sole carriers, where it has them,
+// are entities of the pair.
+func (u NameUsages) carriersIn(i, n1, n2 int) bool {
+	return (u.N1[i] != 1 || (u.E1[i] >= 0 && int(u.E1[i]) < n1)) && (u.N2[i] != 1 || (u.E2[i] >= 0 && int(u.E2[i]) < n2))
 }

@@ -11,7 +11,7 @@ package core
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,8 +40,12 @@ type Substrate struct {
 	nameAttrs1, nameAttrs2 []string
 	names1, names2         *stats.NameLookup
 	ranks1, ranks2         []int32
-	top1, top2             [][]kb.EntityID
+	top1, top2             graph.Rows[kb.EntityID]
 
+	// nameRows are the name blocks in the flat form a snapshot holds; the
+	// collection NameBlocks hands out is laid over them on first use.
+	nameRows       NameBlockRows
+	nameOnce       sync.Once
 	nameBlocks     *blocking.Collection
 	tokenIx        *blocking.TokenIndex // purged
 	purgedBlocks   int
@@ -71,12 +75,13 @@ type Substrate struct {
 	lazyMu      sync.Mutex
 	graphBuilds atomic.Int32
 
-	// unverified marks a substrate assembled from parts that may have come
-	// from a file, shape-checked only: before anything walks its columns
-	// whole — a graph build, a batch resolution — verifyLocked range-checks
-	// every entity ID in them, once, and keeps the verdict (lazyMu).
-	unverified bool
-	corrupt    error
+	// The deferred range checks of a substrate assembled from parts, which
+	// may have come from a file and were shape-checked only: the entity IDs
+	// of the top-neighbor rows, the token index's members and the name
+	// blocks' members, each run once, by the first reader that walks them
+	// whole, with the verdict kept. Nil for a built substrate. The installed
+	// query state carries its own (queryState).
+	top1Check, top2Check, tokenCheck, nameBlockCheck *kb.Deferred
 }
 
 // pairGraph is a built graph with the clock of its construction.
@@ -92,12 +97,10 @@ func (s *Substrate) buildGraph(ctx context.Context, eng *parallel.Engine, k int)
 	t0 := time.Now()
 	g, tm, err := graph.BuildSharedCtx(ctx, eng, graph.Input{
 		K1: s.k1, K2: s.k2,
-		NameBlocks: s.nameBlocks,
+		NameBlocks: s.NameBlocks(),
 		TokenIndex: s.tokenIx,
-		Top1:       s.top1,
-		Top2:       s.top2,
 		K:          k,
-	})
+	}, s.top1, s.top2)
 	if err != nil {
 		return nil, err
 	}
@@ -112,33 +115,42 @@ func (s *Substrate) graphFor(ctx context.Context, eng *parallel.Engine, k int) (
 	if pg := s.graph.Load(); pg != nil && k == s.cfg.TopK {
 		return pg, nil
 	}
-	s.lazyMu.Lock()
 	if k == s.cfg.TopK {
+		s.lazyMu.Lock()
 		defer s.lazyMu.Unlock()
 		return s.sharedGraphLocked(ctx, eng)
 	}
-	err := s.verifyLocked()
-	s.lazyMu.Unlock()
-	if err != nil {
+	// A private graph reads the build inputs; a substrate whose installed
+	// graph is damaged is refused whatever it is asked.
+	if err := s.checkBuildInputs(); err != nil {
 		return nil, err
+	}
+	if st := s.query.Load(); st != nil {
+		if err := st.graphCheck.Run(); err != nil {
+			return nil, err
+		}
 	}
 	return s.buildGraph(ctx, eng, k)
 }
 
 // sharedGraphLocked is the build-once step of graphFor; lazyMu is held. A
-// graph installed from a snapshot is the query state's until it is verified
-// here, and the shared graph from then on.
+// graph installed from a snapshot is the query state's until its targets
+// are verified here — the whole of what a γ₁ walk and the matcher read —
+// and the shared graph from then on.
 func (s *Substrate) sharedGraphLocked(ctx context.Context, eng *parallel.Engine) (*pairGraph, error) {
 	if pg := s.graph.Load(); pg != nil {
 		return pg, nil
 	}
-	if err := s.verifyLocked(); err != nil {
-		return nil, err
-	}
 	if st := s.query.Load(); st != nil {
+		if err := st.graphCheck.Run(); err != nil {
+			return nil, err
+		}
 		pg := &pairGraph{g: st.g}
 		s.graph.Store(pg)
 		return pg, nil
+	}
+	if err := s.checkBuildInputs(); err != nil {
+		return nil, err
 	}
 	pg, err := s.buildGraph(ctx, eng, s.cfg.TopK)
 	if err != nil {
@@ -179,6 +191,10 @@ func BuildSubstrate(ctx context.Context, k1, k2 *kb.KB, cfg Config) (*Substrate,
 // order instead: overlap cannot help one worker, and sequential clocks keep
 // the 1-core stage clocks free of goroutine-interleaving noise.
 func buildSubstrate(ctx context.Context, eng *parallel.Engine, k1, k2 *kb.KB, cfg Config, p int) (*Substrate, error) {
+	// The build reads both KBs whole; KBs from a file are checked first.
+	if err := errors.Join(k1.Verify(), k2.Verify()); err != nil {
+		return nil, err
+	}
 	sub := &Substrate{k1: k1, k2: k2, cfg: cfg}
 	start := time.Now()
 	var err error
@@ -303,23 +319,24 @@ func (sub *Substrate) statsTopNeighbors(ctx context.Context, eng *parallel.Engin
 	err := eng.ConcurrentCtx(ctx,
 		func(sc context.Context) error {
 			if p > 1 {
-				sub.top1 = make([][]kb.EntityID, sub.k1.Len())
+				top1 := make([][]kb.EntityID, sub.k1.Len())
 				for _, s := range shardSpans(sub.k1.Len(), p) {
 					rows, err := stats.TopNeighborsRanksSpanCtx(sc, eng, sub.k1, sub.ranks1, sub.cfg.RelN, s)
 					if err != nil {
 						return err
 					}
-					copy(sub.top1[s.Lo:s.Hi], rows)
+					copy(top1[s.Lo:s.Hi], rows)
 				}
+				sub.top1 = graph.RowsOf(top1)
 				return nil
 			}
-			var err error
-			sub.top1, err = stats.TopNeighborsRanksCtx(sc, eng, sub.k1, sub.ranks1, sub.cfg.RelN)
+			top1, err := stats.TopNeighborsRanksCtx(sc, eng, sub.k1, sub.ranks1, sub.cfg.RelN)
+			sub.top1 = graph.RowsOf(top1)
 			return err
 		},
 		func(sc context.Context) error {
-			var err error
-			sub.top2, err = stats.TopNeighborsRanksCtx(sc, eng, sub.k2, sub.ranks2, sub.cfg.RelN)
+			top2, err := stats.TopNeighborsRanksCtx(sc, eng, sub.k2, sub.ranks2, sub.cfg.RelN)
+			sub.top2 = graph.RowsOf(top2)
 			return err
 		},
 	)
@@ -331,14 +348,14 @@ func (sub *Substrate) statsTopNeighbors(ctx context.Context, eng *parallel.Engin
 }
 
 // blockNames builds the columnar name index over the published name lookups
-// and materializes the name-block collection.
+// and lays its blocks out flat.
 func (sub *Substrate) blockNames(ctx context.Context, eng *parallel.Engine) error {
 	t0 := time.Now()
 	ix, err := blocking.NewNameIndexLookupsCtx(ctx, eng, sub.names1, sub.names2)
 	if err != nil {
 		return err
 	}
-	sub.nameBlocks = ix.Collection()
+	sub.nameRows = nameBlockRowsOf(ix.Collection())
 	sub.timings.BlockingName = time.Since(t0)
 	return nil
 }
@@ -362,36 +379,33 @@ func (sub *Substrate) blockTokens(ctx context.Context, eng *parallel.Engine) err
 	return nil
 }
 
-// verifyLocked range-checks, on first call, every entity ID of a substrate
-// assembled from parts — top-neighbor rows, token-index members, name-block
-// members, and the targets of an installed graph: whatever graph
-// construction or batch matching later uses as an index. lazyMu is held.
-func (s *Substrate) verifyLocked() error {
-	if !s.unverified {
-		return s.corrupt
-	}
-	s.unverified = false
-	n1, n2 := s.k1.Len(), s.k2.Len()
-	ix := s.tokenIx.SnapshotColumns()
-	inRange := kb.IDsBelow(ix.Mem1, n1) && kb.IDsBelow(ix.Mem2, n2)
-	for _, row := range s.top1 {
-		inRange = inRange && kb.IDsBelow(row, n1)
-	}
-	for _, row := range s.top2 {
-		inRange = inRange && kb.IDsBelow(row, n2)
-	}
-	for i := range s.nameBlocks.Blocks {
-		b := &s.nameBlocks.Blocks[i]
-		inRange = inRange && kb.IDsBelow(b.E1, n1) && kb.IDsBelow(b.E2, n2)
-	}
-	if !inRange {
-		s.corrupt = fmt.Errorf("core: substrate from parts: %w", graph.ErrOutOfRange)
-	} else if st := s.query.Load(); st != nil {
-		if err := st.g.CheckTargets(n1, n2); err != nil {
-			s.corrupt = fmt.Errorf("core: installed graph: %w", err)
+// checkBuildInputs runs the deferred checks of everything a graph build
+// reads whole: both KBs, the top-neighbor rows, the token index's members
+// and the name blocks.
+func (s *Substrate) checkBuildInputs() error {
+	for _, check := range []func() error{s.k1.Verify, s.k2.Verify,
+		s.top1Check.Run, s.top2Check.Run, s.tokenCheck.Run, s.nameBlockCheck.Run} {
+		if err := check(); err != nil {
+			return err
 		}
 	}
-	return s.corrupt
+	return nil
+}
+
+// Verify runs every deferred check of a substrate assembled from parts —
+// both KBs with their string tables, the top-neighbor rows, the token
+// index's members, the name blocks, and the installed graph and name-usage
+// index — and returns the first failure. Each check runs once and its
+// verdict sticks; the first reader of each section would run it anyway. A
+// built substrate has nothing to verify.
+func (s *Substrate) Verify() error {
+	if err := s.checkBuildInputs(); err != nil {
+		return err
+	}
+	if st := s.query.Load(); st != nil {
+		return errors.Join(st.graphCheck.Run(), st.namesCheck.Run())
+	}
+	return nil
 }
 
 // K1 returns the substrate's first (query-side) KB.
@@ -408,8 +422,25 @@ func (s *Substrate) NameAttrs() (nameAttrs1, nameAttrs2 []string) {
 	return s.nameAttrs1, s.nameAttrs2
 }
 
-// NameBlocks returns the name block collection.
-func (s *Substrate) NameBlocks() *blocking.Collection { return s.nameBlocks }
+// NameBlocks returns the name block collection, laid over the flat name
+// blocks on first call. It has no error result: on a substrate from parts
+// callers run Verify first, since one whose name blocks are damaged returns
+// an empty collection. ResolveWith checks them and reports the error.
+func (s *Substrate) NameBlocks() *blocking.Collection {
+	s.nameOnce.Do(func() {
+		if s.nameBlockCheck.Run() != nil {
+			s.nameBlocks = &blocking.Collection{}
+			return
+		}
+		r := s.nameRows
+		blocks := make([]blocking.Block, r.Keys.Len())
+		for i := range blocks {
+			blocks[i] = blocking.Block{Key: r.Keys.At(i), E1: r.E1.Row(i), E2: r.E2.Row(i)}
+		}
+		s.nameBlocks = &blocking.Collection{Blocks: blocks}
+	})
+	return s.nameBlocks
+}
 
 // TokenIndex returns the purged columnar token index.
 func (s *Substrate) TokenIndex() *blocking.TokenIndex { return s.tokenIx }
@@ -434,7 +465,17 @@ func (s *Substrate) Timings() Timings { return s.timings }
 // Table-2 statistics view of the purged index) on first call and caches it.
 // Batch ResolveWith calls it unless Config.OmitTokenBlocks is set; a
 // substrate that only serves queries never materializes it.
+//
+// It has no error result: on a substrate from parts callers run Verify
+// first, since one whose token index is damaged returns an empty
+// collection. ResolveWith checks the index and reports the error.
 func (s *Substrate) TokenBlocks() *blocking.Collection {
-	s.blocksOnce.Do(func() { s.tokenBlocks = s.tokenIx.Collection() })
+	s.blocksOnce.Do(func() {
+		if s.tokenCheck.Run() != nil {
+			s.tokenBlocks = &blocking.Collection{}
+			return
+		}
+		s.tokenBlocks = s.tokenIx.Collection()
+	})
 	return s.tokenBlocks
 }

@@ -60,7 +60,7 @@ type Graph struct {
 	// The inputs of E1-side γ rows: E1's top-neighbor lists (shared with the
 	// substrate), the β edges of both directions merged into E1's undirected
 	// adjacency, the reverse top-neighbor index of E2, and the row bound K.
-	Top1 [][]kb.EntityID
+	Top1 Rows[kb.EntityID]
 	Adj1 Rows[Edge]
 	In2  Rows[kb.EntityID]
 	K    int
@@ -80,7 +80,8 @@ type Input struct {
 	TokenIndex *blocking.TokenIndex
 	// Top1/Top2 are the per-entity top-neighbor lists of each KB
 	// (stats.TopNeighbors); Algorithm 1 derives the in-neighbor index from
-	// them internally (procedure getTopInNeighbors).
+	// them internally (procedure getTopInNeighbors). BuildTimedCtx reads
+	// them; BuildSharedCtx takes them flat instead.
 	Top1, Top2 [][]kb.EntityID
 	// K is the number of candidates kept per node per weight (paper default 15).
 	K int
@@ -107,10 +108,13 @@ type Timings struct {
 // so the β and γ passes run under the dynamic chunked scheduler. The first
 // error — in practice only ctx cancellation — aborts all stages.
 //
+// The top-neighbor rows come flat, as the substrate holds them, in place of
+// in.Top1 and in.Top2; the graph keeps top1 as its Top1.
+//
 // With more than one worker the two γ sides build concurrently; at one
 // worker they run in sequence.
-func BuildSharedCtx(ctx context.Context, e *parallel.Engine, in Input) (*Graph, Timings, error) {
-	g := &Graph{Top1: in.Top1, K: in.K}
+func BuildSharedCtx(ctx context.Context, e *parallel.Engine, in Input, top1, top2 Rows[kb.EntityID]) (*Graph, Timings, error) {
+	g := &Graph{Top1: top1, K: in.K}
 	var tm Timings
 	ce := e.Chunked()
 	ix := resolveIndex(in)
@@ -143,13 +147,13 @@ func BuildSharedCtx(ctx context.Context, e *parallel.Engine, in Input) (*Graph, 
 	t0 = time.Now()
 	adj2 := MergeAdjacency(e, g.Beta2, g.Beta1)
 	side2 := func(sc context.Context) (err error) {
-		in1 := TopInNeighbors(in.Top1)
-		g.Gamma2, _, err = gammaRows(sc, ce, parallel.Span{Lo: 0, Hi: n2}, in.Top2, adj2, in1, in.K, nil, Rows[Edge]{})
+		in1 := TopInNeighbors(top1)
+		g.Gamma2, _, err = gammaRows(sc, ce, parallel.Span{Lo: 0, Hi: n2}, top2, adj2, in1, in.K, nil, Rows[Edge]{})
 		return err
 	}
 	side1 := func(context.Context) error {
 		g.Adj1 = transposeEdges(adj2, n1)
-		g.In2 = TopInNeighbors(in.Top2)
+		g.In2 = TopInNeighbors(top2)
 		return nil
 	}
 	if e.Workers() > 1 {
@@ -164,11 +168,12 @@ func BuildSharedCtx(ctx context.Context, e *parallel.Engine, in Input) (*Graph, 
 	return g, tm, nil
 }
 
-// BuildTimedCtx is BuildSharedCtx plus every E1-side γ row, materialized in
-// Gamma1: the whole graph of Algorithm 1 at once, for callers that count or
-// inspect its edges. The pipeline never holds Gamma1 whole.
+// BuildTimedCtx is BuildSharedCtx over in.Top1 and in.Top2, laid out flat,
+// plus every E1-side γ row, materialized in Gamma1: the whole graph of
+// Algorithm 1 at once, for callers that count or inspect its edges. The
+// pipeline never holds Gamma1 whole.
 func BuildTimedCtx(ctx context.Context, e *parallel.Engine, in Input) (*Graph, Timings, error) {
-	g, tm, err := BuildSharedCtx(ctx, e, in)
+	g, tm, err := BuildSharedCtx(ctx, e, in, RowsOf(in.Top1), RowsOf(in.Top2))
 	if err != nil {
 		return nil, tm, err
 	}
@@ -275,12 +280,12 @@ func BetaRowsCtx(ctx context.Context, e *parallel.Engine, ix *blocking.TokenInde
 // map-based reference, keeping the weights bit-identical. need (indexed by
 // the side's node IDs, nil for every row), reuse and the edge count are
 // those of emitRows.
-func gammaRows(ctx context.Context, e *parallel.Engine, s parallel.Span, top [][]kb.EntityID, adj Rows[Edge], inOther Rows[kb.EntityID], k int, need []bool, reuse Rows[Edge]) (Rows[Edge], int, error) {
+func gammaRows(ctx context.Context, e *parallel.Engine, s parallel.Span, top Rows[kb.EntityID], adj Rows[Edge], inOther Rows[kb.EntityID], k int, need []bool, reuse Rows[Edge]) (Rows[Edge], int, error) {
 	if need != nil {
 		need = need[s.Lo:s.Hi]
 	}
 	return emitRows(ctx, e, s.Len(), inOther.Len(), k, need, reuse, func(board *Scoreboard, i, limit int) {
-		for _, na := range top[s.Lo+i] {
+		for _, na := range top.Row(s.Lo + i) {
 			for _, edge := range adj.Row(int(na)) {
 				for _, b := range inOther.Row(int(edge.To)) {
 					board.Add(b, edge.Weight)
@@ -493,14 +498,11 @@ func (g *Graph) CheckShape(n1, n2 int) error {
 	if g.K <= 0 {
 		return fmt.Errorf("graph: row bound K=%d must be positive", g.K)
 	}
-	if len(g.Top1) != n1 {
-		return fmt.Errorf("graph: %d top-neighbor rows for %d E1 entities", len(g.Top1), n1)
-	}
-	err := errors.Join(
-		g.Alpha1.check(n1, "alpha1"), g.Alpha2.check(n2, "alpha2"), g.In2.check(n2, "in2"),
-		g.Beta1.check(n1, "beta1"), g.Beta2.check(n2, "beta2"), g.Gamma2.check(n2, "gamma2"), g.Adj1.check(n1, "adj1"))
+	err := errors.Join(g.Top1.CheckShape(n1, "top1"),
+		g.Alpha1.CheckShape(n1, "alpha1"), g.Alpha2.CheckShape(n2, "alpha2"), g.In2.CheckShape(n2, "in2"),
+		g.Beta1.CheckShape(n1, "beta1"), g.Beta2.CheckShape(n2, "beta2"), g.Gamma2.CheckShape(n2, "gamma2"), g.Adj1.CheckShape(n1, "adj1"))
 	if g.Gamma1.Off != nil {
-		err = errors.Join(err, g.Gamma1.check(n1, "gamma1"))
+		err = errors.Join(err, g.Gamma1.CheckShape(n1, "gamma1"))
 	}
 	return err
 }
@@ -522,10 +524,8 @@ var ErrBadWeight = errors.New("graph: edge weight not strictly positive and fini
 // walks the whole graph anyway; the per-entity query kernels check the few
 // rows they touch themselves.
 func (g *Graph) CheckTargets(n1, n2 int) error {
-	ok := kb.IDsBelow(g.Alpha1.Flat, n2) && kb.IDsBelow(g.Alpha2.Flat, n1) && kb.IDsBelow(g.In2.Flat, n2)
-	for _, row := range g.Top1 {
-		ok = ok && kb.IDsBelow(row, n1)
-	}
+	ok := kb.IDsBelow(g.Alpha1.Flat, n2) && kb.IDsBelow(g.Alpha2.Flat, n1) && kb.IDsBelow(g.In2.Flat, n2) &&
+		kb.IDsBelow(g.Top1.Flat, n1)
 	weighted := true
 	for _, c := range []struct {
 		edges []Edge

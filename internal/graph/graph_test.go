@@ -241,7 +241,7 @@ func TestTopKProperty(t *testing.T) {
 func TestMergeAdjacency(t *testing.T) {
 	beta1 := [][]Edge{{{To: 0, Weight: 1.0}, {To: 1, Weight: 0.5}}}
 	beta2 := [][]Edge{{{To: 0, Weight: 1.0}}, {}} // E2 node 0 retains edge to E1 node 0
-	adj := slicesOf(MergeAdjacency(seq, rowsOf(beta1), rowsOf(beta2)))
+	adj := slicesOf(MergeAdjacency(seq, RowsOf(beta1), RowsOf(beta2)))
 	if len(adj[0]) != 2 {
 		t.Fatalf("adj[0] = %v, want deduped 2 edges", adj[0])
 	}
@@ -256,11 +256,11 @@ func TestMergeAdjacency(t *testing.T) {
 // merge order-insensitive by construction, not by accident.)
 func TestMergeAdjacencyTieBreaking(t *testing.T) {
 	ownFirst := slicesOf(MergeAdjacency(seq,
-		rowsOf([][]Edge{{{To: 3, Weight: 0.25}}}),
-		rowsOf([][]Edge{nil, nil, nil, {{To: 0, Weight: 0.75}}})))
+		RowsOf([][]Edge{{{To: 3, Weight: 0.25}}}),
+		RowsOf([][]Edge{nil, nil, nil, {{To: 0, Weight: 0.75}}})))
 	reverseFirst := slicesOf(MergeAdjacency(seq,
-		rowsOf([][]Edge{{{To: 3, Weight: 0.75}}}),
-		rowsOf([][]Edge{nil, nil, nil, {{To: 0, Weight: 0.25}}})))
+		RowsOf([][]Edge{{{To: 3, Weight: 0.75}}}),
+		RowsOf([][]Edge{nil, nil, nil, {{To: 0, Weight: 0.25}}})))
 	for name, adj := range map[string][][]Edge{"own-low": ownFirst, "own-high": reverseFirst} {
 		if len(adj[0]) != 1 {
 			t.Fatalf("%s: adj[0] = %v, want 1 deduped edge", name, adj[0])
@@ -271,8 +271,8 @@ func TestMergeAdjacencyTieBreaking(t *testing.T) {
 	}
 	// Multiple duplicates interleaved with distinct neighbors.
 	adj := slicesOf(MergeAdjacency(seq,
-		rowsOf([][]Edge{{{To: 1, Weight: 0.5}, {To: 2, Weight: 0.9}}}),
-		rowsOf([][]Edge{nil, {{To: 0, Weight: 0.5}}, {{To: 0, Weight: 0.9}}, {{To: 0, Weight: 0.1}}})))
+		RowsOf([][]Edge{{{To: 1, Weight: 0.5}, {To: 2, Weight: 0.9}}}),
+		RowsOf([][]Edge{nil, {{To: 0, Weight: 0.5}}, {{To: 0, Weight: 0.9}}, {{To: 0, Weight: 0.1}}})))
 	want := []Edge{{To: 1, Weight: 0.5}, {To: 2, Weight: 0.9}, {To: 3, Weight: 0.1}}
 	if !reflect.DeepEqual(adj[0], want) {
 		t.Errorf("adj[0] = %v, want %v", adj[0], want)
@@ -340,7 +340,7 @@ func TestGamma1SpansMatchMaterialized(t *testing.T) {
 	w, d := testkb.Figure1()
 	in := InputFor(seq, w, d, 2, 5, 2)
 	want := mustBuild(t, seq, in)
-	g, _, err := BuildSharedCtx(context.Background(), seq, in)
+	g, _, err := BuildSharedCtx(context.Background(), seq, in, RowsOf(in.Top1), RowsOf(in.Top2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,11 +395,11 @@ func TestMergeAdjacencyMatchesAppendReference(t *testing.T) {
 		// Spans that drop repeats end short of their successors: one worker,
 		// several, and more workers than rows all have to close the gaps.
 		e := parallel.New(1 + trial%4)
-		got := MergeAdjacency(e, rowsOf(own), rowsOf(reverse))
+		got := MergeAdjacency(e, RowsOf(own), RowsOf(reverse))
 		if got.Len() != n {
 			t.Fatalf("trial %d: %d rows, want %d", trial, got.Len(), n)
 		}
-		if err := got.check(n, "merged"); err != nil {
+		if err := got.CheckShape(n, "merged"); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for x := 0; x < n; x++ {
@@ -408,7 +408,7 @@ func TestMergeAdjacencyMatchesAppendReference(t *testing.T) {
 			}
 		}
 		// The other side's adjacency, transposed, is the same adjacency.
-		if swapped := transposeEdges(MergeAdjacency(e, rowsOf(reverse), rowsOf(own)), n); !reflect.DeepEqual(slicesOf(swapped), slicesOf(got)) {
+		if swapped := transposeEdges(MergeAdjacency(e, RowsOf(reverse), RowsOf(own)), n); !reflect.DeepEqual(slicesOf(swapped), slicesOf(got)) {
 			t.Fatalf("trial %d: transposed adjacency of the other side differs:\n got %v\nwant %v", trial, slicesOf(swapped), slicesOf(got))
 		}
 	}
@@ -416,25 +416,25 @@ func TestMergeAdjacencyMatchesAppendReference(t *testing.T) {
 	// are — must come out at their exact size.
 	own := [][]Edge{{{To: 0, Weight: 1}, {To: 1, Weight: 0.5}}, {{To: 1, Weight: 0.25}}}
 	reverse := [][]Edge{{{To: 0, Weight: 1}, {To: 1, Weight: 0.75}}, {{To: 1, Weight: 0.25}}}
-	if got := MergeAdjacency(parallel.New(2), rowsOf(own), rowsOf(reverse)); cap(got.Flat) != len(got.Flat) || len(got.Flat) != 4 {
+	if got := MergeAdjacency(parallel.New(2), RowsOf(own), RowsOf(reverse)); cap(got.Flat) != len(got.Flat) || len(got.Flat) != 4 {
 		t.Errorf("merged adjacency holds %d edges in capacity %d, want 4 in 4", len(got.Flat), cap(got.Flat))
 	}
 }
 
 func TestTopInNeighborsReverses(t *testing.T) {
 	top := [][]kb.EntityID{{1, 2}, {2}, nil, {0, 2}}
-	in := TopInNeighbors(top)
+	in := TopInNeighbors(RowsOf(top))
 	want := [][]kb.EntityID{{3}, {0}, {0, 1, 3}, nil}
 	if !reflect.DeepEqual(slicesOf(in), want) {
 		t.Errorf("TopInNeighbors = %v, want %v", slicesOf(in), want)
 	}
-	if TopInNeighbors(nil).Len() != 0 {
+	if TopInNeighbors(RowsOf[kb.EntityID](nil)).Len() != 0 {
 		t.Error("no rows in, no rows out")
 	}
 	// Exact inversion on the Figure 1 fixture: src ∈ in[dst] ⇔ dst ∈ top[src].
 	w, d := testkb.Figure1()
 	top = InputFor(seq, w, d, 2, 5, 3).Top1
-	in = TopInNeighbors(top)
+	in = TopInNeighbors(RowsOf(top))
 	if !slices.Contains(in.Row(int(w.Lookup("w:JohnLakeA"))), w.Lookup("w:Restaurant1")) {
 		t.Error("inNeighbors(chef) must contain Restaurant1")
 	}
@@ -469,18 +469,17 @@ func TestChecksRejectDamagedGraphs(t *testing.T) {
 		"adj1 target":    {func(g *Graph) { g.Adj1.Flat[0].To = kb.EntityID(n2) }, false},
 		"alpha1 target":  {func(g *Graph) { g.Alpha1.Flat[0] = kb.EntityID(n2) }, false},
 		"in2 entity":     {func(g *Graph) { g.In2.Flat[0] = kb.EntityID(n2) }, false},
-		"top1 neighbor":  {func(g *Graph) { g.Top1[0] = []kb.EntityID{kb.EntityID(n1)} }, false},
-		"top1 rows":      {func(g *Graph) { g.Top1 = g.Top1[:n1-1] }, true},
+		"top1 neighbor":  {func(g *Graph) { g.Top1.Flat[0] = kb.EntityID(n1) }, false},
+		"top1 rows":      {func(g *Graph) { g.Top1.Off = g.Top1.Off[:n1] }, true},
 		"offsets short":  {func(g *Graph) { g.Beta1.Off = g.Beta1.Off[:n1] }, true},
 		"offsets beyond": {func(g *Graph) { g.Adj1.Off[n1]++ }, true},
 		"offsets fall":   {func(g *Graph) { g.Gamma2.Off[1] = g.Gamma2.Off[n2] + 1 }, true},
 		"row bound":      {func(g *Graph) { g.K = 0 }, true},
 	} {
-		g, _, err := BuildSharedCtx(context.Background(), seq, in)
+		g, _, err := BuildSharedCtx(context.Background(), seq, in, RowsOf(in.Top1), RowsOf(in.Top2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		g.Top1 = slices.Clone(g.Top1) // the fixture's rows are shared with in
 		c.damage(g)
 		if shapeErr := g.CheckShape(n1, n2); (shapeErr != nil) != c.shape {
 			t.Errorf("%s: CheckShape = %v", name, shapeErr)
@@ -526,7 +525,7 @@ func TestCheckTargetsRejectsBadWeights(t *testing.T) {
 func TestQueryKernelsCheckWhatTheyFollow(t *testing.T) {
 	w, d := testkb.Figure1()
 	in := InputFor(seq, w, d, 2, 5, 2)
-	g, _, err := BuildSharedCtx(context.Background(), seq, in)
+	g, _, err := BuildSharedCtx(context.Background(), seq, in, RowsOf(in.Top1), RowsOf(in.Top2))
 	if err != nil {
 		t.Fatal(err)
 	}

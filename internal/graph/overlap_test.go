@@ -20,7 +20,7 @@ func TestGammaOverlapDeterminism(t *testing.T) {
 	spans := []parallel.Span{{Lo: 0, Hi: mid}, {Lo: mid, Hi: w.Len()}}
 	ctx := context.Background()
 
-	gRef, _, err := BuildSharedCtx(ctx, seq, in)
+	gRef, _, err := BuildSharedCtx(ctx, seq, in, RowsOf(in.Top1), RowsOf(in.Top2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestGammaOverlapDeterminism(t *testing.T) {
 
 	for _, workers := range []int{2, 4} {
 		e := parallel.New(workers)
-		g, _, err := BuildSharedCtx(ctx, e, in)
+		g, _, err := BuildSharedCtx(ctx, e, in, RowsOf(in.Top1), RowsOf(in.Top2))
 		if err != nil {
 			t.Fatal(err)
 		}

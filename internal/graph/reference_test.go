@@ -14,17 +14,7 @@ import (
 // the before/after benchmarks pin the flat, scoreboard-based ones against:
 // a freshly allocated map per entity, a full sort per row, one slice per row.
 
-// rowsOf lays ragged rows out flat.
-func rowsOf[T any](rows [][]T) Rows[T] {
-	r := Rows[T]{Off: make([]int64, len(rows)+1)}
-	for i, row := range rows {
-		r.Flat = append(r.Flat, row...)
-		r.Off[i+1] = int64(len(r.Flat))
-	}
-	return r
-}
-
-// slicesOf is the inverse of rowsOf; empty rows come back nil.
+// slicesOf is the inverse of RowsOf; empty rows come back nil.
 func slicesOf[T any](r Rows[T]) [][]T {
 	out := make([][]T, r.Len())
 	for i := range out {

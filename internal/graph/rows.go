@@ -32,9 +32,9 @@ func (r Rows[T]) Row(i int) []T {
 	return r.Flat[lo:hi:hi]
 }
 
-// check validates the offset table of a row set that came from outside the
+// CheckShape validates the offset table of a row set that came from outside the
 // program: n rows, starting at 0, non-decreasing, covering Flat exactly.
-func (r Rows[T]) check(n int, what string) error {
+func (r Rows[T]) CheckShape(n int, what string) error {
 	if len(r.Off) != n+1 {
 		return fmt.Errorf("graph: %s: offset table of %d entries, want %d", what, len(r.Off), n+1)
 	}
@@ -79,23 +79,45 @@ func sortCompactIDs(r *Rows[kb.EntityID]) {
 	r.Flat = r.Flat[:w]
 }
 
+// RowsOf lays a ragged [][]T out as one row set: an offset table and one
+// flat copy of the rows.
+func RowsOf[T any](rows [][]T) Rows[T] {
+	r := Rows[T]{Off: make([]int64, len(rows)+1)}
+	for i, row := range rows {
+		r.Off[i+1] = r.Off[i] + int64(len(row))
+	}
+	r.Flat = make([]T, 0, r.Off[len(rows)])
+	for _, row := range rows {
+		r.Flat = append(r.Flat, row...)
+	}
+	return r
+}
+
+// Nested returns the rows as a ragged [][]T whose rows alias Flat.
+func (r Rows[T]) Nested() [][]T {
+	out := make([][]T, r.Len())
+	for i := range out {
+		out[i] = r.Row(i)
+	}
+	return out
+}
+
 // TopInNeighbors reverses a top-neighbor index: row e of the result lists
 // the entities that have e among their top neighbors (Algorithm 1, lines
 // 44–47). The reversal is a counting pass and a scatter into one flat array;
 // sources are visited in ascending order, so every row comes out sorted by
 // entity ID without a sort step.
-func TopInNeighbors(top [][]kb.EntityID) Rows[kb.EntityID] {
-	in := Rows[kb.EntityID]{Off: make([]int64, len(top)+1)}
-	for _, neighbors := range top {
-		for _, dst := range neighbors {
-			in.Off[dst+1]++
-		}
+func TopInNeighbors(top Rows[kb.EntityID]) Rows[kb.EntityID] {
+	n := top.Len()
+	in := Rows[kb.EntityID]{Off: make([]int64, n+1)}
+	for _, dst := range top.Flat {
+		in.Off[dst+1]++
 	}
 	prefixSums(in.Off)
-	in.Flat = make([]kb.EntityID, in.Off[len(top)])
-	cur := slices.Clone(in.Off[:len(top)])
-	for src, neighbors := range top {
-		for _, dst := range neighbors {
+	in.Flat = make([]kb.EntityID, in.Off[n])
+	cur := slices.Clone(in.Off[:n])
+	for src := 0; src < n; src++ {
+		for _, dst := range top.Row(src) {
 			in.Flat[cur[dst]] = kb.EntityID(src)
 			cur[dst]++
 		}

@@ -239,14 +239,14 @@ func TestGammaRowsScoreboardMatchesMapReference(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n1, n2 := 30+r.Intn(50), 30+r.Intn(50)
 		top, adj, inOther := randomGammaInputs(r, n1, n2)
-		flatAdj, flatIn := rowsOf(adj), rowsOf(inOther)
+		flatAdj, flatIn := RowsOf(adj), RowsOf(inOther)
 		full := parallel.Span{Lo: 0, Hi: n1}
 		want, err := gammaRowsMap(ctx, parallel.Sequential(), full, top, adj, inOther, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, e := range []*parallel.Engine{parallel.Sequential(), parallel.New(3).Chunked(), parallel.New(8)} {
-			got, _, err := gammaRows(ctx, e, full, top, flatAdj, flatIn, 4, nil, Rows[Edge]{})
+			got, _, err := gammaRows(ctx, e, full, RowsOf(top), flatAdj, flatIn, 4, nil, Rows[Edge]{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,7 +258,7 @@ func TestGammaRowsScoreboardMatchesMapReference(t *testing.T) {
 		var rows [][]Edge
 		for lo := 0; lo < n1; {
 			hi := lo + 1 + r.Intn(n1-lo)
-			part, _, err := gammaRows(ctx, parallel.New(2).Chunked(), parallel.Span{Lo: lo, Hi: hi}, top, flatAdj, flatIn, 4, nil, Rows[Edge]{})
+			part, _, err := gammaRows(ctx, parallel.New(2).Chunked(), parallel.Span{Lo: lo, Hi: hi}, RowsOf(top), flatAdj, flatIn, 4, nil, Rows[Edge]{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -275,7 +275,7 @@ func TestGammaRowsScoreboardMatchesMapReference(t *testing.T) {
 // random ones from randomGammaInputs.
 func randomGamma1Graph(r *rand.Rand, n1, n2, k int) *Graph {
 	top, adj, in2 := randomGammaInputs(r, n1, n2)
-	return &Graph{Top1: top, Adj1: rowsOf(adj), In2: rowsOf(in2), K: k}
+	return &Graph{Top1: RowsOf(top), Adj1: RowsOf(adj), In2: RowsOf(in2), K: k}
 }
 
 // A span computed for a demand must hold, in every needed row, the row the
@@ -328,8 +328,8 @@ func TestGamma1SpanComputesOnlyNeededRows(t *testing.T) {
 // not reuse it.
 func TestGamma1SpanDemandKeepsReuse(t *testing.T) {
 	g := randomGamma1Graph(rand.New(rand.NewSource(31)), 2000, 600, 4)
-	spans := parallel.New(4).Partitions(len(g.Top1))
-	half := make([]bool, len(g.Top1))
+	spans := parallel.New(4).Partitions(g.Top1.Len())
+	half := make([]bool, g.Top1.Len())
 	for i := range half {
 		half[i] = i%2 == 0
 	}
@@ -385,11 +385,11 @@ func BenchmarkGammaRowsStage(b *testing.B) {
 	top, adj, inOther := randomGammaInputs(r, 2000, 2000)
 	eng := parallel.New(0)
 	full := parallel.Span{Lo: 0, Hi: len(top)}
-	flatAdj, flatIn := rowsOf(adj), rowsOf(inOther)
+	flatAdj, flatIn := RowsOf(adj), RowsOf(inOther)
 	b.Run("scoreboard", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := gammaRows(context.Background(), eng, full, top, flatAdj, flatIn, 15, nil, Rows[Edge]{}); err != nil {
+			if _, _, err := gammaRows(context.Background(), eng, full, RowsOf(top), flatAdj, flatIn, 15, nil, Rows[Edge]{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,6 +1,9 @@
 package kb
 
-import "io"
+import (
+	"io"
+	"sync/atomic"
+)
 
 // The reference implementations and the KB comparison, for the tests of
 // package kb_test (which may import datagen; this package's own may not).
@@ -21,3 +24,39 @@ var DiffKB = diffKB
 // true for a built KB, and true for a snapshot-backed one only once
 // something asked for a *Description.
 func DescriptionsBuilt(k *KB) bool { return k.lazy == nil || k.entities != nil }
+
+// Tracked is a deferred check a test watches, counting the runs of its
+// check function.
+type Tracked struct {
+	*Deferred
+	runs atomic.Int32
+}
+
+// Runs reports how many times the check function has run.
+func (t *Tracked) Runs() int { return int(t.runs.Load()) }
+
+// Name names the section the check guards.
+func (t *Tracked) Name() string { return t.name }
+
+// TrackDeferred watches every deferred check made until the returned stop is
+// called, which returns them in the order they were made. The checks must be
+// made on the calling goroutine; they may run on any.
+func TrackDeferred() (stop func() []*Tracked) {
+	var got []*Tracked
+	made = func(d *Deferred) {
+		tr := &Tracked{Deferred: d}
+		fn := d.fn
+		d.fn = func() error {
+			tr.runs.Add(1)
+			return fn()
+		}
+		got = append(got, tr)
+	}
+	return func() []*Tracked {
+		made = nil
+		return got
+	}
+}
+
+// FrozenCheck is the deferred check of a string table from a file.
+func FrozenCheck(f *FrozenStrings) *Deferred { return f.check }

@@ -25,13 +25,20 @@ type FrozenStrings struct {
 	blob   []byte
 	off    []int64
 	sorted []uint32
+	// check is the deferred whole-table check of a table installed over
+	// arrays from a file (nil for one built here): until it has run, At and
+	// Lookup check the offsets and permutation entries they touch.
+	check *Deferred
 }
 
 // NewFrozenStrings assembles a frozen table over caller-provided backing
 // arrays (typically views into a memory-mapped snapshot region; the table
 // aliases them). off must hold n+1 non-decreasing offsets covering blob
 // exactly; sorted must be nil or hold n indices below n (an entry that is in
-// range but out of order only makes Lookup miss).
+// range but out of order only makes Lookup miss). Only the ends of the offset
+// table and the permutation's length are checked here; the rest is the
+// table's deferred check (Check), which At and Lookup run if a string they
+// touch is damaged — they then return "" and a miss.
 func NewFrozenStrings(blob []byte, off []int64, sorted []uint32) (*FrozenStrings, error) {
 	if len(off) == 0 {
 		return nil, fmt.Errorf("kb: frozen strings: empty offset table")
@@ -40,21 +47,37 @@ func NewFrozenStrings(blob []byte, off []int64, sorted []uint32) (*FrozenStrings
 	if off[0] != 0 || off[n] != int64(len(blob)) {
 		return nil, fmt.Errorf("kb: frozen strings: offsets [%d..%d] do not cover blob of %d bytes", off[0], off[n], len(blob))
 	}
-	for i := 0; i < n; i++ {
-		if off[i] > off[i+1] {
-			return nil, fmt.Errorf("kb: frozen strings: offsets decrease at %d", i)
-		}
-	}
 	if sorted != nil && len(sorted) != n {
 		return nil, fmt.Errorf("kb: frozen strings: sorted permutation has %d entries, want %d", len(sorted), n)
 	}
-	for _, i := range sorted {
-		if int(i) >= n {
-			return nil, fmt.Errorf("kb: frozen strings: sorted permutation names string %d of %d", i, n)
+	f := &FrozenStrings{blob: blob, off: off, sorted: sorted}
+	f.check = NewDeferred("string table", f.checkAll)
+	return f, nil
+}
+
+// checkAll is the whole-table check: offsets non-decreasing, permutation
+// entries in range.
+func (f *FrozenStrings) checkAll() error {
+	n := f.Len()
+	for i := 0; i < n; i++ {
+		if f.off[i] > f.off[i+1] {
+			return fmt.Errorf("offsets decrease at %d", i)
 		}
 	}
-	return &FrozenStrings{blob: blob, off: off, sorted: sorted}, nil
+	for _, i := range f.sorted {
+		if int(i) >= n {
+			return fmt.Errorf("sorted permutation names string %d of %d", i, n)
+		}
+	}
+	return nil
 }
+
+// Check runs the table's deferred check, once, and returns its verdict.
+func (f *FrozenStrings) Check() error { return f.check.Run() }
+
+// Err reports damage At or Lookup found (the failed verdict of the check
+// they ran), without running anything.
+func (f *FrozenStrings) Err() error { return f.check.Known() }
 
 // FreezeStrings builds a frozen table from a live string slice (the write
 // side of snapshot serialization). withLookup additionally computes the
@@ -113,8 +136,13 @@ func sortedOrder(n int, at func(int) string) []uint32 {
 func (f *FrozenStrings) Len() int { return len(f.off) - 1 }
 
 // At returns string i without copying: the result aliases the blob. The
-// empty string is returned for empty spans (never a pointer past the blob).
+// empty string is returned for empty spans (never a pointer past the blob),
+// and for a damaged span of a table from a file, whose check then fails.
 func (f *FrozenStrings) At(i int) string {
+	if f.check != nil && !f.spanIntact(i) {
+		_ = f.check.Run()
+		return ""
+	}
 	lo, hi := f.off[i], f.off[i+1]
 	if lo == hi {
 		return ""
@@ -122,24 +150,45 @@ func (f *FrozenStrings) At(i int) string {
 	return unsafe.String(&f.blob[lo], hi-lo)
 }
 
+// spanIntact reports whether string i's offsets lie inside the blob and in
+// order with the offsets beside them. Damage that moves either end of the
+// string so that the whole-table check would see it makes the offsets
+// decrease among these four, so At reads no shifted string.
+func (f *FrozenStrings) spanIntact(i int) bool {
+	lo, hi := f.off[i], f.off[i+1]
+	if lo < 0 || lo > hi || hi > int64(len(f.blob)) {
+		return false
+	}
+	return (i == 0 || f.off[i-1] <= lo) && (i+2 >= len(f.off) || hi <= f.off[i+2])
+}
+
 // Lookup finds the index of s by binary search over the sorted permutation.
-// It reports false when s is absent or the table was frozen without lookup
-// support.
+// It reports false when s is absent, the table was frozen without lookup
+// support, or a permutation entry or string the search touches is damaged
+// (the table's check has then failed).
 func (f *FrozenStrings) Lookup(s string) (uint32, bool) {
-	if f.sorted == nil {
+	if f.sorted == nil || f.check.Known() != nil {
 		return 0, false
 	}
+	n, damaged := uint32(f.Len()), false
 	i, ok := slices.BinarySearchFunc(f.sorted, s, func(idx uint32, target string) int {
+		if idx >= n {
+			damaged = true
+			return 0
+		}
 		return strings.Compare(f.At(int(idx)), target)
 	})
-	if !ok {
+	if damaged {
+		_ = f.check.Run()
+	}
+	if !ok || f.check.Known() != nil {
 		return 0, false
 	}
 	return f.sorted[i], true
 }
 
 // Parts exposes the backing arrays for serialization. Callers must treat
-// them as read-only.
+// them as read-only, and check a table from a file first (Check).
 func (f *FrozenStrings) Parts() (blob []byte, off []int64, sorted []uint32) {
 	return f.blob, f.off, f.sorted
 }
@@ -149,6 +198,10 @@ func (f *FrozenStrings) Parts() (blob []byte, off []int64, sorted []uint32) {
 func NewFrozenInterner(fs *FrozenStrings) *Interner {
 	return &Interner{t: frozenSymtab(fs)}
 }
+
+// Check runs the deferred check of a dictionary installed from a file
+// (FrozenStrings.Check); a built dictionary has none.
+func (in *Interner) Check() error { return in.t.tab.check.Run() }
 
 // Freeze returns the interner's current contents as a frozen table with
 // lookup support (token ID i maps to string i, preserving the dense ID

@@ -115,6 +115,9 @@ type KB struct {
 	// columnar substrate answers everything a query needs, so the per-entity
 	// Description array is only built on first access (see ents).
 	lazy *lazyDescriptions
+	// check is the deferred range check of a KB assembled from parts: the
+	// IDs in its columns (see Verify). Nil for a built KB.
+	check *Deferred
 }
 
 // Name returns the KB's display name.
@@ -135,13 +138,16 @@ func (k *KB) Triples() int { return k.triples }
 
 // Entity returns the description with the given ID. It panics if the ID is
 // out of range, mirroring slice indexing semantics. On a snapshot-loaded KB
-// the first call materializes all descriptions; callers that only need the
-// URI should use URI, which never triggers materialization.
+// the first call verifies the KB and materializes all descriptions. Entity
+// has no error result: callers run Verify first, since a KB that fails it
+// yields empty descriptions. Callers that only need the URI should use URI,
+// and callers that need one description Describe, which reports damage.
 func (k *KB) Entity(id EntityID) *Description { return &k.ents()[id] }
 
 // URI returns the URI of entity id without materializing descriptions,
 // keeping the query path's candidate formatting free of a snapshot-loaded
-// KB's lazy Description build.
+// KB's lazy Description build. On a KB from a file a damaged URI reads as
+// "" and Err reports it afterwards; CheckURIs checks every URI at once.
 func (k *KB) URI(id EntityID) string { return k.uris.str(uint32(id)) }
 
 // Lookup finds an entity by URI, returning NoEntity if absent. It takes no
@@ -202,8 +208,12 @@ func (k *KB) AverageTokens() float64 {
 
 // Attributes returns the number of distinct literal attribute names in the
 // KB. (The schema dictionary may be shared with another KB, so the count is
-// taken over this KB's own columns, not the dictionary size.)
+// taken over this KB's own columns, not the dictionary size.) On a KB from
+// a file callers run Verify first: one that fails it reports 0.
 func (k *KB) Attributes() int {
+	if k.check.Run() != nil {
+		return 0
+	}
 	seen := make([]bool, k.schema.Attrs())
 	n := 0
 	for _, a := range k.cols.attrName {
@@ -215,8 +225,13 @@ func (k *KB) Attributes() int {
 	return n
 }
 
-// RelationNames returns the number of distinct relation predicates in the KB.
+// RelationNames returns the number of distinct relation predicates in the
+// KB. On a KB from a file callers run Verify first: one that fails it
+// reports 0.
 func (k *KB) RelationNames() int {
+	if k.check.Run() != nil {
+		return 0
+	}
 	seen := make([]bool, k.schema.Preds())
 	n := 0
 	for _, p := range k.cols.relPred {

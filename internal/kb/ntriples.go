@@ -379,8 +379,12 @@ func readTSV(ctx context.Context, sink termSink, r io.Reader, uriObjects bool) (
 
 // WriteNTriples serializes the KB in N-Triples format, one statement per
 // attribute-value pair and relation. Round-tripping through LoadNTriples
-// reproduces the same KB (tested property).
+// reproduces the same KB (tested property). A KB from a file is verified
+// first, and one that fails is refused with ErrCorrupt.
 func WriteNTriples(w io.Writer, k *KB) error {
+	if err := k.Verify(); err != nil {
+		return err
+	}
 	bw := bufio.NewWriter(w)
 	for id := 0; id < k.Len(); id++ {
 		d := k.Entity(EntityID(id))

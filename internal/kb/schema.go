@@ -189,7 +189,7 @@ func (t *symtab) view() FrozenStrings {
 		defer t.mu.Unlock()
 	}
 	blob, off := t.tab.blob, t.tab.off
-	return FrozenStrings{blob: blob[:len(blob):len(blob)], off: off[:len(off):len(off)], sorted: t.tab.sorted}
+	return FrozenStrings{blob: blob[:len(blob):len(blob)], off: off[:len(off):len(off)], sorted: t.tab.sorted, check: t.tab.check}
 }
 
 // freeze returns the table as a frozen one with lookup support: a view plus

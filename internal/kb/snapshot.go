@@ -52,9 +52,13 @@ type SnapshotParts struct {
 
 // SnapshotParts decomposes the KB for serialization. The returned slices
 // partly alias the KB (columns, URI bytes); the token CSR and the statement
-// tables are materialized fresh.
+// tables are materialized fresh, except that a KB assembled from parts
+// returns its parts. A KB from a file must pass Verify first.
 func (k *KB) SnapshotParts() SnapshotParts {
-	ents := k.ents()
+	if k.lazy != nil {
+		return k.lazy.parts
+	}
+	ents := k.entities
 	n := len(ents)
 	p := SnapshotParts{
 		Name:     k.name,
@@ -105,9 +109,13 @@ func (k *KB) SnapshotParts() SnapshotParts {
 }
 
 // AssembleKB rebuilds an immutable KB from its flat decomposition. The KB
-// aliases the parts' arrays (read-only); descriptions are materialized from
-// two flat allocations, with attribute/predicate strings aliasing the frozen
-// schema tables and literal values the frozen value blob.
+// aliases the parts' arrays (read-only); descriptions are materialized on
+// demand, with attribute/predicate strings aliasing the frozen schema tables
+// and literal values the frozen value blob. Only shapes are checked here:
+// column lengths and offset tables. That every ID lands inside the
+// dictionary or KB it points into is the KB's deferred check, run by the
+// first whole read (Verify); Describe checks the rows of the one entity it
+// reads.
 func AssembleKB(p SnapshotParts) (*KB, error) {
 	if p.Dict == nil || p.Schema == nil || p.URIs == nil || p.StmtVals == nil {
 		return nil, fmt.Errorf("kb: assemble: missing dictionary or string table")
@@ -137,31 +145,13 @@ func AssembleKB(p SnapshotParts) (*KB, error) {
 			return nil, fmt.Errorf("kb: assemble: token offsets decrease at %d", i)
 		}
 	}
-	// Every ID a description or a pipeline stage later follows into a
-	// dictionary or back into the KB must land inside it.
-	sch := p.Schema
-	for _, c := range []struct {
-		ok   bool
-		what string
-	}{
-		{IDsBelow(p.Tokens, p.Dict.Len()), "token"},
-		{IDsBelow(p.RelPred, sch.Preds()) && IDsBelow(p.StmtRelPred, sch.Preds()), "predicate"},
-		{IDsBelow(p.AttrName, sch.Attrs()) && IDsBelow(p.StmtAttrName, sch.Attrs()), "attribute"},
-		{IDsBelow(p.AttrVal, sch.Values()), "value"},
-		{IDsBelow(p.RelObj, n) && IDsBelow(p.StmtRelObj, n), "relation object"},
-	} {
-		if !c.ok {
-			return nil, fmt.Errorf("kb: assemble: %s ID out of range", c.what)
-		}
-	}
-
 	// Descriptions are NOT materialized here: every other column installs as
 	// a view, and the query path answers from the columnar substrate and the
 	// frozen URI table alone, so the per-entity Description array — the
 	// dominant cost of opening a snapshot — is deferred until something
 	// actually asks for a *Description (see KB.ents).
 	uris := frozenSymtab(p.URIs)
-	return &KB{
+	k := &KB{
 		name:   p.Name,
 		size:   n,
 		dict:   p.Dict,
@@ -173,18 +163,128 @@ func AssembleKB(p SnapshotParts) (*KB, error) {
 		triples: p.Triples,
 		uris:    &uris,
 		lazy:    &lazyDescriptions{parts: p},
-	}, nil
+	}
+	k.check = NewDeferred("kb "+p.Name+" columns", func() error { return checkIDs(&p) })
+	return k, nil
 }
 
-// lazyDescriptions holds the validated snapshot decomposition of a loaded KB
-// until its Description array is first needed.
+// checkIDs is a KB's deferred check: every ID a description or a pipeline
+// stage later follows into a dictionary or back into the KB must land
+// inside it.
+func checkIDs(p *SnapshotParts) error {
+	sch, n := p.Schema, p.URIs.Len()
+	for _, c := range []struct {
+		ok   bool
+		what string
+	}{
+		{IDsBelow(p.Tokens, p.Dict.Len()), "token"},
+		{IDsBelow(p.RelPred, sch.Preds()) && IDsBelow(p.StmtRelPred, sch.Preds()), "predicate"},
+		{IDsBelow(p.AttrName, sch.Attrs()) && IDsBelow(p.StmtAttrName, sch.Attrs()), "attribute"},
+		{IDsBelow(p.AttrVal, sch.Values()), "value"},
+		{IDsBelow(p.RelObj, n) && IDsBelow(p.StmtRelObj, n), "relation object"},
+	} {
+		if !c.ok {
+			return fmt.Errorf("%s ID out of range", c.what)
+		}
+	}
+	return nil
+}
+
+// checks lists the deferred checks of everything the KB reads: its ID
+// columns and its string tables. A built KB has none (all nil).
+func (k *KB) checks() [7]*Deferred {
+	out := [7]*Deferred{k.check, k.uris.tab.check, k.dict.t.tab.check,
+		k.schema.preds.tab.check, k.schema.attrs.tab.check, k.schema.vals.tab.check}
+	if k.lazy != nil {
+		out[6] = k.lazy.parts.StmtVals.check
+	}
+	return out
+}
+
+// Verify runs every deferred check of the KB — its ID columns and string
+// tables — and returns the first failure (ErrCorrupt). Each check runs once;
+// the verdict sticks. A built KB has nothing to verify.
+func (k *KB) Verify() error {
+	for _, c := range k.checks() {
+		if err := c.Run(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// CheckURIs runs the deferred check of the entity URI table alone: one pass
+// over its offsets, after which every URI reads without a further check. A
+// batch resolution runs it on both KBs, so the URIs of the matches it hands
+// out print as they are. A built KB has nothing to check.
+func (k *KB) CheckURIs() error { return k.uris.tab.check.Run() }
+
+// Err reports damage the KB's readers have found so far, without running a
+// check: the first failed verdict of a check that has run, or nil. Readers
+// without an error result (At-style accessors, Lookup) degrade to an empty
+// answer on damage; callers that can report an error consult Err.
+func (k *KB) Err() error {
+	for _, c := range k.checks() {
+		if err := c.Known(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Describe returns entity id's description without building any other: on
+// a KB assembled from parts it checks and reads only the entity's own rows,
+// and fails with ErrCorrupt if they are damaged. It panics if the ID is out
+// of range, like Entity.
+func (k *KB) Describe(id EntityID) (Description, error) {
+	if k.lazy == nil {
+		return k.entities[id], nil
+	}
+	if err := k.Err(); err != nil {
+		return Description{}, err
+	}
+	p := &k.lazy.parts
+	sch := p.Schema
+	aLo, aHi := p.AttrOff[id], p.AttrOff[id+1]
+	rLo, rHi := p.RelOff[id], p.RelOff[id+1]
+	tLo, tHi := p.TokenOff[id], p.TokenOff[id+1]
+	if !IDsBelow(p.Tokens[tLo:tHi], p.Dict.Len()) || !IDsBelow(p.StmtAttrName[aLo:aHi], sch.Attrs()) ||
+		!IDsBelow(p.StmtRelPred[rLo:rHi], sch.Preds()) || !IDsBelow(p.StmtRelObj[rLo:rHi], k.size) {
+		if err := k.check.Run(); err != nil {
+			return Description{}, err
+		}
+	}
+	d := Description{
+		URI:       p.URIs.At(int(id)),
+		Attrs:     make([]AttributeValue, 0, aHi-aLo),
+		Relations: make([]Relation, 0, rHi-rLo),
+		tokens:    p.Tokens[tLo:tHi:tHi],
+		dict:      p.Dict,
+	}
+	for j := aLo; j < aHi; j++ {
+		d.Attrs = append(d.Attrs, AttributeValue{Attribute: sch.Attr(p.StmtAttrName[j]), Value: p.StmtVals.At(int(j))})
+	}
+	for j := rLo; j < rHi; j++ {
+		d.Relations = append(d.Relations, Relation{Predicate: sch.Pred(p.StmtRelPred[j]), Object: p.StmtRelObj[j]})
+	}
+	// A damaged string the reads above touched has failed its table's check.
+	if err := k.Err(); err != nil {
+		return Description{}, err
+	}
+	return d, nil
+}
+
+// lazyDescriptions holds the shape-checked snapshot decomposition of a loaded
+// KB until its Description array is first needed.
 type lazyDescriptions struct {
 	once  sync.Once
 	parts SnapshotParts
 }
 
 // ents returns the KB's Description array, materializing it on first use for
-// snapshot-loaded KBs. Builder-built KBs return their array directly.
+// snapshot-loaded KBs. Builder-built KBs return their array directly. A KB
+// that fails Verify gets an array of empty descriptions instead: whole reads
+// of a KB from a file verify it first and report the error.
 func (k *KB) ents() []Description {
 	if k.lazy != nil {
 		k.lazy.once.Do(k.materialize)
@@ -196,10 +296,15 @@ func (k *KB) ents() []Description {
 // The three fills are disjoint writes over immutable inputs (the entities
 // fill only takes subslice headers of the flat arrays, never reading their
 // elements), so all three run concurrently, chunked across cores; the result
-// is identical to the sequential fill. AssembleKB already validated shapes.
+// is identical to the sequential fill. AssembleKB validated shapes, Verify
+// the IDs.
 func (k *KB) materialize() {
 	p := &k.lazy.parts
 	n := k.size
+	if k.Verify() != nil {
+		k.entities = make([]Description, n)
+		return
+	}
 	nAttr, nRel := len(p.AttrName), len(p.RelPred)
 	entities := make([]Description, n)
 	flatAttrs := make([]AttributeValue, nAttr)

@@ -15,8 +15,9 @@
 package matching
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"minoaner/internal/eval"
 	"minoaner/internal/graph"
@@ -118,12 +119,11 @@ func RunCtx(ctx context.Context, e *parallel.Engine, g *graph.Graph, k1, k2 *kb.
 // sortMatches orders matches by (E1, E2) — the canonical output order for
 // every span plan.
 func sortMatches(ms []Match) {
-	sort.Slice(ms, func(i, j int) bool {
-		a, b := ms[i].Pair, ms[j].Pair
-		if a.E1 != b.E1 {
-			return a.E1 < b.E1
+	slices.SortFunc(ms, func(a, b Match) int {
+		if c := cmp.Compare(a.Pair.E1, b.Pair.E1); c != 0 {
+			return c
 		}
-		return a.E2 < b.E2
+		return cmp.Compare(a.Pair.E2, b.Pair.E2)
 	})
 }
 

@@ -17,7 +17,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
@@ -167,17 +166,7 @@ func (r *Registry) buildInChild(ctx context.Context, spec LoadPairRequest) (*sna
 		path = save
 	}
 	loaded, err := snapshot.OpenSubstrate(path)
-	if err != nil {
-		return nil, rep, err
-	}
-	// Decoding leaves about as much garbage as the pair keeps, and a server
-	// whose pairs live in mappings has a heap of a few tens of MB: the open
-	// alone takes it most of the way to its next collection, which then lands
-	// on the pair's first requests, or on the load after it — on one
-	// processor in 10 ms slices (an open that followed a build took 60%
-	// longer). Collect here instead, while the pair still counts as building.
-	runtime.GC()
-	return loaded, rep, nil
+	return loaded, rep, err
 }
 
 // childFailure picks the line of a failed child's stderr that says why: the

@@ -151,7 +151,12 @@ func (s *Server) handleEntities(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer p.Release()
-	s.writeJSON(w, http.StatusOK, s.entities(p, limit))
+	resp, aerr := s.entities(p, limit)
+	if aerr != nil {
+		s.writeError(w, aerr)
+		return
+	}
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // acquire takes a reference on the request's pair, or answers the request

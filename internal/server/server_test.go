@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"minoaner/internal/core"
+	"minoaner/internal/snapshot"
 	"minoaner/internal/testkb"
 )
 
@@ -276,6 +277,34 @@ func TestEntitiesEndpoint(t *testing.T) {
 	}
 	if status, code := errCode(t, http.MethodGet, ts.URL+"/v1/pairs/fig1/entities?limit=-3", ""); status != 400 || code != CodeInvalidRequest {
 		t.Errorf("negative limit = %d %q", status, code)
+	}
+}
+
+// A pair whose E1 URI offsets are damaged answers neither a batch
+// resolution nor an entity listing with empty URIs: both are a 500 that
+// names the damage.
+func TestDamagedURIsAreAnInternalError(t *testing.T) {
+	var buf bytes.Buffer
+	if err := snapshot.WriteSubstrate(&buf, figure1Substrate(t)); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := snapshot.ReadSubstrate(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := loaded.Substrate()
+	_, off, _ := sub.K1().SnapshotParts().URIs.Parts() // decoded, so writable
+	off[1] = off[len(off)-1] + 1
+	s := New(quietOptions())
+	if _, err := s.reg.AddSubstrate("bad", LoadPairRequest{E1: "mem:wd", E2: "mem:dbp", Format: "nt"}, sub); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	for _, req := range [][2]string{{http.MethodPost, "/v1/pairs/bad/resolve"}, {http.MethodGet, "/v1/pairs/bad/entities?limit=2"}} {
+		if status, code := errCode(t, req[0], ts.URL+req[1], `{}`); status != 500 || code != CodeInternal {
+			t.Errorf("%s %s on damaged URIs = %d %q, want 500 %q", req[0], req[1], status, code, CodeInternal)
+		}
 	}
 }
 

@@ -49,6 +49,20 @@ func ctxError(err error) *apiError {
 	return &apiError{status: http.StatusInternalServerError, code: CodeInternal, msg: err.Error()}
 }
 
+// kernelError maps a failed resolution onto the wire: the context abort
+// when there was one, a 500 for a pair whose snapshot failed a deferred
+// check on this read (kb.ErrCorrupt — the pair is damaged, not the
+// request), a 400 otherwise.
+func kernelError(ctx context.Context, err error) *apiError {
+	switch {
+	case ctx.Err() != nil:
+		return ctxError(ctx.Err())
+	case errors.Is(err, kb.ErrCorrupt):
+		return &apiError{status: http.StatusInternalServerError, code: CodeInternal, msg: err.Error()}
+	}
+	return badRequest("%v", err)
+}
+
 // requestCtx derives the per-request deadline: the client's timeout_ms when
 // given (capped at MaxTimeout), the server default otherwise. The returned
 // context is what the resolution kernels observe between parallel chunks —
@@ -72,6 +86,9 @@ func entityQuery(sub *core.Substrate, req *QueryRequest) (core.EntityQuery, *api
 			return core.EntityQuery{}, badRequest("query needs a uri to replay or attrs/objects to describe a new entity")
 		}
 		e := sub.K1().Lookup(req.URI)
+		if err := sub.K1().Err(); err != nil {
+			return core.EntityQuery{}, kernelError(context.Background(), err)
+		}
 		if e == kb.NoEntity {
 			return core.EntityQuery{}, badRequest("uri %q is not an E1 entity and the query carries no statements", req.URI)
 		}
@@ -106,10 +123,7 @@ func (s *Server) query(ctx context.Context, p *Pair, req *QueryRequest) (*QueryR
 	t0 := time.Now()
 	ms, err := core.QueryEntity(qctx, sub, q, p.cfg)
 	if err != nil {
-		if qctx.Err() != nil {
-			return nil, ctxError(qctx.Err())
-		}
-		return nil, badRequest("%v", err)
+		return nil, kernelError(qctx, err)
 	}
 	p.queries.Add(1)
 	return &QueryResponse{
@@ -140,10 +154,7 @@ func (s *Server) resolve(ctx context.Context, p *Pair, req *ResolveRequest) (*Re
 	t0 := time.Now()
 	out, err := core.ResolveWith(rctx, sub, cfg)
 	if err != nil {
-		if rctx.Err() != nil {
-			return nil, ctxError(rctx.Err())
-		}
-		return nil, badRequest("%v", err)
+		return nil, kernelError(rctx, err)
 	}
 	resp := &ResolveResponse{
 		Pair:        p.id,
@@ -165,16 +176,20 @@ func (s *Server) resolve(ctx context.Context, p *Pair, req *ResolveRequest) (*Re
 }
 
 // entities returns a prefix of the pair's E1 URIs — the replay corpus for
-// load tests and smoke checks.
-func (s *Server) entities(p *Pair, limit int) *EntitiesResponse {
-	sub := p.sub
-	n := sub.K1().Len()
+// load tests and smoke checks. A snapshot-loaded pair checks the URIs it
+// reads; damage among them is a 500, like a kernel's kb.ErrCorrupt.
+func (s *Server) entities(p *Pair, limit int) (*EntitiesResponse, *apiError) {
+	k1 := p.sub.K1()
+	n := k1.Len()
 	if limit <= 0 || limit > n {
 		limit = n
 	}
 	uris := make([]string, limit)
 	for i := range uris {
-		uris[i] = sub.K1().URI(kb.EntityID(i))
+		uris[i] = k1.URI(kb.EntityID(i))
 	}
-	return &EntitiesResponse{Pair: p.id, Count: n, URIs: uris}
+	if err := k1.Err(); err != nil {
+		return nil, kernelError(context.Background(), err)
+	}
+	return &EntitiesResponse{Pair: p.id, Count: n, URIs: uris}, nil
 }

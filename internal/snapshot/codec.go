@@ -224,65 +224,23 @@ func viewEdges(b []byte, copyMode bool, what string) ([]graph.Edge, error) {
 	return out, nil
 }
 
-// flatten lays a ragged [][]T out as an element-count offset table plus one
-// flat array (the write side of the nested codec).
-func flatten[T any](rows [][]T) ([]int64, []T) {
-	off := make([]int64, len(rows)+1)
-	total := 0
-	for _, r := range rows {
-		total += len(r)
-	}
-	flat := make([]T, 0, total)
-	for i, r := range rows {
-		off[i] = int64(len(flat))
-		flat = append(flat, r...)
-	}
-	off[len(rows)] = int64(len(flat))
-	return off, flat
-}
-
-// nested rebuilds the ragged view over a flat array: row i is
-// flat[off[i]:off[i+1]]. Rows alias flat (and therefore the mapping, in
-// zero-copy mode); the offset table is validated so corrupt input fails
-// cleanly instead of panicking downstream.
-func nested[T any](off []int64, flat []T, what string) ([][]T, error) {
-	if len(off) == 0 {
-		return nil, fmt.Errorf("%w: %s: empty offset table", ErrCorrupt, what)
-	}
-	n := len(off) - 1
-	if off[0] != 0 || off[n] != int64(len(flat)) {
-		return nil, fmt.Errorf("%w: %s offsets [%d..%d] do not cover %d elements", ErrCorrupt, what, off[0], off[n], len(flat))
-	}
-	out := make([][]T, n)
-	for i := 0; i < n; i++ {
-		if off[i] > off[i+1] || off[i+1] > int64(len(flat)) {
-			return nil, fmt.Errorf("%w: %s offsets [%d, %d) at row %d", ErrCorrupt, what, off[i], off[i+1], i)
-		}
-		out[i] = flat[off[i]:off[i+1]:off[i+1]]
-	}
-	return out, nil
-}
-
-// nestedSection reads an (offset, flat) section pair of int32-kind elements
-// into its ragged view.
-func nestedSection[T ~int32](h *header, copyMode bool, offID, flatID uint32, what string) ([][]T, error) {
+// idRowsSection reads an (offset, flat) section pair of entity IDs as one
+// row set of views. Its shape is the reader's to check (Rows.CheckShape).
+func idRowsSection(h *header, copyMode bool, offID, flatID uint32, what string) (graph.Rows[kb.EntityID], error) {
+	var r graph.Rows[kb.EntityID]
 	ob, err := h.section(offID)
 	if err != nil {
-		return nil, err
+		return r, err
 	}
 	fb, err := h.section(flatID)
 	if err != nil {
-		return nil, err
+		return r, err
 	}
-	off, err := viewI64s(ob, copyMode, what+" offsets")
-	if err != nil {
-		return nil, err
+	if r.Off, err = viewI64s(ob, copyMode, what+" offsets"); err != nil {
+		return r, err
 	}
-	flat, err := viewI32s[T](fb, copyMode, what)
-	if err != nil {
-		return nil, err
-	}
-	return nested(off, flat, what)
+	r.Flat, err = viewI32s[kb.EntityID](fb, copyMode, what)
+	return r, err
 }
 
 // frozenSection reads a frozen-string trio (blob, offsets, optional sorted

@@ -1,16 +1,24 @@
 // Snapshot decoder: OpenSubstrate memory-maps a snapshot file and
-// reinterprets its numeric sections in place (near-zero-copy — only the
-// ragged row headers and Go-side wrappers are allocated), while
-// ReadSubstrate decodes from any byte slice with explicit element copies
-// (the portable and cross-endian path). Both install the persisted query
-// state, so the first QueryEntity after a load pays no graph construction.
+// reinterprets its sections in place — every row set and string table
+// installs as a view, so an open allocates per section, not per entity —
+// while ReadSubstrate decodes from any byte slice with explicit element
+// copies (the portable and cross-endian path). Both install the persisted
+// query state, so the first QueryEntity after a load pays no graph
+// construction.
+//
+// The open checks structure: the header, the section table, section sizes,
+// offset tables and the graph's shape (ErrTruncated, ErrMisaligned,
+// ErrCorrupt). What would take a walk over a whole section — entity and
+// dictionary IDs, sorted permutations, string offsets, the name index's
+// order, the graph's targets — is left to deferred checks that the first
+// reader of each section runs (kb.ErrCorrupt, graph.ErrOutOfRange,
+// graph.ErrBadWeight; core.Substrate.Verify runs them all).
 package snapshot
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 	"unsafe"
 
@@ -131,69 +139,39 @@ func decode(data []byte, copyMode bool) (*core.Substrate, error) {
 		}
 	}
 
-	// The remaining sections are independent of each other, so they decode
-	// concurrently — for large snapshots the wall clock of an open is the
-	// SLOWEST section (one KB's description materialization), not the sum.
-	// Every goroutine only reads the shared header and writes its own slot.
-	var (
-		k1, k2         *kb.KB
-		ranks1, ranks2 []int32
-		top1, top2     [][]kb.EntityID
-		nameBlocks     *blocking.Collection
-		tokenIx        *blocking.TokenIndex
-	)
-	errs := make([]error, 5)
-	var wg sync.WaitGroup
-	part := func(i int, fn func() error) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = fn()
-		}()
+	// Every remaining section installs as a view, so the open does no work
+	// per entity beyond reading offset tables.
+	k1, err := decodeKB(h, copyMode, kb1Base, meta.K1Name, meta.K1Triples, dict1, schema1)
+	if err != nil {
+		return nil, fmt.Errorf("kb1: %w", err)
 	}
-	part(0, func() error {
-		var err error
-		if k1, err = decodeKB(h, copyMode, kb1Base, meta.K1Name, meta.K1Triples, dict1, schema1); err != nil {
-			return fmt.Errorf("kb1: %w", err)
-		}
-		return nil
-	})
-	part(1, func() error {
-		var err error
-		if k2, err = decodeKB(h, copyMode, kb2Base, meta.K2Name, meta.K2Triples, dict2, schema2); err != nil {
-			return fmt.Errorf("kb2: %w", err)
-		}
-		return nil
-	})
-	part(2, func() error {
-		var err error
-		if ranks1, err = readI32Section[int32](h, copyMode, secRanks1, "ranks1"); err != nil {
-			return err
-		}
-		if ranks2, err = readI32Section[int32](h, copyMode, secRanks2, "ranks2"); err != nil {
-			return err
-		}
-		if top1, err = nestedSection[kb.EntityID](h, copyMode, secTop1Off, secTop1Flat, "top1"); err != nil {
-			return err
-		}
-		top2, err = nestedSection[kb.EntityID](h, copyMode, secTop2Off, secTop2Flat, "top2")
-		return err
-	})
-	part(3, func() error {
-		var err error
-		nameBlocks, err = decodeNameBlocks(h, copyMode)
-		return err
-	})
-	part(4, func() error {
-		var err error
-		tokenIx, err = decodeTokenIndex(h, copyMode, dict1, dict2)
-		return err
-	})
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
+	k2, err := decodeKB(h, copyMode, kb2Base, meta.K2Name, meta.K2Triples, dict2, schema2)
+	if err != nil {
+		return nil, fmt.Errorf("kb2: %w", err)
+	}
+	ranks1, err := readI32Section[int32](h, copyMode, secRanks1, "ranks1")
+	if err != nil {
+		return nil, err
+	}
+	ranks2, err := readI32Section[int32](h, copyMode, secRanks2, "ranks2")
+	if err != nil {
+		return nil, err
+	}
+	top1, err := idRowsSection(h, copyMode, secTop1Off, secTop1Flat, "top1")
+	if err != nil {
+		return nil, err
+	}
+	top2, err := idRowsSection(h, copyMode, secTop2Off, secTop2Flat, "top2")
+	if err != nil {
+		return nil, err
+	}
+	nameBlocks, err := decodeNameBlocks(h, copyMode)
+	if err != nil {
+		return nil, err
+	}
+	tokenIx, err := decodeTokenIndex(h, copyMode, dict1, dict2)
+	if err != nil {
+		return nil, err
 	}
 
 	sub, err := core.SubstrateFromParts(core.SubstrateParts{
@@ -234,12 +212,8 @@ func lookupFrozen(h *header, copyMode bool, base uint32, what string) (*kb.Froze
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := fs.Lookup(""); !ok {
-		// Lookup("") failing can also mean "" absent; detect a missing sorted
-		// table directly from the section map.
-		if _, present := h.optional(base + frozenSorted); !present && fs.Len() > 0 {
-			return nil, fmt.Errorf("%w: %s: missing sorted permutation", ErrCorrupt, what)
-		}
+	if _, present := h.optional(base + frozenSorted); !present && fs.Len() > 0 {
+		return nil, fmt.Errorf("%w: %s: missing sorted permutation", ErrCorrupt, what)
 	}
 	return fs, nil
 }
@@ -341,27 +315,17 @@ func decodeKB(h *header, copyMode bool, base uint32, name string, triples int, d
 	return k, nil
 }
 
-func decodeNameBlocks(h *header, copyMode bool) (*blocking.Collection, error) {
-	keys, err := frozenSection(h, copyMode, secNameKeys, "name block keys")
-	if err != nil {
-		return nil, err
+func decodeNameBlocks(h *header, copyMode bool) (core.NameBlockRows, error) {
+	var nb core.NameBlockRows
+	var err error
+	if nb.Keys, err = frozenSection(h, copyMode, secNameKeys, "name block keys"); err != nil {
+		return nb, err
 	}
-	rows1, err := nestedSection[kb.EntityID](h, copyMode, secNameE1Off, secNameE1Flat, "name blocks e1")
-	if err != nil {
-		return nil, err
+	if nb.E1, err = idRowsSection(h, copyMode, secNameE1Off, secNameE1Flat, "name blocks e1"); err != nil {
+		return nb, err
 	}
-	rows2, err := nestedSection[kb.EntityID](h, copyMode, secNameE2Off, secNameE2Flat, "name blocks e2")
-	if err != nil {
-		return nil, err
-	}
-	if len(rows1) != keys.Len() || len(rows2) != keys.Len() {
-		return nil, fmt.Errorf("%w: name blocks: %d keys vs %d/%d member rows", ErrCorrupt, keys.Len(), len(rows1), len(rows2))
-	}
-	blocks := make([]blocking.Block, keys.Len())
-	for i := range blocks {
-		blocks[i] = blocking.Block{Key: keys.At(i), E1: rows1[i], E2: rows2[i]}
-	}
-	return &blocking.Collection{Blocks: blocks}, nil
+	nb.E2, err = idRowsSection(h, copyMode, secNameE2Off, secNameE2Flat, "name blocks e2")
+	return nb, err
 }
 
 func decodeTokenIndex(h *header, copyMode bool, dict1, dict2 *kb.Interner) (*blocking.TokenIndex, error) {
@@ -421,9 +385,10 @@ func decodeTokenIndex(h *header, copyMode bool, dict1, dict2 *kb.Interner) (*blo
 	return ix, nil
 }
 
-func decodeQueryState(h *header, copyMode bool, sub *core.Substrate, top1 [][]kb.EntityID) error {
+func decodeQueryState(h *header, copyMode bool, sub *core.Substrate, top1 graph.Rows[kb.EntityID]) error {
 	// The graph's row sets install as they are stored — two views each, no
-	// per-row work; core.InstallQueryState range-checks them before use.
+	// per-row work; core.InstallQueryState checks their shape, and defers
+	// the range checks to first use.
 	g := &graph.Graph{Top1: top1, K: sub.Config().TopK}
 	var err error
 	for _, r := range []struct {
@@ -435,10 +400,7 @@ func decodeQueryState(h *header, copyMode bool, sub *core.Substrate, top1 [][]kb
 		{&g.Alpha2, secAlpha2Off, secAlpha2Flat, "alpha2"},
 		{&g.In2, secIn2Off, secIn2Flat, "in2"},
 	} {
-		if r.rows.Off, err = readI64Section(h, copyMode, r.offID, r.what+" offsets"); err != nil {
-			return err
-		}
-		if r.rows.Flat, err = readI32Section[kb.EntityID](h, copyMode, r.flatID, r.what); err != nil {
+		if *r.rows, err = idRowsSection(h, copyMode, r.offID, r.flatID, r.what); err != nil {
 			return err
 		}
 	}
@@ -464,35 +426,22 @@ func decodeQueryState(h *header, copyMode bool, sub *core.Substrate, top1 [][]kb
 		}
 	}
 
-	text, err := frozenSection(h, copyMode, secNamesText, "name usage text")
-	if err != nil {
+	var names core.NameUsages
+	if names.Names, err = frozenSection(h, copyMode, secNamesText, "name usage text"); err != nil {
 		return err
 	}
-	n1, err := readI32Section[int32](h, copyMode, secNamesN1, "name usage n1")
-	if err != nil {
+	if names.N1, err = readI32Section[int32](h, copyMode, secNamesN1, "name usage n1"); err != nil {
 		return err
 	}
-	n2, err := readI32Section[int32](h, copyMode, secNamesN2, "name usage n2")
-	if err != nil {
+	if names.N2, err = readI32Section[int32](h, copyMode, secNamesN2, "name usage n2"); err != nil {
 		return err
 	}
-	ue1, err := readI32Section[kb.EntityID](h, copyMode, secNamesE1, "name usage e1")
-	if err != nil {
+	if names.E1, err = readI32Section[kb.EntityID](h, copyMode, secNamesE1, "name usage e1"); err != nil {
 		return err
 	}
-	ue2, err := readI32Section[kb.EntityID](h, copyMode, secNamesE2, "name usage e2")
-	if err != nil {
+	if names.E2, err = readI32Section[kb.EntityID](h, copyMode, secNamesE2, "name usage e2"); err != nil {
 		return err
 	}
-	n := text.Len()
-	if len(n1) != n || len(n2) != n || len(ue1) != n || len(ue2) != n {
-		return fmt.Errorf("%w: name usage: %d names vs %d/%d/%d/%d columns", ErrCorrupt, n, len(n1), len(n2), len(ue1), len(ue2))
-	}
-	names := make([]core.NameUsage, n)
-	for i := range names {
-		names[i] = core.NameUsage{Name: text.At(i), N1: n1[i], N2: n2[i], E1: ue1[i], E2: ue2[i]}
-	}
-
 	if err := sub.InstallQueryState(&core.QueryState{Graph: g, Names: names}); err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}

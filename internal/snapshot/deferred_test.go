@@ -1,0 +1,250 @@
+package snapshot
+
+import (
+	"context"
+	"encoding/binary"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"minoaner/internal/core"
+	"minoaner/internal/datagen"
+	"minoaner/internal/graph"
+	"minoaner/internal/kb"
+)
+
+// readDamaged loads the tiny snapshot with one section rewritten by damage.
+// The open must succeed: whatever damage leaves the structure intact is the
+// first reader's to find.
+func readDamaged(t *testing.T, id uint32, damage func(sec []byte)) *core.Substrate {
+	t.Helper()
+	img := snapshotBytes(t, tinySubstrate(t))
+	h, err := parseHeader(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damage(h.sections[id])
+	read, err := ReadSubstrate(img)
+	if err != nil {
+		t.Fatalf("damage the open leaves to the first reader failed the open: %v", err)
+	}
+	return read.Substrate()
+}
+
+// refusedTwice requires call to fail with want on two calls in a row: the
+// verdict of a deferred check sticks.
+func refusedTwice(t *testing.T, what string, want error, call func() error) {
+	t.Helper()
+	for round := 0; round < 2; round++ {
+		if err := call(); !errors.Is(err, want) {
+			t.Fatalf("%s, call %d: %v, want %v", what, round, err, want)
+		}
+	}
+}
+
+// A statement naming an attribute the schema does not have is refused by
+// the first read of that entity, then by every read of the KB; a warm batch
+// resolution, which reads no KB column, is not affected.
+func TestDamagedKBColumnIsRefusedAtFirstUse(t *testing.T) {
+	sub := readDamaged(t, kb1Base+kbStmtAttrName, func(b []byte) { binary.LittleEndian.PutUint32(b, 1<<20) })
+	ctx, cfg := context.Background(), core.Config{Workers: 1}
+	if _, err := core.ResolveWith(ctx, sub, cfg); err != nil {
+		t.Fatalf("a warm resolve reads no KB column: %v", err)
+	}
+	k1 := sub.K1()
+	refusedTwice(t, "describing the damaged entity", kb.ErrCorrupt, func() error {
+		_, err := k1.Describe(0)
+		return err
+	})
+	refusedTwice(t, "replaying an undamaged entity", kb.ErrCorrupt, func() error {
+		_, err := core.QueryEntity(ctx, sub, core.QueryFromEntity(k1, kb.EntityID(k1.Len()-1)), cfg)
+		return err
+	})
+	refusedTwice(t, "copying the substrate", kb.ErrCorrupt, func() error { return WriteSubstrate(io.Discard, sub) })
+}
+
+// A sorted permutation naming strings the dictionary does not have is
+// refused by the first lookup that touches it, then by every query.
+func TestDamagedPermutationIsRefusedAtFirstUse(t *testing.T) {
+	sub := readDamaged(t, dict1Base+frozenSorted, func(b []byte) {
+		for i := 0; i+4 <= len(b); i += 4 {
+			binary.LittleEndian.PutUint32(b[i:], 1<<30)
+		}
+	})
+	ctx, cfg := context.Background(), core.Config{Workers: 1}
+	if _, err := core.ResolveWith(ctx, sub, cfg); err != nil {
+		t.Fatalf("a warm resolve looks no token up: %v", err)
+	}
+	describe := core.EntityQuery{URI: "q:new", Attrs: []kb.AttributeValue{{Attribute: "note", Value: "common words"}}}
+	refusedTwice(t, "a query looking its tokens up", kb.ErrCorrupt, func() error {
+		_, err := core.QueryEntity(ctx, sub, describe, cfg)
+		return err
+	})
+	if _, ok := sub.K1().TokenDict().Lookup("common"); ok {
+		t.Fatal("a lookup through a damaged permutation found a token")
+	}
+}
+
+// A token-block member naming no entity is refused by whatever reads the
+// index's members whole — a resolution that hands the token blocks out — and
+// not by one that does not read them.
+func TestDamagedTokenMemberIsRefusedAtFirstUse(t *testing.T) {
+	sub := readDamaged(t, secTokE2Flat, func(b []byte) { binary.LittleEndian.PutUint32(b, 1<<20) })
+	ctx := context.Background()
+	if _, err := core.ResolveWith(ctx, sub, core.Config{Workers: 1, OmitTokenBlocks: true}); err != nil {
+		t.Fatalf("a resolve without token blocks reads no member: %v", err)
+	}
+	for _, want := range []error{kb.ErrCorrupt, graph.ErrOutOfRange} {
+		refusedTwice(t, "a resolve handing the token blocks out", want, func() error {
+			_, err := core.ResolveWith(ctx, sub, core.Config{Workers: 1})
+			return err
+		})
+	}
+	if n := sub.TokenBlocks().Len(); n != 0 {
+		t.Fatalf("a damaged index gave %d token blocks", n)
+	}
+}
+
+// A name-block member naming no entity is refused by whatever hands the
+// name blocks out — a batch resolution, NameBlocks — and not by a query,
+// which never reads them. The tiny pair has no name block, so this damages a
+// preset's.
+func TestDamagedNameBlockIsRefusedAtFirstUse(t *testing.T) {
+	img, err := os.ReadFile(presetSnapshot(t, "Restaurant", 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := parseHeader(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(h.sections[secNameE1Flat]) == 0 {
+		t.Fatal("the preset has no name block; test is vacuous")
+	}
+	binary.LittleEndian.PutUint32(h.sections[secNameE1Flat], 1<<20)
+	read, err := ReadSubstrate(img)
+	if err != nil {
+		t.Fatalf("a damaged member failed the open: %v", err)
+	}
+	sub, ctx, cfg := read.Substrate(), context.Background(), core.Config{Workers: 1}
+	if _, err := core.QueryEntity(ctx, sub, core.QueryFromEntity(sub.K1(), 0), cfg); err != nil {
+		t.Fatalf("a query reads no name block: %v", err)
+	}
+	for _, want := range []error{kb.ErrCorrupt, graph.ErrOutOfRange} {
+		refusedTwice(t, "a resolve handing the name blocks out", want, func() error {
+			_, err := core.ResolveWith(ctx, sub, cfg)
+			return err
+		})
+	}
+	if n := sub.NameBlocks().Len(); n != 0 {
+		t.Fatalf("damaged name blocks gave %d blocks", n)
+	}
+}
+
+// A name index out of order cannot be trusted with a miss: the first lookup
+// that misses runs the order check, and its verdict refuses every query
+// after it.
+func TestDamagedNameOrderIsRefusedAtFirstUse(t *testing.T) {
+	sub := readDamaged(t, secNamesText+frozenBlob, func(b []byte) { b[0] = 0xff })
+	ctx, cfg := context.Background(), core.Config{Workers: 1}
+	if _, err := core.ResolveWith(ctx, sub, cfg); err != nil {
+		t.Fatalf("a warm resolve reads no name index: %v", err)
+	}
+	attrs1, _ := sub.NameAttrs()
+	if len(attrs1) == 0 {
+		t.Fatal("the tiny pair has no name attribute; test is vacuous")
+	}
+	unknown := core.EntityQuery{URI: "q:new", Attrs: []kb.AttributeValue{{Attribute: attrs1[0], Value: "nobody by this name"}}}
+	refusedTwice(t, "a query whose name misses", kb.ErrCorrupt, func() error {
+		_, err := core.QueryEntity(ctx, sub, unknown, cfg)
+		return err
+	})
+	refusedTwice(t, "a replay after it", kb.ErrCorrupt, func() error {
+		_, err := core.QueryEntity(ctx, sub, core.QueryFromEntity(sub.K1(), 0), cfg)
+		return err
+	})
+}
+
+// Entity URIs whose offsets decrease are refused by a batch resolution,
+// whose matches every caller prints by URI, and by the reads of the URIs
+// beside the damage; none of them hands out an empty URI as an answer.
+func TestDamagedURIOffsetsAreRefusedAtFirstUse(t *testing.T) {
+	// URI 0 ends one byte past URI 1's end: inside the blob, so only the
+	// offsets beside it show the damage.
+	sub := readDamaged(t, kb1Base+kbURIOff, func(b []byte) {
+		binary.LittleEndian.PutUint64(b[8:], binary.LittleEndian.Uint64(b[16:])+1)
+	})
+	ctx, cfg := context.Background(), core.Config{Workers: 1, OmitTokenBlocks: true}
+	refusedTwice(t, "a batch resolve", kb.ErrCorrupt, func() error {
+		_, err := core.ResolveWith(ctx, sub, cfg)
+		return err
+	})
+	k1 := sub.K1()
+	for id := range 2 { // the strings on either side of the damaged offset
+		if uri := k1.URI(kb.EntityID(id)); uri != "" {
+			t.Errorf("URI %d read as %q across damaged offsets", id, uri)
+		}
+	}
+	if err := k1.Err(); !errors.Is(err, kb.ErrCorrupt) {
+		t.Fatalf("KB.Err after reading a damaged URI: %v", err)
+	}
+	refusedTwice(t, "replaying the entity whose URI is damaged", kb.ErrCorrupt, func() error {
+		_, err := core.QueryEntity(ctx, sub, core.QueryFromEntity(k1, 0), cfg)
+		return err
+	})
+}
+
+// presetSnapshot writes the snapshot of a preset at the given scale and
+// returns its path.
+func presetSnapshot(t *testing.T, preset string, scale float64) string {
+	t.Helper()
+	var profile datagen.Profile
+	for _, p := range datagen.Presets() {
+		if p.Name == preset {
+			profile = p
+		}
+	}
+	d, err := datagen.Generate(datagen.Scale(profile, scale))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := buildWith(d, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "pair.snap")
+	if err := WriteSubstrateFile(path, sub); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// Opening a snapshot allocates per section, not per entity: two sizes of one
+// preset open in the same number of allocations.
+func TestOpenAllocatesPerSection(t *testing.T) {
+	allocs := func(scale float64) (float64, int) {
+		path := presetSnapshot(t, "Restaurant", scale)
+		entities := 0
+		n := testing.AllocsPerRun(5, func() {
+			loaded, err := OpenSubstrate(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entities = loaded.Substrate().K1().Len() + loaded.Substrate().K2().Len()
+			if err := loaded.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return n, entities
+	}
+	small, n1 := allocs(0.5)
+	large, n2 := allocs(2)
+	if n1 >= n2 {
+		t.Fatalf("pairs of %d and %d entities; test is vacuous", n1, n2)
+	}
+	if small != large {
+		t.Errorf("opening %d entities takes %v allocations, %d entities %v", n1, small, n2, large)
+	}
+}

@@ -17,7 +17,6 @@ import (
 	"path/filepath"
 	"slices"
 
-	"minoaner/internal/blocking"
 	"minoaner/internal/core"
 	"minoaner/internal/graph"
 	"minoaner/internal/kb"
@@ -79,13 +78,6 @@ func frozenSections(base uint32, fs *kb.FrozenStrings) []section {
 	return secs
 }
 
-// rowSections lays a ragged [][]T out as its (offsets, flat) section pair —
-// the copy that row sets not yet held flat still pay.
-func rowSections[T ~int32](offID, flatID uint32, rows [][]T) []section {
-	off, flat := flatten(rows)
-	return []section{{offID, i64Bytes(off)}, {flatID, i32Bytes(flat)}}
-}
-
 func idRows(offID, flatID uint32, r graph.Rows[kb.EntityID]) []section {
 	return []section{{offID, i64Bytes(r.Off)}, {flatID, i32Bytes(r.Flat)}}
 }
@@ -145,7 +137,13 @@ func ready(secs ...[]section) group {
 // workers while this goroutine writes finished groups in table order. A
 // writer that can seek is streamed to (the table is patched in at the end);
 // any other gets the same bytes once every group is ready.
+//
+// A substrate opened from a file is verified first (core.Substrate.Verify):
+// a damaged one is refused, not copied.
 func WriteSubstrate(w io.Writer, sub *core.Substrate) error {
+	if err := sub.Verify(); err != nil {
+		return fmt.Errorf("snapshot: %w", err)
+	}
 	ctx := context.Background()
 	qs, err := sub.ExportQueryState(ctx)
 	if err != nil {
@@ -192,9 +190,11 @@ func WriteSubstrate(w io.Writer, sub *core.Substrate) error {
 		group{6 + plainTable + 4, func() []section {
 			return slices.Concat(
 				[]section{{secRanks1, i32Bytes(p.Ranks1)}, {secRanks2, i32Bytes(p.Ranks2)}},
-				rowSections(secTop1Off, secTop1Flat, p.Top1),
-				rowSections(secTop2Off, secTop2Flat, p.Top2),
-				nameBlockSections(p.NameBlocks))
+				idRows(secTop1Off, secTop1Flat, p.Top1),
+				idRows(secTop2Off, secTop2Flat, p.Top2),
+				frozenSections(secNameKeys, p.NameBlocks.Keys),
+				idRows(secNameE1Off, secNameE1Flat, p.NameBlocks.E1),
+				idRows(secNameE2Off, secNameE2Flat, p.NameBlocks.E2))
 		}})
 	if flags&flagTokenDictShared == 0 {
 		plan = append(plan, dictGroup(jointDictBase, ix.Dict),
@@ -314,32 +314,10 @@ func writeGroups(ctx context.Context, w io.Writer, flags uint32, plan []group, e
 	return err
 }
 
-func nameBlockSections(c *blocking.Collection) []section {
-	keys := make([]string, len(c.Blocks))
-	rows1 := make([][]kb.EntityID, len(c.Blocks))
-	rows2 := make([][]kb.EntityID, len(c.Blocks))
-	for i := range c.Blocks {
-		keys[i] = c.Blocks[i].Key
-		rows1[i] = c.Blocks[i].E1
-		rows2[i] = c.Blocks[i].E2
-	}
-	return slices.Concat(frozenSections(secNameKeys, kb.FreezeStrings(keys, false)),
-		rowSections(secNameE1Off, secNameE1Flat, rows1),
-		rowSections(secNameE2Off, secNameE2Flat, rows2))
-}
-
-func nameUsageSections(us []core.NameUsage) []section {
-	names := make([]string, len(us))
-	n1 := make([]int32, len(us))
-	n2 := make([]int32, len(us))
-	e1 := make([]kb.EntityID, len(us))
-	e2 := make([]kb.EntityID, len(us))
-	for i, u := range us {
-		names[i], n1[i], n2[i], e1[i], e2[i] = u.Name, u.N1, u.N2, u.E1, u.E2
-	}
-	return append(frozenSections(secNamesText, kb.FreezeStrings(names, false)),
-		section{secNamesN1, i32Bytes(n1)}, section{secNamesN2, i32Bytes(n2)},
-		section{secNamesE1, i32Bytes(e1)}, section{secNamesE2, i32Bytes(e2)})
+func nameUsageSections(u core.NameUsages) []section {
+	return append(frozenSections(secNamesText, u.Names),
+		section{secNamesN1, i32Bytes(u.N1)}, section{secNamesN2, i32Bytes(u.N2)},
+		section{secNamesE1, i32Bytes(u.E1)}, section{secNamesE2, i32Bytes(u.E2)})
 }
 
 // fileSink is the temp file behind its write buffer: small sections and

@@ -6,11 +6,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"minoaner/internal/blocking"
 	"minoaner/internal/core"
 	"minoaner/internal/graph"
 	"minoaner/internal/kb"
@@ -240,22 +242,52 @@ func checkOpen(t *testing.T, data []byte) {
 	}
 }
 
-// exercise runs what a loaded substrate exists for: a batch resolution, one
-// replayed and one newly described entity. Results are not judged — flipped
-// bytes that stay in range describe some other, valid pair — only that each
-// call returns: an error is an answer too (an ID the loader leaves to the
-// first walk to check, a URI a damaged permutation no longer finds).
+// exercise runs what a loaded substrate exists for: a batch resolution over
+// the installed graph and one over a private graph, one replayed and one
+// newly described entity, one description, the block collections read
+// member by member, and a copy of the whole substrate. Results are not
+// judged — flipped bytes that stay in range describe some other, valid pair
+// — only that each call returns: an error is an answer too (an ID the
+// loader leaves to its first reader to check, a URI a damaged permutation no
+// longer finds). Together the calls reach every check the loader defers.
 func exercise(sub *core.Substrate) {
 	ctx := context.Background()
 	cfg := core.Config{Workers: 1}
-	_, _ = core.ResolveWith(ctx, sub, cfg)
+	k1, k2 := sub.K1(), sub.K2()
+	members := func(c *blocking.Collection) {
+		for _, b := range c.Blocks {
+			for _, e := range b.E1 {
+				_ = k1.URI(e)
+			}
+			for _, e := range b.E2 {
+				_ = k2.URI(e)
+			}
+		}
+	}
+	if out, err := core.ResolveWith(ctx, sub, cfg); err == nil {
+		members(out.NameBlocks)
+		members(out.TokenBlocks)
+	}
+	_, _ = core.ResolveWith(ctx, sub, core.Config{Workers: 1, TopK: 3}) // a private graph, built from every input
+	members(sub.NameBlocks())
+	members(sub.TokenBlocks())
 	describe := core.EntityQuery{
 		URI:   "q:new",
 		Attrs: []kb.AttributeValue{{Attribute: "name", Value: "item 3 alpha common"}},
 	}
-	if k1 := sub.K1(); k1.Len() > 0 {
+	if k1.Len() > 0 {
+		last := kb.EntityID(k1.Len() - 1)
+		if d, err := k1.Describe(last); err == nil {
+			for _, t := range d.TokenIDs() {
+				_ = d.Dict().TokenString(t)
+			}
+			for _, r := range d.Relations {
+				_ = k1.URI(r.Object)
+			}
+		}
 		describe.Objects = []core.QueryObject{{Predicate: "next", Object: k1.URI(0)}}
-		_, _ = core.QueryEntity(ctx, sub, core.QueryFromEntity(k1, kb.EntityID(k1.Len()-1)), cfg)
+		_, _ = core.QueryEntity(ctx, sub, core.QueryFromEntity(k1, last), cfg)
 	}
 	_, _ = core.QueryEntity(ctx, sub, describe, cfg)
+	_ = WriteSubstrate(io.Discard, sub)
 }

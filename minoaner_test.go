@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"minoaner/internal/kb"
 )
 
 // TestPublicAPIEndToEnd exercises the facade the way the README quickstart
@@ -187,5 +189,67 @@ func TestPublicAPIResolveCancellation(t *testing.T) {
 	}
 	if !reflect.DeepEqual(alias.Matches, out.Matches) {
 		t.Error("deprecated ResolveContext alias diverged from Resolve")
+	}
+}
+
+// A pair read back from a damaged snapshot never resolves to an Output with
+// silently empty parts. A batch resolution over the snapshot fails with
+// kb.ErrCorrupt where it reads the damage — the URI offsets, a name-block or
+// a token-block member — and gives the undamaged answer where it does not,
+// as for a KB column; a substrate build over the loaded KBs, which reads
+// them whole, fails wherever they are damaged.
+func TestDamagedSnapshotNeverResolvesEmpty(t *testing.T) {
+	d, err := GenerateBenchmark(ScaleProfile(RestaurantProfile(), 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cfg := context.Background(), Config{Workers: 1}
+	built, err := BuildSubstrate(ctx, d.K1, d.K2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ResolveWith(ctx, built, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var img bytes.Buffer
+	if err := WriteSnapshot(&img, built); err != nil {
+		t.Fatal(err)
+	}
+	// ReadSnapshot decodes numeric sections into fresh arrays, which the
+	// damage below writes to.
+	for _, c := range []struct {
+		what           string
+		warmRead, inKB bool
+		damage         func(*Substrate)
+	}{
+		{"KB column", false, true, func(s *Substrate) { s.K1().SnapshotParts().StmtAttrName[0] = 1 << 20 }},
+		{"URI offsets", true, true, func(s *Substrate) {
+			_, off, _ := s.K2().SnapshotParts().URIs.Parts()
+			off[1] = off[len(off)-1] + 1
+		}},
+		{"name-block member", true, false, func(s *Substrate) { s.Parts().NameBlocks.E1.Flat[0] = 1 << 20 }},
+		{"token-block member", true, false, func(s *Substrate) { s.Parts().TokenIndex.SnapshotColumns().Mem2[0] = 1 << 20 }},
+	} {
+		loaded, err := ReadSnapshot(img.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub := loaded.Substrate()
+		c.damage(sub)
+		out, err := ResolveWith(ctx, sub, cfg)
+		switch {
+		case c.warmRead && !errors.Is(err, kb.ErrCorrupt):
+			t.Errorf("%s: ResolveWith error %v, want kb.ErrCorrupt", c.what, err)
+		case !c.warmRead && err != nil:
+			t.Errorf("%s: ResolveWith, which reads no KB column, failed: %v", c.what, err)
+		case !c.warmRead && !reflect.DeepEqual(out.Matches, want.Matches):
+			t.Errorf("%s: ResolveWith gave %d matches, want the %d of the built pair", c.what, len(out.Matches), len(want.Matches))
+		}
+		if c.inKB {
+			if _, err := BuildSubstrate(ctx, sub.K1(), sub.K2(), cfg); !errors.Is(err, kb.ErrCorrupt) {
+				t.Errorf("%s: BuildSubstrate error %v, want kb.ErrCorrupt", c.what, err)
+			}
+		}
 	}
 }
