@@ -18,10 +18,11 @@ race:
 # chosen by a row demand read while spans fill, under the race detector at an
 # explicit workers=2 engine (the smallest size where the removed barriers
 # matter), plus sixteen readers of a freshly opened snapshot racing for the
-# checks its open deferred (each must run exactly once), repeated so
-# goroutine interleavings vary.
+# checks its open deferred (each must run exactly once), and the chunked
+# ingester's parsers stopped by a cancelled ctx and by a parse error while
+# later chunks are in flight, repeated so goroutine interleavings vary.
 race-overlap:
-	go test -race -count=2 -run 'Overlap|StreamedResolve' ./internal/core ./internal/graph ./internal/kb
+	go test -race -count=2 -run 'Overlap|StreamedResolve|IngestLifecycle' ./internal/core ./internal/graph ./internal/kb
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi

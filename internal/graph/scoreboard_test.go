@@ -110,11 +110,18 @@ func TestAppendRowAllocatesNothing(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("appendRow allocates %v times per row, want 0", allocs)
 	}
+	// Under the race detector slices.Grow allocates the make([]E, n) it
+	// appends as well as the grown slice: the compiler folds the two into one
+	// allocation only without instrumentation.
+	want := 1.0
+	if raceEnabled {
+		want = 2
+	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		fill()
 		dst = sc.appendRow(nil, 15)
-	}); allocs != 1 {
-		t.Errorf("appendRow into no destination allocates %v times per row, want 1", allocs)
+	}); allocs != want {
+		t.Errorf("appendRow into no destination allocates %v times per row, want %v", allocs, want)
 	}
 }
 

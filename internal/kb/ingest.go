@@ -2,7 +2,6 @@ package kb
 
 import (
 	"cmp"
-	"runtime"
 	"slices"
 	"strings"
 	"unsafe"
@@ -11,18 +10,14 @@ import (
 )
 
 // Builder is the one construction path of a KB — the ingester behind every
-// loader and behind hand-built KBs alike. Statements are consumed as they
-// arrive, in two stages:
-//
-//   - the token stage registers the subject, interns the literal's tokens
-//     into the token dictionary and appends one flat statement record;
-//   - the value stage normalizes the literal (NormalizeName) and interns it
-//     into the schema's value dictionary, a batch of values at a time.
-//
-// Each dictionary therefore has exactly one writer per Builder, consuming in
+// loader and behind hand-built KBs alike. Each statement registers its
+// subject, interns the literal's tokens into the token dictionary and its
+// normalized value (NormalizeName) into the schema's value dictionary, and
+// appends one flat statement record. Every dictionary is written in
 // statement order, so IDs — and the bytes of a snapshot — are a function of
-// the input alone. While a loader reads a file the value stage runs on a
-// goroutine of its own (see piped); everywhere else it runs inline.
+// the input alone. The loaders parse a file in chunks, in parallel, and merge
+// the chunks into the Builder in input order (see ingest). Hand-built
+// literals intern their values a batch at a time (see valueStage).
 //
 // Build then counting-sorts the statements by subject: every description's
 // Attrs, Relations and tokens, and the six columns, are sub-slices of a
@@ -40,10 +35,7 @@ type Builder struct {
 	schema *Schema
 
 	uris *symtab
-	// last is the subject of the previous statement: dumps group statements
-	// by subject, which saves the lookup.
-	last EntityID
-	// text backs every literal and pending object URI that arrived as bytes.
+	// text backs every pending object URI that arrived as bytes.
 	text arena
 
 	// preds are the distinct predicates in first-seen order. Whether one is
@@ -54,7 +46,7 @@ type Builder struct {
 	stmts []statement
 	// toks holds the token occurrences of every literal, in statement order.
 	toks []TokenID
-	low  []byte // lower-casing scratch of the token stage
+	low  []byte // lower-casing scratch of tokenize
 
 	values valueStage
 }
@@ -104,7 +96,6 @@ func NewBuilderWithDicts(name string, dict *Interner, schema *Schema) *Builder {
 		dict:   dict,
 		schema: schema,
 		uris:   &uris,
-		last:   NoEntity,
 		preds:  newSymtab(),
 		values: valueStage{vals: &schema.vals},
 	}
@@ -130,24 +121,6 @@ func (b *Builder) AddObject(id EntityID, predicate, objectURI string) {
 		st.obj, st.text = EntityID(obj), ""
 	}
 	b.stmts = appendDoubling(b.stmts, st)
-}
-
-// addTerms is the loaders' entry: one statement whose terms are bytes of a
-// read buffer. Nothing is copied that the KB does not keep.
-func (b *Builder) addTerms(subj, pred, obj []byte, objIsURI bool) {
-	id := b.last
-	if id < 0 || b.uris.str(uint32(id)) != string(subj) {
-		id = EntityID(b.uris.internBytes(subj))
-		b.last = id
-	}
-	p := b.preds.internBytes(pred)
-	if !objIsURI {
-		b.literal(id, p, b.text.add(obj))
-	} else if o, ok := b.uris.find(obj); ok {
-		b.stmts = appendDoubling(b.stmts, statement{subj: id, pred: p, obj: EntityID(o)})
-	} else {
-		b.stmts = appendDoubling(b.stmts, statement{subj: id, pred: p, obj: objPending, text: b.text.add(obj)})
-	}
 }
 
 func (b *Builder) pred(name string) uint32 { return b.preds.internBytes(bytesOf(name)) }
@@ -190,7 +163,7 @@ func appendDoubling[T any](s []T, v T) []T {
 func (b *Builder) Len() int { return b.uris.tab.Len() }
 
 // arena hands out immutable strings carved from large byte chunks, so the
-// literals of a million statements cost a few dozen allocations, not a
+// pending URIs of a million statements cost a few dozen allocations, not a
 // million. Chunks start small, so the thousands of tiny KBs tests build stay
 // tiny.
 type arena struct {
@@ -213,25 +186,22 @@ func (a *arena) add(b []byte) string {
 	return unsafe.String(&a.chunk[n], len(b))
 }
 
-// valueStage is the second stage: it turns literal values into ValueIDs, in
-// the order they were added.
+// valueStage turns literal values into ValueIDs, in the order they were
+// added. A hand-built literal's value waits in a batch, interned when the
+// batch holds valueBatchBytes of text or at Build: Builders that share a
+// Schema and are fed in turn, as datagen feeds a pair, get ValueIDs that
+// depend on where those batches end, and a snapshot stores them. A loader's
+// chunks append their ValueIDs to ids directly (merger.merge).
 type valueStage struct {
 	vals *symtab
-	ids  []ValueID // one per value consumed; written by consume alone
-	low  []byte    // scratch of consume
+	ids  []ValueID // one per value consumed
+	low  []byte    // scratch of flush
 	norm []byte
 
-	// batch collects values until they are worth handing over; the strings
-	// are immutable, so the consumer may read them while the parser goes on.
 	batch      []string
 	batchBytes int
-	// ch is set while the stage runs on its own goroutine (piped).
-	ch chan []string
 }
 
-// valueBatchBytes is how much literal text one batch carries: large enough
-// that a channel operation per batch costs nothing, small enough to stay in
-// cache between the two stages.
 const valueBatchBytes = 256 << 10
 
 func (v *valueStage) add(value string) {
@@ -242,52 +212,13 @@ func (v *valueStage) add(value string) {
 }
 
 func (v *valueStage) flush() {
-	if v.ch != nil {
-		v.ch <- v.batch
-		v.batch = nil
-	} else {
-		v.consume(v.batch)
-		v.batch = v.batch[:0]
-	}
-	v.batchBytes = 0
-}
-
-func (v *valueStage) consume(batch []string) {
 	v.vals.mu.Lock()
-	for _, s := range batch {
+	for _, s := range v.batch {
 		v.norm = appendNormalized(v.norm[:0], lowerBytes(&v.low, bytesOf(s)))
 		v.ids = appendDoubling(v.ids, ValueID(v.vals.internBytes(v.norm)))
 	}
 	v.vals.mu.Unlock()
-}
-
-// piped runs read — a loader feeding this Builder — with the value stage on
-// a goroutine of its own, and returns once that goroutine has consumed every
-// value read. On a process with one P a second goroutine only adds
-// switches (and, in a server, competes with request handlers), so there the
-// stage stays inline.
-func (b *Builder) piped(read func() (int, error)) (int, error) {
-	if runtime.GOMAXPROCS(0) == 1 {
-		return read()
-	}
-	v := &b.values
-	// A few batches of slack let the parser run on while the value stage
-	// sits in an index growth, with at most a megabyte of text in flight.
-	v.ch = make(chan []string, 4)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for batch := range v.ch {
-			v.consume(batch)
-		}
-	}()
-	defer func() {
-		v.flush()
-		close(v.ch)
-		<-done
-		v.ch = nil
-	}()
-	return read()
+	v.batch, v.batchBytes = v.batch[:0], 0
 }
 
 // Build finalizes the KB and returns it. The Builder must not be used

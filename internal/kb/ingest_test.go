@@ -1,13 +1,14 @@
 package kb
 
 import (
-	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -52,11 +53,11 @@ func columnStrings(k *KB, id EntityID) []string {
 	var out []string
 	preds, objs := k.RelationColumns(id)
 	for j := range preds {
-		out = append(out, fmt.Sprintf("rel %s -> %d", k.Schema().Pred(preds[j]), objs[j]))
+		out = append(out, "rel "+k.Schema().Pred(preds[j])+" -> "+strconv.Itoa(int(objs[j])))
 	}
 	attrs, vals := k.AttributeColumns(id)
 	for j := range attrs {
-		out = append(out, fmt.Sprintf("attr %s = %q", k.Schema().Attr(attrs[j]), k.Schema().Value(vals[j])))
+		out = append(out, "attr "+k.Schema().Attr(attrs[j])+" = "+k.Schema().Value(vals[j]))
 	}
 	slices.Sort(out)
 	return out
@@ -148,63 +149,190 @@ func TestBuilderSettlesObjectsAtBuild(t *testing.T) {
 	}
 }
 
-// The value stage hands over a batch every valueBatchBytes: a load larger
-// than a few batches must give the same KB piped (GOMAXPROCS 2) and inline
-// (GOMAXPROCS 1), and the same dictionaries ID for ID.
-func TestIngestPipedEqualsInline(t *testing.T) {
-	var src bytes.Buffer
+// edgeFixture holds what ingestFixture does not: blank and whitespace-only
+// lines, indented comments, CRLF and lone-CR line ends, a forward reference
+// to a subject described further down, and a last line without a newline.
+const edgeFixture = "\n  \n<e:x> <linked> <e:z> .\r\n   # indented comment\n" +
+	"<e:x> <label> \"X \\u00e9t\\u00e9\\n\\\"q\\\"\" .\r\n\t<e:y> <label> \"Why\" .\r\r\n" +
+	"<e:y> <seeAlso> <http://nowhere.example/y> .\n<e:z> <label> \"Zed\" ."
+
+// tsvFixture is edgeFixture's TSV counterpart: objects naming a subject
+// become relations, the others literals, and bad rows are skipped.
+const tsvFixture = "#c\n\nx\tlinked\tz\r\nx\tlabel\tX one\r\ny\tlabel\tWhy x\n" +
+	"bad row\n\tp\tq\ny\tseeAlso\thttp://nowhere.example/y\nz\tlabel\t\nz\tlinked\tx"
+
+// generatedSource writes two megabytes of statements, so that the default
+// chunk size cuts it too: subjects that come back, references to subjects
+// described megabytes later and to URIs nobody describes, blank nodes,
+// escaped and non-ASCII literals, comments, blank lines, CRLF line ends and
+// malformed lines (the first of them on line bad).
+func generatedSource(tsv bool) (src string, bad int) {
 	rng := rand.New(rand.NewSource(7))
-	for i := 0; src.Len() < 5*valueBatchBytes; i++ {
-		fmt.Fprintf(&src, "<e:%d> <p%d> \"Value %d of Entity-%d x%d\" .\n", i%997, i%7, rng.Intn(5000), i%997, rng.Intn(50))
-		if i%5 == 0 {
-			fmt.Fprintf(&src, "<e:%d> <link> <e:%d> .\n", i%997, rng.Intn(1200))
+	var sb strings.Builder
+	line := func(subj, pred, obj string, uri bool) {
+		switch {
+		case tsv:
+			fmt.Fprintf(&sb, "%s\t%s\t%s", subj, pred, obj)
+		case uri && strings.HasPrefix(obj, "_:"):
+			fmt.Fprintf(&sb, "<%s> <%s> %s .", subj, pred, obj)
+		case uri:
+			fmt.Fprintf(&sb, "<%s> <%s> <%s> .", subj, pred, obj)
+		default:
+			fmt.Fprintf(&sb, "<%s> <%s> %s .", subj, pred, quoteLiteral(obj))
 		}
-	}
-	load := func(procs int) *KB {
-		t.Helper()
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		k, _, err := LoadNTriples("k", bytes.NewReader(src.Bytes()), false)
-		if err != nil {
-			t.Fatal(err)
+		if rng.Intn(7) == 0 {
+			sb.WriteByte('\r')
 		}
-		return k
+		sb.WriteByte('\n')
 	}
-	inline, piped := load(1), load(2)
-	if d := diffKB(piped, inline); d != "" {
-		t.Fatal(d)
-	}
-	for i := 0; i < inline.Len(); i++ {
-		if !slices.Equal(piped.Entity(EntityID(i)).TokenIDs(), inline.Entity(EntityID(i)).TokenIDs()) {
-			t.Fatalf("entity %d: token IDs differ between piped and inline ingest", i)
+	lines := 0
+	for i := 0; sb.Len() < 2<<20; i++ {
+		subj := fmt.Sprintf("e:%d", i/4)
+		if i%97 == 0 {
+			subj = fmt.Sprintf("e:%d", rng.Intn(i/4+1)) // a subject that comes back
 		}
-		_, v1 := piped.AttributeColumns(EntityID(i))
-		_, v2 := inline.AttributeColumns(EntityID(i))
-		if !slices.Equal(v1, v2) {
-			t.Fatalf("entity %d: ValueIDs differ between piped and inline ingest", i)
+		switch k := rng.Intn(40); {
+		case k < 3:
+			line(subj, "linked", fmt.Sprintf("e:%d", i/4+rng.Intn(40000)), true)
+		case k < 5:
+			line(subj, "seeAlso", fmt.Sprintf("http://nowhere.example/%d", rng.Intn(3000)), true)
+		case k == 5:
+			line(subj, "linked", fmt.Sprintf("_:b%d", rng.Intn(50)), true)
+		case k == 6:
+			sb.WriteString("# a comment\n\n")
+			lines++
+		case k == 7:
+			if bad == 0 && sb.Len() > 1<<20 {
+				bad = lines + 1
+			}
+			if bad != 0 {
+				sb.WriteString("malformed\tline\n")
+			} else {
+				sb.WriteString("# not yet malformed\n")
+			}
+		default:
+			line(subj, fmt.Sprintf("p%d", rng.Intn(60)), fmt.Sprintf("Value %d of Entity-%d \"q\" Café x%d\t%d",
+				rng.Intn(20000), i/4, rng.Intn(50), rng.Intn(9)), false)
 		}
+		lines++
 	}
-	want, _, err := RefLoadNTriples("ref", bytes.NewReader(src.Bytes()), false)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 50; i++ {
+		line(fmt.Sprintf("_:b%d", i), "label", fmt.Sprintf("Blank %d", i), false)
 	}
-	if d := diffKB(piped, want); d != "" {
-		t.Fatal(d)
-	}
+	return sb.String(), bad
 }
 
-// A strict load that fails mid-file must still stop its value stage.
-func TestIngestStrictErrorJoinsValueStage(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	var src bytes.Buffer
-	for i := 0; src.Len() < 2*valueBatchBytes; i++ {
-		fmt.Fprintf(&src, "<e:%d> <p> \"some value number %d\" .\n", i, i)
+// diffIDs describes the first difference between the dictionaries of two
+// KBs built from one input — the token and schema dictionaries string by
+// string, then each entity's token IDs and ValueIDs — or returns "".
+func diffIDs(got, want *KB) string {
+	gd, wd := got.TokenDict(), want.TokenDict()
+	if gd.Len() != wd.Len() {
+		return fmt.Sprintf("%d tokens, want %d", gd.Len(), wd.Len())
 	}
-	lines := bytes.Count(src.Bytes(), []byte{'\n'})
-	src.WriteString("broken\n")
-	_, _, err := LoadNTriples("k", &src, false)
-	var pe *ParseError
-	if !errors.As(err, &pe) || pe.Line != lines+1 {
-		t.Fatalf("err = %v, want a *ParseError at line %d", err, lines+1)
+	for i := 0; i < wd.Len(); i++ {
+		if g, w := gd.TokenString(TokenID(i)), wd.TokenString(TokenID(i)); g != w {
+			return fmt.Sprintf("token %d is %q, want %q", i, g, w)
+		}
+	}
+	gs, ws := got.Schema(), want.Schema()
+	if gs.Values() != ws.Values() || gs.Preds() != ws.Preds() || gs.Attrs() != ws.Attrs() {
+		return fmt.Sprintf("schema %d/%d/%d, want %d/%d/%d", gs.Values(), gs.Preds(), gs.Attrs(), ws.Values(), ws.Preds(), ws.Attrs())
+	}
+	for i := 0; i < ws.Values(); i++ {
+		if g, w := gs.Value(ValueID(i)), ws.Value(ValueID(i)); g != w {
+			return fmt.Sprintf("value %d is %q, want %q", i, g, w)
+		}
+	}
+	for i := 0; i < want.Len(); i++ {
+		id := EntityID(i)
+		if g, w := got.Entity(id).TokenIDs(), want.Entity(id).TokenIDs(); !slices.Equal(g, w) {
+			return fmt.Sprintf("entity %d: token IDs %v, want %v", i, g, w)
+		}
+		_, g := got.AttributeColumns(id)
+		_, w := want.AttributeColumns(id)
+		if !slices.Equal(g, w) {
+			return fmt.Sprintf("entity %d: ValueIDs %v, want %v", i, g, w)
+		}
+	}
+	return ""
+}
+
+// ingestAt loads data with the chunked ingester at the given chunk size and
+// GOMAXPROCS.
+func ingestAt(data string, syn syntax, size, procs int) (*KB, int, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	b := NewBuilder("k")
+	skipped, err := b.ingest(context.Background(), strings.NewReader(data), syn, size)
+	if err != nil {
+		return nil, skipped, err
+	}
+	return b.Build(), skipped, nil
+}
+
+// The chunked ingester, at every chunk size — a line per chunk, a few lines
+// per chunk, the default — and at one, two and eight parsers, must build the
+// KB a Builder fed statement by statement builds, with the same dictionaries
+// ID for ID, the same skipped count and the same first *ParseError.
+func TestChunkedIngestEqualsSerial(t *testing.T) {
+	gen, genBad := generatedSource(false)
+	genTSV, _ := generatedSource(true)
+	cases := []struct {
+		name, data string
+		syn        syntax
+		badLine    int // strict: the line of the first *ParseError, or 0
+	}{
+		{"fixture", ingestFixture, syntax{}, 11},
+		{"edges", edgeFixture, syntax{}, 0},
+		{"generated", gen, syntax{}, genBad},
+		{"tsv-fixture", tsvFixture, syntax{tsv: true, uriObjects: true}, 0},
+		{"tsv-literals", tsvFixture, syntax{tsv: true}, 0},
+		{"tsv-generated", genTSV, syntax{tsv: true, uriObjects: true}, 0},
+	}
+	for _, tc := range cases {
+		for _, lenient := range []bool{true, false} {
+			syn := tc.syn
+			syn.lenient = lenient
+			serial := NewBuilder("serial")
+			wantSkipped, wantErr := readTerms(strings.NewReader(tc.data), syn, &stringSink{sink: serial}, chunkBytes)
+			var want *KB
+			if wantErr == nil {
+				want = serial.Build()
+				if !syn.tsv {
+					ref, refSkipped, err := RefLoadNTriples("ref", strings.NewReader(tc.data), lenient)
+					if err != nil || refSkipped != wantSkipped {
+						t.Fatalf("%s: reference: %v, skipped %d, want %d", tc.name, err, refSkipped, wantSkipped)
+					}
+					if d := diffKB(want, ref); d != "" {
+						t.Fatalf("%s: serial Builder against the reference: %s", tc.name, d)
+					}
+				}
+			}
+			var pe *ParseError
+			if errors.As(wantErr, &pe) != (tc.badLine != 0 && !lenient) || pe != nil && pe.Line != tc.badLine {
+				t.Fatalf("%s lenient=%t: serial error %v, want one at line %d", tc.name, lenient, wantErr, tc.badLine)
+			}
+			for _, size := range []int{1, 37, chunkBytes} {
+				for _, procs := range []int{1, 2, 8} {
+					name := fmt.Sprintf("%s/lenient=%t/size=%d/procs=%d", tc.name, lenient, size, procs)
+					got, skipped, err := ingestAt(tc.data, syn, size, procs)
+					if skipped != wantSkipped {
+						t.Errorf("%s: skipped %d, want %d", name, skipped, wantSkipped)
+					}
+					if !reflect.DeepEqual(err, wantErr) {
+						t.Errorf("%s: error %v, want %v", name, err, wantErr)
+					}
+					if err != nil || wantErr != nil {
+						continue
+					}
+					if d := diffKB(got, want); d != "" {
+						t.Errorf("%s: %s", name, d)
+					} else if d := diffIDs(got, want); d != "" {
+						t.Errorf("%s: %s", name, d)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -268,9 +396,14 @@ func TestTextCoreAgrees(t *testing.T) {
 		if got := NormalizeName(s); got != wantName {
 			t.Fatalf("NormalizeName(%q) = %q, reference %q", s, got, wantName)
 		}
-		// The byte forms, through the ingester.
-		b := NewBuilder("k")
-		b.addTerms([]byte("e"), []byte("p"), []byte(s), false)
+		// The byte forms, through a chunk of the ingester.
+		b, c := NewBuilder("k"), newChunk()
+		c.addTerms([]byte("e"), []byte("p"), []byte(s), false)
+		c.seal()
+		m := merger{b: b}
+		if err := m.merge(c); err != nil {
+			t.Fatal(err)
+		}
 		k := b.Build()
 		slices.Sort(want)
 		if got := k.Entity(0).Tokens(); !slices.Equal(got, slices.Compact(want)) {

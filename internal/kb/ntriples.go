@@ -34,8 +34,8 @@ var (
 )
 
 // TripleSink consumes raw (subject, predicate, object) statements as
-// strings. Builder is the sink every loader feeds; ReadNTriples and ReadTSV
-// accept any other, at the price of one string per statement.
+// strings: ReadNTriples and ReadTSV feed one, at the price of one string per
+// statement. The loaders feed a Builder through the chunked ingester.
 type TripleSink interface {
 	// AddEntity registers (or finds) the entity with the given URI.
 	AddEntity(uri string) EntityID
@@ -46,9 +46,9 @@ type TripleSink interface {
 	AddObject(id EntityID, predicate, objectURI string)
 }
 
-// termSink is what the readers feed: the three terms of one statement as
-// bytes that are only valid during the call. Builder implements it without
-// making a string of any of them.
+// termSink is what the line parser feeds: the three terms of one statement
+// as bytes that are only valid during the call. A chunk of the ingester
+// implements it without making a string of any of them.
 type termSink interface {
 	addTerms(subj, pred, obj []byte, objIsURI bool)
 }
@@ -71,13 +71,6 @@ func (s *stringSink) addTerms(subj, pred, obj []byte, objIsURI bool) {
 	}
 }
 
-func termSinkOf(sink TripleSink) termSink {
-	if ts, ok := sink.(termSink); ok {
-		return ts
-	}
-	return &stringSink{sink: sink}
-}
-
 // LoadNTriples reads a KB in N-Triples format:
 //
 //	<subject> <predicate> <object-uri> .
@@ -87,8 +80,7 @@ func termSinkOf(sink TripleSink) termSink {
 // *ParseError unless lenient is true, in which case they are counted and
 // skipped. It returns the built KB and the number of skipped lines.
 func LoadNTriples(name string, r io.Reader, lenient bool) (*KB, int, error) {
-	b := NewBuilder(name)
-	return load(b, func() (int, error) { return readNTriples(context.Background(), b, r, lenient) })
+	return load(context.Background(), NewBuilder(name), r, syntax{lenient: lenient})
 }
 
 // StreamNTriples is LoadNTriples: there is one ingester, and it streams.
@@ -103,14 +95,12 @@ func StreamNTriples(name string, r io.Reader, lenient bool) (*KB, int, error) {
 // at Build time via AddObject) if uriObjects is true; otherwise every object
 // is a literal. Returns the KB and the number of skipped malformed rows.
 func LoadTSV(name string, r io.Reader, uriObjects bool) (*KB, int, error) {
-	b := NewBuilder(name)
-	return load(b, func() (int, error) { return readTSV(context.Background(), b, r, uriObjects) })
+	return load(context.Background(), NewBuilder(name), r, syntax{tsv: true, uriObjects: uriObjects})
 }
 
-// load runs read, which feeds one input to b, and builds the KB. While the
-// input is read, the value stage runs beside the parser (see Builder.piped).
-func load(b *Builder, read func() (int, error)) (*KB, int, error) {
-	skipped, err := b.piped(read)
+// load ingests one input into b (see Builder.ingest) and builds the KB.
+func load(ctx context.Context, b *Builder, r io.Reader, syn syntax) (*KB, int, error) {
+	skipped, err := b.ingest(ctx, r, syn, chunkBytes)
 	if err != nil {
 		return nil, skipped, wrapLoadErr(b.name, err)
 	}
@@ -146,14 +136,14 @@ func LoadPair(ctx context.Context, path1, path2, format string, lenient bool) (k
 	dict, schema := NewInterner(), NewSchema()
 	dict.t.reserve(int(size / bytesPerToken))
 	schema.vals.reserve(int(size / bytesPerValue))
+	syn := syntax{lenient: lenient}
+	if format == "tsv" {
+		syn = syntax{tsv: true, uriObjects: true}
+	}
 	var kbs [2]*KB
 	for i, f := range files {
 		b := NewBuilderWithDicts(fmt.Sprintf("E%d", i+1), dict, schema)
-		read := func() (int, error) { return readNTriples(ctx, b, f, lenient) }
-		if format == "tsv" {
-			read = func() (int, error) { return readTSV(ctx, b, f, true) }
-		}
-		if kbs[i], skipped[i], err = load(b, read); err != nil {
+		if kbs[i], skipped[i], err = load(ctx, b, f, syn); err != nil {
 			return nil, nil, skipped, err
 		}
 	}
@@ -180,51 +170,11 @@ func wrapLoadErr(name string, err error) error {
 	return fmt.Errorf("kb: %s: %w", name, err)
 }
 
-// newScanner reads lines of up to 16 MB without making a string of any.
-func newScanner(r io.Reader) *bufio.Scanner {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	return sc
-}
-
-// ctxEvery is how many lines the readers parse between looks at ctx.
-const ctxEvery = 1 << 12
-
-// ReadNTriples scans N-Triples statements from r into any TripleSink. It
-// returns the number of skipped malformed lines (lenient mode) or the first
-// *ParseError.
+// ReadNTriples scans N-Triples statements from r into any TripleSink, in
+// input order. It returns the number of skipped malformed lines (lenient
+// mode) or the first *ParseError.
 func ReadNTriples(sink TripleSink, r io.Reader, lenient bool) (int, error) {
-	return readNTriples(context.Background(), termSinkOf(sink), r, lenient)
-}
-
-func readNTriples(ctx context.Context, sink termSink, r io.Reader, lenient bool) (int, error) {
-	sc := newScanner(r)
-	var unescaped []byte // reused by every escaped literal
-	skipped := 0
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		if lineNo%ctxEvery == 0 && ctx.Err() != nil {
-			return skipped, ctx.Err()
-		}
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 || line[0] == '#' {
-			continue
-		}
-		subj, pred, obj, objIsURI, err := parseNTLine(line, &unescaped)
-		if err != nil {
-			if lenient {
-				skipped++
-				continue
-			}
-			return skipped, &ParseError{Line: lineNo, Text: string(line), Err: err}
-		}
-		sink.addTerms(subj, pred, obj, objIsURI)
-	}
-	if err := sc.Err(); err != nil {
-		return skipped, fmt.Errorf("reading n-triples: %w", err)
-	}
-	return skipped, nil
+	return readTerms(r, syntax{lenient: lenient}, &stringSink{sink: sink}, chunkBytes)
 }
 
 // parseNTLine parses one N-Triples statement into its three terms. The terms
@@ -349,32 +299,7 @@ func unescapeLiteral(s []byte, i int, scratch *[]byte) ([]byte, bool) {
 // ReadTSV scans tab-separated subject/predicate/object rows from r into any
 // TripleSink, returning the number of skipped malformed rows.
 func ReadTSV(sink TripleSink, r io.Reader, uriObjects bool) (int, error) {
-	return readTSV(context.Background(), termSinkOf(sink), r, uriObjects)
-}
-
-func readTSV(ctx context.Context, sink termSink, r io.Reader, uriObjects bool) (int, error) {
-	sc := newScanner(r)
-	skipped := 0
-	for lineNo := 1; sc.Scan(); lineNo++ {
-		if lineNo%ctxEvery == 0 && ctx.Err() != nil {
-			return skipped, ctx.Err()
-		}
-		line := sc.Bytes()
-		if len(line) == 0 || line[0] == '#' {
-			continue
-		}
-		subj, rest, ok1 := bytes.Cut(line, []byte{'\t'})
-		pred, obj, ok2 := bytes.Cut(rest, []byte{'\t'})
-		if !ok1 || !ok2 || len(subj) == 0 || len(pred) == 0 {
-			skipped++
-			continue
-		}
-		sink.addTerms(subj, pred, obj, uriObjects)
-	}
-	if err := sc.Err(); err != nil {
-		return skipped, fmt.Errorf("reading tsv: %w", err)
-	}
-	return skipped, nil
+	return readTerms(r, syntax{tsv: true, uriObjects: uriObjects}, &stringSink{sink: sink}, chunkBytes)
 }
 
 // WriteNTriples serializes the KB in N-Triples format, one statement per

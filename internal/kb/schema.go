@@ -107,7 +107,7 @@ func (t *symtab) probe(b []byte, tag uint32) (slot int, id uint32, ok bool) {
 		}
 		if uint32(e>>32) == tag {
 			id = uint32(e) - 1
-			if string(t.tab.blob[t.tab.off[id]:t.tab.off[id+1]]) == string(b) {
+			if string(t.at(id)) == string(b) {
 				return slot, id, true
 			}
 		}
@@ -171,6 +171,17 @@ func (t *symtab) len() int {
 		defer t.mu.Unlock()
 	}
 	return t.tab.Len()
+}
+
+// at returns string id as bytes of the table; the caller holds t.mu or is
+// the only goroutine that uses the table.
+func (t *symtab) at(id uint32) []byte { return t.tab.blob[t.tab.off[id]:t.tab.off[id+1]] }
+
+// reset empties a table only its owner uses, keeping its arrays: nothing
+// may hold a string of it any more.
+func (t *symtab) reset() {
+	clear(t.index)
+	t.tab.blob, t.tab.off = t.tab.blob[:0], t.tab.off[:1]
 }
 
 // str is lock-free: IDs are never reassigned. Callers must not race it with
