@@ -71,8 +71,8 @@ func (t *symtab) intern(s string) uint32 {
 
 // internBytes is intern for text still sitting in a read buffer: the lookup
 // allocates nothing, and only a first sighting copies b (onto the blob).
-// The caller holds t.mu — the ingester takes it once per literal, not once
-// per token — or is the only goroutine that uses the table.
+// The caller holds t.mu — the ingester takes it once per chunk or literal,
+// not once per token — or is the only goroutine that uses the table.
 func (t *symtab) internBytes(b []byte) uint32 {
 	if t.frozen {
 		panic("kb: intern into a frozen (snapshot-backed) dictionary")
