@@ -20,9 +20,11 @@ race:
 # matter), plus sixteen readers of a freshly opened snapshot racing for the
 # checks its open deferred (each must run exactly once), and the chunked
 # ingester's parsers stopped by a cancelled ctx and by a parse error while
-# later chunks are in flight, repeated so goroutine interleavings vary.
+# later chunks are in flight, and the string-order kernel on tables past its
+# parallel cut, whose tied runs and buckets are finished on several
+# goroutines at once, repeated so goroutine interleavings vary.
 race-overlap:
-	go test -race -count=2 -run 'Overlap|StreamedResolve|IngestLifecycle' ./internal/core ./internal/graph ./internal/kb
+	go test -race -count=2 -run 'Overlap|StreamedResolve|IngestLifecycle|SortedOrderMatchesReference' ./internal/core ./internal/graph ./internal/kb
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -38,11 +40,13 @@ bench-module-check:
 	go -C benchmark test -short ./...
 
 # fuzz-smoke runs each fuzz target — the N-Triples reader, the string table
-# behind the dictionaries, the snapshot loader — for ten seconds on top of
-# its committed corpus.
+# behind the dictionaries, the string-order kernel behind their sorted
+# permutations, the snapshot loader — for ten seconds on top of its
+# committed corpus.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzReadNTriples$$' -fuzztime 10s ./internal/kb
 	go test -run '^$$' -fuzz '^FuzzInterner$$' -fuzztime 10s ./internal/kb
+	go test -run '^$$' -fuzz '^FuzzSortedOrder$$' -fuzztime 10s ./internal/kb
 	go test -run '^$$' -fuzz '^FuzzOpenSubstrate$$' -fuzztime 10s ./internal/snapshot
 
 # lint mirrors the CI lint job; requires golangci-lint on PATH.

@@ -108,21 +108,19 @@ type nameUsers struct {
 // the α rule, and the scratch pool.
 type queryState struct {
 	g *graph.Graph
-	// Exactly one of names/sorted is set: names is the map the lazy build
-	// produces; sorted is the name-ordered flat index a snapshot install
-	// provides (its columns may alias a memory-mapped region).
-	names  map[string]nameUsers
-	sorted NameUsages
-	pool   sync.Pool // *querySlot
+	// names is built by nameUsagesOf or installed from a snapshot (its
+	// columns may then alias a memory-mapped region).
+	names NameUsages
+	pool  sync.Pool // *querySlot
 	// The deferred checks of an installed state (nil for a built one): the
 	// graph's targets and weights, and the name index's order and carriers.
 	graphCheck, namesCheck *kb.Deferred
 }
 
-// newQueryState wraps a graph and one form of the name index with a scratch
-// pool sized for the pair.
-func (s *Substrate) newQueryState(g *graph.Graph, names map[string]nameUsers, sorted NameUsages) *queryState {
-	st := &queryState{g: g, names: names, sorted: sorted}
+// newQueryState wraps a graph and a name index with a scratch pool sized
+// for the pair.
+func (s *Substrate) newQueryState(g *graph.Graph, names NameUsages) *queryState {
+	st := &queryState{g: g, names: names}
 	n2, k := s.k2.Len(), s.cfg.TopK
 	st.pool.New = func() any {
 		return &querySlot{qs: graph.NewQueryScratch(n2, k), agg: matching.NewAggScratch()}
@@ -130,16 +128,12 @@ func (s *Substrate) newQueryState(g *graph.Graph, names map[string]nameUsers, so
 	return st
 }
 
-// lookupName resolves one normalized name against whichever index form the
-// state carries. Over an installed index it checks what it touches: a hit is
-// exact whatever the order, so only a miss — or a damaged entry — runs the
+// lookupName resolves one normalized name by binary search over the name
+// index. Over an installed index it checks what it touches: a hit is exact
+// whatever the order, so only a miss — or a damaged entry — runs the
 // index's deferred check, whose failure every later lookup reports.
 func (st *queryState) lookupName(n string, n1, n2 int) (nameUsers, bool, error) {
-	if st.names != nil {
-		u, ok := st.names[n]
-		return u, ok, nil
-	}
-	t := st.sorted
+	t := st.names
 	if err := st.namesCheck.Known(); err != nil {
 		return nameUsers{}, false, err
 	}
@@ -175,7 +169,7 @@ func (s *Substrate) queryState(ctx context.Context) (*queryState, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := s.newQueryState(pg.g, buildNameIndex(s), NameUsages{})
+	st := s.newQueryState(pg.g, nameUsagesOf(s))
 	s.query.Store(st)
 	return st, nil
 }
@@ -189,28 +183,70 @@ func (s *Substrate) PrewarmQueries(ctx context.Context) error {
 	return err
 }
 
-// buildNameIndex tallies every normalized name of both KBs. Per-entity names
-// are already deduplicated by NameLookup.Names, so each entity counts once
-// per name — the same multiplicity the name blocks see.
-func buildNameIndex(s *Substrate) map[string]nameUsers {
-	idx := make(map[string]nameUsers)
-	for i := 0; i < s.k1.Len(); i++ {
-		for _, n := range s.names1.Names(kb.EntityID(i)) {
-			u := idx[n]
-			u.n1++
-			u.e1 = kb.EntityID(i)
-			idx[n] = u
+// nameUsagesOf builds the pair's name-usage index. Every (name, side,
+// entity) of both KBs is gathered as a name ValueID — NameLookup already
+// deduplicates an entity's names, so each entity counts once per name, the
+// multiplicity the name blocks see — and read as a string through its KB's
+// schema (the KBs may not share one). One kb.SortedOrder puts them in name
+// order, equal names in gathering order: E1 before E2, entities ascending.
+// Run-length encoding that order yields the index, each side's last
+// carrier included.
+func nameUsagesOf(s *Substrate) NameUsages {
+	var vals []kb.ValueID
+	var ents []kb.EntityID
+	gather := func(names *stats.NameLookup, n int) {
+		for i := range n {
+			base := len(vals)
+			vals = names.AppendNameValueIDs(vals, kb.EntityID(i))
+			for range len(vals) - base {
+				ents = append(ents, kb.EntityID(i))
+			}
 		}
 	}
-	for j := 0; j < s.k2.Len(); j++ {
-		for _, n := range s.names2.Names(kb.EntityID(j)) {
-			u := idx[n]
-			u.n2++
-			u.e2 = kb.EntityID(j)
-			idx[n] = u
+	gather(s.names1, s.k1.Len())
+	side1 := len(vals)
+	gather(s.names2, s.k2.Len())
+	strs := make([]string, len(vals))
+	sch1, sch2 := s.k1.Schema(), s.k2.Schema()
+	for r, v := range vals[:side1] {
+		strs[r] = sch1.Value(v)
+	}
+	for r, v := range vals[side1:] {
+		strs[side1+r] = sch2.Value(v)
+	}
+	order := kb.SortedOrder(strs)
+	// Two entries name the same string where their ValueIDs are equal, if
+	// they were read through one schema.
+	sameName := func(a, b uint32) bool {
+		if sch1 == sch2 || (int(a) < side1) == (int(b) < side1) {
+			return vals[a] == vals[b]
+		}
+		return strs[a] == strs[b]
+	}
+	n := 0
+	for i := range order {
+		if i == 0 || !sameName(order[i-1], order[i]) {
+			n++
 		}
 	}
-	return idx
+	u := NameUsages{N1: make([]int32, n), N2: make([]int32, n), E1: make([]kb.EntityID, n), E2: make([]kb.EntityID, n)}
+	names := make([]string, n)
+	j := -1
+	for i, r := range order {
+		if i == 0 || !sameName(order[i-1], r) {
+			j++
+			names[j] = strs[r]
+		}
+		if int(r) < side1 {
+			u.N1[j]++
+			u.E1[j] = ents[r]
+		} else {
+			u.N2[j]++
+			u.E2[j] = ents[r]
+		}
+	}
+	u.Names = kb.FreezeStrings(names, false)
+	return u
 }
 
 // QueryEntity resolves one entity description against the substrate's K2

@@ -176,27 +176,7 @@ func (s *Substrate) ExportQueryState(ctx context.Context) (*QueryState, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &QueryState{Graph: st.g, Names: st.sorted}
-	if st.names != nil {
-		names := make([]string, 0, len(st.names))
-		users := make([]nameUsers, 0, len(st.names))
-		for n, u := range st.names {
-			names, users = append(names, n), append(users, u)
-		}
-		order := kb.SortedOrder(names)
-		t := NameUsages{
-			N1: make([]int32, len(order)), N2: make([]int32, len(order)),
-			E1: make([]kb.EntityID, len(order)), E2: make([]kb.EntityID, len(order)),
-		}
-		sorted := make([]string, len(order))
-		for i, at := range order {
-			u := users[at]
-			sorted[i], t.N1[i], t.N2[i], t.E1[i], t.E2[i] = names[at], u.n1, u.n2, u.e1, u.e2
-		}
-		t.Names = kb.FreezeStrings(sorted, false)
-		out.Names = t
-	}
-	return out, nil
+	return &QueryState{Graph: st.g, Names: st.names}, nil
 }
 
 // InstallQueryState installs a previously exported graph and name index, so
@@ -224,15 +204,16 @@ func (s *Substrate) InstallQueryState(qs *QueryState) error {
 	if n := names.Len(); names.Names == nil || names.Names.Len() != n || len(names.N2) != n || len(names.E1) != n || len(names.E2) != n {
 		return fmt.Errorf("core: install query state: name usage columns of unequal length")
 	}
-	st := s.newQueryState(g, nil, names)
+	st := s.newQueryState(g, names)
 	st.graphCheck = kb.NewDeferred("installed graph", func() error { return g.CheckTargets(n1, n2) })
 	st.namesCheck = kb.NewDeferred("name usage", func() error {
 		if err := names.Names.Check(); err != nil {
 			return err
 		}
 		for i := range names.Len() {
-			if i > 0 && names.Names.At(i-1) > names.Names.At(i) {
-				return fmt.Errorf("names not sorted at %d", i)
+			// A name listed twice could read as sole-carried in each entry.
+			if i > 0 && names.Names.At(i-1) >= names.Names.At(i) {
+				return fmt.Errorf("names not strictly increasing at %d", i)
 			}
 			// The α rule reads a carrier only where it is the sole one.
 			if !names.carriersIn(i, n1, n2) {

@@ -7,10 +7,15 @@
 // "build" apart from the permutation. Frozen tables are immutable; interning
 // into one panics, which is exactly the read-only contract a snapshot-backed
 // KB promises.
+//
+// Every sorted permutation — of a dictionary, a KB's URIs, FreezeStrings'
+// tables and SortedOrder's strings — comes from one kernel (strorder.go): an
+// MSD radix sort over 8-byte big-endian chunks of the strings, each chunk
+// sorted by stable byte passes through one scratch buffer, with only the
+// runs that tie on a whole chunk recursing into the next one.
 package kb
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -97,7 +102,7 @@ func FreezeStrings(strs []string, withLookup bool) *FrozenStrings {
 	}
 	f.off[len(strs)] = int64(len(f.blob))
 	if withLookup {
-		f.sorted = sortedOrder(len(strs), f.At)
+		f.sorted = sortedOrder(f)
 	}
 	return f
 }
@@ -105,31 +110,7 @@ func FreezeStrings(strs []string, withLookup bool) *FrozenStrings {
 // SortedOrder returns the indices of strs in string order (equal strings by
 // index).
 func SortedOrder(strs []string) []uint32 {
-	return sortedOrder(len(strs), func(i int) string { return strs[i] })
-}
-
-// sortedOrder is SortedOrder over any indexed table — the ingester's keyed
-// sort: strings compare by their first eight bytes as one integer, and as
-// strings only where those tie.
-func sortedOrder(n int, at func(int) string) []uint32 {
-	keys := make([]tokenKey, n)
-	for i := range keys {
-		keys[i] = tokenKey{prefixKey(at(i)), TokenID(i)}
-	}
-	slices.SortFunc(keys, func(a, c tokenKey) int {
-		if a.prefix != c.prefix {
-			return cmp.Compare(a.prefix, c.prefix)
-		}
-		if byString := strings.Compare(at(int(a.id)), at(int(c.id))); byString != 0 {
-			return byString
-		}
-		return cmp.Compare(a.id, c.id)
-	})
-	order := make([]uint32, n)
-	for i, k := range keys {
-		order[i] = uint32(k.id)
-	}
-	return order
+	return sortedOrder(FreezeStrings(strs, false))
 }
 
 // Len returns the number of strings.

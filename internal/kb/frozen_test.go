@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// The keyed sort behind FreezeStrings must produce the permutation of the
-// closure sort over At() it replaced, on strings built to tie on their
-// first eight bytes, to hold zero bytes, to be prefixes of one another and
-// to be empty — and Lookup must find every string through it.
+// The string-order kernel behind FreezeStrings must produce the permutation
+// of a comparison sort over At(), on strings built to tie on their first
+// eight bytes, to hold zero bytes, to be prefixes of one another and to be
+// empty — and Lookup must find every string through it.
 func TestFreezeStringsLookupPermutation(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	alphabet := []byte{0, 'a', 'b', 0xff}

@@ -208,7 +208,7 @@ func (t *symtab) view() FrozenStrings {
 func (t *symtab) freeze() *FrozenStrings {
 	f := t.view()
 	if !t.frozen {
-		f.sorted = sortedOrder(f.Len(), f.At)
+		f.sorted = sortedOrder(&f)
 	}
 	return &f
 }

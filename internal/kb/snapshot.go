@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"unsafe"
 )
 
 // SnapshotParts is the flat decomposition of one KB. All slices follow the
@@ -90,22 +91,50 @@ func (k *KB) SnapshotParts() SnapshotParts {
 	p.StmtRelPred = make([]PredID, 0, nRel)
 	p.StmtRelObj = make([]EntityID, 0, nRel)
 	vals := make([]string, 0, nAttr)
+	// Always present: buildColumns interned every statement.
+	attrIDs := idMemo[AttrID]{lookup: k.schema.LookupAttr}
+	predIDs := idMemo[PredID]{lookup: k.schema.LookupPred}
 	for i := range ents {
 		d := &ents[i]
 		for _, av := range d.Attrs {
-			// Always present: buildColumns interned every statement.
-			id, _ := k.schema.LookupAttr(av.Attribute)
-			p.StmtAttrName = append(p.StmtAttrName, id)
+			p.StmtAttrName = append(p.StmtAttrName, attrIDs.get(av.Attribute))
 			vals = append(vals, av.Value)
 		}
 		for _, r := range d.Relations {
-			id, _ := k.schema.LookupPred(r.Predicate)
-			p.StmtRelPred = append(p.StmtRelPred, id)
+			p.StmtRelPred = append(p.StmtRelPred, predIDs.get(r.Predicate))
 			p.StmtRelObj = append(p.StmtRelObj, r.Object)
 		}
 	}
 	p.StmtVals = FreezeStrings(vals, false)
 	return p
+}
+
+// idMemo memoizes a dictionary lookup by the looked-up string's data
+// pointer and length. The statements of a built KB name their attribute or
+// predicate through one string per distinct name (the Builder's table), so
+// after a name's first statement its ID comes from this small direct-mapped
+// cache, without hashing the string; a slot two names share only costs
+// lookups.
+type idMemo[ID ~uint32] struct {
+	slots  [256]memoSlot[ID]
+	lookup func(string) (ID, bool)
+}
+
+type memoSlot[ID ~uint32] struct {
+	p   *byte
+	n   int
+	id  ID
+	set bool
+}
+
+func (m *idMemo[ID]) get(s string) ID {
+	p := unsafe.StringData(s)
+	e := &m.slots[uint64(uintptr(unsafe.Pointer(p)))*0x9e3779b97f4a7c15>>56]
+	if !e.set || e.p != p || e.n != len(s) {
+		id, _ := m.lookup(s)
+		*e = memoSlot[ID]{p: p, n: len(s), id: id, set: true}
+	}
+	return e.id
 }
 
 // AssembleKB rebuilds an immutable KB from its flat decomposition. The KB

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -155,6 +156,58 @@ func TestDamagedNameOrderIsRefusedAtFirstUse(t *testing.T) {
 	attrs1, _ := sub.NameAttrs()
 	if len(attrs1) == 0 {
 		t.Fatal("the tiny pair has no name attribute; test is vacuous")
+	}
+	unknown := core.EntityQuery{URI: "q:new", Attrs: []kb.AttributeValue{{Attribute: attrs1[0], Value: "nobody by this name"}}}
+	refusedTwice(t, "a query whose name misses", kb.ErrCorrupt, func() error {
+		_, err := core.QueryEntity(ctx, sub, unknown, cfg)
+		return err
+	})
+	refusedTwice(t, "a replay after it", kb.ErrCorrupt, func() error {
+		_, err := core.QueryEntity(ctx, sub, core.QueryFromEntity(sub.K1(), 0), cfg)
+		return err
+	})
+}
+
+// readDuplicateName loads the Restaurant snapshot with one name of the name
+// index overwritten by the name before it, of the same length (the tiny
+// pair's names alternate in length): the index is still in order, but lists
+// that name twice, and each entry could read as its only carrier.
+func readDuplicateName(t *testing.T, img []byte) *core.Substrate {
+	t.Helper()
+	img = bytes.Clone(img)
+	h, err := parseHeader(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, offs := h.sections[secNamesText+frozenBlob], h.sections[secNamesText+frozenOff]
+	off := func(i int) int { return int(binary.LittleEndian.Uint64(offs[8*i:])) }
+	dup := -1
+	for i := 1; i+1 < len(offs)/8 && dup < 0; i++ {
+		if off(i)-off(i-1) == off(i+1)-off(i) {
+			dup = i
+		}
+	}
+	if dup < 0 {
+		t.Fatal("no two adjacent names of one length; test is vacuous")
+	}
+	copy(blob[off(dup):off(dup+1)], blob[off(dup-1):off(dup)])
+	read, err := ReadSubstrate(img)
+	if err != nil {
+		t.Fatalf("a duplicated name is the first reader's to find, not the open's: %v", err)
+	}
+	return read.Substrate()
+}
+
+// A name index that lists one name twice is refused by Verify, and by the
+// first lookup that misses, then by every query after it.
+func TestDuplicateNameIsRefused(t *testing.T) {
+	img := snapshotBytes(t, buildPreset(t, "Restaurant"))
+	refusedTwice(t, "Verify", kb.ErrCorrupt, readDuplicateName(t, img).Verify)
+
+	sub, ctx, cfg := readDuplicateName(t, img), context.Background(), core.Config{Workers: 1}
+	attrs1, _ := sub.NameAttrs()
+	if len(attrs1) == 0 {
+		t.Fatal("the Restaurant pair has no name attribute; test is vacuous")
 	}
 	unknown := core.EntityQuery{URI: "q:new", Attrs: []kb.AttributeValue{{Attribute: attrs1[0], Value: "nobody by this name"}}}
 	refusedTwice(t, "a query whose name misses", kb.ErrCorrupt, func() error {

@@ -128,15 +128,19 @@ func ready(secs ...[]section) group {
 }
 
 // WriteSubstrate serializes sub, including its graph and query-path name
-// index (the substrate's graph is built first if nothing has needed it yet —
-// snapshots exist to make warm starts instant, so it always ships). On
+// index (both are built first, by the prewarm, if nothing has needed them
+// yet — snapshots exist to make warm starts instant, so they always ship;
+// the name index is built sorted, so it is written as it is). On
 // little-endian hosts the graph, KB-column, dictionary and index sections
-// are the bytes of the arrays the substrate already holds; what has to be
-// derived — the dictionaries' sorted permutations, the per-description KB
-// tables, the name index — is prepared group by group on the substrate's
-// workers while this goroutine writes finished groups in table order. A
-// writer that can seek is streamed to (the table is patched in at the end);
-// any other gets the same bytes once every group is ready.
+// are the bytes of the arrays the substrate already holds. What is still
+// derived here is prepared group by group on the substrate's workers while
+// this goroutine writes finished groups in table order: the dictionaries'
+// and URI tables' sorted permutations, by the radix string-order kernel
+// (kb.FreezeStrings), and a built KB's per-description tables — its token
+// CSR and statement arrays, whose attribute and predicate IDs are memoized
+// per name string rather than looked up per statement. A writer that can
+// seek is streamed to (the table is patched in at the end); any other gets
+// the same bytes once every group is ready.
 //
 // A substrate opened from a file is verified first (core.Substrate.Verify):
 // a damaged one is refused, not copied.

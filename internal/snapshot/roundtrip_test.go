@@ -166,7 +166,7 @@ func TestRoundTripPinnedDigests(t *testing.T) {
 // TestRoundTripQueryRows proves the query path: QueryEntity over a
 // snapshot-loaded substrate (with its persisted query state) returns rows
 // deep-equal to the originally built, prewarmed substrate — under both
-// decoders.
+// decoders, for replays, new entities and names nobody carries.
 func TestRoundTripQueryRows(t *testing.T) {
 	sub := buildPreset(t, "Restaurant")
 	ctx := context.Background()
@@ -195,22 +195,31 @@ func TestRoundTripQueryRows(t *testing.T) {
 		t.Fatal("empty KB")
 	}
 	cfg := core.Config{Workers: 1}
+	attrs1, _ := sub.NameAttrs()
 	checked := 0
 	for i := 0; i < n; i += 1 + n/50 { // ~50 spread-out entities
-		q := core.QueryFromEntity(k1, kb.EntityID(i))
-		want, err := core.QueryEntity(ctx, sub, q, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, loaded := range map[string]*core.Substrate{
-			"mmap": opened.Substrate(), "copy": read.Substrate(),
-		} {
-			got, err := core.QueryEntity(ctx, loaded, q, cfg)
+		replay := core.QueryFromEntity(k1, kb.EntityID(i))
+		// The same description as a new entity, and one whose name no
+		// entity carries: the name index is read for a sole carrier on
+		// neither side, and missed.
+		fresh := replay
+		fresh.URI, fresh.SelfURI = "q:new", ""
+		unnamed := core.EntityQuery{URI: "q:unnamed", Attrs: []kb.AttributeValue{{Attribute: attrs1[0], Value: fmt.Sprintf("nobody %d", i)}}}
+		for _, q := range []core.EntityQuery{replay, fresh, unnamed} {
+			want, err := core.QueryEntity(ctx, sub, q, cfg)
 			if err != nil {
-				t.Fatalf("%s: entity %d: %v", name, i, err)
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: entity %d: rows differ\nbuilt:  %+v\nloaded: %+v", name, i, want, got)
+			for name, loaded := range map[string]*core.Substrate{
+				"mmap": opened.Substrate(), "copy": read.Substrate(),
+			} {
+				got, err := core.QueryEntity(ctx, loaded, q, cfg)
+				if err != nil {
+					t.Fatalf("%s: entity %d, query %s: %v", name, i, q.URI, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: entity %d, query %s: rows differ\nbuilt:  %+v\nloaded: %+v", name, i, q.URI, want, got)
+				}
 			}
 		}
 		checked++
