@@ -20,11 +20,9 @@ race:
 # matter), plus sixteen readers of a freshly opened snapshot racing for the
 # checks its open deferred (each must run exactly once), and the chunked
 # ingester's parsers stopped by a cancelled ctx and by a parse error while
-# later chunks are in flight, and the string-order kernel on tables past its
-# parallel cut, whose tied runs and buckets are finished on several
-# goroutines at once, repeated so goroutine interleavings vary.
+# later chunks are in flight, repeated so goroutine interleavings vary.
 race-overlap:
-	go test -race -count=2 -run 'Overlap|StreamedResolve|IngestLifecycle|SortedOrderMatchesReference' ./internal/core ./internal/graph ./internal/kb
+	go test -race -count=2 -run 'Overlap|StreamedResolve|IngestLifecycle' ./internal/core ./internal/graph ./internal/kb
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi

@@ -4,9 +4,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"math/bits"
-	"runtime"
 	"slices"
-	"sync"
 )
 
 // The string-order kernel behind every sorted permutation (symtab.freeze,
@@ -23,17 +21,9 @@ import (
 // chunk come first, shortest first (a string sorts before its extensions)
 // and equal ones by index, and only the strings that go on past the chunk
 // recurse into chunk d+1. So the permutation is a function of the strings
-// alone, and a string is read once per chunk it shares with another.
-//
-// At GOMAXPROCS=1 everything runs on the calling goroutine. Otherwise a run
-// of at least parallelRun strings is first split by its leading varying
-// byte, and such split buckets and tied runs may be finished on other
-// goroutines, each in its own range of the permutation and the scratch
-// buffer.
-const (
-	smallRun    = 64
-	parallelRun = 1 << 14
-)
+// alone, and a string is read once per chunk it shares with another. The
+// sort runs on the calling goroutine.
+const smallRun = 64
 
 // strSorter is one sort of the strings of a table: rec i holds the index
 // of the string at position i of the permutation being sorted and its
@@ -44,9 +34,6 @@ type strSorter struct {
 	recs []strRec
 	// tmp is the scratch buffer the LSD passes scatter into.
 	tmp []strRec
-	wg  sync.WaitGroup
-	// sem holds a slot per extra goroutine; nil runs everything inline.
-	sem chan struct{}
 }
 
 type strRec struct {
@@ -66,11 +53,7 @@ func sortedOrder(f *FrozenStrings) []uint32 {
 	if n > smallRun {
 		s.tmp = make([]strRec, n)
 	}
-	if p := runtime.GOMAXPROCS(0); p > 1 && n >= parallelRun {
-		s.sem = make(chan struct{}, p-1)
-	}
 	s.chunk(0, n, 0)
-	s.wg.Wait()
 	s.tmp = nil
 	order := make([]uint32, n)
 	for i, r := range s.recs {
@@ -117,43 +100,12 @@ func (s *strSorter) chunk(lo, hi, d int) {
 // keyed sorts recs[lo:hi], whose keys of chunk d agree on their first b
 // bytes, by key, and finishes each run of equal keys.
 func (s *strSorter) keyed(lo, hi, d, b int) {
-	switch {
-	case s.sem != nil && hi-lo >= parallelRun && b < 7:
-		s.split(lo, hi, d, b)
-		return
-	case hi-lo <= smallRun:
+	if hi-lo <= smallRun {
 		slices.SortFunc(s.recs[lo:hi], func(a, b strRec) int { return cmp.Compare(a.key(), b.key()) })
-	default:
+	} else {
 		s.lsd(lo, hi, b)
 	}
 	s.ties(lo, hi, d)
-}
-
-// split distributes recs[lo:hi] over byte b of its keys (a stable pass
-// through the scratch buffer) and finishes the buckets, the long ones on
-// other goroutines where one is free.
-func (s *strSorter) split(lo, hi, d, b int) {
-	var count [256]int32
-	shift := 56 - 8*b
-	for _, r := range s.recs[lo:hi] {
-		count[byte(r.key()>>shift)]++
-	}
-	scatter(s.recs[lo:hi], s.tmp[lo:hi], shift, &count)
-	copy(s.recs[lo:hi], s.tmp[lo:hi])
-	at := int32(lo)
-	for _, n := range count {
-		switch lo, hi := int(at), int(at+n); {
-		case n < 2:
-		case s.fork(n):
-			go func() {
-				defer s.join()
-				s.keyed(lo, hi, d, b+1)
-			}()
-		default:
-			s.keyed(lo, hi, d, b+1)
-		}
-		at += n
-	}
 }
 
 // lsd sorts recs[lo:hi], whose keys agree on their first b bytes, by key:
@@ -212,48 +164,12 @@ func (s *strSorter) ties(lo, hi, d int) {
 			j++
 		}
 		if j-i > 1 {
-			s.tied(i, j, d)
+			// The strings that end inside chunk d are put in order, the
+			// rest sorted by the next chunk.
+			s.chunk(s.ended(i, j, d), j, d+1)
 		}
 		i = j
 	}
-}
-
-// tied finishes recs[lo:hi], whose strings tie on all of chunk d: the
-// strings that end inside it are put in order, and the rest sorted by the
-// next chunk.
-func (s *strSorter) tied(lo, hi, d int) {
-	lo = s.ended(lo, hi, d)
-	switch {
-	case hi-lo < 2:
-	case s.fork(int32(hi - lo)):
-		go func() {
-			defer s.join()
-			s.chunk(lo, hi, d+1)
-		}()
-	default:
-		s.chunk(lo, hi, d+1)
-	}
-}
-
-// fork reports whether a run of n strings goes to a goroutine of its own:
-// it must be long enough, and one must be free. The goroutine calls join
-// when it is done.
-func (s *strSorter) fork(n int32) bool {
-	if s.sem == nil || n < parallelRun {
-		return false
-	}
-	select {
-	case s.sem <- struct{}{}:
-		s.wg.Add(1)
-		return true
-	default:
-		return false
-	}
-}
-
-func (s *strSorter) join() {
-	<-s.sem
-	s.wg.Done()
 }
 
 // ended moves the strings of recs[lo:hi] (which tie on all of chunk d) that

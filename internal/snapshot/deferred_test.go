@@ -144,35 +144,10 @@ func TestDamagedNameBlockIsRefusedAtFirstUse(t *testing.T) {
 	}
 }
 
-// A name index out of order cannot be trusted with a miss: the first lookup
-// that misses runs the order check, and its verdict refuses every query
-// after it.
-func TestDamagedNameOrderIsRefusedAtFirstUse(t *testing.T) {
-	sub := readDamaged(t, secNamesText+frozenBlob, func(b []byte) { b[0] = 0xff })
-	ctx, cfg := context.Background(), core.Config{Workers: 1}
-	if _, err := core.ResolveWith(ctx, sub, cfg); err != nil {
-		t.Fatalf("a warm resolve reads no name index: %v", err)
-	}
-	attrs1, _ := sub.NameAttrs()
-	if len(attrs1) == 0 {
-		t.Fatal("the tiny pair has no name attribute; test is vacuous")
-	}
-	unknown := core.EntityQuery{URI: "q:new", Attrs: []kb.AttributeValue{{Attribute: attrs1[0], Value: "nobody by this name"}}}
-	refusedTwice(t, "a query whose name misses", kb.ErrCorrupt, func() error {
-		_, err := core.QueryEntity(ctx, sub, unknown, cfg)
-		return err
-	})
-	refusedTwice(t, "a replay after it", kb.ErrCorrupt, func() error {
-		_, err := core.QueryEntity(ctx, sub, core.QueryFromEntity(sub.K1(), 0), cfg)
-		return err
-	})
-}
-
-// readDuplicateName loads the Restaurant snapshot with one name of the name
-// index overwritten by the name before it, of the same length (the tiny
-// pair's names alternate in length): the index is still in order, but lists
-// that name twice, and each entry could read as its only carrier.
-func readDuplicateName(t *testing.T, img []byte) *core.Substrate {
+// readNamesDamaged loads the snapshot img with the text of its name index
+// rewritten by damage, which gets the blob and the offset of each name. The
+// open must succeed: the order of the names is the first reader's to check.
+func readNamesDamaged(t *testing.T, img []byte, damage func(t *testing.T, blob []byte, off func(int) int, n int)) *core.Substrate {
 	t.Helper()
 	img = bytes.Clone(img)
 	h, err := parseHeader(img)
@@ -181,43 +156,63 @@ func readDuplicateName(t *testing.T, img []byte) *core.Substrate {
 	}
 	blob, offs := h.sections[secNamesText+frozenBlob], h.sections[secNamesText+frozenOff]
 	off := func(i int) int { return int(binary.LittleEndian.Uint64(offs[8*i:])) }
-	dup := -1
-	for i := 1; i+1 < len(offs)/8 && dup < 0; i++ {
-		if off(i)-off(i-1) == off(i+1)-off(i) {
-			dup = i
-		}
-	}
-	if dup < 0 {
-		t.Fatal("no two adjacent names of one length; test is vacuous")
-	}
-	copy(blob[off(dup):off(dup+1)], blob[off(dup-1):off(dup)])
+	damage(t, blob, off, len(offs)/8-1)
 	read, err := ReadSubstrate(img)
 	if err != nil {
-		t.Fatalf("a duplicated name is the first reader's to find, not the open's: %v", err)
+		t.Fatalf("damage to the name order failed the open: %v", err)
 	}
 	return read.Substrate()
 }
 
-// A name index that lists one name twice is refused by Verify, and by the
-// first lookup that misses, then by every query after it.
-func TestDuplicateNameIsRefused(t *testing.T) {
-	img := snapshotBytes(t, buildPreset(t, "Restaurant"))
-	refusedTwice(t, "Verify", kb.ErrCorrupt, readDuplicateName(t, img).Verify)
-
-	sub, ctx, cfg := readDuplicateName(t, img), context.Background(), core.Config{Workers: 1}
-	attrs1, _ := sub.NameAttrs()
-	if len(attrs1) == 0 {
-		t.Fatal("the Restaurant pair has no name attribute; test is vacuous")
+// duplicateName overwrites a name with the name before it, of the same
+// length: the index is still in order, but lists that name twice, and each
+// entry could read as its only carrier.
+func duplicateName(t *testing.T, blob []byte, off func(int) int, n int) {
+	t.Helper()
+	for i := 1; i+1 <= n; i++ {
+		if off(i)-off(i-1) == off(i+1)-off(i) {
+			copy(blob[off(i):off(i+1)], blob[off(i-1):off(i)])
+			return
+		}
 	}
-	unknown := core.EntityQuery{URI: "q:new", Attrs: []kb.AttributeValue{{Attribute: attrs1[0], Value: "nobody by this name"}}}
-	refusedTwice(t, "a query whose name misses", kb.ErrCorrupt, func() error {
-		_, err := core.QueryEntity(ctx, sub, unknown, cfg)
-		return err
-	})
-	refusedTwice(t, "a replay after it", kb.ErrCorrupt, func() error {
-		_, err := core.QueryEntity(ctx, sub, core.QueryFromEntity(sub.K1(), 0), cfg)
-		return err
-	})
+	t.Fatal("no two adjacent names of one length; test is vacuous")
+}
+
+// A name index out of order, or listing one name twice, cannot be trusted
+// with a miss: Verify refuses it, and so does the first lookup that misses,
+// whose verdict refuses every query after it. The pair is Restaurant: the
+// tiny pair's names alternate in length, so none can be duplicated in place.
+func TestDamagedNameOrderIsRefusedAtFirstUse(t *testing.T) {
+	img := snapshotBytes(t, buildPreset(t, "Restaurant"))
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, blob []byte, off func(int) int, n int)
+	}{
+		{"out of order", func(_ *testing.T, blob []byte, _ func(int) int, _ int) { blob[0] = 0xff }},
+		{"duplicated", duplicateName},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			refusedTwice(t, "Verify", kb.ErrCorrupt, readNamesDamaged(t, img, tc.damage).Verify)
+
+			sub, ctx, cfg := readNamesDamaged(t, img, tc.damage), context.Background(), core.Config{Workers: 1}
+			if _, err := core.ResolveWith(ctx, sub, cfg); err != nil {
+				t.Fatalf("a warm resolve reads no name index: %v", err)
+			}
+			attrs1, _ := sub.NameAttrs()
+			if len(attrs1) == 0 {
+				t.Fatal("the Restaurant pair has no name attribute; test is vacuous")
+			}
+			unknown := core.EntityQuery{URI: "q:new", Attrs: []kb.AttributeValue{{Attribute: attrs1[0], Value: "nobody by this name"}}}
+			refusedTwice(t, "a query whose name misses", kb.ErrCorrupt, func() error {
+				_, err := core.QueryEntity(ctx, sub, unknown, cfg)
+				return err
+			})
+			refusedTwice(t, "a replay after it", kb.ErrCorrupt, func() error {
+				_, err := core.QueryEntity(ctx, sub, core.QueryFromEntity(sub.K1(), 0), cfg)
+				return err
+			})
+		})
+	}
 }
 
 // Entity URIs whose offsets decrease are refused by a batch resolution,
