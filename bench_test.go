@@ -524,6 +524,33 @@ func BenchmarkQueryEntity(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryReplay is BenchmarkQueryEntity's replays answered the way
+// the server and the CLI answer a bare E1 URI: core.ReplayEntity reads each
+// entity's stored α and β rows and top-neighbor list from the graph and
+// computes only its γ row, where QueryEntity rebuilds all of them from the
+// entity's statements.
+func BenchmarkQueryReplay(b *testing.B) {
+	d, err := datagen.Generate(datagen.Scale(datagen.BBCMusicDBpedia(), 0.25))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	sub, err := core.BuildSubstrate(ctx, d.K1, d.K2, core.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sub.PrewarmQueries(ctx); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.ReplayEntity(ctx, sub, kb.EntityID(i%d.K1.Len()), core.DefaultConfig()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Ablation benchmarks for the design choices called out in DESIGN.md §6.
 
 // BenchmarkAblationPurging compares effectiveness and cost with and without

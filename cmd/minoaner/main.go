@@ -176,12 +176,13 @@ func main() {
 }
 
 // runQuery resolves a single entity against a ready substrate (built this
-// run or loaded from a snapshot) through the per-entity query path.
+// run or loaded from a snapshot) through the per-entity query path: an E1
+// URI is replayed from its stored rows, any other URI is a new entity whose
+// statements are read from stdin.
 func runQuery(ctx context.Context, k1 *minoaner.KB, sub *minoaner.Substrate, cfg minoaner.Config, uri string, jsonOut, quiet bool) {
 	var q minoaner.EntityQuery
-	if e := k1.Lookup(uri); e >= 0 {
-		q = minoaner.QueryFromEntity(k1, e)
-	} else {
+	e := k1.Lookup(uri)
+	if e < 0 {
 		q = minoaner.EntityQuery{URI: uri}
 		sc := bufio.NewScanner(os.Stdin)
 		for sc.Scan() {
@@ -198,7 +199,15 @@ func runQuery(ctx context.Context, k1 *minoaner.KB, sub *minoaner.Substrate, cfg
 		exitOn(sc.Err())
 	}
 	start := time.Now()
-	ms, err := minoaner.QueryEntity(ctx, sub, q, cfg)
+	var (
+		ms  []minoaner.QueryMatch
+		err error
+	)
+	if e >= 0 {
+		ms, err = minoaner.ReplayEntity(ctx, sub, e, cfg)
+	} else {
+		ms, err = minoaner.QueryEntity(ctx, sub, q, cfg)
+	}
 	exitOn(err)
 	elapsed := time.Since(start)
 

@@ -119,6 +119,14 @@ func (c Config) normalize() (Config, error) {
 	return c, nil
 }
 
+// rules returns the matching configuration of a normalized config: its
+// Rules with its Theta.
+func (c Config) rules() matching.Config {
+	mc := *c.Rules
+	mc.Theta = c.Theta
+	return mc
+}
+
 // Timings records wall-clock durations per pipeline stage; the matching
 // share of total time is reported in §6.2. The statistics stage is further
 // broken into its three sub-stages (each one barrier of Figure 4's left
@@ -269,8 +277,7 @@ func resolveWith(ctx context.Context, eng *parallel.Engine, sub *Substrate, cfg 
 		}
 		out.TokenBlocks = sub.TokenBlocks()
 	}
-	mc := *cfg.Rules
-	mc.Theta = cfg.Theta
+	mc := cfg.rules()
 
 	// Stage 3 — disjunctive blocking graph (Algorithm 1).
 	pg, err := sub.graphFor(ctx, eng, cfg.TopK)

@@ -286,8 +286,7 @@ func QueryEntity(ctx context.Context, sub *Substrate, q EntityQuery, cfg Config)
 			return nil, fmt.Errorf("core: query SelfURI %q is not a K1 entity", q.SelfURI)
 		}
 	}
-	mc := *cfg.Rules
-	mc.Theta = cfg.Theta
+	mc := cfg.rules()
 
 	// Statement normalization, mirroring kb.Builder: objects resolving to a
 	// K1 entity are relations, everything else a literal attribute.
@@ -406,6 +405,55 @@ func QueryEntity(ctx context.Context, sub *Substrate, q EntityQuery, cfg Config)
 		alpha = slices.Compact(alpha)
 	}
 
+	return st.rank(sub, slot, mc, self, alpha, beta, gamma)
+}
+
+// ReplayEntity answers the query that re-describes K1 entity e — what
+// QueryEntity returns for QueryFromEntity(sub.K1(), e) — from the rows the
+// pair's graph stores for e: its α row, β row and top-neighbor list are read
+// (graph.StoredRows1 checks them), and only its γ row is computed. Nothing
+// of e is read as strings or looked up in a dictionary. cfg applies as in
+// QueryEntity, and concurrent calls are as safe.
+func ReplayEntity(ctx context.Context, sub *Substrate, e kb.EntityID, cfg Config) ([]QueryMatch, error) {
+	cfg, err := cfg.normalize()
+	if err != nil {
+		return nil, err
+	}
+	st, err := sub.queryState(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	n1, n2 := sub.k1.Len(), sub.k2.Len()
+	if e < 0 || int(e) >= n1 {
+		return nil, fmt.Errorf("core: replay of entity %d: not a K1 entity", e)
+	}
+	alpha, beta, top, err := st.g.StoredRows1(e, n1, n2)
+	if err != nil {
+		return nil, err
+	}
+	mc := cfg.rules()
+	if !mc.EnableR1 {
+		alpha = nil
+	}
+	slot := st.pool.Get().(*querySlot)
+	defer st.pool.Put(slot)
+	var gamma []graph.Edge
+	if len(top) > 0 {
+		if gamma, err = st.g.Gamma1RowFor(top, slot.qs); err != nil {
+			return nil, err
+		}
+	}
+	return st.rank(sub, slot, mc, e, alpha, beta, gamma)
+}
+
+// rank is the tail both query kernels share. It fuses a node's β and γ rows
+// into R3's ranking and emits the candidates: α candidates first, in entity
+// order, then the ranking, each with its rule claim and — for a query that
+// re-describes K1 entity self — R4's reciprocity bit.
+func (st *queryState) rank(sub *Substrate, slot *querySlot, mc matching.Config, self kb.EntityID, alpha []kb.EntityID, beta, gamma []graph.Edge) ([]QueryMatch, error) {
 	// Fused ranking (R3's scoring); element 0 is the batch aggregate pick.
 	ranking := matching.RankAggregateRow(slot.agg, beta, gamma, mc.Theta, mc.UseNeighbors)
 

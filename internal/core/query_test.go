@@ -138,9 +138,10 @@ func randomPair(seed int64, n int) (*kb.KB, *kb.KB) {
 	return b1.Build(), b2.Build()
 }
 
-// checkQueryEquivalence asserts that replaying every E1 entity through
-// QueryEntity reproduces its batch candidate rows and per-entity rule
-// decisions exactly.
+// checkQueryEquivalence asserts that replaying every E1 entity — through
+// QueryEntity on its statements, and through ReplayEntity on its stored
+// rows — reproduces its batch candidate rows and per-entity rule decisions
+// exactly.
 func checkQueryEquivalence(t *testing.T, name string, k1, k2 *kb.KB, cfg Config) {
 	t.Helper()
 	ctx := context.Background()
@@ -160,6 +161,13 @@ func checkQueryEquivalence(t *testing.T, name string, k1, k2 *kb.KB, cfg Config)
 		want := expectedQueryMatches(sub, g, e, mc)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: entity %d: query/batch divergence\n got: %+v\nwant: %+v", name, e, got, want)
+		}
+		replay, err := ReplayEntity(ctx, sub, e, cfg)
+		if err != nil {
+			t.Fatalf("%s: ReplayEntity(%d): %v", name, e, err)
+		}
+		if !reflect.DeepEqual(replay, got) {
+			t.Fatalf("%s: entity %d: replay/query divergence\n got: %+v\nwant: %+v", name, e, replay, got)
 		}
 	}
 }
@@ -194,7 +202,9 @@ func TestQueryEntityMatchesBatchOnPreset(t *testing.T) {
 }
 
 // A substrate must serve many concurrent queries race-free with
-// deterministic results; run under -race this doubles as the hammer test.
+// deterministic results, on the statement path and the replay kernel alike
+// (both take pooled scratch); run under -race this doubles as the hammer
+// test.
 func TestQueryEntityConcurrent(t *testing.T) {
 	ctx := context.Background()
 	k1, k2 := skewedKBs(200)
@@ -204,7 +214,8 @@ func TestQueryEntityConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No prewarm on purpose: the goroutines below race to build the lazy
-	// query state through the singleflight path.
+	// query state through the singleflight path, half of them from each
+	// kernel.
 	refs := make([][]QueryMatch, k1.Len())
 	refSub, err := BuildSubstrate(ctx, k1, k2, cfg)
 	if err != nil {
@@ -230,16 +241,25 @@ func TestQueryEntityConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			kernels := []func(e kb.EntityID) ([]QueryMatch, error){
+				func(e kb.EntityID) ([]QueryMatch, error) { return QueryEntity(ctx, sub, QueryFromEntity(k1, e), cfg) },
+				func(e kb.EntityID) ([]QueryMatch, error) { return ReplayEntity(ctx, sub, e, cfg) },
+			}
+			if w%2 == 1 {
+				slices.Reverse(kernels)
+			}
 			for i := 0; i < 40; i++ {
 				e := (w*41 + i*7) % k1.Len()
-				got, err := QueryEntity(ctx, sub, QueryFromEntity(k1, kb.EntityID(e)), cfg)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if !reflect.DeepEqual(got, refs[e]) {
-					errs <- fmt.Errorf("worker %d: entity %d diverged under concurrency", w, e)
-					return
+				for _, kernel := range kernels {
+					got, err := kernel(kb.EntityID(e))
+					if err != nil {
+						errs <- err
+						return
+					}
+					if !reflect.DeepEqual(got, refs[e]) {
+						errs <- fmt.Errorf("worker %d: entity %d diverged under concurrency", w, e)
+						return
+					}
 				}
 				if i%8 == 0 {
 					got, err := QueryEntity(ctx, sub, newQuery, cfg)
@@ -259,6 +279,45 @@ func TestQueryEntityConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// A replay reads its α and β rows and its top-neighbor list in place, so it
+// allocates three times whatever the entity's description holds: its γ row,
+// the fused ranking and the result.
+func TestReplayEntityAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops scratch at random, so a query may allocate a new one")
+	}
+	ctx := context.Background()
+	k1, k2 := randomPair(700, 80)
+	sub, err := BuildSubstrate(ctx, k1, k2, Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A normalized config: normalizing a zero one allocates its default
+	// Rules.
+	cfg := sub.Config()
+	e := kb.NoEntity
+	for i := range k1.Len() {
+		ms, err := ReplayEntity(ctx, sub, kb.EntityID(i), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sub.top1.Row(i)) > 0 && len(ms) > 1 && ms[0].NeighborSim > 0 {
+			e = kb.EntityID(i)
+			break
+		}
+	}
+	if e == kb.NoEntity {
+		t.Fatal("no entity with neighbours and several candidates; test is vacuous")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ReplayEntity(ctx, sub, e, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 3 {
+		t.Errorf("ReplayEntity allocates %v times per query, want 3", allocs)
 	}
 }
 

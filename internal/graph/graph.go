@@ -517,6 +517,9 @@ var ErrOutOfRange = errors.New("graph: entity ID outside its KB")
 // cancel a sum would let one candidate enter a row twice.
 var ErrBadWeight = errors.New("graph: edge weight not strictly positive and finite")
 
+// goodWeight reports whether an edge weight is strictly positive and finite.
+func goodWeight(w float64) bool { return w > 0 && w <= math.MaxFloat64 }
+
 // CheckTargets range-checks every entity ID and edge target of a graph that
 // passed CheckShape — whatever a consumer later uses as an index must lie
 // inside the array it indexes — and checks every edge weight (ErrBadWeight).
@@ -533,7 +536,7 @@ func (g *Graph) CheckTargets(n1, n2 int) error {
 	}{{g.Beta1.Flat, n2}, {g.Beta2.Flat, n1}, {g.Gamma1.Flat, n2}, {g.Gamma2.Flat, n1}, {g.Adj1.Flat, n2}} {
 		for _, edge := range c.edges {
 			ok = ok && edge.To >= 0 && int(edge.To) < c.below
-			weighted = weighted && edge.Weight > 0 && edge.Weight <= math.MaxFloat64
+			weighted = weighted && goodWeight(edge.Weight)
 		}
 	}
 	switch {

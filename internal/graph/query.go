@@ -75,3 +75,27 @@ func (g *Graph) Gamma1RowFor(top []kb.EntityID, qs *QueryScratch) ([]Edge, error
 	}
 	return qs.sc.finishRow(g.K, inRange)
 }
+
+// StoredRows1 returns the rows the graph stores for E1 node e — its α row,
+// its β row and its top-neighbor list — which are what a query re-describing
+// e would recompute from e's statements. n1 and n2 are the pair's entity
+// counts, and e must be below n1. Like the query kernels it checks what it
+// hands out, so a graph that only passed CheckShape can be read: α and β
+// targets must be E2 entities and top neighbors E1 entities (ErrOutOfRange),
+// β weights strictly positive and finite (ErrBadWeight). The rows alias the
+// graph and must not be modified.
+func (g *Graph) StoredRows1(e kb.EntityID, n1, n2 int) (alpha []kb.EntityID, beta []Edge, top []kb.EntityID, err error) {
+	alpha, beta, top = g.Alpha1.Row(int(e)), g.Beta1.Row(int(e)), g.Top1.Row(int(e))
+	inRange, weighted := kb.IDsBelow(alpha, n2) && kb.IDsBelow(top, n1), true
+	for _, edge := range beta {
+		inRange = inRange && edge.To >= 0 && int(edge.To) < n2
+		weighted = weighted && goodWeight(edge.Weight)
+	}
+	switch {
+	case !inRange:
+		return nil, nil, nil, ErrOutOfRange
+	case !weighted:
+		return nil, nil, nil, ErrBadWeight
+	}
+	return alpha, beta, top, nil
+}

@@ -45,6 +45,26 @@ func FuzzReadNTriples(f *testing.F) {
 	f.Fuzz(checkReaders)
 }
 
+// Only spaces and tabs separate terms: a carriage return or vertical tab
+// leading a term is part of it, so such a line is malformed, while runs of
+// spaces and tabs are skipped.
+func TestOnlySpaceAndTabSeparateTerms(t *testing.T) {
+	src := "<a>\v<p> \"x\" .\n<a> <p>\r\"x\" .\n<a>\t <p> \t\"ok\" .\n"
+	checkReaders(t, []byte(src))
+	var rec recorder
+	skipped, err := ReadNTriples(&rec, strings.NewReader(src), true)
+	if want := []string{`0 "p" = "ok"`}; err != nil || skipped != 2 || !slices.Equal(rec.calls, want) {
+		t.Fatalf("lenient read = %q, %d skipped, %v; want %q, 2 skipped", rec.calls, skipped, err, want)
+	}
+	for i, want := range []error{errMissingPredicate, errMissingObject} {
+		line := strings.SplitAfter(src, "\n")[i]
+		var pe *ParseError
+		if _, err := ReadNTriples(&recorder{}, strings.NewReader(line), false); !errors.As(err, &pe) || pe.Err != want {
+			t.Errorf("strict read of %q = %v, want %v", line, err, want)
+		}
+	}
+}
+
 // A line longer than the scanner's first buffer (as a fuzz seed it would
 // have the fuzzer spend its time minimizing 70 KB inputs).
 func TestReadLongLine(t *testing.T) {

@@ -188,7 +188,7 @@ func parseNTLine(line []byte, scratch *[]byte) (subj, pred, obj []byte, objIsURI
 	if !ok {
 		return nil, nil, nil, false, errMissingPredicate
 	}
-	rest = bytes.TrimLeft(rest, " \t")
+	rest = trimBlanks(rest)
 	if len(rest) == 0 {
 		return nil, nil, nil, false, errMissingObject
 	}
@@ -217,7 +217,7 @@ func parseNTLine(line []byte, scratch *[]byte) (subj, pred, obj []byte, objIsURI
 // parseSubject consumes a leading subject term: either <uri> or a blank node
 // label (_:x), whose label is used as the identifier.
 func parseSubject(s []byte) (subj, rest []byte, ok bool) {
-	s = bytes.TrimLeft(s, " \t")
+	s = trimBlanks(s)
 	if len(s) > 0 && s[0] == '_' {
 		end := bytes.IndexAny(s, " \t")
 		if end < 0 {
@@ -230,7 +230,7 @@ func parseSubject(s []byte) (subj, rest []byte, ok bool) {
 
 // parseURI consumes a leading <...> term and returns it without brackets.
 func parseURI(s []byte) (uri, rest []byte, ok bool) {
-	s = bytes.TrimLeft(s, " \t")
+	s = trimBlanks(s)
 	if len(s) == 0 || s[0] != '<' {
 		return nil, nil, false
 	}
@@ -239,6 +239,16 @@ func parseURI(s []byte) (uri, rest []byte, ok bool) {
 		return nil, nil, false
 	}
 	return s[1:end], s[end+1:], true
+}
+
+// trimBlanks drops the spaces and tabs that lead s, the only bytes that
+// separate N-Triples terms. (bytes.TrimLeft would build its byte set on
+// every call, several times per line.)
+func trimBlanks(s []byte) []byte {
+	for len(s) > 0 && (s[0] == ' ' || s[0] == '\t') {
+		s = s[1:]
+	}
+	return s
 }
 
 // parseLiteral consumes a leading "..." literal and strips any datatype

@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,6 +20,9 @@ import (
 	"time"
 
 	"minoaner/internal/core"
+	"minoaner/internal/datagen"
+	"minoaner/internal/graph"
+	"minoaner/internal/kb"
 	"minoaner/internal/snapshot"
 	"minoaner/internal/testkb"
 )
@@ -305,6 +310,155 @@ func TestDamagedURIsAreAnInternalError(t *testing.T) {
 		if status, code := errCode(t, req[0], ts.URL+req[1], `{}`); status != 500 || code != CodeInternal {
 			t.Errorf("%s %s on damaged URIs = %d %q, want 500 %q", req[0], req[1], status, code, CodeInternal)
 		}
+	}
+}
+
+// explicitRequest is the explicit form of a replay: E1 entity e's own
+// statements, with its URI as uri and self_uri.
+func explicitRequest(t *testing.T, k1 *kb.KB, e kb.EntityID) string {
+	t.Helper()
+	d, err := k1.Describe(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := QueryRequest{URI: d.URI, SelfURI: d.URI}
+	for _, a := range d.Attrs {
+		req.Attrs = append(req.Attrs, QueryAttr{Attribute: a.Attribute, Value: a.Value})
+	}
+	for _, r := range d.Relations {
+		req.Objects = append(req.Objects, QueryObject{Predicate: r.Predicate, Object: k1.URI(r.Object)})
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
+// rawCandidates posts a query and returns the status and the response's
+// candidates array as the server wrote it.
+func rawCandidates(t *testing.T, url, body string) (int, []byte) {
+	t.Helper()
+	var resp struct {
+		Candidates json.RawMessage `json:"candidates"`
+	}
+	status := doJSON(t, http.MethodPost, url, body, &resp)
+	return status, resp.Candidates
+}
+
+// A replay is answered from the pair's stored rows and an explicit query
+// from its statements; for every E1 entity the two must write the same
+// candidate bytes.
+func TestReplayEqualsExplicitQuery(t *testing.T) {
+	d, err := datagen.Generate(datagen.Scale(datagen.Restaurant(), 0.2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := core.BuildSubstrate(context.Background(), d.K1, d.K2, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(quietOptions())
+	if _, err := s.reg.AddSubstrate("rest", LoadPairRequest{E1: "mem:e1", E2: "mem:e2", Format: "nt"}, sub); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	url := ts.URL + "/v1/pairs/rest/query"
+	ranked := 0
+	for i := range d.K1.Len() {
+		e := kb.EntityID(i)
+		replay, err := json.Marshal(QueryRequest{URI: d.K1.URI(e)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, rc := rawCandidates(t, url, string(replay))
+		es, ec := rawCandidates(t, url, explicitRequest(t, d.K1, e))
+		if rs != 200 || es != 200 || !bytes.Equal(rc, ec) {
+			t.Fatalf("entity %s: replay %d %s, explicit %d %s", d.K1.URI(e), rs, rc, es, ec)
+		}
+		if string(rc) != "[]" {
+			ranked++
+		}
+	}
+	if ranked == 0 {
+		t.Fatal("no entity has candidates; test is vacuous")
+	}
+}
+
+// A query that touches a damaged graph row of a snapshot-backed pair is a
+// 500, not a 400: the pair is damaged, not the request. Replays read the
+// entity's stored α and β rows and its neighbours' adjacency; explicit
+// queries compute β from the token index, so only the adjacency damage
+// reaches them, and over a damaged β row they answer as the intact pair.
+func TestDamagedGraphRowsAreAnInternalError(t *testing.T) {
+	const uri = "w:Restaurant1"
+	cases := []struct {
+		name         string
+		damage       func(g *graph.Graph, e kb.EntityID, n2 int)
+		explicitFail bool
+	}{
+		{"adj1 targets", func(g *graph.Graph, _ kb.EntityID, n2 int) {
+			g.Adj1.Flat = slices.Clone(g.Adj1.Flat)
+			for i := range g.Adj1.Flat {
+				g.Adj1.Flat[i].To = kb.EntityID(n2)
+			}
+		}, true},
+		{"beta1 target", func(g *graph.Graph, e kb.EntityID, n2 int) {
+			g.Beta1.Flat = slices.Clone(g.Beta1.Flat)
+			g.Beta1.Flat[g.Beta1.Off[e]].To = kb.EntityID(n2)
+		}, false},
+		{"beta1 weight", func(g *graph.Graph, e kb.EntityID, _ int) {
+			g.Beta1.Flat = slices.Clone(g.Beta1.Flat)
+			g.Beta1.Flat[g.Beta1.Off[e]].Weight = math.NaN()
+		}, false},
+	}
+	_, intact := newTestServer(t)
+	k1 := figure1Substrate(t).K1()
+	e := k1.Lookup(uri)
+	explicit := explicitRequest(t, k1, e)
+	_, wantExplicit := rawCandidates(t, intact.URL+"/v1/pairs/fig1/query", explicit)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := snapshot.WriteSubstrate(&buf, figure1Substrate(t)); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := snapshot.ReadSubstrate(buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub := loaded.Substrate()
+			qs, err := sub.ExportQueryState(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := *qs.Graph
+			if g.Beta1.Off[e] == g.Beta1.Off[e+1] {
+				t.Fatalf("%s has no β row; test is vacuous", uri)
+			}
+			c.damage(&g, e, sub.K2().Len())
+			if err := sub.InstallQueryState(&core.QueryState{Graph: &g, Names: qs.Names}); err != nil {
+				t.Fatal(err)
+			}
+			s := New(quietOptions())
+			if _, err := s.reg.AddSubstrate("bad", LoadPairRequest{E1: "mem:wd", E2: "mem:dbp", Format: "nt"}, sub); err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			url := ts.URL + "/v1/pairs/bad/query"
+			if status, code := errCode(t, http.MethodPost, url, `{"uri":"`+uri+`"}`); status != 500 || code != CodeInternal {
+				t.Errorf("replay = %d %q, want 500 %q", status, code, CodeInternal)
+			}
+			if c.explicitFail {
+				if status, code := errCode(t, http.MethodPost, url, explicit); status != 500 || code != CodeInternal {
+					t.Errorf("explicit query = %d %q, want 500 %q", status, code, CodeInternal)
+				}
+			} else if status, got := rawCandidates(t, url, explicit); status != 200 || !bytes.Equal(got, wantExplicit) {
+				t.Errorf("explicit query = %d %s, want 200 %s", status, got, wantExplicit)
+			}
+		})
 	}
 }
 

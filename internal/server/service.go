@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"minoaner/internal/core"
+	"minoaner/internal/graph"
 	"minoaner/internal/kb"
 )
 
@@ -50,14 +51,15 @@ func ctxError(err error) *apiError {
 }
 
 // kernelError maps a failed resolution onto the wire: the context abort
-// when there was one, a 500 for a pair whose snapshot failed a deferred
-// check on this read (kb.ErrCorrupt — the pair is damaged, not the
-// request), a 400 otherwise.
+// when there was one, a 500 for a pair whose snapshot failed a check on this
+// read — a deferred check (kb.ErrCorrupt) or a graph row a kernel touched
+// (graph.ErrOutOfRange, graph.ErrBadWeight); the pair is damaged, not the
+// request — and a 400 otherwise.
 func kernelError(ctx context.Context, err error) *apiError {
 	switch {
 	case ctx.Err() != nil:
 		return ctxError(ctx.Err())
-	case errors.Is(err, kb.ErrCorrupt):
+	case errors.Is(err, kb.ErrCorrupt), errors.Is(err, graph.ErrOutOfRange), errors.Is(err, graph.ErrBadWeight):
 		return &apiError{status: http.StatusInternalServerError, code: CodeInternal, msg: err.Error()}
 	}
 	return badRequest("%v", err)
@@ -78,24 +80,26 @@ func (s *Server) requestCtx(parent context.Context, timeoutMS int) (context.Cont
 	return context.WithTimeout(parent, d)
 }
 
-// entityQuery lowers a wire QueryRequest onto a core.EntityQuery, resolving
-// the replay format (bare E1 URI) against the pair's K1.
-func entityQuery(sub *core.Substrate, req *QueryRequest) (core.EntityQuery, *apiError) {
+// entityQuery lowers a wire QueryRequest onto the query it asks. The replay
+// format (a bare E1 URI) resolves to that entity, which the caller answers
+// from its stored rows (core.ReplayEntity); it is kb.NoEntity for the
+// explicit format, whose description is returned as a core.EntityQuery.
+func entityQuery(sub *core.Substrate, req *QueryRequest) (kb.EntityID, core.EntityQuery, *apiError) {
 	if len(req.Attrs) == 0 && len(req.Objects) == 0 && req.SelfURI == "" {
 		if req.URI == "" {
-			return core.EntityQuery{}, badRequest("query needs a uri to replay or attrs/objects to describe a new entity")
+			return kb.NoEntity, core.EntityQuery{}, badRequest("query needs a uri to replay or attrs/objects to describe a new entity")
 		}
 		e := sub.K1().Lookup(req.URI)
 		if err := sub.K1().Err(); err != nil {
-			return core.EntityQuery{}, kernelError(context.Background(), err)
+			return kb.NoEntity, core.EntityQuery{}, kernelError(context.Background(), err)
 		}
 		if e == kb.NoEntity {
-			return core.EntityQuery{}, badRequest("uri %q is not an E1 entity and the query carries no statements", req.URI)
+			return kb.NoEntity, core.EntityQuery{}, badRequest("uri %q is not an E1 entity and the query carries no statements", req.URI)
 		}
-		return core.QueryFromEntity(sub.K1(), e), nil
+		return e, core.EntityQuery{}, nil
 	}
 	if req.SelfURI != "" && sub.K1().Lookup(req.SelfURI) == kb.NoEntity {
-		return core.EntityQuery{}, badRequest("self_uri %q is not an E1 entity", req.SelfURI)
+		return kb.NoEntity, core.EntityQuery{}, badRequest("self_uri %q is not an E1 entity", req.SelfURI)
 	}
 	q := core.EntityQuery{URI: req.URI, SelfURI: req.SelfURI}
 	for _, a := range req.Attrs {
@@ -104,14 +108,14 @@ func entityQuery(sub *core.Substrate, req *QueryRequest) (core.EntityQuery, *api
 	for _, o := range req.Objects {
 		q.Objects = append(q.Objects, core.QueryObject{Predicate: o.Predicate, Object: o.Object})
 	}
-	return q, nil
+	return kb.NoEntity, q, nil
 }
 
 // query resolves one entity description against a loaded pair's shared
 // substrate under the request deadline.
 func (s *Server) query(ctx context.Context, p *Pair, req *QueryRequest) (*QueryResponse, *apiError) {
 	sub := p.sub
-	q, aerr := entityQuery(sub, req)
+	e, q, aerr := entityQuery(sub, req)
 	if aerr != nil {
 		return nil, aerr
 	}
@@ -121,14 +125,20 @@ func (s *Server) query(ctx context.Context, p *Pair, req *QueryRequest) (*QueryR
 		s.beforeQuery()
 	}
 	t0 := time.Now()
-	ms, err := core.QueryEntity(qctx, sub, q, p.cfg)
+	var ms []core.QueryMatch
+	var err error
+	if e != kb.NoEntity {
+		ms, err = core.ReplayEntity(qctx, sub, e, p.cfg)
+	} else {
+		ms, err = core.QueryEntity(qctx, sub, q, p.cfg)
+	}
 	if err != nil {
 		return nil, kernelError(qctx, err)
 	}
 	p.queries.Add(1)
 	return &QueryResponse{
 		Pair:       p.id,
-		URI:        q.URI,
+		URI:        req.URI,
 		Candidates: Candidates(ms),
 		ElapsedUS:  float64(time.Since(t0).Microseconds()),
 	}, nil

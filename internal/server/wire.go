@@ -174,7 +174,11 @@ type QueryObject struct {
 // (POST /v1/pairs/{id}/query). Two formats, mirroring `cmd/minoaner -query`:
 //
 //   - replay: only URI set, naming an E1 entity — the entity is re-described
-//     through the query path (self-aware α and R4 semantics);
+//     (self-aware α and R4 semantics), answered from the rows the pair's
+//     graph stores for it (core.ReplayEntity) rather than from its
+//     statements; the statement path is its pinned reference, so the
+//     candidates equal those of the explicit form with the entity's own
+//     statements and SelfURI;
 //   - explicit: Attrs/Objects carry the description of a new entity (URI is
 //     then informational; set SelfURI to re-describe an E1 member).
 type QueryRequest struct {

@@ -222,6 +222,23 @@ func TestRoundTripQueryRows(t *testing.T) {
 				}
 			}
 		}
+		// The replay kernel reads the entity's stored rows, so it is
+		// compared on each substrate with the built statement path.
+		want, err := core.QueryEntity(ctx, sub, replay, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, s := range map[string]*core.Substrate{
+			"built": sub, "mmap": opened.Substrate(), "copy": read.Substrate(),
+		} {
+			got, err := core.ReplayEntity(ctx, s, kb.EntityID(i), cfg)
+			if err != nil {
+				t.Fatalf("%s: replay of entity %d: %v", name, i, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: replay of entity %d differs from its statements' query\nreplay: %+v\nquery:  %+v", name, i, got, want)
+			}
+		}
 		checked++
 	}
 	if checked == 0 {

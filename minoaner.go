@@ -261,6 +261,14 @@ func QueryEntity(ctx context.Context, sub *Substrate, q EntityQuery, cfg Config)
 // replays it through the per-entity query path.
 func QueryFromEntity(k *KB, e EntityID) EntityQuery { return core.QueryFromEntity(k, e) }
 
+// ReplayEntity answers the replay of E1 entity e — what QueryEntity returns
+// for QueryFromEntity(sub.K1(), e) — from the rows the substrate's graph
+// stores for e, without reading e's statements. Safe for concurrent use on
+// one Substrate.
+func ReplayEntity(ctx context.Context, sub *Substrate, e EntityID, cfg Config) ([]QueryMatch, error) {
+	return core.ReplayEntity(ctx, sub, e, cfg)
+}
+
 // ---------------------------------------------------------------------------
 // Snapshots: persisted substrates with memory-mapped loading.
 
