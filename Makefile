@@ -18,11 +18,13 @@ race:
 # chosen by a row demand read while spans fill, under the race detector at an
 # explicit workers=2 engine (the smallest size where the removed barriers
 # matter), plus sixteen readers of a freshly opened snapshot racing for the
-# checks its open deferred (each must run exactly once), and the chunked
+# checks its open deferred (each must run exactly once), the chunked
 # ingester's parsers stopped by a cancelled ctx and by a parse error while
-# later chunks are in flight, repeated so goroutine interleavings vary.
+# later chunks are in flight, and merged chunks whose arrays the Builder keeps
+# while the chunks go back to the parsers, repeated so goroutine
+# interleavings vary.
 race-overlap:
-	go test -race -count=2 -run 'Overlap|StreamedResolve|IngestLifecycle' ./internal/core ./internal/graph ./internal/kb
+	go test -race -count=2 -run 'Overlap|StreamedResolve|IngestLifecycle|ChunkedIngestEqualsSerial' ./internal/core ./internal/graph ./internal/kb
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi

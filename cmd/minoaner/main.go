@@ -150,12 +150,15 @@ func main() {
 	exitOn(err)
 
 	w := bufio.NewWriter(os.Stdout)
+	var line []byte
 	for _, m := range out.Matches {
+		line = append(append(append(line[:0], k1.URI(m.Pair.E1)...), '\t'), k2.URI(m.Pair.E2)...)
 		if *rules {
-			fmt.Fprintf(w, "%s\t%s\t%s\n", k1.URI(m.Pair.E1), k2.URI(m.Pair.E2), m.Rule)
-		} else {
-			fmt.Fprintf(w, "%s\t%s\n", k1.URI(m.Pair.E1), k2.URI(m.Pair.E2))
+			line = append(append(line, '\t'), m.Rule.String()...)
 		}
+		line = append(line, '\n')
+		_, err := w.Write(line)
+		exitOn(err)
 	}
 	exitOn(w.Flush())
 
@@ -182,6 +185,9 @@ func main() {
 func runQuery(ctx context.Context, k1 *minoaner.KB, sub *minoaner.Substrate, cfg minoaner.Config, uri string, jsonOut, quiet bool) {
 	var q minoaner.EntityQuery
 	e := k1.Lookup(uri)
+	// A damaged URI table misses every lookup: that is the snapshot's fault,
+	// not a new entity.
+	exitOn(k1.Err())
 	if e < 0 {
 		q = minoaner.EntityQuery{URI: uri}
 		sc := bufio.NewScanner(os.Stdin)

@@ -72,12 +72,12 @@ func (ix *Index) CoOccur(keys []string, e1, e2 kb.EntityID) bool {
 	return false
 }
 
-// CoOccurTokens is CoOccur over a description's interned tokens: it walks
-// TokenIDs and resolves each key string from the dictionary (no per-call
-// slice materialization, unlike Description.Tokens).
-func (ix *Index) CoOccurTokens(d *kb.Description, e1, e2 kb.EntityID) bool {
-	dict := d.Dict()
-	for _, id := range d.TokenIDs() {
+// CoOccurTokens is CoOccur over the interned tokens of entity e1 of k1: it
+// walks the KB's token CSR and resolves each key string from the dictionary
+// (no per-call slice materialization, unlike Description.Tokens).
+func (ix *Index) CoOccurTokens(k1 *kb.KB, e1, e2 kb.EntityID) bool {
+	dict := k1.TokenDict()
+	for _, id := range k1.TokenIDs(e1) {
 		if ix.coOccurKey(dict.TokenString(id), e1, e2) {
 			return true
 		}
@@ -103,7 +103,7 @@ func EvaluateBlocks(k1, k2 *kb.KB, nameBlocks, tokenBlocks *Collection, gt *eval
 	}
 	nameIx, tokenIx := NewIndex(nameBlocks), NewIndex(tokenBlocks)
 	for _, p := range gt.Pairs() {
-		found := tokenIx.CoOccurTokens(k1.Entity(p.E1), p.E1, p.E2)
+		found := tokenIx.CoOccurTokens(k1, p.E1, p.E2)
 		if !found && nameKeysOf != nil {
 			found = nameIx.CoOccur(nameKeysOf(p.E1), p.E1, p.E2)
 		}

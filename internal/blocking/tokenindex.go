@@ -124,7 +124,7 @@ func memberFill(ctx context.Context, e *parallel.Engine, k *kb.KB, t []int32, n 
 	locals, err := parallel.MapSpansCtx(ctx, e, k.Len(), func(s parallel.Span) ([]int32, error) {
 		counts := make([]int32, n)
 		for i := s.Lo; i < s.Hi; i++ {
-			for _, tid := range k.Entity(kb.EntityID(i)).TokenIDs() {
+			for _, tid := range k.TokenIDs(kb.EntityID(i)) {
 				counts[slotOf(t, tid)]++
 			}
 		}
@@ -138,7 +138,7 @@ func memberFill(ctx context.Context, e *parallel.Engine, k *kb.KB, t []int32, n 
 	err = e.ForSpansIndexedCtx(ctx, k.Len(), func(pi int, s parallel.Span) error {
 		cur := locals[pi]
 		for i := s.Lo; i < s.Hi; i++ {
-			for _, tid := range k.Entity(kb.EntityID(i)).TokenIDs() {
+			for _, tid := range k.TokenIDs(kb.EntityID(i)) {
 				slot := slotOf(t, tid)
 				mem[cur[slot]] = kb.EntityID(i)
 				cur[slot]++
@@ -187,7 +187,7 @@ func memberFillAtomic(ctx context.Context, e *parallel.Engine, k *kb.KB, t []int
 	ce := e.Chunked()
 	counts := make([]int32, n)
 	err := ce.ForCtx(ctx, k.Len(), func(i int) error {
-		for _, tid := range k.Entity(kb.EntityID(i)).TokenIDs() {
+		for _, tid := range k.TokenIDs(kb.EntityID(i)) {
 			atomic.AddInt32(&counts[slotOf(t, tid)], 1)
 		}
 		return nil
@@ -199,7 +199,7 @@ func memberFillAtomic(ctx context.Context, e *parallel.Engine, k *kb.KB, t []int
 	mem := make([]kb.EntityID, off[n])
 	cur := slices.Clone(off[:n])
 	err = ce.ForCtx(ctx, k.Len(), func(i int) error {
-		for _, tid := range k.Entity(kb.EntityID(i)).TokenIDs() {
+		for _, tid := range k.TokenIDs(kb.EntityID(i)) {
 			s := slotOf(t, tid)
 			mem[atomic.AddInt32(&cur[s], 1)-1] = kb.EntityID(i)
 		}
@@ -338,22 +338,16 @@ func (ix *TokenIndex) key(s int32) string {
 	return ix.keys[s]
 }
 
-// ForEachShared walks the live tokens of one description in token-string
-// order — the same order the historical string-keyed path used, so
-// downstream floating-point accumulation stays bit-identical — calling f
+// ForEachSharedTokens walks the live tokens of one token-ID list in
+// token-string order — the same order the historical string-keyed path used,
+// so downstream floating-point accumulation stays bit-identical — calling f
 // with the precomputed token weight and the members of the OTHER KB. fromE1
-// states which side d belongs to.
-func (ix *TokenIndex) ForEachShared(d *kb.Description, fromE1 bool, f func(w float64, others []kb.EntityID)) {
-	ix.ForEachSharedTokens(d.TokenIDs(), fromE1, f)
-}
-
-// ForEachSharedTokens is ForEachShared over an explicit KB-local token-ID
-// list — the probe the per-entity query path uses for descriptions that are
-// not members of either KB: the caller resolves the query's token strings
-// through the side's own dictionary (kb.Interner.Lookup, read-only) and
-// passes the IDs in token-string order, reproducing exactly the walk a built
-// description would take. Tokens must belong to the side named by fromE1.
-// The receiver is never mutated, so concurrent walks are safe.
+// states which side the tokens belong to. The list is an entity's span of its
+// KB's token CSR (kb.KB.TokenIDs), or, for a description that is not a
+// member of either KB, the query's token strings resolved through the side's
+// own dictionary (kb.Interner.Lookup, read-only) in token-string order,
+// reproducing exactly the walk a built description would take. The receiver
+// is never mutated, so concurrent walks are safe.
 func (ix *TokenIndex) ForEachSharedTokens(tids []kb.TokenID, fromE1 bool, f func(w float64, others []kb.EntityID)) {
 	t, off, mem := ix.t1, ix.o2, ix.m2
 	if !fromE1 {

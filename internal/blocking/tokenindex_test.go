@@ -12,13 +12,13 @@ import (
 	"minoaner/internal/testkb"
 )
 
-// collectBeta runs the ForEachShared walk for every entity of one side and
-// flattens it into a comparable structure.
+// collectBeta runs the ForEachSharedTokens walk for every entity of one
+// side and flattens it into a comparable structure.
 func collectBeta(ix *TokenIndex, k *kb.KB, fromE1 bool) [][]float64 {
 	out := make([][]float64, k.Len())
 	for i := 0; i < k.Len(); i++ {
 		var row []float64
-		ix.ForEachShared(k.Entity(kb.EntityID(i)), fromE1, func(w float64, others []kb.EntityID) {
+		ix.ForEachSharedTokens(k.TokenIDs(kb.EntityID(i)), fromE1, func(w float64, others []kb.EntityID) {
 			row = append(row, w*float64(len(others)+1))
 		})
 		out[i] = row

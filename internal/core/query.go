@@ -87,7 +87,7 @@ type QueryMatch struct {
 // query carries the error and QueryEntity refuses it.
 func QueryFromEntity(k *kb.KB, id kb.EntityID) EntityQuery {
 	d, err := k.Describe(id)
-	q := EntityQuery{URI: d.URI, SelfURI: d.URI, Attrs: slices.Clone(d.Attrs), err: err}
+	q := EntityQuery{URI: d.URI, SelfURI: d.URI, Attrs: d.Attrs, err: err}
 	for _, r := range d.Relations {
 		q.Objects = append(q.Objects, QueryObject{Predicate: r.Predicate, Object: k.URI(r.Object)})
 	}

@@ -258,7 +258,7 @@ func buildAlpha(nameBlocks *blocking.Collection, n1, n2 int) (alpha1, alpha2 Row
 // property tests keep.
 func BetaRowsCtx(ctx context.Context, e *parallel.Engine, ix *blocking.TokenIndex, from *kb.KB, otherLen int, fromIsE1 bool, k int) (Rows[Edge], error) {
 	rows, _, err := emitRows(ctx, e, from.Len(), otherLen, k, nil, Rows[Edge]{}, func(board *Scoreboard, i, _ int) {
-		ix.ForEachShared(from.Entity(kb.EntityID(i)), fromIsE1, func(w float64, others []kb.EntityID) {
+		ix.ForEachSharedTokens(from.TokenIDs(kb.EntityID(i)), fromIsE1, func(w float64, others []kb.EntityID) {
 			for _, o := range others {
 				board.Add(o, w)
 			}

@@ -58,7 +58,7 @@ func refEdgeCmp(a, b Edge) int {
 func betaRowsMap(ctx context.Context, e *parallel.Engine, ix *blocking.TokenIndex, from *kb.KB, fromIsE1 bool, k int) ([][]Edge, error) {
 	return parallel.MapCtx(ctx, e, from.Len(), func(i int) ([]Edge, error) {
 		var acc map[kb.EntityID]float64
-		ix.ForEachShared(from.Entity(kb.EntityID(i)), fromIsE1, func(w float64, others []kb.EntityID) {
+		ix.ForEachSharedTokens(from.TokenIDs(kb.EntityID(i)), fromIsE1, func(w float64, others []kb.EntityID) {
 			if acc == nil {
 				acc = make(map[kb.EntityID]float64, len(others))
 			}

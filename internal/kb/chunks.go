@@ -191,7 +191,9 @@ func atLine(err error, line int) error {
 // chunk is one newline-aligned piece of an input and what a parser made of
 // it. Subjects, predicates and tokens are interned into tables of the
 // chunk's own, with first-seen IDs; each literal's normalized value is kept
-// beside its tokens, and each statement is a record over local IDs.
+// beside its tokens, and each statement is a record over local IDs. The
+// records, the token IDs and the literal text go to the Builder when the
+// chunk is merged; the rest is the parser's to reuse.
 type chunk struct {
 	seq  int
 	buf  []byte
@@ -200,24 +202,15 @@ type chunk struct {
 	skip int   // lines skipped
 
 	subjs, preds, toks symtab
-	last               uint32 // the subject of the previous statement, +1
-	stmts              []chunkStmt
-	tokIDs             []uint32 // local token IDs of the literals, in statement order
-	norm               []byte   // normalized values of the literals, end to end
+	last               uint32  // the subject of the previous statement, +1
+	seg                segment // the records, local token IDs and literal text
+	norm               []byte  // normalized values of the literals, end to end
 	normEnd            []uint32
-	text               []byte // literal text, end to end
-	block              string // text, once the chunk is parsed
 	objs               []byte // object URIs, end to end
 	low, unescaped     []byte // scratch
-}
-
-// chunkStmt is one statement of a chunk. lo:hi spans its literal in text or
-// its object URI in objs.
-type chunkStmt struct {
-	subj, pred uint32
-	lo, hi     uint32
-	ntok       uint32 // literals: how many of tokIDs are this statement's
-	uri        bool
+	// handed holds the lengths of the last arrays the merger took, the
+	// capacity the next parse starts its own with.
+	handed [3]int
 }
 
 func newChunk() *chunk {
@@ -230,45 +223,42 @@ func (c *chunk) parse(syn syntax) {
 	c.preds.reset()
 	c.toks.reset()
 	c.last = 0
-	c.stmts, c.tokIDs, c.normEnd = c.stmts[:0], c.tokIDs[:0], c.normEnd[:0]
-	c.norm, c.text, c.objs = c.norm[:0], c.text[:0], c.objs[:0]
+	c.seg.stmts = slices.Grow(c.seg.stmts[:0], c.handed[0])
+	c.seg.toks = slices.Grow(c.seg.toks[:0], c.handed[1])
+	c.seg.text = slices.Grow(c.seg.text[:0], c.handed[2])
+	c.normEnd, c.norm, c.objs = c.normEnd[:0], c.norm[:0], c.objs[:0]
 	c.line, c.skip, c.err = syn.parse(c.buf, c, &c.unescaped)
-	c.seal()
 }
-
-// seal copies the literal text into the one string the KB keeps of it.
-func (c *chunk) seal() { c.block = string(c.text) }
 
 // addTerms makes c the sink of its own parse.
 func (c *chunk) addTerms(subj, pred, obj []byte, objIsURI bool) {
 	if c.last == 0 || !bytes.Equal(c.subjs.at(c.last-1), subj) {
 		c.last = c.subjs.internBytes(subj) + 1
 	}
-	st := chunkStmt{subj: c.last - 1, pred: c.preds.internBytes(pred), uri: objIsURI}
+	st := stmt{subj: EntityID(c.last - 1), pred: c.preds.internBytes(pred), obj: objLiteral}
 	if objIsURI {
+		st.obj = objURI
 		st.lo = uint32(len(c.objs))
 		c.objs = append(c.objs, obj...)
 		st.hi = uint32(len(c.objs))
-		c.stmts = appendDoubling(c.stmts, st)
+		c.seg.stmts = appendDoubling(c.seg.stmts, st)
 		return
 	}
-	st.lo = uint32(len(c.text))
-	c.text = append(c.text, obj...)
-	st.hi = uint32(len(c.text))
+	st.lo, st.hi = c.seg.addText(obj)
 	low := lowerBytes(&c.low, obj)
-	n := len(c.tokIDs)
+	n := len(c.seg.toks)
 	for i := 0; ; {
 		start, end := nextToken(low, i)
 		if start == end {
 			break
 		}
-		c.tokIDs = appendDoubling(c.tokIDs, c.toks.internBytes(low[start:end]))
+		c.seg.toks = appendDoubling(c.seg.toks, TokenID(c.toks.internBytes(low[start:end])))
 		i = end
 	}
-	st.ntok = uint32(len(c.tokIDs) - n)
+	st.ntok = uint32(len(c.seg.toks) - n)
 	c.norm = appendNormalized(c.norm, low)
 	c.normEnd = appendDoubling(c.normEnd, uint32(len(c.norm)))
-	c.stmts = appendDoubling(c.stmts, st)
+	c.seg.stmts = appendDoubling(c.seg.stmts, st)
 }
 
 // merger appends parsed chunks to a Builder, in input order.
@@ -278,8 +268,11 @@ type merger struct {
 	subj, pred, toks []uint32 // the shared ID of each local one
 }
 
-// merge appends c, or returns the error that ended it, with its line
-// counted from the input's first line.
+// merge rewrites c's records and token IDs in place over the Builder's IDs
+// and hands them, with the literal text, to the Builder as its next segment;
+// or it returns the error that ended c, with its line counted from the
+// input's first line. An object URI that names no entity yet is copied to
+// the end of the text, where Build looks it up again.
 func (m *merger) merge(c *chunk) error {
 	m.skipped += c.skip
 	if c.err != nil {
@@ -287,34 +280,38 @@ func (m *merger) merge(c *chunk) error {
 	}
 	m.line += c.line
 	b := m.b
+	b.closeOpen()
 	m.subj = internAll(m.subj, &c.subjs, b.uris)
 	m.pred = internAll(m.pred, &c.preds, &b.preds)
 	t := &b.dict.t
 	t.mu.Lock()
 	m.toks = internAll(m.toks, &c.toks, t)
 	t.mu.Unlock()
-	for _, id := range c.tokIDs {
-		b.toks = appendDoubling(b.toks, TokenID(m.toks[id]))
+	for i, id := range c.seg.toks {
+		c.seg.toks[i] = TokenID(m.toks[id])
 	}
-	v := &b.values
-	v.vals.mu.Lock()
-	lo := uint32(0)
-	for _, hi := range c.normEnd {
-		v.ids = appendDoubling(v.ids, ValueID(v.vals.internBytes(c.norm[lo:hi])))
-		lo = hi
-	}
-	v.vals.mu.Unlock()
-	for _, s := range c.stmts {
-		st := statement{subj: EntityID(m.subj[s.subj]), pred: m.pred[s.pred], obj: objLiteral, ntok: s.ntok}
-		if !s.uri {
-			st.text = c.block[s.lo:s.hi]
+	vals := &b.schema.vals
+	vals.mu.Lock()
+	lo, next := uint32(0), 0
+	for i := range c.seg.stmts {
+		s := &c.seg.stmts[i]
+		s.subj, s.pred = EntityID(m.subj[s.subj]), m.pred[s.pred]
+		if s.obj == objLiteral {
+			hi := c.normEnd[next]
+			next++
+			s.val = ValueID(vals.internBytes(c.norm[lo:hi]))
+			lo = hi
 		} else if obj, ok := b.uris.find(c.objs[s.lo:s.hi]); ok {
-			st.obj = EntityID(obj)
+			s.obj = EntityID(obj)
 		} else {
-			st.obj, st.text = objPending, b.text.add(c.objs[s.lo:s.hi])
+			s.obj = objPending
+			s.lo, s.hi = c.seg.addText(c.objs[s.lo:s.hi])
 		}
-		b.stmts = appendDoubling(b.stmts, st)
 	}
+	vals.mu.Unlock()
+	b.segs = append(b.segs, c.seg)
+	c.handed = [3]int{len(c.seg.stmts), len(c.seg.toks), len(c.seg.text)}
+	c.seg = segment{}
 	return nil
 }
 

@@ -7,9 +7,9 @@ package kb
 // ValueID) — so distinct-counting inside a span is an adjacency check and
 // per-predicate/per-attribute grouping is a linear walk, no maps.
 //
-// Description.Relations and Description.Attrs keep the insertion-ordered
-// string views for compatibility; the statistics stage reads only these
-// columns.
+// The KB's statement tables keep the same statements in insertion order,
+// behind Description.Relations and Description.Attrs; the pipeline reads only
+// these columns and the token CSR (TokenIDs).
 type columns struct {
 	// relOff[i] .. relOff[i+1] is entity i's span in relPred/relObj.
 	relOff  []int32
@@ -28,6 +28,15 @@ type columns struct {
 // normalized values). KBs built with NewBuilderWithDicts and one shared
 // Schema return the same dictionary set.
 func (k *KB) Schema() *Schema { return k.schema }
+
+// TokenIDs returns entity id's distinct tokens as dense IDs into TokenDict(),
+// ordered by token string: its span of the KB's token CSR, which every
+// whole-KB walker reads without a Description. The slice aliases the KB;
+// callers must not modify it. On a KB from a file callers run Verify first.
+func (k *KB) TokenIDs(id EntityID) []TokenID {
+	lo, hi := k.tokOff[id], k.tokOff[id+1]
+	return k.tokens[lo:hi:hi]
+}
 
 // RelationColumns returns entity id's relations in columnar form: parallel
 // slices of predicate IDs and objects, sorted by (PredID, Object). The

@@ -20,10 +20,10 @@ func RefLoadNTriples(name string, r io.Reader, lenient bool) (*KB, int, error) {
 
 var DiffKB = diffKB
 
-// DescriptionsBuilt reports whether k holds its Description array — always
-// true for a built KB, and true for a snapshot-backed one only once
-// something asked for a *Description.
-func DescriptionsBuilt(k *KB) bool { return k.lazy == nil || k.entities != nil }
+// DescriptionsBuilt reports whether k holds its Description array: on a
+// built KB and on a snapshot-backed one alike, only once something asked
+// for a *Description.
+func DescriptionsBuilt(k *KB) bool { return k.lazy.entities != nil }
 
 // Tracked is a deferred check a test watches, counting the runs of its
 // check function.

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 	"strings"
-	"unsafe"
 
 	"minoaner/internal/parallel"
 )
@@ -13,19 +12,22 @@ import (
 // loader and behind hand-built KBs alike. Each statement registers its
 // subject, interns the literal's tokens into the token dictionary and its
 // normalized value (NormalizeName) into the schema's value dictionary, and
-// appends one flat statement record. Every dictionary is written in
-// statement order, so IDs — and the bytes of a snapshot — are a function of
-// the input alone. The loaders parse a file in chunks, in parallel, and merge
-// the chunks into the Builder in input order (see ingest). Hand-built
-// literals intern their values a batch at a time (see valueStage).
+// becomes one pointer-free record. Every dictionary is written in statement
+// order, so IDs — and the bytes of a snapshot — are a function of the input
+// alone. The loaders parse a file in chunks, in parallel, and merge the
+// chunks into the Builder in input order (see ingest): a merged chunk's
+// records, token IDs and literal text become one of the Builder's segments
+// as they are. Hand-built statements append to an open segment of the same
+// shape, whose literals get their ValueIDs a batch at a time (see closeOpen).
 //
-// Build then counting-sorts the statements by subject: every description's
-// Attrs, Relations and tokens, and the six columns, are sub-slices of a
-// handful of flat allocations. Object values that name a described entity
-// become relations; all other values are literal attributes, exactly as the
-// paper defines relations(e) and neighbors(e). An object URI that is only
-// described later in the input, or never, is settled at Build in place, so a
-// description's statements keep their input order.
+// Build then counting-sorts the statements by subject into the parts a KB
+// holds: the token CSR, the six sorted columns, and the insertion-order
+// statement tables with the raw literal text. Object values that name a
+// described entity become relations; all other values are literal
+// attributes, exactly as the paper defines relations(e) and neighbors(e). An
+// object URI that is only described later in the input, or never, is
+// settled at Build in place, so a description's statements keep their input
+// order.
 //
 // Subject URIs are interned into a table of the Builder's own, which the KB
 // keeps: EntityID i is string i, and an object URI is looked up in it.
@@ -35,34 +37,44 @@ type Builder struct {
 	schema *Schema
 
 	uris *symtab
-	// text backs every pending object URI that arrived as bytes.
-	text arena
 
 	// preds are the distinct predicates in first-seen order. Whether one is
 	// an attribute name, a relation predicate or both is only known at
 	// Build, which is when they enter the schema dictionaries.
 	preds symtab
 
-	stmts []statement
-	// toks holds the token occurrences of every literal, in statement order.
-	toks []TokenID
-	low  []byte // lower-casing scratch of tokenize
-
-	values valueStage
+	// segs are the statements so far, in input order.
+	segs []segment
+	// open is the segment hand-built statements append to; openBytes is
+	// the literal text it holds.
+	open      segment
+	openBytes int
+	low, norm []byte // lower-casing and normalizing scratch
 }
 
-// statement is one input statement. obj is the relation target, or one of
-// the three markers below.
-type statement struct {
-	subj EntityID
-	pred uint32 // index into Builder.preds
-	obj  EntityID
-	ntok uint32 // literals: how many of Builder.toks are this statement's
-	text string // the literal value, or the object URI while it is pending
+// segment is a run of statements in input order and the arrays their
+// records index: a merged chunk's, or a batch of hand-built statements.
+type segment struct {
+	stmts []stmt
+	toks  []TokenID // the token IDs of the literals, in statement order
+	text  []byte    // the literals' text and the pending object URIs, end to end
+}
+
+// stmt is one statement record. A chunk's parser fills it over the chunk's
+// own IDs, and the merger rewrites it in place over the Builder's; a
+// hand-built statement is appended in the Builder's form.
+type stmt struct {
+	subj   EntityID
+	pred   uint32   // index into Builder.preds
+	obj    EntityID // the relation target, or one of the markers below
+	val    ValueID  // literals: the normalized value
+	lo, hi uint32   // the literal's text, or the pending URI, in the segment's text
+	ntok   uint32   // literals: how many of the segment's toks are this statement's
 }
 
 const (
 	objLiteral EntityID = -1 - iota // a literal value
+	objURI                          // a chunk's object URI, in its objs, until the merge looks it up
 	objPending                      // a URI that named no entity on arrival
 	objDemoted                      // a pending URI that Build found undescribed: a literal after all
 )
@@ -97,7 +109,6 @@ func NewBuilderWithDicts(name string, dict *Interner, schema *Schema) *Builder {
 		schema: schema,
 		uris:   &uris,
 		preds:  newSymtab(),
-		values: valueStage{vals: &schema.vals},
 	}
 }
 
@@ -109,32 +120,43 @@ func (b *Builder) AddEntity(uri string) EntityID {
 
 // AddLiteral attaches a literal attribute-value pair to the entity.
 func (b *Builder) AddLiteral(id EntityID, attribute, value string) {
-	b.literal(id, b.pred(attribute), value)
+	s := &b.open
+	st := stmt{subj: id, pred: b.pred(attribute), obj: objLiteral, ntok: b.tokenize(&s.toks, bytesOf(value))}
+	st.lo, st.hi = s.addText(bytesOf(value))
+	s.stmts = appendDoubling(s.stmts, st)
+	if b.openBytes += len(value); b.openBytes >= valueBatchBytes {
+		b.closeOpen()
+	}
 }
 
 // AddObject attaches an object (URI-position) value. It becomes a relation
 // if the URI names a described entity — now or by the time of Build —
 // otherwise a literal.
 func (b *Builder) AddObject(id EntityID, predicate, objectURI string) {
-	st := statement{subj: id, pred: b.pred(predicate), obj: objPending, text: objectURI}
+	s := &b.open
+	st := stmt{subj: id, pred: b.pred(predicate), obj: objPending}
 	if obj, ok := b.uris.find(bytesOf(objectURI)); ok {
-		st.obj, st.text = EntityID(obj), ""
+		st.obj = EntityID(obj)
+	} else {
+		st.lo, st.hi = s.addText(bytesOf(objectURI))
 	}
-	b.stmts = appendDoubling(b.stmts, st)
+	s.stmts = appendDoubling(s.stmts, st)
 }
 
 func (b *Builder) pred(name string) uint32 { return b.preds.internBytes(bytesOf(name)) }
 
-func (b *Builder) literal(id EntityID, pred uint32, value string) {
-	b.stmts = appendDoubling(b.stmts, statement{subj: id, pred: pred, obj: objLiteral, ntok: b.tokenize(value), text: value})
-	b.values.add(value)
+// addText appends t to the segment's text and returns its span.
+func (s *segment) addText(t []byte) (lo, hi uint32) {
+	lo = uint32(len(s.text))
+	s.text = append(s.text, t...)
+	return lo, uint32(len(s.text))
 }
 
-// tokenize appends the token IDs of one literal to b.toks, interning tokens
-// not seen before, and returns how many there were.
-func (b *Builder) tokenize(value string) uint32 {
-	n := len(b.toks)
-	low := lowerBytes(&b.low, bytesOf(value))
+// tokenize appends the token IDs of one value to *dst, interning tokens not
+// seen before, and returns how many there were.
+func (b *Builder) tokenize(dst *[]TokenID, value []byte) uint32 {
+	n := len(*dst)
+	low := lowerBytes(&b.low, value)
 	t := &b.dict.t
 	t.mu.Lock()
 	for i := 0; ; {
@@ -142,11 +164,43 @@ func (b *Builder) tokenize(value string) uint32 {
 		if start == end {
 			break
 		}
-		b.toks = appendDoubling(b.toks, TokenID(t.internBytes(low[start:end])))
+		*dst = appendDoubling(*dst, TokenID(t.internBytes(low[start:end])))
 		i = end
 	}
 	t.mu.Unlock()
-	return uint32(len(b.toks) - n)
+	return uint32(len(*dst) - n)
+}
+
+// valueID interns the normalized form of a value. The caller holds the
+// value dictionary's lock.
+func (b *Builder) valueID(value []byte) ValueID {
+	b.norm = appendNormalized(b.norm[:0], lowerBytes(&b.low, value))
+	return ValueID(b.schema.vals.internBytes(b.norm))
+}
+
+// valueBatchBytes is how much literal text the open segment takes before it
+// closes. Builders that share a Schema and are fed in turn, as datagen feeds
+// a pair, get ValueIDs that depend on where those batches end, and a
+// snapshot stores them.
+const valueBatchBytes = 256 << 10
+
+// closeOpen gives the open segment's literals their ValueIDs, in statement
+// order, and appends it to the closed ones.
+func (b *Builder) closeOpen() {
+	s := &b.open
+	if len(s.stmts) == 0 {
+		return
+	}
+	vals := &b.schema.vals
+	vals.mu.Lock()
+	for i := range s.stmts {
+		if st := &s.stmts[i]; st.obj == objLiteral {
+			st.val = b.valueID(s.text[st.lo:st.hi])
+		}
+	}
+	vals.mu.Unlock()
+	b.segs = append(b.segs, *s)
+	b.open, b.openBytes = segment{}, 0
 }
 
 // appendDoubling is append for the ingester's flat arrays, which reach
@@ -162,147 +216,111 @@ func appendDoubling[T any](s []T, v T) []T {
 // Len returns the number of entities registered so far.
 func (b *Builder) Len() int { return b.uris.tab.Len() }
 
-// arena hands out immutable strings carved from large byte chunks, so the
-// pending URIs of a million statements cost a few dozen allocations, not a
-// million. Chunks start small, so the thousands of tiny KBs tests build stay
-// tiny.
-type arena struct {
-	chunk []byte // current chunk; its length is the part handed out
-	size  int    // capacity of the current chunk's size class
-}
-
-const maxArenaChunk = 1 << 20
-
-func (a *arena) add(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	if cap(a.chunk)-len(a.chunk) < len(b) {
-		a.size = min(max(2*a.size, 1<<10), maxArenaChunk)
-		a.chunk = make([]byte, 0, max(a.size, len(b)))
-	}
-	n := len(a.chunk)
-	a.chunk = append(a.chunk, b...)
-	return unsafe.String(&a.chunk[n], len(b))
-}
-
-// valueStage turns literal values into ValueIDs, in the order they were
-// added. A hand-built literal's value waits in a batch, interned when the
-// batch holds valueBatchBytes of text or at Build: Builders that share a
-// Schema and are fed in turn, as datagen feeds a pair, get ValueIDs that
-// depend on where those batches end, and a snapshot stores them. A loader's
-// chunks append their ValueIDs to ids directly (merger.merge).
-type valueStage struct {
-	vals *symtab
-	ids  []ValueID // one per value consumed
-	low  []byte    // scratch of flush
-	norm []byte
-
-	batch      []string
-	batchBytes int
-}
-
-const valueBatchBytes = 256 << 10
-
-func (v *valueStage) add(value string) {
-	v.batch = append(v.batch, value)
-	if v.batchBytes += len(value); v.batchBytes >= valueBatchBytes {
-		v.flush()
-	}
-}
-
-func (v *valueStage) flush() {
-	v.vals.mu.Lock()
-	for _, s := range v.batch {
-		v.norm = appendNormalized(v.norm[:0], lowerBytes(&v.low, bytesOf(s)))
-		v.ids = appendDoubling(v.ids, ValueID(v.vals.internBytes(v.norm)))
-	}
-	v.vals.mu.Unlock()
-	v.batch, v.batchBytes = v.batch[:0], 0
-}
-
 // Build finalizes the KB and returns it. The Builder must not be used
 // afterwards.
 func (b *Builder) Build() *KB {
+	b.closeOpen()
 	n := b.uris.tab.Len()
 
 	// Pass 1, in statement order: settle every object URI that named no
 	// entity when it arrived — a forward reference is the relation it looks
 	// like, a URI nobody describes is a literal — and count each entity's
-	// statements and token occurrences. Demoted URIs are tokenized and
-	// normalized here, so their tokens and ValueIDs follow those of the
-	// literals that arrived as such.
-	b.values.flush()
-	literalToks, literalVals := len(b.toks), len(b.values.ids)
+	// statements, token occurrences and bytes of literal text. Demoted URIs
+	// are tokenized and normalized here, so their tokens and ValueIDs follow
+	// those of the literals that arrived as such; dtoks holds their tokens,
+	// in statement order.
+	var dtoks []TokenID
 	attrOff := make([]int32, n+1)
 	relOff := make([]int32, n+1)
-	tokOff := make([]int, n+1)
-	for i := range b.stmts {
-		st := &b.stmts[i]
-		if st.obj == objPending {
-			if obj, ok := b.uris.find(bytesOf(st.text)); ok {
-				st.obj, st.text = EntityID(obj), ""
+	tokOff := make([]int64, n+1)
+	textOff := make([]int64, n+1)
+	triples := 0
+	vals := &b.schema.vals
+	for si := range b.segs {
+		seg := &b.segs[si]
+		triples += len(seg.stmts)
+		for i := range seg.stmts {
+			st := &seg.stmts[i]
+			if st.obj == objPending {
+				text := seg.text[st.lo:st.hi]
+				if obj, ok := b.uris.find(text); ok {
+					st.obj = EntityID(obj)
+				} else {
+					st.obj, st.ntok = objDemoted, b.tokenize(&dtoks, text)
+					vals.mu.Lock()
+					st.val = b.valueID(text)
+					vals.mu.Unlock()
+				}
+			}
+			if st.obj >= 0 {
+				relOff[st.subj+1]++
 			} else {
-				st.obj, st.ntok = objDemoted, b.tokenize(st.text)
-				b.values.add(st.text)
+				attrOff[st.subj+1]++
+				tokOff[st.subj+1] += int64(st.ntok)
+				textOff[st.subj+1] += int64(st.hi - st.lo)
 			}
 		}
-		if st.obj >= 0 {
-			relOff[st.subj+1]++
-		} else {
-			attrOff[st.subj+1]++
-			tokOff[st.subj+1] += int(st.ntok)
-		}
 	}
-	b.values.flush()
 	for i := 0; i < n; i++ {
 		attrOff[i+1] += attrOff[i]
 		relOff[i+1] += relOff[i]
 		tokOff[i+1] += tokOff[i]
+		textOff[i+1] += textOff[i]
 	}
 
-	// Pass 2, in statement order again: a stable scatter by subject. The two
-	// predicate columns hold Builder-local IDs until pass 3.
+	// Pass 2, in statement order again: a stable scatter by subject into the
+	// insertion-order statement tables, whose two predicate columns hold
+	// Builder-local IDs until pass 3, and into the entities' token spans.
 	nAttr, nRel := int(attrOff[n]), int(relOff[n])
-	attrs := make([]AttributeValue, nAttr)
-	rels := make([]Relation, nRel)
-	c := columns{
-		relOff: relOff, relPred: make([]PredID, nRel), relObj: make([]EntityID, nRel),
-		attrOff: attrOff, attrName: make([]AttrID, nAttr), attrVal: make([]ValueID, nAttr),
+	st := statements{
+		attrName: make([]AttrID, nAttr),
+		relPred:  make([]PredID, nRel),
+		relObj:   make([]EntityID, nRel),
 	}
+	attrVal := make([]ValueID, nAttr)
+	valOff := make([]int64, nAttr+1)
+	blob := make([]byte, textOff[n])
 	gathered := make([]TokenID, tokOff[n])
-	attrAt, relAt, tokAt := slices.Clone(attrOff[:n]), slices.Clone(relOff[:n]), slices.Clone(tokOff[:n])
-	tok, val := 0, 0                       // next token / ValueID of a literal
-	dtok, dval := literalToks, literalVals // ... of a demoted URI
-	for i := range b.stmts {
-		st := &b.stmts[i]
-		if st.obj >= 0 {
-			j := relAt[st.subj]
-			relAt[st.subj]++
-			rels[j] = Relation{Predicate: b.preds.str(st.pred), Object: st.obj}
-			c.relPred[j], c.relObj[j] = PredID(st.pred), st.obj
-			continue
+	attrAt, relAt := slices.Clone(attrOff[:n]), slices.Clone(relOff[:n])
+	tokAt, textAt := slices.Clone(tokOff[:n]), textOff[:n] // textOff is not read again
+	dtok := 0
+	for si := range b.segs {
+		seg := &b.segs[si]
+		tok := 0
+		for i := range seg.stmts {
+			s := &seg.stmts[i]
+			if s.obj >= 0 {
+				j := relAt[s.subj]
+				relAt[s.subj]++
+				st.relPred[j], st.relObj[j] = PredID(s.pred), s.obj
+				continue
+			}
+			j := attrAt[s.subj]
+			attrAt[s.subj]++
+			st.attrName[j], attrVal[j] = AttrID(s.pred), s.val
+			valOff[j] = textAt[s.subj]
+			textAt[s.subj] += int64(copy(blob[textAt[s.subj]:], seg.text[s.lo:s.hi]))
+			from, at := seg.toks, &tok
+			if s.obj == objDemoted {
+				from, at = dtoks, &dtok
+			}
+			tokAt[s.subj] += int64(copy(gathered[tokAt[s.subj]:], from[*at:*at+int(s.ntok)]))
+			*at += int(s.ntok)
 		}
-		t, v := &tok, &val
-		if st.obj == objDemoted {
-			t, v = &dtok, &dval
-		}
-		j := attrAt[st.subj]
-		attrAt[st.subj]++
-		attrs[j] = AttributeValue{Attribute: b.preds.str(st.pred), Value: st.text}
-		c.attrName[j], c.attrVal[j] = AttrID(st.pred), b.values.ids[*v]
-		*v++
-		copy(gathered[tokAt[st.subj]:], b.toks[*t:*t+int(st.ntok)])
-		tokAt[st.subj] += int(st.ntok)
-		*t += int(st.ntok)
 	}
-	triples := len(b.stmts)
-	b.stmts, b.toks, b.values = nil, nil, valueStage{}
+	valOff[nAttr] = int64(len(blob))
+	st.vals = &FrozenStrings{blob: blob, off: valOff}
+	b.segs = nil
 
 	// Pass 3: predicates enter the schema dictionaries in the order the
-	// finished KB lists them — by entity, then by statement.
-	internColumn(c.relPred, &b.preds, b.schema.InternPred)
-	internColumn(c.attrName, &b.preds, b.schema.InternAttr)
+	// finished KB lists them — by entity, then by statement. The sorted
+	// columns start as copies of the statement tables.
+	internColumn(st.relPred, &b.preds, b.schema.InternPred)
+	internColumn(st.attrName, &b.preds, b.schema.InternAttr)
+	c := columns{
+		relOff: relOff, relPred: slices.Clone(st.relPred), relObj: slices.Clone(st.relObj),
+		attrOff: attrOff, attrName: slices.Clone(st.attrName), attrVal: attrVal,
+	}
 
 	// Pass 4, over entity spans in parallel: sort each entity's two column
 	// spans by (schema ID, payload) and its tokens by token string, dropping
@@ -320,29 +338,22 @@ func (b *Builder) Build() *KB {
 		}
 	})
 
-	total := 0
-	for _, l := range tokLen {
-		total += int(l)
+	// The token CSR: each entity's distinct tokens move down over the
+	// duplicates dropped before them, and tokOff becomes the CSR's offsets.
+	w := int64(0)
+	for i := 0; i < n; i++ {
+		lo := tokOff[i]
+		copy(gathered[w:], gathered[lo:lo+int64(tokLen[i])])
+		tokOff[i] = w
+		w += int64(tokLen[i])
 	}
-	tokens := make([]TokenID, 0, total)
-	entities := make([]Description, n)
-	for i := range entities {
-		lo := len(tokens)
-		tokens = append(tokens, gathered[tokOff[i]:tokOff[i]+int(tokLen[i])]...)
-		entities[i] = Description{
-			URI:       b.uris.str(uint32(i)),
-			Attrs:     attrs[attrOff[i]:attrOff[i+1]:attrOff[i+1]],
-			Relations: rels[relOff[i]:relOff[i+1]:relOff[i+1]],
-			tokens:    tokens[lo:len(tokens):len(tokens)],
-			dict:      b.dict,
-		}
-	}
-	kb := &KB{
-		name: b.name, size: n, entities: entities, uris: b.uris,
-		dict: b.dict, schema: b.schema, cols: c, triples: triples,
+	tokOff[n] = w
+	k := &KB{
+		name: b.name, size: n, triples: triples, uris: b.uris, dict: b.dict, schema: b.schema,
+		cols: c, tokOff: tokOff, tokens: gathered[:w:w], stmts: st,
 	}
 	b.uris = nil
-	return kb
+	return k
 }
 
 // internColumn replaces the Builder-local predicate IDs of col, in place, by

@@ -258,6 +258,29 @@ func diffIDs(got, want *KB) string {
 	return ""
 }
 
+// diffParts describes the first difference between the token CSR and the
+// insertion-order statement tables of two KBs whose dictionaries are equal
+// ID for ID (diffIDs), or returns "".
+func diffParts(got, want *KB) string {
+	g, w := got.SnapshotParts(), want.SnapshotParts()
+	switch {
+	case !slices.Equal(g.TokenOff, w.TokenOff) || !slices.Equal(g.Tokens, w.Tokens):
+		return "token CSR differs"
+	case !slices.Equal(g.StmtAttrName, w.StmtAttrName):
+		return "attribute statement table differs"
+	case !slices.Equal(g.StmtRelPred, w.StmtRelPred) || !slices.Equal(g.StmtRelObj, w.StmtRelObj):
+		return "relation statement tables differ"
+	case g.StmtVals.Len() != w.StmtVals.Len():
+		return fmt.Sprintf("%d statement values, want %d", g.StmtVals.Len(), w.StmtVals.Len())
+	}
+	for j := 0; j < w.StmtVals.Len(); j++ {
+		if gv, wv := g.StmtVals.At(j), w.StmtVals.At(j); gv != wv {
+			return fmt.Sprintf("statement value %d is %q, want %q", j, gv, wv)
+		}
+	}
+	return ""
+}
+
 // ingestAt loads data with the chunked ingester at the given chunk size and
 // GOMAXPROCS.
 func ingestAt(data string, syn syntax, size, procs int) (*KB, int, error) {
@@ -271,9 +294,12 @@ func ingestAt(data string, syn syntax, size, procs int) (*KB, int, error) {
 }
 
 // The chunked ingester, at every chunk size — a line per chunk, a few lines
-// per chunk, the default — and at one, two and eight parsers, must build the
-// KB a Builder fed statement by statement builds, with the same dictionaries
-// ID for ID, the same skipped count and the same first *ParseError.
+// per chunk, 1 KB, the default, 1 MB — and at one, two and eight parsers,
+// must build the KB a Builder fed statement by statement builds, with the
+// same dictionaries ID for ID, the same token CSR and insertion-order
+// statement tables, the same skipped count and the same first *ParseError.
+// A merged chunk's arrays become the Builder's while the chunk goes back to
+// the parsers, so this runs under the race detector too (make race-overlap).
 func TestChunkedIngestEqualsSerial(t *testing.T) {
 	gen, genBad := generatedSource(false)
 	genTSV, _ := generatedSource(true)
@@ -312,7 +338,7 @@ func TestChunkedIngestEqualsSerial(t *testing.T) {
 			if errors.As(wantErr, &pe) != (tc.badLine != 0 && !lenient) || pe != nil && pe.Line != tc.badLine {
 				t.Fatalf("%s lenient=%t: serial error %v, want one at line %d", tc.name, lenient, wantErr, tc.badLine)
 			}
-			for _, size := range []int{1, 37, chunkBytes} {
+			for _, size := range []int{1, 37, 1 << 10, chunkBytes, 1 << 20} {
 				for _, procs := range []int{1, 2, 8} {
 					name := fmt.Sprintf("%s/lenient=%t/size=%d/procs=%d", tc.name, lenient, size, procs)
 					got, skipped, err := ingestAt(tc.data, syn, size, procs)
@@ -328,6 +354,8 @@ func TestChunkedIngestEqualsSerial(t *testing.T) {
 					if d := diffKB(got, want); d != "" {
 						t.Errorf("%s: %s", name, d)
 					} else if d := diffIDs(got, want); d != "" {
+						t.Errorf("%s: %s", name, d)
+					} else if d := diffParts(got, want); d != "" {
 						t.Errorf("%s: %s", name, d)
 					}
 				}
@@ -399,7 +427,6 @@ func TestTextCoreAgrees(t *testing.T) {
 		// The byte forms, through a chunk of the ingester.
 		b, c := NewBuilder("k"), newChunk()
 		c.addTerms([]byte("e"), []byte("p"), []byte(s), false)
-		c.seal()
 		m := merger{b: b}
 		if err := m.merge(c); err != nil {
 			t.Fatal(err)

@@ -98,26 +98,42 @@ func (d *Description) Values(attr string) []string {
 }
 
 // KB is an immutable knowledge base: a set of entity descriptions indexed by
-// dense EntityIDs.
+// dense EntityIDs. A built KB and one assembled from a snapshot hold the same
+// parts (see SnapshotParts): the columns every stage reads, and the
+// insertion-order statement tables its descriptions are made from on demand.
 type KB struct {
-	name     string
-	size     int
-	entities []Description
+	name    string
+	size    int
+	triples int
 	// uris holds the entity URIs in EntityID order: the Builder's table of a
 	// built KB (looked up through its index), the frozen table of a
 	// snapshot-loaded one (looked up by binary search).
-	uris    *symtab
-	dict    *Interner
-	schema  *Schema
-	cols    columns
-	triples int
-	// lazy defers description materialization for snapshot-loaded KBs: the
-	// columnar substrate answers everything a query needs, so the per-entity
-	// Description array is only built on first access (see ents).
-	lazy *lazyDescriptions
+	uris   *symtab
+	dict   *Interner
+	schema *Schema
+	cols   columns
+	// tokOff and tokens are the token CSR: entity i's distinct tokens,
+	// ordered by token string, are tokens[tokOff[i]:tokOff[i+1]].
+	tokOff []int64
+	tokens []TokenID
+	stmts  statements
+	// lazy holds the Description array once something asks for one (see
+	// ents): nothing in the pipeline does.
+	lazy lazyDescriptions
 	// check is the deferred range check of a KB assembled from parts: the
 	// IDs in its columns (see Verify). Nil for a built KB.
 	check *Deferred
+}
+
+// statements are each entity's statements in input order, over the
+// columns' spans (attrOff, relOff): the tables a snapshot stores and a
+// Description is made from. vals holds the raw literal text, not the
+// normalized value.
+type statements struct {
+	attrName []AttrID
+	vals     *FrozenStrings
+	relPred  []PredID
+	relObj   []EntityID
 }
 
 // Name returns the KB's display name.
@@ -137,16 +153,17 @@ func (k *KB) Len() int { return k.size }
 func (k *KB) Triples() int { return k.triples }
 
 // Entity returns the description with the given ID. It panics if the ID is
-// out of range, mirroring slice indexing semantics. On a snapshot-loaded KB
-// the first call verifies the KB and materializes all descriptions. Entity
-// has no error result: callers run Verify first, since a KB that fails it
-// yields empty descriptions. Callers that only need the URI should use URI,
-// and callers that need one description Describe, which reports damage.
+// out of range, mirroring slice indexing semantics. Descriptions are lazy on
+// every KB, built or loaded: the first call verifies the KB and makes all of
+// them from its statement tables. Entity has no error result: callers run
+// Verify first, since a KB that fails it yields empty descriptions. Callers
+// that only need the URI should use URI, the tokens TokenIDs, and one
+// description Describe, which reports damage.
 func (k *KB) Entity(id EntityID) *Description { return &k.ents()[id] }
 
 // URI returns the URI of entity id without materializing descriptions,
-// keeping the query path's candidate formatting free of a snapshot-loaded
-// KB's lazy Description build. On a KB from a file a damaged URI reads as
+// keeping the query path's candidate formatting free of the lazy
+// Description build. On a KB from a file a damaged URI reads as
 // "" and Err reports it afterwards; CheckURIs checks every URI at once.
 func (k *KB) URI(id EntityID) string { return k.uris.str(uint32(id)) }
 
@@ -194,16 +211,7 @@ func (k *KB) AverageTokens() float64 {
 	if k.size == 0 {
 		return 0
 	}
-	if k.lazy != nil {
-		// The flat token array already holds every description's tokens;
-		// no need to materialize descriptions for a count.
-		return float64(len(k.lazy.parts.Tokens)) / float64(k.size)
-	}
-	total := 0
-	for i := range k.entities {
-		total += len(k.entities[i].tokens)
-	}
-	return float64(total) / float64(k.size)
+	return float64(len(k.tokens)) / float64(k.size)
 }
 
 // Attributes returns the number of distinct literal attribute names in the

@@ -3,7 +3,7 @@ package kb
 // The implementations this package had before the byte-level ingester — the
 // string parser, the strings.ToLower tokenizer, the queue-then-build Builder
 // and buildColumns — kept as the reference the new code is tested against.
-// They share nothing with it but the KB type they fill.
+// They share nothing with it but AssembleKB, which makes their parts a KB.
 
 import (
 	"bufio"
@@ -190,7 +190,8 @@ func refNormalizeName(value string) string {
 }
 
 // refBuilder queues every statement as strings and does all the work in
-// Build: a token set (map + string sort) per entity, then buildColumns.
+// Build: a token set (map + string sort) per entity, then the columns
+// (refBuildColumns) and the statement tables, assembled into a KB.
 type refBuilder struct {
 	name     string
 	entities []Description
@@ -257,16 +258,37 @@ func (b *refBuilder) Build() *KB {
 		}
 		b.entities[i].dict = b.dict
 	}
-	uris := newSymtab()
+	// The reference's descriptions, laid out as the parts a KB holds.
+	uris, vals := make([]string, len(b.entities)), []string{}
+	c := refBuildColumns(b.entities, b.schema)
+	p := SnapshotParts{
+		Name: b.name, Triples: len(b.pending), Dict: b.dict, Schema: b.schema,
+		TokenOff: make([]int64, len(b.entities)+1),
+		RelOff:   c.relOff, RelPred: c.relPred, RelObj: c.relObj,
+		AttrOff: c.attrOff, AttrName: c.attrName, AttrVal: c.attrVal,
+	}
 	for i := range b.entities {
-		uris.intern(b.entities[i].URI)
+		d := &b.entities[i]
+		uris[i] = d.URI
+		p.Tokens = append(p.Tokens, d.tokens...)
+		p.TokenOff[i+1] = int64(len(p.Tokens))
+		for _, av := range d.Attrs {
+			a, _ := b.schema.LookupAttr(av.Attribute)
+			p.StmtAttrName = append(p.StmtAttrName, a)
+			vals = append(vals, av.Value)
+		}
+		for _, r := range d.Relations {
+			pred, _ := b.schema.LookupPred(r.Predicate)
+			p.StmtRelPred = append(p.StmtRelPred, pred)
+			p.StmtRelObj = append(p.StmtRelObj, r.Object)
+		}
 	}
-	return &KB{
-		name: b.name, size: len(b.entities), entities: b.entities, uris: &uris,
-		dict: b.dict, schema: b.schema,
-		cols:    refBuildColumns(b.entities, b.schema),
-		triples: len(b.pending),
+	p.URIs, p.StmtVals = FreezeStrings(uris, true), FreezeStrings(vals, false)
+	k, err := AssembleKB(p)
+	if err != nil {
+		panic(err)
 	}
+	return k
 }
 
 func refBuildColumns(entities []Description, sch *Schema) columns {

@@ -1,17 +1,16 @@
 // KB decomposition for snapshot serialization: SnapshotParts is the flat,
-// columnar view of everything a built KB holds — dictionaries, the URI
-// table, per-entity token CSR, the sorted relation/attribute columns, and
-// the insertion-order statement arrays behind Description.Attrs/Relations —
-// and AssembleKB is its inverse. The statement arrays reuse the columnar
-// offsets: buildColumns lays out exactly one columnar row per insertion-
-// order statement, so per-entity counts (and therefore CSR spans) coincide.
+// columnar view of everything a KB holds — dictionaries, the URI table,
+// per-entity token CSR, the sorted relation/attribute columns, and the
+// insertion-order statement tables behind Description.Attrs/Relations — and
+// AssembleKB is its inverse. The statement tables reuse the columnar
+// offsets: Build lays out exactly one columnar row per insertion-order
+// statement, so per-entity counts (and therefore CSR spans) coincide.
 package kb
 
 import (
 	"fmt"
 	"runtime"
 	"sync"
-	"unsafe"
 )
 
 // SnapshotParts is the flat decomposition of one KB. All slices follow the
@@ -51,96 +50,35 @@ type SnapshotParts struct {
 	StmtRelObj   []EntityID
 }
 
-// SnapshotParts decomposes the KB for serialization. The returned slices
-// partly alias the KB (columns, URI bytes); the token CSR and the statement
-// tables are materialized fresh, except that a KB assembled from parts
-// returns its parts. A KB from a file must pass Verify first.
+// SnapshotParts decomposes the KB for serialization: the parts the KB
+// holds, built or assembled alike, and its frozen URI table. The slices
+// alias the KB. A KB from a file must pass Verify first.
 func (k *KB) SnapshotParts() SnapshotParts {
-	if k.lazy != nil {
-		return k.lazy.parts
+	return SnapshotParts{
+		Name:         k.name,
+		Triples:      k.triples,
+		Dict:         k.dict,
+		Schema:       k.schema,
+		URIs:         k.uris.freeze(),
+		TokenOff:     k.tokOff,
+		Tokens:       k.tokens,
+		RelOff:       k.cols.relOff,
+		RelPred:      k.cols.relPred,
+		RelObj:       k.cols.relObj,
+		AttrOff:      k.cols.attrOff,
+		AttrName:     k.cols.attrName,
+		AttrVal:      k.cols.attrVal,
+		StmtAttrName: k.stmts.attrName,
+		StmtVals:     k.stmts.vals,
+		StmtRelPred:  k.stmts.relPred,
+		StmtRelObj:   k.stmts.relObj,
 	}
-	ents := k.entities
-	n := len(ents)
-	p := SnapshotParts{
-		Name:     k.name,
-		Triples:  k.triples,
-		Dict:     k.dict,
-		Schema:   k.schema,
-		TokenOff: make([]int64, n+1),
-		RelOff:   k.cols.relOff,
-		RelPred:  k.cols.relPred,
-		RelObj:   k.cols.relObj,
-		AttrOff:  k.cols.attrOff,
-		AttrName: k.cols.attrName,
-		AttrVal:  k.cols.attrVal,
-	}
-	nTok := 0
-	for i := range ents {
-		nTok += len(ents[i].tokens)
-	}
-	p.URIs = k.uris.freeze()
-	p.Tokens = make([]TokenID, 0, nTok)
-	for i := range ents {
-		p.TokenOff[i] = int64(len(p.Tokens))
-		p.Tokens = append(p.Tokens, ents[i].tokens...)
-	}
-	p.TokenOff[n] = int64(len(p.Tokens))
-
-	nAttr, nRel := len(k.cols.attrName), len(k.cols.relPred)
-	p.StmtAttrName = make([]AttrID, 0, nAttr)
-	p.StmtRelPred = make([]PredID, 0, nRel)
-	p.StmtRelObj = make([]EntityID, 0, nRel)
-	vals := make([]string, 0, nAttr)
-	// Always present: buildColumns interned every statement.
-	attrIDs := idMemo[AttrID]{lookup: k.schema.LookupAttr}
-	predIDs := idMemo[PredID]{lookup: k.schema.LookupPred}
-	for i := range ents {
-		d := &ents[i]
-		for _, av := range d.Attrs {
-			p.StmtAttrName = append(p.StmtAttrName, attrIDs.get(av.Attribute))
-			vals = append(vals, av.Value)
-		}
-		for _, r := range d.Relations {
-			p.StmtRelPred = append(p.StmtRelPred, predIDs.get(r.Predicate))
-			p.StmtRelObj = append(p.StmtRelObj, r.Object)
-		}
-	}
-	p.StmtVals = FreezeStrings(vals, false)
-	return p
-}
-
-// idMemo memoizes a dictionary lookup by the looked-up string's data
-// pointer and length. The statements of a built KB name their attribute or
-// predicate through one string per distinct name (the Builder's table), so
-// after a name's first statement its ID comes from this small direct-mapped
-// cache, without hashing the string; a slot two names share only costs
-// lookups.
-type idMemo[ID ~uint32] struct {
-	slots  [256]memoSlot[ID]
-	lookup func(string) (ID, bool)
-}
-
-type memoSlot[ID ~uint32] struct {
-	p   *byte
-	n   int
-	id  ID
-	set bool
-}
-
-func (m *idMemo[ID]) get(s string) ID {
-	p := unsafe.StringData(s)
-	e := &m.slots[uint64(uintptr(unsafe.Pointer(p)))*0x9e3779b97f4a7c15>>56]
-	if !e.set || e.p != p || e.n != len(s) {
-		id, _ := m.lookup(s)
-		*e = memoSlot[ID]{p: p, n: len(s), id: id, set: true}
-	}
-	return e.id
 }
 
 // AssembleKB rebuilds an immutable KB from its flat decomposition. The KB
 // aliases the parts' arrays (read-only); descriptions are materialized on
-// demand, with attribute/predicate strings aliasing the frozen schema tables
-// and literal values the frozen value blob. Only shapes are checked here:
+// demand, as for a built KB, with attribute/predicate strings aliasing the
+// frozen schema tables and literal values the frozen value blob. Only shapes are checked here:
 // column lengths and offset tables. That every ID lands inside the
 // dictionary or KB it points into is the KB's deferred check, run by the
 // first whole read (Verify); Describe checks the rows of the one entity it
@@ -174,24 +112,21 @@ func AssembleKB(p SnapshotParts) (*KB, error) {
 			return nil, fmt.Errorf("kb: assemble: token offsets decrease at %d", i)
 		}
 	}
-	// Descriptions are NOT materialized here: every other column installs as
-	// a view, and the query path answers from the columnar substrate and the
-	// frozen URI table alone, so the per-entity Description array — the
-	// dominant cost of opening a snapshot — is deferred until something
-	// actually asks for a *Description (see KB.ents).
 	uris := frozenSymtab(p.URIs)
 	k := &KB{
-		name:   p.Name,
-		size:   n,
-		dict:   p.Dict,
-		schema: p.Schema,
+		name:    p.Name,
+		size:    n,
+		triples: p.Triples,
+		uris:    &uris,
+		dict:    p.Dict,
+		schema:  p.Schema,
 		cols: columns{
 			relOff: p.RelOff, relPred: p.RelPred, relObj: p.RelObj,
 			attrOff: p.AttrOff, attrName: p.AttrName, attrVal: p.AttrVal,
 		},
-		triples: p.Triples,
-		uris:    &uris,
-		lazy:    &lazyDescriptions{parts: p},
+		tokOff: p.TokenOff,
+		tokens: p.Tokens,
+		stmts:  statements{attrName: p.StmtAttrName, vals: p.StmtVals, relPred: p.StmtRelPred, relObj: p.StmtRelObj},
 	}
 	k.check = NewDeferred("kb "+p.Name+" columns", func() error { return checkIDs(&p) })
 	return k, nil
@@ -222,12 +157,8 @@ func checkIDs(p *SnapshotParts) error {
 // checks lists the deferred checks of everything the KB reads: its ID
 // columns and its string tables. A built KB has none (all nil).
 func (k *KB) checks() [7]*Deferred {
-	out := [7]*Deferred{k.check, k.uris.tab.check, k.dict.t.tab.check,
-		k.schema.preds.tab.check, k.schema.attrs.tab.check, k.schema.vals.tab.check}
-	if k.lazy != nil {
-		out[6] = k.lazy.parts.StmtVals.check
-	}
-	return out
+	return [7]*Deferred{k.check, k.uris.tab.check, k.dict.t.tab.check,
+		k.schema.preds.tab.check, k.schema.attrs.tab.check, k.schema.vals.tab.check, k.stmts.vals.check}
 }
 
 // Verify runs every deferred check of the KB — its ID columns and string
@@ -261,40 +192,36 @@ func (k *KB) Err() error {
 	return nil
 }
 
-// Describe returns entity id's description without building any other: on
-// a KB assembled from parts it checks and reads only the entity's own rows,
-// and fails with ErrCorrupt if they are damaged. It panics if the ID is out
-// of range, like Entity.
+// Describe returns entity id's description without building any other: it
+// reads only the entity's own rows and, on a KB assembled from parts, checks
+// them first and fails with ErrCorrupt if they are damaged. Its Attrs and
+// Relations are the caller's. It panics if the ID is out of range, like
+// Entity.
 func (k *KB) Describe(id EntityID) (Description, error) {
-	if k.lazy == nil {
-		return k.entities[id], nil
-	}
 	if err := k.Err(); err != nil {
 		return Description{}, err
 	}
-	p := &k.lazy.parts
-	sch := p.Schema
-	aLo, aHi := p.AttrOff[id], p.AttrOff[id+1]
-	rLo, rHi := p.RelOff[id], p.RelOff[id+1]
-	tLo, tHi := p.TokenOff[id], p.TokenOff[id+1]
-	if !IDsBelow(p.Tokens[tLo:tHi], p.Dict.Len()) || !IDsBelow(p.StmtAttrName[aLo:aHi], sch.Attrs()) ||
-		!IDsBelow(p.StmtRelPred[rLo:rHi], sch.Preds()) || !IDsBelow(p.StmtRelObj[rLo:rHi], k.size) {
+	aLo, aHi := k.cols.attrOff[id], k.cols.attrOff[id+1]
+	rLo, rHi := k.cols.relOff[id], k.cols.relOff[id+1]
+	tLo, tHi := k.tokOff[id], k.tokOff[id+1]
+	if !IDsBelow(k.tokens[tLo:tHi], k.dict.Len()) || !IDsBelow(k.stmts.attrName[aLo:aHi], k.schema.Attrs()) ||
+		!IDsBelow(k.stmts.relPred[rLo:rHi], k.schema.Preds()) || !IDsBelow(k.stmts.relObj[rLo:rHi], k.size) {
 		if err := k.check.Run(); err != nil {
 			return Description{}, err
 		}
 	}
 	d := Description{
-		URI:       p.URIs.At(int(id)),
+		URI:       k.URI(id),
 		Attrs:     make([]AttributeValue, 0, aHi-aLo),
 		Relations: make([]Relation, 0, rHi-rLo),
-		tokens:    p.Tokens[tLo:tHi:tHi],
-		dict:      p.Dict,
+		tokens:    k.tokens[tLo:tHi:tHi],
+		dict:      k.dict,
 	}
 	for j := aLo; j < aHi; j++ {
-		d.Attrs = append(d.Attrs, AttributeValue{Attribute: sch.Attr(p.StmtAttrName[j]), Value: p.StmtVals.At(int(j))})
+		d.Attrs = append(d.Attrs, k.attributeValue(int(j)))
 	}
 	for j := rLo; j < rHi; j++ {
-		d.Relations = append(d.Relations, Relation{Predicate: sch.Pred(p.StmtRelPred[j]), Object: p.StmtRelObj[j]})
+		d.Relations = append(d.Relations, k.relation(int(j)))
 	}
 	// A damaged string the reads above touched has failed its table's check.
 	if err := k.Err(); err != nil {
@@ -303,71 +230,70 @@ func (k *KB) Describe(id EntityID) (Description, error) {
 	return d, nil
 }
 
-// lazyDescriptions holds the shape-checked snapshot decomposition of a loaded
-// KB until its Description array is first needed.
+// attributeValue and relation read statement j of the statement tables.
+func (k *KB) attributeValue(j int) AttributeValue {
+	return AttributeValue{Attribute: k.schema.Attr(k.stmts.attrName[j]), Value: k.stmts.vals.At(j)}
+}
+
+func (k *KB) relation(j int) Relation {
+	return Relation{Predicate: k.schema.Pred(k.stmts.relPred[j]), Object: k.stmts.relObj[j]}
+}
+
+// lazyDescriptions is a KB's Description array, made on first use.
 type lazyDescriptions struct {
-	once  sync.Once
-	parts SnapshotParts
+	once     sync.Once
+	entities []Description
 }
 
-// ents returns the KB's Description array, materializing it on first use for
-// snapshot-loaded KBs. Builder-built KBs return their array directly. A KB
-// that fails Verify gets an array of empty descriptions instead: whole reads
-// of a KB from a file verify it first and report the error.
+// ents returns the KB's Description array, materializing it on first use. A
+// KB that fails Verify gets an array of empty descriptions instead: whole
+// reads of a KB from a file verify it first and report the error.
 func (k *KB) ents() []Description {
-	if k.lazy != nil {
-		k.lazy.once.Do(k.materialize)
-	}
-	return k.entities
+	k.lazy.once.Do(k.materialize)
+	return k.lazy.entities
 }
 
-// materialize builds the Description array from the snapshot decomposition.
-// The three fills are disjoint writes over immutable inputs (the entities
-// fill only takes subslice headers of the flat arrays, never reading their
+// materialize builds the Description array from the statement tables. The
+// three fills are disjoint writes over immutable inputs (the entities fill
+// only takes subslice headers of the flat arrays, never reading their
 // elements), so all three run concurrently, chunked across cores; the result
-// is identical to the sequential fill. AssembleKB validated shapes, Verify
-// the IDs.
+// is identical to the sequential fill. The KB's shapes were checked when it
+// was built or assembled, Verify checks the IDs.
 func (k *KB) materialize() {
-	p := &k.lazy.parts
 	n := k.size
 	if k.Verify() != nil {
-		k.entities = make([]Description, n)
+		k.lazy.entities = make([]Description, n)
 		return
 	}
-	nAttr, nRel := len(p.AttrName), len(p.RelPred)
+	nAttr, nRel := len(k.stmts.attrName), len(k.stmts.relPred)
 	entities := make([]Description, n)
 	flatAttrs := make([]AttributeValue, nAttr)
 	flatRels := make([]Relation, nRel)
 	var wg sync.WaitGroup
 	fillChunks(&wg, nAttr, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
-			flatAttrs[j] = AttributeValue{
-				Attribute: p.Schema.Attr(p.StmtAttrName[j]),
-				Value:     p.StmtVals.At(j),
-			}
+			flatAttrs[j] = k.attributeValue(j)
 		}
 	})
 	fillChunks(&wg, nRel, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
-			flatRels[j] = Relation{
-				Predicate: p.Schema.Pred(p.StmtRelPred[j]),
-				Object:    p.StmtRelObj[j],
-			}
+			flatRels[j] = k.relation(j)
 		}
 	})
+	aOff, rOff, tOff := k.cols.attrOff, k.cols.relOff, k.tokOff
 	fillChunks(&wg, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			entities[i] = Description{
-				URI:       p.URIs.At(i),
-				Attrs:     flatAttrs[p.AttrOff[i]:p.AttrOff[i+1]:p.AttrOff[i+1]],
-				Relations: flatRels[p.RelOff[i]:p.RelOff[i+1]:p.RelOff[i+1]],
-				tokens:    p.Tokens[p.TokenOff[i]:p.TokenOff[i+1]:p.TokenOff[i+1]],
-				dict:      p.Dict,
+				URI:       k.URI(EntityID(i)),
+				Attrs:     flatAttrs[aOff[i]:aOff[i+1]:aOff[i+1]],
+				Relations: flatRels[rOff[i]:rOff[i+1]:rOff[i+1]],
+				tokens:    k.tokens[tOff[i]:tOff[i+1]:tOff[i+1]],
+				dict:      k.dict,
 			}
 		}
 	})
 	wg.Wait()
-	k.entities = entities
+	k.lazy.entities = entities
 }
 
 // fillChunks spawns goroutines covering [0, n) in contiguous chunks, each

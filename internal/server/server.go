@@ -159,7 +159,8 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return n, err
 }
 
-// accessLog wraps the router with structured per-request logging.
+// accessLog wraps the router with structured per-request logging. Below
+// Info (minoanerd -quiet) the line is not built at all.
 func (s *Server) accessLog(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w}
@@ -167,6 +168,9 @@ func (s *Server) accessLog(next http.Handler) http.Handler {
 		s.contain(next, sw, r)
 		if sw.status == 0 {
 			sw.status = http.StatusOK
+		}
+		if !s.opts.Logger.Enabled(r.Context(), slog.LevelInfo) {
+			return
 		}
 		s.opts.Logger.Info("request",
 			"method", r.Method,

@@ -285,9 +285,11 @@ func TestEntitiesEndpoint(t *testing.T) {
 	}
 }
 
-// A pair whose E1 URI offsets are damaged answers neither a batch
-// resolution nor an entity listing with empty URIs: both are a 500 that
-// names the damage.
+// A pair whose E1 URI offsets are damaged answers neither a query that
+// looks an E1 URI up — a replay by uri, or an explicit description with
+// self_uri — nor a batch resolution nor an entity listing as if the URI
+// were absent or empty: each is a 500 that names the damage, not a 400 that
+// blames the client.
 func TestDamagedURIsAreAnInternalError(t *testing.T) {
 	var buf bytes.Buffer
 	if err := snapshot.WriteSubstrate(&buf, figure1Substrate(t)); err != nil {
@@ -306,9 +308,14 @@ func TestDamagedURIsAreAnInternalError(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	for _, req := range [][2]string{{http.MethodPost, "/v1/pairs/bad/resolve"}, {http.MethodGet, "/v1/pairs/bad/entities?limit=2"}} {
-		if status, code := errCode(t, req[0], ts.URL+req[1], `{}`); status != 500 || code != CodeInternal {
-			t.Errorf("%s %s on damaged URIs = %d %q, want 500 %q", req[0], req[1], status, code, CodeInternal)
+	for _, req := range [][3]string{
+		{http.MethodPost, "/v1/pairs/bad/query", `{"uri":"w:Restaurant1","self_uri":"w:Restaurant1","attrs":[{"attribute":"label","value":"Joe's Diner"}]}`},
+		{http.MethodPost, "/v1/pairs/bad/query", `{"uri":"w:Restaurant1"}`},
+		{http.MethodPost, "/v1/pairs/bad/resolve", `{}`},
+		{http.MethodGet, "/v1/pairs/bad/entities?limit=2", ``},
+	} {
+		if status, code := errCode(t, req[0], ts.URL+req[1], req[2]); status != 500 || code != CodeInternal {
+			t.Errorf("%s %s %s on damaged URIs = %d %q, want 500 %q", req[0], req[1], req[2], status, code, CodeInternal)
 		}
 	}
 }
@@ -756,5 +763,43 @@ func TestHandlerPanicIsContained(t *testing.T) {
 	var q QueryResponse
 	if status := doJSON(t, http.MethodPost, ts.URL+"/v1/pairs/fig1/query", `{"uri":"w:Restaurant1"}`, &q); status != 200 || len(q.Candidates) == 0 {
 		t.Fatalf("query after the panic = %d %+v, want candidates", status, q)
+	}
+}
+
+// replayAllocs counts the allocations of one replay through the handler of a
+// server logging at level: request, routing, kernel, encoding and the
+// recorder included.
+func replayAllocs(t *testing.T, level slog.Level) float64 {
+	t.Helper()
+	s := New(Options{Logger: slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: level}))})
+	if _, err := s.reg.AddSubstrate("fig1", LoadPairRequest{E1: "mem:wd", E2: "mem:dbp", Format: "nt"}, figure1Substrate(t)); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	return testing.AllocsPerRun(100, func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/pairs/fig1/query", strings.NewReader(`{"uri":"w:Restaurant1"}`)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("replay status %d: %s", rec.Code, rec.Body)
+		}
+	})
+}
+
+// Under minoanerd -quiet (Warn) the access log line is not built: a replay
+// through the handler allocates a pinned number of times, fewer than when
+// the line is logged. It was 44, as logged, while the line's arguments were
+// evaluated at every level.
+func TestQuietReplayAllocations(t *testing.T) {
+	const pinned = 40
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	quiet, logged := replayAllocs(t, slog.LevelWarn), replayAllocs(t, slog.LevelInfo)
+	t.Logf("quiet %v, logged %v", quiet, logged)
+	if quiet != pinned {
+		t.Errorf("a quiet replay allocates %v times, pinned at %d: update the pin if the change is intended", quiet, pinned)
+	}
+	if quiet >= logged {
+		t.Errorf("a quiet replay allocates %v times, a logged one %v: the access log is built while not logged", quiet, logged)
 	}
 }

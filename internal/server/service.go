@@ -98,8 +98,14 @@ func entityQuery(sub *core.Substrate, req *QueryRequest) (kb.EntityID, core.Enti
 		}
 		return e, core.EntityQuery{}, nil
 	}
-	if req.SelfURI != "" && sub.K1().Lookup(req.SelfURI) == kb.NoEntity {
-		return kb.NoEntity, core.EntityQuery{}, badRequest("self_uri %q is not an E1 entity", req.SelfURI)
+	if req.SelfURI != "" {
+		e := sub.K1().Lookup(req.SelfURI)
+		if err := sub.K1().Err(); err != nil {
+			return kb.NoEntity, core.EntityQuery{}, kernelError(context.Background(), err)
+		}
+		if e == kb.NoEntity {
+			return kb.NoEntity, core.EntityQuery{}, badRequest("self_uri %q is not an E1 entity", req.SelfURI)
+		}
 	}
 	q := core.EntityQuery{URI: req.URI, SelfURI: req.SelfURI}
 	for _, a := range req.Attrs {

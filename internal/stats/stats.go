@@ -66,7 +66,7 @@ func efCountsLocal(ctx context.Context, e *parallel.Engine, k *kb.KB, n int) ([]
 	locals, err := parallel.MapSpansCtx(ctx, e, k.Len(), func(s parallel.Span) ([]int32, error) {
 		counts := make([]int32, n)
 		for i := s.Lo; i < s.Hi; i++ {
-			for _, id := range k.Entity(kb.EntityID(i)).TokenIDs() {
+			for _, id := range k.TokenIDs(kb.EntityID(i)) {
 				counts[id]++
 			}
 		}
@@ -91,7 +91,7 @@ func efCountsLocal(ctx context.Context, e *parallel.Engine, k *kb.KB, n int) ([]
 func efCountsAtomic(ctx context.Context, e *parallel.Engine, k *kb.KB, n int) ([]int32, error) {
 	counts := make([]int32, n)
 	err := e.Chunked().ForCtx(ctx, k.Len(), func(i int) error {
-		for _, id := range k.Entity(kb.EntityID(i)).TokenIDs() {
+		for _, id := range k.TokenIDs(kb.EntityID(i)) {
 			atomic.AddInt32(&counts[id], 1)
 		}
 		return nil
