@@ -458,13 +458,13 @@ func (st *queryState) rank(sub *Substrate, slot *querySlot, mc matching.Config, 
 	ranking := matching.RankAggregateRow(slot.agg, beta, gamma, mc.Theta, mc.UseNeighbors)
 
 	r2cand := kb.NoEntity
-	if mc.EnableR2 && len(beta) > 0 && beta[0].Weight >= 1 {
+	if mc.EnableR2 && len(beta) > 0 && beta[0].Weight() >= 1 {
 		r2cand = beta[0].To
 	}
 	weightIn := func(row []graph.Edge, to kb.EntityID) float64 {
 		for _, e := range row {
 			if e.To == to {
-				return e.Weight
+				return e.Weight()
 			}
 		}
 		return 0
@@ -499,7 +499,7 @@ func (st *queryState) rank(sub *Substrate, slot *querySlot, mc matching.Config, 
 		case i == 0 && mc.EnableR3:
 			rule = matching.RuleRank
 		}
-		out = append(out, emit(e.To, rule, e.Weight))
+		out = append(out, emit(e.To, rule, e.Weight()))
 	}
 	// The dictionaries, URI tables and schema of a snapshot-loaded pair
 	// check the strings they touch; damage they met fails the query.

@@ -53,13 +53,13 @@ func expectedQueryMatches(sub *Substrate, g *graph.Graph, e kb.EntityID, mc matc
 	}
 	ranking := matching.RankAggregateRow(matching.NewAggScratch(), beta, gamma, mc.Theta, mc.UseNeighbors)
 	r2cand := kb.NoEntity
-	if mc.EnableR2 && len(beta) > 0 && beta[0].Weight >= 1 {
+	if mc.EnableR2 && len(beta) > 0 && beta[0].Weight() >= 1 {
 		r2cand = beta[0].To
 	}
 	weightIn := func(row []graph.Edge, to kb.EntityID) float64 {
 		for _, ed := range row {
 			if ed.To == to {
-				return ed.Weight
+				return ed.Weight()
 			}
 		}
 		return 0
@@ -96,7 +96,7 @@ func expectedQueryMatches(sub *Substrate, g *graph.Graph, e kb.EntityID, mc matc
 		case i == 0 && mc.EnableR3:
 			rule = matching.RuleRank
 		}
-		out = append(out, emit(ed.To, rule, ed.Weight))
+		out = append(out, emit(ed.To, rule, ed.Weight()))
 	}
 	return out
 }

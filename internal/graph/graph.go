@@ -29,14 +29,26 @@ import (
 	"minoaner/internal/parallel"
 )
 
-// Edge is a directed, weighted candidate edge to an entity of the other KB.
-// It is a 16-byte record without implicit padding — pad is a real, always
-// zero field — so the bytes of an []Edge are the bytes a snapshot stores.
+// Edge is a directed, weighted candidate edge to an entity of the other KB:
+// a 12-byte record, 4-byte aligned, holding the target and the float64
+// weight's IEEE bits in two named halves. On a little-endian host the bytes
+// of an []Edge are the bytes a snapshot stores — the target at +0, the
+// weight's bits at +4 — and the two halves load and store as one 8-byte
+// access (an array of two words would not be combined). Read the weight with
+// Weight and build an edge with NewEdge.
 type Edge struct {
 	To     kb.EntityID
-	pad    uint32
-	Weight float64
+	lo, hi uint32
 }
+
+// NewEdge returns the edge to the given node with weight w.
+func NewEdge(to kb.EntityID, w float64) Edge {
+	b := math.Float64bits(w)
+	return Edge{To: to, lo: uint32(b), hi: uint32(b >> 32)}
+}
+
+// Weight returns the edge's weight.
+func (e Edge) Weight() float64 { return math.Float64frombits(uint64(e.hi)<<32 | uint64(e.lo)) }
 
 // Graph is the pruned, directed disjunctive blocking graph of one KB pair —
 // the one artifact batch matching, the per-entity query path and the
@@ -287,8 +299,9 @@ func gammaRows(ctx context.Context, e *parallel.Engine, s parallel.Span, top Row
 	return emitRows(ctx, e, s.Len(), inOther.Len(), k, need, reuse, func(board *Scoreboard, i, limit int) {
 		for _, na := range top.Row(s.Lo + i) {
 			for _, edge := range adj.Row(int(na)) {
+				w := edge.Weight()
 				for _, b := range inOther.Row(int(edge.To)) {
-					board.Add(b, edge.Weight)
+					board.Add(b, w)
 				}
 				if len(board.touched) >= limit {
 					return
@@ -315,7 +328,7 @@ func byTarget(a, b Edge) int {
 	if a.To != b.To {
 		return cmp.Compare(a.To, b.To)
 	}
-	return cmp.Compare(b.Weight, a.Weight)
+	return cmp.Compare(b.Weight(), a.Weight())
 }
 
 // MergeAdjacency merges the directed retained β-edges of both directions
@@ -346,7 +359,7 @@ func MergeAdjacency(e *parallel.Engine, own, reverse Rows[Edge]) Rows[Edge] {
 		for y := 0; y < reverse.Len(); y++ {
 			for _, edge := range reverse.Row(y) {
 				if int(edge.To) >= s.Lo && int(edge.To) < s.Hi {
-					visit(edge.To, kb.EntityID(y), edge.Weight)
+					visit(edge.To, kb.EntityID(y), edge.Weight())
 				}
 			}
 		}
@@ -379,10 +392,10 @@ func MergeAdjacency(e *parallel.Engine, own, reverse Rows[Edge]) Rows[Edge] {
 		landing(s, func(x, y kb.EntityID, w float64) {
 			run := out.Flat[out.Off[x] : out.Off[x]+ownLen(x)]
 			if j := indexEdge(run, y); j >= 0 {
-				run[j].Weight = max(run[j].Weight, w)
+				run[j] = NewEdge(y, max(run[j].Weight(), w))
 				return
 			}
-			out.Flat[cur[x]] = Edge{To: y, Weight: w}
+			out.Flat[cur[x]] = NewEdge(y, w)
 			cur[x]++
 		})
 		scratch := make([]Edge, 0, longest)
@@ -403,7 +416,7 @@ func MergeAdjacency(e *parallel.Engine, own, reverse Rows[Edge]) Rows[Edge] {
 					next, b = b[0], b[1:]
 				}
 				if last := w - 1; last >= rowStart && out.Flat[last].To == next.To {
-					out.Flat[last].Weight = max(out.Flat[last].Weight, next.Weight)
+					out.Flat[last] = NewEdge(next.To, max(out.Flat[last].Weight(), next.Weight()))
 					continue
 				}
 				out.Flat[w] = next
@@ -445,7 +458,7 @@ func transposeEdges(r Rows[Edge], n int) Rows[Edge] {
 	cur := slices.Clone(t.Off[:n])
 	for y := 0; y < r.Len(); y++ {
 		for _, edge := range r.Row(y) {
-			t.Flat[cur[edge.To]] = Edge{To: kb.EntityID(y), Weight: edge.Weight}
+			t.Flat[cur[edge.To]] = NewEdge(kb.EntityID(y), edge.Weight())
 			cur[edge.To]++
 		}
 	}
@@ -536,7 +549,7 @@ func (g *Graph) CheckTargets(n1, n2 int) error {
 	}{{g.Beta1.Flat, n2}, {g.Beta2.Flat, n1}, {g.Gamma1.Flat, n2}, {g.Gamma2.Flat, n1}, {g.Adj1.Flat, n2}} {
 		for _, edge := range c.edges {
 			ok = ok && edge.To >= 0 && int(edge.To) < c.below
-			weighted = weighted && goodWeight(edge.Weight)
+			weighted = weighted && goodWeight(edge.Weight())
 		}
 	}
 	switch {

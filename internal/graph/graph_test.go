@@ -74,12 +74,12 @@ func TestBetaSortedAndBounded(t *testing.T) {
 			t.Fatalf("Beta1[%d] has %d edges, K=2", i, len(es))
 		}
 		for x := 1; x < len(es); x++ {
-			if es[x].Weight > es[x-1].Weight {
+			if es[x].Weight() > es[x-1].Weight() {
 				t.Fatalf("Beta1[%d] not sorted desc", i)
 			}
 		}
 		for _, edge := range es {
-			if edge.Weight <= 0 {
+			if edge.Weight() <= 0 {
 				t.Fatalf("Beta1[%d] kept trivial edge", i)
 			}
 		}
@@ -95,7 +95,7 @@ func TestGammaPropagation(t *testing.T) {
 	var gammaR1R2 float64
 	for _, edge := range g.Gamma1.Row(int(r1)) {
 		if edge.To == r2 {
-			gammaR1R2 = edge.Weight
+			gammaR1R2 = edge.Weight()
 		}
 	}
 	if gammaR1R2 <= 0 {
@@ -108,12 +108,12 @@ func TestGammaPropagation(t *testing.T) {
 	adj := map[[2]kb.EntityID]float64{}
 	for x, es := range slicesOf(g.Beta1) {
 		for _, e := range es {
-			adj[[2]kb.EntityID{kb.EntityID(x), e.To}] = e.Weight
+			adj[[2]kb.EntityID{kb.EntityID(x), e.To}] = e.Weight()
 		}
 	}
 	for y, es := range slicesOf(g.Beta2) {
 		for _, e := range es {
-			adj[[2]kb.EntityID{e.To, kb.EntityID(y)}] = e.Weight
+			adj[[2]kb.EntityID{e.To, kb.EntityID(y)}] = e.Weight()
 		}
 	}
 	for _, na := range in.Top1[r1] {
@@ -135,8 +135,8 @@ func TestGammaSymmetryOfPairWeight(t *testing.T) {
 	for a, es := range slicesOf(g.Gamma1) {
 		for _, e := range es {
 			for _, back := range g.Gamma2.Row(int(e.To)) {
-				if int(back.To) == a && math.Abs(back.Weight-e.Weight) > 1e-9 {
-					t.Fatalf("γ asymmetric: %v vs %v", e.Weight, back.Weight)
+				if int(back.To) == a && math.Abs(back.Weight()-e.Weight()) > 1e-9 {
+					t.Fatalf("γ asymmetric: %v vs %v", e.Weight(), back.Weight())
 				}
 			}
 		}
@@ -181,7 +181,7 @@ func TestEdgesBound(t *testing.T) {
 func TestTopK(t *testing.T) {
 	acc := map[kb.EntityID]float64{1: 0.5, 2: 2.0, 3: 1.0, 4: 0, 5: -1}
 	got := topK(acc, 2)
-	want := []Edge{{To: 2, Weight: 2.0}, {To: 3, Weight: 1.0}}
+	want := []Edge{NewEdge(2, 2.0), NewEdge(3, 1.0)}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("topK = %v, want %v", got, want)
 	}
@@ -214,13 +214,13 @@ func TestTopKProperty(t *testing.T) {
 			return false
 		}
 		for i := 1; i < len(es); i++ {
-			if es[i].Weight > es[i-1].Weight {
+			if es[i].Weight() > es[i-1].Weight() {
 				return false
 			}
 		}
 		// Every returned weight must be >= every excluded positive weight.
 		if len(es) == kk {
-			minKept := es[len(es)-1].Weight
+			minKept := es[len(es)-1].Weight()
 			excluded := 0
 			for _, w := range acc {
 				if w > minKept {
@@ -239,8 +239,8 @@ func TestTopKProperty(t *testing.T) {
 }
 
 func TestMergeAdjacency(t *testing.T) {
-	beta1 := [][]Edge{{{To: 0, Weight: 1.0}, {To: 1, Weight: 0.5}}}
-	beta2 := [][]Edge{{{To: 0, Weight: 1.0}}, {}} // E2 node 0 retains edge to E1 node 0
+	beta1 := [][]Edge{{NewEdge(0, 1.0), NewEdge(1, 0.5)}}
+	beta2 := [][]Edge{{NewEdge(0, 1.0)}, {}} // E2 node 0 retains edge to E1 node 0
 	adj := slicesOf(MergeAdjacency(seq, RowsOf(beta1), RowsOf(beta2)))
 	if len(adj[0]) != 2 {
 		t.Fatalf("adj[0] = %v, want deduped 2 edges", adj[0])
@@ -256,24 +256,24 @@ func TestMergeAdjacency(t *testing.T) {
 // merge order-insensitive by construction, not by accident.)
 func TestMergeAdjacencyTieBreaking(t *testing.T) {
 	ownFirst := slicesOf(MergeAdjacency(seq,
-		RowsOf([][]Edge{{{To: 3, Weight: 0.25}}}),
-		RowsOf([][]Edge{nil, nil, nil, {{To: 0, Weight: 0.75}}})))
+		RowsOf([][]Edge{{NewEdge(3, 0.25)}}),
+		RowsOf([][]Edge{nil, nil, nil, {NewEdge(0, 0.75)}})))
 	reverseFirst := slicesOf(MergeAdjacency(seq,
-		RowsOf([][]Edge{{{To: 3, Weight: 0.75}}}),
-		RowsOf([][]Edge{nil, nil, nil, {{To: 0, Weight: 0.25}}})))
+		RowsOf([][]Edge{{NewEdge(3, 0.75)}}),
+		RowsOf([][]Edge{nil, nil, nil, {NewEdge(0, 0.25)}})))
 	for name, adj := range map[string][][]Edge{"own-low": ownFirst, "own-high": reverseFirst} {
 		if len(adj[0]) != 1 {
 			t.Fatalf("%s: adj[0] = %v, want 1 deduped edge", name, adj[0])
 		}
-		if adj[0][0] != (Edge{To: 3, Weight: 0.75}) {
+		if adj[0][0] != NewEdge(3, 0.75) {
 			t.Errorf("%s: kept %v, want the max-weight duplicate {3 0.75}", name, adj[0][0])
 		}
 	}
 	// Multiple duplicates interleaved with distinct neighbors.
 	adj := slicesOf(MergeAdjacency(seq,
-		RowsOf([][]Edge{{{To: 1, Weight: 0.5}, {To: 2, Weight: 0.9}}}),
-		RowsOf([][]Edge{nil, {{To: 0, Weight: 0.5}}, {{To: 0, Weight: 0.9}}, {{To: 0, Weight: 0.1}}})))
-	want := []Edge{{To: 1, Weight: 0.5}, {To: 2, Weight: 0.9}, {To: 3, Weight: 0.1}}
+		RowsOf([][]Edge{{NewEdge(1, 0.5), NewEdge(2, 0.9)}}),
+		RowsOf([][]Edge{nil, {NewEdge(0, 0.5)}, {NewEdge(0, 0.9)}, {NewEdge(0, 0.1)}})))
+	want := []Edge{NewEdge(1, 0.5), NewEdge(2, 0.9), NewEdge(3, 0.1)}
 	if !reflect.DeepEqual(adj[0], want) {
 		t.Errorf("adj[0] = %v, want %v", adj[0], want)
 	}
@@ -284,7 +284,7 @@ func TestMergeAdjacencyTieBreaking(t *testing.T) {
 func TestTopKTieBreaking(t *testing.T) {
 	acc := map[kb.EntityID]float64{8: 0.5, 2: 0.5, 5: 0.5, 1: 0.25}
 	got := topK(acc, 3)
-	want := []Edge{{To: 2, Weight: 0.5}, {To: 5, Weight: 0.5}, {To: 8, Weight: 0.5}}
+	want := []Edge{NewEdge(2, 0.5), NewEdge(5, 0.5), NewEdge(8, 0.5)}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("topK ties = %v, want %v (ID 1 with lower weight truncated)", got, want)
 	}
@@ -380,7 +380,7 @@ func TestMergeAdjacencyMatchesAppendReference(t *testing.T) {
 		rows := make([][]Edge, n)
 		for i := range rows {
 			for c := r.Intn(6); c > 0 && targets > 0; c-- {
-				rows[i] = append(rows[i], Edge{To: kb.EntityID(r.Intn(targets)), Weight: float64(1+r.Intn(4)) / 4})
+				rows[i] = append(rows[i], NewEdge(kb.EntityID(r.Intn(targets)), float64(1+r.Intn(4))/4))
 			}
 		}
 		return rows
@@ -414,8 +414,8 @@ func TestMergeAdjacencyMatchesAppendReference(t *testing.T) {
 	}
 	// Rows without repeats inside one direction — what pruned candidate rows
 	// are — must come out at their exact size.
-	own := [][]Edge{{{To: 0, Weight: 1}, {To: 1, Weight: 0.5}}, {{To: 1, Weight: 0.25}}}
-	reverse := [][]Edge{{{To: 0, Weight: 1}, {To: 1, Weight: 0.75}}, {{To: 1, Weight: 0.25}}}
+	own := [][]Edge{{NewEdge(0, 1), NewEdge(1, 0.5)}, {NewEdge(1, 0.25)}}
+	reverse := [][]Edge{{NewEdge(0, 1), NewEdge(1, 0.75)}, {NewEdge(1, 0.25)}}
 	if got := MergeAdjacency(parallel.New(2), RowsOf(own), RowsOf(reverse)); cap(got.Flat) != len(got.Flat) || len(got.Flat) != 4 {
 		t.Errorf("merged adjacency holds %d edges in capacity %d, want 4 in 4", len(got.Flat), cap(got.Flat))
 	}
@@ -511,7 +511,7 @@ func TestCheckTargetsRejectsBadWeights(t *testing.T) {
 				t.Fatalf("a built graph must pass: %v", err)
 			}
 			es := edges(g)
-			es[len(es)/2].Weight = bad
+			es[len(es)/2] = NewEdge(es[len(es)/2].To, bad)
 			if err := g.CheckTargets(n1, n2); !errors.Is(err, ErrBadWeight) {
 				t.Errorf("%s weight %v: CheckTargets = %v, want ErrBadWeight", name, bad, err)
 			}

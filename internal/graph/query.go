@@ -66,9 +66,10 @@ func (g *Graph) Gamma1RowFor(top []kb.EntityID, qs *QueryScratch) ([]Edge, error
 			if inRange = inRange && board.Has(edge.To); !inRange {
 				break
 			}
+			w := edge.Weight()
 			for _, b := range g.In2.Row(int(edge.To)) {
 				if inRange = inRange && board.Has(b); inRange {
-					board.Add(b, edge.Weight)
+					board.Add(b, w)
 				}
 			}
 		}
@@ -89,7 +90,7 @@ func (g *Graph) StoredRows1(e kb.EntityID, n1, n2 int) (alpha []kb.EntityID, bet
 	inRange, weighted := kb.IDsBelow(alpha, n2) && kb.IDsBelow(top, n1), true
 	for _, edge := range beta {
 		inRange = inRange && edge.To >= 0 && int(edge.To) < n2
-		weighted = weighted && goodWeight(edge.Weight)
+		weighted = weighted && goodWeight(edge.Weight())
 	}
 	switch {
 	case !inRange:

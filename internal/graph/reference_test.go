@@ -35,7 +35,7 @@ func topK(acc map[kb.EntityID]float64, k int) []Edge {
 	edges := make([]Edge, 0, len(acc))
 	for to, w := range acc {
 		if w > 0 {
-			edges = append(edges, Edge{To: to, Weight: w})
+			edges = append(edges, NewEdge(to, w))
 		}
 	}
 	slices.SortFunc(edges, refEdgeCmp)
@@ -48,8 +48,8 @@ func topK(acc map[kb.EntityID]float64, k int) []Edge {
 // refEdgeCmp is the reference's own statement of the canonical candidate-row
 // order: decreasing weight, ties by increasing entity ID.
 func refEdgeCmp(a, b Edge) int {
-	if a.Weight != b.Weight {
-		return cmp.Compare(b.Weight, a.Weight)
+	if a.Weight() != b.Weight() {
+		return cmp.Compare(b.Weight(), a.Weight())
 	}
 	return cmp.Compare(a.To, b.To)
 }
@@ -84,7 +84,7 @@ func gammaRowsMap(ctx context.Context, e *parallel.Engine, s parallel.Span, top 
 					acc = make(map[kb.EntityID]float64)
 				}
 				for _, b := range ins {
-					acc[b] += edge.Weight
+					acc[b] += edge.Weight()
 				}
 			}
 		}
@@ -101,7 +101,7 @@ func mergeAdjacencyAppend(own [][]Edge, reverse [][]Edge, n int) [][]Edge {
 	}
 	for y := range reverse {
 		for _, edge := range reverse[y] {
-			out[edge.To] = append(out[edge.To], Edge{To: kb.EntityID(y), Weight: edge.Weight})
+			out[edge.To] = append(out[edge.To], NewEdge(kb.EntityID(y), edge.Weight()))
 		}
 	}
 	for x := range out {
@@ -112,7 +112,7 @@ func mergeAdjacencyAppend(own [][]Edge, reverse [][]Edge, n int) [][]Edge {
 			if a.To != b.To {
 				return cmp.Compare(a.To, b.To)
 			}
-			return cmp.Compare(b.Weight, a.Weight)
+			return cmp.Compare(b.Weight(), a.Weight())
 		})
 		dst := out[x][:1]
 		for _, edge := range out[x][1:] {
@@ -129,7 +129,7 @@ func mergeAdjacencyAppend(own [][]Edge, reverse [][]Edge, n int) [][]Edge {
 // if the directed edge was pruned).
 func (g *Graph) betaWeight(e1, e2 kb.EntityID) float64 {
 	if j := indexEdge(g.Beta1.Row(int(e1)), e2); j >= 0 {
-		return g.Beta1.Row(int(e1))[j].Weight
+		return g.Beta1.Row(int(e1))[j].Weight()
 	}
 	return 0
 }

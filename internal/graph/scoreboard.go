@@ -62,59 +62,67 @@ func (b *Scoreboard) Reset() {
 	b.touched = b.touched[:0]
 }
 
+// cand is a candidate of the top-K select with its score: the select
+// compares scores at every step, so its heap holds them whole, and each kept
+// candidate becomes an Edge once, when the row is written.
+type cand struct {
+	w  float64
+	to kb.EntityID
+}
+
 // better reports whether a ranks strictly ahead of b in a candidate row:
 // the heavier edge first, ties toward the lower entity ID. The order is total
 // (no two edges of one row share an ID), which is what makes every selection
 // over it order-independent.
-func better(a, b Edge) bool {
-	return a.Weight > b.Weight || (a.Weight == b.Weight && a.To < b.To)
+func better(a, b cand) bool {
+	return a.w > b.w || (a.w == b.w && a.to < b.to)
 }
 
 // appendTopK selects the k best candidates of a touched board and appends
 // them to dst, ordered by better — the row the map-based reference selects
 // from the same sums, without sorting all touched candidates. The first k
 // candidates fill a bounded heap whose root is the worst one kept; every
-// later candidate is rejected with two float compares against the root's
-// cached weight and ID unless it beats the root, so the common case costs no
-// heap operation. An insertion sort then orders the ≤ k survivors. heapBuf
-// is the reusable heap scratch (cap ≥ k); the board is left untouched,
-// callers reset it separately.
-func appendTopK(dst []Edge, b *Scoreboard, k int, heapBuf []Edge) []Edge {
+// later candidate is rejected with two compares against the root unless it
+// beats it, so the common case costs no heap operation. An insertion sort
+// then orders the ≤ k survivors. heapBuf is the reusable heap scratch
+// (cap ≥ k); the board is left untouched, callers reset it separately.
+func appendTopK(dst []Edge, b *Scoreboard, k int, heapBuf []cand) []Edge {
 	if len(b.touched) == 0 || k <= 0 {
 		return dst
 	}
 	h := heapBuf[:0]
 	rest := b.touched
 	for len(rest) > 0 && len(h) < k {
-		h = append(h, Edge{To: rest[0], Weight: b.score[rest[0]]})
+		h = append(h, cand{b.score[rest[0]], rest[0]})
 		siftUp(h, len(h)-1)
 		rest = rest[1:]
 	}
 	if len(rest) > 0 {
-		rootW, rootTo := h[0].Weight, h[0].To
+		root := h[0]
 		for _, to := range rest {
-			if w := b.score[to]; w > rootW || (w == rootW && to < rootTo) {
-				h[0] = Edge{To: to, Weight: w}
+			if c := (cand{b.score[to], to}); better(c, root) {
+				h[0] = c
 				siftDown(h, 0)
-				rootW, rootTo = h[0].Weight, h[0].To
+				root = h[0]
 			}
 		}
 	}
-	n := len(dst)
-	dst = slices.Grow(dst, len(h))
-	for _, e := range h {
-		j := len(dst)
-		dst = append(dst, e)
-		for ; j > n && better(e, dst[j-1]); j-- {
-			dst[j] = dst[j-1]
+	for i := 1; i < len(h); i++ {
+		c, j := h[i], i
+		for ; j > 0 && better(c, h[j-1]); j-- {
+			h[j] = h[j-1]
 		}
-		dst[j] = e
+		h[j] = c
+	}
+	dst = slices.Grow(dst, len(h))
+	for _, c := range h {
+		dst = append(dst, NewEdge(c.to, c.w))
 	}
 	return dst
 }
 
 // siftUp and siftDown keep the worst kept candidate at the heap's root.
-func siftUp(h []Edge, i int) {
+func siftUp(h []cand, i int) {
 	for i > 0 {
 		p := (i - 1) / 2
 		if !better(h[p], h[i]) {
@@ -125,7 +133,7 @@ func siftUp(h []Edge, i int) {
 	}
 }
 
-func siftDown(h []Edge, i int) {
+func siftDown(h []cand, i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		m := i
@@ -148,12 +156,12 @@ func siftDown(h []Edge, i int) {
 // buffer. With it, a pass allocates nothing per entity.
 type boardScratch struct {
 	board *Scoreboard
-	heap  []Edge
+	heap  []cand
 }
 
 func newBoardScratch(n, k int) *boardScratch {
 	// A row holds at most one edge per candidate, however large k is.
-	return &boardScratch{board: NewScoreboard(n), heap: make([]Edge, 0, max(min(k, n), 0))}
+	return &boardScratch{board: NewScoreboard(n), heap: make([]cand, 0, max(min(k, n), 0))}
 }
 
 // appendRow appends the top-k candidates of the accumulated board to dst and

@@ -16,20 +16,20 @@ import (
 
 func TestScoreboardAddReset(t *testing.T) {
 	b := NewScoreboard(10)
-	heap := make([]Edge, 0, 4)
+	heap := make([]cand, 0, 4)
 	if row := appendTopK(nil, b, 4, heap); row != nil {
 		t.Errorf("empty board row = %v, want nil", row)
 	}
 	b.Add(3, 0.5)
 	b.Add(7, 0.25)
 	b.Add(3, 0.25)
-	want := []Edge{{To: 3, Weight: 0.75}, {To: 7, Weight: 0.25}}
+	want := []Edge{NewEdge(3, 0.75), NewEdge(7, 0.25)}
 	if row := appendTopK(nil, b, 4, heap); !reflect.DeepEqual(row, want) {
 		t.Errorf("row = %v, want %v (accumulated sums)", row, want)
 	}
 	// Ties order toward the lower ID regardless of touch order.
 	b.Add(7, 0.5)
-	want = []Edge{{To: 3, Weight: 0.75}, {To: 7, Weight: 0.75}}
+	want = []Edge{NewEdge(3, 0.75), NewEdge(7, 0.75)}
 	if row := appendTopK(nil, b, 4, heap); !reflect.DeepEqual(row, want) {
 		t.Errorf("tied row = %v, want %v", row, want)
 	}
@@ -39,7 +39,7 @@ func TestScoreboardAddReset(t *testing.T) {
 	}
 	// The board is fully reusable: stale scores must not survive the reset.
 	b.Add(5, 0.125)
-	want = []Edge{{To: 5, Weight: 0.125}}
+	want = []Edge{NewEdge(5, 0.125)}
 	if row := appendTopK(nil, b, 4, heap); !reflect.DeepEqual(row, want) {
 		t.Errorf("row after reuse = %v, want %v", row, want)
 	}
@@ -54,7 +54,7 @@ func TestAppendTopKMatchesMapTopK(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	const ids = 8192
 	board := NewScoreboard(ids)
-	heap := make([]Edge, 0, ids)
+	heap := make([]cand, 0, ids)
 	check := func(trial int, acc map[kb.EntityID]float64) {
 		t.Helper()
 		for _, k := range []int{0, 1, 2, 5, 15, 200} {
@@ -224,7 +224,7 @@ func randomGammaInputs(r *rand.Rand, n1, n2 int) (top [][]kb.EntityID, adj [][]E
 			top[i] = append(top[i], kb.EntityID(r.Intn(n1)))
 		}
 		for c := r.Intn(5); c > 0; c-- {
-			adj[i] = append(adj[i], Edge{To: kb.EntityID(r.Intn(n2)), Weight: float64(1+r.Intn(8)) / 8})
+			adj[i] = append(adj[i], NewEdge(kb.EntityID(r.Intn(n2)), float64(1+r.Intn(8))/8))
 		}
 	}
 	inOther = make([][]kb.EntityID, n2)

@@ -163,7 +163,7 @@ func (m *matcher) runR2() {
 	}
 	for i := range matched {
 		row := beta.Row(i)
-		if matched[i] || len(row) == 0 || row[0].Weight < 1 {
+		if matched[i] || len(row) == 0 || row[0].Weight() < 1 {
 			continue
 		}
 		p := eval.Pair{E1: kb.EntityID(i), E2: row[0].To}
@@ -207,21 +207,21 @@ type pick struct {
 // so a linear list of ≤ 2K entries gives the same zero-allocation
 // accumulation at O(K) memory per worker instead of O(|KB|).
 type aggBoard struct {
-	cands []graph.Edge // To = candidate, Weight = fused score so far
+	cands []pick // the candidates touched so far with their fused scores
 }
 
-func newAggBoard() *aggBoard { return &aggBoard{cands: make([]graph.Edge, 0, 32)} }
+func newAggBoard() *aggBoard { return &aggBoard{cands: make([]pick, 0, 32)} }
 
 // add accumulates a rank contribution onto a candidate (linear probe over
 // the ≤ 2K live entries).
 func (b *aggBoard) add(to kb.EntityID, w float64) {
 	for i := range b.cands {
-		if b.cands[i].To == to {
-			b.cands[i].Weight += w
+		if b.cands[i].to == to {
+			b.cands[i].score += w
 			return
 		}
 	}
-	b.cands = append(b.cands, graph.Edge{To: to, Weight: w})
+	b.cands = append(b.cands, pick{to, w})
 }
 
 // best returns the candidate with the highest fused score, ties toward the
@@ -234,8 +234,8 @@ func (b *aggBoard) best() (kb.EntityID, float64) {
 	best := kb.NoEntity
 	bestScore := -1.0
 	for _, c := range b.cands {
-		if c.Weight > bestScore || (c.Weight == bestScore && c.To < best) {
-			best, bestScore = c.To, c.Weight
+		if c.score > bestScore || (c.score == bestScore && c.to < best) {
+			best, bestScore = c.to, c.score
 		}
 	}
 	return best, bestScore

@@ -116,8 +116,8 @@ func TestR4FiltersNonReciprocal(t *testing.T) {
 	g := &graph.Graph{
 		Alpha1: emptyRows[kb.EntityID](2),
 		Alpha2: emptyRows[kb.EntityID](2),
-		Beta1:  graph.Rows[graph.Edge]{Off: []int64{0, 1, 1}, Flat: []graph.Edge{{To: 0, Weight: 2.0}}},
-		Beta2:  graph.Rows[graph.Edge]{Off: []int64{0, 1, 1}, Flat: []graph.Edge{{To: 1, Weight: 2.0}}},
+		Beta1:  graph.Rows[graph.Edge]{Off: []int64{0, 1, 1}, Flat: []graph.Edge{graph.NewEdge(0, 2.0)}},
+		Beta2:  graph.Rows[graph.Edge]{Off: []int64{0, 1, 1}, Flat: []graph.Edge{graph.NewEdge(1, 2.0)}},
 		Gamma1: emptyRows[graph.Edge](2),
 		Gamma2: emptyRows[graph.Edge](2),
 	}
@@ -214,8 +214,8 @@ func TestResultPairs(t *testing.T) {
 func TestAggregateRanks(t *testing.T) {
 	m := &matcher{cfg: Config{Theta: 0.6, UseNeighbors: true}}
 	sb := newAggBoard()
-	val := []graph.Edge{{To: 10, Weight: 5}, {To: 11, Weight: 3}}
-	ngb := []graph.Edge{{To: 11, Weight: 9}, {To: 10, Weight: 1}}
+	val := []graph.Edge{graph.NewEdge(10, 5), graph.NewEdge(11, 3)}
+	ngb := []graph.Edge{graph.NewEdge(11, 9), graph.NewEdge(10, 1)}
 	// Scores: 10 → .6·(2/2) + .4·(1/2) = 0.8; 11 → .6·(1/2) + .4·(2/2) = 0.7.
 	to, score := m.aggregate(sb, val, ngb)
 	if to != 10 {
@@ -258,7 +258,7 @@ func TestAggregateScoreboardMatchesMapReference(t *testing.T) {
 				continue
 			}
 			seen[to] = true
-			val = append(val, graph.Edge{To: to, Weight: float64(c)})
+			val = append(val, graph.NewEdge(to, float64(c)))
 		}
 		seen = map[kb.EntityID]bool{}
 		for c := r.Intn(6); c > 0; c-- {
@@ -267,7 +267,7 @@ func TestAggregateScoreboardMatchesMapReference(t *testing.T) {
 				continue
 			}
 			seen[to] = true
-			ngb = append(ngb, graph.Edge{To: to, Weight: float64(c)})
+			ngb = append(ngb, graph.NewEdge(to, float64(c)))
 		}
 		if trial%3 == 0 {
 			m.cfg.UseNeighbors = false
@@ -310,8 +310,8 @@ func TestRowDemandCoversR4(t *testing.T) {
 		Alpha1: emptyRows[kb.EntityID](2),
 		Alpha2: emptyRows[kb.EntityID](1),
 		Beta1:  emptyRows[graph.Edge](2),
-		Beta2:  graph.Rows[graph.Edge]{Off: []int64{0, 1}, Flat: []graph.Edge{{To: 0, Weight: 2}}},
-		Gamma1: graph.Rows[graph.Edge]{Off: []int64{0, 1, 1}, Flat: []graph.Edge{{To: 0, Weight: 1}}},
+		Beta2:  graph.Rows[graph.Edge]{Off: []int64{0, 1}, Flat: []graph.Edge{graph.NewEdge(0, 2)}},
+		Gamma1: graph.Rows[graph.Edge]{Off: []int64{0, 1, 1}, Flat: []graph.Edge{graph.NewEdge(0, 1)}},
 		Gamma2: emptyRows[graph.Edge](1),
 	}
 	b := kb.NewBuilder("B")

@@ -52,14 +52,16 @@ func RankAggregateRow(sb *AggScratch, valCands, ngbCands []graph.Edge, theta flo
 		rank := n - idx
 		b.add(e.To, (1-theta)*float64(rank)/float64(n))
 	}
-	out := make([]graph.Edge, len(b.cands))
-	copy(out, b.cands)
-	slices.SortFunc(out, func(a, c graph.Edge) int {
-		if a.Weight != c.Weight {
-			return cmp.Compare(c.Weight, a.Weight)
+	slices.SortFunc(b.cands, func(a, c pick) int {
+		if a.score != c.score {
+			return cmp.Compare(c.score, a.score)
 		}
-		return cmp.Compare(a.To, c.To)
+		return cmp.Compare(a.to, c.to)
 	})
+	out := make([]graph.Edge, len(b.cands))
+	for i, c := range b.cands {
+		out[i] = graph.NewEdge(c.to, c.score)
+	}
 	b.reset()
 	return out
 }
@@ -70,5 +72,5 @@ func BestOf(ranking []graph.Edge) (kb.EntityID, float64) {
 	if len(ranking) == 0 {
 		return kb.NoEntity, 0
 	}
-	return ranking[0].To, ranking[0].Weight
+	return ranking[0].To, ranking[0].Weight()
 }

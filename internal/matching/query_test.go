@@ -23,11 +23,11 @@ func randomRow(r *rand.Rand, maxLen, idSpace int) []graph.Edge {
 			continue
 		}
 		seen[id] = true
-		row = append(row, graph.Edge{To: id, Weight: 0.1 + r.Float64()*3})
+		row = append(row, graph.NewEdge(id, 0.1+r.Float64()*3))
 	}
 	sort.Slice(row, func(i, j int) bool {
-		if row[i].Weight != row[j].Weight {
-			return row[i].Weight > row[j].Weight
+		if row[i].Weight() != row[j].Weight() {
+			return row[i].Weight() > row[j].Weight()
 		}
 		return row[i].To < row[j].To
 	})
@@ -75,12 +75,12 @@ func TestRankAggregateRowMatchesAggregate(t *testing.T) {
 			t.Fatalf("trial %d: ranking has %d candidates, want %d", trial, len(ranking), len(ref))
 		}
 		for i, e := range ranking {
-			if ref[e.To] != e.Weight {
-				t.Fatalf("trial %d: candidate %d fused score = %v, want %v", trial, e.To, e.Weight, ref[e.To])
+			if ref[e.To] != e.Weight() {
+				t.Fatalf("trial %d: candidate %d fused score = %v, want %v", trial, e.To, e.Weight(), ref[e.To])
 			}
 			if i > 0 {
 				prev := ranking[i-1]
-				if prev.Weight < e.Weight || (prev.Weight == e.Weight && prev.To >= e.To) {
+				if prev.Weight() < e.Weight() || (prev.Weight() == e.Weight() && prev.To >= e.To) {
 					t.Fatalf("trial %d: ranking out of order at %d: %v then %v", trial, i, prev, e)
 				}
 			}
@@ -93,7 +93,7 @@ func TestRankAggregateRowEmpty(t *testing.T) {
 	if got := RankAggregateRow(sc, nil, nil, 0.6, true); got != nil {
 		t.Fatalf("empty rows → %v, want nil", got)
 	}
-	if got := RankAggregateRow(sc, nil, []graph.Edge{{To: 3, Weight: 1}}, 0.6, false); got != nil {
+	if got := RankAggregateRow(sc, nil, []graph.Edge{graph.NewEdge(3, 1)}, 0.6, false); got != nil {
 		t.Fatalf("neighbors disabled with only a γ row → %v, want nil", got)
 	}
 	if to, s := BestOf(nil); to != kb.NoEntity || s != 0 {

@@ -6,6 +6,8 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 )
@@ -13,12 +15,22 @@ import (
 // decodeJSON reads a bounded request body into dst, mapping oversized and
 // malformed bodies onto their stable error codes. Unknown fields are
 // rejected so schema typos fail loudly instead of silently selecting
-// defaults.
+// defaults. A body holds one JSON value: anything after it but whitespace —
+// a second value, or stray bytes — is malformed too, rather than dropped.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) *apiError {
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	err := dec.Decode(dst)
+	if err == nil {
+		if _, next := dec.Token(); next != io.EOF {
+			if next == nil {
+				next = errors.New("a second JSON value")
+			}
+			err = fmt.Errorf("data after the JSON value: %w", next)
+		}
+	}
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			return &apiError{status: http.StatusRequestEntityTooLarge, code: CodeBodyTooLarge,

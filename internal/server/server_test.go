@@ -185,6 +185,10 @@ func TestMalformedAndOversizedBodies(t *testing.T) {
 		"truncated":     `{"uri":`,
 		"wrong type":    `{"uri":42}`,
 		"unknown field": `{"entity":"w:Restaurant1"}`,
+		// A body is one value: what follows it is refused, not dropped.
+		"second value":     `{"uri":"w:Restaurant1"} {"uri":"w:Restaurant2"}`,
+		"trailing garbage": `{"uri":"w:Restaurant1"}garbage`,
+		"trailing bracket": `{"uri":"w:Restaurant1"}]`,
 	} {
 		if status, code := errCode(t, http.MethodPost, ts.URL+"/v1/pairs/fig1/query", body); status != 400 || code != CodeInvalidRequest {
 			t.Errorf("%s body = %d %q, want 400 %q", name, status, code, CodeInvalidRequest)
@@ -195,9 +199,17 @@ func TestMalformedAndOversizedBodies(t *testing.T) {
 	if status, code := errCode(t, http.MethodPost, ts.URL+"/v1/pairs/fig1/query", `{"uri":"w:NoSuch"}`); status != 400 || code != CodeInvalidRequest {
 		t.Errorf("unknown replay uri = %d %q, want 400 %q", status, code, CodeInvalidRequest)
 	}
+	// A trailing newline is whitespace (json.Encoder and curl -d @file send
+	// one).
+	if status := doJSON(t, http.MethodPost, ts.URL+"/v1/pairs/fig1/query", "{\"uri\":\"w:Restaurant1\"}\n", nil); status != 200 {
+		t.Errorf("body ending in a newline = %d, want 200", status)
+	}
 	huge := fmt.Sprintf(`{"uri":%q}`, strings.Repeat("x", 256))
-	if status, code := errCode(t, http.MethodPost, ts.URL+"/v1/pairs/fig1/query", huge); status != 413 || code != CodeBodyTooLarge {
-		t.Errorf("oversized body = %d %q, want 413 %q", status, code, CodeBodyTooLarge)
+	padded := `{"uri":"w:Restaurant1"}` + strings.Repeat(" ", 256)
+	for name, body := range map[string]string{"oversized body": huge, "oversized tail": padded} {
+		if status, code := errCode(t, http.MethodPost, ts.URL+"/v1/pairs/fig1/query", body); status != 413 || code != CodeBodyTooLarge {
+			t.Errorf("%s = %d %q, want 413 %q", name, status, code, CodeBodyTooLarge)
+		}
 	}
 	// The pair-load path shares the decoder, so its validation errors also
 	// arrive as invalid_request.
@@ -206,6 +218,9 @@ func TestMalformedAndOversizedBodies(t *testing.T) {
 	}
 	if status, code := errCode(t, http.MethodPost, ts.URL+"/v1/pairs", `{"e1":"a.nt","e2":"b.nt","format":"xml"}`); status != 400 || code != CodeInvalidRequest {
 		t.Errorf("bad format = %d %q, want 400 %q", status, code, CodeInvalidRequest)
+	}
+	if status, code := errCode(t, http.MethodPost, ts.URL+"/v1/pairs", `{"id":"x","e1":"a.nt","e2":"b.nt"}garbage`); status != 400 || code != CodeInvalidRequest {
+		t.Errorf("load with trailing data = %d %q, want 400 %q", status, code, CodeInvalidRequest)
 	}
 }
 
@@ -417,7 +432,7 @@ func TestDamagedGraphRowsAreAnInternalError(t *testing.T) {
 		}, false},
 		{"beta1 weight", func(g *graph.Graph, e kb.EntityID, _ int) {
 			g.Beta1.Flat = slices.Clone(g.Beta1.Flat)
-			g.Beta1.Flat[g.Beta1.Off[e]].Weight = math.NaN()
+			g.Beta1.Flat[g.Beta1.Off[e]] = graph.NewEdge(g.Beta1.Flat[g.Beta1.Off[e]].To, math.NaN())
 		}, false},
 	}
 	_, intact := newTestServer(t)

@@ -3,7 +3,8 @@
 // the section bytes (the mmap fast path) or an explicit element-by-element
 // decode (the portable / cross-endian path). Zero-copy is only taken when
 // the host is little-endian and the section base is 8-byte aligned, which
-// parseHeader guarantees relative to the image start.
+// parseHeader guarantees relative to the image start; edge records need only
+// 4.
 package snapshot
 
 import (
@@ -16,14 +17,23 @@ import (
 	"minoaner/internal/kb"
 )
 
+// An edge section is an array of edgeSize-byte records: the target as an
+// int32 at +0 and the weight's float64 bits at +edgeWeightAt.
+const (
+	edgeSize     = 12
+	edgeWeightAt = 4
+)
+
 // Compile-time layout assertions behind the zero-copy reinterpretation of
-// []graph.Edge: 16-byte records with the weight at offset 8. If the Edge
-// struct ever changes shape, these fail to compile instead of corrupting
-// loads.
+// []graph.Edge: 12-byte, 4-aligned records with the target first (the
+// weight's halves follow it; TestEdgeBytesAreTheRecords pins their order).
+// If the Edge struct ever changes shape, these fail to compile instead of
+// corrupting loads.
 var (
-	_ [16]struct{} = [unsafe.Sizeof(graph.Edge{})]struct{}{}
-	_ [8]struct{}  = [unsafe.Offsetof(graph.Edge{}.Weight)]struct{}{}
-	_ [4]struct{}  = [unsafe.Sizeof(kb.EntityID(0))]struct{}{}
+	_ [edgeSize]struct{} = [unsafe.Sizeof(graph.Edge{})]struct{}{}
+	_ [4]struct{}        = [unsafe.Alignof(graph.Edge{})]struct{}{}
+	_ [0]struct{}        = [unsafe.Offsetof(graph.Edge{}.To)]struct{}{}
+	_ [4]struct{}        = [unsafe.Sizeof(kb.EntityID(0))]struct{}{}
 )
 
 // hostLittleEndian reports whether the running machine stores integers
@@ -115,14 +125,13 @@ func encF64s(v []float64) []byte {
 	return b
 }
 
-// encEdges writes 16-byte records {to int32, pad uint32(0), weight float64
-// bits} — the in-memory little-endian layout of graph.Edge, whose pad field
-// is always zero.
+// encEdges writes edge records {to int32, weight float64 bits} — the
+// in-memory little-endian layout of graph.Edge.
 func encEdges(v []graph.Edge) []byte {
-	b := make([]byte, 16*len(v))
+	b := make([]byte, edgeSize*len(v))
 	for i, e := range v {
-		binary.LittleEndian.PutUint32(b[i*16:], uint32(int32(e.To)))
-		binary.LittleEndian.PutUint64(b[i*16+8:], math.Float64bits(e.Weight))
+		binary.LittleEndian.PutUint32(b[i*edgeSize:], uint32(int32(e.To)))
+		binary.LittleEndian.PutUint64(b[i*edgeSize+edgeWeightAt:], math.Float64bits(e.Weight()))
 	}
 	return b
 }
@@ -204,10 +213,10 @@ func viewF64s(b []byte, copyMode bool, what string) ([]float64, error) {
 }
 
 func viewEdges(b []byte, copyMode bool, what string) ([]graph.Edge, error) {
-	if len(b)%16 != 0 {
-		return nil, fmt.Errorf("%w: %s section of %d bytes (want multiple of 16)", ErrCorrupt, what, len(b))
+	if len(b)%edgeSize != 0 {
+		return nil, fmt.Errorf("%w: %s section of %d bytes (want multiple of %d)", ErrCorrupt, what, len(b), edgeSize)
 	}
-	n := len(b) / 16
+	n := len(b) / edgeSize
 	if n == 0 {
 		return nil, nil
 	}
@@ -216,10 +225,8 @@ func viewEdges(b []byte, copyMode bool, what string) ([]graph.Edge, error) {
 	}
 	out := make([]graph.Edge, n)
 	for i := range out {
-		out[i] = graph.Edge{
-			To:     kb.EntityID(int32(binary.LittleEndian.Uint32(b[i*16:]))),
-			Weight: math.Float64frombits(binary.LittleEndian.Uint64(b[i*16+8:])),
-		}
+		out[i] = graph.NewEdge(kb.EntityID(int32(binary.LittleEndian.Uint32(b[i*edgeSize:]))),
+			math.Float64frombits(binary.LittleEndian.Uint64(b[i*edgeSize+edgeWeightAt:])))
 	}
 	return out, nil
 }

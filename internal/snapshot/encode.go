@@ -2,8 +2,8 @@
 // dictionaries, columnar spans, ranks, top-neighbor rows, name blocks, the
 // purged token index, and (always) the graph with the query path's name
 // index — into the sectioned format described in format.go. Files are
-// deterministic for a given substrate: section order, padding bytes and the
-// pad field inside edge records are all pinned.
+// deterministic for a given substrate: section order and padding bytes are
+// pinned, and edge records have no padding of their own.
 package snapshot
 
 import (

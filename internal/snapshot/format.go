@@ -9,14 +9,19 @@
 // PLACE from a memory-mapped region (unsafe.Slice over syscall.Mmap): every
 // section starts 8-byte aligned relative to the file start, mappings are
 // page-aligned, and element encodings equal the in-memory little-endian
-// layout of []uint32 / []int32 / []int64 / []float64 / []graph.Edge. A
-// portable copying decoder (ReadSubstrate) is the fallback and the
-// cross-endian path.
+// layout of []uint32 / []int32 / []int64 / []float64 / []graph.Edge. An edge
+// section (β₁, β₂, γ₂, Adj₁) is an array of 12-byte records {to int32,
+// weight float64 bits at +4}, without padding. A portable copying decoder
+// (ReadSubstrate) is the fallback and the cross-endian path.
+//
+// Version 2 differs from version 1 in the edge records only: version 1 padded
+// each to 16 bytes, with the weight at +8. There is one layout: a version 1
+// file is refused with ErrVersion, and is rebuilt from its N-Triples.
 //
 // File layout (all integers little-endian):
 //
 //	offset 0   magic    "MINOSNP1" (8 bytes)
-//	offset 8   uint32   version (currently 1)
+//	offset 8   uint32   version (currently 2)
 //	offset 12  uint32   flags
 //	offset 16  uint32   section count
 //	offset 20  uint32   reserved (0)
@@ -33,7 +38,7 @@ import (
 // Magic and version of the format.
 var magic = [8]byte{'M', 'I', 'N', 'O', 'S', 'N', 'P', '1'}
 
-const formatVersion = 1
+const formatVersion = 2
 
 // Header flags.
 const (
@@ -158,7 +163,7 @@ func parseHeader(data []byte) (*header, error) {
 	}
 	version := binary.LittleEndian.Uint32(data[8:])
 	if version != formatVersion {
-		return nil, fmt.Errorf("%w: version %d (this build reads %d)", ErrVersion, version, formatVersion)
+		return nil, fmt.Errorf("%w: version %d (this build reads %d; rebuild the file from its N-Triples)", ErrVersion, version, formatVersion)
 	}
 	h := &header{flags: binary.LittleEndian.Uint32(data[12:])}
 	count := binary.LittleEndian.Uint32(data[16:])

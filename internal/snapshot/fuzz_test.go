@@ -52,8 +52,9 @@ func tinySubstrate(t testing.TB) *core.Substrate {
 
 // fuzzSeeds derives the committed corpus from the tiny snapshot: the image
 // itself, truncations, and flips aimed at what the loader installs without
-// copying — the section table, offset tables, edge targets and entity IDs of
-// the graph, and the sorted permutations of the dictionaries.
+// copying — the section table, offset tables, edge targets and weights and
+// entity IDs of the graph, and the sorted permutations of the dictionaries.
+// Edge damage is placed by the record layout (edgeSize, edgeWeightAt).
 func fuzzSeeds(t testing.TB) map[string][]byte {
 	img := snapshotBytes(t, tinySubstrate(t))
 	h, err := parseHeader(img)
@@ -93,8 +94,8 @@ func fuzzSeeds(t testing.TB) map[string][]byte {
 		"gamma2-offsets-fall": flip(at(secGamma2Off)+9, 0x01),
 		"beta1-target":        flip(at(secBeta1Edges), 0x40),
 		"beta2-target-neg":    flip(at(secBeta2Edges)+3, 0x80),
-		"adj1-target":         flip(at(secAdj1Edges)+16, 0x10),
-		"adj1-weight-nan":     word(at(secAdj1Edges)+8, math.Float64bits(math.NaN())),
+		"adj1-target":         flip(at(secAdj1Edges)+edgeSize, 0x10),
+		"adj1-weight-nan":     word(at(secAdj1Edges)+edgeWeightAt, math.Float64bits(math.NaN())),
 		"in2-entity":          flip(at(secIn2Flat), 0x20),
 		"alpha1-target":       flip(at(secAlpha1Flat), 0x08),
 		"top1-neighbor":       flip(at(secTop1Flat), 0x40),

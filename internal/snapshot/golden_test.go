@@ -13,10 +13,10 @@ import (
 
 // goldenSectionsPath holds, per Table-1 preset at the pinned-fixture scale,
 // the digest of every snapshot byte outside the meta section (whose JSON
-// carries wall-clock timings), captured from the writer as it was BEFORE
-// sections became views of the substrate's own arrays and groups of them
-// were prepared concurrently. The format did not change, so neither may a
-// byte. Regenerate (only when the format is bumped deliberately) with:
+// carries wall-clock timings). It was last regenerated when format version 2
+// dropped the pad word of edge records; goldenNonEdgePath shows that no other
+// section changed then. A byte may change only with the format. Regenerate
+// (only when the format is bumped deliberately) with:
 //
 //	MINOANER_UPDATE_GOLDEN=1 go test ./internal/snapshot -run TestSnapshotBytesUnchanged
 const goldenSectionsPath = "testdata/golden_sections.json"

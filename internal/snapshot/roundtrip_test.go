@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"minoaner/internal/core"
@@ -261,19 +262,22 @@ func TestCorruptInputs(t *testing.T) {
 		name string
 		data []byte
 		want error
+		text string // in the message, when not empty
 	}{
-		{"empty", nil, ErrTruncated},
-		{"short-header", mutate(func(b []byte) []byte { return b[:10] }), ErrTruncated},
-		{"cut-table", mutate(func(b []byte) []byte { return b[:headerSize+5] }), ErrTruncated},
-		{"cut-sections", mutate(func(b []byte) []byte { return b[:len(b)/2] }), ErrTruncated},
-		{"bad-magic", mutate(func(b []byte) []byte { b[0] ^= 0xff; return b }), ErrBadMagic},
-		{"bad-version", mutate(func(b []byte) []byte { b[8] = 99; return b }), ErrVersion},
+		{"empty", nil, ErrTruncated, ""},
+		{"short-header", mutate(func(b []byte) []byte { return b[:10] }), ErrTruncated, ""},
+		{"cut-table", mutate(func(b []byte) []byte { return b[:headerSize+5] }), ErrTruncated, ""},
+		{"cut-sections", mutate(func(b []byte) []byte { return b[:len(b)/2] }), ErrTruncated, ""},
+		{"bad-magic", mutate(func(b []byte) []byte { b[0] ^= 0xff; return b }), ErrBadMagic, ""},
+		{"bad-version", mutate(func(b []byte) []byte { b[8] = 99; return b }), ErrVersion, ""},
+		// A file of the 16-byte edge records: refused by name, to be rebuilt.
+		{"version-1", mutate(func(b []byte) []byte { b[8] = 1; return b }), ErrVersion, fmt.Sprintf("version 1 (this build reads %d;", formatVersion)},
 		{"misaligned-section", mutate(func(b []byte) []byte {
 			// Bump the first table entry's offset by 4: still in bounds (the
 			// length check uses the stored length), no longer 8-aligned.
 			b[headerSize+8] += 4
 			return b
-		}), ErrMisaligned},
+		}), ErrMisaligned, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -283,6 +287,9 @@ func TestCorruptInputs(t *testing.T) {
 			}
 			if !errors.Is(err, c.want) {
 				t.Fatalf("got %v, want errors.Is %v", err, c.want)
+			}
+			if !strings.Contains(err.Error(), c.text) {
+				t.Fatalf("got %q, want it to say %q", err, c.text)
 			}
 		})
 	}
