@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"slices"
@@ -27,6 +28,18 @@ const goldenSectionsPath = "testdata/golden_sections.json"
 // edge layout. It has no update switch.
 const goldenNonEdgePath = "testdata/golden_nonedge_sections.json"
 
+// goldenKeptPath holds, per preset, keptDigest of the same snapshots,
+// captured from format version 2 before version 3 stopped storing the token
+// index: every section a version 3 file still holds is pinned by its ID and
+// bytes, so no byte of them may change with the index's removal. It has no
+// update switch.
+const goldenKeptPath = "testdata/golden_kept_sections.json"
+
+// indexSections are the sections of the token index and of the joint
+// dictionary behind it, which format version 2 stored and version 3 derives.
+var indexSections = []uint32{jointDictBase + frozenBlob, jointDictBase + frozenOff, jointDictBase + frozenSorted,
+	secTokT1, secTokT2, secTokE1Off, secTokE1Flat, secTokE2Off, secTokE2Flat, secTokWeight}
+
 // edgeSections are the sections of graph.Edge records.
 var edgeSections = []uint32{secBeta1Edges, secBeta2Edges, secGamma2Edges, secAdj1Edges}
 
@@ -41,12 +54,34 @@ func nonEdgeDigest(t *testing.T, data []byte) string {
 	return digestSections(t, data, func(id uint32) bool { return id != secMeta && !slices.Contains(edgeSections, id) })
 }
 
+// keptDigest hashes, in ID order, every section but meta and the token
+// index's: its ID, its length and its bytes. Unlike sectionsDigest it leaves
+// out the header's flags and section count, which the index's removal
+// changes.
+func keptDigest(t *testing.T, data []byte) string {
+	h, err := parseHeader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.New()
+	hashSections(sum, h, func(id uint32) bool { return id != secMeta && !slices.Contains(indexSections, id) })
+	return hex.EncodeToString(sum.Sum(nil))
+}
+
 func digestSections(t *testing.T, data []byte, keep func(id uint32) bool) string {
 	t.Helper()
 	h, err := parseHeader(data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sum := sha256.New()
+	fmt.Fprintf(sum, "flags %d sections %d\n", h.flags, len(h.sections))
+	hashSections(sum, h, keep)
+	return hex.EncodeToString(sum.Sum(nil))
+}
+
+// hashSections writes, in ID order, each kept section's ID, length and bytes.
+func hashSections(sum io.Writer, h *header, keep func(id uint32) bool) {
 	ids := make([]uint32, 0, len(h.sections))
 	for id := range h.sections {
 		if keep(id) {
@@ -54,13 +89,10 @@ func digestSections(t *testing.T, data []byte, keep func(id uint32) bool) string
 		}
 	}
 	slices.Sort(ids)
-	sum := sha256.New()
-	fmt.Fprintf(sum, "flags %d sections %d\n", h.flags, len(h.sections))
 	for _, id := range ids {
 		fmt.Fprintf(sum, "section %d %d\n", id, len(h.sections[id]))
 		sum.Write(h.sections[id])
 	}
-	return hex.EncodeToString(sum.Sum(nil))
 }
 
 // TestSnapshotBytesUnchanged writes each preset's snapshot with one and with
@@ -74,6 +106,12 @@ func TestSnapshotBytesUnchanged(t *testing.T) {
 // section but the edge sections, the same way.
 func TestNonEdgeSectionsUnchanged(t *testing.T) {
 	checkGolden(t, goldenNonEdgePath, false, nonEdgeDigest)
+}
+
+// TestKeptSectionsUnchanged requires the committed digest of every section
+// but meta and the token index's, the same way.
+func TestKeptSectionsUnchanged(t *testing.T) {
+	checkGolden(t, goldenKeptPath, false, keptDigest)
 }
 
 func checkGolden(t *testing.T, path string, update bool, digest func(*testing.T, []byte) string) {
