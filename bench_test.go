@@ -311,8 +311,12 @@ func yagoSubstrate(b *testing.B) *core.Substrate {
 func BenchmarkGraphBuild(b *testing.B) {
 	sub := yagoSubstrate(b)
 	top1, top2 := sub.TopNeighbors()
+	ix, err := sub.TokenIndex(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
 	in := graph.Input{
-		K1: sub.K1(), K2: sub.K2(), NameBlocks: sub.NameBlocks(), TokenIndex: sub.TokenIndex(),
+		K1: sub.K1(), K2: sub.K2(), NameBlocks: sub.NameBlocks(), TokenIndex: ix,
 		Top1: top1, Top2: top2, K: sub.Config().TopK,
 	}
 	eng := parallel.New(0)

@@ -66,6 +66,18 @@ func (ix *TokenIndex) mem2(s int32) []kb.EntityID { return ix.m2[ix.o2[s]:ix.o2[
 // per-token sort the atomic fill needed disappears entirely. The result is
 // independent of worker count and scheduling.
 func NewTokenIndexCtx(ctx context.Context, e *parallel.Engine, k1, k2 *kb.KB) (*TokenIndex, error) {
+	ix, _, err := NewPurgedTokenIndexCtx(ctx, e, k1, k2, 0)
+	return ix, err
+}
+
+// NewPurgedTokenIndexCtx is NewTokenIndexCtx followed by
+// PurgeAbove(maxComparisons), and the purged-token count: the same weights,
+// live tokens and members of every live token. Both sides are counted
+// before either is filled, so the tokens left dead are known in time and,
+// with purging on, the fill writes the members of live tokens only — no
+// reader looks at a dead token's members — and the build never holds the
+// rest: on the benchmark pairs, four fifths or more of all members.
+func NewPurgedTokenIndexCtx(ctx context.Context, e *parallel.Engine, k1, k2 *kb.KB, maxComparisons int64) (*TokenIndex, int, error) {
 	ix := &TokenIndex{}
 	d1, d2 := k1.TokenDict(), k2.TokenDict()
 	if d1 != nil && d1 == d2 {
@@ -79,49 +91,76 @@ func NewTokenIndexCtx(ctx context.Context, e *parallel.Engine, k1, k2 *kb.KB) (*
 		ix.dict = joint
 	}
 	n := ix.dict.Len()
-	mem1, off1, err := memberFill(ctx, e, k1, ix.t1, n)
+	locals1, err := slotCounts(ctx, e, k1, ix.t1, n)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	mem2, off2, err := memberFill(ctx, e, k2, ix.t2, n)
+	locals2, err := slotCounts(ctx, e, k2, ix.t2, n)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	ix.m1, ix.o1 = mem1, off1
-	ix.m2, ix.o2 = mem2, off2
+	// A purged slot is marked -1 until the tally below. With purging on,
+	// every slot left dead loses its counts, and with them its members.
 	ix.weight = make([]float64, n)
 	err = e.Chunked().ForCtx(ctx, n, func(s int) error {
-		n1 := int(off1[s+1] - off1[s])
-		n2 := int(off2[s+1] - off2[s])
-		if n1 > 0 && n2 > 0 {
-			ix.weight[s] = stats.TokenWeight(n1, n2)
+		n1, n2 := total(locals1, s), total(locals2, s)
+		switch {
+		case n1 > 0 && n2 > 0 && maxComparisons > 0 && int64(n1)*int64(n2) > maxComparisons:
+			ix.weight[s] = -1
+		case n1 > 0 && n2 > 0:
+			ix.weight[s] = stats.TokenWeight(int(n1), int(n2))
+			return nil
+		}
+		if maxComparisons > 0 {
+			for _, lc := range locals1 {
+				lc[s] = 0
+			}
+			for _, lc := range locals2 {
+				lc[s] = 0
+			}
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	// Tally live slots outside the parallel pass (a shared counter inside it
-	// would race).
-	for _, w := range ix.weight {
-		if w > 0 {
+	// Tally outside the parallel pass (a shared counter inside it would
+	// race).
+	purged := 0
+	for s, w := range ix.weight {
+		switch {
+		case w < 0:
+			ix.weight[s] = 0
+			purged++
+		case w > 0:
 			ix.live++
 		}
 	}
-	return ix, nil
+	if ix.m1, ix.o1, err = scatter(ctx, e, k1, ix.t1, locals1, n); err != nil {
+		return nil, 0, err
+	}
+	if ix.m2, ix.o2, err = scatter(ctx, e, k2, ix.t2, locals2, n); err != nil {
+		return nil, 0, err
+	}
+	return ix, purged, nil
 }
 
-// memberFill builds one side's CSR member array over n token slots: a
-// per-span local counting pass merged in span order, then a scatter fill in
-// which the span at position j writes slot s starting at
-// off[s] + Σ_{j'<j} counts[j'][s]. Write regions are exact and disjoint, so
-// the fill needs no atomics, and because spans ascend and entities ascend
-// within a span, every member list comes out sorted by entity ID with no
-// per-slot sort. Static spans (the engine's own scheduler is honored, but
+// total is slot s's count over the per-span counts of one side.
+func total(locals [][]int32, s int) int32 {
+	var c int32
+	for _, lc := range locals {
+		c += lc[s]
+	}
+	return c
+}
+
+// slotCounts counts one side's token occurrences per slot, one count array
+// per span: the local counting pass of a member fill, merged in span order
+// by spanCursors. Static spans (the engine's own scheduler is honored, but
 // callers pass the static engine) bound the transient memory to one count
 // array per worker.
-func memberFill(ctx context.Context, e *parallel.Engine, k *kb.KB, t []int32, n int) ([]kb.EntityID, []int32, error) {
-	locals, err := parallel.MapSpansCtx(ctx, e, k.Len(), func(s parallel.Span) ([]int32, error) {
+func slotCounts(ctx context.Context, e *parallel.Engine, k *kb.KB, t []int32, n int) ([][]int32, error) {
+	return parallel.MapSpansCtx(ctx, e, k.Len(), func(s parallel.Span) ([]int32, error) {
 		counts := make([]int32, n)
 		for i := s.Lo; i < s.Hi; i++ {
 			for _, tid := range k.TokenIDs(kb.EntityID(i)) {
@@ -130,18 +169,27 @@ func memberFill(ctx context.Context, e *parallel.Engine, k *kb.KB, t []int32, n 
 		}
 		return counts, nil
 	})
-	if err != nil {
-		return nil, nil, err
-	}
+}
+
+// scatter fills one side's member CSR over n slots from its per-span
+// counts, which it turns into write cursors: the span at position j writes
+// slot s starting at off[s] + Σ_{j'<j} counts[j'][s]. Write regions are
+// exact and disjoint, so the fill needs no atomics, and because spans
+// ascend and entities ascend within a span, every member list comes out
+// sorted by entity ID with no per-slot sort. A slot whose count is 0 gets
+// no members, even where the side has occurrences of it.
+func scatter(ctx context.Context, e *parallel.Engine, k *kb.KB, t []int32, locals [][]int32, n int) ([]kb.EntityID, []int32, error) {
 	off := spanCursors(locals, n)
 	mem := make([]kb.EntityID, off[n])
-	err = e.ForSpansIndexedCtx(ctx, k.Len(), func(pi int, s parallel.Span) error {
+	err := e.ForSpansIndexedCtx(ctx, k.Len(), func(pi int, s parallel.Span) error {
 		cur := locals[pi]
 		for i := s.Lo; i < s.Hi; i++ {
 			for _, tid := range k.TokenIDs(kb.EntityID(i)) {
 				slot := slotOf(t, tid)
-				mem[cur[slot]] = kb.EntityID(i)
-				cur[slot]++
+				if c := cur[slot]; c >= 0 {
+					mem[c] = kb.EntityID(i)
+					cur[slot] = c + 1
+				}
 			}
 		}
 		return nil
@@ -155,7 +203,8 @@ func memberFill(ctx context.Context, e *parallel.Engine, k *kb.KB, t []int32, n 
 // spanCursors turns per-span local slot counts into global CSR offsets and,
 // in place, into per-span write cursors: the span at position j writes slot s
 // starting at off[s] + Σ_{j'<j} counts[j'][s] (an exclusive prefix sum over
-// spans on top of the global offsets). Shared by the token and name member
+// spans on top of the global offsets); a slot the span counted nothing of
+// gets cursor -1, and takes no write. Shared by the token and name member
 // fills — it is what makes the scatter regions exact and disjoint.
 func spanCursors(locals [][]int32, n int) []int32 {
 	totals := make([]int32, n)
@@ -170,6 +219,7 @@ func spanCursors(locals [][]int32, n int) []int32 {
 	for _, lc := range locals {
 		for s, c := range lc {
 			if c == 0 {
+				lc[s] = -1
 				continue
 			}
 			lc[s] = running[s]

@@ -249,3 +249,15 @@ func BenchmarkTokenIndexMembers(b *testing.B) {
 		}
 	})
 }
+
+// memberFill builds one side's CSR member array over n token slots, with
+// every occurrence's member: the counting pass and the scatter fill of the
+// index, kept as the side the agreement test and BenchmarkTokenIndexMembers
+// compare memberFillAtomic with.
+func memberFill(ctx context.Context, e *parallel.Engine, k *kb.KB, t []int32, n int) ([]kb.EntityID, []int32, error) {
+	locals, err := slotCounts(ctx, e, k, t, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	return scatter(ctx, e, k, t, locals, n)
+}

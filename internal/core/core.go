@@ -272,10 +272,10 @@ func resolveWith(ctx context.Context, eng *parallel.Engine, sub *Substrate, cfg 
 		Timings:        sub.timings,
 	}
 	if !cfg.OmitTokenBlocks {
-		if err := sub.tokenCheck.Run(); err != nil {
+		var err error
+		if out.TokenBlocks, err = sub.tokenBlocks(ctx); err != nil {
 			return nil, err
 		}
-		out.TokenBlocks = sub.TokenBlocks()
 	}
 	mc := cfg.rules()
 

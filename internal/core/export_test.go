@@ -14,3 +14,6 @@ var SkewedKBs = skewedKBs
 
 // Digest hashes everything an Output is contracted to reproduce.
 func Digest(t *testing.T, out *Output) [32]byte { return digest(t, out) }
+
+// TokenDerives reports how many times the substrate derived its token index.
+func (s *Substrate) TokenDerives() int { return int(s.tokenDerives.Load()) }

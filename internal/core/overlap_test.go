@@ -36,7 +36,7 @@ func TestSubstrateOverlapDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(ref.NameBlocks(), mapRef) {
 		t.Fatal("substrate name blocks differ from the string-grouped reference")
 	}
-	refTokens := ref.tokenIx.Collection()
+	refTokens := ref.tokenIx.Load().Collection()
 	for _, workers := range []int{2, 3, 8} {
 		for rep := 0; rep < 3; rep++ {
 			sub, err := buildSubstrate(ctx, parallel.New(workers), k1, k2, cfg, 1)
@@ -49,7 +49,7 @@ func TestSubstrateOverlapDeterminism(t *testing.T) {
 			if !reflect.DeepEqual(sub.NameBlocks(), ref.NameBlocks()) {
 				t.Fatalf("workers=%d: name blocks differ from sequential build", workers)
 			}
-			if !reflect.DeepEqual(sub.tokenIx.Collection(), refTokens) {
+			if !reflect.DeepEqual(sub.tokenIx.Load().Collection(), refTokens) {
 				t.Fatalf("workers=%d: token blocks differ from sequential build", workers)
 			}
 			if sub.purgeThreshold != ref.purgeThreshold || sub.purgedBlocks != ref.purgedBlocks {

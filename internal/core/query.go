@@ -274,6 +274,10 @@ func QueryEntity(ctx context.Context, sub *Substrate, q EntityQuery, cfg Config)
 	if err != nil {
 		return nil, err
 	}
+	ix, err := sub.TokenIndex(ctx)
+	if err != nil {
+		return nil, err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -349,7 +353,7 @@ func QueryEntity(ctx context.Context, sub *Substrate, q EntityQuery, cfg Config)
 
 	slot := st.pool.Get().(*querySlot)
 	defer st.pool.Put(slot)
-	beta, err := graph.BetaRowForTokens(sub.tokenIx, tids, true, slot.qs, sub.cfg.TopK)
+	beta, err := graph.BetaRowForTokens(ix, tids, true, slot.qs, sub.cfg.TopK)
 	if err != nil {
 		return nil, err
 	}

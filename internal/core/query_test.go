@@ -29,7 +29,7 @@ func buildBatchGraph(t *testing.T, sub *Substrate) *graph.Graph {
 		K1: sub.k1, K2: sub.k2,
 		NameBlocks:  sub.NameBlocks(),
 		TokenBlocks: sub.TokenBlocks(),
-		TokenIndex:  sub.tokenIx,
+		TokenIndex:  sub.tokenIx.Load(),
 		Top1:        sub.top1.Nested(),
 		Top2:        sub.top2.Nested(),
 		K:           sub.cfg.TopK,
@@ -138,12 +138,33 @@ func randomPair(seed int64, n int) (*kb.KB, *kb.KB) {
 	return b1.Build(), b2.Build()
 }
 
+// reassembled takes sub apart and puts it back together as a snapshot's
+// loader does (SubstrateFromParts, InstallQueryState), so its token index is
+// derived on first use.
+func reassembled(t *testing.T, sub *Substrate) *Substrate {
+	t.Helper()
+	qs, err := sub.ExportQueryState(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := SubstrateFromParts(sub.Parts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.InstallQueryState(qs); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // checkQueryEquivalence asserts that replaying every E1 entity — through
 // QueryEntity on its statements, and through ReplayEntity on its stored
 // rows — reproduces its batch candidate rows and per-entity rule decisions
-// exactly. It returns how many β edges of the fixture are asymmetric:
-// c ∈ Beta1(e) but e ∉ Beta2(c), the edges whose R4 reciprocity bit only
-// E2's own rows can settle.
+// exactly, and that QueryEntity gives the same rows on the substrate
+// reassembled from its parts, over a derived token index. It returns how
+// many β edges of the fixture are asymmetric: c ∈ Beta1(e) but
+// e ∉ Beta2(c), the edges whose R4 reciprocity bit only E2's own rows can
+// settle.
 func checkQueryEquivalence(t *testing.T, name string, k1, k2 *kb.KB, cfg Config) (asymmetric int) {
 	t.Helper()
 	ctx := context.Background()
@@ -152,6 +173,7 @@ func checkQueryEquivalence(t *testing.T, name string, k1, k2 *kb.KB, cfg Config)
 		t.Fatal(err)
 	}
 	g := buildBatchGraph(t, sub)
+	opened := reassembled(t, sub)
 	mc := *sub.cfg.Rules
 	mc.Theta = sub.cfg.Theta
 	for i := 0; i < k1.Len(); i++ {
@@ -163,6 +185,13 @@ func checkQueryEquivalence(t *testing.T, name string, k1, k2 *kb.KB, cfg Config)
 		want := expectedQueryMatches(sub, g, e, mc)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: entity %d: query/batch divergence\n got: %+v\nwant: %+v", name, e, got, want)
+		}
+		derived, err := QueryEntity(ctx, opened, QueryFromEntity(k1, e), cfg)
+		if err != nil {
+			t.Fatalf("%s: QueryEntity(%d) over a derived index: %v", name, e, err)
+		}
+		if !reflect.DeepEqual(derived, got) {
+			t.Fatalf("%s: entity %d: built/derived index divergence\n got: %+v\nwant: %+v", name, e, derived, got)
 		}
 		replay, err := ReplayEntity(ctx, sub, e, cfg)
 		if err != nil {
@@ -176,6 +205,9 @@ func checkQueryEquivalence(t *testing.T, name string, k1, k2 *kb.KB, cfg Config)
 				asymmetric++
 			}
 		}
+	}
+	if n := opened.tokenDerives.Load(); k1.Len() > 0 && n != 1 {
+		t.Fatalf("%s: the reassembled substrate derived its token index %d times, want once", name, n)
 	}
 	return asymmetric
 }

@@ -3,10 +3,12 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -162,5 +164,74 @@ func TestBuiltOpenedReadDigestsAgree(t *testing.T) {
 			}
 			opened.Close()
 		}
+	}
+}
+
+// A pair opened from its snapshot derives its token index on the first
+// query that describes an entity, exactly once however many race for it; a
+// first query whose context is already cancelled fails without deriving it,
+// and leaves the derive to the next. Run under -race (make race-overlap).
+func TestTokenIndexDerivedOnce(t *testing.T) {
+	ctx := context.Background()
+	k1, k2 := core.SkewedKBs(200)
+	cfg := core.Config{Workers: 2}
+	built, err := core.BuildSubstrate(ctx, k1, k2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	describe := core.QueryFromEntity(k1, 7)
+	describe.URI, describe.SelfURI = "q:new", ""
+	want, err := core.QueryEntity(ctx, built, describe, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("the description has no candidate; test is vacuous")
+	}
+	path := filepath.Join(t.TempDir(), "pair.snap")
+	if err := snapshot.WriteSubstrateFile(path, built); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := snapshot.OpenSubstrate(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
+	sub := opened.Substrate()
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := core.QueryEntity(cancelled, sub, describe, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("a query under a cancelled context: %v, want context.Canceled", err)
+	}
+	if n := sub.TokenDerives(); n != 0 {
+		t.Fatalf("a cancelled query derived the token index %d times", n)
+	}
+
+	start := make(chan struct{})
+	errs := make(chan error, 16)
+	var wg sync.WaitGroup
+	for range 16 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got, err := core.QueryEntity(ctx, sub, describe, cfg)
+			if err == nil && !reflect.DeepEqual(got, want) {
+				err = fmt.Errorf("a query over the derived index differs from the built pair's")
+			}
+			errs <- err
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	if n := sub.TokenDerives(); n != 1 {
+		t.Fatalf("the opened pair derived its token index %d times, want once", n)
 	}
 }

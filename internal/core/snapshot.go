@@ -1,12 +1,14 @@
 // Substrate decomposition for snapshot serialization: SubstrateParts is the
-// stable, exported view of everything BuildSubstrate froze — the two KBs,
-// the normalized build config, name attributes, relation ranks, top-neighbor
-// rows, name blocks and the purged token index — and SubstrateFromParts is
-// its inverse. The name lookups are NOT serialized: stats.NewNameLookup is a
-// cheap bitset over the (already loaded) schema, so the loader re-derives
-// them. QueryState is the second half: the pair's graph and the name-usage
-// index of the query path, so a snapshot-loaded substrate resolves in batch
-// and answers its first query without re-running graph construction.
+// stable, exported view of what BuildSubstrate froze — the two KBs, the
+// normalized build config, name attributes, relation ranks, top-neighbor
+// rows, name blocks and the purge of the token index — and
+// SubstrateFromParts is its inverse. The name lookups and the token index
+// are NOT serialized: stats.NewNameLookup is a cheap bitset over the
+// (already loaded) schema, so the loader re-derives them, and the token
+// index is the inverted KB token columns, derived on first use. QueryState
+// is the second half: the pair's graph and the name-usage index of the
+// query path, so a snapshot-loaded substrate resolves in batch and answers
+// its first query without re-running graph construction.
 //
 // Every row set travels flat (graph.Rows, kb.FrozenStrings), so assembling
 // a substrate from a file's views allocates per section, not per entity or
@@ -39,7 +41,6 @@ type SubstrateParts struct {
 	Top1, Top2             graph.Rows[kb.EntityID]
 
 	NameBlocks     NameBlockRows
-	TokenIndex     *blocking.TokenIndex
 	PurgedBlocks   int
 	PurgeThreshold int64
 
@@ -72,8 +73,7 @@ func (s *Substrate) Parts() SubstrateParts {
 		NameAttrs1: s.nameAttrs1, NameAttrs2: s.nameAttrs2,
 		Ranks1: s.ranks1, Ranks2: s.ranks2,
 		Top1: s.top1, Top2: s.top2,
-		NameBlocks: s.nameRows, TokenIndex: s.tokenIx,
-		PurgedBlocks: s.purgedBlocks, PurgeThreshold: s.purgeThreshold,
+		NameBlocks: s.nameRows, PurgedBlocks: s.purgedBlocks, PurgeThreshold: s.purgeThreshold,
 		Timings: s.timings, BuildWall: s.buildWall,
 	}
 }
@@ -88,16 +88,18 @@ func (s *Substrate) TopNeighbors() (top1, top2 [][]kb.EntityID) {
 }
 
 // SubstrateFromParts reassembles an immutable substrate (the inverse of
-// Parts). The name lookups are re-derived from the loaded schema; everything
-// else is installed as-is, so ResolveWith and QueryEntity over the result
-// are byte-identical to the originally built substrate. Parts may come from
-// a file: their shapes are checked here, and the entity IDs in the top rows,
-// the token index and the name blocks by deferred checks, before the first
-// walk over each (Verify runs them all).
+// Parts). The name lookups are re-derived from the loaded schema, and the
+// purged token index from the KBs' token columns by its first reader
+// (TokenIndex, which checks it against PurgedBlocks and PurgeThreshold);
+// everything else is installed as-is, so ResolveWith and QueryEntity over
+// the result are byte-identical to the originally built substrate. Parts may
+// come from a file: their shapes are checked here, and the entity IDs in the
+// top rows and the name blocks by deferred checks, before the first walk
+// over each (Verify runs them all).
 func SubstrateFromParts(p SubstrateParts) (*Substrate, error) {
 	nb := p.NameBlocks
-	if p.K1 == nil || p.K2 == nil || nb.Keys == nil || p.TokenIndex == nil {
-		return nil, fmt.Errorf("core: substrate from parts: missing KB, name blocks or token index")
+	if p.K1 == nil || p.K2 == nil || nb.Keys == nil {
+		return nil, fmt.Errorf("core: substrate from parts: missing KB or name blocks")
 	}
 	n1, n2 := p.K1.Len(), p.K2.Len()
 	if err := errors.Join(p.Top1.CheckShape(n1, "top1"), p.Top2.CheckShape(n2, "top2"),
@@ -112,7 +114,6 @@ func SubstrateFromParts(p SubstrateParts) (*Substrate, error) {
 	if c := p.Config; c.TopK <= 0 || c.NameK < 0 || c.RelN < 0 || c.Workers < 0 || c.Workers > maxStoredWorkers {
 		return nil, fmt.Errorf("core: substrate from parts: config k=%d K=%d N=%d workers=%d out of range", c.NameK, c.TopK, c.RelN, c.Workers)
 	}
-	ix := p.TokenIndex.SnapshotColumns()
 	return &Substrate{
 		k1: p.K1, k2: p.K2, cfg: p.Config,
 		nameAttrs1: p.NameAttrs1, nameAttrs2: p.NameAttrs2,
@@ -120,15 +121,11 @@ func SubstrateFromParts(p SubstrateParts) (*Substrate, error) {
 		names2: stats.NewNameLookup(p.K2, p.NameAttrs2),
 		ranks1: p.Ranks1, ranks2: p.Ranks2,
 		top1: p.Top1, top2: p.Top2,
-		nameRows: nb, tokenIx: p.TokenIndex,
-		purgedBlocks: p.PurgedBlocks, purgeThreshold: p.PurgeThreshold,
+		nameRows: nb, purgedBlocks: p.PurgedBlocks, purgeThreshold: p.PurgeThreshold,
 		timings: p.Timings, buildWall: p.BuildWall,
 
 		top1Check: kb.NewDeferred("top1", func() error { return idsBelow(p.Top1.Flat, n1) }),
 		top2Check: kb.NewDeferred("top2", func() error { return idsBelow(p.Top2.Flat, n2) }),
-		tokenCheck: kb.NewDeferred("token index", func() error {
-			return errors.Join(ix.Dict.Check(), idsBelow(ix.Mem1, n1), idsBelow(ix.Mem2, n2))
-		}),
 		nameBlockCheck: kb.NewDeferred("name blocks", func() error {
 			return errors.Join(nb.Keys.Check(), idsBelow(nb.E1.Flat, n1), idsBelow(nb.E2.Flat, n2))
 		}),

@@ -74,8 +74,12 @@ func TestStreamedResolveMatchesMaterialized(t *testing.T) {
 		for kind, sub := range map[string]*core.Substrate{"built": built, "reopened": opened.Substrate()} {
 			for _, k := range []int{sub.Config().TopK, 2} {
 				top1, top2 := sub.TopNeighbors()
+				ix, err := sub.TokenIndex(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
 				g, _, err := graph.BuildTimedCtx(ctx, parallel.Sequential(), graph.Input{
-					K1: sub.K1(), K2: sub.K2(), NameBlocks: sub.NameBlocks(), TokenIndex: sub.TokenIndex(),
+					K1: sub.K1(), K2: sub.K2(), NameBlocks: sub.NameBlocks(), TokenIndex: ix,
 					Top1: top1, Top2: top2, K: k,
 				})
 				if err != nil {

@@ -12,6 +12,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,9 +27,10 @@ import (
 // Substrate is the reusable pair-level state of one (K1, K2, Config) triple:
 // stages 1–2 of the pipeline (statistics and composite blocking) frozen into
 // an immutable value. It is safe for concurrent use — nothing in it mutates
-// after BuildSubstrate returns except three lazily built, internally
-// synchronized caches (the materialized token-block collection, the pair's
-// disjunctive blocking graph and the per-entity query state).
+// after BuildSubstrate returns except lazily built, internally synchronized
+// caches (the token index of a substrate from parts, the materialized
+// token-block collection, the pair's disjunctive blocking graph and the
+// per-entity query state).
 //
 // Build-time parameters (NameK, RelN, MaxBlockFraction, sharding) are baked
 // in: ResolveWith and QueryEntity consume the substrate as-is and only
@@ -47,9 +49,19 @@ type Substrate struct {
 	nameRows       NameBlockRows
 	nameOnce       sync.Once
 	nameBlocks     *blocking.Collection
-	tokenIx        *blocking.TokenIndex // purged
 	purgedBlocks   int
 	purgeThreshold int64
+
+	// tokenIx is the purged token index: set by the build, derived from the
+	// KBs by the first reader of a substrate from parts (TokenIndex). tokenMu
+	// serializes the derive, which a cancelled context leaves to be retried;
+	// tokenErr is the verdict of a derive that read a damaged dictionary
+	// string or disagreed with the stored purge, and tokenDerives counts
+	// derives, for the tests.
+	tokenIx      atomic.Pointer[blocking.TokenIndex]
+	tokenMu      sync.Mutex
+	tokenErr     error
+	tokenDerives atomic.Int32
 
 	// timings carries the stage-1/2 wall clock into every Output produced
 	// from this substrate; buildWall is the full BuildSubstrate duration,
@@ -59,10 +71,10 @@ type Substrate struct {
 	buildWall time.Duration
 
 	// blocksOnce guards the lazy materialization of the token-block
-	// collection (satellite: a long-lived substrate serving queries never
-	// pays for the historical block output unless someone asks).
-	blocksOnce  sync.Once
-	tokenBlocks *blocking.Collection
+	// collection (a long-lived substrate serving queries never pays for the
+	// historical block output unless someone asks).
+	blocksOnce sync.Once
+	blocks     *blocking.Collection
 
 	// graph is the pair's disjunctive blocking graph at the substrate's TopK,
 	// built on first use or installed from a snapshot, and read by batch
@@ -77,11 +89,11 @@ type Substrate struct {
 
 	// The deferred range checks of a substrate assembled from parts, which
 	// may have come from a file and were shape-checked only: the entity IDs
-	// of the top-neighbor rows, the token index's members and the name
-	// blocks' members, each run once, by the first reader that walks them
-	// whole, with the verdict kept. Nil for a built substrate. The installed
-	// query state carries its own (queryState).
-	top1Check, top2Check, tokenCheck, nameBlockCheck *kb.Deferred
+	// of the top-neighbor rows and the name blocks' members, each run once,
+	// by the first reader that walks them whole, with the verdict kept. Nil
+	// for a built substrate. The installed query state carries its own
+	// (queryState).
+	top1Check, top2Check, nameBlockCheck *kb.Deferred
 }
 
 // pairGraph is a built graph with the clock of its construction.
@@ -94,11 +106,15 @@ type pairGraph struct {
 // buildGraph runs Algorithm 1 over the substrate with candidate rows pruned
 // to k.
 func (s *Substrate) buildGraph(ctx context.Context, eng *parallel.Engine, k int) (*pairGraph, error) {
+	ix, err := s.TokenIndex(ctx)
+	if err != nil {
+		return nil, err
+	}
 	t0 := time.Now()
 	g, tm, err := graph.BuildSharedCtx(ctx, eng, graph.Input{
 		K1: s.k1, K2: s.k2,
 		NameBlocks: s.NameBlocks(),
-		TokenIndex: s.tokenIx,
+		TokenIndex: ix,
 		K:          k,
 	}, s.top1, s.top2)
 	if err != nil {
@@ -360,31 +376,84 @@ func (sub *Substrate) blockNames(ctx context.Context, eng *parallel.Engine) erro
 	return nil
 }
 
-// blockTokens builds the columnar token index (the shared-interner token
-// space flows from the KB builders through the index into graph
-// construction) and applies Block Purging of stop-word token blocks to it.
+// blockTokens builds the purged token index of the pair.
 func (sub *Substrate) blockTokens(ctx context.Context, eng *parallel.Engine) error {
 	t0 := time.Now()
-	var err error
-	sub.tokenIx, err = blocking.NewTokenIndexCtx(ctx, eng, sub.k1, sub.k2)
+	ix, purged, threshold, err := purgedTokenIndex(ctx, eng, sub.k1, sub.k2, sub.cfg.MaxBlockFraction)
 	if err != nil {
 		return err
 	}
-	// One formula for the purging threshold, shared with blocking.AutoPurge.
-	if budget := blocking.ComparisonBudget(sub.k1.Len(), sub.k2.Len(), sub.cfg.MaxBlockFraction); budget > 0 {
-		sub.purgeThreshold = budget
-		sub.tokenIx, sub.purgedBlocks = sub.tokenIx.PurgeAbove(budget)
-	}
+	sub.tokenIx.Store(ix)
+	sub.purgedBlocks, sub.purgeThreshold = purged, threshold
 	sub.timings.BlockingToken = time.Since(t0)
 	return nil
 }
 
+// purgedTokenIndex builds the columnar token index of a pair (the
+// shared-interner token space flows from the KB builders through the index
+// into graph construction) with Block Purging of stop-word token blocks
+// applied at the pair's comparison budget — the one formula for the purging
+// threshold, shared with blocking.AutoPurge. It is the whole of what a build
+// freezes and a substrate from parts derives.
+func purgedTokenIndex(ctx context.Context, eng *parallel.Engine, k1, k2 *kb.KB, fraction float64) (*blocking.TokenIndex, int, int64, error) {
+	threshold := blocking.ComparisonBudget(k1.Len(), k2.Len(), fraction)
+	ix, purged, err := blocking.NewPurgedTokenIndexCtx(ctx, eng, k1, k2, threshold)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return ix, purged, threshold, nil
+}
+
+// TokenIndex returns the purged columnar token index. A substrate from parts
+// derives it on first call, with the code a build runs, once both KBs' token
+// columns pass their check. The derived index is refused with kb.ErrCorrupt,
+// by that call and every later one, if a dictionary string it was merged by
+// is damaged, or if it purges other blocks, or at another threshold, than
+// the stored build did. The derive runs once: callers wait for it, and one
+// whose context is cancelled fails alone, leaving the derive to the next.
+func (s *Substrate) TokenIndex(ctx context.Context) (*blocking.TokenIndex, error) {
+	if ix := s.tokenIx.Load(); ix != nil {
+		return ix, nil
+	}
+	s.tokenMu.Lock()
+	defer s.tokenMu.Unlock()
+	if ix := s.tokenIx.Load(); ix != nil || s.tokenErr != nil {
+		return ix, s.tokenErr
+	}
+	k1, k2 := s.k1, s.k2
+	if err := errors.Join(k1.CheckTokens(), k2.CheckTokens()); err != nil {
+		return nil, err
+	}
+	ix, purged, threshold, err := purgedTokenIndex(ctx, parallel.New(s.cfg.Workers), k1, k2, s.cfg.MaxBlockFraction)
+	if err != nil {
+		return nil, err
+	}
+	if err := dictErr(k1, k2); err != nil {
+		s.tokenErr = err
+		return nil, err
+	}
+	if purged != s.purgedBlocks || threshold != s.purgeThreshold {
+		s.tokenErr = fmt.Errorf("%w: token index: %d blocks purged at threshold %d, the substrate says %d at %d",
+			kb.ErrCorrupt, purged, threshold, s.purgedBlocks, s.purgeThreshold)
+		return nil, s.tokenErr
+	}
+	s.tokenDerives.Add(1)
+	s.tokenIx.Store(ix)
+	return ix, nil
+}
+
+// dictErr reports damage found in the token dictionaries of a pair: a pair
+// with two is merged by string, and block keys are read as strings, and a
+// damaged string reads as "" and fails its table's check.
+func dictErr(k1, k2 *kb.KB) error {
+	return errors.Join(k1.TokenDict().Err(), k2.TokenDict().Err())
+}
+
 // checkBuildInputs runs the deferred checks of everything a graph build
-// reads whole: both KBs, the top-neighbor rows, the token index's members
-// and the name blocks.
+// reads whole: both KBs, the top-neighbor rows and the name blocks.
 func (s *Substrate) checkBuildInputs() error {
 	for _, check := range []func() error{s.k1.Verify, s.k2.Verify,
-		s.top1Check.Run, s.top2Check.Run, s.tokenCheck.Run, s.nameBlockCheck.Run} {
+		s.top1Check.Run, s.top2Check.Run, s.nameBlockCheck.Run} {
 		if err := check(); err != nil {
 			return err
 		}
@@ -393,11 +462,10 @@ func (s *Substrate) checkBuildInputs() error {
 }
 
 // Verify runs every deferred check of a substrate assembled from parts —
-// both KBs with their string tables, the top-neighbor rows, the token
-// index's members, the name blocks, and the installed graph and name-usage
-// index — and returns the first failure. Each check runs once and its
-// verdict sticks; the first reader of each section would run it anyway. A
-// built substrate has nothing to verify.
+// both KBs with their string tables, the top-neighbor rows, the name blocks,
+// and the installed graph and name-usage index — and returns the first
+// failure. Each check runs once and its verdict sticks; the first reader of
+// each section would run it anyway. A built substrate has nothing to verify.
 func (s *Substrate) Verify() error {
 	if err := s.checkBuildInputs(); err != nil {
 		return err
@@ -442,9 +510,6 @@ func (s *Substrate) NameBlocks() *blocking.Collection {
 	return s.nameBlocks
 }
 
-// TokenIndex returns the purged columnar token index.
-func (s *Substrate) TokenIndex() *blocking.TokenIndex { return s.tokenIx }
-
 // PurgedBlocks reports how many token blocks Block Purging removed;
 // PurgeThreshold the applied per-block comparison cap (0 = none).
 func (s *Substrate) PurgedBlocks() int { return s.purgedBlocks }
@@ -466,16 +531,26 @@ func (s *Substrate) Timings() Timings { return s.timings }
 // Batch ResolveWith calls it unless Config.OmitTokenBlocks is set; a
 // substrate that only serves queries never materializes it.
 //
-// It has no error result: on a substrate from parts callers run Verify
-// first, since one whose token index is damaged returns an empty
-// collection. ResolveWith checks the index and reports the error.
+// It has no error result: on a substrate from parts whose token index
+// cannot be derived (TokenIndex), or whose block keys are damaged, it
+// returns an empty collection. ResolveWith reports the error.
 func (s *Substrate) TokenBlocks() *blocking.Collection {
-	s.blocksOnce.Do(func() {
-		if s.tokenCheck.Run() != nil {
-			s.tokenBlocks = &blocking.Collection{}
-			return
-		}
-		s.tokenBlocks = s.tokenIx.Collection()
-	})
-	return s.tokenBlocks
+	blocks, err := s.tokenBlocks(context.TODO())
+	if err != nil {
+		return &blocking.Collection{}
+	}
+	return blocks
+}
+
+// tokenBlocks is TokenBlocks with its error.
+func (s *Substrate) tokenBlocks(ctx context.Context) (*blocking.Collection, error) {
+	ix, err := s.TokenIndex(ctx)
+	if err != nil {
+		return nil, err
+	}
+	s.blocksOnce.Do(func() { s.blocks = ix.Collection() })
+	if err := dictErr(s.k1, s.k2); err != nil {
+		return nil, err
+	}
+	return s.blocks, nil
 }

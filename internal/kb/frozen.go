@@ -184,6 +184,10 @@ func NewFrozenInterner(fs *FrozenStrings) *Interner {
 // (FrozenStrings.Check); a built dictionary has none.
 func (in *Interner) Check() error { return in.t.tab.check.Run() }
 
+// Err reports damage the dictionary's readers have found so far (a string
+// read as "" whose table's check then failed), without running anything.
+func (in *Interner) Err() error { return in.t.tab.check.Known() }
+
 // Freeze returns the interner's current contents as a frozen table with
 // lookup support (token ID i maps to string i, preserving the dense ID
 // space). The table aliases the dictionary's own bytes; only the sorted

@@ -179,6 +179,16 @@ func (k *KB) Verify() error {
 // out print as they are. A built KB has nothing to check.
 func (k *KB) CheckURIs() error { return k.uris.tab.check.Run() }
 
+// CheckTokens checks the token column alone — one pass over its IDs, the
+// whole of what token blocking reads of the KB — and on damage runs the KB's
+// deferred check, whose verdict then sticks. A built KB has nothing to check.
+func (k *KB) CheckTokens() error {
+	if k.check == nil || k.check.Known() != nil || !IDsBelow(k.tokens, k.dict.Len()) {
+		return k.check.Run()
+	}
+	return nil
+}
+
 // Err reports damage the KB's readers have found so far, without running a
 // check: the first failed verdict of a check that has run, or nil. Readers
 // without an error result (At-style accessors, Lookup) degrade to an empty

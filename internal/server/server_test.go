@@ -335,6 +335,38 @@ func TestDamagedURIsAreAnInternalError(t *testing.T) {
 	}
 }
 
+// A pair whose KB token column is damaged answers a description of a new
+// entity, whose token blocks are derived from that column, with a 500 that
+// names the damage, not with an empty β row; a replay by URI, which reads
+// the stored rows, still answers.
+func TestDamagedTokenColumnIsAnInternalError(t *testing.T) {
+	var buf bytes.Buffer
+	if err := snapshot.WriteSubstrate(&buf, figure1Substrate(t)); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := snapshot.ReadSubstrate(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := loaded.Substrate()
+	sub.K2().SnapshotParts().Tokens[0] = 1 << 20 // decoded, so writable
+	s := New(quietOptions())
+	if _, err := s.reg.AddSubstrate("bad", LoadPairRequest{E1: "mem:wd", E2: "mem:dbp", Format: "nt"}, sub); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	if status, _ := rawCandidates(t, ts.URL+"/v1/pairs/bad/query", `{"uri":"w:Restaurant1"}`); status != 200 {
+		t.Errorf("a replay by uri on a damaged token column = %d, want 200", status)
+	}
+	describe := `{"uri":"q:new","attrs":[{"attribute":"label","value":"The Fat Duck"}]}`
+	for round := 0; round < 2; round++ {
+		if status, code := errCode(t, http.MethodPost, ts.URL+"/v1/pairs/bad/query", describe); status != 500 || code != CodeInternal {
+			t.Errorf("describe %d on a damaged token column = %d %q, want 500 %q", round, status, code, CodeInternal)
+		}
+	}
+}
+
 // explicitRequest is the explicit form of a replay: E1 entity e's own
 // statements, with its URI as uri and self_uri.
 func explicitRequest(t *testing.T, k1 *kb.KB, e kb.EntityID) string {

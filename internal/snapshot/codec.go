@@ -79,13 +79,6 @@ func i64Bytes(v []int64) []byte {
 	return encI64s(v)
 }
 
-func f64Bytes(v []float64) []byte {
-	if littleEndian {
-		return rawBytes(v)
-	}
-	return encF64s(v)
-}
-
 func edgeBytes(v []graph.Edge) []byte {
 	if littleEndian {
 		return rawBytes(v)
@@ -113,14 +106,6 @@ func encI64s(v []int64) []byte {
 	b := make([]byte, 8*len(v))
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(b[i*8:], uint64(x))
-	}
-	return b
-}
-
-func encF64s(v []float64) []byte {
-	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(x))
 	}
 	return b
 }
@@ -190,24 +175,6 @@ func viewI64s(b []byte, copyMode bool, what string) ([]int64, error) {
 	out := make([]int64, n)
 	for i := range out {
 		out[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out, nil
-}
-
-func viewF64s(b []byte, copyMode bool, what string) ([]float64, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("%w: %s section of %d bytes (want multiple of 8)", ErrCorrupt, what, len(b))
-	}
-	n := len(b) / 8
-	if n == 0 {
-		return nil, nil
-	}
-	if !copyMode {
-		return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), n), nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 	}
 	return out, nil
 }

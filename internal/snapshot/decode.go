@@ -22,7 +22,6 @@ import (
 	"time"
 	"unsafe"
 
-	"minoaner/internal/blocking"
 	"minoaner/internal/core"
 	"minoaner/internal/graph"
 	"minoaner/internal/kb"
@@ -115,9 +114,6 @@ func decode(data []byte, copyMode bool) (*core.Substrate, error) {
 		return nil, fmt.Errorf("%w: meta: %v", ErrCorrupt, err)
 	}
 
-	if h.flags&flagTokenDictShared != 0 && h.flags&flagSharedDict == 0 {
-		return nil, fmt.Errorf("%w: token index shares KB1's dictionary but KB2 does not", ErrCorrupt)
-	}
 	dict1, err := decodeDict(h, copyMode, dict1Base, "dict1")
 	if err != nil {
 		return nil, err
@@ -169,18 +165,13 @@ func decode(data []byte, copyMode bool) (*core.Substrate, error) {
 	if err != nil {
 		return nil, err
 	}
-	tokenIx, err := decodeTokenIndex(h, copyMode, dict1, dict2)
-	if err != nil {
-		return nil, err
-	}
 
 	sub, err := core.SubstrateFromParts(core.SubstrateParts{
 		K1: k1, K2: k2, Config: meta.Config,
 		NameAttrs1: meta.NameAttrs1, NameAttrs2: meta.NameAttrs2,
 		Ranks1: ranks1, Ranks2: ranks2,
 		Top1: top1, Top2: top2,
-		NameBlocks: nameBlocks, TokenIndex: tokenIx,
-		PurgedBlocks: meta.PurgedBlocks, PurgeThreshold: meta.PurgeThreshold,
+		NameBlocks: nameBlocks, PurgedBlocks: meta.PurgedBlocks, PurgeThreshold: meta.PurgeThreshold,
 		Timings:   meta.Timings,
 		BuildWall: time.Duration(meta.BuildWallNS),
 	})
@@ -326,63 +317,6 @@ func decodeNameBlocks(h *header, copyMode bool) (core.NameBlockRows, error) {
 	}
 	nb.E2, err = idRowsSection(h, copyMode, secNameE2Off, secNameE2Flat, "name blocks e2")
 	return nb, err
-}
-
-func decodeTokenIndex(h *header, copyMode bool, dict1, dict2 *kb.Interner) (*blocking.TokenIndex, error) {
-	ixDict := dict1
-	var t1, t2 []int32
-	if h.flags&flagTokenDictShared == 0 {
-		fs, err := lookupFrozen(h, copyMode, jointDictBase, "joint token dictionary")
-		if err != nil {
-			return nil, err
-		}
-		ixDict = kb.NewFrozenInterner(fs)
-		if t1, err = readI32Section[int32](h, copyMode, secTokT1, "token translation t1"); err != nil {
-			return nil, err
-		}
-		if t2, err = readI32Section[int32](h, copyMode, secTokT2, "token translation t2"); err != nil {
-			return nil, err
-		}
-		if len(t1) != dict1.Len() || len(t2) != dict2.Len() {
-			return nil, fmt.Errorf("%w: token translation tables of %d and %d entries for dictionaries of %d and %d",
-				ErrCorrupt, len(t1), len(t2), dict1.Len(), dict2.Len())
-		}
-	}
-	// The member CSRs are installed as flat views — TokenIndexFromColumns
-	// validates the offsets; no per-slot rows are ever materialized.
-	off1, err := readI32Section[int32](h, copyMode, secTokE1Off, "token index e1 offsets")
-	if err != nil {
-		return nil, err
-	}
-	mem1, err := readI32Section[kb.EntityID](h, copyMode, secTokE1Flat, "token index e1 members")
-	if err != nil {
-		return nil, err
-	}
-	off2, err := readI32Section[int32](h, copyMode, secTokE2Off, "token index e2 offsets")
-	if err != nil {
-		return nil, err
-	}
-	mem2, err := readI32Section[kb.EntityID](h, copyMode, secTokE2Flat, "token index e2 members")
-	if err != nil {
-		return nil, err
-	}
-	wb, err := h.section(secTokWeight)
-	if err != nil {
-		return nil, err
-	}
-	weight, err := viewF64s(wb, copyMode, "token weights")
-	if err != nil {
-		return nil, err
-	}
-	ix, err := blocking.TokenIndexFromColumns(blocking.IndexColumns{
-		Dict: ixDict, T1: t1, T2: t2,
-		Off1: off1, Off2: off2, Mem1: mem1, Mem2: mem2,
-		Weight: weight,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return ix, nil
 }
 
 func decodeQueryState(h *header, copyMode bool, sub *core.Substrate, top1 graph.Rows[kb.EntityID]) error {

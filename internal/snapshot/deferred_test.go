@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -88,24 +89,64 @@ func TestDamagedPermutationIsRefusedAtFirstUse(t *testing.T) {
 	}
 }
 
-// A token-block member naming no entity is refused by whatever reads the
-// index's members whole — a resolution that hands the token blocks out — and
-// not by one that does not read them.
+// The token blocks are derived from the KB token columns, so a token ID
+// there that names no token of the dictionary is refused with the KB's
+// verdict by whatever derives them — a query describing a new entity, a
+// resolution that hands the token blocks out — every time, and by nothing
+// that does not: a resolution without token blocks, a replay of stored
+// rows. No reader answers as if the damaged entity had no tokens.
 func TestDamagedTokenMemberIsRefusedAtFirstUse(t *testing.T) {
-	sub := readDamaged(t, secTokE2Flat, func(b []byte) { binary.LittleEndian.PutUint32(b, 1<<20) })
-	ctx := context.Background()
+	sub := readDamaged(t, kb2Base+kbTokens, func(b []byte) { binary.LittleEndian.PutUint32(b, 1<<20) })
+	ctx, cfg := context.Background(), core.Config{Workers: 1}
 	if _, err := core.ResolveWith(ctx, sub, core.Config{Workers: 1, OmitTokenBlocks: true}); err != nil {
-		t.Fatalf("a resolve without token blocks reads no member: %v", err)
+		t.Fatalf("a resolve without token blocks reads no token column: %v", err)
 	}
-	for _, want := range []error{kb.ErrCorrupt, graph.ErrOutOfRange} {
-		refusedTwice(t, "a resolve handing the token blocks out", want, func() error {
-			_, err := core.ResolveWith(ctx, sub, core.Config{Workers: 1})
-			return err
-		})
+	if _, err := core.ReplayEntity(ctx, sub, 0, cfg); err != nil {
+		t.Fatalf("a replay reads no token column: %v", err)
 	}
+	describe := core.EntityQuery{URI: "q:new", Attrs: []kb.AttributeValue{{Attribute: "note", Value: "common words"}}}
+	refusedTwice(t, "a query describing a new entity", kb.ErrCorrupt, func() error {
+		_, err := core.QueryEntity(ctx, sub, describe, cfg)
+		return err
+	})
+	refusedTwice(t, "a resolve handing the token blocks out", kb.ErrCorrupt, func() error {
+		_, err := core.ResolveWith(ctx, sub, cfg)
+		return err
+	})
 	if n := sub.TokenBlocks().Len(); n != 0 {
-		t.Fatalf("a damaged index gave %d token blocks", n)
+		t.Fatalf("a damaged token column gave %d token blocks", n)
 	}
+}
+
+// A token index that purges other blocks than the stored build did — here,
+// a file whose meta section claims one purged block more — is refused with
+// kb.ErrCorrupt by every reader of the index, and by nothing else.
+func TestPurgeMismatchIsRefusedAtFirstUse(t *testing.T) {
+	built := buildPreset(t, "BBCmusic-DBpedia")
+	img := snapshotBytes(t, built)
+	meta := parsed(t, img).sections[secMeta]
+	key := []byte(fmt.Sprintf(`"purged_blocks":%d`, built.PurgedBlocks()))
+	at := bytes.Index(meta, key)
+	if built.PurgedBlocks() == 0 || built.PurgedBlocks()%10 == 9 || at < 0 {
+		t.Fatalf("cannot raise purged_blocks %d in place in %s", built.PurgedBlocks(), meta)
+	}
+	meta[at+len(key)-1]++
+	read, err := ReadSubstrate(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, ctx, cfg := read.Substrate(), context.Background(), core.Config{Workers: 1}
+	if _, err := core.ResolveWith(ctx, sub, core.Config{Workers: 1, OmitTokenBlocks: true}); err != nil {
+		t.Fatalf("a resolve without token blocks derives no index: %v", err)
+	}
+	refusedTwice(t, "a query through an entity's statements", kb.ErrCorrupt, func() error {
+		_, err := core.QueryEntity(ctx, sub, core.QueryFromEntity(sub.K1(), 0), cfg)
+		return err
+	})
+	refusedTwice(t, "a resolve handing the token blocks out", kb.ErrCorrupt, func() error {
+		_, err := core.ResolveWith(ctx, sub, cfg)
+		return err
+	})
 }
 
 // A name-block member naming no entity is refused by whatever hands the

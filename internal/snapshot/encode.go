@@ -1,9 +1,9 @@
 // Snapshot encoder: WriteSubstrate serializes a built substrate — both KBs,
-// dictionaries, columnar spans, ranks, top-neighbor rows, name blocks, the
-// purged token index, and (always) the graph with the query path's name
-// index — into the sectioned format described in format.go. Files are
-// deterministic for a given substrate: section order and padding bytes are
-// pinned, and edge records have no padding of their own.
+// dictionaries, columnar spans, ranks, top-neighbor rows, name blocks, and
+// (always) the graph with the query path's name index — into the sectioned
+// format described in format.go. Files are deterministic for a given
+// substrate: section order and padding bytes are pinned, and edge records
+// have no padding of their own.
 package snapshot
 
 import (
@@ -131,16 +131,16 @@ func ready(secs ...[]section) group {
 // index (both are built first, by the prewarm, if nothing has needed them
 // yet — snapshots exist to make warm starts instant, so they always ship;
 // the name index is built sorted, so it is written as it is). On
-// little-endian hosts the graph, KB-column, dictionary and index sections
-// are the bytes of the arrays the substrate already holds. What is still
-// derived here is prepared group by group on the substrate's workers while
-// this goroutine writes finished groups in table order: the dictionaries'
-// and URI tables' sorted permutations, by the radix string-order kernel
-// (kb.FreezeStrings), and a built KB's per-description tables — its token
-// CSR and statement arrays, whose attribute and predicate IDs are memoized
-// per name string rather than looked up per statement. A writer that can
-// seek is streamed to (the table is patched in at the end); any other gets
-// the same bytes once every group is ready.
+// little-endian hosts the graph, KB-column, dictionary and name-block
+// sections are the bytes of the arrays the substrate already holds. What is
+// still derived here is prepared group by group on the substrate's workers
+// while this goroutine writes finished groups in table order: the
+// dictionaries' and URI tables' sorted permutations, by the radix
+// string-order kernel (kb.FreezeStrings), and a built KB's per-description
+// tables — its token CSR and statement arrays, whose attribute and predicate
+// IDs are memoized per name string rather than looked up per statement. A
+// writer that can seek is streamed to (the table is patched in at the end);
+// any other gets the same bytes once every group is ready.
 //
 // A substrate opened from a file is verified first (core.Substrate.Verify):
 // a damaged one is refused, not copied.
@@ -156,7 +156,6 @@ func WriteSubstrate(w io.Writer, sub *core.Substrate) error {
 	p := sub.Parts()
 	dict1, dict2 := p.K1.TokenDict(), p.K2.TokenDict()
 	schema1, schema2 := p.K1.Schema(), p.K2.Schema()
-	ix := p.TokenIndex.SnapshotColumns()
 
 	flags := uint32(flagQueryState)
 	if dict2 == dict1 {
@@ -164,9 +163,6 @@ func WriteSubstrate(w io.Writer, sub *core.Substrate) error {
 	}
 	if schema2 == schema1 {
 		flags |= flagSharedSchema
-	}
-	if ix.Dict == dict1 {
-		flags |= flagTokenDictShared
 	}
 
 	meta := metaV1{
@@ -200,21 +196,11 @@ func WriteSubstrate(w io.Writer, sub *core.Substrate) error {
 				idRows(secNameE1Off, secNameE1Flat, p.NameBlocks.E1),
 				idRows(secNameE2Off, secNameE2Flat, p.NameBlocks.E2))
 		}})
-	if flags&flagTokenDictShared == 0 {
-		plan = append(plan, dictGroup(jointDictBase, ix.Dict),
-			ready([]section{{secTokT1, i32Bytes(ix.T1)}, {secTokT2, i32Bytes(ix.T2)}}))
-	}
 	g := qs.Graph
 	plan = append(plan,
-		// The member CSRs are stored exactly as the index holds them (i32
-		// offsets + flat member arrays), so a little-endian loader installs
-		// views with zero per-slot work. The graph's E1 top-neighbor rows are
-		// the substrate's own (already in secTop1*).
-		ready([]section{
-			{secTokE1Off, i32Bytes(ix.Off1)}, {secTokE1Flat, i32Bytes(ix.Mem1)},
-			{secTokE2Off, i32Bytes(ix.Off2)}, {secTokE2Flat, i32Bytes(ix.Mem2)},
-			{secTokWeight, f64Bytes(ix.Weight)}},
-			idRows(secAlpha1Off, secAlpha1Flat, g.Alpha1), idRows(secAlpha2Off, secAlpha2Flat, g.Alpha2),
+		// The graph's E1 top-neighbor rows are the substrate's own (already
+		// in secTop1*).
+		ready(idRows(secAlpha1Off, secAlpha1Flat, g.Alpha1), idRows(secAlpha2Off, secAlpha2Flat, g.Alpha2),
 			edgeRows(secBeta1Off, secBeta1Edges, g.Beta1), edgeRows(secBeta2Off, secBeta2Edges, g.Beta2),
 			edgeRows(secGamma2Off, secGamma2Edges, g.Gamma2),
 			edgeRows(secAdj1Off, secAdj1Edges, g.Adj1), idRows(secIn2Off, secIn2Flat, g.In2)),

@@ -1,9 +1,10 @@
 // Package snapshot implements the versioned binary on-disk format for
-// build-once substrates: everything core.BuildSubstrate produces — KB
+// build-once substrates: what core.BuildSubstrate produces — KB
 // dictionaries, columnar CSR spans, relation ranks, top-neighbor rows, name
-// blocks, the purged token index — plus (always, in files this package
-// writes) the prewarmed per-entity query state, serialized as 8-byte-aligned
-// little-endian sections behind a magic+version+section-table header.
+// blocks and the purge of the token index — plus (always, in files this
+// package writes) the prewarmed per-entity query state, serialized as
+// 8-byte-aligned little-endian sections behind a magic+version+section-table
+// header.
 //
 // The layout is chosen so a loader can reinterpret the numeric columns IN
 // PLACE from a memory-mapped region (unsafe.Slice over syscall.Mmap): every
@@ -14,14 +15,25 @@
 // weight float64 bits at +4}, without padding. A portable copying decoder
 // (ReadSubstrate) is the fallback and the cross-endian path.
 //
-// Version 2 differs from version 1 in the edge records only: version 1 padded
-// each to 16 bytes, with the weight at +8. There is one layout: a version 1
-// file is refused with ErrVersion, and is rebuilt from its N-Triples.
+// The token index is not stored. It is the inverted index of the KBs' token
+// columns (sections 103/104 and 203/204), so an opened substrate derives it
+// on first use with the code a build runs, and checks the result against the
+// meta section's purged_blocks and purge_threshold
+// (core.Substrate.TokenIndex).
+//
+// Version 3 differs from version 2 in that: version 2 also stored the token
+// index — its member CSRs and weights (sections 422–426) and, for a pair
+// without one token dictionary, a joint dictionary and translation tables
+// (320–322, 420 and 421, behind header flag bit 2, which is now unused).
+// Version 2 differed from version 1 in the edge records only: version 1
+// padded each to 16 bytes, with the weight at +8. There is one layout: a
+// file of an earlier version is refused with ErrVersion, and is rebuilt from
+// its N-Triples.
 //
 // File layout (all integers little-endian):
 //
 //	offset 0   magic    "MINOSNP1" (8 bytes)
-//	offset 8   uint32   version (currently 2)
+//	offset 8   uint32   version (currently 3)
 //	offset 12  uint32   flags
 //	offset 16  uint32   section count
 //	offset 20  uint32   reserved (0)
@@ -38,7 +50,7 @@ import (
 // Magic and version of the format.
 var magic = [8]byte{'M', 'I', 'N', 'O', 'S', 'N', 'P', '1'}
 
-const formatVersion = 2
+const formatVersion = 3
 
 // Header flags.
 const (
@@ -46,9 +58,6 @@ const (
 	flagSharedDict = 1 << 0
 	// flagSharedSchema: KB2 shares KB1's schema (no schema2 sections).
 	flagSharedSchema = 1 << 1
-	// flagTokenDictShared: the token index's slot space IS KB1's dictionary
-	// (no joint-dictionary or translation-table sections).
-	flagTokenDictShared = 1 << 2
 	// flagQueryState: the prewarmed query-state sections are present.
 	flagQueryState = 1 << 3
 )
@@ -95,7 +104,6 @@ const (
 
 	dict1Base        uint32 = 300
 	dict2Base        uint32 = 310
-	jointDictBase    uint32 = 320
 	schema1PredsBase uint32 = 330
 	schema1AttrsBase uint32 = 340
 	schema1ValsBase  uint32 = 350
@@ -118,13 +126,6 @@ const (
 	secNameE1Flat  uint32 = 414
 	secNameE2Off   uint32 = 415
 	secNameE2Flat  uint32 = 416
-	secTokT1       uint32 = 420
-	secTokT2       uint32 = 421
-	secTokE1Off    uint32 = 422
-	secTokE1Flat   uint32 = 423
-	secTokE2Off    uint32 = 424
-	secTokE2Flat   uint32 = 425
-	secTokWeight   uint32 = 426
 	secAlpha1Off   uint32 = 500
 	secAlpha1Flat  uint32 = 501
 	secAlpha2Off   uint32 = 502

@@ -53,8 +53,11 @@ func tinySubstrate(t testing.TB) *core.Substrate {
 // fuzzSeeds derives the committed corpus from the tiny snapshot: the image
 // itself, truncations, and flips aimed at what the loader installs without
 // copying — the section table, offset tables, edge targets and weights and
-// entity IDs of the graph, and the sorted permutations of the dictionaries.
-// Edge damage is placed by the record layout (edgeSize, edgeWeightAt).
+// entity IDs of the graph, and the sorted permutations of the dictionaries —
+// and at what the token index is derived from: the KB token columns and,
+// the tiny pair's dictionaries being private, the strings that translate
+// them into one slot space. Edge damage is placed by the record layout
+// (edgeSize, edgeWeightAt).
 func fuzzSeeds(t testing.TB) map[string][]byte {
 	img := snapshotBytes(t, tinySubstrate(t))
 	h, err := parseHeader(img)
@@ -81,36 +84,37 @@ func fuzzSeeds(t testing.TB) map[string][]byte {
 		return out
 	}
 	return map[string][]byte{
-		"valid":               img,
-		"cut-in-table":        img[:headerSize+tableEntry+3],
-		"cut-in-sections":     img[:len(img)*2/3],
-		"cut-last-byte":       img[:len(img)-1],
-		"table-length":        flip(headerSize+16, 0x10),
-		"table-offset":        flip(headerSize+tableEntry+9, 0x01),
-		"table-id":            flip(headerSize+2*tableEntry, 0x40),
-		"flags":               flip(12, 0x07),
-		"beta1-offsets":       flip(at(secBeta1Off)+8, 0x20),
-		"adj1-last-offset":    flip(last(secAdj1Off)-8, 0x01),
-		"gamma2-offsets-fall": flip(at(secGamma2Off)+9, 0x01),
-		"beta1-target":        flip(at(secBeta1Edges), 0x40),
-		"beta2-target-neg":    flip(at(secBeta2Edges)+3, 0x80),
-		"adj1-target":         flip(at(secAdj1Edges)+edgeSize, 0x10),
-		"adj1-weight-nan":     word(at(secAdj1Edges)+edgeWeightAt, math.Float64bits(math.NaN())),
-		"in2-entity":          flip(at(secIn2Flat), 0x20),
-		"alpha1-target":       flip(at(secAlpha1Flat), 0x08),
-		"top1-neighbor":       flip(at(secTop1Flat), 0x40),
-		"dict-sorted":         flip(at(dict1Base+frozenSorted), 0x80),
-		"dict-sorted-swap":    flip(at(dict1Base+frozenSorted), 0x03),
-		"uri-sorted":          flip(at(kb1Base+kbURISorted)+4, 0x10),
-		"uri-offsets":         flip(at(kb1Base+kbURIOff)+8, 0x04),
-		"token-members":       flip(at(secTokE2Flat), 0x10),
-		"token-translation":   flip(at(secTokT1), 0x40),
-		"kb-tokens":           flip(at(kb1Base+kbTokens), 0x40),
-		"kb-statement-object": flip(at(kb2Base+kbStmtRelObj), 0x08),
-		"kb-attribute-name":   flip(at(kb1Base+kbStmtAttrName), 0x10),
-		"name-usage-carrier":  flip(at(secNamesE2), 0x10),
-		"name-block-member":   flip(at(secNameE1Flat), 0x20),
-		"meta-json":           flip(at(secMeta)+1, 0x01),
+		"valid":                img,
+		"cut-in-table":         img[:headerSize+tableEntry+3],
+		"cut-in-sections":      img[:len(img)*2/3],
+		"cut-last-byte":        img[:len(img)-1],
+		"table-length":         flip(headerSize+16, 0x10),
+		"table-offset":         flip(headerSize+tableEntry+9, 0x01),
+		"table-id":             flip(headerSize+2*tableEntry, 0x40),
+		"flags":                flip(12, 0x07),
+		"beta1-offsets":        flip(at(secBeta1Off)+8, 0x20),
+		"adj1-last-offset":     flip(last(secAdj1Off)-8, 0x01),
+		"gamma2-offsets-fall":  flip(at(secGamma2Off)+9, 0x01),
+		"beta1-target":         flip(at(secBeta1Edges), 0x40),
+		"beta2-target-neg":     flip(at(secBeta2Edges)+3, 0x80),
+		"adj1-target":          flip(at(secAdj1Edges)+edgeSize, 0x10),
+		"adj1-weight-nan":      word(at(secAdj1Edges)+edgeWeightAt, math.Float64bits(math.NaN())),
+		"in2-entity":           flip(at(secIn2Flat), 0x20),
+		"alpha1-target":        flip(at(secAlpha1Flat), 0x08),
+		"top1-neighbor":        flip(at(secTop1Flat), 0x40),
+		"top1-offset-past-end": word(last(secTop1Off)-8, 1<<40),
+		"dict-sorted":          flip(at(dict1Base+frozenSorted), 0x80),
+		"dict-sorted-swap":     flip(at(dict1Base+frozenSorted), 0x03),
+		"uri-sorted":           flip(at(kb1Base+kbURISorted)+4, 0x10),
+		"uri-offsets":          flip(at(kb1Base+kbURIOff)+8, 0x04),
+		"token-members":        flip(at(kb2Base+kbTokens), 0x10),
+		"token-translation":    flip(at(dict2Base+frozenOff)+8, 0x04),
+		"kb-tokens":            flip(at(kb1Base+kbTokens), 0x40),
+		"kb-statement-object":  flip(at(kb2Base+kbStmtRelObj), 0x08),
+		"kb-attribute-name":    flip(at(kb1Base+kbStmtAttrName), 0x10),
+		"name-usage-carrier":   flip(at(secNamesE2), 0x10),
+		"name-block-member":    flip(at(secNameE1Flat), 0x20),
+		"meta-json":            flip(at(secMeta)+1, 0x01),
 	}
 }
 
@@ -243,18 +247,27 @@ func checkOpen(t *testing.T, data []byte) {
 	}
 }
 
-// exercise runs what a loaded substrate exists for: a batch resolution over
-// the installed graph and one over a private graph, one replayed and one
-// newly described entity, one description, the block collections read
-// member by member, and a copy of the whole substrate. Results are not
-// judged — flipped bytes that stay in range describe some other, valid pair
-// — only that each call returns: an error is an answer too (an ID the
-// loader leaves to its first reader to check, a URI a damaged permutation no
-// longer finds). Together the calls reach every check the loader defers.
+// exercise runs what a loaded substrate exists for: a newly described
+// entity — first, so that its query derives the token index — a batch
+// resolution over the installed graph and one over a private graph, a
+// replayed entity, one description, the block collections read member by
+// member, and a copy of the whole substrate. Results are not judged —
+// flipped bytes that stay in range describe some other, valid pair — only
+// that each call returns: an error is an answer too (an ID the loader leaves
+// to its first reader to check, a URI a damaged permutation no longer
+// finds). Together the calls reach every check the loader defers.
 func exercise(sub *core.Substrate) {
 	ctx := context.Background()
 	cfg := core.Config{Workers: 1}
 	k1, k2 := sub.K1(), sub.K2()
+	describe := core.EntityQuery{
+		URI:   "q:new",
+		Attrs: []kb.AttributeValue{{Attribute: "name", Value: "item 3 alpha common"}},
+	}
+	if k1.Len() > 0 {
+		describe.Objects = []core.QueryObject{{Predicate: "next", Object: k1.URI(0)}}
+	}
+	_, _ = core.QueryEntity(ctx, sub, describe, cfg)
 	members := func(c *blocking.Collection) {
 		for _, b := range c.Blocks {
 			for _, e := range b.E1 {
@@ -272,10 +285,6 @@ func exercise(sub *core.Substrate) {
 	_, _ = core.ResolveWith(ctx, sub, core.Config{Workers: 1, TopK: 3}) // a private graph, built from every input
 	members(sub.NameBlocks())
 	members(sub.TokenBlocks())
-	describe := core.EntityQuery{
-		URI:   "q:new",
-		Attrs: []kb.AttributeValue{{Attribute: "name", Value: "item 3 alpha common"}},
-	}
 	if k1.Len() > 0 {
 		last := kb.EntityID(k1.Len() - 1)
 		if d, err := k1.Describe(last); err == nil {
@@ -286,9 +295,7 @@ func exercise(sub *core.Substrate) {
 				_ = k1.URI(r.Object)
 			}
 		}
-		describe.Objects = []core.QueryObject{{Predicate: "next", Object: k1.URI(0)}}
 		_, _ = core.QueryEntity(ctx, sub, core.QueryFromEntity(k1, last), cfg)
 	}
-	_, _ = core.QueryEntity(ctx, sub, describe, cfg)
 	_ = WriteSubstrate(io.Discard, sub)
 }

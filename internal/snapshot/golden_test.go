@@ -14,19 +14,13 @@ import (
 
 // goldenSectionsPath holds, per Table-1 preset at the pinned-fixture scale,
 // the digest of every snapshot byte outside the meta section (whose JSON
-// carries wall-clock timings). It was last regenerated when format version 2
-// dropped the pad word of edge records; goldenNonEdgePath shows that no other
+// carries wall-clock timings). It was last regenerated when format version 3
+// stopped storing the token index; goldenKeptPath shows that no other
 // section changed then. A byte may change only with the format. Regenerate
 // (only when the format is bumped deliberately) with:
 //
 //	MINOANER_UPDATE_GOLDEN=1 go test ./internal/snapshot -run TestSnapshotBytesUnchanged
 const goldenSectionsPath = "testdata/golden_sections.json"
-
-// goldenNonEdgePath holds, per preset, nonEdgeDigest of the same snapshots,
-// captured from format version 1 when edge records lost their pad word: only
-// the four edge sections changed then, and no other byte may change with the
-// edge layout. It has no update switch.
-const goldenNonEdgePath = "testdata/golden_nonedge_sections.json"
 
 // goldenKeptPath holds, per preset, keptDigest of the same snapshots,
 // captured from format version 2 before version 3 stopped storing the token
@@ -35,49 +29,38 @@ const goldenNonEdgePath = "testdata/golden_nonedge_sections.json"
 // update switch.
 const goldenKeptPath = "testdata/golden_kept_sections.json"
 
-// indexSections are the sections of the token index and of the joint
-// dictionary behind it, which format version 2 stored and version 3 derives.
-var indexSections = []uint32{jointDictBase + frozenBlob, jointDictBase + frozenOff, jointDictBase + frozenSorted,
-	secTokT1, secTokT2, secTokE1Off, secTokE1Flat, secTokE2Off, secTokE2Flat, secTokWeight}
-
-// edgeSections are the sections of graph.Edge records.
-var edgeSections = []uint32{secBeta1Edges, secBeta2Edges, secGamma2Edges, secAdj1Edges}
+// indexSections are the IDs format version 2 gave the token index, which
+// version 3 derives: the joint dictionary's trio (320–322), the translation
+// tables (420, 421), and the member CSRs and weights (422–426).
+var indexSections = []uint32{320, 321, 322, 420, 421, 422, 423, 424, 425, 426}
 
 // sectionsDigest hashes the header flags and, in ID order, every section but
 // meta: its ID, its length and its bytes.
 func sectionsDigest(t *testing.T, data []byte) string {
-	return digestSections(t, data, func(id uint32) bool { return id != secMeta })
-}
-
-// nonEdgeDigest is sectionsDigest without the edge sections.
-func nonEdgeDigest(t *testing.T, data []byte) string {
-	return digestSections(t, data, func(id uint32) bool { return id != secMeta && !slices.Contains(edgeSections, id) })
+	h := parsed(t, data)
+	sum := sha256.New()
+	fmt.Fprintf(sum, "flags %d sections %d\n", h.flags, len(h.sections))
+	hashSections(sum, h, func(id uint32) bool { return id != secMeta })
+	return hex.EncodeToString(sum.Sum(nil))
 }
 
 // keptDigest hashes, in ID order, every section but meta and the token
 // index's: its ID, its length and its bytes. Unlike sectionsDigest it leaves
 // out the header's flags and section count, which the index's removal
-// changes.
+// changed.
 func keptDigest(t *testing.T, data []byte) string {
-	h, err := parseHeader(data)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sum := sha256.New()
-	hashSections(sum, h, func(id uint32) bool { return id != secMeta && !slices.Contains(indexSections, id) })
+	hashSections(sum, parsed(t, data), func(id uint32) bool { return id != secMeta && !slices.Contains(indexSections, id) })
 	return hex.EncodeToString(sum.Sum(nil))
 }
 
-func digestSections(t *testing.T, data []byte, keep func(id uint32) bool) string {
+func parsed(t *testing.T, data []byte) *header {
 	t.Helper()
 	h, err := parseHeader(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.New()
-	fmt.Fprintf(sum, "flags %d sections %d\n", h.flags, len(h.sections))
-	hashSections(sum, h, keep)
-	return hex.EncodeToString(sum.Sum(nil))
+	return h
 }
 
 // hashSections writes, in ID order, each kept section's ID, length and bytes.
@@ -100,12 +83,6 @@ func hashSections(sum io.Writer, h *header, keep func(id uint32) bool) {
 // and requires the committed digest both times.
 func TestSnapshotBytesUnchanged(t *testing.T) {
 	checkGolden(t, goldenSectionsPath, os.Getenv("MINOANER_UPDATE_GOLDEN") != "", sectionsDigest)
-}
-
-// TestNonEdgeSectionsUnchanged requires the committed digest of every
-// section but the edge sections, the same way.
-func TestNonEdgeSectionsUnchanged(t *testing.T) {
-	checkGolden(t, goldenNonEdgePath, false, nonEdgeDigest)
 }
 
 // TestKeptSectionsUnchanged requires the committed digest of every section

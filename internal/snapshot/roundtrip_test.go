@@ -270,8 +270,10 @@ func TestCorruptInputs(t *testing.T) {
 		{"cut-sections", mutate(func(b []byte) []byte { return b[:len(b)/2] }), ErrTruncated, ""},
 		{"bad-magic", mutate(func(b []byte) []byte { b[0] ^= 0xff; return b }), ErrBadMagic, ""},
 		{"bad-version", mutate(func(b []byte) []byte { b[8] = 99; return b }), ErrVersion, ""},
-		// A file of the 16-byte edge records: refused by name, to be rebuilt.
+		// A file of the 16-byte edge records, and one that stores the token
+		// index: refused by name, to be rebuilt.
 		{"version-1", mutate(func(b []byte) []byte { b[8] = 1; return b }), ErrVersion, fmt.Sprintf("version 1 (this build reads %d;", formatVersion)},
+		{"version-2", mutate(func(b []byte) []byte { b[8] = 2; return b }), ErrVersion, fmt.Sprintf("version 2 (this build reads %d;", formatVersion)},
 		{"misaligned-section", mutate(func(b []byte) []byte {
 			// Bump the first table entry's offset by 4: still in bounds (the
 			// length check uses the stored length), no longer 8-aligned.

@@ -104,7 +104,7 @@ func TestSharedVersusPrivateDictionaries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			const oneDictionary = flagSharedDict | flagSharedSchema | flagTokenDictShared
+			const oneDictionary = flagSharedDict | flagSharedSchema
 			if flags := binary.LittleEndian.Uint32(head[12:]); flags&oneDictionary != oneDictionary {
 				t.Errorf("snapshot flags %04b: want one token dictionary and one schema (%04b)", flags, oneDictionary)
 			}

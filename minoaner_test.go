@@ -194,10 +194,11 @@ func TestPublicAPIResolveCancellation(t *testing.T) {
 
 // A pair read back from a damaged snapshot never resolves to an Output with
 // silently empty parts. A batch resolution over the snapshot fails with
-// kb.ErrCorrupt where it reads the damage — the URI offsets, a name-block or
-// a token-block member — and gives the undamaged answer where it does not,
-// as for a KB column; a substrate build over the loaded KBs, which reads
-// them whole, fails wherever they are damaged.
+// kb.ErrCorrupt where it reads the damage — the URI offsets, a name-block
+// member, or the KB token column its token blocks are derived from — and
+// gives the undamaged answer where it does not, as for another KB column; a
+// substrate build over the loaded KBs, which reads them whole, fails
+// wherever they are damaged.
 func TestDamagedSnapshotNeverResolvesEmpty(t *testing.T) {
 	d, err := GenerateBenchmark(ScaleProfile(RestaurantProfile(), 0.5))
 	if err != nil {
@@ -229,7 +230,8 @@ func TestDamagedSnapshotNeverResolvesEmpty(t *testing.T) {
 			off[1] = off[len(off)-1] + 1
 		}},
 		{"name-block member", true, false, func(s *Substrate) { s.Parts().NameBlocks.E1.Flat[0] = 1 << 20 }},
-		{"token-block member", true, false, func(s *Substrate) { s.Parts().TokenIndex.SnapshotColumns().Mem2[0] = 1 << 20 }},
+		// The token blocks are derived from the KB token columns.
+		{"KB token column", true, true, func(s *Substrate) { s.K2().SnapshotParts().Tokens[0] = 1 << 20 }},
 	} {
 		loaded, err := ReadSnapshot(img.Bytes())
 		if err != nil {

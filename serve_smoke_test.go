@@ -256,19 +256,23 @@ func TestServeSmoke(t *testing.T) {
 
 // TestServeTermDuringPreload sends SIGTERM while a -pair is still being
 // built: the server must abort the build and leave through the drain path
-// with status 0, not die by the signal's default action.
+// with status 0, not die by the signal's default action. The pair's e1 is a
+// FIFO that the test holds open and never writes, so the build child, once
+// it has opened it, cannot finish before the signal lands, however fast the
+// machine.
 func TestServeTermDuringPreload(t *testing.T) {
 	if os.Getenv("MINOANER_SERVE_SMOKE") == "" {
 		t.Skip("set MINOANER_SERVE_SMOKE=1 (or run `make serve-smoke`) to exercise the minoanerd binary")
 	}
 	tmp := t.TempDir()
-	// Large enough that the preload takes a second or so.
-	d, err := minoaner.GenerateBenchmark(minoaner.YAGOIMDbProfile())
+	d, err := minoaner.GenerateBenchmark(minoaner.ScaleProfile(minoaner.RestaurantProfile(), 0.2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	e1Path, e2Path := filepath.Join(tmp, "e1.nt"), filepath.Join(tmp, "e2.nt")
-	writeKB(t, e1Path, d.K1)
+	if out, err := exec.Command("mkfifo", e1Path).CombinedOutput(); err != nil {
+		t.Fatalf("mkfifo: %v: %s", err, out)
+	}
 	writeKB(t, e2Path, d.K2)
 	serverBin := buildBinary(t, tmp, "minoanerd", "./cmd/minoanerd")
 
@@ -280,9 +284,25 @@ func TestServeTermDuringPreload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Process.Kill() //nolint:errcheck // last-resort cleanup
-	// The build starts before the listener; give the process time to get
-	// into it, then ask it to stop.
-	time.Sleep(200 * time.Millisecond)
+	// Opening the FIFO for writing returns once the build child has opened
+	// it for reading: the server installed its signal handler before it
+	// started the build, and the build now waits for input that never comes.
+	gate := make(chan *os.File, 1)
+	go func() {
+		if w, err := os.OpenFile(e1Path, os.O_WRONLY, 0); err == nil {
+			gate <- w
+		}
+	}()
+	select {
+	case w := <-gate:
+		defer w.Close()
+	case <-time.After(30 * time.Second):
+		// A reader of our own lets the blocked open return.
+		if r, err := os.OpenFile(e1Path, os.O_RDONLY|syscall.O_NONBLOCK, 0); err == nil {
+			defer r.Close()
+		}
+		t.Fatalf("the preload did not open e1 within 30s:\n%s", stdout.String())
+	}
 	if err := srv.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +318,7 @@ func TestServeTermDuringPreload(t *testing.T) {
 	}
 	out := stdout.String()
 	if strings.Contains(out, "pair big ready") {
-		t.Skipf("the preload finished before the signal arrived; nothing was tested:\n%s", out)
+		t.Errorf("the preload finished although its e1 was never written:\n%s", out)
 	}
 	if !strings.Contains(out, "draining") || !strings.Contains(out, "shutdown complete") {
 		t.Errorf("drain messages missing from stdout:\n%s", out)
