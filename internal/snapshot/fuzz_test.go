@@ -84,37 +84,37 @@ func fuzzSeeds(t testing.TB) map[string][]byte {
 		return out
 	}
 	return map[string][]byte{
-		"valid":                img,
-		"cut-in-table":         img[:headerSize+tableEntry+3],
-		"cut-in-sections":      img[:len(img)*2/3],
-		"cut-last-byte":        img[:len(img)-1],
-		"table-length":         flip(headerSize+16, 0x10),
-		"table-offset":         flip(headerSize+tableEntry+9, 0x01),
-		"table-id":             flip(headerSize+2*tableEntry, 0x40),
-		"flags":                flip(12, 0x07),
-		"beta1-offsets":        flip(at(secBeta1Off)+8, 0x20),
-		"adj1-last-offset":     flip(last(secAdj1Off)-8, 0x01),
-		"gamma2-offsets-fall":  flip(at(secGamma2Off)+9, 0x01),
-		"beta1-target":         flip(at(secBeta1Edges), 0x40),
-		"beta2-target-neg":     flip(at(secBeta2Edges)+3, 0x80),
-		"adj1-target":          flip(at(secAdj1Edges)+edgeSize, 0x10),
-		"adj1-weight-nan":      word(at(secAdj1Edges)+edgeWeightAt, math.Float64bits(math.NaN())),
-		"in2-entity":           flip(at(secIn2Flat), 0x20),
-		"alpha1-target":        flip(at(secAlpha1Flat), 0x08),
-		"top1-neighbor":        flip(at(secTop1Flat), 0x40),
-		"top1-offset-past-end": word(last(secTop1Off)-8, 1<<40),
-		"dict-sorted":          flip(at(dict1Base+frozenSorted), 0x80),
-		"dict-sorted-swap":     flip(at(dict1Base+frozenSorted), 0x03),
-		"uri-sorted":           flip(at(kb1Base+kbURISorted)+4, 0x10),
-		"uri-offsets":          flip(at(kb1Base+kbURIOff)+8, 0x04),
-		"token-members":        flip(at(kb2Base+kbTokens), 0x10),
-		"token-translation":    flip(at(dict2Base+frozenOff)+8, 0x04),
-		"kb-tokens":            flip(at(kb1Base+kbTokens), 0x40),
-		"kb-statement-object":  flip(at(kb2Base+kbStmtRelObj), 0x08),
-		"kb-attribute-name":    flip(at(kb1Base+kbStmtAttrName), 0x10),
-		"name-usage-carrier":   flip(at(secNamesE2), 0x10),
-		"name-block-member":    flip(at(secNameE1Flat), 0x20),
-		"meta-json":            flip(at(secMeta)+1, 0x01),
+		"valid":               img,
+		"cut-in-table":        img[:headerSize+tableEntry+3],
+		"cut-in-sections":     img[:len(img)*2/3],
+		"cut-last-byte":       img[:len(img)-1],
+		"table-length":        flip(headerSize+16, 0x10),
+		"table-offset":        flip(headerSize+tableEntry+9, 0x01),
+		"table-id":            flip(headerSize+2*tableEntry, 0x40),
+		"flags":               flip(12, 0x07),
+		"beta1-offsets":       flip(at(secBeta1Off)+8, 0x20),
+		"adj1-last-offset":    flip(last(secAdj1Off)-8, 0x01),
+		"gamma2-offsets-fall": flip(at(secGamma2Off)+9, 0x01),
+		"beta1-target":        flip(at(secBeta1Edges), 0x40),
+		"beta2-target-neg":    flip(at(secBeta2Edges)+3, 0x80),
+		"adj1-target":         flip(at(secAdj1Edges)+edgeSize, 0x10),
+		"adj1-weight-nan":     word(at(secAdj1Edges)+edgeWeightAt, math.Float64bits(math.NaN())),
+		"in2-entity":          flip(at(secIn2Flat), 0x20),
+		"alpha1-target":       flip(at(secAlpha1Flat), 0x08),
+		"top1-neighbor":       flip(at(secTop1Flat), 0x40),
+		"top1-last-offset":    word(last(secTop1Off)-8, 1<<40),
+		"dict-sorted":         flip(at(dict1Base+frozenSorted), 0x80),
+		"dict-sorted-swap":    flip(at(dict1Base+frozenSorted), 0x03),
+		"uri-sorted":          flip(at(kb1Base+kbURISorted)+4, 0x10),
+		"uri-offsets":         flip(at(kb1Base+kbURIOff)+8, 0x04),
+		"token-members":       flip(at(kb2Base+kbTokens), 0x10),
+		"token-translation":   flip(at(dict2Base+frozenOff)+8, 0x04),
+		"kb-tokens":           flip(at(kb1Base+kbTokens), 0x40),
+		"kb-statement-object": flip(at(kb2Base+kbStmtRelObj), 0x08),
+		"kb-attribute-name":   flip(at(kb1Base+kbStmtAttrName), 0x10),
+		"name-usage-carrier":  flip(at(secNamesE2), 0x10),
+		"name-block-member":   flip(at(secNameE1Flat), 0x20),
+		"meta-json":           flip(at(secMeta)+1, 0x01),
 	}
 }
 
