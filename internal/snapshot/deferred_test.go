@@ -118,6 +118,46 @@ func TestDamagedTokenMemberIsRefusedAtFirstUse(t *testing.T) {
 	}
 }
 
+// Token strings are read by the derive of a pair with two dictionaries,
+// which merges them by string, and by the token blocks, whose keys they
+// are. A damaged one is refused by both — every time — and never read as
+// an empty token or key.
+func TestDamagedDictionaryStringIsRefused(t *testing.T) {
+	ctx, cfg := context.Background(), core.Config{Workers: 1}
+	private := readDamaged(t, dict2Base+frozenOff, func(b []byte) {
+		binary.LittleEndian.PutUint64(b[8:], binary.LittleEndian.Uint64(b[16:])+1)
+	})
+	describe := core.EntityQuery{URI: "q:new", Attrs: []kb.AttributeValue{{Attribute: "note", Value: "common words"}}}
+	refusedTwice(t, "a describe query on a pair with two dictionaries", kb.ErrCorrupt, func() error {
+		_, err := core.QueryEntity(ctx, private, describe, cfg)
+		return err
+	})
+
+	// Every string of the shared dictionary of a preset, its offsets
+	// alternating between the blob's ends (the ends themselves intact).
+	img := snapshotBytes(t, buildPreset(t, "Restaurant"))
+	off := parsed(t, img).sections[dict1Base+frozenOff]
+	end := binary.LittleEndian.Uint64(off[len(off)-8:])
+	for i := 8; i+8 < len(off); i += 8 {
+		binary.LittleEndian.PutUint64(off[i:], end*uint64(i/8%2))
+	}
+	read, err := ReadSubstrate(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := read.Substrate()
+	if _, err := core.ResolveWith(ctx, shared, core.Config{Workers: 1, OmitTokenBlocks: true}); err != nil {
+		t.Fatalf("a resolve without token blocks reads no token string: %v", err)
+	}
+	refusedTwice(t, "a resolve handing the token blocks out", kb.ErrCorrupt, func() error {
+		_, err := core.ResolveWith(ctx, shared, cfg)
+		return err
+	})
+	if n := shared.TokenBlocks().Len(); n != 0 {
+		t.Fatalf("damaged token strings gave %d token blocks", n)
+	}
+}
+
 // A token index that purges other blocks than the stored build did — here,
 // a file whose meta section claims one purged block more — is refused with
 // kb.ErrCorrupt by every reader of the index, and by nothing else.
