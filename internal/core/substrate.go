@@ -442,9 +442,10 @@ func (s *Substrate) TokenIndex(ctx context.Context) (*blocking.TokenIndex, error
 	return ix, nil
 }
 
-// dictErr reports damage found in the token dictionaries of a pair: a pair
-// with two is merged by string, and block keys are read as strings, and a
-// damaged string reads as "" and fails its table's check.
+// dictErr reports the damage readers of a pair's token dictionaries have
+// found: a damaged string reads as "" and fails its table's check. The
+// derive of a pair with two dictionaries merges them by string, and the
+// token blocks' keys are strings.
 func dictErr(k1, k2 *kb.KB) error {
 	return errors.Join(k1.TokenDict().Err(), k2.TokenDict().Err())
 }
