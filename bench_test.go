@@ -176,7 +176,7 @@ func benchPipeline(b *testing.B, profile datagen.Profile, scale float64) {
 	b.ResetTimer()
 	var f1 float64
 	for i := 0; i < b.N; i++ {
-		out, err := core.Resolve(d.K1, d.K2, cfg)
+		out, err := core.ResolveContext(context.Background(), d.K1, d.K2, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -573,7 +573,7 @@ func BenchmarkAblationPurging(b *testing.B) {
 			cfg.MaxBlockFraction = purge.frac
 			var f1 float64
 			for i := 0; i < b.N; i++ {
-				out, err := core.Resolve(d.K1, d.K2, cfg)
+				out, err := core.ResolveContext(context.Background(), d.K1, d.K2, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -597,7 +597,7 @@ func BenchmarkAblationK(b *testing.B) {
 			cfg.TopK = k
 			var f1 float64
 			for i := 0; i < b.N; i++ {
-				out, err := core.Resolve(d.K1, d.K2, cfg)
+				out, err := core.ResolveContext(context.Background(), d.K1, d.K2, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -624,7 +624,7 @@ func BenchmarkAblationWorkers(b *testing.B) {
 			cfg := core.DefaultConfig()
 			cfg.Workers = w
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Resolve(d.K1, d.K2, cfg); err != nil {
+				if _, err := core.ResolveContext(context.Background(), d.K1, d.K2, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

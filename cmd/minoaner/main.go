@@ -5,17 +5,13 @@
 //
 //	minoaner -e1 kb1.nt -e2 kb2.nt [-format nt|tsv] [-gt truth.tsv]
 //	         [-k 2] [-K 15] [-N 3] [-theta 0.6] [-workers 0] [-rules]
-//	         [-timeout 30s] [-shards 0] [-stream] [-query URI] [-json]
-//	         [-save-snapshot pair.snap]
+//	         [-timeout 30s] [-query URI] [-json] [-save-snapshot pair.snap]
 //	minoaner -snapshot pair.snap [-query URI] [-json] [...]
 //
 // With -gt (a TSV of uri1<TAB>uri2 true matches) it also reports precision,
 // recall and F1. With -rules each output line is annotated with the
 // matching rule (R1–R3) that produced it. With -timeout the resolution is
-// aborted (exit status 1) once the duration elapses. With -shards P the
-// per-entity stages run over P contiguous E1 shards with bounded peak
-// memory (output is identical for every P). -stream is accepted and does
-// nothing: every load streams through the one ingester.
+// aborted (exit status 1) once the duration elapses.
 //
 // With -query URI the batch run is replaced by a single per-entity query
 // against the build-once substrate: a URI present in E1 is replayed through
@@ -59,8 +55,6 @@ func main() {
 		rules   = flag.Bool("rules", false, "annotate matches with the producing rule")
 		quiet   = flag.Bool("quiet", false, "suppress the summary on stderr")
 		timeout = flag.Duration("timeout", 0, "abort resolution after this duration (0 = no limit)")
-		shards  = flag.Int("shards", 0, "split E1 into this many shards for memory-bounded execution (0 = monolithic)")
-		_       = flag.Bool("stream", false, "no-op, kept for old command lines: every load streams")
 		query   = flag.String("query", "", "resolve one entity (an E1 URI, or a new URI with statements on stdin) instead of the batch pipeline")
 		jsonOut = flag.Bool("json", false, "with -query, emit candidates as a JSON array")
 		snapIn  = flag.String("snapshot", "", "load the substrate from this snapshot file instead of building from -e1/-e2")
@@ -81,8 +75,6 @@ func main() {
 	cfg.RelN = *relN
 	cfg.Theta = *theta
 	cfg.Workers = *workers
-	cfg.ShardCount = *shards
-	cfg.OmitTokenBlocks = true // nothing below reads the Table-2 view
 
 	ctx := context.Background()
 	if *timeout > 0 {

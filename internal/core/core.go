@@ -44,23 +44,6 @@ type Config struct {
 	MaxBlockFraction float64
 	// Workers sets the parallel engine size; 0 uses all cores.
 	Workers int
-	// ShardCount (P) splits E1 into P contiguous entity shards and runs the
-	// per-shard stages (top-neighbor extraction, E1-side γ rows, rank
-	// aggregation) one shard at a time with bounded transient memory —
-	// see ResolveSharded. 0 or 1 leaves the span size to the pipeline unless
-	// MaxShardBytes implies a larger count. Output is byte-identical for
-	// every value.
-	ShardCount int
-	// MaxShardBytes caps the estimated size of the dominant per-shard
-	// structure (the shard's γ candidate rows); when ShardCount is 0 the
-	// shard count is derived from it. 0 means no byte-based cap.
-	MaxShardBytes int64
-	// OmitTokenBlocks skips materializing the historical token-block
-	// collection in Output.TokenBlocks (nil instead). The collection exists
-	// only for Table-2 statistics — graph construction walks the columnar
-	// TokenIndex directly — so omitting it changes no match, provenance or
-	// edge count; long-lived substrates serving queries avoid pinning it.
-	OmitTokenBlocks bool
 	// Rules toggles individual matching rules and neighbor evidence; the
 	// zero value means "all rules enabled" (see normalize).
 	Rules *matching.Config
@@ -105,9 +88,6 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.NameK < 0 || c.TopK <= 0 || c.RelN < 0 {
 		return c, fmt.Errorf("core: invalid config: k=%d K=%d N=%d must be non-negative (K positive)", c.NameK, c.TopK, c.RelN)
-	}
-	if c.ShardCount < 0 || c.MaxShardBytes < 0 {
-		return c, fmt.Errorf("core: invalid config: ShardCount=%d MaxShardBytes=%d must be non-negative", c.ShardCount, c.MaxShardBytes)
 	}
 	if c.Theta <= 0 || c.Theta >= 1 {
 		return c, fmt.Errorf("core: invalid config: θ=%v must lie in (0,1)", c.Theta)
@@ -168,9 +148,9 @@ type Output struct {
 	Matches []matching.Match
 	// RemovedByR4 counts reciprocity-filtered matches.
 	RemovedByR4 int
-	// NameBlocks / TokenBlocks are the block collections after purging
-	// (Table 2 statistics are computed from them).
-	NameBlocks, TokenBlocks *blocking.Collection
+	// NameBlocks is the name block collection (with the substrate's
+	// TokenBlocks, the source of the Table 2 statistics).
+	NameBlocks *blocking.Collection
 	// PurgedBlocks is the number of token blocks removed by Block Purging;
 	// PurgeThreshold the applied per-block comparison cap (0 = none).
 	PurgedBlocks   int
@@ -192,11 +172,6 @@ func (o *Output) Pairs() []eval.Pair {
 	return out
 }
 
-// Resolve runs the full MinoanER pipeline on two clean KBs.
-func Resolve(k1, k2 *kb.KB, cfg Config) (*Output, error) {
-	return ResolveContext(context.Background(), k1, k2, cfg)
-}
-
 // ResolveContext runs the full MinoanER pipeline on two clean KBs under the
 // given context: it builds the substrate (stages 1–2) and resolves with it
 // (stages 3–4) in one composition — byte-identical to the historical
@@ -206,22 +181,17 @@ func Resolve(k1, k2 *kb.KB, cfg Config) (*Output, error) {
 // cancelled or its deadline expires — the early-termination primitive that
 // progressive/any-time ER and request timeouts in a serving deployment both
 // need.
-//
-// cfg's sharding fields (ShardCount, MaxShardBytes) only bound how much of
-// E1 the per-shard stages hold at a time — see ResolveSharded; output is
-// identical for every value.
 func ResolveContext(ctx context.Context, k1, k2 *kb.KB, cfg Config) (*Output, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}
 	eng := parallel.New(cfg.Workers)
-	p := cfg.effectiveShards(k1.Len())
-	sub, err := buildSubstrate(ctx, eng, k1, k2, cfg, p)
+	sub, err := buildSubstrate(ctx, eng, k1, k2, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return resolveWith(ctx, eng, sub, cfg, p)
+	return resolveWith(ctx, eng, sub, cfg, 1)
 }
 
 // ResolveWith runs resolution (stages 3–4) over a prebuilt substrate: it
@@ -229,12 +199,12 @@ func ResolveContext(ctx context.Context, k1, k2 *kb.KB, cfg Config) (*Output, er
 // first use, installed as-is on a substrate opened from a snapshot, and
 // shared with QueryEntity, PrewarmQueries and the snapshot writer — and
 // computes only the E1-side γ rows and the matching itself. Only the
-// matching-side parameters of cfg apply — TopK, Theta, Rules, Workers and
-// the sharding fields; the substrate's baked-in build parameters (NameK,
-// RelN, MaxBlockFraction) are used as frozen. A TopK other than the
-// substrate's builds a private graph for this call and drops it afterwards.
-// Calling BuildSubstrate then ResolveWith with one Config is byte-identical
-// to Resolve with that Config; the substrate's graph is never mutated, so
+// matching-side parameters of cfg apply — TopK, Theta, Rules and Workers;
+// the substrate's baked-in build parameters (NameK, RelN, MaxBlockFraction)
+// are used as frozen. A TopK other than the substrate's builds a private
+// graph for this call and drops it afterwards. Calling BuildSubstrate then
+// ResolveWith with one Config is byte-identical to ResolveContext with that
+// Config; the substrate's graph is never mutated, so
 // several ResolveWith calls (e.g. rule ablations over one substrate) may run
 // concurrently.
 func ResolveWith(ctx context.Context, sub *Substrate, cfg Config) (*Output, error) {
@@ -243,22 +213,30 @@ func ResolveWith(ctx context.Context, sub *Substrate, cfg Config) (*Output, erro
 		return nil, err
 	}
 	eng := parallel.New(cfg.Workers)
-	return resolveWith(ctx, eng, sub, cfg, cfg.effectiveShards(sub.k1.Len()))
+	return resolveWith(ctx, eng, sub, cfg, 1)
 }
 
 // gammaSpanRows bounds how many E1 entities' γ rows a resolution holds at a
-// time (about 4 MB at K = 15); a sharded run uses its shards when they are
-// smaller.
+// time (about 4 MB at K = 15).
 const gammaSpanRows = 1 << 14
 
-// resolveWith is the internal resolution over a normalized Config and
-// resolved shard count. Output.Timings carries the wall clock of everything
-// the output rests on: the substrate's stages, the graph's one-time
-// construction — whichever call paid for it — and this call's own γ rows
-// and matching; Total is their sum, the historical whole-pipeline meaning.
-func resolveWith(ctx context.Context, eng *parallel.Engine, sub *Substrate, cfg Config, p int) (*Output, error) {
-	// The output hands the block collections out whole, so a substrate from
-	// parts checks their members first, and its matches name entities whose
+// shardSpans partitions [0, n) into at most p contiguous ascending spans of
+// near-equal size (never empty; nil for n == 0).
+func shardSpans(n, p int) []parallel.Span {
+	return parallel.New(p).Partitions(n)
+}
+
+// resolveWith is the internal resolution over a normalized Config. It
+// builds and matches E1's γ rows in contiguous spans of at most
+// gammaSpanRows entities, and in at least minSpans of them: only tests ask
+// for more than one, to show that the output does not depend on the span
+// plan. Output.Timings carries the wall clock of everything the output
+// rests on: the substrate's stages, the graph's one-time construction —
+// whichever call paid for it — and this call's own γ rows and matching;
+// Total is their sum, the historical whole-pipeline meaning.
+func resolveWith(ctx context.Context, eng *parallel.Engine, sub *Substrate, cfg Config, minSpans int) (*Output, error) {
+	// The output hands the name blocks out whole, so a substrate from parts
+	// checks their members first, and its matches name entities whose
 	// URIs every caller prints, so it checks both URI tables too.
 	if err := errors.Join(sub.nameBlockCheck.Run(), sub.k1.CheckURIs(), sub.k2.CheckURIs()); err != nil {
 		return nil, err
@@ -270,12 +248,6 @@ func resolveWith(ctx context.Context, eng *parallel.Engine, sub *Substrate, cfg 
 		NameAttrs1:     sub.nameAttrs1,
 		NameAttrs2:     sub.nameAttrs2,
 		Timings:        sub.timings,
-	}
-	if !cfg.OmitTokenBlocks {
-		var err error
-		if out.TokenBlocks, err = sub.tokenBlocks(ctx); err != nil {
-			return nil, err
-		}
 	}
 	mc := cfg.rules()
 
@@ -291,7 +263,7 @@ func resolveWith(ctx context.Context, eng *parallel.Engine, sub *Substrate, cfg 
 	// edges of every row, built or not, so GraphEdges counts the whole graph,
 	// though its E1-side γ rows never exist at once and some are never built.
 	n1 := sub.k1.Len()
-	spans := shardSpans(n1, max(p, (n1+gammaSpanRows-1)/gammaSpanRows))
+	spans := shardSpans(n1, max(minSpans, (n1+gammaSpanRows-1)/gammaSpanRows))
 	t0 := time.Now()
 	var (
 		gammaTime   time.Duration

@@ -18,7 +18,7 @@ import (
 
 func TestResolveFigure1(t *testing.T) {
 	w, d := testkb.Figure1()
-	out, err := Resolve(w, d, DefaultConfig())
+	out, err := ResolveContext(context.Background(), w, d, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestConfigNoBlockPurgingSentinel(t *testing.T) {
 	}
 	// End to end: the sentinel must leave every block unpurged.
 	w, d := testkb.Figure1()
-	out, err := Resolve(w, d, Config{MaxBlockFraction: NoBlockPurging})
+	out, err := ResolveContext(context.Background(), w, d, Config{MaxBlockFraction: NoBlockPurging})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestConfigValidation(t *testing.T) {
 		{RelN: -3},
 	}
 	for _, c := range cases {
-		if _, err := Resolve(kb.NewBuilder("a").Build(), kb.NewBuilder("b").Build(), c); err == nil {
+		if _, err := ResolveContext(context.Background(), kb.NewBuilder("a").Build(), kb.NewBuilder("b").Build(), c); err == nil {
 			t.Errorf("config %+v should be rejected", c)
 		} else if !strings.Contains(err.Error(), "core: invalid config") {
 			t.Errorf("unexpected error text: %v", err)
@@ -110,7 +110,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestResolveEmptyKBs(t *testing.T) {
-	out, err := Resolve(kb.NewBuilder("a").Build(), kb.NewBuilder("b").Build(), DefaultConfig())
+	out, err := ResolveContext(context.Background(), kb.NewBuilder("a").Build(), kb.NewBuilder("b").Build(), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +121,12 @@ func TestResolveEmptyKBs(t *testing.T) {
 
 func TestResolveDeterministicAcrossWorkers(t *testing.T) {
 	w, d := testkb.Figure1()
-	ref, err := Resolve(w, d, Config{Workers: 1})
+	ref, err := ResolveContext(context.Background(), w, d, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 7, runtime.GOMAXPROCS(0)} {
-		got, err := Resolve(w, d, Config{Workers: workers})
+		got, err := ResolveContext(context.Background(), w, d, Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func renderMatches(out *Output) string {
 // a skew-heavy workload.
 func TestResolveDeterministicOnSkewedInput(t *testing.T) {
 	k1, k2 := skewedKBs(300)
-	ref, err := Resolve(k1, k2, Config{Workers: 1})
+	ref, err := ResolveContext(context.Background(), k1, k2, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestResolveDeterministicOnSkewedInput(t *testing.T) {
 	}
 	refBytes := renderMatches(ref)
 	for _, workers := range []int{2, 7, runtime.GOMAXPROCS(0)} {
-		got, err := Resolve(k1, k2, Config{Workers: workers})
+		got, err := ResolveContext(context.Background(), k1, k2, Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,18 +231,24 @@ func TestResolveContextDeadlinePrompt(t *testing.T) {
 	}
 }
 
+// ResolveContext is BuildSubstrate followed by ResolveWith.
 func TestResolveContextBackgroundMatchesResolve(t *testing.T) {
+	ctx := context.Background()
 	w, d := testkb.Figure1()
-	a, err := Resolve(w, d, DefaultConfig())
+	sub, err := BuildSubstrate(ctx, w, d, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ResolveContext(context.Background(), w, d, DefaultConfig())
+	a, err := ResolveWith(ctx, sub, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ResolveContext(ctx, w, d, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a.Matches, b.Matches) {
-		t.Error("Resolve and ResolveContext(Background) disagree")
+		t.Error("BuildSubstrate + ResolveWith and ResolveContext(Background) disagree")
 	}
 }
 
@@ -251,7 +257,7 @@ func TestResolveIdenticalKBs(t *testing.T) {
 	// mapping with high recall: every description is its own best match.
 	w, _ := testkb.Figure1()
 	w2 := testkb.Clone(w)
-	out, err := Resolve(w, w2, DefaultConfig())
+	out, err := ResolveContext(context.Background(), w, w2, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +274,7 @@ func TestResolveIdenticalKBs(t *testing.T) {
 func TestRuleAblationViaConfig(t *testing.T) {
 	w, d := testkb.Figure1()
 	rules := matching.Config{EnableR1: true, UseNeighbors: true}
-	out, err := Resolve(w, d, Config{Rules: &rules})
+	out, err := ResolveContext(context.Background(), w, d, Config{Rules: &rules})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +298,7 @@ func TestPurgingReportsStats(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.MaxBlockFraction = 0.05 // blocks above 30·30·0.05 = 45 comparisons purged
-	out, err := Resolve(b1.Build(), b2.Build(), cfg)
+	out, err := ResolveContext(context.Background(), b1.Build(), b2.Build(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

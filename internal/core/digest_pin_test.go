@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -16,11 +15,11 @@ import (
 // pinnedDigestsPath is the committed fixture of output digests captured
 // BEFORE the substrate refactor split Resolve into BuildSubstrate +
 // ResolveWith. The pinned-digest test replays the same matrix — the skewed
-// determinism fixture and all four Table-1 presets, workers {1, 8} ×
-// shards {1, 8} — and requires every sha256 to match, which is the
-// byte-identity proof the refactor's acceptance criteria demand: any drift
-// in matches, provenance, R4 removals, graph edge counts, purge state, name
-// attributes or block statistics changes a digest.
+// determinism fixture and all four Table-1 presets, workers {1, 8} × a
+// minimum of {1, 8} γ spans (the fixture's "shards") — and requires every
+// sha256 to match: any drift in matches, provenance, R4 removals, graph
+// edge counts, purge state, name attributes or block statistics changes a
+// digest.
 //
 // Regenerate (only when the output contract intentionally changes) with:
 //
@@ -30,7 +29,7 @@ const pinnedDigestsPath = "testdata/pinned_digests.json"
 type pinnedCase struct {
 	Dataset string `json:"dataset"` // "skewed-300" or a preset name
 	Workers int    `json:"workers"`
-	Shards  int    `json:"shards"` // 1 = monolithic Resolve
+	Shards  int    `json:"shards"` // the minimum span count of the resolution
 	SHA256  string `json:"sha256"`
 }
 
@@ -74,20 +73,8 @@ func pinnedMatrix() []pinnedCase {
 
 func runPinnedCase(t *testing.T, c pinnedCase, k1, k2 *kb.KB) [32]byte {
 	t.Helper()
-	cfg := Config{Workers: c.Workers}
-	var (
-		out *Output
-		err error
-	)
-	if c.Shards > 1 {
-		out, err = ResolveSharded(context.Background(), k1, k2, cfg, c.Shards)
-	} else {
-		out, err = Resolve(k1, k2, cfg)
-	}
-	if err != nil {
-		t.Fatalf("%s workers=%d shards=%d: %v", c.Dataset, c.Workers, c.Shards, err)
-	}
-	return digest(t, out)
+	_, sum := resolveSpans(t, k1, k2, Config{Workers: c.Workers}, c.Shards)
+	return sum
 }
 
 // TestPinnedDigests replays the captured matrix against the committed

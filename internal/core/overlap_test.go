@@ -22,7 +22,7 @@ func TestSubstrateOverlapDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := buildSubstrate(ctx, parallel.New(1), k1, k2, cfg, 1)
+	ref, err := buildSubstrate(ctx, parallel.New(1), k1, k2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestSubstrateOverlapDeterminism(t *testing.T) {
 	refTokens := ref.tokenIx.Load().Collection()
 	for _, workers := range []int{2, 3, 8} {
 		for rep := 0; rep < 3; rep++ {
-			sub, err := buildSubstrate(ctx, parallel.New(workers), k1, k2, cfg, 1)
+			sub, err := buildSubstrate(ctx, parallel.New(workers), k1, k2, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +75,7 @@ func TestSubstrateTimingsAdditive(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		sub, err := buildSubstrate(context.Background(), parallel.New(workers), k1, k2, cfg, 1)
+		sub, err := buildSubstrate(context.Background(), parallel.New(workers), k1, k2, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"minoaner/internal/blocking"
 	"minoaner/internal/datagen"
 	"minoaner/internal/graph"
 	"minoaner/internal/kb"
@@ -445,15 +446,11 @@ func TestQueryEntityNewEntity(t *testing.T) {
 }
 
 // BuildSubstrate + ResolveWith must equal Resolve byte for byte, across
-// repeated and sharded consumption of one substrate.
+// repeated consumption of one substrate and in several spans.
 func TestResolveWithMatchesResolve(t *testing.T) {
 	ctx := context.Background()
 	k1, k2 := skewedKBs(300)
-	ref, err := Resolve(k1, k2, Config{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refDigest := digest(t, ref)
+	_, refDigest := resolveSpans(t, k1, k2, Config{Workers: 4}, 1)
 	sub, err := BuildSubstrate(ctx, k1, k2, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -463,16 +460,16 @@ func TestResolveWithMatchesResolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if digest(t, out) != refDigest {
+		if digest(t, sub, out) != refDigest {
 			t.Fatalf("ResolveWith round %d differs from Resolve", round)
 		}
 	}
-	outSharded, err := ResolveWith(ctx, sub, Config{Workers: 4, ShardCount: 8})
+	outSpans, err := ResolveWithSpans(ctx, sub, Config{Workers: 4}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if digest(t, outSharded) != refDigest {
-		t.Fatal("sharded ResolveWith differs from Resolve")
+	if digest(t, sub, outSpans) != refDigest {
+		t.Fatal("ResolveWith in 8 spans differs from Resolve")
 	}
 	// Queries and batch resolution share one substrate without interference.
 	if _, err := QueryEntity(ctx, sub, QueryFromEntity(k1, 0), Config{}); err != nil {
@@ -482,46 +479,27 @@ func TestResolveWithMatchesResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if digest(t, out) != refDigest {
+	if digest(t, sub, out) != refDigest {
 		t.Fatal("ResolveWith after QueryEntity differs from Resolve")
 	}
 }
 
-// OmitTokenBlocks must change nothing but Output.TokenBlocks.
-func TestOmitTokenBlocks(t *testing.T) {
+// The substrate's token blocks — the Table-2 view no resolution reads — are
+// the purged token-block collection, materialized on first ask and cached.
+func TestSubstrateTokenBlocks(t *testing.T) {
 	k1, k2 := skewedKBs(300)
-	full, err := Resolve(k1, k2, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 4} {
-		lean, err := ResolveSharded(context.Background(), k1, k2, Config{OmitTokenBlocks: true}, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lean.TokenBlocks != nil {
-			t.Fatal("OmitTokenBlocks still materialized Output.TokenBlocks")
-		}
-		if !reflect.DeepEqual(lean.Matches, full.Matches) ||
-			lean.RemovedByR4 != full.RemovedByR4 ||
-			lean.GraphEdges != full.GraphEdges ||
-			lean.PurgedBlocks != full.PurgedBlocks ||
-			lean.PurgeThreshold != full.PurgeThreshold ||
-			!reflect.DeepEqual(lean.NameAttrs1, full.NameAttrs1) ||
-			!reflect.DeepEqual(lean.NameAttrs2, full.NameAttrs2) ||
-			lean.NameBlocks.Len() != full.NameBlocks.Len() {
-			t.Fatalf("OmitTokenBlocks changed decisions (shards=%d)", shards)
-		}
-	}
-	// The lazy accessor still materializes the identical collection on ask.
 	sub, err := BuildSubstrate(context.Background(), k1, k2, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, purged := blocking.PurgeAbove(blocking.TokenBlocks(parallel.New(0), k1, k2), sub.PurgeThreshold())
+	if purged != sub.PurgedBlocks() || purged == 0 {
+		t.Fatalf("the collection purges %d blocks, the substrate %d; want the same, and some", purged, sub.PurgedBlocks())
+	}
 	tb := sub.TokenBlocks()
-	if tb.Len() != full.TokenBlocks.Len() || tb.TotalComparisons() != full.TokenBlocks.TotalComparisons() {
-		t.Fatalf("lazy TokenBlocks = (%d blocks, %d comparisons), want (%d, %d)",
-			tb.Len(), tb.TotalComparisons(), full.TokenBlocks.Len(), full.TokenBlocks.TotalComparisons())
+	if tb.Len() != want.Len() || tb.TotalComparisons() != want.TotalComparisons() {
+		t.Fatalf("TokenBlocks = (%d blocks, %d comparisons), want (%d, %d)",
+			tb.Len(), tb.TotalComparisons(), want.Len(), want.TotalComparisons())
 	}
 	if sub.TokenBlocks() != tb {
 		t.Fatal("TokenBlocks must cache its materialization")
@@ -539,15 +517,9 @@ func TestTopKOverrideBuildsPrivateGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDefault, err := Resolve(k1, k2, Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantK2, err := Resolve(k1, k2, Config{Workers: 2, TopK: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if digest(t, wantK2) == digest(t, wantDefault) {
+	_, wantDefault := resolveSpans(t, k1, k2, Config{Workers: 2}, 1)
+	_, wantK2 := resolveSpans(t, k1, k2, Config{Workers: 2, TopK: 2}, 1)
+	if wantK2 == wantDefault {
 		t.Fatal("TopK 2 resolves like TopK 15; test is vacuous")
 	}
 	q := QueryFromEntity(k1, 12)
@@ -561,7 +533,7 @@ func TestTopKOverrideBuildsPrivateGraph(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if digest(t, out) != digest(t, wantK2) {
+		if digest(t, sub, out) != wantK2 {
 			t.Fatal("ResolveWith at TopK 2 differs from a fresh Resolve at TopK 2")
 		}
 	}
@@ -579,7 +551,7 @@ func TestTopKOverrideBuildsPrivateGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if digest(t, out) != digest(t, wantDefault) {
+	if digest(t, sub, out) != wantDefault {
 		t.Fatal("ResolveWith at the substrate's TopK differs after a TopK override")
 	}
 }
@@ -613,10 +585,7 @@ func TestCancelledGraphBuildFailsThatCallOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Resolve(k1, k2, Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, want := resolveSpans(t, k1, k2, Config{Workers: 1}, 1)
 	ctx := &flipCtx{Context: context.Background(), after: 4, done: make(chan struct{})}
 	if _, err := ResolveWith(ctx, sub, Config{Workers: 1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ResolveWith under a context cancelled mid-build = %v, want context.Canceled", err)
@@ -631,7 +600,7 @@ func TestCancelledGraphBuildFailsThatCallOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if digest(t, out) != digest(t, want) || sub.graphBuilds.Load() != 1 {
+	if digest(t, sub, out) != want || sub.graphBuilds.Load() != 1 {
 		t.Fatal("the call after a cancelled build did not build the graph and resolve as usual")
 	}
 }

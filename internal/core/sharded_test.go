@@ -16,10 +16,11 @@ import (
 )
 
 // digest serializes everything the pipeline is contracted to reproduce —
-// matches with provenance, R4 removals, graph edge count, block statistics,
-// purge state and name attributes — and hashes it, so sharded and monolithic
-// runs can be compared as a single value.
-func digest(t *testing.T, out *Output) [32]byte {
+// matches with provenance, R4 removals, graph edge count, purge state, name
+// attributes and the block statistics of the output's name blocks and of
+// the token blocks of the substrate it was resolved over — and hashes it,
+// so runs can be compared as a single value.
+func digest(t *testing.T, sub *Substrate, out *Output) [32]byte {
 	t.Helper()
 	h := sha256.New()
 	for _, m := range out.Matches {
@@ -28,38 +29,49 @@ func digest(t *testing.T, out *Output) [32]byte {
 	fmt.Fprintf(h, "r4 %d edges %d purged %d threshold %d\n",
 		out.RemovedByR4, out.GraphEdges, out.PurgedBlocks, out.PurgeThreshold)
 	fmt.Fprintf(h, "names %v %v\n", out.NameAttrs1, out.NameAttrs2)
+	tokenBlocks := sub.TokenBlocks()
 	fmt.Fprintf(h, "blocks %d %d comparisons %d %d\n",
-		out.NameBlocks.Len(), out.TokenBlocks.Len(),
-		out.NameBlocks.TotalComparisons(), out.TokenBlocks.TotalComparisons())
+		out.NameBlocks.Len(), tokenBlocks.Len(),
+		out.NameBlocks.TotalComparisons(), tokenBlocks.TotalComparisons())
 	var sum [32]byte
 	copy(sum[:], h.Sum(nil))
 	return sum
 }
 
-func shardCounts() []int {
-	return []int{1, 2, 7, runtime.GOMAXPROCS(0)}
-}
-
-// ResolveSharded must be sha256-identical to Resolve on the skewed
-// determinism fixture for every shard count.
-func TestResolveShardedIdenticalOnSkewedInput(t *testing.T) {
-	k1, k2 := skewedKBs(300)
-	ref, err := Resolve(k1, k2, Config{})
+// resolveSpans builds the substrate of (k1, k2, cfg) and resolves over it
+// with E1's γ rows in at least spans spans; spans = 1 is ResolveContext.
+// It returns the output and its digest.
+func resolveSpans(t *testing.T, k1, k2 *kb.KB, cfg Config, spans int) (*Output, [32]byte) {
+	t.Helper()
+	ctx := context.Background()
+	sub, err := BuildSubstrate(ctx, k1, k2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out, err := ResolveWithSpans(ctx, sub, cfg, spans)
+	if err != nil {
+		t.Fatalf("%d spans: %v", spans, err)
+	}
+	return out, digest(t, sub, out)
+}
+
+func spanCounts() []int {
+	return []int{1, 2, 7, runtime.GOMAXPROCS(0)}
+}
+
+// A sharded resolution builds and matches E1's γ rows in contiguous shards,
+// the spans of resolveWith; the output must be sha256-identical for every
+// shard count on the skewed determinism fixture.
+func TestResolveShardedIdenticalOnSkewedInput(t *testing.T) {
+	k1, k2 := skewedKBs(300)
+	ref, want := resolveSpans(t, k1, k2, Config{}, 1)
 	if len(ref.Matches) == 0 {
 		t.Fatal("skewed fixture produced no matches; test is vacuous")
 	}
-	want := digest(t, ref)
-	for _, p := range shardCounts() {
-		got, err := ResolveSharded(context.Background(), k1, k2, Config{}, p)
-		if err != nil {
-			t.Fatalf("P=%d: %v", p, err)
-		}
-		if digest(t, got) != want {
-			t.Fatalf("P=%d: sharded output differs from monolithic:\n--- monolithic\n%s--- sharded\n%s",
-				p, renderMatches(ref), renderMatches(got))
+	for _, p := range spanCounts() {
+		if got, sum := resolveSpans(t, k1, k2, Config{}, p); sum != want {
+			t.Fatalf("%d spans: output differs from one span:\n--- one span\n%s--- %d spans\n%s",
+				p, renderMatches(ref), p, renderMatches(got))
 		}
 	}
 }
@@ -71,27 +83,18 @@ func TestResolveShardedIdenticalOnPresets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("preset sweep is slow")
 	}
-	counts := []int{1, 2, runtime.GOMAXPROCS(0)}
 	for _, profile := range datagen.Presets() {
 		d, err := datagen.Generate(datagen.Scale(profile, 0.1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := Resolve(d.K1, d.K2, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref, want := resolveSpans(t, d.K1, d.K2, Config{}, 1)
 		if len(ref.Matches) == 0 {
 			t.Fatalf("%s: no matches; test is vacuous", profile.Name)
 		}
-		want := digest(t, ref)
-		for _, p := range counts {
-			got, err := ResolveSharded(context.Background(), d.K1, d.K2, Config{}, p)
-			if err != nil {
-				t.Fatalf("%s P=%d: %v", profile.Name, p, err)
-			}
-			if digest(t, got) != want {
-				t.Errorf("%s: sharded output differs at P=%d", profile.Name, p)
+		for _, p := range []int{2, runtime.GOMAXPROCS(0)} {
+			if _, sum := resolveSpans(t, d.K1, d.K2, Config{}, p); sum != want {
+				t.Errorf("%s: output differs at %d spans", profile.Name, p)
 			}
 		}
 	}
@@ -99,7 +102,7 @@ func TestResolveShardedIdenticalOnPresets(t *testing.T) {
 
 // Sharding composes with the rule ablations: R4 relies on shard-local γ
 // evidence, R3-off still builds γ rows for R4, and the No-Neighbors ablation
-// still counts γ edges — each must match the monolithic run exactly.
+// still counts γ edges — each must match the one-shard run exactly.
 func TestResolveShardedRuleAblations(t *testing.T) {
 	k1, k2 := skewedKBs(120)
 	cases := map[string]matching.Config{
@@ -111,83 +114,13 @@ func TestResolveShardedRuleAblations(t *testing.T) {
 		"nothingButR1": {Theta: 0.6, EnableR1: true},
 	}
 	for name, rules := range cases {
-		rules := rules
 		cfg := Config{Rules: &rules}
-		ref, err := Resolve(k1, k2, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		want := digest(t, ref)
+		_, want := resolveSpans(t, k1, k2, cfg, 1)
 		for _, p := range []int{2, 5} {
-			got, err := ResolveSharded(context.Background(), k1, k2, cfg, p)
-			if err != nil {
-				t.Fatalf("%s P=%d: %v", name, p, err)
-			}
-			if digest(t, got) != want {
-				t.Errorf("%s: sharded output differs at P=%d", name, p)
+			if _, sum := resolveSpans(t, k1, k2, cfg, p); sum != want {
+				t.Errorf("%s: output differs at %d spans", name, p)
 			}
 		}
-	}
-}
-
-// The ShardCount and MaxShardBytes knobs must route ResolveContext through
-// the sharded engine and still produce the monolithic output.
-func TestResolveContextShardRouting(t *testing.T) {
-	k1, k2 := skewedKBs(150)
-	ref, err := Resolve(k1, k2, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := digest(t, ref)
-
-	byCount, err := ResolveContext(context.Background(), k1, k2, Config{ShardCount: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if digest(t, byCount) != want {
-		t.Error("ShardCount=3 output differs from monolithic")
-	}
-
-	// A tiny byte budget forces many shards.
-	byBytes, err := ResolveContext(context.Background(), k1, k2, Config{MaxShardBytes: 4 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if digest(t, byBytes) != want {
-		t.Error("MaxShardBytes routing output differs from monolithic")
-	}
-}
-
-func TestEffectiveShards(t *testing.T) {
-	base := func(c Config) Config {
-		n, err := c.normalize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	if got := base(Config{}).effectiveShards(1000); got != 1 {
-		t.Errorf("default shards = %d, want 1", got)
-	}
-	if got := base(Config{ShardCount: 8}).effectiveShards(1000); got != 8 {
-		t.Errorf("explicit shards = %d, want 8", got)
-	}
-	if got := base(Config{ShardCount: 50}).effectiveShards(10); got != 10 {
-		t.Errorf("shards clamp to |E1| = %d, want 10", got)
-	}
-	// K=15 → 264 bytes per row; 26400 bytes per shard → 100 rows per shard.
-	if got := base(Config{MaxShardBytes: 26400}).effectiveShards(1000); got != 10 {
-		t.Errorf("budget shards = %d, want 10", got)
-	}
-	// Explicit count wins over the budget.
-	if got := base(Config{ShardCount: 2, MaxShardBytes: 1}).effectiveShards(1000); got != 2 {
-		t.Errorf("explicit-over-budget shards = %d, want 2", got)
-	}
-	if _, err := (Config{ShardCount: -1}).normalize(); err == nil {
-		t.Error("negative ShardCount must be rejected")
-	}
-	if _, err := (Config{MaxShardBytes: -1}).normalize(); err == nil {
-		t.Error("negative MaxShardBytes must be rejected")
 	}
 }
 
@@ -217,43 +150,35 @@ func TestShardSpans(t *testing.T) {
 }
 
 func TestResolveShardedEmptyKBs(t *testing.T) {
-	out, err := ResolveSharded(context.Background(),
-		kb.NewBuilder("a").Build(), kb.NewBuilder("b").Build(), Config{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, _ := resolveSpans(t, kb.NewBuilder("a").Build(), kb.NewBuilder("b").Build(), Config{}, 4)
 	if len(out.Matches) != 0 || out.GraphEdges != 0 {
-		t.Errorf("empty sharded run produced output: %+v", out)
+		t.Errorf("empty run in 4 spans produced output: %+v", out)
 	}
 }
 
 // A shard count far above |E1| degrades to one entity per shard and still
-// reproduces the monolithic output (Figure 1 fixture).
+// reproduces the one-shard output (Figure 1 fixture).
 func TestResolveShardedMoreShardsThanEntities(t *testing.T) {
 	w, d := testkb.Figure1()
-	ref, err := Resolve(w, d, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ResolveSharded(context.Background(), w, d, Config{}, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if digest(t, got) != digest(t, ref) {
-		t.Error("per-entity sharding differs from monolithic")
+	_, want := resolveSpans(t, w, d, Config{}, 1)
+	if _, sum := resolveSpans(t, w, d, Config{}, 1000); sum != want {
+		t.Error("one entity per span differs from one span")
 	}
 }
 
-// An expired deadline must abort the sharded pipeline promptly, like the
-// monolithic one.
+// An expired deadline must abort a resolution in many shards promptly, like
+// one in a single shard.
 func TestResolveShardedContextCancelled(t *testing.T) {
 	k1, k2 := skewedKBs(200)
+	sub, err := BuildSubstrate(context.Background(), k1, k2, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 	defer cancel()
 	start := time.Now()
-	_, err := ResolveSharded(ctx, k1, k2, Config{}, 4)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("sharded past deadline = %v, want context.DeadlineExceeded", err)
+	if _, err := ResolveWithSpans(ctx, sub, Config{}, 4); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("4 spans past deadline = %v, want context.DeadlineExceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("cancellation took %v, want prompt return", elapsed)

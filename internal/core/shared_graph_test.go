@@ -25,16 +25,16 @@ func TestGraphBuiltOnceAcrossConsumers(t *testing.T) {
 	ctx := context.Background()
 	k1, k2 := core.SkewedKBs(200)
 	cfg := core.Config{Workers: 2}
-	ref, err := core.Resolve(k1, k2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := core.Digest(t, ref)
 	refQuery := core.QueryFromEntity(k1, 7)
 	refSub, err := core.BuildSubstrate(ctx, k1, k2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref, err := core.ResolveWith(ctx, refSub, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.Digest(t, refSub, ref)
 	wantRows, err := core.QueryEntity(ctx, refSub, refQuery, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestGraphBuiltOnceAcrossConsumers(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		consumers = append(consumers, func() error {
 			out, err := core.ResolveWith(ctx, sub, cfg)
-			if err == nil && core.Digest(t, out) != want {
+			if err == nil && core.Digest(t, sub, out) != want {
 				err = fmt.Errorf("concurrent ResolveWith differs from Resolve")
 			}
 			return err
@@ -95,7 +95,7 @@ func TestGraphBuiltOnceAcrossConsumers(t *testing.T) {
 
 // ResolveWith must give one digest on a built substrate, on one opened from
 // its snapshot and on one read from the snapshot's bytes — the loaded ones
-// without building a graph at all — for every worker and shard count.
+// without building a graph at all — for every worker and span count.
 func TestBuiltOpenedReadDigestsAgree(t *testing.T) {
 	type fixture struct {
 		name   string
@@ -114,11 +114,15 @@ func TestBuiltOpenedReadDigestsAgree(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, f := range fixtures {
-		ref, err := core.Resolve(f.k1, f.k2, core.Config{Workers: 1})
+		refSub, err := core.BuildSubstrate(ctx, f.k1, f.k2, core.Config{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := core.Digest(t, ref)
+		ref, err := core.ResolveWith(ctx, refSub, core.Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := core.Digest(t, refSub, ref)
 		for _, workers := range []int{1, 2, 8} {
 			built, err := core.BuildSubstrate(ctx, f.k1, f.k2, core.Config{Workers: workers})
 			if err != nil {
@@ -141,13 +145,13 @@ func TestBuiltOpenedReadDigestsAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			for kind, sub := range map[string]*core.Substrate{"built": built, "opened": opened.Substrate(), "read": read.Substrate()} {
-				for _, shards := range []int{1, 8} {
-					out, err := core.ResolveWith(ctx, sub, core.Config{Workers: workers, ShardCount: shards})
+				for _, spans := range []int{1, 8} {
+					out, err := core.ResolveWithSpans(ctx, sub, core.Config{Workers: workers}, spans)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if core.Digest(t, out) != want {
-						t.Errorf("%s: %s substrate, workers=%d shards=%d: digest differs from Resolve", f.name, kind, workers, shards)
+					if core.Digest(t, sub, out) != want {
+						t.Errorf("%s: %s substrate, workers=%d spans=%d: digest differs from Resolve", f.name, kind, workers, spans)
 					}
 				}
 				if builds, loaded := sub.GraphBuilds(), kind != "built"; (loaded && builds != 0) || (!loaded && builds != 1) {

@@ -93,13 +93,13 @@ func TestStreamedResolveMatchesMaterialized(t *testing.T) {
 					if len(ref.Matches) == 0 {
 						t.Fatalf("%s %s %s: no matches; test is vacuous", profile.Name, kind, name)
 					}
-					for _, shards := range []int{0, 3} {
+					for _, spans := range []int{1, 3} {
 						for _, workers := range []int{1, 2} {
-							out, err := core.ResolveWith(ctx, sub, core.Config{TopK: k, Rules: &rules, ShardCount: shards, Workers: workers})
+							out, err := core.ResolveWithSpans(ctx, sub, core.Config{TopK: k, Rules: &rules, Workers: workers}, spans)
 							if err != nil {
 								t.Fatal(err)
 							}
-							at := fmt.Sprintf("%s %s K=%d %s shards=%d workers=%d", profile.Name, kind, k, name, shards, workers)
+							at := fmt.Sprintf("%s %s K=%d %s spans=%d workers=%d", profile.Name, kind, k, name, spans, workers)
 							if !reflect.DeepEqual(out.Matches, ref.Matches) {
 								t.Errorf("%s: %d streamed matches differ from the %d materialized ones", at, len(out.Matches), len(ref.Matches))
 							}

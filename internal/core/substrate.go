@@ -32,8 +32,8 @@ import (
 // token-block collection, the pair's disjunctive blocking graph and the
 // per-entity query state).
 //
-// Build-time parameters (NameK, RelN, MaxBlockFraction, sharding) are baked
-// in: ResolveWith and QueryEntity consume the substrate as-is and only
+// Build-time parameters (NameK, RelN, MaxBlockFraction) are baked in:
+// ResolveWith and QueryEntity consume the substrate as-is and only
 // matching-side parameters (TopK, Theta, Rules) of their own Config apply.
 type Substrate struct {
 	k1, k2 *kb.KB
@@ -187,13 +187,10 @@ func BuildSubstrate(ctx context.Context, k1, k2 *kb.KB, cfg Config) (*Substrate,
 		return nil, err
 	}
 	eng := parallel.New(cfg.Workers)
-	return buildSubstrate(ctx, eng, k1, k2, cfg, cfg.effectiveShards(k1.Len()))
+	return buildSubstrate(ctx, eng, k1, k2, cfg)
 }
 
-// buildSubstrate is the internal form over a normalized Config and resolved
-// shard count. With p > 1 the E1 top-neighbor rows are extracted one
-// contiguous shard at a time (bounded transient memory, exactly as the
-// sharded pipeline always did); the rows are byte-identical either way.
+// buildSubstrate is the internal form over a normalized Config.
 //
 // The build is a dependency DAG, not a sequence of barriers: token indexing
 // depends on nothing from statistics, so it overlaps all of stage 1; name
@@ -206,7 +203,7 @@ func BuildSubstrate(ctx context.Context, k1, k2 *kb.KB, cfg Config) (*Substrate,
 // elapsed time. At Workers() == 1 the same sub-stages run in topological
 // order instead: overlap cannot help one worker, and sequential clocks keep
 // the 1-core stage clocks free of goroutine-interleaving noise.
-func buildSubstrate(ctx context.Context, eng *parallel.Engine, k1, k2 *kb.KB, cfg Config, p int) (*Substrate, error) {
+func buildSubstrate(ctx context.Context, eng *parallel.Engine, k1, k2 *kb.KB, cfg Config) (*Substrate, error) {
 	// The build reads both KBs whole; KBs from a file are checked first.
 	if err := errors.Join(k1.Verify(), k2.Verify()); err != nil {
 		return nil, err
@@ -215,9 +212,9 @@ func buildSubstrate(ctx context.Context, eng *parallel.Engine, k1, k2 *kb.KB, cf
 	start := time.Now()
 	var err error
 	if eng.Workers() > 1 {
-		err = sub.buildOverlapped(ctx, eng, p)
+		err = sub.buildOverlapped(ctx, eng)
 	} else {
-		err = sub.buildSequential(ctx, eng, p)
+		err = sub.buildSequential(ctx, eng)
 	}
 	if err != nil {
 		return nil, err
@@ -230,14 +227,14 @@ func buildSubstrate(ctx context.Context, eng *parallel.Engine, k1, k2 *kb.KB, cf
 
 // buildSequential runs the substrate DAG in topological order, one sub-stage
 // at a time, each under its own clock.
-func (sub *Substrate) buildSequential(ctx context.Context, eng *parallel.Engine, p int) error {
+func (sub *Substrate) buildSequential(ctx context.Context, eng *parallel.Engine) error {
 	if err := sub.statsAttributes(ctx, eng); err != nil {
 		return err
 	}
 	if err := sub.statsRelations(ctx, eng); err != nil {
 		return err
 	}
-	if err := sub.statsTopNeighbors(ctx, eng, p); err != nil {
+	if err := sub.statsTopNeighbors(ctx, eng); err != nil {
 		return err
 	}
 	if err := sub.blockNames(ctx, eng); err != nil {
@@ -254,7 +251,7 @@ func (sub *Substrate) buildSequential(ctx context.Context, eng *parallel.Engine,
 // chain reads them under a happens-before edge. If the statistics chain
 // fails first, attrsReady never closes, but ConcurrentCtx cancels the
 // sibling contexts and the name chain unblocks on sc.Done().
-func (sub *Substrate) buildOverlapped(ctx context.Context, eng *parallel.Engine, p int) error {
+func (sub *Substrate) buildOverlapped(ctx context.Context, eng *parallel.Engine) error {
 	attrsReady := make(chan struct{})
 	return eng.ConcurrentCtx(ctx,
 		func(sc context.Context) error {
@@ -268,7 +265,7 @@ func (sub *Substrate) buildOverlapped(ctx context.Context, eng *parallel.Engine,
 			if err := sub.statsRelations(sc, eng); err != nil {
 				return err
 			}
-			return sub.statsTopNeighbors(sc, eng, p)
+			return sub.statsTopNeighbors(sc, eng)
 		},
 		func(sc context.Context) error {
 			select {
@@ -329,23 +326,11 @@ func (sub *Substrate) statsRelations(ctx context.Context, eng *parallel.Engine) 
 }
 
 // statsTopNeighbors extracts the per-entity top-neighbor rows of both KBs
-// concurrently; with p > 1 the E1 side goes shard by shard.
-func (sub *Substrate) statsTopNeighbors(ctx context.Context, eng *parallel.Engine, p int) error {
+// concurrently.
+func (sub *Substrate) statsTopNeighbors(ctx context.Context, eng *parallel.Engine) error {
 	t0 := time.Now()
 	err := eng.ConcurrentCtx(ctx,
 		func(sc context.Context) error {
-			if p > 1 {
-				top1 := make([][]kb.EntityID, sub.k1.Len())
-				for _, s := range shardSpans(sub.k1.Len(), p) {
-					rows, err := stats.TopNeighborsRanksSpanCtx(sc, eng, sub.k1, sub.ranks1, sub.cfg.RelN, s)
-					if err != nil {
-						return err
-					}
-					copy(top1[s.Lo:s.Hi], rows)
-				}
-				sub.top1 = graph.RowsOf(top1)
-				return nil
-			}
 			top1, err := stats.TopNeighborsRanksCtx(sc, eng, sub.k1, sub.ranks1, sub.cfg.RelN)
 			sub.top1 = graph.RowsOf(top1)
 			return err
@@ -527,31 +512,21 @@ func (s *Substrate) BuildDuration() time.Duration { return s.buildWall }
 // the real, possibly overlapped, elapsed wall time.
 func (s *Substrate) Timings() Timings { return s.timings }
 
-// TokenBlocks materializes the historical token-block collection (the
-// Table-2 statistics view of the purged index) on first call and caches it.
-// Batch ResolveWith calls it unless Config.OmitTokenBlocks is set; a
-// substrate that only serves queries never materializes it.
+// TokenBlocks materializes the token-block collection (the Table-2
+// statistics view of the purged index) on first call and caches it. No
+// resolution or query reads it: graph construction walks the TokenIndex.
 //
 // It has no error result: on a substrate from parts whose token index
 // cannot be derived (TokenIndex), or whose block keys are damaged, it
-// returns an empty collection. ResolveWith reports the error.
+// returns an empty collection. TokenIndex reports the first of these.
 func (s *Substrate) TokenBlocks() *blocking.Collection {
-	blocks, err := s.tokenBlocks(context.TODO())
+	ix, err := s.TokenIndex(context.TODO())
 	if err != nil {
 		return &blocking.Collection{}
 	}
-	return blocks
-}
-
-// tokenBlocks is TokenBlocks with its error.
-func (s *Substrate) tokenBlocks(ctx context.Context) (*blocking.Collection, error) {
-	ix, err := s.TokenIndex(ctx)
-	if err != nil {
-		return nil, err
-	}
 	s.blocksOnce.Do(func() { s.blocks = ix.Collection() })
-	if err := dictErr(s.k1, s.k2); err != nil {
-		return nil, err
+	if dictErr(s.k1, s.k2) != nil {
+		return &blocking.Collection{}
 	}
-	return s.blocks, nil
+	return s.blocks
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -201,7 +202,7 @@ func TestPresetAccuracy(t *testing.T) {
 		for _, workers := range []int{1, 0} {
 			cfg := core.DefaultConfig()
 			cfg.Workers = workers
-			out, err := core.Resolve(d.K1, d.K2, cfg)
+			out, err := core.ResolveContext(context.Background(), d.K1, d.K2, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -206,7 +207,7 @@ func (s *Suite) Figure5() ([]Figure5Point, error) {
 				case "theta":
 					cfg.Theta = v
 				}
-				out, err := core.Resolve(d.K1, d.K2, cfg)
+				out, err := core.ResolveContext(context.Background(), d.K1, d.K2, cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -280,7 +281,7 @@ func (s *Suite) Figure6() ([]Figure6Point, error) {
 			cfg := core.DefaultConfig()
 			cfg.Workers = w
 			start := time.Now()
-			out, err := core.Resolve(d.K1, d.K2, cfg)
+			out, err := core.ResolveContext(context.Background(), d.K1, d.K2, cfg)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -134,7 +135,7 @@ func (s *Suite) Table3() ([]Table3Row, error) {
 
 		cfg := core.DefaultConfig()
 		cfg.Workers = s.opts.Workers
-		out, err := core.Resolve(d.K1, d.K2, cfg)
+		out, err := core.ResolveContext(context.Background(), d.K1, d.K2, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +194,7 @@ func (s *Suite) Table4() ([]Table4Row, error) {
 			cfg := core.DefaultConfig()
 			cfg.Workers = s.opts.Workers
 			cfg.Rules = &mc
-			out, err := core.Resolve(d.K1, d.K2, cfg)
+			out, err := core.ResolveContext(context.Background(), d.K1, d.K2, cfg)
 			if err != nil {
 				return nil, err
 			}

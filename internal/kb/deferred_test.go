@@ -66,7 +66,7 @@ func TestFirstAnswerRunsNoDeferredCheck(t *testing.T) {
 			t.Errorf("the first answer ran the deferred check of %s", c.Name())
 		}
 	}
-	if _, err := core.ResolveWith(ctx, sub, core.Config{Workers: 1, OmitTokenBlocks: true}); err != nil {
+	if _, err := core.ResolveWith(ctx, sub, core.Config{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	want := map[*kb.Deferred]bool{

@@ -13,6 +13,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"log/slog"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -111,6 +112,11 @@ func NewRegistry() *Registry {
 // first-loads are serialized behind the one build goroutine, whose
 // completion every caller can await via Pair.Done.
 func (r *Registry) Load(spec LoadPairRequest) (*Pair, bool, error) {
+	// The build and every resolution of the pair size per-worker state by
+	// the worker count, so it is bounded by the processors of this process.
+	if c := spec.Config; c != nil && (c.Workers < 0 || c.Workers > runtime.GOMAXPROCS(0)) {
+		return nil, false, fmt.Errorf("config.workers %d is outside [0, %d], the processors of this server", c.Workers, runtime.GOMAXPROCS(0))
+	}
 	if spec.Snapshot != "" {
 		if spec.E1 != "" || spec.E2 != "" {
 			return nil, false, fmt.Errorf("pair spec mixes a snapshot with e1/e2 paths")
@@ -350,14 +356,14 @@ func (r *Registry) Close() {
 }
 
 // deriveID hashes the load spec into a deterministic pair ID, so identical
-// concurrent loads without an explicit ID coalesce onto one entry. Stream
-// and Prewarm no longer select anything; they stay in the hash so that the
-// IDs clients already hold do not change.
+// concurrent loads without an explicit ID coalesce onto one entry. The
+// hash keeps the values "false|true" of two request fields since removed,
+// "stream" and "prewarm", so that the IDs clients already hold do not
+// change.
 func deriveID(spec LoadPairRequest) string {
 	h := sha256.New()
-	prewarm := spec.Prewarm == nil || *spec.Prewarm
-	fmt.Fprintf(h, "%s|%s|%s|%t|%t|%s|%s",
-		spec.E1, spec.E2, spec.Format, spec.Stream, prewarm, spec.Snapshot, spec.SaveSnapshot)
+	fmt.Fprintf(h, "%s|%s|%s|false|true|%s|%s",
+		spec.E1, spec.E2, spec.Format, spec.Snapshot, spec.SaveSnapshot)
 	if c := spec.Config; c != nil {
 		fmt.Fprintf(h, "|%d|%d|%d|%g|%g|%d", c.NameK, c.TopK, c.RelN, c.Theta, c.MaxBlockFraction, c.Workers)
 	}

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -221,6 +222,47 @@ func TestMalformedAndOversizedBodies(t *testing.T) {
 	}
 	if status, code := errCode(t, http.MethodPost, ts.URL+"/v1/pairs", `{"id":"x","e1":"a.nt","e2":"b.nt"}garbage`); status != 400 || code != CodeInvalidRequest {
 		t.Errorf("load with trailing data = %d %q, want 400 %q", status, code, CodeInvalidRequest)
+	}
+	// Fields the wire no longer has are unknown fields like any other.
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/pairs", `{"e1":"a.nt","e2":"b.nt","stream":true}`},
+		{"/v1/pairs", `{"e1":"a.nt","e2":"b.nt","prewarm":true}`},
+		{"/v1/pairs/fig1/resolve", `{"shards":8}`},
+	} {
+		if status, code := errCode(t, http.MethodPost, ts.URL+tc.path, tc.body); status != 400 || code != CodeInvalidRequest {
+			t.Errorf("POST %s %s = %d %q, want 400 %q", tc.path, tc.body, status, code, CodeInvalidRequest)
+		}
+	}
+}
+
+// A load whose config asks for more workers than the server has processors,
+// or for fewer than none, is refused with a 400 that names the field, and
+// no build starts: the build sizes per-worker state by the count.
+func TestLoadRefusesWorkersBeyondProcessors(t *testing.T) {
+	s := New(quietOptions())
+	s.reg.buildPair = func(context.Context, LoadPairRequest) (*core.Substrate, buildReport, error) {
+		return nil, buildReport{}, errors.New("no build may start")
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, workers := range []int{runtime.GOMAXPROCS(0) + 1, -1} {
+		var env ErrorEnvelope
+		body := fmt.Sprintf(`{"e1":"a.nt","e2":"b.nt","config":{"workers":%d}}`, workers)
+		if status := doJSON(t, http.MethodPost, ts.URL+"/v1/pairs", body, &env); status != 400 ||
+			env.Error.Code != CodeInvalidRequest || !strings.Contains(env.Error.Message, "config.workers") {
+			t.Errorf("workers %d = %d %+v, want 400 %q naming config.workers", workers, status, env.Error, CodeInvalidRequest)
+		}
+	}
+	if n := s.reg.Builds(); n != 0 {
+		t.Fatalf("%d builds started", n)
+	}
+	if pairs := s.reg.List(); len(pairs) != 0 {
+		t.Fatalf("refused loads registered %d pairs", len(pairs))
+	}
+	// The server's own processor count is accepted.
+	body := fmt.Sprintf(`{"e1":"a.nt","e2":"b.nt","config":{"workers":%d}}`, runtime.GOMAXPROCS(0))
+	if status := doJSON(t, http.MethodPost, ts.URL+"/v1/pairs", body, nil); status != http.StatusAccepted {
+		t.Fatalf("workers = GOMAXPROCS: status %d, want 202", status)
 	}
 }
 

@@ -161,10 +161,6 @@ func (s *Server) resolve(ctx context.Context, p *Pair, req *ResolveRequest) (*Re
 	if req.TopK != 0 {
 		cfg.TopK = req.TopK
 	}
-	if req.Shards != 0 {
-		cfg.ShardCount = req.Shards
-	}
-	cfg.OmitTokenBlocks = true // a serving process never needs the Table-2 view
 	rctx, cancel := s.requestCtx(ctx, req.TimeoutMS)
 	defer cancel()
 	t0 := time.Now()

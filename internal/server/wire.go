@@ -44,7 +44,8 @@ type PairConfig struct {
 	RelN             int     `json:"rel_n,omitempty"`
 	Theta            float64 `json:"theta,omitempty"`
 	MaxBlockFraction float64 `json:"max_block_fraction,omitempty"`
-	Workers          int     `json:"workers,omitempty"`
+	// Workers may not exceed the server's GOMAXPROCS; 0 uses all of them.
+	Workers int `json:"workers,omitempty"`
 }
 
 // coreConfig lowers the wire config onto core.Config. Validation happens in
@@ -88,13 +89,6 @@ type LoadPairRequest struct {
 	E2 string `json:"e2"`
 	// Format is "nt" (default) or "tsv".
 	Format string `json:"format,omitempty"`
-	// Stream is accepted and ignored: every load streams through the one
-	// ingester (it used to select a second construction path).
-	Stream bool `json:"stream,omitempty"`
-	// Prewarm is accepted and ignored, like Stream: every pair is served from
-	// a snapshot or built the way one is, and a snapshot always carries the
-	// query state, so the first query never pays for it.
-	Prewarm *bool `json:"prewarm,omitempty"`
 	// Config carries the build parameters (defaults: the paper's). Ignored
 	// when Snapshot is set — a snapshot carries its build configuration.
 	Config *PairConfig `json:"config,omitempty"`
@@ -234,7 +228,6 @@ type QueryResponse struct {
 type ResolveRequest struct {
 	Theta     float64 `json:"theta,omitempty"`
 	TopK      int     `json:"top_k,omitempty"`
-	Shards    int     `json:"shards,omitempty"`
 	TimeoutMS int     `json:"timeout_ms,omitempty"`
 }
 

@@ -129,4 +129,15 @@ func TestDeriveIDDeterminism(t *testing.T) {
 	if deriveID(a) == deriveID(c) {
 		t.Error("different configs derived the same ID")
 	}
+	// IDs derived before the load request lost its "stream" and "prewarm"
+	// fields, which clients may still hold.
+	for want, spec := range map[string]LoadPairRequest{
+		"p-4d667363937d": {E1: "e1.nt", E2: "e2.nt", Format: "nt"},
+		"p-185003f4f06c": {E1: "e1.nt", E2: "e2.nt", Format: "nt", Config: &PairConfig{TopK: 5, Theta: 0.5, Workers: 2}},
+		"p-d06bebfa90ba": {Snapshot: "pair.snap"},
+	} {
+		if got := deriveID(spec); got != want {
+			t.Errorf("deriveID(%+v) = %s, want %s as before", spec, got, want)
+		}
+	}
 }

@@ -89,17 +89,17 @@ func TestDamagedPermutationIsRefusedAtFirstUse(t *testing.T) {
 	}
 }
 
-// The token blocks are derived from the KB token columns, so a token ID
+// The token index is derived from the KB token columns, so a token ID
 // there that names no token of the dictionary is refused with the KB's
-// verdict by whatever derives them — a query describing a new entity, a
-// resolution that hands the token blocks out — every time, and by nothing
-// that does not: a resolution without token blocks, a replay of stored
-// rows. No reader answers as if the damaged entity had no tokens.
+// verdict by whatever derives it — a query describing a new entity, the
+// token index itself — every time, and by nothing that does not: a warm
+// batch resolution, a replay of stored rows. No reader answers as if the
+// damaged entity had no tokens, and the token blocks are empty.
 func TestDamagedTokenMemberIsRefusedAtFirstUse(t *testing.T) {
 	sub := readDamaged(t, kb2Base+kbTokens, func(b []byte) { binary.LittleEndian.PutUint32(b, 1<<20) })
 	ctx, cfg := context.Background(), core.Config{Workers: 1}
-	if _, err := core.ResolveWith(ctx, sub, core.Config{Workers: 1, OmitTokenBlocks: true}); err != nil {
-		t.Fatalf("a resolve without token blocks reads no token column: %v", err)
+	if _, err := core.ResolveWith(ctx, sub, cfg); err != nil {
+		t.Fatalf("a warm resolve reads no token column: %v", err)
 	}
 	if _, err := core.ReplayEntity(ctx, sub, 0, cfg); err != nil {
 		t.Fatalf("a replay reads no token column: %v", err)
@@ -109,8 +109,8 @@ func TestDamagedTokenMemberIsRefusedAtFirstUse(t *testing.T) {
 		_, err := core.QueryEntity(ctx, sub, describe, cfg)
 		return err
 	})
-	refusedTwice(t, "a resolve handing the token blocks out", kb.ErrCorrupt, func() error {
-		_, err := core.ResolveWith(ctx, sub, cfg)
+	refusedTwice(t, "the token index", kb.ErrCorrupt, func() error {
+		_, err := sub.TokenIndex(ctx)
 		return err
 	})
 	if n := sub.TokenBlocks().Len(); n != 0 {
@@ -146,15 +146,16 @@ func TestDamagedDictionaryStringIsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	shared := read.Substrate()
-	if _, err := core.ResolveWith(ctx, shared, core.Config{Workers: 1, OmitTokenBlocks: true}); err != nil {
-		t.Fatalf("a resolve without token blocks reads no token string: %v", err)
+	if _, err := core.ResolveWith(ctx, shared, cfg); err != nil {
+		t.Fatalf("a warm resolve reads no token string: %v", err)
 	}
-	refusedTwice(t, "a resolve handing the token blocks out", kb.ErrCorrupt, func() error {
-		_, err := core.ResolveWith(ctx, shared, cfg)
-		return err
-	})
-	if n := shared.TokenBlocks().Len(); n != 0 {
-		t.Fatalf("damaged token strings gave %d token blocks", n)
+	for round := 0; round < 2; round++ {
+		if n := shared.TokenBlocks().Len(); n != 0 {
+			t.Fatalf("call %d: damaged token strings gave %d token blocks", round, n)
+		}
+	}
+	if err := shared.K1().TokenDict().Err(); !errors.Is(err, kb.ErrCorrupt) {
+		t.Fatalf("the dictionary after its keys were read: %v, want kb.ErrCorrupt", err)
 	}
 }
 
@@ -176,15 +177,15 @@ func TestPurgeMismatchIsRefusedAtFirstUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	sub, ctx, cfg := read.Substrate(), context.Background(), core.Config{Workers: 1}
-	if _, err := core.ResolveWith(ctx, sub, core.Config{Workers: 1, OmitTokenBlocks: true}); err != nil {
-		t.Fatalf("a resolve without token blocks derives no index: %v", err)
+	if _, err := core.ResolveWith(ctx, sub, cfg); err != nil {
+		t.Fatalf("a warm resolve derives no index: %v", err)
 	}
 	refusedTwice(t, "a query through an entity's statements", kb.ErrCorrupt, func() error {
 		_, err := core.QueryEntity(ctx, sub, core.QueryFromEntity(sub.K1(), 0), cfg)
 		return err
 	})
-	refusedTwice(t, "a resolve handing the token blocks out", kb.ErrCorrupt, func() error {
-		_, err := core.ResolveWith(ctx, sub, cfg)
+	refusedTwice(t, "the token index", kb.ErrCorrupt, func() error {
+		_, err := sub.TokenIndex(ctx)
 		return err
 	})
 }
@@ -305,7 +306,7 @@ func TestDamagedURIOffsetsAreRefusedAtFirstUse(t *testing.T) {
 	sub := readDamaged(t, kb1Base+kbURIOff, func(b []byte) {
 		binary.LittleEndian.PutUint64(b[8:], binary.LittleEndian.Uint64(b[16:])+1)
 	})
-	ctx, cfg := context.Background(), core.Config{Workers: 1, OmitTokenBlocks: true}
+	ctx, cfg := context.Background(), core.Config{Workers: 1}
 	refusedTwice(t, "a batch resolve", kb.ErrCorrupt, func() error {
 		_, err := core.ResolveWith(ctx, sub, cfg)
 		return err

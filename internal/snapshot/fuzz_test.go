@@ -280,7 +280,6 @@ func exercise(sub *core.Substrate) {
 	}
 	if out, err := core.ResolveWith(ctx, sub, cfg); err == nil {
 		members(out.NameBlocks)
-		members(out.TokenBlocks)
 	}
 	_, _ = core.ResolveWith(ctx, sub, core.Config{Workers: 1, TopK: 3}) // a private graph, built from every input
 	members(sub.NameBlocks())

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -11,18 +12,21 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"minoaner/internal/core"
 	"minoaner/internal/datagen"
 	"minoaner/internal/kb"
+	"minoaner/internal/parallel"
 )
 
 // pinnedDigest replicates the digest of internal/core's pinned-digest test
-// over an Output, so snapshot-loaded substrates can be checked against the
-// committed byte-identity fixtures without an import cycle.
-func pinnedDigest(out *core.Output) string {
+// over an Output and the substrate it was resolved over, so snapshot-loaded
+// substrates can be checked against the committed byte-identity fixtures
+// without an import cycle.
+func pinnedDigest(sub *core.Substrate, out *core.Output) string {
 	h := sha256.New()
 	for _, m := range out.Matches {
 		fmt.Fprintf(h, "m %d %d %s\n", m.Pair.E1, m.Pair.E2, m.Rule)
@@ -30,9 +34,10 @@ func pinnedDigest(out *core.Output) string {
 	fmt.Fprintf(h, "r4 %d edges %d purged %d threshold %d\n",
 		out.RemovedByR4, out.GraphEdges, out.PurgedBlocks, out.PurgeThreshold)
 	fmt.Fprintf(h, "names %v %v\n", out.NameAttrs1, out.NameAttrs2)
+	tokenBlocks := sub.TokenBlocks()
 	fmt.Fprintf(h, "blocks %d %d comparisons %d %d\n",
-		out.NameBlocks.Len(), out.TokenBlocks.Len(),
-		out.NameBlocks.TotalComparisons(), out.TokenBlocks.TotalComparisons())
+		out.NameBlocks.Len(), tokenBlocks.Len(),
+		out.NameBlocks.TotalComparisons(), tokenBlocks.TotalComparisons())
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -100,7 +105,7 @@ func resolveDigest(t *testing.T, sub *core.Substrate) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pinnedDigest(out)
+	return pinnedDigest(sub, out)
 }
 
 func snapshotBytes(t testing.TB, sub *core.Substrate) []byte {
@@ -318,5 +323,72 @@ func TestWriteDeterministic(t *testing.T) {
 	b := snapshotBytes(t, sub)
 	if !bytes.Equal(a, b) {
 		t.Fatal("two writes of the same substrate differ")
+	}
+}
+
+// A version 3 file written before Config lost its three result-neutral
+// options still opens. Its meta section stored the config with three keys
+// Config no longer has, and JSON decoding ignores them. The fixture is the
+// tiny pair's meta section as that writer wrote it for a run in 8 shards
+// without token blocks.
+func TestMetaWithRemovedConfigKeysOpens(t *testing.T) {
+	legacy, err := os.ReadFile(filepath.Join("testdata", "meta-with-removed-config-keys.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored struct {
+		Config map[string]json.RawMessage `json:"config"`
+	}
+	var current map[string]json.RawMessage
+	now, err := json.Marshal(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(json.Unmarshal(legacy, &stored), json.Unmarshal(now, &current)); err != nil {
+		t.Fatal(err)
+	}
+	if len(stored.Config) != len(current)+3 {
+		t.Fatalf("the fixture's config has %d keys, Config %d: want three more", len(stored.Config), len(current))
+	}
+
+	tiny := tinySubstrate(t)
+	h := parsed(t, snapshotBytes(t, tiny))
+	secs := make([]section, 0, len(h.sections))
+	for id, data := range h.sections {
+		if id == secMeta {
+			data = legacy
+		}
+		secs = append(secs, section{id, data})
+	}
+	slices.SortFunc(secs, func(a, b section) int { return cmp.Compare(a.id, b.id) })
+	var img bytes.Buffer
+	ctx := context.Background()
+	if err := writeGroups(ctx, &img, h.flags, []group{ready(secs)}, parallel.New(1)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "pair.snap")
+	if err := os.WriteFile(path, img.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := OpenSubstrate(path)
+	if err != nil {
+		t.Fatalf("a meta section with removed config keys: %v", err)
+	}
+	defer opened.Close()
+	sub := opened.Substrate()
+	if got, want := sub.Config(), tiny.Config(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("opened config %+v, built %+v", got, want)
+	}
+	cfg := core.Config{Workers: 1}
+	want, err := core.ResolveWith(ctx, tiny, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := core.ResolveWith(ctx, sub, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Matches) == 0 || !reflect.DeepEqual(got.Matches, want.Matches) {
+		t.Fatalf("the opened pair resolves to %d matches, the built one to %d", len(got.Matches), len(want.Matches))
 	}
 }

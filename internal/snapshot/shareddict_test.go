@@ -50,21 +50,6 @@ func TestSharedVersusPrivateDictionaries(t *testing.T) {
 				t.Fatal("separately loaded KBs share a dictionary")
 			}
 
-			shared, err := core.ResolveContext(ctx, s1, s2, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			separate, err := core.ResolveContext(ctx, p1, p2, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(shared.Matches) == 0 || !reflect.DeepEqual(shared.Matches, separate.Matches) {
-				t.Fatalf("matches differ: %d shared, %d separate", len(shared.Matches), len(separate.Matches))
-			}
-			if got, want := pinnedDigest(shared), pinnedDigest(separate); got != want {
-				t.Errorf("output digest %s shared, %s separate", got, want)
-			}
-
 			subShared, err := core.BuildSubstrate(ctx, s1, s2, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -72,6 +57,20 @@ func TestSharedVersusPrivateDictionaries(t *testing.T) {
 			subSeparate, err := core.BuildSubstrate(ctx, p1, p2, cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			shared, err := core.ResolveWith(ctx, subShared, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			separate, err := core.ResolveWith(ctx, subSeparate, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(shared.Matches) == 0 || !reflect.DeepEqual(shared.Matches, separate.Matches) {
+				t.Fatalf("matches differ: %d shared, %d separate", len(shared.Matches), len(separate.Matches))
+			}
+			if got, want := pinnedDigest(subShared, shared), pinnedDigest(subSeparate, separate); got != want {
+				t.Errorf("output digest %s shared, %s separate", got, want)
 			}
 			if err := subShared.PrewarmQueries(ctx); err != nil {
 				t.Fatal(err)
@@ -113,7 +112,7 @@ func TestSharedVersusPrivateDictionaries(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer opened.Close()
-			if got, want := resolveDigest(t, opened.Substrate()), pinnedDigest(shared); got != want {
+			if got, want := resolveDigest(t, opened.Substrate()), pinnedDigest(subShared, shared); got != want {
 				t.Errorf("reopened snapshot resolves to digest %s, the built pair to %s", got, want)
 			}
 		})

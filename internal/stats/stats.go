@@ -359,29 +359,14 @@ func TopNeighborsCtx(ctx context.Context, e *parallel.Engine, k *kb.KB, order ma
 // TopNeighborsRanksCtx is TopNeighborsCtx over the dense RelationRanks
 // array — the pipeline's path.
 func TopNeighborsRanksCtx(ctx context.Context, e *parallel.Engine, k *kb.KB, ranks []int32, n int) ([][]kb.EntityID, error) {
-	return TopNeighborsRanksSpanCtx(ctx, e, k, ranks, n, parallel.Span{Lo: 0, Hi: k.Len()})
-}
-
-// TopNeighborsSpanCtx computes the top-neighbor rows for one contiguous
-// entity span only, returning s.Len() rows (row i describes entity s.Lo+i).
-// Rows are computed independently per entity, so concatenating the rows of a
-// partition of [0, |E|) in span order reproduces TopNeighborsCtx exactly —
-// the property the sharded pipeline relies on to bound the transient state
-// of statistics extraction per shard.
-func TopNeighborsSpanCtx(ctx context.Context, e *parallel.Engine, k *kb.KB, order map[string]int, n int, s parallel.Span) ([][]kb.EntityID, error) {
-	return TopNeighborsRanksSpanCtx(ctx, e, k, ranksFromOrder(k, order), n, s)
-}
-
-// TopNeighborsRanksSpanCtx is TopNeighborsSpanCtx over the dense rank array.
-func TopNeighborsRanksSpanCtx(ctx context.Context, e *parallel.Engine, k *kb.KB, ranks []int32, n int, s parallel.Span) ([][]kb.EntityID, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if n <= 0 {
-		return make([][]kb.EntityID, s.Len()), nil
+		return make([][]kb.EntityID, k.Len()), nil
 	}
-	return parallel.MapCtx(ctx, e, s.Len(), func(i int) ([]kb.EntityID, error) {
-		return topNeighborRow(k, ranks, n, s.Lo+i), nil
+	return parallel.MapCtx(ctx, e, k.Len(), func(i int) ([]kb.EntityID, error) {
+		return topNeighborRow(k, ranks, n, i), nil
 	})
 }
 

@@ -136,20 +136,6 @@ func LoadPair(ctx context.Context, path1, path2, format string, lenient bool) (k
 	return kb.LoadPair(ctx, path1, path2, format, lenient)
 }
 
-// StreamNTriples is LoadNTriples.
-//
-// Deprecated: every load streams through the one ingester; call LoadNTriples.
-func StreamNTriples(name string, r io.Reader, lenient bool) (*KB, int, error) {
-	return kb.LoadNTriples(name, r, lenient)
-}
-
-// StreamTSV is LoadTSV.
-//
-// Deprecated: every load streams through the one ingester; call LoadTSV.
-func StreamTSV(name string, r io.Reader, uriObjects bool) (*KB, int, error) {
-	return kb.LoadTSV(name, r, uriObjects)
-}
-
 // WriteNTriples serializes a KB in N-Triples format.
 func WriteNTriples(w io.Writer, k *KB) error { return kb.WriteNTriples(w, k) }
 
@@ -188,29 +174,9 @@ func DefaultRules() RuleConfig { return matching.DefaultConfig() }
 
 // Resolve runs the full MinoanER pipeline on two clean KBs. The pipeline
 // observes ctx between parallel chunks and stage barriers, returning
-// ctx.Err() promptly on cancellation or deadline expiry. When cfg requests
-// sharded execution (Config.ShardCount or Config.MaxShardBytes), the run is
-// delegated to the partitioned engine — see ResolveSharded.
+// ctx.Err() promptly on cancellation or deadline expiry.
 func Resolve(ctx context.Context, k1, k2 *KB, cfg Config) (*Output, error) {
 	return core.ResolveContext(ctx, k1, k2, cfg)
-}
-
-// ResolveSharded runs the pipeline with E1 split into the given number of
-// contiguous entity shards: per-entity stages (top-neighbor rows, β/γ
-// candidate rows, rank aggregation) execute one shard at a time with bounded
-// transient memory over the shared blocking substrate. Output is
-// byte-identical to Resolve for every shard count; shards < 1 derives the
-// count from cfg.
-func ResolveSharded(ctx context.Context, k1, k2 *KB, cfg Config, shards int) (*Output, error) {
-	return core.ResolveSharded(ctx, k1, k2, cfg, shards)
-}
-
-// ResolveContext is the original name of the context-aware pipeline entry
-// point, kept as a thin alias while callers migrate.
-//
-// Deprecated: ctx-first signatures are the canonical API; use Resolve.
-func ResolveContext(ctx context.Context, k1, k2 *KB, cfg Config) (*Output, error) {
-	return Resolve(ctx, k1, k2, cfg)
 }
 
 // ---------------------------------------------------------------------------

@@ -120,46 +120,20 @@ func TestPublicAPIRuleAblation(t *testing.T) {
 	}
 }
 
-func TestPublicAPIResolveSharded(t *testing.T) {
-	p := ScaleProfile(RestaurantProfile(), 0.3)
-	d, err := GenerateBenchmark(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := Resolve(context.Background(), d.K1, d.K2, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := ResolveSharded(context.Background(), d.K1, d.K2, DefaultConfig(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sharded.Matches, ref.Matches) {
-		t.Error("ResolveSharded matches differ from Resolve")
-	}
-	cfg := DefaultConfig()
-	cfg.ShardCount = 3
-	routed, err := Resolve(context.Background(), d.K1, d.K2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(routed.Matches, ref.Matches) {
-		t.Error("ShardCount-routed Resolve matches differ from the monolithic run")
-	}
-}
-
+// Every load streams through the one ingester; the facade's loaders read
+// from any io.Reader.
 func TestPublicAPIStreamLoaders(t *testing.T) {
 	const nt = "<a> <label> \"hello world\" .\n<a> <linked> <b> .\n<b> <label> \"world two\" .\n"
-	k, skipped, err := StreamNTriples("s", strings.NewReader(nt), false)
+	k, skipped, err := LoadNTriples("s", strings.NewReader(nt), false)
 	if err != nil || skipped != 0 {
-		t.Fatalf("StreamNTriples: %v (skipped %d)", err, skipped)
+		t.Fatalf("LoadNTriples: %v (skipped %d)", err, skipped)
 	}
 	if k.Len() != 2 || k.Triples() != 3 {
 		t.Errorf("stream KB = %v, want 2 entities / 3 triples", k)
 	}
-	k2, _, err := StreamTSV("t", strings.NewReader("a\tp\tv\n"), false)
+	k2, _, err := LoadTSV("t", strings.NewReader("a\tp\tv\n"), false)
 	if err != nil || k2.Len() != 1 {
-		t.Error("StreamTSV facade")
+		t.Error("LoadTSV facade")
 	}
 }
 
@@ -181,24 +155,15 @@ func TestPublicAPIResolveCancellation(t *testing.T) {
 	if _, err := Resolve(ctx, d.K1, d.K2, DefaultConfig()); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled Resolve = %v, want context.Canceled", err)
 	}
-	// The deprecated alias must stay a faithful thin wrapper while callers
-	// migrate to the ctx-first canonical name.
-	alias, err := ResolveContext(context.Background(), d.K1, d.K2, DefaultConfig()) //nolint:staticcheck // exercising the deprecated alias
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(alias.Matches, out.Matches) {
-		t.Error("deprecated ResolveContext alias diverged from Resolve")
-	}
 }
 
 // A pair read back from a damaged snapshot never resolves to an Output with
 // silently empty parts. A batch resolution over the snapshot fails with
-// kb.ErrCorrupt where it reads the damage — the URI offsets, a name-block
-// member, or the KB token column its token blocks are derived from — and
-// gives the undamaged answer where it does not, as for another KB column; a
-// substrate build over the loaded KBs, which reads them whole, fails
-// wherever they are damaged.
+// kb.ErrCorrupt where it reads the damage — the URI offsets or a name-block
+// member — and gives the undamaged answer where it does not, as for a KB
+// column; the token index, which is derived from the KB token columns,
+// refuses a damaged one; and a substrate build over the loaded KBs, which
+// reads them whole, fails wherever they are damaged.
 func TestDamagedSnapshotNeverResolvesEmpty(t *testing.T) {
 	d, err := GenerateBenchmark(ScaleProfile(RestaurantProfile(), 0.5))
 	if err != nil {
@@ -220,18 +185,17 @@ func TestDamagedSnapshotNeverResolvesEmpty(t *testing.T) {
 	// ReadSnapshot decodes numeric sections into fresh arrays, which the
 	// damage below writes to.
 	for _, c := range []struct {
-		what           string
-		warmRead, inKB bool
-		damage         func(*Substrate)
+		what                   string
+		warmRead, derive, inKB bool
+		damage                 func(*Substrate)
 	}{
-		{"KB column", false, true, func(s *Substrate) { s.K1().SnapshotParts().StmtAttrName[0] = 1 << 20 }},
-		{"URI offsets", true, true, func(s *Substrate) {
+		{"KB column", false, false, true, func(s *Substrate) { s.K1().SnapshotParts().StmtAttrName[0] = 1 << 20 }},
+		{"URI offsets", true, false, true, func(s *Substrate) {
 			_, off, _ := s.K2().SnapshotParts().URIs.Parts()
 			off[1] = off[len(off)-1] + 1
 		}},
-		{"name-block member", true, false, func(s *Substrate) { s.Parts().NameBlocks.E1.Flat[0] = 1 << 20 }},
-		// The token blocks are derived from the KB token columns.
-		{"KB token column", true, true, func(s *Substrate) { s.K2().SnapshotParts().Tokens[0] = 1 << 20 }},
+		{"name-block member", true, false, false, func(s *Substrate) { s.Parts().NameBlocks.E1.Flat[0] = 1 << 20 }},
+		{"KB token column", false, true, true, func(s *Substrate) { s.K2().SnapshotParts().Tokens[0] = 1 << 20 }},
 	} {
 		loaded, err := ReadSnapshot(img.Bytes())
 		if err != nil {
@@ -247,6 +211,9 @@ func TestDamagedSnapshotNeverResolvesEmpty(t *testing.T) {
 			t.Errorf("%s: ResolveWith, which reads no KB column, failed: %v", c.what, err)
 		case !c.warmRead && !reflect.DeepEqual(out.Matches, want.Matches):
 			t.Errorf("%s: ResolveWith gave %d matches, want the %d of the built pair", c.what, len(out.Matches), len(want.Matches))
+		}
+		if _, err := sub.TokenIndex(ctx); c.derive && !errors.Is(err, kb.ErrCorrupt) {
+			t.Errorf("%s: TokenIndex error %v, want kb.ErrCorrupt", c.what, err)
 		}
 		if c.inKB {
 			if _, err := BuildSubstrate(ctx, sub.K1(), sub.K2(), cfg); !errors.Is(err, kb.ErrCorrupt) {
