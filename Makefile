@@ -65,25 +65,25 @@ bench-test:
 	go test -bench . -run '^$$' -benchmem .
 
 # smoke is the fast CI variant: one small preset through the pipeline
-# benchmark and through cmd/experiments, plus a CLI round trip through the
-# per-entity query path (-query, both output formats) on a generated
-# dataset, and a snapshot round trip: the substrate is persisted with
-# -save-snapshot, reloaded with -snapshot, and the two query paths must emit
-# byte-identical candidates JSON.
+# benchmark and through cmd/experiments (Table 1, and Table 2, which reads
+# the blocks of the substrate the pipeline resolves over), plus a CLI round
+# trip through the per-entity query path (-query, both output formats) on a
+# generated dataset, and a snapshot round trip: the substrate is persisted
+# with -save-snapshot, reloaded with -snapshot, and the two query paths must
+# emit byte-identical candidates JSON. The generated files live in a
+# temporary directory removed when the recipe's shell exits.
 smoke:
 	go test -run '^$$' -bench '^BenchmarkPipelineRestaurant$$' -benchtime 1x .
 	go run ./cmd/experiments -table 1 -datasets Restaurant -scale 0.2
-	go run ./cmd/datagen -preset Restaurant -scale 0.2 -out /tmp/minoaner-query-smoke
-	go run ./cmd/minoaner -e1 /tmp/minoaner-query-smoke/e1.nt -e2 /tmp/minoaner-query-smoke/e2.nt \
-		-query "$$(head -1 /tmp/minoaner-query-smoke/gt.tsv | cut -f1)"
-	go run ./cmd/minoaner -e1 /tmp/minoaner-query-smoke/e1.nt -e2 /tmp/minoaner-query-smoke/e2.nt \
-		-save-snapshot /tmp/minoaner-query-smoke/pair.snap \
-		-query "$$(head -1 /tmp/minoaner-query-smoke/gt.tsv | cut -f1)" -json -quiet \
-		> /tmp/minoaner-query-smoke/q-build.json
-	go run ./cmd/minoaner -snapshot /tmp/minoaner-query-smoke/pair.snap \
-		-query "$$(head -1 /tmp/minoaner-query-smoke/gt.tsv | cut -f1)" -json -quiet \
-		> /tmp/minoaner-query-smoke/q-snap.json
-	cmp /tmp/minoaner-query-smoke/q-build.json /tmp/minoaner-query-smoke/q-snap.json
+	go run ./cmd/experiments -table 2 -datasets Restaurant -scale 0.2
+	@set -ex; T="$$(mktemp -d)"; trap 'rm -rf "$$T"' EXIT; \
+	go run ./cmd/datagen -preset Restaurant -scale 0.2 -out "$$T"; \
+	Q="$$(head -1 "$$T/gt.tsv" | cut -f1)"; \
+	go run ./cmd/minoaner -e1 "$$T/e1.nt" -e2 "$$T/e2.nt" -query "$$Q"; \
+	go run ./cmd/minoaner -e1 "$$T/e1.nt" -e2 "$$T/e2.nt" -save-snapshot "$$T/pair.snap" \
+		-query "$$Q" -json -quiet > "$$T/q-build.json"; \
+	go run ./cmd/minoaner -snapshot "$$T/pair.snap" -query "$$Q" -json -quiet > "$$T/q-snap.json"; \
+	cmp "$$T/q-build.json" "$$T/q-snap.json"
 
 # serve-smoke exercises the real minoanerd binary end to end: build both
 # binaries, serve a generated dataset, load a pair, query it in both request

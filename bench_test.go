@@ -209,7 +209,6 @@ func benchComponents() (*datagen.Dataset, graph.Input, *graph.Graph) {
 	eng := parallel.New(0)
 	in := graph.InputFor(eng, d.K1, d.K2, 2, 15, 3)
 	budget := blocking.ComparisonBudget(d.K1.Len(), d.K2.Len(), 0.0005)
-	in.TokenBlocks, _ = blocking.PurgeAbove(in.TokenBlocks, budget)
 	in.TokenIndex, _ = in.TokenIndex.PurgeAbove(budget)
 	g, _, err := graph.BuildTimedCtx(context.Background(), eng, in)
 	if err != nil {
@@ -223,8 +222,11 @@ func BenchmarkStageTokenBlocking(b *testing.B) {
 	eng := parallel.New(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := blocking.TokenBlocks(eng, d.K1, d.K2)
-		if c.Len() == 0 {
+		ix, err := blocking.NewTokenIndexCtx(context.Background(), eng, d.K1, d.K2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if c := ix.Collection(); c.Len() == 0 {
 			b.Fatal("no blocks")
 		}
 	}
@@ -252,7 +254,11 @@ func BenchmarkNameBlocks(b *testing.B) {
 		fn   func() (*blocking.Collection, error)
 	}{
 		{"index", func() (*blocking.Collection, error) {
-			return blocking.NameBlocksCtx(ctx, eng, d.K1, d.K2, na1, na2)
+			ix, err := blocking.NewNameIndexLookupsCtx(ctx, eng, stats.NewNameLookup(d.K1, na1), stats.NewNameLookup(d.K2, na2))
+			if err != nil {
+				return nil, err
+			}
+			return ix.Collection(), nil
 		}},
 		{"map", func() (*blocking.Collection, error) {
 			return blocking.NameBlocksMapRef(ctx, eng, d.K1, d.K2, na1, na2)
@@ -445,7 +451,11 @@ func BenchmarkStatisticsRelationImportances(b *testing.B) {
 	eng := parallel.New(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ri := stats.RelationImportances(eng, d.K2); len(ri) == 0 {
+		ri, err := stats.RelationImportancesCtx(context.Background(), eng, d.K2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(ri) == 0 {
 			b.Fatal("no relation stats")
 		}
 	}
@@ -456,7 +466,11 @@ func BenchmarkStatisticsAttributeImportances(b *testing.B) {
 	eng := parallel.New(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if as := stats.AttributeImportances(eng, d.K2); len(as) == 0 {
+		as, err := stats.AttributeImportancesCtx(context.Background(), eng, d.K2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(as) == 0 {
 			b.Fatal("no attribute stats")
 		}
 	}
@@ -465,7 +479,11 @@ func BenchmarkStatisticsAttributeImportances(b *testing.B) {
 func BenchmarkStatisticsTopNeighbors(b *testing.B) {
 	d := benchStatsKB(b)
 	eng := parallel.New(0)
-	ranks := stats.RelationRanks(d.K2, stats.RelationImportances(eng, d.K2))
+	ri, err := stats.RelationImportancesCtx(context.Background(), eng, d.K2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ranks := stats.RelationRanks(d.K2, ri)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		top, err := stats.TopNeighborsRanksCtx(context.Background(), eng, d.K2, ranks, 3)
@@ -481,7 +499,11 @@ func BenchmarkStatisticsTopNeighbors(b *testing.B) {
 func BenchmarkStatisticsTopInNeighbors(b *testing.B) {
 	d := benchStatsKB(b)
 	eng := parallel.New(0)
-	ranks := stats.RelationRanks(d.K2, stats.RelationImportances(eng, d.K2))
+	ri, err := stats.RelationImportancesCtx(context.Background(), eng, d.K2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ranks := stats.RelationRanks(d.K2, ri)
 	nested, err := stats.TopNeighborsRanksCtx(context.Background(), eng, d.K2, ranks, 3)
 	if err != nil {
 		b.Fatal(err)

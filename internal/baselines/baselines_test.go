@@ -23,11 +23,14 @@ func smallDataset(t *testing.T) *datagen.Dataset {
 	return d
 }
 
-func purgedTokenBlocks(d *datagen.Dataset) *blocking.Collection {
-	tb := blocking.TokenBlocks(seq, d.K1, d.K2)
+func purgedTokenBlocks(t *testing.T, d *datagen.Dataset) *blocking.Collection {
+	t.Helper()
 	cap := int64(float64(d.K1.Len()) * float64(d.K2.Len()) * 0.0005)
-	tb, _ = blocking.PurgeAbove(tb, cap)
-	return tb
+	ix, _, err := blocking.NewPurgedTokenIndexCtx(t.Context(), seq, d.K1, d.K2, cap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix.Collection()
 }
 
 func TestCandidatePairs(t *testing.T) {
@@ -58,7 +61,7 @@ func TestBSLOnRestaurant(t *testing.T) {
 		t.Skip("BSL sweep is slow")
 	}
 	d := smallDataset(t)
-	tb := purgedTokenBlocks(d)
+	tb := purgedTokenBlocks(t, d)
 	cands := CandidatePairs(0, tb)
 	res := BSL(parallel.New(0), d.K1, d.K2, cands, d.GT)
 	if res.Explored != 420 {
@@ -73,7 +76,7 @@ func TestBSLOnRestaurant(t *testing.T) {
 
 func TestBSLThresholdMonotonicity(t *testing.T) {
 	d := smallDataset(t)
-	tb := purgedTokenBlocks(d)
+	tb := purgedTokenBlocks(t, d)
 	cands := CandidatePairs(0, tb)
 	res := BSL(parallel.New(0), d.K1, d.K2, cands, d.GT)
 	// For a fixed configuration, recall must be non-increasing in the
@@ -138,7 +141,7 @@ func TestPARISCollapsesUnderRawNoise(t *testing.T) {
 
 func TestSiGMaOnRestaurant(t *testing.T) {
 	d := smallDataset(t)
-	tb := purgedTokenBlocks(d)
+	tb := purgedTokenBlocks(t, d)
 	got := SiGMa(seq, d.K1, d.K2, tb, DefaultSiGMaConfig())
 	assertOneToOne(t, got)
 	m := eval.Evaluate(got, d.GT)
@@ -149,7 +152,7 @@ func TestSiGMaOnRestaurant(t *testing.T) {
 
 func TestLINDAStyleRuns(t *testing.T) {
 	d := smallDataset(t)
-	tb := purgedTokenBlocks(d)
+	tb := purgedTokenBlocks(t, d)
 	got := SiGMa(seq, d.K1, d.K2, tb, LINDAStyleConfig())
 	assertOneToOne(t, got)
 	m := eval.Evaluate(got, d.GT)

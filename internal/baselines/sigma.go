@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"container/heap"
+	"context"
 
 	"minoaner/internal/blocking"
 	"minoaner/internal/eval"
@@ -205,10 +206,14 @@ func SiGMa(e *parallel.Engine, k1, k2 *kb.KB, tokenBlocks *blocking.Collection, 
 }
 
 // nameSeeds returns pairs whose normalized names collide uniquely across
-// the KBs (one holder per side).
+// the KBs (one holder per side). Name discovery runs under a background
+// context, which cannot be cancelled, so it cannot fail.
 func nameSeeds(e *parallel.Engine, k1, k2 *kb.KB, nameK int) []eval.Pair {
-	nl1 := stats.NewNameLookup(k1, stats.NameAttributes(e, k1, nameK))
-	nl2 := stats.NewNameLookup(k2, stats.NameAttributes(e, k2, nameK))
+	names := func(k *kb.KB) *stats.NameLookup {
+		attrs, _ := stats.NameAttributesCtx(context.Background(), e, k, nameK)
+		return stats.NewNameLookup(k, attrs)
+	}
+	nl1, nl2 := names(k1), names(k2)
 	names1 := make(map[string][]kb.EntityID)
 	for i := 0; i < k1.Len(); i++ {
 		for _, n := range nl1.Names(kb.EntityID(i)) {

@@ -9,7 +9,6 @@ import (
 	"context"
 	"slices"
 	"strings"
-	"sync"
 
 	"minoaner/internal/kb"
 	"minoaner/internal/parallel"
@@ -59,8 +58,8 @@ type sideID struct {
 // pass runs under the dynamic chunked scheduler since per-entity key counts
 // can be skewed. Nothing in the pipeline goes through here anymore — token
 // blocking uses the columnar TokenIndex, name blocking the columnar NameIndex
-// — but it is RETAINED as the semantic reference the NameIndex property tests
-// and the NameBlocksMapRef benchmark side pin against.
+// — but it is RETAINED as the semantic reference the index tests and the
+// NameBlocksMapRef benchmark side pin both indexes' collections against.
 func buildCollection(ctx context.Context, e *parallel.Engine, k1, k2 *kb.KB, emit1, emit2 func(i int, yield func(string))) (*Collection, error) {
 	n1 := k1.Len()
 	total := n1 + k2.Len()
@@ -97,46 +96,11 @@ func buildCollection(ctx context.Context, e *parallel.Engine, k1, k2 *kb.KB, emi
 	return &Collection{Blocks: blocks}, nil
 }
 
-// TokenBlocksCtx builds token blocking (§3.1, h_T): one block per token
-// shared by at least one entity of each KB. Because the per-KB side sizes
-// |b1|, |b2| equal the Entity Frequencies EF₁(t), EF₂(t), valueSim is
-// derivable from these blocks alone (Algorithm 1, line 14). It is a view
-// over the columnar TokenIndex — blocks are materialized from the CSR member
-// arrays instead of re-grouping entities under string keys.
-func TokenBlocksCtx(ctx context.Context, e *parallel.Engine, k1, k2 *kb.KB) (*Collection, error) {
-	ix, err := NewTokenIndexCtx(ctx, e, k1, k2)
-	if err != nil {
-		return nil, err
-	}
-	return ix.Collection(), nil
-}
-
-// TokenBlocks is TokenBlocksCtx without cancellation.
-func TokenBlocks(e *parallel.Engine, k1, k2 *kb.KB) *Collection {
-	out, _ := TokenBlocksCtx(context.Background(), e, k1, k2)
-	return out
-}
-
-// NameBlocksCtx builds name blocking (§3.1, h_N): one block per normalized
-// name value under each KB's top-k name attributes. The matcher's R1 rule
-// uses only blocks of size 1×1 (a name unique in both KBs), but the full
-// collection is kept for Table 2 statistics. It is a view over the columnar
-// NameIndex — blocks are materialized from CSR member arrays filled by
-// counting interned ValueIDs, instead of re-grouping entities under name
-// STRINGS through a map (the NameBlocksMapRef path it replaced).
-func NameBlocksCtx(ctx context.Context, e *parallel.Engine, k1, k2 *kb.KB, nameAttrs1, nameAttrs2 []string) (*Collection, error) {
-	ix, err := NewNameIndexCtx(ctx, e, k1, k2, nameAttrs1, nameAttrs2)
-	if err != nil {
-		return nil, err
-	}
-	return ix.Collection(), nil
-}
-
 // NameBlocksMapRef is the historical string-grouped name blocking: every
 // name(e) materialized as a string and grouped under a map key through
 // buildCollection. Kept exported ONLY as the reference side of
-// BenchmarkNameBlocks and the NameIndex property tests — the pipeline uses
-// NameBlocksCtx, which must reproduce this output byte-identically.
+// BenchmarkNameBlocks and the NameIndex property tests — the pipeline's
+// NameIndex collection must reproduce this output byte-identically.
 func NameBlocksMapRef(ctx context.Context, e *parallel.Engine, k1, k2 *kb.KB, nameAttrs1, nameAttrs2 []string) (*Collection, error) {
 	nl1 := stats.NewNameLookup(k1, nameAttrs1)
 	nl2 := stats.NewNameLookup(k2, nameAttrs2)
@@ -151,12 +115,6 @@ func NameBlocksMapRef(ctx context.Context, e *parallel.Engine, k1, k2 *kb.KB, na
 				yield(n)
 			}
 		})
-}
-
-// NameBlocks is NameBlocksCtx without cancellation.
-func NameBlocks(e *parallel.Engine, k1, k2 *kb.KB, nameAttrs1, nameAttrs2 []string) *Collection {
-	out, _ := NameBlocksCtx(context.Background(), e, k1, k2, nameAttrs1, nameAttrs2)
-	return out
 }
 
 // PurgeAbove removes blocks whose comparison count exceeds maxComparisons
@@ -181,9 +139,9 @@ func PurgeAbove(c *Collection, maxComparisons int64) (*Collection, int) {
 // ComparisonBudget converts a Block Purging fraction into the absolute
 // comparison budget for a KB pair: fraction of the Cartesian product
 // |E1|·|E2|, at least 1. A non-positive fraction disables purging (budget
-// 0). It is the single place the threshold formula lives — the core
-// pipeline's per-block cap and AutoPurge's aggregate budget both derive
-// from it, so the two can't drift.
+// 0). It is the single place the threshold formula lives: the substrate
+// build purges every token block above it, and a substrate from parts
+// derives its token index at it.
 func ComparisonBudget(n1, n2 int, fraction float64) int64 {
 	if fraction <= 0 {
 		return 0
@@ -194,45 +152,3 @@ func ComparisonBudget(n1, n2 int, fraction float64) int64 {
 	}
 	return budget
 }
-
-// AutoPurge implements Block Purging in the spirit of [26] as used by the
-// paper (§3.3): it removes the largest blocks — those produced by highly
-// frequent, stop-word-like tokens — until the retained comparisons fit
-// within budgetFraction of the Cartesian product |E1|·|E2| (the paper
-// reports two orders of magnitude below brute force, i.e. fraction 0.01).
-// Blocks are considered from smallest to largest, so small discriminative
-// blocks are always kept. Returns the kept collection, the purging threshold
-// actually applied (max comparisons per block), and the purged block count.
-func AutoPurge(c *Collection, n1, n2 int, budgetFraction float64) (*Collection, int64, int) {
-	budget := ComparisonBudget(n1, n2, budgetFraction)
-	if budget == 0 || len(c.Blocks) == 0 {
-		return c, 0, 0
-	}
-	if c.TotalComparisons() <= budget {
-		return c, 0, 0
-	}
-	sp := purgeScratch.Get().(*[]int64)
-	sizes := (*sp)[:0]
-	for i := range c.Blocks {
-		sizes = append(sizes, c.Blocks[i].Comparisons())
-	}
-	slices.Sort(sizes)
-	var running int64
-	threshold := sizes[0]
-	for _, s := range sizes {
-		if running+s > budget {
-			break
-		}
-		running += s
-		threshold = s
-	}
-	*sp = sizes
-	purgeScratch.Put(sp)
-	kept, purged := PurgeAbove(c, threshold)
-	return kept, threshold, purged
-}
-
-// purgeScratch recycles AutoPurge's block-size scratch across calls — the
-// sort needs a copy of all sizes, but the copy need not be a fresh
-// allocation every time (AutoPurge runs per resolve and per Table-2 row).
-var purgeScratch = sync.Pool{New: func() any { return new([]int64) }}

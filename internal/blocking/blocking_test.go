@@ -1,9 +1,9 @@
 package blocking
 
 import (
+	"context"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"minoaner/internal/kb"
 	"minoaner/internal/parallel"
@@ -13,10 +13,41 @@ import (
 
 var seq = parallel.Sequential()
 
+// newTokenIndex builds the unpurged token index of a KB pair.
+func newTokenIndex(t testing.TB, e *parallel.Engine, k1, k2 *kb.KB) *TokenIndex {
+	t.Helper()
+	ix, err := NewTokenIndexCtx(context.Background(), e, k1, k2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+// nameAttrs discovers a KB's top-k name attributes.
+func nameAttrs(t testing.TB, e *parallel.Engine, k *kb.KB, topK int) []string {
+	t.Helper()
+	attrs, err := stats.NameAttributesCtx(context.Background(), e, k, topK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return attrs
+}
+
+// nameBlocks builds the name-block collection of a KB pair under the given
+// name attributes.
+func nameBlocks(t testing.TB, e *parallel.Engine, k1, k2 *kb.KB, na1, na2 []string) *Collection {
+	t.Helper()
+	ix, err := NewNameIndexLookupsCtx(context.Background(), e, stats.NewNameLookup(k1, na1), stats.NewNameLookup(k2, na2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix.Collection()
+}
+
 func figure1Blocks(t *testing.T) (*kb.KB, *kb.KB, *Collection) {
 	t.Helper()
 	w, d := testkb.Figure1()
-	return w, d, TokenBlocks(seq, w, d)
+	return w, d, newTokenIndex(t, seq, w, d).Collection()
 }
 
 func TestTokenBlocksBasics(t *testing.T) {
@@ -81,7 +112,14 @@ func sharedToken(a, b []string) string {
 // frequencies, which is what lets Algorithm 1 derive valueSim from blocks.
 func TestBlockSizesEqualEF(t *testing.T) {
 	w, d, blocks := figure1Blocks(t)
-	ef1, ef2 := stats.BuildEF(seq, w), stats.BuildEF(seq, d)
+	ef1, err := stats.BuildEFCtx(context.Background(), seq, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ef2, err := stats.BuildEFCtx(context.Background(), seq, d)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, b := range blocks.Blocks {
 		if len(b.E1) != ef1.EF(b.Key) || len(b.E2) != ef2.EF(b.Key) {
 			t.Fatalf("block %q sizes %d×%d != EF %d×%d",
@@ -92,9 +130,7 @@ func TestBlockSizesEqualEF(t *testing.T) {
 
 func TestNameBlocks(t *testing.T) {
 	w, d := testkb.Figure1()
-	n1 := stats.NameAttributes(seq, w, 2)
-	n2 := stats.NameAttributes(seq, d, 2)
-	nb := NameBlocks(seq, w, d, n1, n2)
+	nb := nameBlocks(t, seq, w, d, nameAttrs(t, seq, w, 2), nameAttrs(t, seq, d, 2))
 	ix := NewIndex(nb)
 	b := ix.Lookup("j lake")
 	if b == nil {
@@ -115,9 +151,9 @@ func keysOf(c *Collection) []string {
 
 func TestParallelDeterminism(t *testing.T) {
 	w, d := testkb.Figure1()
-	ref := TokenBlocks(seq, w, d)
+	ref := newTokenIndex(t, seq, w, d).Collection()
 	for _, workers := range []int{2, 4, 8} {
-		got := TokenBlocks(parallel.New(workers), w, d)
+		got := newTokenIndex(t, parallel.New(workers), w, d).Collection()
 		if len(got.Blocks) != len(ref.Blocks) {
 			t.Fatalf("workers=%d: %d blocks, want %d", workers, len(got.Blocks), len(ref.Blocks))
 		}
@@ -146,80 +182,6 @@ func TestPurgeAbove(t *testing.T) {
 	}
 }
 
-func TestAutoPurgeBudget(t *testing.T) {
-	// 100 × 100 entities, budget 1% → 100 comparisons.
-	blocks := make([]Block, 0, 30)
-	for i := 0; i < 30; i++ {
-		var b Block
-		b.Key = string(rune('a' + i))
-		// Increasing sizes: blocks 0..29 have (i+1)² comparisons... keep
-		// simple: i+1 entities on one side, 1 on the other → i+1 comparisons.
-		for j := 0; j <= i; j++ {
-			b.E1 = append(b.E1, kb.EntityID(j))
-		}
-		b.E2 = []kb.EntityID{0}
-		blocks = append(blocks, b)
-	}
-	c := &Collection{Blocks: blocks} // total = 1+2+...+30 = 465
-	kept, threshold, purged := AutoPurge(c, 100, 100, 0.01)
-	if purged == 0 {
-		t.Fatal("AutoPurge should purge some blocks (465 > 100 budget)")
-	}
-	if kept.TotalComparisons() > 100 {
-		t.Fatalf("kept %d comparisons, budget 100", kept.TotalComparisons())
-	}
-	if threshold <= 0 {
-		t.Fatalf("threshold = %d, want positive", threshold)
-	}
-	// Keeps the smallest blocks: every kept block ≤ threshold.
-	for _, b := range kept.Blocks {
-		if b.Comparisons() > threshold {
-			t.Fatalf("kept block %q above threshold", b.Key)
-		}
-	}
-}
-
-func TestAutoPurgeNoOpUnderBudget(t *testing.T) {
-	c := &Collection{Blocks: []Block{
-		{Key: "a", E1: []kb.EntityID{1}, E2: []kb.EntityID{1}},
-	}}
-	kept, threshold, purged := AutoPurge(c, 1000, 1000, 0.01)
-	if purged != 0 || threshold != 0 || kept.Len() != 1 {
-		t.Error("AutoPurge under budget must be a no-op")
-	}
-	// Empty collection.
-	empty := &Collection{}
-	kept2, _, purged2 := AutoPurge(empty, 10, 10, 0.01)
-	if purged2 != 0 || kept2.Len() != 0 {
-		t.Error("AutoPurge on empty collection")
-	}
-}
-
-// Property: AutoPurge never increases comparisons and keeps a subset.
-func TestAutoPurgeProperty(t *testing.T) {
-	f := func(sizes []uint8) bool {
-		blocks := make([]Block, 0, len(sizes))
-		for i, s := range sizes {
-			n := int(s%20) + 1
-			var b Block
-			b.Key = string(rune('a'+i%26)) + string(rune('0'+i/26%10))
-			for j := 0; j < n; j++ {
-				b.E1 = append(b.E1, kb.EntityID(j))
-			}
-			b.E2 = []kb.EntityID{0, 1}
-			blocks = append(blocks, b)
-		}
-		c := &Collection{Blocks: blocks}
-		before := c.TotalComparisons()
-		kept, _, purged := AutoPurge(c, 50, 50, 0.05)
-		after := kept.TotalComparisons()
-		return after <= before && kept.Len()+purged == c.Len()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestIndexCoOccur(t *testing.T) {
 	c := &Collection{Blocks: []Block{
 		{Key: "x", E1: []kb.EntityID{1, 3, 5}, E2: []kb.EntityID{2, 4}},
@@ -236,36 +198,5 @@ func TestIndexCoOccur(t *testing.T) {
 	}
 	if ix.Lookup("x") == nil || ix.Lookup("y") != nil {
 		t.Error("Lookup")
-	}
-}
-
-// BenchmarkAutoPurge guards the purge pass over a large synthetic
-// collection: the size snapshot, sort and threshold walk dominate, and the
-// pooled scratch slice must keep steady-state allocations to the kept-slice
-// copy (no fresh sizes buffer per call).
-func BenchmarkAutoPurge(b *testing.B) {
-	const n = 20000
-	blocks := make([]Block, n)
-	for i := range blocks {
-		// Deterministic, heavily skewed sizes: mostly tiny blocks with a
-		// long tail of stop-word-sized ones, like a real token collection.
-		w := 1 + (i*2654435761)%7
-		if i%97 == 0 {
-			w *= 50
-		}
-		members := make([]kb.EntityID, w)
-		for j := range members {
-			members[j] = kb.EntityID(j)
-		}
-		blocks[i] = Block{Key: "k", E1: members, E2: members}
-	}
-	c := &Collection{Blocks: blocks}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kept, threshold, purged := AutoPurge(c, 5000, 5000, 0.001)
-		if threshold == 0 || purged == 0 || kept.Len() == 0 {
-			b.Fatal("purge did not engage; benchmark is vacuous")
-		}
 	}
 }

@@ -162,7 +162,7 @@ func columnsDiffer(a, b blocking.Columns) string {
 		what string
 		a, b any
 	}{
-		{"keys", a.Keys, b.Keys}, {"t1", a.T1, b.T1}, {"t2", a.T2, b.T2},
+		{"t1", a.T1, b.T1}, {"t2", a.T2, b.T2},
 		{"e1 offsets", a.Off1, b.Off1}, {"e2 offsets", a.Off2, b.Off2},
 		{"e1 members", a.Mem1, b.Mem1}, {"e2 members", a.Mem2, b.Mem2},
 		{"live count", a.Live, b.Live},

@@ -9,7 +9,6 @@ import "minoaner/internal/kb"
 // Columns is the whole state of a token index.
 type Columns struct {
 	Dict       *kb.Interner
-	Keys       []string
 	T1, T2     []int32
 	Off1, Off2 []int32
 	Mem1, Mem2 []kb.EntityID
@@ -19,5 +18,5 @@ type Columns struct {
 
 // Columns returns the index's state; the slices alias the index.
 func (ix *TokenIndex) Columns() Columns {
-	return Columns{ix.dict, ix.keys, ix.t1, ix.t2, ix.o1, ix.o2, ix.m1, ix.m2, ix.weight, ix.live}
+	return Columns{ix.dict, ix.t1, ix.t2, ix.o1, ix.o2, ix.m1, ix.m2, ix.weight, ix.live}
 }

@@ -28,8 +28,8 @@ import (
 // A slot is live iff both sides indexed at least one entity under it — only
 // live slots suggest clean-clean comparisons. Collection() materializes
 // exactly the live slots as key-sorted blocks, byte-identical to the
-// historical string-grouped NameBlocks output (the retained buildCollection
-// reference, which the property tests pin against).
+// historical string-grouped name blocking (NameBlocksMapRef, which the
+// property tests pin against).
 type NameIndex struct {
 	// sch is the shared value dictionary when both KBs intern into one
 	// Schema; keys holds per-slot strings in the merged-dictionary case.
@@ -44,13 +44,6 @@ type NameIndex struct {
 	mem1, mem2 []kb.EntityID
 	off1, off2 []int32
 	live       int
-}
-
-// NewNameIndexCtx builds the name index for a KB pair under the given name
-// attributes, constructing one stats.NameLookup per side. Callers that
-// already hold the lookups (the substrate build) use NewNameIndexLookupsCtx.
-func NewNameIndexCtx(ctx context.Context, e *parallel.Engine, k1, k2 *kb.KB, nameAttrs1, nameAttrs2 []string) (*NameIndex, error) {
-	return NewNameIndexLookupsCtx(ctx, e, stats.NewNameLookup(k1, nameAttrs1), stats.NewNameLookup(k2, nameAttrs2))
 }
 
 // NewNameIndexLookupsCtx builds the name index over two prebuilt name
@@ -164,7 +157,7 @@ func (ix *NameIndex) Live() int { return ix.live }
 // Collection materializes the live slots as a block collection sorted by
 // key, with member lists aliasing the index's CSR arrays (read-only, as block
 // members always were). The result is byte-identical to the historical
-// string-grouped NameBlocks output.
+// string-grouped name blocking (NameBlocksMapRef).
 func (ix *NameIndex) Collection() *Collection {
 	n := len(ix.off1) - 1
 	liveSlots := make([]int32, 0, ix.live)

@@ -66,10 +66,7 @@ func TestNameIndexMatchesMapReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, e := range engines {
-			got, err := NameBlocksCtx(ctx, e, k1, k2, na1, na2)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := nameBlocks(t, e, k1, k2, na1, na2)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d (shared=%v, workers=%d): NameIndex collection differs from map reference\ngot:  %+v\nwant: %+v",
 					trial, shared, e.Workers(), got, want)
@@ -85,9 +82,8 @@ func TestNameIndexFigure1(t *testing.T) {
 	w, d := testkb.Figure1()
 	ctx := context.Background()
 	eng := parallel.New(2)
-	na1 := stats.NameAttributes(eng, w, 2)
-	na2 := stats.NameAttributes(eng, d, 2)
-	ix, err := NewNameIndexCtx(ctx, eng, w, d, na1, na2)
+	na1, na2 := nameAttrs(t, eng, w, 2), nameAttrs(t, eng, d, 2)
+	ix, err := NewNameIndexLookupsCtx(ctx, eng, stats.NewNameLookup(w, na1), stats.NewNameLookup(d, na2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,15 +28,13 @@ import (
 // A slot is "live" iff its weight is positive: tokens present in only one KB
 // (no cross-KB comparisons) and tokens removed by Block Purging are dead and
 // contribute nothing. Collection() materializes exactly the live slots as
-// key-sorted blocks, byte-identical to the historical TokenBlocks output.
+// key-sorted blocks, byte-identical to the historical string-grouped token
+// blocking (the retained buildCollection reference the tests pin against).
 type TokenIndex struct {
+	// dict is the joint token dictionary: its IDs are the slots, and its
+	// strings the block keys.
 	dict *kb.Interner
-	// keys holds per-slot key strings when the index was built over a bare
-	// Collection (dict == nil). Exactly one of dict/keys is set.
-	keys []string
-	// t1/t2 translate KB-local token IDs to slots; nil means identity. A
-	// negative slot marks a token absent from the slot space (possible only
-	// in from-collection indexes, whose slots cover just the kept blocks).
+	// t1/t2 translate KB-local token IDs to slots; nil means identity.
 	t1, t2 []int32
 	// o1/m1 and o2/m2 are the per-slot member CSRs: slot s's members of KB i
 	// (entities containing the token, sorted by ID) are mi[oi[s]:oi[s+1]].
@@ -268,12 +266,6 @@ func memberFillAtomic(ctx context.Context, e *parallel.Engine, k *kb.KB, t []int
 	return mem, off, nil
 }
 
-// NewTokenIndex is NewTokenIndexCtx without cancellation.
-func NewTokenIndex(e *parallel.Engine, k1, k2 *kb.KB) *TokenIndex {
-	ix, _ := NewTokenIndexCtx(context.Background(), e, k1, k2)
-	return ix
-}
-
 // mergeDict interns every token of src into joint and returns the
 // src-ID → joint-slot translation table.
 func mergeDict(src *kb.Interner, joint *kb.Interner) []int32 {
@@ -308,62 +300,8 @@ func offsets(counts []int32) []int32 {
 	return off
 }
 
-// IndexFromCollection builds a TokenIndex view over an existing (typically
-// purged) block collection: slots are block positions, member lists are
-// concatenated into the index's flat CSRs, and the translation tables are
-// filled with one dictionary lookup per distinct token of each KB. This is
-// the compatibility path for callers that assemble a graph input from a bare
-// Collection; the pipeline threads the purged index itself.
-func IndexFromCollection(c *Collection, k1, k2 *kb.KB) *TokenIndex {
-	n := len(c.Blocks)
-	ix := &TokenIndex{
-		keys:   make([]string, n),
-		o1:     make([]int32, n+1),
-		o2:     make([]int32, n+1),
-		weight: make([]float64, n),
-		live:   n,
-	}
-	byKey := make(map[string]int32, n)
-	for s := range c.Blocks {
-		b := &c.Blocks[s]
-		ix.keys[s] = b.Key
-		ix.o1[s+1] = ix.o1[s] + int32(len(b.E1))
-		ix.o2[s+1] = ix.o2[s] + int32(len(b.E2))
-		ix.weight[s] = stats.TokenWeight(len(b.E1), len(b.E2))
-		byKey[b.Key] = int32(s)
-	}
-	ix.m1 = make([]kb.EntityID, 0, ix.o1[n])
-	ix.m2 = make([]kb.EntityID, 0, ix.o2[n])
-	for s := range c.Blocks {
-		ix.m1 = append(ix.m1, c.Blocks[s].E1...)
-		ix.m2 = append(ix.m2, c.Blocks[s].E2...)
-	}
-	ix.t1 = translateByKey(k1.TokenDict(), byKey)
-	ix.t2 = translateByKey(k2.TokenDict(), byKey)
-	return ix
-}
-
-// translateByKey maps every token of dict to its block slot, -1 if absent.
-func translateByKey(dict *kb.Interner, byKey map[string]int32) []int32 {
-	if dict == nil {
-		return []int32{}
-	}
-	n := dict.Len()
-	t := make([]int32, n)
-	for id := 0; id < n; id++ {
-		if s, ok := byKey[dict.TokenString(kb.TokenID(id))]; ok {
-			t[id] = s
-		} else {
-			t[id] = -1
-		}
-	}
-	return t
-}
-
 // Live returns the number of live token slots — the block count Collection
-// would materialize. Graph construction uses it (together with
-// TotalComparisons) as a cheap consistency check between a caller-supplied
-// index and collection.
+// would materialize (|B_T| of Table 2).
 func (ix *TokenIndex) Live() int { return ix.live }
 
 // TotalComparisons returns ‖B‖ over the live slots: the aggregate cross-KB
@@ -381,12 +319,7 @@ func (ix *TokenIndex) TotalComparisons() int64 {
 }
 
 // key returns the block key of a slot.
-func (ix *TokenIndex) key(s int32) string {
-	if ix.dict != nil {
-		return ix.dict.TokenString(kb.TokenID(s))
-	}
-	return ix.keys[s]
-}
+func (ix *TokenIndex) key(s int32) string { return ix.dict.TokenString(kb.TokenID(s)) }
 
 // ForEachSharedTokens walks the live tokens of one token-ID list in
 // token-string order — the same order the historical string-keyed path used,
@@ -405,9 +338,6 @@ func (ix *TokenIndex) ForEachSharedTokens(tids []kb.TokenID, fromE1 bool, f func
 	}
 	for _, tid := range tids {
 		s := slotOf(t, tid)
-		if s < 0 {
-			continue
-		}
 		if w := ix.weight[s]; w > 0 {
 			f(w, mem[off[s]:off[s+1]])
 		}
@@ -417,7 +347,7 @@ func (ix *TokenIndex) ForEachSharedTokens(tids []kb.TokenID, fromE1 bool, f func
 // Collection materializes the live slots as a block collection sorted by
 // key, with member lists aliasing the index (callers must treat blocks as
 // read-only, as they always had to). The result is byte-identical to the
-// historical TokenBlocks output for the same purge state.
+// historical string-grouped token blocking for the same purge state.
 func (ix *TokenIndex) Collection() *Collection {
 	liveSlots := make([]int32, 0, ix.live)
 	for s, w := range ix.weight {

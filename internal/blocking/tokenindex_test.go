@@ -27,11 +27,12 @@ func collectBeta(ix *TokenIndex, k *kb.KB, fromE1 bool) [][]float64 {
 }
 
 // The index's Collection must equal the historical grouped-and-sorted
-// blocking output exactly — same keys, same order, same members.
+// blocking output exactly — same keys, same order, same members — as the
+// retained string-keyed buildCollection groups it.
 func TestTokenIndexCollectionMatchesTokenBlocks(t *testing.T) {
 	w, d := testkb.Figure1() // separate dictionaries → translation path
 	eng := parallel.New(2)
-	ix := NewTokenIndex(eng, w, d)
+	ix := newTokenIndex(t, eng, w, d)
 	got := ix.Collection()
 	if got.Len() == 0 {
 		t.Fatal("no token blocks")
@@ -39,9 +40,19 @@ func TestTokenIndexCollectionMatchesTokenBlocks(t *testing.T) {
 	if ix.Live() != got.Len() {
 		t.Errorf("Live = %d, Collection len = %d", ix.Live(), got.Len())
 	}
-	viaAPI := TokenBlocks(eng, w, d)
-	if !reflect.DeepEqual(got, viaAPI) {
-		t.Error("Collection() and TokenBlocks() disagree")
+	tokens := func(k *kb.KB) func(int, func(string)) {
+		return func(i int, yield func(string)) {
+			for _, tid := range k.TokenIDs(kb.EntityID(i)) {
+				yield(k.TokenDict().TokenString(tid))
+			}
+		}
+	}
+	want, err := buildCollection(context.Background(), eng, w, d, tokens(w), tokens(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("Collection() and the string-grouped reference disagree")
 	}
 	for i := 1; i < len(got.Blocks); i++ {
 		if got.Blocks[i-1].Key >= got.Blocks[i].Key {
@@ -83,8 +94,8 @@ func TestTokenIndexSharedVsDisjointDictionaries(t *testing.T) {
 	if k1d.TokenDict() == k2d.TokenDict() {
 		t.Fatal("disjoint build shares a dictionary")
 	}
-	ixs := NewTokenIndex(eng, k1s, k2s)
-	ixd := NewTokenIndex(eng, k1d, k2d)
+	ixs := newTokenIndex(t, eng, k1s, k2s)
+	ixd := newTokenIndex(t, eng, k1d, k2d)
 	if !reflect.DeepEqual(ixs.Collection(), ixd.Collection()) {
 		t.Error("collections differ between shared and disjoint dictionaries")
 	}
@@ -115,9 +126,9 @@ func TestTokenIndexDeterministicAcrossWorkers(t *testing.T) {
 		b2.AddLiteral(e2, "label", label)
 	}
 	k1, k2 := b1.Build(), b2.Build()
-	ref := NewTokenIndex(parallel.Sequential(), k1, k2).Collection()
+	ref := newTokenIndex(t, parallel.Sequential(), k1, k2).Collection()
 	for _, workers := range []int{2, 7, 16} {
-		got := NewTokenIndex(parallel.New(workers), k1, k2).Collection()
+		got := newTokenIndex(t, parallel.New(workers), k1, k2).Collection()
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("index differs with %d workers", workers)
 		}
@@ -128,8 +139,7 @@ func TestTokenIndexDeterministicAcrossWorkers(t *testing.T) {
 // leave the receiver untouched.
 func TestTokenIndexPurgeAboveMatchesCollectionPurge(t *testing.T) {
 	w, d := testkb.Figure1()
-	eng := parallel.Sequential()
-	ix := NewTokenIndex(eng, w, d)
+	ix := newTokenIndex(t, parallel.Sequential(), w, d)
 	full := ix.Collection()
 	const threshold = 1 // keep only 1×1 blocks
 	purgedIx, n := ix.PurgeAbove(threshold)
@@ -145,29 +155,6 @@ func TestTokenIndexPurgeAboveMatchesCollectionPurge(t *testing.T) {
 	}
 	if keep, n := ix.PurgeAbove(0); keep != ix || n != 0 {
 		t.Error("non-positive threshold must be a no-op view")
-	}
-}
-
-// IndexFromCollection must reproduce the same walk as the natively built
-// index for the same (purged) collection.
-func TestIndexFromCollectionMatchesNativeIndex(t *testing.T) {
-	w, d := testkb.Figure1()
-	eng := parallel.Sequential()
-	native := NewTokenIndex(eng, w, d)
-	native, _ = native.PurgeAbove(2)
-	col := native.Collection()
-	derived := IndexFromCollection(col, w, d)
-	if derived.Live() != col.Len() {
-		t.Errorf("derived Live = %d, want %d", derived.Live(), col.Len())
-	}
-	if !reflect.DeepEqual(collectBeta(native, w, true), collectBeta(derived, w, true)) {
-		t.Error("E1 walks differ between native and derived index")
-	}
-	if !reflect.DeepEqual(collectBeta(native, d, false), collectBeta(derived, d, false)) {
-		t.Error("E2 walks differ between native and derived index")
-	}
-	if !reflect.DeepEqual(derived.Collection(), col) {
-		t.Error("derived collection differs")
 	}
 }
 

@@ -28,12 +28,11 @@ func buildBatchGraph(t *testing.T, sub *Substrate) *graph.Graph {
 	eng := parallel.New(sub.cfg.Workers)
 	g, _, err := graph.BuildTimedCtx(context.Background(), eng, graph.Input{
 		K1: sub.k1, K2: sub.k2,
-		NameBlocks:  sub.NameBlocks(),
-		TokenBlocks: sub.TokenBlocks(),
-		TokenIndex:  sub.tokenIx.Load(),
-		Top1:        sub.top1.Nested(),
-		Top2:        sub.top2.Nested(),
-		K:           sub.cfg.TopK,
+		NameBlocks: sub.NameBlocks(),
+		TokenIndex: sub.tokenIx.Load(),
+		Top1:       sub.top1.Nested(),
+		Top2:       sub.top2.Nested(),
+		K:          sub.cfg.TopK,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -492,7 +491,11 @@ func TestSubstrateTokenBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, purged := blocking.PurgeAbove(blocking.TokenBlocks(parallel.New(0), k1, k2), sub.PurgeThreshold())
+	full, err := blocking.NewTokenIndexCtx(context.Background(), parallel.New(0), k1, k2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, purged := blocking.PurgeAbove(full.Collection(), sub.PurgeThreshold())
 	if purged != sub.PurgedBlocks() || purged == 0 {
 		t.Fatalf("the collection purges %d blocks, the substrate %d; want the same, and some", purged, sub.PurgedBlocks())
 	}

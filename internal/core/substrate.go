@@ -377,8 +377,8 @@ func (sub *Substrate) blockTokens(ctx context.Context, eng *parallel.Engine) err
 // purgedTokenIndex builds the columnar token index of a pair (the
 // shared-interner token space flows from the KB builders through the index
 // into graph construction) with Block Purging of stop-word token blocks
-// applied at the pair's comparison budget — the one formula for the purging
-// threshold, shared with blocking.AutoPurge. It is the whole of what a build
+// applied at the pair's comparison budget (blocking.ComparisonBudget, the
+// one formula for the purging threshold). It is the whole of what a build
 // freezes and a substrate from parts derives.
 func purgedTokenIndex(ctx context.Context, eng *parallel.Engine, k1, k2 *kb.KB, fraction float64) (*blocking.TokenIndex, int, int64, error) {
 	threshold := blocking.ComparisonBudget(k1.Len(), k2.Len(), fraction)

@@ -84,6 +84,43 @@ func TestTable2Shapes(t *testing.T) {
 	}
 }
 
+// Table 2 reports the blocks the pipeline resolves over: its |B_N|, |B_T|,
+// ‖B_N‖ and ‖B_T‖ are the counts of the name and token blocks of the
+// substrate built at the paper's configuration, also at a scale where Block
+// Purging's budget rounds below one comparison and is raised to one.
+func TestTable2ReadsPipelineBlocks(t *testing.T) {
+	for _, scale := range []float64{0.02, 0.1} {
+		s := testSuite(t, scale)
+		rows, err := s.Table2()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != len(s.Names()) {
+			t.Fatalf("×%v: %d rows for %d datasets", scale, len(rows), len(s.Names()))
+		}
+		for _, r := range rows {
+			d, err := s.Dataset(r.Dataset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub, err := core.BuildSubstrate(context.Background(), d.K1, d.K2, core.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			nb, tb := sub.NameBlocks(), sub.TokenBlocks()
+			if tb.Len() == 0 {
+				t.Fatalf("%s ×%v: the substrate has no token block; test is vacuous", r.Dataset, scale)
+			}
+			got := [4]int64{int64(r.NameBlocks), int64(r.TokenBlocks), r.NameComparisons, r.TokenComparisons}
+			want := [4]int64{int64(nb.Len()), int64(tb.Len()), nb.TotalComparisons(), tb.TotalComparisons()}
+			if got != want {
+				t.Errorf("%s ×%v: Table 2 reads |B_N|, |B_T|, ‖B_N‖, ‖B_T‖ = %v, the substrate's blocks %v",
+					r.Dataset, scale, got, want)
+			}
+		}
+	}
+}
+
 func TestTable4RuleShapes(t *testing.T) {
 	s := testSuite(t, 0.1, "Restaurant", "YAGO-IMDb")
 	rows, err := s.Table4()

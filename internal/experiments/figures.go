@@ -37,8 +37,14 @@ func (s *Suite) Figure2() ([]Figure2Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		ef1 := stats.BuildEF(eng, d.K1)
-		ef2 := stats.BuildEF(eng, d.K2)
+		ef1, err := stats.BuildEFCtx(context.Background(), eng, d.K1)
+		if err != nil {
+			return nil, err
+		}
+		ef2, err := stats.BuildEFCtx(context.Background(), eng, d.K2)
+		if err != nil {
+			return nil, err
+		}
 		wj := func(a *kb.Description, b *kb.Description) float64 {
 			return weightedJaccard(a, b, ef1, ef2)
 		}

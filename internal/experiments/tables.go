@@ -10,7 +10,6 @@ import (
 	"minoaner/internal/core"
 	"minoaner/internal/datagen"
 	"minoaner/internal/eval"
-	"minoaner/internal/kb"
 	"minoaner/internal/matching"
 	"minoaner/internal/parallel"
 	"minoaner/internal/stats"
@@ -51,31 +50,45 @@ type Table2Row struct {
 	blocking.Stats
 }
 
-// Table2 runs name + token blocking with purging on every dataset and
-// reports |B_N|, |B_T|, ‖B_N‖, ‖B_T‖, the Cartesian baseline and blocking
+// Table2 reports, for every dataset, the name and token blocks of the
+// substrate the pipeline resolves over (token blocks after Block Purging):
+// |B_N|, |B_T|, ‖B_N‖, ‖B_T‖, the Cartesian baseline and blocking
 // precision/recall/F1.
 func (s *Suite) Table2() ([]Table2Row, error) {
-	eng := parallel.New(s.opts.Workers)
 	var rows []Table2Row
 	for _, name := range s.Names() {
-		d, err := s.Dataset(name)
+		d, sub, err := s.substrate(name)
 		if err != nil {
 			return nil, err
 		}
-		n1 := stats.NameAttributes(eng, d.K1, 2)
-		n2 := stats.NameAttributes(eng, d.K2, 2)
-		nameBlocks := blocking.NameBlocks(eng, d.K1, d.K2, n1, n2)
-		tokenBlocks := blocking.TokenBlocks(eng, d.K1, d.K2)
-		cap := int64(float64(d.K1.Len()) * float64(d.K2.Len()) * core.DefaultConfig().MaxBlockFraction)
-		tokenBlocks, _ = blocking.PurgeAbove(tokenBlocks, cap)
+		n1, _ := sub.NameAttrs()
 		nl1 := stats.NewNameLookup(d.K1, n1)
-		nameKeys := func(e1 kb.EntityID) []string {
-			return nl1.Names(e1)
-		}
-		st := blocking.EvaluateBlocks(d.K1, d.K2, nameBlocks, tokenBlocks, d.GT, nameKeys)
+		st := blocking.EvaluateBlocks(d.K1, d.K2, sub.NameBlocks(), sub.TokenBlocks(), d.GT, nl1.Names)
 		rows = append(rows, Table2Row{Dataset: name, Stats: st})
 	}
 	return rows, nil
+}
+
+// substrate generates one dataset and builds its substrate at the default
+// configuration: the blocks, statistics and graph input the pipeline
+// resolves over.
+func (s *Suite) substrate(name string) (*datagen.Dataset, *core.Substrate, error) {
+	d, err := s.Dataset(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	sub, err := core.BuildSubstrate(context.Background(), d.K1, d.K2, s.config())
+	if err != nil {
+		return nil, nil, err
+	}
+	return d, sub, nil
+}
+
+// config is the paper's configuration on the suite's worker count.
+func (s *Suite) config() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.Workers = s.opts.Workers
+	return cfg
 }
 
 // FormatTable2 renders Table 2 rows.
@@ -104,18 +117,17 @@ type Table3Row struct {
 var Table3Systems = []string{"SiGMa", "LINDA-style", "RiMOM-IM-style", "PARIS", "BSL", "MinoanER"}
 
 // Table3 compares MinoanER against all reimplemented baselines on every
-// dataset.
+// dataset. The block-based baselines read the purged token blocks of the
+// substrate MinoanER resolves over.
 func (s *Suite) Table3() ([]Table3Row, error) {
 	eng := parallel.New(s.opts.Workers)
 	var rows []Table3Row
 	for _, name := range s.Names() {
-		d, err := s.Dataset(name)
+		d, sub, err := s.substrate(name)
 		if err != nil {
 			return nil, err
 		}
-		tokenBlocks := blocking.TokenBlocks(eng, d.K1, d.K2)
-		cap := int64(float64(d.K1.Len()) * float64(d.K2.Len()) * core.DefaultConfig().MaxBlockFraction)
-		tokenBlocks, _ = blocking.PurgeAbove(tokenBlocks, cap)
+		tokenBlocks := sub.TokenBlocks()
 
 		sig := baselines.SiGMa(eng, d.K1, d.K2, tokenBlocks, baselines.DefaultSiGMaConfig())
 		rows = append(rows, Table3Row{name, "SiGMa", eval.Evaluate(sig, d.GT), ""})
@@ -133,9 +145,7 @@ func (s *Suite) Table3() ([]Table3Row, error) {
 		bsl := baselines.BSL(eng, d.K1, d.K2, cands, d.GT)
 		rows = append(rows, Table3Row{name, "BSL", bsl.Best.Metrics, bsl.Best.Config.String()})
 
-		cfg := core.DefaultConfig()
-		cfg.Workers = s.opts.Workers
-		out, err := core.ResolveContext(context.Background(), d.K1, d.K2, cfg)
+		out, err := core.ResolveWith(context.Background(), sub, s.config())
 		if err != nil {
 			return nil, err
 		}
@@ -191,8 +201,7 @@ func (s *Suite) Table4() ([]Table4Row, error) {
 		}
 		for _, setting := range Table4Settings {
 			mc := configs[setting]
-			cfg := core.DefaultConfig()
-			cfg.Workers = s.opts.Workers
+			cfg := s.config()
 			cfg.Rules = &mc
 			out, err := core.ResolveContext(context.Background(), d.K1, d.K2, cfg)
 			if err != nil {

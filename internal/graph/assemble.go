@@ -12,76 +12,31 @@ import (
 // InputFor assembles a complete Algorithm 1 input from two KBs by running
 // the upstream statistics and blocking stages with the given parameters:
 // nameK name attributes per KB (paper parameter k), topK candidates per node
-// per weight (K), and relN top relations per entity (N). Token blocks are
-// not purged here; callers that need Block Purging apply it to both
-// Input.TokenBlocks (blocking.PurgeAbove) and Input.TokenIndex
-// (TokenIndex.PurgeAbove) before building, as the core pipeline does. If
-// only the collection is purged, the builder notices the mismatch and derives
-// a consistent index view from the collection.
+// per weight (K), and relN top relations per entity (N). The token index is
+// not purged here; callers that need Block Purging purge Input.TokenIndex
+// (TokenIndex.PurgeAbove) before building. The pipeline builds its input
+// from a substrate instead; this is the fixture of the graph and matching
+// tests. The stages run under a background context, which cannot be
+// cancelled, so none of them can fail.
 func InputFor(e *parallel.Engine, k1, k2 *kb.KB, nameK, topK, relN int) Input {
-	in, _ := InputForCtx(context.Background(), e, k1, k2, nameK, topK, relN)
-	return in
-}
-
-// InputForCtx is InputFor with cancellation and first-error propagation
-// through every upstream stage.
-func InputForCtx(ctx context.Context, e *parallel.Engine, k1, k2 *kb.KB, nameK, topK, relN int) (Input, error) {
-	var (
-		n1, n2         []string
-		ranks1, ranks2 []int32
-		nameBlocks     *blocking.Collection
-		tokenIx        *blocking.TokenIndex
-	)
-	// Name discovery, relation statistics and token blocking are mutually
-	// independent — run them concurrently as in Figure 4.
-	err := e.ConcurrentCtx(ctx,
-		func(sc context.Context) error {
-			var err error
-			n1, err = stats.NameAttributesCtx(sc, e, k1, nameK)
-			return err
-		},
-		func(sc context.Context) error {
-			var err error
-			n2, err = stats.NameAttributesCtx(sc, e, k2, nameK)
-			return err
-		},
-		func(sc context.Context) error {
-			ri, err := stats.RelationImportancesCtx(sc, e, k1)
-			ranks1 = stats.RelationRanks(k1, ri)
-			return err
-		},
-		func(sc context.Context) error {
-			ri, err := stats.RelationImportancesCtx(sc, e, k2)
-			ranks2 = stats.RelationRanks(k2, ri)
-			return err
-		},
-		func(sc context.Context) error {
-			var err error
-			tokenIx, err = blocking.NewTokenIndexCtx(sc, e, k1, k2)
-			return err
-		},
-	)
-	if err != nil {
-		return Input{}, err
+	ctx := context.Background()
+	names := func(k *kb.KB) *stats.NameLookup {
+		attrs, _ := stats.NameAttributesCtx(ctx, e, k, nameK)
+		return stats.NewNameLookup(k, attrs)
 	}
-	if nameBlocks, err = blocking.NameBlocksCtx(ctx, e, k1, k2, n1, n2); err != nil {
-		return Input{}, err
+	top := func(k *kb.KB) [][]kb.EntityID {
+		ri, _ := stats.RelationImportancesCtx(ctx, e, k)
+		rows, _ := stats.TopNeighborsRanksCtx(ctx, e, k, stats.RelationRanks(k, ri), relN)
+		return rows
 	}
-	top1, err := stats.TopNeighborsRanksCtx(ctx, e, k1, ranks1, relN)
-	if err != nil {
-		return Input{}, err
-	}
-	top2, err := stats.TopNeighborsRanksCtx(ctx, e, k2, ranks2, relN)
-	if err != nil {
-		return Input{}, err
-	}
+	nameIx, _ := blocking.NewNameIndexLookupsCtx(ctx, e, names(k1), names(k2))
+	tokenIx, _ := blocking.NewTokenIndexCtx(ctx, e, k1, k2)
 	return Input{
 		K1: k1, K2: k2,
-		NameBlocks:  nameBlocks,
-		TokenBlocks: tokenIx.Collection(),
-		TokenIndex:  tokenIx,
-		Top1:        top1,
-		Top2:        top2,
-		K:           topK,
-	}, nil
+		NameBlocks: nameIx.Collection(),
+		TokenIndex: tokenIx,
+		Top1:       top(k1),
+		Top2:       top(k2),
+		K:          topK,
+	}
 }

@@ -81,19 +81,19 @@ type Graph struct {
 // Input bundles everything Algorithm 1 needs.
 type Input struct {
 	K1, K2 *kb.KB
-	// NameBlocks and TokenBlocks are the (purged) block collections of §3.1.
-	NameBlocks, TokenBlocks *blocking.Collection
-	// TokenIndex is the columnar token index the β stage walks. Optional: it
-	// should describe the same purged block set as TokenBlocks (the pipeline
-	// and InputForCtx thread it through). When absent, the builder derives an
-	// index view from TokenBlocks; when the two disagree, the more-purged
-	// side wins (see resolveIndex), so purging either view alone still takes
-	// effect.
+	// NameBlocks is the name block collection of §3.1.
+	NameBlocks *blocking.Collection
+	// TokenBlocks is not read by the builder: the β stage walks TokenIndex
+	// alone. The repository benchmark's layer replay still sets it; it is
+	// deleted with that replay (ROADMAP items 1(a) and 3(c)).
+	TokenBlocks *blocking.Collection
+	// TokenIndex is the (purged) columnar token index the β stage walks:
+	// token blocking of §3.1 with Block Purging applied. Required.
 	TokenIndex *blocking.TokenIndex
 	// Top1/Top2 are the per-entity top-neighbor lists of each KB
-	// (stats.TopNeighbors); Algorithm 1 derives the in-neighbor index from
-	// them internally (procedure getTopInNeighbors). BuildTimedCtx reads
-	// them; BuildSharedCtx takes them flat instead.
+	// (stats.TopNeighborsRanksCtx); Algorithm 1 derives the in-neighbor
+	// index from them internally (procedure getTopInNeighbors).
+	// BuildTimedCtx reads them; BuildSharedCtx takes them flat instead.
 	Top1, Top2 [][]kb.EntityID
 	// K is the number of candidates kept per node per weight (paper default 15).
 	K int
@@ -129,7 +129,7 @@ func BuildSharedCtx(ctx context.Context, e *parallel.Engine, in Input, top1, top
 	g := &Graph{Top1: top1, K: in.K}
 	var tm Timings
 	ce := e.Chunked()
-	ix := resolveIndex(in)
+	ix := in.TokenIndex
 	n1, n2 := in.K1.Len(), in.K2.Len()
 	t0 := time.Now()
 	// Name evidence and the two directions of value evidence are mutually
@@ -195,33 +195,6 @@ func BuildTimedCtx(ctx context.Context, e *parallel.Engine, in Input) (*Graph, T
 	}
 	tm.Gamma += time.Since(t0)
 	return g, tm, nil
-}
-
-// resolveIndex picks the token index the β stage walks. Both β directions
-// use one shared index with per-token weights precomputed once. When the
-// caller-supplied index and TokenBlocks disagree (a caller purged only one
-// of the two views), the more-purged side wins so Block Purging is never
-// silently discarded: an index with MORE live blocks than the collection
-// means only the collection was purged (the pre-index idiom) and a
-// consistent index is derived from it; an index with FEWER live blocks means
-// only the index was purged and it is honored as-is. Ties with diverging
-// aggregate comparisons fall back to the collection, the documented source
-// of truth.
-func resolveIndex(in Input) *blocking.TokenIndex {
-	ix := in.TokenIndex
-	if ix != nil && in.TokenBlocks == nil {
-		// Collection-free construction (substrate callers that opted out of
-		// materializing the historical block output): the index is the only
-		// view and is honored as-is.
-		return ix
-	}
-	switch {
-	case ix == nil,
-		ix.Live() > in.TokenBlocks.Len(),
-		ix.Live() == in.TokenBlocks.Len() && ix.TotalComparisons() != in.TokenBlocks.TotalComparisons():
-		return blocking.IndexFromCollection(in.TokenBlocks, in.K1, in.K2)
-	}
-	return ix
 }
 
 // buildAlpha scans the name blocks for 1×1 blocks: a name used by exactly

@@ -55,7 +55,14 @@ func TestBetaMatchesDirectValueSim(t *testing.T) {
 	// With K large enough that nothing is pruned, the retained β weight of
 	// every pair must equal the reference Def. 2.1 computation.
 	w, d, g := buildFigure1Graph(t, seq, 100)
-	ef1, ef2 := stats.BuildEF(seq, w), stats.BuildEF(seq, d)
+	ef1, err := stats.BuildEFCtx(t.Context(), seq, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ef2, err := stats.BuildEFCtx(t.Context(), seq, d)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < w.Len(); i++ {
 		for j := 0; j < d.Len(); j++ {
 			want := stats.ValueSim(w.Entity(kb.EntityID(i)), d.Entity(kb.EntityID(j)), ef1, ef2)
@@ -577,27 +584,23 @@ func TestNoSharedTokens(t *testing.T) {
 	}
 }
 
-// Block Purging must take effect no matter which of the two token views a
-// caller purges: both one-sided purges must match the fully consistent
-// reference, per resolveIndex's "more-purged side wins" rule.
+// Block Purging is applied to the token index, and the builder must honor
+// it: purging the index of a built input gives the graph of an index built
+// purged.
 func TestBuildHonorsOneSidedPurging(t *testing.T) {
 	w, d := testkb.Figure1()
 	const threshold = 1 // keep only 1×1 token blocks
 	ref := InputFor(seq, w, d, 2, 15, 2)
-	ref.TokenBlocks, _ = blocking.PurgeAbove(ref.TokenBlocks, threshold)
-	ref.TokenIndex, _ = ref.TokenIndex.PurgeAbove(threshold)
+	var err error
+	if ref.TokenIndex, _, err = blocking.NewPurgedTokenIndexCtx(t.Context(), seq, w, d, threshold); err != nil {
+		t.Fatal(err)
+	}
 	want := mustBuild(t, seq, ref)
 
 	indexOnly := InputFor(seq, w, d, 2, 15, 2)
 	indexOnly.TokenIndex, _ = indexOnly.TokenIndex.PurgeAbove(threshold)
 	if g := mustBuild(t, seq, indexOnly); !reflect.DeepEqual(g.Beta1, want.Beta1) || !reflect.DeepEqual(g.Beta2, want.Beta2) {
 		t.Error("index-only purge was not honored")
-	}
-
-	collectionOnly := InputFor(seq, w, d, 2, 15, 2)
-	collectionOnly.TokenBlocks, _ = blocking.PurgeAbove(collectionOnly.TokenBlocks, threshold)
-	if g := mustBuild(t, seq, collectionOnly); !reflect.DeepEqual(g.Beta1, want.Beta1) || !reflect.DeepEqual(g.Beta2, want.Beta2) {
-		t.Error("collection-only purge was not honored")
 	}
 
 	// Sanity: purging at this threshold actually removed something, so the

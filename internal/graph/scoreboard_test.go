@@ -153,7 +153,10 @@ func TestBetaRowsScoreboardMatchesMapReference(t *testing.T) {
 	ctx := context.Background()
 	for trial := 0; trial < 5; trial++ {
 		k1, k2 := randomTokenKBs(r, 40+r.Intn(40), 60+r.Intn(60), 30)
-		ix := blocking.NewTokenIndex(parallel.New(2), k1, k2)
+		ix, err := blocking.NewTokenIndexCtx(ctx, parallel.New(2), k1, k2)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want, err := betaRowsMap(ctx, parallel.Sequential(), ix, k1, true, 5)
 		if err != nil {
 			t.Fatal(err)
@@ -197,7 +200,10 @@ func TestBetaRowsDirtyBoardWouldBeCaught(t *testing.T) {
 		b2.AddLiteral(u, "label", "alpha beta shared distinct"+fmt.Sprint(i%5))
 	}
 	k1, k2 := b1.Build(), b2.Build()
-	ix := blocking.NewTokenIndex(parallel.Sequential(), k1, k2)
+	ix, err := blocking.NewTokenIndexCtx(context.Background(), parallel.Sequential(), k1, k2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want, err := betaRowsMap(context.Background(), parallel.Sequential(), ix, k1, true, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -362,7 +368,10 @@ func benchBetaInputs(b *testing.B) (*kb.KB, *kb.KB, *blocking.TokenIndex) {
 	b.Helper()
 	r := rand.New(rand.NewSource(42))
 	k1, k2 := randomTokenKBs(r, 800, 2400, 400)
-	ix := blocking.NewTokenIndex(parallel.New(0), k1, k2)
+	ix, err := blocking.NewTokenIndexCtx(context.Background(), parallel.New(0), k1, k2)
+	if err != nil {
+		b.Fatal(err)
+	}
 	return k1, k2, ix
 }
 

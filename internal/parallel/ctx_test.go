@@ -64,15 +64,15 @@ func TestChunkedForVisitsEachOnce(t *testing.T) {
 	}
 }
 
-// The dynamic scheduler must preserve GroupBy's sequential value order for
-// any worker count, even though chunk boundaries differ per engine.
+// The dynamic scheduler must preserve GroupByCtx's sequential value order
+// for any worker count, even though chunk boundaries differ per engine.
 func TestGroupByChunkedDeterministic(t *testing.T) {
 	n := 500
-	reference := GroupBy(Sequential(), n, emitMod7)
+	reference := groupBy(t, Sequential(), n, emitMod7)
 	for _, w := range []int{1, 2, 3, 8, 16} {
-		got := GroupBy(New(w).Chunked(), n, emitMod7)
+		got := groupBy(t, New(w).Chunked(), n, emitMod7)
 		if !reflect.DeepEqual(got, reference) {
-			t.Fatalf("chunked GroupBy with %d workers differs from sequential", w)
+			t.Fatalf("chunked GroupByCtx with %d workers differs from sequential", w)
 		}
 	}
 }
@@ -188,15 +188,12 @@ func TestConcurrentCtxParentCancellation(t *testing.T) {
 	}
 }
 
-func TestGroupByCtxAndCountByCtxPropagateCancellation(t *testing.T) {
+func TestGroupByCtxPropagatesCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	e := New(4).Chunked()
 	if _, err := GroupByCtx(ctx, e, 100, func(i int, yield func(int, int)) { yield(i, i) }); !errors.Is(err, context.Canceled) {
 		t.Errorf("GroupByCtx = %v, want context.Canceled", err)
-	}
-	if _, err := CountByCtx(ctx, e, 100, func(i int, yield func(int)) { yield(i % 3) }); !errors.Is(err, context.Canceled) {
-		t.Errorf("CountByCtx = %v, want context.Canceled", err)
 	}
 }
 

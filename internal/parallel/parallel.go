@@ -33,12 +33,12 @@
 // Cancellation is observed between spans/chunks, so the dynamic scheduler
 // also bounds cancellation latency.
 //
-// Invariant relied on by every non-ctx wrapper (here and in the stats,
-// blocking, graph and matching packages): a Ctx variant can only fail with
-// an error from ctx or from a task callback. Wrappers pass
-// context.Background() and callbacks that never fail, so the discarded
-// error is provably nil. Any future non-ctx failure mode added to a Ctx
-// variant must convert these wrappers to return errors.
+// Invariant relied on by every non-ctx wrapper (here, and in the graph and
+// baselines callers that run a Ctx stage under context.Background()): a Ctx
+// variant can only fail with an error from ctx or from a task callback.
+// Wrappers pass context.Background() and callbacks that never fail, so the
+// discarded error is provably nil. Any future non-ctx failure mode added to
+// a Ctx variant must convert these wrappers to return errors.
 package parallel
 
 import (
@@ -440,38 +440,6 @@ func Map[T any](e *Engine, n int, fn func(i int) T) []T {
 	return out
 }
 
-// Reduce folds per-partition results left-to-right in partition order.
-// merge may mutate and return its first argument.
-func Reduce[T any](parts []T, merge func(acc, next T) T) T {
-	var acc T
-	for i, p := range parts {
-		if i == 0 {
-			acc = p
-			continue
-		}
-		acc = merge(acc, p)
-	}
-	return acc
-}
-
-// SumInts is a convenience reduction for integer partial counts.
-func SumInts(parts []int) int {
-	total := 0
-	for _, p := range parts {
-		total += p
-	}
-	return total
-}
-
-// SumFloats is a convenience reduction for float64 partial sums.
-func SumFloats(parts []float64) float64 {
-	total := 0.0
-	for _, p := range parts {
-		total += p
-	}
-	return total
-}
-
 // GroupByCtx builds a grouped index from n input rows: emit is called for
 // every row index and may yield any number of (key, value) pairs; the result
 // maps each key to its values. Values for a key appear in deterministic
@@ -480,7 +448,9 @@ func SumFloats(parts []float64) float64 {
 // order a sequential loop would produce.
 //
 // This is the engine's "shuffle": span-local grouping followed by an ordered
-// merge, the substitute for Spark's groupByKey used to build blocks.
+// merge, the substitute for Spark's groupByKey. The pipeline builds its
+// blocks as columnar indexes instead; this groups the string-keyed reference
+// collection the blocking tests pin those indexes against.
 func GroupByCtx[K comparable, V any](ctx context.Context, e *Engine, n int, emit func(i int, yield func(K, V))) (map[K][]V, error) {
 	locals, err := MapSpansCtx(ctx, e, n, func(s Span) (map[K][]V, error) {
 		m := make(map[K][]V)
@@ -507,44 +477,4 @@ func GroupByCtx[K comparable, V any](ctx context.Context, e *Engine, n int, emit
 		}
 	}
 	return out, nil
-}
-
-// GroupBy is GroupByCtx without cancellation.
-func GroupBy[K comparable, V any](e *Engine, n int, emit func(i int, yield func(K, V))) map[K][]V {
-	out, _ := GroupByCtx(context.Background(), e, n, emit)
-	return out
-}
-
-// CountByCtx tallies keys emitted per row, merging span-local counters in
-// span order. It is the shuffle used for Entity Frequency statistics.
-func CountByCtx[K comparable](ctx context.Context, e *Engine, n int, emit func(i int, yield func(K))) (map[K]int, error) {
-	locals, err := MapSpansCtx(ctx, e, n, func(s Span) (map[K]int, error) {
-		m := make(map[K]int)
-		for i := s.Lo; i < s.Hi; i++ {
-			emit(i, func(k K) { m[k]++ })
-		}
-		return m, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	switch len(locals) {
-	case 0:
-		return map[K]int{}, nil
-	case 1:
-		return locals[0], nil
-	}
-	out := locals[0]
-	for _, m := range locals[1:] {
-		for k, c := range m {
-			out[k] += c
-		}
-	}
-	return out, nil
-}
-
-// CountBy is CountByCtx without cancellation.
-func CountBy[K comparable](e *Engine, n int, emit func(i int, yield func(K))) map[K]int {
-	out, _ := CountByCtx(context.Background(), e, n, emit)
-	return out
 }

@@ -114,36 +114,24 @@ func TestConcurrentBarrier(t *testing.T) {
 	}
 }
 
-func TestReduce(t *testing.T) {
-	got := Reduce([]int{1, 2, 3, 4}, func(a, b int) int { return a + b })
-	if got != 10 {
-		t.Errorf("Reduce = %d, want 10", got)
+// groupBy is GroupByCtx under the test's context.
+func groupBy[K comparable, V any](t *testing.T, e *Engine, n int, emit func(i int, yield func(K, V))) map[K][]V {
+	t.Helper()
+	out, err := GroupByCtx(t.Context(), e, n, emit)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := Reduce(nil, func(a, b int) int { return a + b }); got != 0 {
-		t.Errorf("Reduce(nil) = %d, want zero value", got)
-	}
-	if got := Reduce([]int{7}, func(a, b int) int { return a + b }); got != 7 {
-		t.Errorf("Reduce(single) = %d, want 7", got)
-	}
+	return out
 }
 
-func TestSums(t *testing.T) {
-	if SumInts([]int{1, 2, 3}) != 6 {
-		t.Error("SumInts")
-	}
-	if SumFloats([]float64{0.5, 1.5}) != 2.0 {
-		t.Error("SumFloats")
-	}
-}
-
-// GroupBy must produce sequential order regardless of worker count.
+// GroupByCtx must produce sequential order regardless of worker count.
 func TestGroupByDeterministic(t *testing.T) {
 	n := 500
-	reference := GroupBy(Sequential(), n, emitMod7)
+	reference := groupBy(t, Sequential(), n, emitMod7)
 	for _, w := range []int{2, 3, 8, 16} {
-		got := GroupBy(New(w), n, emitMod7)
+		got := groupBy(t, New(w), n, emitMod7)
 		if !reflect.DeepEqual(got, reference) {
-			t.Fatalf("GroupBy with %d workers differs from sequential", w)
+			t.Fatalf("GroupByCtx with %d workers differs from sequential", w)
 		}
 	}
 }
@@ -156,31 +144,9 @@ func emitMod7(i int, yield func(int, int)) {
 }
 
 func TestGroupByEmpty(t *testing.T) {
-	got := GroupBy(New(4), 0, func(i int, yield func(string, int)) { yield("x", i) })
+	got := groupBy(t, New(4), 0, func(i int, yield func(string, int)) { yield("x", i) })
 	if len(got) != 0 {
-		t.Errorf("GroupBy(0 rows) = %v, want empty", got)
-	}
-}
-
-func TestCountByMatchesSequential(t *testing.T) {
-	n := 1000
-	emit := func(i int, yield func(string)) {
-		if i%3 == 0 {
-			yield("fizz")
-		}
-		if i%5 == 0 {
-			yield("buzz")
-		}
-	}
-	ref := CountBy(Sequential(), n, emit)
-	for _, w := range []int{2, 4, 9} {
-		got := CountBy(New(w), n, emit)
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("CountBy with %d workers = %v, want %v", w, got, ref)
-		}
-	}
-	if ref["fizz"] != 334 || ref["buzz"] != 200 {
-		t.Errorf("counts = %v", ref)
+		t.Errorf("GroupByCtx(0 rows) = %v, want empty", got)
 	}
 }
 

@@ -102,12 +102,6 @@ func efCountsAtomic(ctx context.Context, e *parallel.Engine, k *kb.KB, n int) ([
 	return counts, nil
 }
 
-// BuildEF is BuildEFCtx without cancellation.
-func BuildEF(e *parallel.Engine, k *kb.KB) *EFIndex {
-	ix, _ := BuildEFCtx(context.Background(), e, k)
-	return ix
-}
-
 // EF returns the entity frequency of token t (0 if the token never occurs).
 func (ix *EFIndex) EF(t string) int {
 	if ix.dict == nil {
@@ -295,29 +289,11 @@ func prefixSums(counts []int32) []int32 {
 	return off
 }
 
-// RelationImportances is RelationImportancesCtx without cancellation.
-func RelationImportances(e *parallel.Engine, k *kb.KB) []RelationStat {
-	out, _ := RelationImportancesCtx(context.Background(), e, k)
-	return out
-}
-
 func harmonicMean(a, b float64) float64 {
 	if a+b == 0 {
 		return 0
 	}
 	return 2 * a * b / (a + b)
-}
-
-// GlobalRelationOrder maps each predicate to its rank in the importance
-// order (0 = most important). It is the globalOrder of Algorithm 1 as a
-// string-keyed map — the compatibility view; the pipeline itself uses the
-// dense RelationRanks array.
-func GlobalRelationOrder(stats []RelationStat) map[string]int {
-	order := make(map[string]int, len(stats))
-	for i, s := range stats {
-		order[s.Predicate] = i
-	}
-	return order
 }
 
 // RelationRanks is the columnar globalOrder of Algorithm 1 (line 37): a flat
@@ -335,29 +311,10 @@ func RelationRanks(k *kb.KB, stats []RelationStat) []int32 {
 	return ranks
 }
 
-// ranksFromOrder converts a string-keyed globalOrder map into the dense
-// rank array, preserving the historical map semantics: a predicate missing
-// from the map ranks 0, exactly as order[p] reads for an absent key.
-func ranksFromOrder(k *kb.KB, order map[string]int) []int32 {
-	sch := k.Schema()
-	ranks := make([]int32, sch.Preds())
-	for p := range ranks {
-		ranks[p] = int32(order[sch.Pred(kb.PredID(p))])
-	}
-	return ranks
-}
-
-// TopNeighborsCtx returns, for every entity of the KB, its top neighbors:
-// the objects of its top-N most important relations (localOrder of
-// Algorithm 1, lines 36–43). Neighbor lists are deduplicated and sorted by
-// entity ID. This is the map-keyed compatibility wrapper over
-// TopNeighborsRanksCtx.
-func TopNeighborsCtx(ctx context.Context, e *parallel.Engine, k *kb.KB, order map[string]int, n int) ([][]kb.EntityID, error) {
-	return TopNeighborsRanksCtx(ctx, e, k, ranksFromOrder(k, order), n)
-}
-
-// TopNeighborsRanksCtx is TopNeighborsCtx over the dense RelationRanks
-// array — the pipeline's path.
+// TopNeighborsRanksCtx returns, for every entity of the KB, its top
+// neighbors: the objects of its top-n most important relations (localOrder
+// of Algorithm 1, lines 36–43), ranked by the dense RelationRanks array.
+// Neighbor lists are deduplicated and sorted by entity ID.
 func TopNeighborsRanksCtx(ctx context.Context, e *parallel.Engine, k *kb.KB, ranks []int32, n int) ([][]kb.EntityID, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -445,12 +402,6 @@ func TopNeighborsOf(groups, ranks []int32, objs []kb.EntityID, n int) []kb.Entit
 		}
 	}
 	return gatherTopSpans(spans, objs, n)
-}
-
-// TopNeighbors is TopNeighborsCtx without cancellation.
-func TopNeighbors(e *parallel.Engine, k *kb.KB, order map[string]int, n int) [][]kb.EntityID {
-	out, _ := TopNeighborsCtx(context.Background(), e, k, order, n)
-	return out
 }
 
 // ValueSim computes Def. 2.1 directly from the two descriptions and EF

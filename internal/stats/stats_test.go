@@ -13,9 +13,57 @@ import (
 
 var seq = parallel.Sequential()
 
+// The helpers below run a statistics pass under the test's context and fail
+// the test on error.
+
+func buildEF(t *testing.T, e *parallel.Engine, k *kb.KB) *EFIndex {
+	t.Helper()
+	ix, err := BuildEFCtx(t.Context(), e, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+func relationImportances(t *testing.T, e *parallel.Engine, k *kb.KB) []RelationStat {
+	t.Helper()
+	out, err := RelationImportancesCtx(t.Context(), e, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func attributeImportances(t *testing.T, e *parallel.Engine, k *kb.KB) []AttributeStat {
+	t.Helper()
+	out, err := AttributeImportancesCtx(t.Context(), e, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func nameAttributes(t *testing.T, e *parallel.Engine, k *kb.KB, topK int) []string {
+	t.Helper()
+	out, err := NameAttributesCtx(t.Context(), e, k, topK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func topNeighbors(t *testing.T, e *parallel.Engine, k *kb.KB, ranks []int32, n int) [][]kb.EntityID {
+	t.Helper()
+	out, err := TopNeighborsRanksCtx(t.Context(), e, k, ranks, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestBuildEF(t *testing.T) {
 	w, _ := testkb.Figure1()
-	ef := BuildEF(seq, w)
+	ef := buildEF(t, seq, w)
 	// "lake" appears in one Wikidata description (the chef).
 	if got := ef.EF("lake"); got != 1 {
 		t.Errorf(`EF("lake") = %d, want 1`, got)
@@ -38,9 +86,9 @@ func TestBuildEF(t *testing.T) {
 
 func TestEFParallelMatchesSequential(t *testing.T) {
 	w, _ := testkb.Figure1()
-	ref := BuildEF(seq, w)
+	ref := buildEF(t, seq, w)
 	for _, workers := range []int{2, 4, 8} {
-		got := BuildEF(parallel.New(workers), w)
+		got := buildEF(t, parallel.New(workers), w)
 		if got.DistinctTokens() != ref.DistinctTokens() {
 			t.Fatalf("workers=%d: distinct tokens differ", workers)
 		}
@@ -73,7 +121,7 @@ func TestTokenWeight(t *testing.T) {
 
 func TestValueSimSharedTokens(t *testing.T) {
 	w, d := testkb.Figure1()
-	ef1, ef2 := BuildEF(seq, w), BuildEF(seq, d)
+	ef1, ef2 := buildEF(t, seq, w), buildEF(t, seq, d)
 	chef1 := w.Entity(w.Lookup("w:JohnLakeA"))
 	chef2 := d.Entity(d.Lookup("d:JonnyLake"))
 	// Shared tokens: "lake", "j" (from "J. Lake"). Both infrequent.
@@ -92,7 +140,7 @@ func TestValueSimSharedTokens(t *testing.T) {
 // cross-similarity.
 func TestValueSimMetricProperties(t *testing.T) {
 	w, d := testkb.Figure1()
-	ef1, ef2 := BuildEF(seq, w), BuildEF(seq, d)
+	ef1, ef2 := buildEF(t, seq, w), buildEF(t, seq, d)
 	for i := 0; i < w.Len(); i++ {
 		di := w.Entity(kb.EntityID(i))
 		for j := 0; j < d.Len(); j++ {
@@ -134,7 +182,7 @@ func TestRelationImportancesOrdering(t *testing.T) {
 	b.AddObject(ids[3], "owns", "e")
 	k := b.Build()
 
-	stats := RelationImportances(seq, k)
+	stats := relationImportances(t, seq, k)
 	if len(stats) != 3 {
 		t.Fatalf("got %d relations, want 3", len(stats))
 	}
@@ -167,7 +215,7 @@ func TestRelationImportancesDuplicateEdges(t *testing.T) {
 	b.AddObject(a, "p", "b")
 	b.AddObject(a, "p", "b")
 	k := b.Build()
-	st := RelationImportances(seq, k)
+	st := relationImportances(t, seq, k)
 	if st[0].Instances != 1 {
 		t.Errorf("Instances = %d, want 1 (deduplicated)", st[0].Instances)
 	}
@@ -175,36 +223,60 @@ func TestRelationImportancesDuplicateEdges(t *testing.T) {
 
 func TestRelationImportancesEmpty(t *testing.T) {
 	k := kb.NewBuilder("X").Build()
-	if got := RelationImportances(seq, k); len(got) != 0 {
+	if got := relationImportances(t, seq, k); len(got) != 0 {
 		t.Errorf("importances of empty KB = %v", got)
 	}
 }
 
+// RelationRanks is the globalOrder of Algorithm 1 (line 37) as a dense
+// array: each predicate's position in the importance order, and a predicate
+// the order does not list ranks last.
 func TestGlobalRelationOrder(t *testing.T) {
-	stats := []RelationStat{{Predicate: "a"}, {Predicate: "b"}, {Predicate: "c"}}
-	order := GlobalRelationOrder(stats)
-	if order["a"] != 0 || order["b"] != 1 || order["c"] != 2 {
-		t.Errorf("order = %v", order)
+	b := kb.NewBuilder("X")
+	ids := make([]kb.EntityID, 4)
+	for i := range ids {
+		ids[i] = b.AddEntity(string(rune('a' + i)))
+	}
+	for i := 0; i < 3; i++ {
+		b.AddObject(ids[i], "type", "d")
+	}
+	b.AddObject(ids[0], "knows", "b")
+	b.AddObject(ids[1], "owns", "c")
+	k := b.Build()
+	st := relationImportances(t, seq, k)
+	if len(st) != 3 {
+		t.Fatalf("got %d relations, want 3", len(st))
+	}
+	ranks := RelationRanks(k, st)
+	for i, s := range st {
+		if ranks[s.ID] != int32(i) {
+			t.Errorf("rank(%s) = %d, want %d", s.Predicate, ranks[s.ID], i)
+		}
+	}
+	partial := RelationRanks(k, st[:1])
+	for _, s := range st[1:] {
+		if partial[s.ID] != 1 {
+			t.Errorf("unlisted %s ranks %d, want 1 (last)", s.Predicate, partial[s.ID])
+		}
 	}
 }
 
 func TestTopNeighbors(t *testing.T) {
 	w, _ := testkb.Figure1()
-	rel := RelationImportances(seq, w)
-	order := GlobalRelationOrder(rel)
-	top := TopNeighbors(seq, w, order, 2)
+	ranks := RelationRanks(w, relationImportances(t, seq, w))
+	top := topNeighbors(t, seq, w, ranks, 2)
 	r1 := w.Lookup("w:Restaurant1")
 	got := top[r1]
 	if len(got) != 2 {
 		t.Fatalf("top2neighbors(Restaurant1) = %v, want 2 entities", got)
 	}
 	// With N=3 all three neighbors appear.
-	top3 := TopNeighbors(seq, w, order, 3)
+	top3 := topNeighbors(t, seq, w, ranks, 3)
 	if len(top3[r1]) != 3 {
 		t.Fatalf("top3neighbors(Restaurant1) = %v, want 3", top3[r1])
 	}
 	// N=0 disables neighbor evidence.
-	top0 := TopNeighbors(seq, w, order, 0)
+	top0 := topNeighbors(t, seq, w, ranks, 0)
 	if top0[r1] != nil {
 		t.Errorf("top0neighbors = %v, want nil", top0[r1])
 	}
@@ -216,13 +288,12 @@ func TestTopNeighbors(t *testing.T) {
 
 func TestTopNeighborsParallelDeterminism(t *testing.T) {
 	w, _ := testkb.Figure1()
-	rel := RelationImportances(seq, w)
-	order := GlobalRelationOrder(rel)
-	ref := TopNeighbors(seq, w, order, 2)
+	ranks := RelationRanks(w, relationImportances(t, seq, w))
+	ref := topNeighbors(t, seq, w, ranks, 2)
 	for _, workers := range []int{2, 4} {
-		got := TopNeighbors(parallel.New(workers), w, order, 2)
+		got := topNeighbors(t, parallel.New(workers), w, ranks, 2)
 		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("workers=%d: TopNeighbors differ", workers)
+			t.Fatalf("workers=%d: top neighbors differ", workers)
 		}
 	}
 }
