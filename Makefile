@@ -70,8 +70,10 @@ bench-test:
 # trip through the per-entity query path (-query, both output formats) on a
 # generated dataset, and a snapshot round trip: the substrate is persisted
 # with -save-snapshot, reloaded with -snapshot, and the two query paths must
-# emit byte-identical candidates JSON. The generated files live in a
-# temporary directory removed when the recipe's shell exits.
+# emit byte-identical candidates JSON. The snapshot is written a second time
+# at GOMAXPROCS=1, where the build runs its stages one after another, and the
+# two files must be the same bytes. The generated files live in a temporary
+# directory removed when the recipe's shell exits.
 smoke:
 	go test -run '^$$' -bench '^BenchmarkPipelineRestaurant$$' -benchtime 1x .
 	go run ./cmd/experiments -table 1 -datasets Restaurant -scale 0.2
@@ -83,7 +85,9 @@ smoke:
 	go run ./cmd/minoaner -e1 "$$T/e1.nt" -e2 "$$T/e2.nt" -save-snapshot "$$T/pair.snap" \
 		-query "$$Q" -json -quiet > "$$T/q-build.json"; \
 	go run ./cmd/minoaner -snapshot "$$T/pair.snap" -query "$$Q" -json -quiet > "$$T/q-snap.json"; \
-	cmp "$$T/q-build.json" "$$T/q-snap.json"
+	cmp "$$T/q-build.json" "$$T/q-snap.json"; \
+	GOMAXPROCS=1 go run ./cmd/minoaner -e1 "$$T/e1.nt" -e2 "$$T/e2.nt" -save-snapshot "$$T/pair-1p.snap" -quiet > /dev/null; \
+	cmp "$$T/pair.snap" "$$T/pair-1p.snap"
 
 # serve-smoke exercises the real minoanerd binary end to end: build both
 # binaries, serve a generated dataset, load a pair, query it in both request

@@ -224,8 +224,12 @@ func runQuery(ctx context.Context, k1 *minoaner.KB, sub *minoaner.Substrate, cfg
 	}
 	exitOn(w.Flush())
 	if !quiet {
-		fmt.Fprintf(os.Stderr, "minoaner: query %s: %d candidates in %v (substrate built in %v)\n",
-			uri, len(ms), elapsed, sub.BuildDuration().Round(time.Millisecond))
+		// A substrate opened from a snapshot has no build clock.
+		var built string
+		if d := sub.BuildDuration(); d > 0 {
+			built = fmt.Sprintf(" (substrate built in %v)", d.Round(time.Millisecond))
+		}
+		fmt.Fprintf(os.Stderr, "minoaner: query %s: %d candidates in %v%s\n", uri, len(ms), elapsed, built)
 	}
 }
 

@@ -108,36 +108,17 @@ func (c Config) rules() matching.Config {
 }
 
 // Timings records wall-clock durations per pipeline stage; the matching
-// share of total time is reported in §6.2. The statistics stage is further
-// broken into its three sub-stages (each one barrier of Figure 4's left
-// column). No caller reads the sub-stage clocks; they stay because the
-// snapshot's meta section serializes Timings as a whole.
+// share of total time is reported in §6.2. The substrate build overlaps its
+// independent chains when Workers > 1, so Statistics (the statistics chain)
+// and Blocking (name plus token blocking) are CPU-work sums, while Total
+// reflects the real, shorter elapsed wall time. Graph is the one-time
+// construction of the substrate's graph — whichever call paid for it, zero
+// for a graph installed from a snapshot — plus this output's own E1-side γ
+// rows, produced on demand during matching.
 type Timings struct {
 	Statistics time.Duration
-	// StatsAttributes covers attribute-importance / name discovery for both
-	// KBs; StatsRelations the relation-importance pass; StatsTopNeighbors
-	// the per-entity top-neighbor extraction.
-	StatsAttributes   time.Duration
-	StatsRelations    time.Duration
-	StatsTopNeighbors time.Duration
-	// Blocking is the sum of its two sub-clocks: BlockingName covers the
-	// columnar name index build, BlockingToken the token index build plus
-	// Block Purging. The substrate build overlaps independent sub-stages
-	// when Workers > 1, so Statistics and Blocking are CPU-work sums (their
-	// sub-stages' own clocks), while Total reflects the real, shorter
-	// elapsed wall time.
-	Blocking      time.Duration
-	BlockingName  time.Duration
-	BlockingToken time.Duration
-	Graph         time.Duration
-	// GraphBeta covers name evidence plus both β directions (one concurrent
-	// barrier); GraphGamma the adjacency merges, in-neighbor reversals and
-	// both γ directions, including the E1 γ rows produced on demand during
-	// matching. The graph is built once per substrate: every Output matched
-	// over it reports that one construction (zero for a graph installed from
-	// a snapshot) plus its own γ rows.
-	GraphBeta  time.Duration
-	GraphGamma time.Duration
+	Blocking   time.Duration
+	Graph      time.Duration
 	Matching   time.Duration
 	Total      time.Duration
 }
@@ -287,8 +268,6 @@ func resolveWith(ctx context.Context, eng *parallel.Engine, sub *Substrate, cfg 
 	out.RemovedByR4 = res.RemovedByR4
 	out.GraphEdges = pg.g.Edges() + gamma1Edges
 	out.Timings.Graph = pg.wall + gammaTime
-	out.Timings.GraphBeta = pg.tm.Beta
-	out.Timings.GraphGamma = pg.tm.Gamma + gammaTime
 	out.Timings.Matching = elapsed - gammaTime
 	out.Timings.Total = sub.buildWall + pg.wall + elapsed
 	return out, nil

@@ -10,9 +10,9 @@ import (
 )
 
 // The overlapped (workers > 1) substrate DAG must produce a substrate
-// identical to the sequential topological build, independent of which chain
-// finishes first — and its name blocks must equal the retained
-// string-grouped reference on the skewed fixture. Repeated multi-worker
+// identical to the one-worker build, which runs its chains in topological
+// order, independent of which chain finishes first — and its name blocks
+// must equal the retained string-grouped reference on the skewed fixture. Repeated multi-worker
 // builds vary goroutine interleaving; the CI race step runs this test at
 // workers=2 under -race, where barrier-removal races would surface.
 func TestSubstrateOverlapDeterminism(t *testing.T) {
@@ -65,9 +65,10 @@ func TestSubstrateOverlapDeterminism(t *testing.T) {
 	}
 }
 
-// The reported stage timings must stay additive under the DAG build:
-// Statistics is the sum of its three sub-clocks and Blocking the sum of its
-// two, at any worker count — the contract the bench gate's columns rely on.
+// The reported stage clocks must add up under the DAG build: both are
+// populated at any worker count, and at one worker, where the chains run one
+// after another, Statistics and Blocking together fit in the build's wall
+// clock.
 func TestSubstrateTimingsAdditive(t *testing.T) {
 	k1, k2 := skewedKBs(120)
 	cfg, err := Config{}.normalize()
@@ -79,15 +80,12 @@ func TestSubstrateTimingsAdditive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tm := sub.timings
-		if tm.Statistics != tm.StatsAttributes+tm.StatsRelations+tm.StatsTopNeighbors {
-			t.Errorf("workers=%d: Statistics %v != sum of sub-stages", workers, tm.Statistics)
+		tm := sub.Timings()
+		if tm.Statistics <= 0 || tm.Blocking <= 0 {
+			t.Errorf("workers=%d: stage clocks not populated: %v / %v", workers, tm.Statistics, tm.Blocking)
 		}
-		if tm.Blocking != tm.BlockingName+tm.BlockingToken {
-			t.Errorf("workers=%d: Blocking %v != BlockingName+BlockingToken", workers, tm.Blocking)
-		}
-		if tm.BlockingName <= 0 || tm.BlockingToken <= 0 {
-			t.Errorf("workers=%d: blocking sub-clocks not populated: %v / %v", workers, tm.BlockingName, tm.BlockingToken)
+		if workers == 1 && tm.Statistics+tm.Blocking > sub.BuildDuration() {
+			t.Errorf("workers=1: Statistics %v + Blocking %v exceed the build's wall clock %v", tm.Statistics, tm.Blocking, sub.BuildDuration())
 		}
 	}
 }

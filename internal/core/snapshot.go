@@ -21,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"minoaner/internal/blocking"
 	"minoaner/internal/graph"
@@ -43,9 +42,6 @@ type SubstrateParts struct {
 	NameBlocks     NameBlockRows
 	PurgedBlocks   int
 	PurgeThreshold int64
-
-	Timings   Timings
-	BuildWall time.Duration
 }
 
 // NameBlockRows is the name-block collection in the flat form a snapshot
@@ -74,7 +70,6 @@ func (s *Substrate) Parts() SubstrateParts {
 		Ranks1: s.ranks1, Ranks2: s.ranks2,
 		Top1: s.top1, Top2: s.top2,
 		NameBlocks: s.nameRows, PurgedBlocks: s.purgedBlocks, PurgeThreshold: s.purgeThreshold,
-		Timings: s.timings, BuildWall: s.buildWall,
 	}
 }
 
@@ -122,7 +117,6 @@ func SubstrateFromParts(p SubstrateParts) (*Substrate, error) {
 		ranks1: p.Ranks1, ranks2: p.Ranks2,
 		top1: p.Top1, top2: p.Top2,
 		nameRows: nb, purgedBlocks: p.PurgedBlocks, purgeThreshold: p.PurgeThreshold,
-		timings: p.Timings, buildWall: p.BuildWall,
 
 		top1Check: kb.NewDeferred("top1", func() error { return idsBelow(p.Top1.Flat, n1) }),
 		top2Check: kb.NewDeferred("top2", func() error { return idsBelow(p.Top2.Flat, n2) }),

@@ -66,7 +66,8 @@ type Substrate struct {
 	// timings carries the stage-1/2 wall clock into every Output produced
 	// from this substrate; buildWall is the full BuildSubstrate duration,
 	// added to ResolveWith's own elapsed time so Output.Timings.Total keeps
-	// the historical "whole pipeline" meaning.
+	// the historical "whole pipeline" meaning. Both stay zero on a substrate
+	// from parts: a snapshot holds the pair, not how long its build took.
 	timings   Timings
 	buildWall time.Duration
 
@@ -96,10 +97,10 @@ type Substrate struct {
 	top1Check, top2Check, nameBlockCheck *kb.Deferred
 }
 
-// pairGraph is a built graph with the clock of its construction.
+// pairGraph is a built graph with the clock of its construction (zero for
+// one installed from a snapshot).
 type pairGraph struct {
 	g    *graph.Graph
-	tm   graph.Timings
 	wall time.Duration
 }
 
@@ -111,7 +112,7 @@ func (s *Substrate) buildGraph(ctx context.Context, eng *parallel.Engine, k int)
 		return nil, err
 	}
 	t0 := time.Now()
-	g, tm, err := graph.BuildSharedCtx(ctx, eng, graph.Input{
+	g, _, err := graph.BuildSharedCtx(ctx, eng, graph.Input{
 		K1: s.k1, K2: s.k2,
 		NameBlocks: s.NameBlocks(),
 		TokenIndex: ix,
@@ -120,7 +121,7 @@ func (s *Substrate) buildGraph(ctx context.Context, eng *parallel.Engine, k int)
 	if err != nil {
 		return nil, err
 	}
-	return &pairGraph{g: g, tm: tm, wall: time.Since(t0)}, nil
+	return &pairGraph{g: g, wall: time.Since(t0)}, nil
 }
 
 // graphFor returns the graph to match over at row bound k: the substrate's
@@ -192,17 +193,22 @@ func BuildSubstrate(ctx context.Context, k1, k2 *kb.KB, cfg Config) (*Substrate,
 
 // buildSubstrate is the internal form over a normalized Config.
 //
-// The build is a dependency DAG, not a sequence of barriers: token indexing
-// depends on nothing from statistics, so it overlaps all of stage 1; name
-// blocking needs only the discovered name attributes, so it starts as soon
-// as those land, overlapping the relation and top-neighbor passes. Every
-// sub-stage keeps its own clock, so the per-stage Timings fields
-// stay meaningful: Statistics and Blocking are reported as the SUM of their
-// sub-clocks (CPU-work semantics, identical to the historical barrier walls
-// at one worker), while buildWall records the real — shorter, overlapped —
-// elapsed time. At Workers() == 1 the same sub-stages run in topological
-// order instead: overlap cannot help one worker, and sequential clocks keep
-// the 1-core stage clocks free of goroutine-interleaving noise.
+// The build is a dependency DAG, not a sequence of barriers (Figure 4): three
+// chains run as the stages of one ConcurrentCtx — the statistics chain
+// (attributes → relations → top neighbors), name blocking, which needs only
+// the discovered name attributes, and token indexing, which needs nothing
+// from statistics. The attrsReady channel is the single handoff: closed
+// after the name attributes and lookups are published, so the name chain
+// reads them under a happens-before edge. If the statistics chain fails
+// first, attrsReady never closes, but ConcurrentCtx cancels the sibling
+// contexts and the name chain unblocks on sc.Done(). At one worker the
+// chains run in argument order on this goroutine, which is the topological
+// order: statistics, names, tokens.
+//
+// Statistics is the clock of the statistics chain and Blocking the sum of
+// the clocks of the other two (CPU-work semantics, the elapsed time of each
+// stage at one worker), while buildWall records the real — at more than one
+// worker shorter, overlapped — elapsed time.
 func buildSubstrate(ctx context.Context, eng *parallel.Engine, k1, k2 *kb.KB, cfg Config) (*Substrate, error) {
 	// The build reads both KBs whole; KBs from a file are checked first.
 	if err := errors.Join(k1.Verify(), k2.Verify()); err != nil {
@@ -210,54 +216,11 @@ func buildSubstrate(ctx context.Context, eng *parallel.Engine, k1, k2 *kb.KB, cf
 	}
 	sub := &Substrate{k1: k1, k2: k2, cfg: cfg}
 	start := time.Now()
-	var err error
-	if eng.Workers() > 1 {
-		err = sub.buildOverlapped(ctx, eng)
-	} else {
-		err = sub.buildSequential(ctx, eng)
-	}
-	if err != nil {
-		return nil, err
-	}
-	sub.timings.Statistics = sub.timings.StatsAttributes + sub.timings.StatsRelations + sub.timings.StatsTopNeighbors
-	sub.timings.Blocking = sub.timings.BlockingName + sub.timings.BlockingToken
-	sub.buildWall = time.Since(start)
-	return sub, nil
-}
-
-// buildSequential runs the substrate DAG in topological order, one sub-stage
-// at a time, each under its own clock.
-func (sub *Substrate) buildSequential(ctx context.Context, eng *parallel.Engine) error {
-	if err := sub.statsAttributes(ctx, eng); err != nil {
-		return err
-	}
-	if err := sub.statsRelations(ctx, eng); err != nil {
-		return err
-	}
-	if err := sub.statsTopNeighbors(ctx, eng); err != nil {
-		return err
-	}
-	if err := sub.blockNames(ctx, eng); err != nil {
-		return err
-	}
-	return sub.blockTokens(ctx, eng)
-}
-
-// buildOverlapped runs the substrate DAG with its three independent chains
-// concurrent: token indexing (no stage-1 inputs), the statistics chain
-// (attributes → relations → top neighbors), and name blocking, which blocks
-// only on the attribute pass. The attrsReady channel is the single handoff —
-// closed after the name attributes and lookups are published, so the name
-// chain reads them under a happens-before edge. If the statistics chain
-// fails first, attrsReady never closes, but ConcurrentCtx cancels the
-// sibling contexts and the name chain unblocks on sc.Done().
-func (sub *Substrate) buildOverlapped(ctx context.Context, eng *parallel.Engine) error {
 	attrsReady := make(chan struct{})
-	return eng.ConcurrentCtx(ctx,
+	var names, tokens time.Duration
+	err := eng.ConcurrentCtx(ctx,
 		func(sc context.Context) error {
-			return sub.blockTokens(sc, eng)
-		},
-		func(sc context.Context) error {
+			defer func(t0 time.Time) { sub.timings.Statistics = time.Since(t0) }(time.Now())
 			if err := sub.statsAttributes(sc, eng); err != nil {
 				return err
 			}
@@ -273,15 +236,25 @@ func (sub *Substrate) buildOverlapped(ctx context.Context, eng *parallel.Engine)
 			case <-sc.Done():
 				return sc.Err()
 			}
+			defer func(t0 time.Time) { names = time.Since(t0) }(time.Now())
 			return sub.blockNames(sc, eng)
 		},
+		func(sc context.Context) error {
+			defer func(t0 time.Time) { tokens = time.Since(t0) }(time.Now())
+			return sub.blockTokens(sc, eng)
+		},
 	)
+	if err != nil {
+		return nil, err
+	}
+	sub.timings.Blocking = names + tokens
+	sub.buildWall = time.Since(start)
+	return sub, nil
 }
 
 // statsAttributes discovers the name attributes of both KBs concurrently and
 // publishes the derived name lookups (the name-blocking input).
 func (sub *Substrate) statsAttributes(ctx context.Context, eng *parallel.Engine) error {
-	t0 := time.Now()
 	err := eng.ConcurrentCtx(ctx,
 		func(sc context.Context) error {
 			var err error
@@ -299,14 +272,12 @@ func (sub *Substrate) statsAttributes(ctx context.Context, eng *parallel.Engine)
 	}
 	sub.names1 = stats.NewNameLookup(sub.k1, sub.nameAttrs1)
 	sub.names2 = stats.NewNameLookup(sub.k2, sub.nameAttrs2)
-	sub.timings.StatsAttributes = time.Since(t0)
 	return nil
 }
 
 // statsRelations ranks the relations of both KBs concurrently.
 func (sub *Substrate) statsRelations(ctx context.Context, eng *parallel.Engine) error {
-	t0 := time.Now()
-	err := eng.ConcurrentCtx(ctx,
+	return eng.ConcurrentCtx(ctx,
 		func(sc context.Context) error {
 			ri, err := stats.RelationImportancesCtx(sc, eng, sub.k1)
 			sub.ranks1 = stats.RelationRanks(sub.k1, ri)
@@ -318,18 +289,12 @@ func (sub *Substrate) statsRelations(ctx context.Context, eng *parallel.Engine) 
 			return err
 		},
 	)
-	if err != nil {
-		return err
-	}
-	sub.timings.StatsRelations = time.Since(t0)
-	return nil
 }
 
 // statsTopNeighbors extracts the per-entity top-neighbor rows of both KBs
 // concurrently.
 func (sub *Substrate) statsTopNeighbors(ctx context.Context, eng *parallel.Engine) error {
-	t0 := time.Now()
-	err := eng.ConcurrentCtx(ctx,
+	return eng.ConcurrentCtx(ctx,
 		func(sc context.Context) error {
 			top1, err := stats.TopNeighborsRanksCtx(sc, eng, sub.k1, sub.ranks1, sub.cfg.RelN)
 			sub.top1 = graph.RowsOf(top1)
@@ -341,36 +306,27 @@ func (sub *Substrate) statsTopNeighbors(ctx context.Context, eng *parallel.Engin
 			return err
 		},
 	)
-	if err != nil {
-		return err
-	}
-	sub.timings.StatsTopNeighbors = time.Since(t0)
-	return nil
 }
 
 // blockNames builds the columnar name index over the published name lookups
 // and lays its blocks out flat.
 func (sub *Substrate) blockNames(ctx context.Context, eng *parallel.Engine) error {
-	t0 := time.Now()
 	ix, err := blocking.NewNameIndexLookupsCtx(ctx, eng, sub.names1, sub.names2)
 	if err != nil {
 		return err
 	}
 	sub.nameRows = nameBlockRowsOf(ix.Collection())
-	sub.timings.BlockingName = time.Since(t0)
 	return nil
 }
 
 // blockTokens builds the purged token index of the pair.
 func (sub *Substrate) blockTokens(ctx context.Context, eng *parallel.Engine) error {
-	t0 := time.Now()
 	ix, purged, threshold, err := purgedTokenIndex(ctx, eng, sub.k1, sub.k2, sub.cfg.MaxBlockFraction)
 	if err != nil {
 		return err
 	}
 	sub.tokenIx.Store(ix)
 	sub.purgedBlocks, sub.purgeThreshold = purged, threshold
-	sub.timings.BlockingToken = time.Since(t0)
 	return nil
 }
 
@@ -503,13 +459,14 @@ func (s *Substrate) PurgedBlocks() int { return s.purgedBlocks }
 // PurgeThreshold reports the applied per-block comparison cap (0 = none).
 func (s *Substrate) PurgeThreshold() int64 { return s.purgeThreshold }
 
-// BuildDuration reports the wall clock of BuildSubstrate.
+// BuildDuration reports the wall clock of BuildSubstrate (zero for a
+// substrate from parts).
 func (s *Substrate) BuildDuration() time.Duration { return s.buildWall }
 
-// Timings returns the build's per-stage clocks (statistics and blocking
-// sub-stages; the resolution stages are zero). Statistics and Blocking are
-// CPU-work sums of their sub-clocks — see Timings — while BuildDuration is
-// the real, possibly overlapped, elapsed wall time.
+// Timings returns the build's stage clocks, Statistics and Blocking (the
+// resolution stages are zero, and all of them on a substrate from parts).
+// They are CPU-work sums — see Timings — while BuildDuration is the real,
+// possibly overlapped, elapsed wall time.
 func (s *Substrate) Timings() Timings { return s.timings }
 
 // TokenBlocks materializes the token-block collection (the Table-2

@@ -100,8 +100,8 @@ type Input struct {
 }
 
 // Timings records the wall clock of the two weighting phases of Algorithm 1
-// — the sub-stage split the repository benchmark reports as graph.beta_s /
-// graph.gamma_s, mirroring the statistics sub-stages.
+// — the split the repository benchmark reports as graph.beta_s and
+// graph.gamma_s. The pipeline does not read it.
 type Timings struct {
 	// Beta covers name evidence and both β directions: they run concurrently
 	// (Figure 4), so they are timed as one barrier. Gamma covers the
@@ -123,8 +123,8 @@ type Timings struct {
 // The top-neighbor rows come flat, as the substrate holds them, in place of
 // in.Top1 and in.Top2; the graph keeps top1 as its Top1.
 //
-// With more than one worker the two γ sides build concurrently; at one
-// worker they run in sequence.
+// The two γ sides build concurrently (in sequence at one worker, like every
+// ConcurrentCtx).
 func BuildSharedCtx(ctx context.Context, e *parallel.Engine, in Input, top1, top2 Rows[kb.EntityID]) (*Graph, Timings, error) {
 	g := &Graph{Top1: top1, K: in.K}
 	var tm Timings
@@ -158,21 +158,18 @@ func BuildSharedCtx(ctx context.Context, e *parallel.Engine, in Input, top1, top
 	// transposed for the E1 side.
 	t0 = time.Now()
 	adj2 := MergeAdjacency(e, g.Beta2, g.Beta1)
-	side2 := func(sc context.Context) (err error) {
-		in1 := TopInNeighbors(top1)
-		g.Gamma2, _, err = gammaRows(sc, ce, parallel.Span{Lo: 0, Hi: n2}, top2, adj2, in1, in.K, nil, Rows[Edge]{})
-		return err
-	}
-	side1 := func(context.Context) error {
-		g.Adj1 = transposeEdges(adj2, n1)
-		g.In2 = TopInNeighbors(top2)
-		return nil
-	}
-	if e.Workers() > 1 {
-		err = e.ConcurrentCtx(ctx, side2, side1)
-	} else if err = side2(ctx); err == nil {
-		err = side1(ctx)
-	}
+	err = e.ConcurrentCtx(ctx,
+		func(sc context.Context) (err error) {
+			in1 := TopInNeighbors(top1)
+			g.Gamma2, _, err = gammaRows(sc, ce, parallel.Span{Lo: 0, Hi: n2}, top2, adj2, in1, in.K, nil, Rows[Edge]{})
+			return err
+		},
+		func(context.Context) error {
+			g.Adj1 = transposeEdges(adj2, n1)
+			g.In2 = TopInNeighbors(top2)
+			return nil
+		},
+	)
 	if err != nil {
 		return nil, tm, err
 	}

@@ -10,9 +10,9 @@ import (
 )
 
 // The concurrent γ sides of BuildSharedCtx (workers > 1) must reproduce the
-// sequential one-worker result exactly: same graph, same E1-side rows pulled
-// from it afterwards. The CI race step runs this under -race at workers=2,
-// where the removed sequencing would hide races.
+// one-worker result, where they run in sequence, exactly: same graph, same
+// E1-side rows pulled from it afterwards. The CI race step runs this under
+// -race at workers=2, where the removed sequencing would hide races.
 func TestGammaOverlapDeterminism(t *testing.T) {
 	w, d := testkb.Figure1()
 	in := InputFor(seq, w, d, 2, 5, 2)

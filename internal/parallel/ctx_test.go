@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -55,7 +57,7 @@ func TestChunkedForVisitsEachOnce(t *testing.T) {
 		e := New(w).Chunked()
 		n := 1000
 		var visits [1000]int32
-		e.For(n, func(i int) { atomic.AddInt32(&visits[i], 1) })
+		forAll(t, e, n, func(i int) { atomic.AddInt32(&visits[i], 1) })
 		for i, v := range visits {
 			if v != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", w, i, v)
@@ -177,6 +179,53 @@ func TestConcurrentCtxFirstErrorCancelsSiblings(t *testing.T) {
 	if !siblingSawCancel.Load() {
 		t.Error("sibling stage did not observe cancellation")
 	}
+}
+
+// At one worker the stages run in argument order on the calling goroutine,
+// and a failing stage skips the ones after it.
+func TestConcurrentCtxOneWorkerRunsInOrder(t *testing.T) {
+	sentinel := errors.New("stage failed")
+	caller := goroutineID()
+	var order []int
+	stage := func(i int, err error) func(context.Context) error {
+		return func(context.Context) error {
+			if id := goroutineID(); id != caller {
+				t.Errorf("stage %d ran on goroutine %s, the caller is %s", i, id, caller)
+			}
+			order = append(order, i)
+			return err
+		}
+	}
+	err := Sequential().ConcurrentCtx(t.Context(), stage(0, nil), stage(1, nil), stage(2, sentinel), stage(3, nil))
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("ConcurrentCtx = %v, want the failing stage's error", err)
+	}
+	if !reflect.DeepEqual(order, []int{0, 1, 2}) {
+		t.Errorf("stages ran in order %v, want [0 1 2]", order)
+	}
+	// A stage may wait on an earlier one: it has finished.
+	ready := make(chan struct{})
+	err = Sequential().ConcurrentCtx(t.Context(),
+		func(context.Context) error { close(ready); return nil },
+		func(sc context.Context) error {
+			select {
+			case <-ready:
+				return nil
+			case <-sc.Done():
+				return sc.Err()
+			}
+		})
+	if err != nil {
+		t.Errorf("a stage waiting on an earlier one = %v", err)
+	}
+}
+
+// goroutineID reads the calling goroutine's ID from its stack header,
+// "goroutine N [running]:".
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
 }
 
 func TestConcurrentCtxParentCancellation(t *testing.T) {

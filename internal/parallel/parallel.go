@@ -251,16 +251,6 @@ func (e *Engine) ForCtx(ctx context.Context, n int, fn func(i int) error) error 
 	})
 }
 
-// For runs fn(i) for every i in [0, n), distributing spans over the worker
-// pool and waiting for all of them (a barrier). fn must be safe to call
-// concurrently for distinct i.
-func (e *Engine) For(n int, fn func(i int)) {
-	_ = e.ForCtx(context.Background(), n, func(i int) error {
-		fn(i)
-		return nil
-	})
-}
-
 // ForSpans runs fn once per partition of [0, n) concurrently and waits for
 // completion. Partition-grained work lets callers keep per-partition state
 // (local hash maps, accumulators) without locking — the moral equivalent of
@@ -272,21 +262,29 @@ func (e *Engine) ForSpans(n int, fn func(s Span)) {
 	})
 }
 
-// ConcurrentCtx runs the given stages concurrently — every stage gets its
-// own goroutine regardless of the worker count, since stages represent
-// independent pipeline branches (Figure 4), not data partitions. Each stage
-// receives a context that is cancelled as soon as any sibling fails or the
-// parent context is cancelled; the first error is returned after all stages
-// have finished (errgroup semantics).
+// ConcurrentCtx runs the given stages as independent pipeline branches
+// (Figure 4), not data partitions. With more than one worker every stage
+// gets its own goroutine, however many stages there are, and receives a
+// context that is cancelled as soon as any sibling fails or the parent
+// context is cancelled; the first error is returned after all stages have
+// finished (errgroup semantics). With one worker the stages run in argument
+// order on the calling goroutine under ctx, and the first error — a stage's,
+// or ctx's between stages — skips the stages after it, as runSpans does. A
+// stage may therefore wait only on stages before it in the argument list.
 func (e *Engine) ConcurrentCtx(ctx context.Context, stages ...func(ctx context.Context) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if len(stages) == 0 {
+	if len(stages) == 1 || e.workers == 1 {
+		for _, st := range stages {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := st(ctx); err != nil {
+				return err
+			}
+		}
 		return nil
-	}
-	if len(stages) == 1 {
-		return stages[0](ctx)
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -310,21 +308,6 @@ func (e *Engine) ConcurrentCtx(ctx context.Context, stages ...func(ctx context.C
 	wg.Wait()
 	once.Do(func() { firstErr = ctx.Err() })
 	return firstErr
-}
-
-// Concurrent runs the given stages concurrently and waits for all of them.
-// This mirrors Figure 4 of the paper, where name blocking, token blocking
-// and top-neighbor extraction execute as independent parallel processes
-// joined at a synchronization point.
-func (e *Engine) Concurrent(stages ...func()) {
-	wrapped := make([]func(ctx context.Context) error, len(stages))
-	for i, st := range stages {
-		wrapped[i] = func(context.Context) error {
-			st()
-			return nil
-		}
-	}
-	_ = e.ConcurrentCtx(context.Background(), wrapped...)
 }
 
 // MapSpansCtx applies fn to every span of [0, n) concurrently and returns
@@ -371,7 +354,7 @@ func MapSpans[T any](e *Engine, n int, fn func(s Span) T) []T {
 // Rows are still processed in deterministic per-index isolation: which
 // worker (and thus which scratch) handles a row affects no observable
 // output as long as fn resets its scratch, so all determinism guarantees of
-// For/Map carry over.
+// ForCtx/MapCtx carry over.
 func ForLocalCtx[S any](ctx context.Context, e *Engine, n int, newScratch func() S, fn func(scratch S, i int) error) error {
 	var (
 		scratch = make([]S, e.workers)

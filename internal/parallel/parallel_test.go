@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -57,7 +58,7 @@ func TestForVisitsEachOnce(t *testing.T) {
 		e := New(w)
 		n := 1000
 		var visits [1000]int32
-		e.For(n, func(i int) { atomic.AddInt32(&visits[i], 1) })
+		forAll(t, e, n, func(i int) { atomic.AddInt32(&visits[i], 1) })
 		for i, v := range visits {
 			if v != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", w, i, v)
@@ -69,13 +70,13 @@ func TestForVisitsEachOnce(t *testing.T) {
 func TestForZeroAndOne(t *testing.T) {
 	e := New(8)
 	called := 0
-	e.For(0, func(int) { called++ })
+	forAll(t, e, 0, func(int) { called++ })
 	if called != 0 {
-		t.Error("For(0) must not call fn")
+		t.Error("ForCtx(0) must not call fn")
 	}
-	e.For(1, func(i int) { called += i + 1 })
+	forAll(t, e, 1, func(i int) { called += i + 1 })
 	if called != 1 {
-		t.Error("For(1) must call fn(0) once")
+		t.Error("ForCtx(1) must call fn(0) once")
 	}
 }
 
@@ -98,19 +99,32 @@ func TestMapSpansPartitionOrder(t *testing.T) {
 }
 
 func TestConcurrentBarrier(t *testing.T) {
-	e := New(4)
-	var a, b, c atomic.Int32
-	e.Concurrent(
-		func() { a.Store(1) },
-		func() { b.Store(2) },
-		func() { c.Store(3) },
-	)
-	if a.Load() != 1 || b.Load() != 2 || c.Load() != 3 {
-		t.Error("Concurrent did not run all stages before returning")
+	for _, e := range []*Engine{New(4), Sequential()} {
+		var a, b, c atomic.Int32
+		err := e.ConcurrentCtx(t.Context(),
+			func(context.Context) error { a.Store(1); return nil },
+			func(context.Context) error { b.Store(2); return nil },
+			func(context.Context) error { c.Store(3); return nil },
+		)
+		if err != nil || a.Load() != 1 || b.Load() != 2 || c.Load() != 3 {
+			t.Errorf("workers=%d: ConcurrentCtx = %v, did not run all stages before returning", e.Workers(), err)
+		}
+		if err := e.ConcurrentCtx(t.Context(), func(context.Context) error { a.Store(10); return nil }); err != nil || a.Load() != 10 {
+			t.Errorf("workers=%d: ConcurrentCtx single stage = %v", e.Workers(), err)
+		}
 	}
-	e.Concurrent(func() { a.Store(10) })
-	if a.Load() != 10 {
-		t.Error("Concurrent single stage")
+}
+
+// forAll is ForCtx under the test's context with a callback that never
+// fails.
+func forAll(t *testing.T, e *Engine, n int, fn func(i int)) {
+	t.Helper()
+	err := e.ForCtx(t.Context(), n, func(i int) error {
+		fn(i)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -150,13 +164,13 @@ func TestGroupByEmpty(t *testing.T) {
 	}
 }
 
-// Property: For over any n touches the sum correctly for any worker count.
+// Property: ForCtx over any n touches the sum correctly for any worker count.
 func TestForSumProperty(t *testing.T) {
 	f := func(n uint16, w uint8) bool {
 		size := int(n % 2048)
 		e := New(int(w%8) + 1)
 		var sum atomic.Int64
-		e.For(size, func(i int) { sum.Add(int64(i)) })
+		forAll(t, e, size, func(i int) { sum.Add(int64(i)) })
 		return sum.Load() == int64(size)*int64(size-1)/2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -30,10 +30,14 @@ import (
 const BuildChildArg = "build-child"
 
 // buildReport is what a build says about itself beside the substrate, and
-// the one line a build child prints on its standard output.
+// the one line a build child prints on its standard output. It is the only
+// record of the build's clocks: the snapshot a child hands over holds the
+// pair, not how long its build took.
 type buildReport struct {
-	LoadMS    float64 `json:"load_ms"`
-	PrewarmMS float64 `json:"prewarm_ms"`
+	LoadMS    float64      `json:"load_ms"`
+	BuildMS   float64      `json:"build_ms"`
+	PrewarmMS float64      `json:"prewarm_ms"`
+	Timings   *PairTimings `json:"timings,omitempty"`
 	// Skipped counts the malformed lines left out of E1 and E2.
 	Skipped [2]int `json:"skipped"`
 }
@@ -54,6 +58,9 @@ func defaultBuild(ctx context.Context, spec LoadPairRequest) (*core.Substrate, b
 	if err != nil {
 		return nil, rep, err
 	}
+	tm := sub.Timings()
+	rep.BuildMS = msOf(sub.BuildDuration())
+	rep.Timings = &PairTimings{StatisticsMS: msOf(tm.Statistics), BlockingMS: msOf(tm.Blocking)}
 	t0 = time.Now()
 	if err := sub.PrewarmQueries(ctx); err != nil {
 		return nil, rep, err

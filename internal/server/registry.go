@@ -300,14 +300,8 @@ func (r *Registry) infoLocked(p *Pair) PairInfo {
 	case StatusReady:
 		info.E1Size = p.sub.K1().Len()
 		info.E2Size = p.sub.K2().Len()
-		info.LoadMS = p.report.LoadMS
-		info.BuildMS = msOf(p.sub.BuildDuration())
-		info.PrewarmMS = p.report.PrewarmMS
-		t := p.sub.Timings()
-		info.Timings = &PairTimings{
-			StatisticsMS: msOf(t.Statistics),
-			BlockingMS:   msOf(t.Blocking),
-		}
+		rep := p.report
+		info.LoadMS, info.BuildMS, info.PrewarmMS, info.Timings = rep.LoadMS, rep.BuildMS, rep.PrewarmMS, rep.Timings
 	case StatusFailed:
 		info.Error = p.err.Error()
 	}

@@ -87,6 +87,21 @@ func loadSnapshotPair(t *testing.T, s *Server, base, id, path string) {
 	<-p.Done()
 }
 
+// A pair opened from a snapshot reports how long the open took and nothing
+// of a build: the file holds the pair, not how long its build took.
+func TestSnapshotPairReportsNoBuild(t *testing.T) {
+	path, _, _ := restaurantSnapshot(t)
+	s := New(quietOptions())
+	defer s.reg.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	loadSnapshotPair(t, s, ts.URL, "snap", path)
+	p, _ := s.reg.Get("snap")
+	if info := s.reg.Info(p); info.Status != StatusReady || info.LoadMS <= 0 || info.BuildMS != 0 || info.PrewarmMS != 0 || info.Timings != nil {
+		t.Fatalf("snapshot pair = %+v, want ready with only its load time", info)
+	}
+}
+
 // TestDeleteUnmapsSnapshot cycles a snapshot-backed pair through load,
 // query, resolve and delete fifty times while other clients keep querying
 // it: every query either gets its candidates or is told the pair is gone or

@@ -111,8 +111,8 @@ const (
 	StatusFailed   = "failed"
 )
 
-// PairTimings is the substrate build breakdown of a ready pair, in
-// milliseconds (CPU-work sums per stage; BuildMS on PairInfo is the real,
+// PairTimings is the substrate build breakdown of a pair this server built,
+// in milliseconds (CPU-work sums per stage; BuildMS on PairInfo is the real,
 // possibly shorter, overlapped wall clock).
 type PairTimings struct {
 	StatisticsMS float64 `json:"statistics_ms"`
@@ -127,15 +127,17 @@ type PairInfo struct {
 	E2     string `json:"e2"`
 	Format string `json:"format"`
 	// Snapshot is the snapshot path the pair was loaded from, if any; for
-	// snapshot-sourced pairs LoadMS is the mmap-open wall clock and BuildMS
-	// the ORIGINAL substrate build recorded inside the snapshot.
+	// snapshot-sourced pairs LoadMS is the mmap-open wall clock, and BuildMS,
+	// PrewarmMS and Timings are absent: a snapshot does not record how long
+	// its build took.
 	Snapshot string `json:"snapshot,omitempty"`
 	// E1Size/E2Size are entity counts, present once the pair is ready.
 	E1Size int `json:"e1_size,omitempty"`
 	E2Size int `json:"e2_size,omitempty"`
-	// BuildMS is the substrate build wall clock; PrewarmMS the query-state
-	// construction after it (0 for a pair loaded from a snapshot, which
-	// carries that state); LoadMS the KB parse+index time before the build.
+	// For a pair this server built from e1 and e2, as its build reported
+	// them: LoadMS is the KB parse+index time, BuildMS the substrate build
+	// wall clock after it, PrewarmMS the query-state construction after that,
+	// and Timings the build's breakdown.
 	LoadMS    float64      `json:"load_ms,omitempty"`
 	BuildMS   float64      `json:"build_ms,omitempty"`
 	PrewarmMS float64      `json:"prewarm_ms,omitempty"`

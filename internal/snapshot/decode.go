@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"time"
 	"unsafe"
 
 	"minoaner/internal/core"
@@ -172,8 +171,6 @@ func decode(data []byte, copyMode bool) (*core.Substrate, error) {
 		Ranks1: ranks1, Ranks2: ranks2,
 		Top1: top1, Top2: top2,
 		NameBlocks: nameBlocks, PurgedBlocks: meta.PurgedBlocks, PurgeThreshold: meta.PurgeThreshold,
-		Timings:   meta.Timings,
-		BuildWall: time.Duration(meta.BuildWallNS),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)

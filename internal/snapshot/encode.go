@@ -1,9 +1,11 @@
 // Snapshot encoder: WriteSubstrate serializes a built substrate — both KBs,
 // dictionaries, columnar spans, ranks, top-neighbor rows, name blocks, and
 // (always) the graph with the query path's name index — into the sectioned
-// format described in format.go. Files are deterministic for a given
-// substrate: section order and padding bytes are pinned, and edge records
-// have no padding of their own.
+// format described in format.go. A file depends only on the pair and its
+// build configuration: section order and padding bytes are pinned, edge
+// records have no padding of their own, and nothing records how long the
+// build took, so builds of one pair under one Config write the same bytes
+// on any number of processors.
 package snapshot
 
 import (
@@ -40,9 +42,6 @@ type metaV1 struct {
 
 	PurgedBlocks   int   `json:"purged_blocks"`
 	PurgeThreshold int64 `json:"purge_threshold"`
-
-	Timings     core.Timings `json:"timings"`
-	BuildWallNS int64        `json:"build_wall_ns"`
 }
 
 // section is one entry of the section table with its bytes.
@@ -171,7 +170,6 @@ func WriteSubstrate(w io.Writer, sub *core.Substrate) error {
 		Config:     p.Config,
 		NameAttrs1: p.NameAttrs1, NameAttrs2: p.NameAttrs2,
 		PurgedBlocks: p.PurgedBlocks, PurgeThreshold: p.PurgeThreshold,
-		Timings: p.Timings, BuildWallNS: int64(p.BuildWall),
 	}
 	metaBytes, err := json.Marshal(meta)
 	if err != nil {

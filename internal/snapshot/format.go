@@ -4,7 +4,11 @@
 // blocks and the purge of the token index — plus (always, in files this
 // package writes) the prewarmed per-entity query state, serialized as
 // 8-byte-aligned little-endian sections behind a magic+version+section-table
-// header.
+// header. A file holds the pair and its normalized build configuration,
+// and nothing of how the build ran: builds of one pair under one
+// configuration write the same bytes on any number of processors. Files
+// written before the meta section stopped recording the build's clocks
+// carry the meta keys timings and build_wall_ns, which decoding ignores.
 //
 // The layout is chosen so a loader can reinterpret the numeric columns IN
 // PLACE from a memory-mapped region (unsafe.Slice over syscall.Mmap): every

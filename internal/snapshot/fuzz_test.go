@@ -36,15 +36,10 @@ func tinySubstrate(t testing.TB) *core.Substrate {
 			b2.AddObject(e2, "prev", fmt.Sprintf("t2:e%d", i-1))
 		}
 	}
+	// The substrate's snapshot is the same bytes on every run: the committed
+	// corpus is derived from it.
 	sub, err := core.BuildSubstrate(context.Background(), b1.Build(), b2.Build(), core.Config{Workers: 1})
 	if err != nil {
-		t.Fatal(err)
-	}
-	// Without its build clocks the substrate's snapshot is the same bytes on
-	// every run: the committed corpus is derived from it.
-	parts := sub.Parts()
-	parts.Timings, parts.BuildWall = core.Timings{}, 0
-	if sub, err = core.SubstrateFromParts(parts); err != nil {
 		t.Fatal(err)
 	}
 	return sub

@@ -13,11 +13,12 @@ import (
 )
 
 // goldenSectionsPath holds, per Table-1 preset at the pinned-fixture scale,
-// the digest of every snapshot byte outside the meta section (whose JSON
-// carries wall-clock timings). It was last regenerated when format version 3
-// stopped storing the token index; goldenKeptPath shows that no other
-// section changed then. A byte may change only with the format. Regenerate
-// (only when the format is bumped deliberately) with:
+// the digest of every snapshot section, meta included. It was last
+// regenerated when the meta section stopped recording the build's clocks,
+// and before that when format version 3 stopped storing the token index;
+// goldenKeptPath shows that no other section changed either time. A byte may
+// change only with the format. Regenerate (only when the format is changed
+// deliberately) with:
 //
 //	MINOANER_UPDATE_GOLDEN=1 go test ./internal/snapshot -run TestSnapshotBytesUnchanged
 const goldenSectionsPath = "testdata/golden_sections.json"
@@ -34,13 +35,13 @@ const goldenKeptPath = "testdata/golden_kept_sections.json"
 // tables (420, 421), and the member CSRs and weights (422–426).
 var indexSections = []uint32{320, 321, 322, 420, 421, 422, 423, 424, 425, 426}
 
-// sectionsDigest hashes the header flags and, in ID order, every section but
-// meta: its ID, its length and its bytes.
+// sectionsDigest hashes the header flags and, in ID order, every section:
+// its ID, its length and its bytes.
 func sectionsDigest(t *testing.T, data []byte) string {
 	h := parsed(t, data)
 	sum := sha256.New()
 	fmt.Fprintf(sum, "flags %d sections %d\n", h.flags, len(h.sections))
-	hashSections(sum, h, func(id uint32) bool { return id != secMeta })
+	hashSections(sum, h, func(uint32) bool { return true })
 	return hex.EncodeToString(sum.Sum(nil))
 }
 

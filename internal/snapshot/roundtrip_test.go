@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -326,11 +327,33 @@ func TestWriteDeterministic(t *testing.T) {
 	}
 }
 
+// One pair built and written with an engine of one worker and with one of
+// two is the same file, byte for byte: a snapshot holds the pair, not how
+// its build ran or how long it took.
+func TestSnapshotBytesIndependentOfWorkers(t *testing.T) {
+	d := generatePreset(t, "Restaurant")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var files [2][]byte
+	for i, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		// Workers 0: the engine, and with it the writer, follows GOMAXPROCS.
+		sub, err := buildWith(d, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i] = snapshotBytes(t, sub)
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatalf("the snapshots written at one and at two workers differ (%d and %d bytes)", len(files[0]), len(files[1]))
+	}
+}
+
 // A version 3 file written before Config lost its three result-neutral
 // options still opens. Its meta section stored the config with three keys
-// Config no longer has, and JSON decoding ignores them. The fixture is the
-// tiny pair's meta section as that writer wrote it for a run in 8 shards
-// without token blocks.
+// Config no longer has, and the build's clocks (timings, build_wall_ns),
+// which meta no longer records; JSON decoding ignores all five. The fixture
+// is the tiny pair's meta section as that writer wrote it for a run in 8
+// shards without token blocks.
 func TestMetaWithRemovedConfigKeysOpens(t *testing.T) {
 	legacy, err := os.ReadFile(filepath.Join("testdata", "meta-with-removed-config-keys.json"))
 	if err != nil {

@@ -163,15 +163,23 @@ func TestServeSmoke(t *testing.T) {
 		t.Errorf("snapshot-pair candidates differ from built pair:\n--- snapshot ---\n%s\n--- built ---\n%s", snapReplay, serverReplay)
 	}
 	var built, snap struct {
-		LoadMS    float64 `json:"load_ms"`
-		BuildMS   float64 `json:"build_ms"`
-		PrewarmMS float64 `json:"prewarm_ms"`
+		LoadMS    float64         `json:"load_ms"`
+		BuildMS   float64         `json:"build_ms"`
+		PrewarmMS float64         `json:"prewarm_ms"`
+		Timings   json.RawMessage `json:"timings"`
 	}
 	if err := json.Unmarshal(httpJSON(t, http.MethodGet, base+"/v1/pairs/smoke", "").body, &built); err != nil {
 		t.Fatal(err)
 	}
 	if err := json.Unmarshal(httpJSON(t, http.MethodGet, base+"/v1/pairs/snap", "").body, &snap); err != nil {
 		t.Fatal(err)
+	}
+	if built.LoadMS <= 0 || built.BuildMS <= 0 || built.PrewarmMS <= 0 || built.Timings == nil {
+		t.Errorf("the built pair reports load %.2f, build %.2f, prewarm %.2f ms and timings %s: want all of them",
+			built.LoadMS, built.BuildMS, built.PrewarmMS, built.Timings)
+	}
+	if snap.BuildMS != 0 || snap.Timings != nil {
+		t.Errorf("the pair opened from a snapshot reports a build of %.2f ms and timings %s: a snapshot records none", snap.BuildMS, snap.Timings)
 	}
 	rebuild := built.LoadMS + built.BuildMS + built.PrewarmMS
 	warm := snap.LoadMS + snap.PrewarmMS
