@@ -80,8 +80,10 @@ func hashSections(sum io.Writer, h *header, keep func(id uint32) bool) {
 }
 
 // TestSnapshotBytesUnchanged writes each preset's snapshot with one and with
-// two processors — the writer prepares section groups on as many workers —
-// and requires the committed digest both times.
+// two processors — the build runs, and the writer prepares section groups,
+// on as many workers — and requires the committed digest both times. The
+// digest covers the flags and every section, meta included, so the two
+// writes must be the same file byte for byte.
 func TestSnapshotBytesUnchanged(t *testing.T) {
 	checkGolden(t, goldenSectionsPath, os.Getenv("MINOANER_UPDATE_GOLDEN") != "", sectionsDigest)
 }

@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -324,27 +323,6 @@ func TestWriteDeterministic(t *testing.T) {
 	b := snapshotBytes(t, sub)
 	if !bytes.Equal(a, b) {
 		t.Fatal("two writes of the same substrate differ")
-	}
-}
-
-// One pair built and written with an engine of one worker and with one of
-// two is the same file, byte for byte: a snapshot holds the pair, not how
-// its build ran or how long it took.
-func TestSnapshotBytesIndependentOfWorkers(t *testing.T) {
-	d := generatePreset(t, "Restaurant")
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var files [2][]byte
-	for i, procs := range []int{1, 2} {
-		runtime.GOMAXPROCS(procs)
-		// Workers 0: the engine, and with it the writer, follows GOMAXPROCS.
-		sub, err := buildWith(d, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files[i] = snapshotBytes(t, sub)
-	}
-	if !bytes.Equal(files[0], files[1]) {
-		t.Fatalf("the snapshots written at one and at two workers differ (%d and %d bytes)", len(files[0]), len(files[1]))
 	}
 }
 
