@@ -15,7 +15,9 @@ race:
 
 # race-overlap exercises the overlapped substrate build, the concurrent γ
 # sides of graph construction and the streamed batch resolve, whose γ rows are
-# chosen by a row demand read while spans fill, under the race detector at an
+# chosen by a row demand read while spans fill — narrowed to the rows R3 and
+# R4 can read, and checked against a demand for every row at 1, 2 and 8
+# workers — under the race detector at an
 # explicit workers=2 engine (the smallest size where the removed barriers
 # matter), plus sixteen readers of a freshly opened snapshot racing for the
 # checks its open deferred (each must run exactly once), sixteen describe
@@ -26,7 +28,7 @@ race:
 # while the chunks go back to the parsers, repeated so goroutine
 # interleavings vary.
 race-overlap:
-	go test -race -count=2 -run 'Overlap|TokenIndexDerivedOnce|StreamedResolve|IngestLifecycle|ChunkedIngestEqualsSerial' ./internal/core ./internal/graph ./internal/kb
+	go test -race -count=2 -run 'Overlap|TokenIndexDerivedOnce|StreamedResolve|NarrowDemand|IngestLifecycle|ChunkedIngestEqualsSerial' ./internal/core ./internal/graph ./internal/kb ./internal/matching
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -71,9 +73,10 @@ bench-test:
 # generated dataset, and a snapshot round trip: the substrate is persisted
 # with -save-snapshot, reloaded with -snapshot, and the two query paths must
 # emit byte-identical candidates JSON. The snapshot is written a second time
-# at GOMAXPROCS=1, where the build runs its stages one after another, and the
-# two files must be the same bytes. The generated files live in a temporary
-# directory removed when the recipe's shell exits.
+# at GOMAXPROCS=1, where the build runs its stages one after another, and a
+# third time with -workers 1; all three files must be the same bytes. The
+# generated files live in a temporary directory removed when the recipe's
+# shell exits.
 smoke:
 	go test -run '^$$' -bench '^BenchmarkPipelineRestaurant$$' -benchtime 1x .
 	go run ./cmd/experiments -table 1 -datasets Restaurant -scale 0.2
@@ -87,7 +90,9 @@ smoke:
 	go run ./cmd/minoaner -snapshot "$$T/pair.snap" -query "$$Q" -json -quiet > "$$T/q-snap.json"; \
 	cmp "$$T/q-build.json" "$$T/q-snap.json"; \
 	GOMAXPROCS=1 go run ./cmd/minoaner -e1 "$$T/e1.nt" -e2 "$$T/e2.nt" -save-snapshot "$$T/pair-1p.snap" -quiet > /dev/null; \
-	cmp "$$T/pair.snap" "$$T/pair-1p.snap"
+	cmp "$$T/pair.snap" "$$T/pair-1p.snap"; \
+	go run ./cmd/minoaner -e1 "$$T/e1.nt" -e2 "$$T/e2.nt" -workers 1 -save-snapshot "$$T/pair-w1.snap" -quiet > /dev/null; \
+	cmp "$$T/pair.snap" "$$T/pair-w1.snap"
 
 # serve-smoke exercises the real minoanerd binary end to end: build both
 # binaries, serve a generated dataset, load a pair, query it in both request

@@ -42,8 +42,9 @@ type Config struct {
 	// default (0.0005), like the other parameters; set NoBlockPurging (or
 	// any negative value) to disable purging explicitly.
 	MaxBlockFraction float64
-	// Workers sets the parallel engine size; 0 uses all cores.
-	Workers int
+	// Workers sets the parallel engine size; 0 uses all cores. It changes
+	// no result, and a snapshot does not store it.
+	Workers int `json:"-"`
 	// Rules toggles individual matching rules and neighbor evidence; the
 	// zero value means "all rules enabled" (see normalize).
 	Rules *matching.Config
@@ -239,24 +240,21 @@ func resolveWith(ctx context.Context, eng *parallel.Engine, sub *Substrate, cfg 
 	}
 
 	// Stage 4 — non-iterative matching (Algorithm 2). The γ rows of each E1
-	// span are built on demand, and only those R3 and R4 will read; the time
-	// spent on them is accounted to the graph stage. Gamma1Span counts the
-	// edges of every row, built or not, so GraphEdges counts the whole graph,
-	// though its E1-side γ rows never exist at once and some are never built.
+	// span are built on demand, and only those R3 and R4 can read; the time
+	// spent on them is accounted to the graph stage. GraphEdges counts the
+	// whole graph from the count its build took, though its E1-side γ rows
+	// never exist at once and most are never built.
 	n1 := sub.k1.Len()
 	spans := shardSpans(n1, max(minSpans, (n1+gammaSpanRows-1)/gammaSpanRows))
 	t0 := time.Now()
 	var (
-		gammaTime   time.Duration
-		gamma1Edges int
-		rows        graph.Rows[graph.Edge] // one span's, reused for the next
+		gammaTime time.Duration
+		rows      graph.Rows[graph.Edge] // one span's, reused for the next
 	)
 	gammaFor := func(gctx context.Context, s parallel.Span, need []bool) (_ graph.Rows[graph.Edge], err error) {
 		gt := time.Now()
-		var edges int
-		rows, edges, err = pg.g.Gamma1Span(gctx, eng, s, need, rows)
+		rows, err = pg.g.Gamma1Span(gctx, eng, s, need, rows)
 		gammaTime += time.Since(gt)
-		gamma1Edges += edges
 		return rows, err
 	}
 	res, err := matching.RunShardedCtx(ctx, eng, pg.g, sub.k1, sub.k2, mc, spans, gammaFor)
@@ -266,7 +264,7 @@ func resolveWith(ctx context.Context, eng *parallel.Engine, sub *Substrate, cfg 
 	elapsed := time.Since(t0)
 	out.Matches = res.Matches
 	out.RemovedByR4 = res.RemovedByR4
-	out.GraphEdges = pg.g.Edges() + gamma1Edges
+	out.GraphEdges = pg.g.Edges()
 	out.Timings.Graph = pg.wall + gammaTime
 	out.Timings.Matching = elapsed - gammaTime
 	out.Timings.Total = sub.buildWall + pg.wall + elapsed

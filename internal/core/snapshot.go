@@ -25,6 +25,7 @@ import (
 	"minoaner/internal/blocking"
 	"minoaner/internal/graph"
 	"minoaner/internal/kb"
+	"minoaner/internal/parallel"
 	"minoaner/internal/stats"
 )
 
@@ -106,8 +107,8 @@ func SubstrateFromParts(p SubstrateParts) (*Substrate, error) {
 	}
 	// The config is installed as it is, so it must be one normalize could
 	// have produced.
-	if c := p.Config; c.TopK <= 0 || c.NameK < 0 || c.RelN < 0 || c.Workers < 0 || c.Workers > maxStoredWorkers {
-		return nil, fmt.Errorf("core: substrate from parts: config k=%d K=%d N=%d workers=%d out of range", c.NameK, c.TopK, c.RelN, c.Workers)
+	if c := p.Config; c.TopK <= 0 || c.NameK < 0 || c.RelN < 0 {
+		return nil, fmt.Errorf("core: substrate from parts: config k=%d K=%d N=%d out of range", c.NameK, c.TopK, c.RelN)
 	}
 	return &Substrate{
 		k1: p.K1, k2: p.K2, cfg: p.Config,
@@ -134,10 +135,6 @@ func idsBelow(ids []kb.EntityID, n int) error {
 	}
 	return nil
 }
-
-// maxStoredWorkers bounds the worker count a stored config may ask engines
-// for: scratch is allocated per worker before any work is split.
-const maxStoredWorkers = 1 << 12
 
 // NameUsages is the name-usage index of the query path in flat columns,
 // sorted by name: entry i says how many entities of each side carry the
@@ -196,7 +193,7 @@ func (s *Substrate) InstallQueryState(qs *QueryState) error {
 		return fmt.Errorf("core: install query state: name usage columns of unequal length")
 	}
 	st := s.newQueryState(g, names)
-	st.graphCheck = kb.NewDeferred("installed graph", func() error { return g.CheckTargets(n1, n2) })
+	st.graphCheck = kb.NewDeferredOn("installed graph", func(e *parallel.Engine) error { return g.CheckTargets(e, n1, n2) })
 	st.namesCheck = kb.NewDeferred("name usage", func() error {
 		if err := names.Names.Check(); err != nil {
 			return err

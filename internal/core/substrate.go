@@ -107,7 +107,7 @@ type pairGraph struct {
 // buildGraph runs Algorithm 1 over the substrate with candidate rows pruned
 // to k.
 func (s *Substrate) buildGraph(ctx context.Context, eng *parallel.Engine, k int) (*pairGraph, error) {
-	ix, err := s.TokenIndex(ctx)
+	ix, err := s.tokenIndex(ctx, eng)
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +143,7 @@ func (s *Substrate) graphFor(ctx context.Context, eng *parallel.Engine, k int) (
 		return nil, err
 	}
 	if st := s.query.Load(); st != nil {
-		if err := st.graphCheck.Run(); err != nil {
+		if err := st.graphCheck.RunOn(eng); err != nil {
 			return nil, err
 		}
 	}
@@ -159,7 +159,7 @@ func (s *Substrate) sharedGraphLocked(ctx context.Context, eng *parallel.Engine)
 		return pg, nil
 	}
 	if st := s.query.Load(); st != nil {
-		if err := st.graphCheck.Run(); err != nil {
+		if err := st.graphCheck.RunOn(eng); err != nil {
 			return nil, err
 		}
 		pg := &pairGraph{g: st.g}
@@ -353,6 +353,11 @@ func purgedTokenIndex(ctx context.Context, eng *parallel.Engine, k1, k2 *kb.KB, 
 // the stored build did. The derive runs once: callers wait for it, and one
 // whose context is cancelled fails alone, leaving the derive to the next.
 func (s *Substrate) TokenIndex(ctx context.Context) (*blocking.TokenIndex, error) {
+	return s.tokenIndex(ctx, parallel.New(s.cfg.Workers))
+}
+
+// tokenIndex is TokenIndex with the derive, if it runs, on eng.
+func (s *Substrate) tokenIndex(ctx context.Context, eng *parallel.Engine) (*blocking.TokenIndex, error) {
 	if ix := s.tokenIx.Load(); ix != nil {
 		return ix, nil
 	}
@@ -365,7 +370,7 @@ func (s *Substrate) TokenIndex(ctx context.Context) (*blocking.TokenIndex, error
 	if err := errors.Join(k1.CheckTokens(), k2.CheckTokens()); err != nil {
 		return nil, err
 	}
-	ix, purged, threshold, err := purgedTokenIndex(ctx, parallel.New(s.cfg.Workers), k1, k2, s.cfg.MaxBlockFraction)
+	ix, purged, threshold, err := purgedTokenIndex(ctx, eng, k1, k2, s.cfg.MaxBlockFraction)
 	if err != nil {
 		return nil, err
 	}

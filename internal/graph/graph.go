@@ -63,11 +63,13 @@ type Graph struct {
 	Beta1, Beta2 Rows[Edge]
 	// Gamma2 row j holds up to K candidates sorted by decreasing
 	// neighborNSim. Gamma1 — the largest per-node structure — has no rows
-	// unless BuildTimedCtx materialized it: consumers stream its rows in
-	// spans (Gamma1Span), computing only the rows they will read and the
-	// lengths of the others, or compute one (Gamma1RowFor) from the inputs
-	// below.
+	// unless BuildTimedCtx materialized it: consumers stream the rows they
+	// will read in spans (Gamma1Span), or compute one (Gamma1RowFor) from
+	// the inputs below.
 	Gamma1, Gamma2 Rows[Edge]
+	// Gamma1Edges is the number of edges the E1-side γ rows hold, counted
+	// once when the graph is built, whether Gamma1 is materialized or not.
+	Gamma1Edges int
 
 	// The inputs of E1-side γ rows: E1's top-neighbor lists (shared with the
 	// substrate), the β edges of both directions merged into E1's undirected
@@ -124,7 +126,8 @@ type Timings struct {
 // in.Top1 and in.Top2; the graph keeps top1 as its Top1.
 //
 // The two γ sides build concurrently (in sequence at one worker, like every
-// ConcurrentCtx).
+// ConcurrentCtx). The E2-side pass also counts the edges of the E1-side
+// rows (Gamma1Edges), which it can because γ's support is symmetric.
 func BuildSharedCtx(ctx context.Context, e *parallel.Engine, in Input, top1, top2 Rows[kb.EntityID]) (*Graph, Timings, error) {
 	g := &Graph{Top1: top1, K: in.K}
 	var tm Timings
@@ -161,7 +164,7 @@ func BuildSharedCtx(ctx context.Context, e *parallel.Engine, in Input, top1, top
 	err = e.ConcurrentCtx(ctx,
 		func(sc context.Context) (err error) {
 			in1 := TopInNeighbors(top1)
-			g.Gamma2, _, err = gammaRows(sc, ce, parallel.Span{Lo: 0, Hi: n2}, top2, adj2, in1, in.K, nil, Rows[Edge]{})
+			g.Gamma2, g.Gamma1Edges, err = gammaRows(sc, ce, parallel.Span{Lo: 0, Hi: n2}, top2, adj2, in1, in.K, nil, Rows[Edge]{}, true)
 			return err
 		},
 		func(context.Context) error {
@@ -187,7 +190,7 @@ func BuildTimedCtx(ctx context.Context, e *parallel.Engine, in Input) (*Graph, T
 		return nil, tm, err
 	}
 	t0 := time.Now()
-	if g.Gamma1, _, err = g.Gamma1Span(ctx, e, parallel.Span{Lo: 0, Hi: in.K1.Len()}, nil, Rows[Edge]{}); err != nil {
+	if g.Gamma1, err = g.Gamma1Span(ctx, e, parallel.Span{Lo: 0, Hi: in.K1.Len()}, nil, Rows[Edge]{}); err != nil {
 		return nil, tm, err
 	}
 	tm.Gamma += time.Since(t0)
@@ -239,7 +242,7 @@ func buildAlpha(nameBlocks *blocking.Collection, n1, n2 int) (alpha1, alpha2 Row
 // retained weight — are bit-identical to the map-based reference the
 // property tests keep.
 func BetaRowsCtx(ctx context.Context, e *parallel.Engine, ix *blocking.TokenIndex, from *kb.KB, otherLen int, fromIsE1 bool, k int) (Rows[Edge], error) {
-	rows, _, err := emitRows(ctx, e, from.Len(), otherLen, k, nil, Rows[Edge]{}, func(board *Scoreboard, i, _ int) {
+	rows, _, err := emitRows(ctx, e, from.Len(), otherLen, k, nil, Rows[Edge]{}, false, func(board *Scoreboard, i int) {
 		ix.ForEachSharedTokens(from.TokenIDs(kb.EntityID(i)), fromIsE1, func(w float64, others []kb.EntityID) {
 			for _, o := range others {
 				board.Add(o, w)
@@ -260,21 +263,20 @@ func BetaRowsCtx(ctx context.Context, e *parallel.Engine, ix *blocking.TokenInde
 // independent, so concatenating spans in order reproduces the full-range
 // pass exactly; per-candidate sums follow the neighbor-walk order of the
 // map-based reference, keeping the weights bit-identical. need (indexed by
-// the side's node IDs, nil for every row), reuse and the edge count are
-// those of emitRows.
-func gammaRows(ctx context.Context, e *parallel.Engine, s parallel.Span, top Rows[kb.EntityID], adj Rows[Edge], inOther Rows[kb.EntityID], k int, need []bool, reuse Rows[Edge]) (Rows[Edge], int, error) {
+// the side's node IDs, nil for every row), reuse and mirror are those of
+// emitRows. γ's support is symmetric — a touches b exactly when b touches a
+// — so with mirror set, a pass over every node of one side counts the edges
+// of the other side's rows.
+func gammaRows(ctx context.Context, e *parallel.Engine, s parallel.Span, top Rows[kb.EntityID], adj Rows[Edge], inOther Rows[kb.EntityID], k int, need []bool, reuse Rows[Edge], mirror bool) (Rows[Edge], int, error) {
 	if need != nil {
 		need = need[s.Lo:s.Hi]
 	}
-	return emitRows(ctx, e, s.Len(), inOther.Len(), k, need, reuse, func(board *Scoreboard, i, limit int) {
+	return emitRows(ctx, e, s.Len(), inOther.Len(), k, need, reuse, mirror, func(board *Scoreboard, i int) {
 		for _, na := range top.Row(s.Lo + i) {
 			for _, edge := range adj.Row(int(na)) {
 				w := edge.Weight()
 				for _, b := range inOther.Row(int(edge.To)) {
 					board.Add(b, w)
-				}
-				if len(board.touched) >= limit {
-					return
 				}
 			}
 		}
@@ -282,14 +284,14 @@ func gammaRows(ctx context.Context, e *parallel.Engine, s parallel.Span, top Row
 }
 
 // Gamma1Span computes the γ rows of one contiguous E1 span — s.Len() rows,
-// row i describing entity s.Lo+i — and the number of edges those rows hold
-// in the graph. need, when not nil, flags per E1 entity the rows a consumer
-// will read: every other row comes back empty, and only its length is
-// counted, from a walk cut off once K candidates are touched. Consumers that
-// walk all of E1 pull the rows span by span and hand each set back as reuse
-// when asking for the next, so one span's arrays serve the whole walk.
-func (g *Graph) Gamma1Span(ctx context.Context, e *parallel.Engine, s parallel.Span, need []bool, reuse Rows[Edge]) (Rows[Edge], int, error) {
-	return gammaRows(ctx, e.Chunked(), s, g.Top1, g.Adj1, g.In2, g.K, need, reuse)
+// row i describing entity s.Lo+i. need, when not nil, flags per E1 entity
+// the rows a consumer will read: every other row comes back empty, and costs
+// nothing. Consumers that walk all of E1 pull the rows span by span and hand
+// each set back as reuse when asking for the next, so one span's arrays
+// serve the whole walk. The edge count of all rows is Gamma1Edges.
+func (g *Graph) Gamma1Span(ctx context.Context, e *parallel.Engine, s parallel.Span, need []bool, reuse Rows[Edge]) (Rows[Edge], error) {
+	rows, _, err := gammaRows(ctx, e.Chunked(), s, g.Top1, g.Adj1, g.In2, g.K, need, reuse, false)
+	return rows, err
 }
 
 // byTarget orders edges by target, the heavier of two edges to one target
@@ -466,20 +468,24 @@ func indexEdge(es []Edge, to kb.EntityID) int {
 
 // Edges returns the total number of directed edges retained in the graph,
 // used by complexity assertions (|E| ≤ 2·(2K+names)·(|E1|+|E2|)). The
-// E1-side γ edges count only when Gamma1 is materialized.
+// E1-side γ edges are Gamma1Edges, whether Gamma1 is materialized or not.
 func (g *Graph) Edges() int {
 	return len(g.Alpha1.Flat) + len(g.Alpha2.Flat) + len(g.Beta1.Flat) + len(g.Beta2.Flat) +
-		len(g.Gamma1.Flat) + len(g.Gamma2.Flat)
+		g.Gamma1Edges + len(g.Gamma2.Flat)
 }
 
 // CheckShape validates the layout of a graph that came from outside the
 // program (a snapshot) against the pair's entity counts: a positive row
 // bound, one top-neighbor list per E1 entity, and offset tables that cover
 // their flat arrays — everything that makes taking a row safe, at the price
-// of reading the offset tables only.
+// of reading the offset tables only — and an E1-side γ edge count that n1
+// rows of at most min(K, n2) edges can hold.
 func (g *Graph) CheckShape(n1, n2 int) error {
 	if g.K <= 0 {
 		return fmt.Errorf("graph: row bound K=%d must be positive", g.K)
+	}
+	if most := int64(n1) * int64(min(g.K, n2)); g.Gamma1Edges < 0 || int64(g.Gamma1Edges) > most {
+		return fmt.Errorf("graph: E1-side γ edge count %d outside [0, %d]", g.Gamma1Edges, most)
 	}
 	err := errors.Join(g.Top1.CheckShape(n1, "top1"),
 		g.Alpha1.CheckShape(n1, "alpha1"), g.Alpha2.CheckShape(n2, "alpha2"), g.In2.CheckShape(n2, "in2"),
@@ -508,22 +514,35 @@ func goodWeight(w float64) bool { return w > 0 && w <= math.MaxFloat64 }
 // inside the array it indexes — and checks every edge weight (ErrBadWeight).
 // It reads the whole graph, so a loader leaves it to the first consumer that
 // walks the whole graph anyway; the per-entity query kernels check the few
-// rows they touch themselves.
-func (g *Graph) CheckTargets(n1, n2 int) error {
-	ok := kb.IDsBelow(g.Alpha1.Flat, n2) && kb.IDsBelow(g.Alpha2.Flat, n1) && kb.IDsBelow(g.In2.Flat, n2) &&
-		kb.IDsBelow(g.Top1.Flat, n1)
+// rows they touch themselves. The row sets are scanned in chunks on e, and a
+// target out of range anywhere is reported ahead of a bad weight anywhere.
+func (g *Graph) CheckTargets(e *parallel.Engine, n1, n2 int) error {
+	e = e.Chunked()
+	idsBelow := func(ids []kb.EntityID, below int) bool {
+		return !slices.Contains(parallel.MapSpans(e, len(ids), func(s parallel.Span) bool {
+			return kb.IDsBelow(ids[s.Lo:s.Hi], below)
+		}), false)
+	}
+	inRange := idsBelow(g.Alpha1.Flat, n2) && idsBelow(g.Alpha2.Flat, n1) && idsBelow(g.In2.Flat, n2) && idsBelow(g.Top1.Flat, n1)
 	weighted := true
+	type verdict struct{ inRange, weighted bool }
 	for _, c := range []struct {
 		edges []Edge
 		below int
 	}{{g.Beta1.Flat, n2}, {g.Beta2.Flat, n1}, {g.Gamma1.Flat, n2}, {g.Gamma2.Flat, n1}, {g.Adj1.Flat, n2}} {
-		for _, edge := range c.edges {
-			ok = ok && edge.To >= 0 && int(edge.To) < c.below
-			weighted = weighted && goodWeight(edge.Weight())
+		for _, v := range parallel.MapSpans(e, len(c.edges), func(s parallel.Span) verdict {
+			v := verdict{true, true}
+			for _, edge := range c.edges[s.Lo:s.Hi] {
+				v.inRange = v.inRange && edge.To >= 0 && int(edge.To) < c.below
+				v.weighted = v.weighted && goodWeight(edge.Weight())
+			}
+			return v
+		}) {
+			inRange, weighted = inRange && v.inRange, weighted && v.weighted
 		}
 	}
 	switch {
-	case !ok:
+	case !inRange:
 		return ErrOutOfRange
 	case !weighted:
 		return ErrBadWeight

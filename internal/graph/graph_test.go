@@ -362,7 +362,7 @@ func TestGamma1SpansMatchMaterialized(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 16} {
 		var gamma1 [][]Edge
 		for _, s := range parallel.New(p).Partitions(w.Len()) {
-			rows, _, err := g.Gamma1Span(context.Background(), seq, s, nil, Rows[Edge]{})
+			rows, err := g.Gamma1Span(context.Background(), seq, s, nil, Rows[Edge]{})
 			if err != nil {
 				t.Fatalf("p=%d span %v: %v", p, s, err)
 			}
@@ -372,7 +372,7 @@ func TestGamma1SpansMatchMaterialized(t *testing.T) {
 			t.Errorf("p=%d: concatenated gamma1 rows differ", p)
 		}
 	}
-	if err := errors.Join(g.CheckShape(w.Len(), d.Len()), g.CheckTargets(w.Len(), d.Len())); err != nil {
+	if err := errors.Join(g.CheckShape(w.Len(), d.Len()), g.CheckTargets(seq, w.Len(), d.Len())); err != nil {
 		t.Errorf("a built graph must pass both checks: %v", err)
 	}
 }
@@ -459,9 +459,10 @@ func TestTopInNeighborsReverses(t *testing.T) {
 	}
 }
 
-// CheckShape must refuse every layout that makes taking a row unsafe, and
-// CheckTargets every index a consumer would later follow out of range —
-// each leaving the other's ground alone.
+// CheckShape must refuse every layout that makes taking a row unsafe and a
+// γ₁ edge count no graph of the pair can hold, and CheckTargets, on one
+// worker or several, every index a consumer would later follow out of
+// range — each leaving the other's ground alone.
 func TestChecksRejectDamagedGraphs(t *testing.T) {
 	w, d := testkb.Figure1()
 	in := InputFor(seq, w, d, 2, 5, 2)
@@ -482,6 +483,8 @@ func TestChecksRejectDamagedGraphs(t *testing.T) {
 		"offsets beyond": {func(g *Graph) { g.Adj1.Off[n1]++ }, true},
 		"offsets fall":   {func(g *Graph) { g.Gamma2.Off[1] = g.Gamma2.Off[n2] + 1 }, true},
 		"row bound":      {func(g *Graph) { g.K = 0 }, true},
+		"gamma1 count":   {func(g *Graph) { g.Gamma1Edges = n1*min(g.K, n2) + 1 }, true},
+		"gamma1 count<0": {func(g *Graph) { g.Gamma1Edges = -1 }, true},
 	} {
 		g, _, err := BuildSharedCtx(context.Background(), seq, in, RowsOf(in.Top1), RowsOf(in.Top2))
 		if err != nil {
@@ -490,14 +493,20 @@ func TestChecksRejectDamagedGraphs(t *testing.T) {
 		c.damage(g)
 		if shapeErr := g.CheckShape(n1, n2); (shapeErr != nil) != c.shape {
 			t.Errorf("%s: CheckShape = %v", name, shapeErr)
-		} else if !c.shape && !errors.Is(g.CheckTargets(n1, n2), ErrOutOfRange) {
-			t.Errorf("%s: CheckTargets passed a damaged graph", name)
+			continue
+		}
+		for _, e := range []*parallel.Engine{seq, parallel.New(4)} {
+			if !c.shape && !errors.Is(g.CheckTargets(e, n1, n2), ErrOutOfRange) {
+				t.Errorf("%s: CheckTargets at %d workers passed a damaged graph", name, e.Workers())
+			}
 		}
 	}
 }
 
 // Every edge weight must be strictly positive and finite: the scoreboard
-// tells untouched candidates by their zero score.
+// tells untouched candidates by their zero score. A target out of range in
+// any row set is reported ahead of a bad weight in any other, on one worker
+// or several.
 func TestCheckTargetsRejectsBadWeights(t *testing.T) {
 	w, d := testkb.Figure1()
 	in := InputFor(seq, w, d, 2, 5, 2)
@@ -514,13 +523,22 @@ func TestCheckTargetsRejectsBadWeights(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := g.CheckTargets(n1, n2); err != nil {
+			if err := g.CheckTargets(seq, n1, n2); err != nil {
 				t.Fatalf("a built graph must pass: %v", err)
 			}
 			es := edges(g)
 			es[len(es)/2] = NewEdge(es[len(es)/2].To, bad)
-			if err := g.CheckTargets(n1, n2); !errors.Is(err, ErrBadWeight) {
-				t.Errorf("%s weight %v: CheckTargets = %v, want ErrBadWeight", name, bad, err)
+			for _, e := range []*parallel.Engine{seq, parallel.New(4)} {
+				if err := g.CheckTargets(e, n1, n2); !errors.Is(err, ErrBadWeight) {
+					t.Errorf("%s weight %v at %d workers: CheckTargets = %v, want ErrBadWeight", name, bad, e.Workers(), err)
+				}
+			}
+			last := len(g.Adj1.Flat) - 1
+			g.Adj1.Flat[last] = NewEdge(kb.EntityID(n2), g.Adj1.Flat[last].Weight())
+			for _, e := range []*parallel.Engine{seq, parallel.New(4)} {
+				if err := g.CheckTargets(e, n1, n2); !errors.Is(err, ErrOutOfRange) {
+					t.Errorf("%s weight %v and the last adj1 target at %d workers: CheckTargets = %v, want ErrOutOfRange", name, bad, e.Workers(), err)
+				}
 			}
 		}
 	}

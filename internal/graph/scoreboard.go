@@ -17,8 +17,8 @@ package graph
 
 import (
 	"context"
-	"math"
 	"slices"
+	"sync"
 
 	"minoaner/internal/kb"
 	"minoaner/internal/parallel"
@@ -153,10 +153,13 @@ func siftDown(h []cand, i int) {
 
 // boardScratch is the per-worker scratch of the β and γ passes: one
 // scoreboard over the other KB's entity IDs plus the reusable top-K heap
-// buffer. With it, a pass allocates nothing per entity.
+// buffer. With it, a pass allocates nothing per entity. touches, when a pass
+// mirrors its count, holds per candidate the number of this worker's rows
+// that touched it.
 type boardScratch struct {
-	board *Scoreboard
-	heap  []cand
+	board   *Scoreboard
+	heap    []cand
+	touches []int32
 }
 
 func newBoardScratch(n, k int) *boardScratch {
@@ -190,29 +193,45 @@ func (sc *boardScratch) finishRow(k int, inRange bool) ([]Edge, error) {
 // serial pass then closes the gaps. reuse is a row set the caller is done
 // with; its arrays back the result where they are large enough.
 //
-// need, when not nil, holds one flag per node. A node whose flag is false
-// gets an empty row: fill may stop once limit candidates are touched (it
-// checks between evidence items, so it may touch more), which is enough to
-// know the row's length, min(k, touched). The second result counts the
-// edges of every row, computed or not. A caller that passes need streams the
-// rows and hands them back as reuse, so only a result computed whole is
-// trimmed to its size.
-func emitRows(ctx context.Context, e *parallel.Engine, n, otherLen, k int, need []bool, reuse Rows[Edge], fill func(board *Scoreboard, i, limit int)) (Rows[Edge], int, error) {
+// need, when not nil, holds one flag per node; a node whose flag is false
+// gets an empty row, and fill is not called for it. A caller that passes
+// need streams the rows and hands them back as reuse, so only a result
+// computed whole is trimmed to its size.
+//
+// With mirror set, the second result is Σ_t min(k, rows that touched t) over
+// the candidates t: the number of edges the other side's rows hold, when
+// the evidence is symmetric and the pass covers every node of its side.
+// Each worker counts on its own array, summed once at the end.
+func emitRows(ctx context.Context, e *parallel.Engine, n, otherLen, k int, need []bool, reuse Rows[Edge], mirror bool, fill func(board *Scoreboard, i int)) (Rows[Edge], int, error) {
 	stride := max(min(k, otherLen), 0)
 	rows := Rows[Edge]{Off: slices.Grow(reuse.Off[:0], n+1)[:n+1], Flat: slices.Grow(reuse.Flat[:0], n*stride)[:n*stride]}
 	fresh := cap(reuse.Flat) < n*stride
+	var (
+		mu      sync.Mutex
+		touches [][]int32 // one per worker, when mirroring
+	)
 	err := parallel.ForLocalCtx(ctx, e, n,
-		func() *boardScratch { return newBoardScratch(otherLen, k) },
+		func() *boardScratch {
+			sc := newBoardScratch(otherLen, k)
+			if mirror {
+				sc.touches = make([]int32, otherLen)
+				mu.Lock()
+				touches = append(touches, sc.touches)
+				mu.Unlock()
+			}
+			return sc
+		},
 		func(sc *boardScratch, i int) error {
 			if need != nil && !need[i] {
-				// The length is recorded negated; the pass below tells it
-				// from a computed row's by its sign.
-				fill(sc.board, i, stride)
-				rows.Off[i+1] = -int64(min(len(sc.board.touched), stride))
-				sc.board.Reset()
+				rows.Off[i+1] = 0
 				return nil
 			}
-			fill(sc.board, i, math.MaxInt)
+			fill(sc.board, i)
+			if sc.touches != nil {
+				for _, t := range sc.board.touched {
+					sc.touches[t]++
+				}
+			}
 			at := i * stride
 			rows.Off[i+1] = int64(len(sc.appendRow(rows.Flat[at:at:at+stride], k)))
 			return nil
@@ -221,12 +240,9 @@ func emitRows(ctx context.Context, e *parallel.Engine, n, otherLen, k int, need 
 		return Rows[Edge]{}, 0, err
 	}
 	rows.Off[0] = 0
-	w, uncomputed := int64(0), int64(0)
+	w := int64(0)
 	for i := 0; i < n; i++ {
 		m := rows.Off[i+1]
-		if m < 0 {
-			uncomputed, m = uncomputed-m, 0
-		}
 		copy(rows.Flat[w:w+m], rows.Flat[i*stride:])
 		w += m
 		rows.Off[i+1] = w
@@ -236,5 +252,15 @@ func emitRows(ctx context.Context, e *parallel.Engine, n, otherLen, k int, need 
 		// Mostly short rows: do not keep the bound's worth of memory alive.
 		rows.Flat = slices.Clone(rows.Flat)
 	}
-	return rows, int(w + uncomputed), nil
+	mirrored := 0
+	if mirror {
+		for t := range otherLen {
+			d := 0
+			for _, c := range touches {
+				d += int(c[t])
+			}
+			mirrored += min(k, d)
+		}
+	}
+	return rows, mirrored, nil
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"minoaner/internal/parallel"
 )
 
 // ErrCorrupt reports damage a deferred check found: a column or string table
@@ -21,7 +23,7 @@ var ErrCorrupt = errors.New("kb: corrupt column")
 // no check.
 type Deferred struct {
 	name string
-	fn   func() error
+	fn   func(*parallel.Engine) error
 	once sync.Once
 	done atomic.Bool
 	err  error
@@ -35,6 +37,12 @@ var made func(*Deferred)
 // comes back wrapped in ErrCorrupt and the name, and still matches errors.Is
 // for what fn returned.
 func NewDeferred(name string, fn func() error) *Deferred {
+	return NewDeferredOn(name, func(*parallel.Engine) error { return fn() })
+}
+
+// NewDeferredOn is NewDeferred for a check that splits its walk over the
+// engine of the reader that runs it (RunOn).
+func NewDeferredOn(name string, fn func(e *parallel.Engine) error) *Deferred {
 	d := &Deferred{name: name, fn: fn}
 	if made != nil {
 		made(d)
@@ -42,13 +50,17 @@ func NewDeferred(name string, fn func() error) *Deferred {
 	return d
 }
 
-// Run runs the check on first call and returns its verdict on every call.
-func (d *Deferred) Run() error {
+// Run runs the check on first call, on one worker, and returns its verdict
+// on every call.
+func (d *Deferred) Run() error { return d.RunOn(parallel.Sequential()) }
+
+// RunOn is Run with the check's walk, if it splits one, on e.
+func (d *Deferred) RunOn(e *parallel.Engine) error {
 	if d == nil {
 		return nil
 	}
 	d.once.Do(func() {
-		if err := d.fn(); err != nil {
+		if err := d.fn(e); err != nil {
 			d.err = fmt.Errorf("%w: %s: %w", ErrCorrupt, d.name, err)
 		}
 		d.fn = nil

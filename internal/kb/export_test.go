@@ -3,6 +3,8 @@ package kb
 import (
 	"io"
 	"sync/atomic"
+
+	"minoaner/internal/parallel"
 )
 
 // The reference implementations and the KB comparison, for the tests of
@@ -46,9 +48,9 @@ func TrackDeferred() (stop func() []*Tracked) {
 	made = func(d *Deferred) {
 		tr := &Tracked{Deferred: d}
 		fn := d.fn
-		d.fn = func() error {
+		d.fn = func(e *parallel.Engine) error {
 			tr.runs.Add(1)
-			return fn()
+			return fn(e)
 		}
 		got = append(got, tr)
 	}

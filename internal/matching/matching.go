@@ -15,9 +15,7 @@
 package matching
 
 import (
-	"cmp"
 	"context"
-	"slices"
 
 	"minoaner/internal/eval"
 	"minoaner/internal/graph"
@@ -116,15 +114,22 @@ func RunCtx(ctx context.Context, e *parallel.Engine, g *graph.Graph, k1, k2 *kb.
 		func(context.Context, parallel.Span, []bool) (graph.Rows[graph.Edge], error) { return g.Gamma1, nil })
 }
 
-// sortMatches orders matches by (E1, E2) — the canonical output order for
-// every span plan.
-func sortMatches(ms []Match) {
-	slices.SortFunc(ms, func(a, b Match) int {
-		if c := cmp.Compare(a.Pair.E1, b.Pair.E1); c != 0 {
-			return c
+// sortMatches returns the matches ordered by (E1, E2) — the canonical
+// output order for every span plan. No two share an E1 entity (commit
+// keeps the assignment one-to-one), so each is placed by its E1 ID, below
+// n1, without comparisons.
+func sortMatches(ms []Match, n1 int) []Match {
+	at := make([]int32, n1) // 1 + the match's index, 0 where E1 has none
+	for idx, m := range ms {
+		at[m.Pair.E1] = int32(idx + 1)
+	}
+	sorted := make([]Match, 0, len(ms))
+	for _, idx := range at {
+		if idx > 0 {
+			sorted = append(sorted, ms[idx-1])
 		}
-		return cmp.Compare(a.Pair.E2, b.Pair.E2)
-	})
+	}
+	return sorted
 }
 
 // commit records a match if both endpoints are still free, preserving the
@@ -205,23 +210,48 @@ type pick struct {
 // unboundedly many candidates and the graph package uses dense per-worker
 // arrays — R3's inputs are candidate rows already pruned to at most K each,
 // so a linear list of ≤ 2K entries gives the same zero-allocation
-// accumulation at O(K) memory per worker instead of O(|KB|).
+// accumulation at O(K) memory per worker instead of O(|KB|). seen is a
+// 64-bit membership mask over the listed candidates, one bit per hash
+// bucket: a candidate whose bit is clear is new without a scan.
 type aggBoard struct {
 	cands []pick // the candidates touched so far with their fused scores
+	seen  uint64
 }
 
 func newAggBoard() *aggBoard { return &aggBoard{cands: make([]pick, 0, 32)} }
 
-// add accumulates a rank contribution onto a candidate (linear probe over
-// the ≤ 2K live entries).
+// add accumulates a rank contribution onto a candidate: appended when its
+// mask bit is clear, else found by a scan over the live entries.
 func (b *aggBoard) add(to kb.EntityID, w float64) {
-	for i := range b.cands {
-		if b.cands[i].to == to {
-			b.cands[i].score += w
-			return
+	bit := uint64(1) << (uint32(to) * 0x9e3779b1 >> 26)
+	if b.seen&bit != 0 {
+		for i := range b.cands {
+			if b.cands[i].to == to {
+				b.cands[i].score += w
+				return
+			}
 		}
 	}
+	b.seen |= bit
 	b.cands = append(b.cands, pick{to, w})
+}
+
+// accumulate fuses the two ranked candidate lists of one node onto the
+// board: each candidate scores θ·rank/|valCands| from the value list plus
+// (1−θ)·rank/|ngbCands| from the neighbor list, the first candidate of a
+// list ranking |list|. Every candidate's additions run value list first,
+// each list in order, so the fused floats do not depend on the caller.
+func (b *aggBoard) accumulate(valCands, ngbCands []graph.Edge, theta float64) {
+	n := len(valCands)
+	for idx, e := range valCands {
+		rank := n - idx // first candidate gets rank n → score n/n
+		b.add(e.To, theta*float64(rank)/float64(n))
+	}
+	n = len(ngbCands)
+	for idx, e := range ngbCands {
+		rank := n - idx
+		b.add(e.To, (1-theta)*float64(rank)/float64(n))
+	}
 }
 
 // best returns the candidate with the highest fused score, ties toward the
@@ -241,13 +271,13 @@ func (b *aggBoard) best() (kb.EntityID, float64) {
 	return best, bestScore
 }
 
-func (b *aggBoard) reset() { b.cands = b.cands[:0] }
+func (b *aggBoard) reset() { b.cands, b.seen = b.cands[:0], 0 }
 
 // pick1At computes the R3 pick of E1 node i from its γ candidate row, which
 // the caller holds only while i's span is live, accumulating on the caller's
-// board.
-func (m *matcher) pick1At(sb *aggBoard, i int, ngb []graph.Edge) pick {
-	if m.matched1[i] {
+// board; NoEntity unless i is an R3 candidate (cand, see demand).
+func (m *matcher) pick1At(sb *aggBoard, cand []bool, i int, ngb []graph.Edge) pick {
+	if !cand[i] {
 		return pick{to: kb.NoEntity}
 	}
 	to, score := m.aggregate(sb, m.g.Beta1.Row(i), ngb)
@@ -268,28 +298,14 @@ func (m *matcher) pick2All(ctx context.Context) ([]pick, error) {
 }
 
 // aggregate fuses the two ranked candidate lists of one node on the given
-// board and returns the top candidate with its aggregate score (NoEntity if
-// the node has no candidates). Ties break toward the lower entity ID; the
-// board is reset before returning. Per-candidate additions follow the same
-// value-then-neighbor order as the historical map accumulation, so the
-// fused float scores are bit-identical.
+// board (accumulate) and returns the top candidate with its aggregate score
+// (NoEntity if the node has no candidates). Ties break toward the lower
+// entity ID; the board is reset before returning.
 func (m *matcher) aggregate(sb *aggBoard, valCands, ngbCands []graph.Edge) (kb.EntityID, float64) {
 	if !m.cfg.UseNeighbors {
 		ngbCands = nil
 	}
-	if len(valCands) == 0 && len(ngbCands) == 0 {
-		return kb.NoEntity, 0
-	}
-	n := len(valCands)
-	for idx, e := range valCands {
-		rank := n - idx // first candidate gets rank n → score n/n
-		sb.add(e.To, m.cfg.Theta*float64(rank)/float64(n))
-	}
-	n = len(ngbCands)
-	for idx, e := range ngbCands {
-		rank := n - idx
-		sb.add(e.To, (1-m.cfg.Theta)*float64(rank)/float64(n))
-	}
+	sb.accumulate(valCands, ngbCands, m.cfg.Theta)
 	best, bestScore := sb.best()
 	sb.reset()
 	return best, bestScore

@@ -42,16 +42,7 @@ func RankAggregateRow(sb *AggScratch, valCands, ngbCands []graph.Edge, theta flo
 		return nil
 	}
 	b := sb.b
-	n := len(valCands)
-	for idx, e := range valCands {
-		rank := n - idx // first candidate gets rank n → score n/n
-		b.add(e.To, theta*float64(rank)/float64(n))
-	}
-	n = len(ngbCands)
-	for idx, e := range ngbCands {
-		rank := n - idx
-		b.add(e.To, (1-theta)*float64(rank)/float64(n))
-	}
+	b.accumulate(valCands, ngbCands, theta)
 	slices.SortFunc(b.cands, func(a, c pick) int {
 		if a.score != c.score {
 			return cmp.Compare(c.score, a.score)

@@ -11,13 +11,13 @@ import (
 )
 
 // GammaFor supplies the E1-side γ candidate rows of one contiguous entity
-// span on demand (graph.Graph.Gamma1Span behind a timing/accounting wrapper
-// in the core pipeline). The returned set must hold s.Len() rows, row i
-// describing entity s.Lo+i. need flags, per E1 entity, the rows Algorithm 2
-// will read (see RunShardedCtx); a row whose flag is false may come back
-// empty. RunShardedCtx calls it exactly once per span, in span order, and
-// drops the rows before requesting the next span — that single-span
-// lifetime is what bounds the matcher's memory.
+// span on demand (graph.Graph.Gamma1Span behind a timing wrapper in the core
+// pipeline). The returned set must hold s.Len() rows, row i describing
+// entity s.Lo+i. need flags, per E1 entity, the rows Algorithm 2 can read
+// (see RunShardedCtx); a row whose flag is false may come back empty.
+// RunShardedCtx calls it exactly once per span, in span order, and drops
+// the rows before requesting the next span — that single-span lifetime is
+// what bounds the matcher's memory.
 type GammaFor func(ctx context.Context, s parallel.Span, need []bool) (graph.Rows[graph.Edge], error)
 
 // RunShardedCtx executes Algorithm 2 — the one matcher loop — over a graph
@@ -36,8 +36,10 @@ type GammaFor func(ctx context.Context, s parallel.Span, need []bool) (graph.Row
 // pruned graph (lines 24–26) — is evaluated with the γ membership bit
 // captured while the span's rows were live.
 //
-// Only the γ rows the rules read are asked for: the demand is fixed after
-// R2 (rowsNeeded) and handed to gammaFor with every span.
+// Only the γ rows the rules can read are asked for: the demand is fixed
+// after R2 and the E2-side R3 picks (demand) and handed to gammaFor with
+// every span. R3 can commit an E1 entity only if some E2 entity picks it,
+// so no other E1 entity is aggregated, and no other row is built for R3.
 func RunShardedCtx(ctx context.Context, e *parallel.Engine, g *graph.Graph, k1, k2 *kb.KB, cfg Config, shards []parallel.Span, gammaFor GammaFor) (*Result, error) {
 	m := &matcher{
 		g: g, k1: k1, k2: k2, cfg: cfg, eng: e.Chunked(),
@@ -68,7 +70,7 @@ func RunShardedCtx(ctx context.Context, e *parallel.Engine, g *graph.Graph, k1, 
 	// live, standing in for the Gamma1 leg of HasDirectedEdge1. A match
 	// whose E1 row is not needed keeps false: R4 does not look at it.
 	var gammaHas []bool
-	need := m.rowsNeeded()
+	need, cand := m.demand(pick2)
 	for _, s := range shards {
 		rows, err := gammaFor(ctx, s, need)
 		if err != nil {
@@ -80,7 +82,7 @@ func RunShardedCtx(ctx context.Context, e *parallel.Engine, g *graph.Graph, k1, 
 		if cfg.EnableR3 {
 			picks, err := parallel.MapLocalCtx(ctx, m.eng, s.Len(), newAggBoard,
 				func(sb *aggBoard, i int) (pick, error) {
-					return m.pick1At(sb, s.Lo+i, rows.Row(i)), nil
+					return m.pick1At(sb, cand, s.Lo+i, rows.Row(i)), nil
 				})
 			if err != nil {
 				return nil, err
@@ -125,21 +127,36 @@ func RunShardedCtx(ctx context.Context, e *parallel.Engine, g *graph.Graph, k1, 
 		}
 		m.matches = kept
 	}
-	sortMatches(m.matches)
-	res.Matches = m.matches
+	res.Matches = sortMatches(m.matches, k1.Len())
 	return res, nil
 }
 
-// rowsNeeded returns, per E1 entity, whether Algorithm 2 reads its γ row
-// after R1 and R2: R3 aggregates the row of every entity still unmatched,
-// and R4 looks for a match's E1→E2 edge in it unless the match's α or β
-// edges already hold it. It is taken once, before R3 commits anything, so
-// the workers that fill a span's rows read a value nothing writes.
-func (m *matcher) rowsNeeded() []bool {
-	need := make([]bool, len(m.matched1))
-	if m.cfg.EnableR3 {
-		for i, matched := range m.matched1 {
-			need[i] = !matched
+// demandEveryRow makes demand ask for every γ row and every unmatched E1
+// entity's R3 pick. Only tests set it, to show the narrow demand changes no
+// output.
+var demandEveryRow = false
+
+// demand returns, per E1 entity, whether Algorithm 2 can read its γ row
+// after R2 (need), and whether R3 can commit it (cand). R3 commits an
+// unmatched E1 entity only with an E2 entity that picks it (pick2), so only
+// those are candidates, and it reads a candidate's row only to fuse
+// neighbor evidence. R4 reads the row of an R1 or R2 match whose E1→E2 edge
+// the α and β rows do not hold. An R3 match needs nothing more: with
+// neighbor evidence its row is already needed, and without it its E2 entity
+// comes from the β row, where R4 finds the edge. The demand is taken
+// once, before R3 commits anything, so the workers that fill a span's rows
+// read a value nothing writes.
+func (m *matcher) demand(pick2 []pick) (need, cand []bool) {
+	need, cand = make([]bool, len(m.matched1)), make([]bool, len(m.matched1))
+	if demandEveryRow {
+		for i := range need {
+			need[i], cand[i] = true, m.cfg.EnableR3 && !m.matched1[i]
+		}
+		return need, cand
+	}
+	for _, p := range pick2 {
+		if i := p.to; i != kb.NoEntity && !m.matched1[i] {
+			cand[i], need[i] = true, m.cfg.UseNeighbors
 		}
 	}
 	if m.cfg.EnableR4 {
@@ -150,5 +167,5 @@ func (m *matcher) rowsNeeded() []bool {
 			}
 		}
 	}
-	return need
+	return need, cand
 }

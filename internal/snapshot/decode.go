@@ -177,7 +177,7 @@ func decode(data []byte, copyMode bool) (*core.Substrate, error) {
 	}
 
 	if h.flags&flagQueryState != 0 {
-		if err := decodeQueryState(h, copyMode, sub, top1); err != nil {
+		if err := decodeQueryState(h, copyMode, sub, top1, meta.Gamma1Edges); err != nil {
 			return nil, err
 		}
 	}
@@ -316,11 +316,12 @@ func decodeNameBlocks(h *header, copyMode bool) (core.NameBlockRows, error) {
 	return nb, err
 }
 
-func decodeQueryState(h *header, copyMode bool, sub *core.Substrate, top1 graph.Rows[kb.EntityID]) error {
+func decodeQueryState(h *header, copyMode bool, sub *core.Substrate, top1 graph.Rows[kb.EntityID], gamma1Edges int) error {
 	// The graph's row sets install as they are stored — two views each, no
-	// per-row work; core.InstallQueryState checks their shape, and defers
-	// the range checks to first use.
-	g := &graph.Graph{Top1: top1, K: sub.Config().TopK}
+	// per-row work; core.InstallQueryState checks their shape and the γ₁
+	// edge count's range, and defers the range checks of targets to first
+	// use.
+	g := &graph.Graph{Top1: top1, K: sub.Config().TopK, Gamma1Edges: gamma1Edges}
 	var err error
 	for _, r := range []struct {
 		rows          *graph.Rows[kb.EntityID]

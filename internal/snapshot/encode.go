@@ -34,7 +34,9 @@ type metaV1 struct {
 	K2Triples int    `json:"k2_triples"`
 
 	// Config is the NORMALIZED build configuration, installed verbatim on
-	// load (re-normalizing would re-enable a disabled Block Purging).
+	// load (re-normalizing would re-enable a disabled Block Purging), less
+	// Workers, which JSON leaves out: an opened pair runs on the workers of
+	// whoever uses it.
 	Config core.Config `json:"config"`
 
 	NameAttrs1 []string `json:"name_attrs1,omitempty"`
@@ -42,6 +44,10 @@ type metaV1 struct {
 
 	PurgedBlocks   int   `json:"purged_blocks"`
 	PurgeThreshold int64 `json:"purge_threshold"`
+
+	// Gamma1Edges is the graph's E1-side γ edge count, which the file
+	// holds no rows to count from.
+	Gamma1Edges int `json:"gamma1_edges"`
 }
 
 // section is one entry of the section table with its bytes.
@@ -170,6 +176,7 @@ func WriteSubstrate(w io.Writer, sub *core.Substrate) error {
 		Config:     p.Config,
 		NameAttrs1: p.NameAttrs1, NameAttrs2: p.NameAttrs2,
 		PurgedBlocks: p.PurgedBlocks, PurgeThreshold: p.PurgeThreshold,
+		Gamma1Edges: qs.Graph.Gamma1Edges,
 	}
 	metaBytes, err := json.Marshal(meta)
 	if err != nil {

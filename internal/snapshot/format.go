@@ -5,10 +5,10 @@
 // package writes) the prewarmed per-entity query state, serialized as
 // 8-byte-aligned little-endian sections behind a magic+version+section-table
 // header. A file holds the pair and its normalized build configuration,
-// and nothing of how the build ran: builds of one pair under one
-// configuration write the same bytes on any number of processors. Files
-// written before the meta section stopped recording the build's clocks
-// carry the meta keys timings and build_wall_ns, which decoding ignores.
+// and nothing of how the build ran — no clocks, no worker count: builds of
+// one pair under one configuration write the same bytes on any number of
+// processors and workers. Meta keys of earlier writers (timings,
+// build_wall_ns, the config's Workers) are ignored by decoding.
 //
 // The layout is chosen so a loader can reinterpret the numeric columns IN
 // PLACE from a memory-mapped region (unsafe.Slice over syscall.Mmap): every
@@ -25,10 +25,16 @@
 // meta section's purged_blocks and purge_threshold
 // (core.Substrate.TokenIndex).
 //
-// Version 3 differs from version 2 in that: version 2 also stored the token
-// index — its member CSRs and weights (sections 422–426) and, for a pair
-// without one token dictionary, a joint dictionary and translation tables
-// (320–322, 420 and 421, behind header flag bit 2, which is now unused).
+// Version 4 differs from version 3 in the meta section only. It stores the
+// graph's E1-side γ edge count (gamma1_edges), which the file holds no rows
+// to count from, so an opened pair reports its edge count without building
+// every γ₁ row; the loader refuses a count that n1 rows of at most
+// min(K, n2) edges cannot hold (ErrCorrupt). Its config no longer stores
+// Workers. Version 3 differed from version 2 in that: version 2 also stored
+// the token index — its member CSRs and weights (sections 422–426) and, for
+// a pair without one token dictionary, a joint dictionary and translation
+// tables (320–322, 420 and 421, behind header flag bit 2, which is now
+// unused).
 // Version 2 differed from version 1 in the edge records only: version 1
 // padded each to 16 bytes, with the weight at +8. There is one layout: a
 // file of an earlier version is refused with ErrVersion, and is rebuilt from
@@ -37,7 +43,7 @@
 // File layout (all integers little-endian):
 //
 //	offset 0   magic    "MINOSNP1" (8 bytes)
-//	offset 8   uint32   version (currently 3)
+//	offset 8   uint32   version (currently 4)
 //	offset 12  uint32   flags
 //	offset 16  uint32   section count
 //	offset 20  uint32   reserved (0)
@@ -54,7 +60,7 @@ import (
 // Magic and version of the format.
 var magic = [8]byte{'M', 'I', 'N', 'O', 'S', 'N', 'P', '1'}
 
-const formatVersion = 3
+const formatVersion = 4
 
 // Header flags.
 const (

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -16,6 +17,7 @@ import (
 	"minoaner/internal/core"
 	"minoaner/internal/graph"
 	"minoaner/internal/kb"
+	"minoaner/internal/parallel"
 )
 
 // tinySubstrate is a pair small enough to mutate byte by byte and rich
@@ -52,9 +54,11 @@ func tinySubstrate(t testing.TB) *core.Substrate {
 // and at what the token index is derived from: the KB token columns and,
 // the tiny pair's dictionaries being private, the strings that translate
 // them into one slot space. Edge damage is placed by the record layout
-// (edgeSize, edgeWeightAt).
+// (edgeSize, edgeWeightAt). Two seeds rewrite the meta section with a γ₁
+// edge count no graph of the pair can hold.
 func fuzzSeeds(t testing.TB) map[string][]byte {
-	img := snapshotBytes(t, tinySubstrate(t))
+	sub := tinySubstrate(t)
+	img := snapshotBytes(t, sub)
 	h, err := parseHeader(img)
 	if err != nil {
 		t.Fatal(err)
@@ -78,6 +82,33 @@ func fuzzSeeds(t testing.TB) map[string][]byte {
 		binary.LittleEndian.PutUint64(out[off:], v)
 		return out
 	}
+	// gamma1Edges re-lays the image, sections in table order, with the meta
+	// section's γ₁ edge count set to n.
+	gamma1Edges := func(n int) []byte {
+		var meta map[string]json.RawMessage
+		if err := json.Unmarshal(h.sections[secMeta], &meta); err != nil {
+			t.Fatal(err)
+		}
+		meta["gamma1_edges"] = json.RawMessage(fmt.Sprint(n))
+		mb, err := json.Marshal(meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		secs := make([]section, len(h.sections))
+		for i := range secs {
+			id := binary.LittleEndian.Uint32(img[headerSize+i*tableEntry:])
+			secs[i] = section{id, h.sections[id]}
+			if id == secMeta {
+				secs[i].data = mb
+			}
+		}
+		var out bytes.Buffer
+		if err := writeGroups(context.Background(), &out, h.flags, []group{ready(secs)}, parallel.New(1)); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	n1, n2, k := sub.K1().Len(), sub.K2().Len(), sub.Config().TopK
 	return map[string][]byte{
 		"valid":               img,
 		"cut-in-table":        img[:headerSize+tableEntry+3],
@@ -110,6 +141,8 @@ func fuzzSeeds(t testing.TB) map[string][]byte {
 		"name-usage-carrier":  flip(at(secNamesE2), 0x10),
 		"name-block-member":   flip(at(secNameE1Flat), 0x20),
 		"meta-json":           flip(at(secMeta)+1, 0x01),
+		"gamma1-count-over":   gamma1Edges(n1*min(k, n2) + 1),
+		"gamma1-count-neg":    gamma1Edges(-1),
 	}
 }
 
@@ -133,6 +166,24 @@ func TestFuzzCorpusCommitted(t *testing.T) {
 			t.Errorf("corpus entry %s is missing or stale (%v)", name, err)
 		}
 		t.Run(name, func(t *testing.T) { checkOpen(t, data) })
+	}
+}
+
+// A γ₁ edge count below zero, or above what n1 rows of at most min(K, n2)
+// edges hold, is refused by both decoders as a corrupt file.
+func TestGamma1CountOutOfRangeIsCorrupt(t *testing.T) {
+	seeds := fuzzSeeds(t)
+	for _, name := range []string{"gamma1-count-over", "gamma1-count-neg"} {
+		if _, err := ReadSubstrate(seeds[name]); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: ReadSubstrate = %v, want ErrCorrupt", name, err)
+		}
+		path := filepath.Join(t.TempDir(), name+".snap")
+		if err := os.WriteFile(path, seeds[name], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenSubstrate(path); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: OpenSubstrate = %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 

@@ -14,9 +14,11 @@ import (
 
 // goldenSectionsPath holds, per Table-1 preset at the pinned-fixture scale,
 // the digest of every snapshot section, meta included. It was last
-// regenerated when the meta section stopped recording the build's clocks,
-// and before that when format version 3 stopped storing the token index;
-// goldenKeptPath shows that no other section changed either time. A byte may
+// regenerated when format version 4 added the γ₁ edge count to meta and
+// dropped the config's Workers from it, before that when the meta section
+// stopped recording the build's clocks, and before that when format version
+// 3 stopped storing the token index; goldenKeptPath shows that no other
+// section changed any of those times. A byte may
 // change only with the format. Regenerate (only when the format is changed
 // deliberately) with:
 //

@@ -279,6 +279,7 @@ func TestCorruptInputs(t *testing.T) {
 		// index: refused by name, to be rebuilt.
 		{"version-1", mutate(func(b []byte) []byte { b[8] = 1; return b }), ErrVersion, fmt.Sprintf("version 1 (this build reads %d;", formatVersion)},
 		{"version-2", mutate(func(b []byte) []byte { b[8] = 2; return b }), ErrVersion, fmt.Sprintf("version 2 (this build reads %d;", formatVersion)},
+		{"version-3", mutate(func(b []byte) []byte { b[8] = 3; return b }), ErrVersion, fmt.Sprintf("version 3 (this build reads %d;", formatVersion)},
 		{"misaligned-section", mutate(func(b []byte) []byte {
 			// Bump the first table entry's offset by 4: still in bounds (the
 			// length check uses the stored length), no longer 8-aligned.
@@ -326,12 +327,13 @@ func TestWriteDeterministic(t *testing.T) {
 	}
 }
 
-// A version 3 file written before Config lost its three result-neutral
-// options still opens. Its meta section stored the config with three keys
-// Config no longer has, and the build's clocks (timings, build_wall_ns),
-// which meta no longer records; JSON decoding ignores all five. The fixture
-// is the tiny pair's meta section as that writer wrote it for a run in 8
-// shards without token blocks.
+// A meta section written before Config lost its three result-neutral
+// options, and before the stored config lost Workers, still decodes. It
+// stored the config with four keys a stored Config no longer has, and the
+// build's clocks (timings, build_wall_ns), which meta no longer records;
+// JSON decoding ignores all six. The fixture is the tiny pair's meta section
+// as a version 3 writer wrote it for a run in 8 shards without token blocks,
+// at one worker; it predates the γ₁ edge count, which decodes as 0.
 func TestMetaWithRemovedConfigKeysOpens(t *testing.T) {
 	legacy, err := os.ReadFile(filepath.Join("testdata", "meta-with-removed-config-keys.json"))
 	if err != nil {
@@ -348,8 +350,8 @@ func TestMetaWithRemovedConfigKeysOpens(t *testing.T) {
 	if err := errors.Join(json.Unmarshal(legacy, &stored), json.Unmarshal(now, &current)); err != nil {
 		t.Fatal(err)
 	}
-	if len(stored.Config) != len(current)+3 {
-		t.Fatalf("the fixture's config has %d keys, Config %d: want three more", len(stored.Config), len(current))
+	if len(stored.Config) != len(current)+4 {
+		t.Fatalf("the fixture's config has %d keys, Config %d: want four more", len(stored.Config), len(current))
 	}
 
 	tiny := tinySubstrate(t)
@@ -377,11 +379,13 @@ func TestMetaWithRemovedConfigKeysOpens(t *testing.T) {
 	}
 	defer opened.Close()
 	sub := opened.Substrate()
-	if got, want := sub.Config(), tiny.Config(); !reflect.DeepEqual(got, want) {
+	want := tiny.Config()
+	want.Workers = 0 // the fixture's 1 is not decoded
+	if got := sub.Config(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("opened config %+v, built %+v", got, want)
 	}
 	cfg := core.Config{Workers: 1}
-	want, err := core.ResolveWith(ctx, tiny, cfg)
+	built, err := core.ResolveWith(ctx, tiny, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +393,7 @@ func TestMetaWithRemovedConfigKeysOpens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want.Matches) == 0 || !reflect.DeepEqual(got.Matches, want.Matches) {
-		t.Fatalf("the opened pair resolves to %d matches, the built one to %d", len(got.Matches), len(want.Matches))
+	if len(built.Matches) == 0 || !reflect.DeepEqual(got.Matches, built.Matches) {
+		t.Fatalf("the opened pair resolves to %d matches, the built one to %d", len(got.Matches), len(built.Matches))
 	}
 }

@@ -3,7 +3,11 @@
 // Figure 1 (the Fat Duck restaurant described by Wikidata and DBpedia).
 package testkb
 
-import "minoaner/internal/kb"
+import (
+	"fmt"
+
+	"minoaner/internal/kb"
+)
 
 // Figure1 builds the two KB fragments of the paper's Figure 1. The Wikidata
 // side describes Restaurant1 with chef "John Lake A" located in Bray, United
@@ -67,4 +71,35 @@ func Clone(src *kb.KB) *kb.KB {
 		}
 	}
 	return b.Build()
+}
+
+// Skewed builds a KB pair of n entities per side whose token blocks follow
+// a heavy-tailed size distribution: a handful of stop-word-like tokens
+// shared by most entities plus unique tokens per pair. This is the workload that exercises the
+// dynamic chunked scheduler — static spans would process the skewed
+// entities in one straggling partition.
+func Skewed(n int) (*kb.KB, *kb.KB) {
+	b1 := kb.NewBuilder("S1")
+	b2 := kb.NewBuilder("S2")
+	for i := 0; i < n; i++ {
+		u1 := b1.AddEntity(fmt.Sprintf("s1:e%d", i))
+		u2 := b2.AddEntity(fmt.Sprintf("s2:e%d", i))
+		// Power-law-ish sharing: entity i carries every popular token p
+		// with p dividing i, so token p appears in ~n/p descriptions.
+		label1 := fmt.Sprintf("uniq%dtok", i)
+		label2 := fmt.Sprintf("uniq%dtok", i)
+		for p := 1; p <= 16; p++ {
+			if i%p == 0 {
+				label1 += fmt.Sprintf(" pop%d", p)
+				label2 += fmt.Sprintf(" pop%d", p)
+			}
+		}
+		b1.AddLiteral(u1, "label", label1)
+		b2.AddLiteral(u2, "label", label2)
+		if i > 0 {
+			b1.AddObject(u1, "linked", fmt.Sprintf("s1:e%d", i-1))
+			b2.AddObject(u2, "linked", fmt.Sprintf("s2:e%d", i-1))
+		}
+	}
+	return b1.Build(), b2.Build()
 }
