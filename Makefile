@@ -72,11 +72,12 @@ bench-test:
 # trip through the per-entity query path (-query, both output formats) on a
 # generated dataset, and a snapshot round trip: the substrate is persisted
 # with -save-snapshot, reloaded with -snapshot, and the two query paths must
-# emit byte-identical candidates JSON. The snapshot is written a second time
-# at GOMAXPROCS=1, where the build runs its stages one after another, and a
-# third time with -workers 1; all three files must be the same bytes. The
-# generated files live in a temporary directory removed when the recipe's
-# shell exits.
+# emit byte-identical candidates JSON, and a batch resolve from the snapshot
+# must print the matches (with their rules) of a cold one, byte for byte.
+# The snapshot is written a second time at GOMAXPROCS=1, where the build runs
+# its stages one after another, and a third time with -workers 1; all three
+# files must be the same bytes. The generated files live in a temporary
+# directory removed when the recipe's shell exits.
 smoke:
 	go test -run '^$$' -bench '^BenchmarkPipelineRestaurant$$' -benchtime 1x .
 	go run ./cmd/experiments -table 1 -datasets Restaurant -scale 0.2
@@ -89,6 +90,10 @@ smoke:
 		-query "$$Q" -json -quiet > "$$T/q-build.json"; \
 	go run ./cmd/minoaner -snapshot "$$T/pair.snap" -query "$$Q" -json -quiet > "$$T/q-snap.json"; \
 	cmp "$$T/q-build.json" "$$T/q-snap.json"; \
+	go run ./cmd/minoaner -e1 "$$T/e1.nt" -e2 "$$T/e2.nt" -rules -quiet > "$$T/batch-cold.tsv"; \
+	go run ./cmd/minoaner -snapshot "$$T/pair.snap" -rules -quiet > "$$T/batch-warm.tsv"; \
+	test -s "$$T/batch-cold.tsv"; \
+	cmp "$$T/batch-cold.tsv" "$$T/batch-warm.tsv"; \
 	GOMAXPROCS=1 go run ./cmd/minoaner -e1 "$$T/e1.nt" -e2 "$$T/e2.nt" -save-snapshot "$$T/pair-1p.snap" -quiet > /dev/null; \
 	cmp "$$T/pair.snap" "$$T/pair-1p.snap"; \
 	go run ./cmd/minoaner -e1 "$$T/e1.nt" -e2 "$$T/e2.nt" -workers 1 -save-snapshot "$$T/pair-w1.snap" -quiet > /dev/null; \

@@ -199,7 +199,8 @@ func ResolveWith(ctx context.Context, sub *Substrate, cfg Config) (*Output, erro
 }
 
 // gammaSpanRows bounds how many E1 entities' γ rows a resolution holds at a
-// time (about 4 MB at K = 15).
+// time (2.9 MB at K = 15 if every row were needed; a span's array holds
+// the needed rows only).
 const gammaSpanRows = 1 << 14
 
 // shardSpans partitions [0, n) into at most p contiguous ascending spans of
@@ -240,8 +241,9 @@ func resolveWith(ctx context.Context, eng *parallel.Engine, sub *Substrate, cfg 
 	}
 
 	// Stage 4 — non-iterative matching (Algorithm 2). The γ rows of each E1
-	// span are built on demand, and only those R3 and R4 can read; the time
-	// spent on them is accounted to the graph stage. GraphEdges counts the
+	// span are built on demand, and only those R3 and R4 can read, each span
+	// in the arrays and on the scoreboards of the one before; the time spent
+	// on them is accounted to the graph stage. GraphEdges counts the
 	// whole graph from the count its build took, though its E1-side γ rows
 	// never exist at once and most are never built.
 	n1 := sub.k1.Len()

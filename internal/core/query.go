@@ -113,7 +113,9 @@ type queryState struct {
 	names NameUsages
 	pool  sync.Pool // *querySlot
 	// The deferred checks of an installed state (nil for a built one): the
-	// graph's targets and weights, and the name index's order and carriers.
+	// graph's targets and weights (run by Verify and before a private graph
+	// is built; a batch resolution checks the rows it reads instead), and
+	// the name index's order and carriers.
 	graphCheck, namesCheck *kb.Deferred
 }
 

@@ -171,12 +171,12 @@ func (s *Substrate) ExportQueryState(ctx context.Context) (*QueryState, error) {
 // neither ResolveWith nor the first QueryEntity call pays graph construction
 // (the snapshot warm-start path). The graph must be pruned to the
 // substrate's TopK and laid out for the pair (CheckShape), and the name
-// columns of one length, which is enough for the query kernels: they check
-// the rows they touch. The graph's targets are checked before the first
-// batch resolution walks it whole; the names' order and carriers before the
-// first lookup that misses (a hit is exact whatever the order) or when a
-// lookup touches a damaged entry. Installing over an already built state
-// replaces it.
+// columns of one length, which is enough for the query kernels and the
+// batch resolution: they check the rows they touch. The graph's targets are
+// checked whole only by Verify and before a private graph is built; the
+// names' order and carriers before the first lookup that misses (a hit is
+// exact whatever the order) or when a lookup touches a damaged entry.
+// Installing over an already built state replaces it.
 func (s *Substrate) InstallQueryState(qs *QueryState) error {
 	if qs == nil || qs.Graph == nil {
 		return fmt.Errorf("core: install query state: missing graph")

@@ -151,17 +151,15 @@ func (s *Substrate) graphFor(ctx context.Context, eng *parallel.Engine, k int) (
 }
 
 // sharedGraphLocked is the build-once step of graphFor; lazyMu is held. A
-// graph installed from a snapshot is the query state's until its targets
-// are verified here — the whole of what a γ₁ walk and the matcher read —
-// and the shared graph from then on.
+// graph installed from a snapshot is shared as it is, unscanned: the batch
+// resolve reads a few of its rows and checks each as it reads it (the γ₁
+// walk and the matcher's rules), so a damaged entry fails the resolve that
+// reads it and no other. Substrate.Verify scans it whole.
 func (s *Substrate) sharedGraphLocked(ctx context.Context, eng *parallel.Engine) (*pairGraph, error) {
 	if pg := s.graph.Load(); pg != nil {
 		return pg, nil
 	}
 	if st := s.query.Load(); st != nil {
-		if err := st.graphCheck.RunOn(eng); err != nil {
-			return nil, err
-		}
 		pg := &pairGraph{g: st.g}
 		s.graph.Store(pg)
 		return pg, nil

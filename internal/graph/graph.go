@@ -242,12 +242,13 @@ func buildAlpha(nameBlocks *blocking.Collection, n1, n2 int) (alpha1, alpha2 Row
 // retained weight — are bit-identical to the map-based reference the
 // property tests keep.
 func BetaRowsCtx(ctx context.Context, e *parallel.Engine, ix *blocking.TokenIndex, from *kb.KB, otherLen int, fromIsE1 bool, k int) (Rows[Edge], error) {
-	rows, _, err := emitRows(ctx, e, from.Len(), otherLen, k, nil, Rows[Edge]{}, false, func(board *Scoreboard, i int) {
+	rows, _, err := emitRows(ctx, e, from.Len(), otherLen, k, nil, Rows[Edge]{}, false, func(board *Scoreboard, i int) error {
 		ix.ForEachSharedTokens(from.TokenIDs(kb.EntityID(i)), fromIsE1, func(w float64, others []kb.EntityID) {
 			for _, o := range others {
 				board.Add(o, w)
 			}
 		})
+		return nil
 	})
 	return rows, err
 }
@@ -271,24 +272,52 @@ func gammaRows(ctx context.Context, e *parallel.Engine, s parallel.Span, top Row
 	if need != nil {
 		need = need[s.Lo:s.Hi]
 	}
-	return emitRows(ctx, e, s.Len(), inOther.Len(), k, need, reuse, mirror, func(board *Scoreboard, i int) {
-		for _, na := range top.Row(s.Lo + i) {
-			for _, edge := range adj.Row(int(na)) {
-				w := edge.Weight()
-				for _, b := range inOther.Row(int(edge.To)) {
-					board.Add(b, w)
+	return emitRows(ctx, e, s.Len(), inOther.Len(), k, need, reuse, mirror, func(board *Scoreboard, i int) error {
+		return addGamma(board, top.Row(s.Lo+i), adj, inOther)
+	})
+}
+
+// addGamma accumulates on the board the γ evidence of one node with the given
+// top-neighbor list: the β weight of every adjacency edge (x, y) of a top
+// neighbor x, onto every entity that has y among its top neighbors (the
+// rows of in, whose count is the board's). It checks each entry as it
+// follows it, so a graph that only passed CheckShape can be walked: a top
+// neighbor outside adj, an edge target outside in or a member outside the
+// board gives ErrOutOfRange, a weight that is not strictly positive and
+// finite ErrBadWeight. The board is left partly filled on an error.
+func addGamma(board *Scoreboard, top []kb.EntityID, adj Rows[Edge], in Rows[kb.EntityID]) error {
+	for _, na := range top {
+		if uint(na) >= uint(adj.Len()) {
+			return ErrOutOfRange
+		}
+		for _, edge := range adj.Row(int(na)) {
+			if uint(edge.To) >= uint(in.Len()) {
+				return ErrOutOfRange
+			}
+			w := edge.Weight()
+			if !goodWeight(w) {
+				return ErrBadWeight
+			}
+			for _, b := range in.Row(int(edge.To)) {
+				if !board.tryAdd(b, w) {
+					return ErrOutOfRange
 				}
 			}
 		}
-	})
+	}
+	return nil
 }
 
 // Gamma1Span computes the γ rows of one contiguous E1 span — s.Len() rows,
 // row i describing entity s.Lo+i. need, when not nil, flags per E1 entity
-// the rows a consumer will read: every other row comes back empty, and costs
-// nothing. Consumers that walk all of E1 pull the rows span by span and hand
-// each set back as reuse when asking for the next, so one span's arrays
-// serve the whole walk. The edge count of all rows is Gamma1Edges.
+// the rows a consumer will read: every other row comes back empty and costs
+// neither work nor memory, the array holding the needed rows alone.
+// Consumers that walk all of E1 pull the rows span by span and hand each set
+// back as reuse when asking for the next, so the arrays and the workers'
+// scoreboards are created once for the whole walk (emitRows). The walk
+// checks the Top1, Adj1 and In2 entries it follows (addGamma), so it may run
+// over a graph that only passed CheckShape. The edge count of all rows is
+// Gamma1Edges.
 func (g *Graph) Gamma1Span(ctx context.Context, e *parallel.Engine, s parallel.Span, need []bool, reuse Rows[Edge]) (Rows[Edge], error) {
 	rows, _, err := gammaRows(ctx, e.Chunked(), s, g.Top1, g.Adj1, g.In2, g.K, need, reuse, false)
 	return rows, err
@@ -437,14 +466,6 @@ func transposeEdges(r Rows[Edge], n int) Rows[Edge] {
 	return t
 }
 
-// HasDirectedEdge1NoGamma reports whether the directed edge from E1 node e1
-// to E2 node e2 survived pruning under α or β evidence. Together with
-// EdgeListContains over the γ row of e1 — which is never retained in the
-// Graph — it is the G.E membership test of the reciprocity rule R4.
-func (g *Graph) HasDirectedEdge1NoGamma(e1, e2 kb.EntityID) bool {
-	return slices.Contains(g.Alpha1.Row(int(e1)), e2) || indexEdge(g.Beta1.Row(int(e1)), e2) >= 0
-}
-
 // HasDirectedEdge2 reports whether the directed edge from E2 node e2 to E1
 // node e1 survived pruning under any evidence (α, β or γ).
 func (g *Graph) HasDirectedEdge2(e2, e1 kb.EntityID) bool {
@@ -509,12 +530,72 @@ var ErrBadWeight = errors.New("graph: edge weight not strictly positive and fini
 // goodWeight reports whether an edge weight is strictly positive and finite.
 func goodWeight(w float64) bool { return w > 0 && w <= math.MaxFloat64 }
 
+// CheckIDs checks a row of entity IDs read from a graph that only passed
+// CheckShape: ErrOutOfRange unless every ID names one of n entities.
+func CheckIDs(ids []kb.EntityID, n int) error {
+	if !kb.IDsBelow(ids, n) {
+		return ErrOutOfRange
+	}
+	return nil
+}
+
+// CheckEdges checks a row of edges read from a graph that only passed
+// CheckShape: ErrOutOfRange unless every target names one of n entities,
+// else ErrBadWeight unless every weight is strictly positive and finite.
+// Consumers that walk a few rows of such a graph check each row they read
+// with it (or CheckIDs) instead of running CheckTargets over all of them.
+func CheckEdges(es []Edge, n int) error {
+	weighted := true
+	for _, e := range es {
+		if uint(e.To) >= uint(n) {
+			return ErrOutOfRange
+		}
+		weighted = weighted && goodWeight(e.Weight())
+	}
+	if !weighted {
+		return ErrBadWeight
+	}
+	return nil
+}
+
+// ContainsID is the membership test over a row of entity IDs read from a
+// graph that only passed CheckShape: it checks the entries the scan reads
+// (CheckIDs) — up to id when the row holds it, all of them when it does not
+// — and is false with the error on a damaged one.
+func ContainsID(ids []kb.EntityID, id kb.EntityID, n int) (bool, error) {
+	i := slices.Index(ids, id)
+	read := ids
+	if i >= 0 {
+		read = ids[:i+1]
+	}
+	if err := CheckIDs(read, n); err != nil {
+		return false, err
+	}
+	return i >= 0, nil
+}
+
+// ContainsEdge is ContainsID over a row of edges (CheckEdges).
+func ContainsEdge(es []Edge, to kb.EntityID, n int) (bool, error) {
+	i := indexEdge(es, to)
+	read := es
+	if i >= 0 {
+		read = es[:i+1]
+	}
+	if err := CheckEdges(read, n); err != nil {
+		return false, err
+	}
+	return i >= 0, nil
+}
+
 // CheckTargets range-checks every entity ID and edge target of a graph that
 // passed CheckShape — whatever a consumer later uses as an index must lie
 // inside the array it indexes — and checks every edge weight (ErrBadWeight).
-// It reads the whole graph, so a loader leaves it to the first consumer that
-// walks the whole graph anyway; the per-entity query kernels check the few
-// rows they touch themselves. The row sets are scanned in chunks on e, and a
+// It reads the whole graph, so only what vouches for the whole graph runs
+// it: core's Substrate.Verify, which the snapshot writer calls, and the
+// refusal to build a private graph at another K over a damaged pair. The
+// batch resolve and the per-entity
+// query kernels check the rows they read as they read them (CheckIDs,
+// CheckEdges, addGamma). The row sets are scanned in chunks on e, and a
 // target out of range anywhere is reported ahead of a bad weight anywhere.
 func (g *Graph) CheckTargets(e *parallel.Engine, n1, n2 int) error {
 	e = e.Chunked()

@@ -154,13 +154,18 @@ func TestHasDirectedEdge(t *testing.T) {
 	w, d, g := buildFigure1Graph(t, seq, 5)
 	chef1 := w.Lookup("w:JohnLakeA")
 	chef2 := d.Lookup("d:JonnyLake")
-	if !g.HasDirectedEdge1NoGamma(chef1, chef2) || !g.HasDirectedEdge2(chef2, chef1) {
+	// The E1→E2 edge under α or β evidence; R4 adds γ₁ from the rows it
+	// streams.
+	hasEdge1NoGamma := func(e1, e2 kb.EntityID) bool {
+		return slices.Contains(g.Alpha1.Row(int(e1)), e2) || EdgeListContains(g.Beta1.Row(int(e1)), e2)
+	}
+	if !hasEdge1NoGamma(chef1, chef2) || !g.HasDirectedEdge2(chef2, chef1) {
 		t.Error("chef pair must be reciprocally connected")
 	}
 	uk := w.Lookup("w:UK")
 	// UK shares tokens with England ("england"? no: UK's tokens are
 	// "united kingdom"); it should have no edge to the chef.
-	if g.HasDirectedEdge1NoGamma(uk, chef2) || EdgeListContains(g.Gamma1.Row(int(uk)), chef2) {
+	if hasEdge1NoGamma(uk, chef2) || EdgeListContains(g.Gamma1.Row(int(uk)), chef2) {
 		t.Error("UK → chef edge should not exist")
 	}
 }

@@ -8,6 +8,8 @@
 package graph
 
 import (
+	"cmp"
+
 	"minoaner/internal/blocking"
 	"minoaner/internal/kb"
 )
@@ -40,15 +42,17 @@ func NewQueryScratch(otherLen, k int) *QueryScratch {
 // fails with ErrOutOfRange.
 func BetaRowForTokens(ix *blocking.TokenIndex, tids []kb.TokenID, fromE1 bool, qs *QueryScratch, k int) ([]Edge, error) {
 	board := qs.sc.board
-	inRange := true
+	var err error
 	ix.ForEachSharedTokens(tids, fromE1, func(w float64, others []kb.EntityID) {
 		for _, o := range others {
-			if inRange = inRange && board.Has(o); inRange {
+			if !board.Has(o) {
+				err = ErrOutOfRange
+			} else if err == nil {
 				board.Add(o, w)
 			}
 		}
 	})
-	return qs.sc.finishRow(k, inRange)
+	return qs.sc.finishRow(k, err)
 }
 
 // Gamma1RowFor computes the γ candidate row of one synthetic E1-side entity
@@ -56,25 +60,10 @@ func BetaRowForTokens(ix *blocking.TokenIndex, tids []kb.TokenID, fromE1 bool, q
 // K1 entities) — the loop body of gammaRows against the graph's frozen
 // merged adjacency and reverse top-neighbor index. The graph is read-only,
 // so concurrent calls with distinct scratches are safe. Like
-// BetaRowForTokens it checks the targets and entities it follows, so a graph
-// that only passed CheckShape can be queried.
+// BetaRowForTokens it checks what it follows (addGamma, as the batch walk
+// does), so a graph that only passed CheckShape can be queried.
 func (g *Graph) Gamma1RowFor(top []kb.EntityID, qs *QueryScratch) ([]Edge, error) {
-	board := qs.sc.board
-	inRange := true
-	for _, na := range top {
-		for _, edge := range g.Adj1.Row(int(na)) {
-			if inRange = inRange && board.Has(edge.To); !inRange {
-				break
-			}
-			w := edge.Weight()
-			for _, b := range g.In2.Row(int(edge.To)) {
-				if inRange = inRange && board.Has(b); inRange {
-					board.Add(b, w)
-				}
-			}
-		}
-	}
-	return qs.sc.finishRow(g.K, inRange)
+	return qs.sc.finishRow(g.K, addGamma(qs.sc.board, top, g.Adj1, g.In2))
 }
 
 // StoredRows1 returns the rows the graph stores for E1 node e — its α row,
@@ -87,16 +76,8 @@ func (g *Graph) Gamma1RowFor(top []kb.EntityID, qs *QueryScratch) ([]Edge, error
 // graph and must not be modified.
 func (g *Graph) StoredRows1(e kb.EntityID, n1, n2 int) (alpha []kb.EntityID, beta []Edge, top []kb.EntityID, err error) {
 	alpha, beta, top = g.Alpha1.Row(int(e)), g.Beta1.Row(int(e)), g.Top1.Row(int(e))
-	inRange, weighted := kb.IDsBelow(alpha, n2) && kb.IDsBelow(top, n1), true
-	for _, edge := range beta {
-		inRange = inRange && edge.To >= 0 && int(edge.To) < n2
-		weighted = weighted && goodWeight(edge.Weight())
-	}
-	switch {
-	case !inRange:
-		return nil, nil, nil, ErrOutOfRange
-	case !weighted:
-		return nil, nil, nil, ErrBadWeight
+	if err := cmp.Or(CheckIDs(alpha, n2), CheckIDs(top, n1), CheckEdges(beta, n2)); err != nil {
+		return nil, nil, nil, err
 	}
 	return alpha, beta, top, nil
 }

@@ -49,6 +49,22 @@ func (b *Scoreboard) Add(to kb.EntityID, w float64) {
 	b.score[to] += w
 }
 
+// tryAdd is Add for a candidate the board may have no slot for: it reports
+// false, touching nothing, when there is none. Its one compare stands in for
+// Add's bounds check.
+func (b *Scoreboard) tryAdd(to kb.EntityID, w float64) bool {
+	i := int(to)
+	if uint(i) >= uint(len(b.score)) {
+		return false
+	}
+	s := &b.score[i]
+	if *s == 0 {
+		b.touched = append(b.touched, to)
+	}
+	*s += w
+	return true
+}
+
 // Has reports whether the board has a slot for the candidate.
 func (b *Scoreboard) Has(to kb.EntityID) bool { return uint(to) < uint(len(b.score)) }
 
@@ -175,76 +191,145 @@ func (sc *boardScratch) appendRow(dst []Edge, k int) []Edge {
 	return dst
 }
 
-// finishRow ends a query kernel's walk: the top-k row of the board, or
-// ErrOutOfRange when the walk met a candidate the board has no slot for.
-func (sc *boardScratch) finishRow(k int, inRange bool) ([]Edge, error) {
-	if !inRange {
+// finishRow ends a query kernel's walk: the top-k row of the board, or the
+// error the walk met (ErrOutOfRange, ErrBadWeight) with the board reset.
+func (sc *boardScratch) finishRow(k int, err error) ([]Edge, error) {
+	if err != nil {
 		sc.board.Reset()
-		return nil, ErrOutOfRange
+		return nil, err
 	}
 	return sc.appendRow(nil, k), nil
+}
+
+// spanWalk is what one streamed walk over a side's spans keeps from span to
+// span, carried by the row set each span returns (Rows.walk): the boards its
+// workers accumulate on, sized once for the walk, and the list of the
+// current span's needed nodes.
+type spanWalk struct {
+	otherLen, k int
+	order       []int32 // the span's needed nodes, ascending
+	mu          sync.Mutex
+	boards      []*boardScratch
+	taken       int // boards handed to the workers of the running pass
+}
+
+// walkFor returns the walk that reuse carries if its boards fit the
+// candidate space and row bound, else a new one.
+func walkFor(reuse *spanWalk, otherLen, k int) *spanWalk {
+	if reuse != nil && reuse.otherLen == otherLen && reuse.k == k {
+		return reuse
+	}
+	return &spanWalk{otherLen: otherLen, k: k}
+}
+
+// take hands a worker of the running pass a board of its own, created the
+// first time the walk runs that many workers at once.
+func (w *spanWalk) take() *boardScratch {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.taken == len(w.boards) {
+		w.boards = append(w.boards, newBoardScratch(w.otherLen, w.k))
+	}
+	w.taken++
+	return w.boards[w.taken-1]
+}
+
+// sized returns s resliced to n elements, or a new array of exactly n when
+// s cannot hold them.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // emitRows computes the candidate rows of n consecutive nodes: fill
 // accumulates node i's evidence on the board it is handed, and the top k of
 // each board become row i. A row cannot exceed min(k, otherLen) edges, so
-// every node writes its row at a fixed stride into one array sized for that
-// bound — no allocation per row or per span, whatever the schedule — and one
-// serial pass then closes the gaps. reuse is a row set the caller is done
-// with; its arrays back the result where they are large enough.
+// every computed row is written at a fixed stride into one array sized for
+// that bound — no allocation per row — and one serial pass then closes the
+// gaps. reuse is a row set the caller is done with; its arrays back the
+// result where they are large enough. fill fails on a damaged input it
+// follows (ErrOutOfRange, ErrBadWeight), and the pass with it.
 //
 // need, when not nil, holds one flag per node; a node whose flag is false
-// gets an empty row, and fill is not called for it. A caller that passes
-// need streams the rows and hands them back as reuse, so only a result
-// computed whole is trimmed to its size.
+// gets an empty row, and fill is not called for it. The array then holds
+// the needed rows only, each in the stride slot of its rank among them, and
+// the closing pass copies those alone. A caller that passes need streams
+// the rows and hands them back as reuse: the result carries the walk's
+// per-worker boards (spanWalk), which the next span takes over with its
+// arrays, so a whole walk creates them once. Only a result computed whole
+// is trimmed to its size, and carries no boards.
 //
 // With mirror set, the second result is Σ_t min(k, rows that touched t) over
 // the candidates t: the number of edges the other side's rows hold, when
 // the evidence is symmetric and the pass covers every node of its side.
 // Each worker counts on its own array, summed once at the end.
-func emitRows(ctx context.Context, e *parallel.Engine, n, otherLen, k int, need []bool, reuse Rows[Edge], mirror bool, fill func(board *Scoreboard, i int)) (Rows[Edge], int, error) {
+func emitRows(ctx context.Context, e *parallel.Engine, n, otherLen, k int, need []bool, reuse Rows[Edge], mirror bool, fill func(board *Scoreboard, i int) error) (Rows[Edge], int, error) {
 	stride := max(min(k, otherLen), 0)
-	rows := Rows[Edge]{Off: slices.Grow(reuse.Off[:0], n+1)[:n+1], Flat: slices.Grow(reuse.Flat[:0], n*stride)[:n*stride]}
-	fresh := cap(reuse.Flat) < n*stride
 	var (
+		walk    *spanWalk
 		mu      sync.Mutex
 		touches [][]int32 // one per worker, when mirroring
 	)
-	err := parallel.ForLocalCtx(ctx, e, n,
-		func() *boardScratch {
-			sc := newBoardScratch(otherLen, k)
-			if mirror {
-				sc.touches = make([]int32, otherLen)
-				mu.Lock()
-				touches = append(touches, sc.touches)
-				mu.Unlock()
+	newScratch := func() *boardScratch {
+		sc := newBoardScratch(otherLen, k)
+		if mirror {
+			sc.touches = make([]int32, otherLen)
+			mu.Lock()
+			touches = append(touches, sc.touches)
+			mu.Unlock()
+		}
+		return sc
+	}
+	computed := n
+	if need != nil {
+		walk = walkFor(reuse.walk, otherLen, k)
+		walk.order = walk.order[:0]
+		for i, ok := range need {
+			if ok {
+				walk.order = append(walk.order, int32(i))
 			}
-			return sc
-		},
-		func(sc *boardScratch, i int) error {
-			if need != nil && !need[i] {
-				rows.Off[i+1] = 0
-				return nil
+		}
+		computed = len(walk.order)
+		newScratch = walk.take
+	}
+	fresh := cap(reuse.Flat) < computed*stride
+	rows := Rows[Edge]{Off: sized(reuse.Off, n+1), Flat: sized(reuse.Flat, computed*stride), walk: walk}
+	err := parallel.ForLocalCtx(ctx, e, computed, newScratch,
+		func(sc *boardScratch, r int) error {
+			i := r
+			if walk != nil {
+				i = int(walk.order[r])
 			}
-			fill(sc.board, i)
+			if err := fill(sc.board, i); err != nil {
+				sc.board.Reset()
+				return err
+			}
 			if sc.touches != nil {
 				for _, t := range sc.board.touched {
 					sc.touches[t]++
 				}
 			}
-			at := i * stride
+			at := r * stride
 			rows.Off[i+1] = int64(len(sc.appendRow(rows.Flat[at:at:at+stride], k)))
 			return nil
 		})
+	if walk != nil {
+		walk.taken = 0
+	}
 	if err != nil {
 		return Rows[Edge]{}, 0, err
 	}
 	rows.Off[0] = 0
-	w := int64(0)
+	w, r := int64(0), 0
 	for i := 0; i < n; i++ {
-		m := rows.Off[i+1]
-		copy(rows.Flat[w:w+m], rows.Flat[i*stride:])
-		w += m
+		if need == nil || need[i] {
+			m := rows.Off[i+1]
+			copy(rows.Flat[w:w+m], rows.Flat[r*stride:])
+			w += m
+			r++
+		}
 		rows.Off[i+1] = w
 	}
 	rows.Flat = rows.Flat[:w]

@@ -293,7 +293,11 @@ func randomGamma1Graph(r *rand.Rand, n1, n2, k int) *Graph {
 
 // A span computed for a demand must hold, in every needed row, the row the
 // full pass computes, and leave every other row empty — whatever K, span
-// plan or worker count, and with reused arrays.
+// plan or worker count, and with reused arrays. Its array holds the needed
+// rows alone: a fresh one has room for no more than (needed rows) ×
+// min(K, n2) edges. A later span of the walk takes over the arrays and the
+// workers' scoreboards of the span before it, growing the array only when
+// it needs more room.
 func TestGamma1SpanComputesOnlyNeededRows(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	ctx := context.Background()
@@ -308,11 +312,37 @@ func TestGamma1SpanComputesOnlyNeededRows(t *testing.T) {
 		for i := range need {
 			need[i] = r.Intn(3) == 0
 		}
+		stride := min(g.K, n2)
 		e := []*parallel.Engine{seq, parallel.New(2), parallel.New(5)}[trial%3]
 		var rows Rows[Edge]
-		for _, s := range parallel.New(1 + r.Intn(4)).Partitions(n1) {
+		for si, s := range parallel.New(1 + r.Intn(4)).Partitions(n1) {
+			needed := 0
+			for _, ok := range need[s.Lo:s.Hi] {
+				if ok {
+					needed++
+				}
+			}
+			fresh, err := g.Gamma1Span(ctx, e, s, need, Rows[Edge]{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cap(fresh.Flat) > needed*stride {
+				t.Fatalf("trial %d span %d: a fresh array holds %d edges for %d needed rows of at most %d", trial, si, cap(fresh.Flat), needed, stride)
+			}
+			prev := rows
 			if rows, err = g.Gamma1Span(ctx, e, s, need, rows); err != nil {
 				t.Fatal(err)
+			}
+			if si > 0 {
+				if rows.walk != prev.walk || len(rows.walk.boards) > e.Workers() {
+					t.Fatalf("trial %d span %d: the walk's scoreboards were not reused (%d boards at %d workers)", trial, si, len(rows.walk.boards), e.Workers())
+				}
+				if fits := cap(prev.Flat) >= needed*stride; fits && needed > 0 && &rows.Flat[:1][0] != &prev.Flat[:1][0] {
+					t.Fatalf("trial %d span %d: an array with room for %d edges was not reused for %d rows", trial, si, cap(prev.Flat), needed)
+				}
+				if &rows.Off[0] != &prev.Off[0] && cap(prev.Off) >= s.Len()+1 {
+					t.Fatalf("trial %d span %d: the offset table was not reused", trial, si)
+				}
 			}
 			for i := s.Lo; i < s.Hi; i++ {
 				want := full.Row(i)

@@ -15,6 +15,7 @@
 package matching
 
 import (
+	"cmp"
 	"context"
 
 	"minoaner/internal/eval"
@@ -146,12 +147,18 @@ func (m *matcher) commit(p eval.Pair, rule Rule) bool {
 
 // runR1 applies the Name Matching Rule (Algorithm 2, lines 2–4): every α=1
 // edge becomes a match. Edges are visited in entity order for determinism.
-func (m *matcher) runR1() {
+// It reads every α₁ row, and checks each before it commits from it.
+func (m *matcher) runR1() error {
 	for i := 0; i < m.g.Alpha1.Len(); i++ {
-		for _, j := range m.g.Alpha1.Row(i) {
+		row := m.g.Alpha1.Row(i)
+		if err := graph.CheckIDs(row, m.k2.Len()); err != nil {
+			return err
+		}
+		for _, j := range row {
 			m.commit(eval.Pair{E1: kb.EntityID(i), E2: j}, RuleName)
 		}
 	}
+	return nil
 }
 
 // runR2 applies the Value Matching Rule (lines 5–9): for every unmatched
@@ -159,16 +166,22 @@ func (m *matcher) runR1() {
 // β ≥ 1 — i.e. the pair shares one globally unique token, or several
 // infrequent ones. Commits are sequential in entity order; a commit marks
 // only its own node on the walked side, so no later node's test depends on
-// an earlier commit.
-func (m *matcher) runR2() {
+// an earlier commit. The first edge of a row is all it reads, and checks.
+func (m *matcher) runR2() error {
 	fromE1 := m.k1.Len() <= m.k2.Len()
-	matched, beta := m.matched1, m.g.Beta1
+	matched, beta, other := m.matched1, m.g.Beta1, m.k2.Len()
 	if !fromE1 {
-		matched, beta = m.matched2, m.g.Beta2
+		matched, beta, other = m.matched2, m.g.Beta2, m.k1.Len()
 	}
 	for i := range matched {
 		row := beta.Row(i)
-		if matched[i] || len(row) == 0 || row[0].Weight() < 1 {
+		if matched[i] || len(row) == 0 {
+			continue
+		}
+		if err := graph.CheckEdges(row[:1], other); err != nil {
+			return err
+		}
+		if row[0].Weight() < 1 {
 			continue
 		}
 		p := eval.Pair{E1: kb.EntityID(i), E2: row[0].To}
@@ -177,6 +190,7 @@ func (m *matcher) runR2() {
 		}
 		m.commit(p, RuleValue)
 	}
+	return nil
 }
 
 // Rule R3, the Rank Aggregation Matching Rule (lines 10–23), applies to every
@@ -198,8 +212,8 @@ func (m *matcher) runR2() {
 //
 // RunShardedCtx drives it: pick2All first, then pick1At span by span.
 
-// pick is one node's top aggregate candidate under R3 (NoEntity if the node
-// is already matched or has no candidates).
+// pick is a candidate of one node under R3 with its fused score: an entry
+// of the aggregation board.
 type pick struct {
 	to    kb.EntityID
 	score float64
@@ -275,26 +289,73 @@ func (b *aggBoard) reset() { b.cands, b.seen = b.cands[:0], 0 }
 
 // pick1At computes the R3 pick of E1 node i from its γ candidate row, which
 // the caller holds only while i's span is live, accumulating on the caller's
-// board; NoEntity unless i is an R3 candidate (cand, see demand).
-func (m *matcher) pick1At(sb *aggBoard, cand []bool, i int, ngb []graph.Edge) pick {
+// board; NoEntity unless i is an R3 candidate (cand, see demand). It checks
+// the β row it fuses; the γ row was checked as it was built. A commit needs
+// the pick alone, not its score.
+func (m *matcher) pick1At(sb *aggBoard, cand []bool, i int, ngb []graph.Edge) (kb.EntityID, error) {
 	if !cand[i] {
-		return pick{to: kb.NoEntity}
+		return kb.NoEntity, nil
 	}
-	to, score := m.aggregate(sb, m.g.Beta1.Row(i), ngb)
-	return pick{to, score}
+	val := m.g.Beta1.Row(i)
+	if err := graph.CheckEdges(val, m.k2.Len()); err != nil {
+		return kb.NoEntity, err
+	}
+	to, _ := m.aggregate(sb, val, ngb)
+	return to, nil
 }
 
 // pick2All computes the R3 picks of every E2 node against the post-R2
-// matched state — the snapshot taken before any R3 commit.
-func (m *matcher) pick2All(ctx context.Context) ([]pick, error) {
+// matched state — the snapshot taken before any R3 commit. It checks the β
+// and γ rows it fuses.
+func (m *matcher) pick2All(ctx context.Context) ([]kb.EntityID, error) {
 	return parallel.MapLocalCtx(ctx, m.eng, m.k2.Len(), newAggBoard,
-		func(sb *aggBoard, j int) (pick, error) {
+		func(sb *aggBoard, j int) (kb.EntityID, error) {
 			if m.matched2[j] {
-				return pick{to: kb.NoEntity}, nil
+				return kb.NoEntity, nil
 			}
-			to, score := m.aggregate(sb, m.g.Beta2.Row(j), m.g.Gamma2.Row(j))
-			return pick{to, score}, nil
+			val, ngb := m.g.Beta2.Row(j), m.g.Gamma2.Row(j)
+			if !m.cfg.UseNeighbors {
+				ngb = nil
+			}
+			if err := cmp.Or(graph.CheckEdges(val, m.k1.Len()), graph.CheckEdges(ngb, m.k1.Len())); err != nil {
+				return kb.NoEntity, err
+			}
+			to, _ := m.aggregate(sb, val, ngb)
+			return to, nil
 		})
+}
+
+// hasEdge1NoGamma reports whether the directed edge of the pair p from E1
+// to E2 survived pruning under α or β evidence — with the γ₁ row, which the
+// caller holds while its span is live, the E1 leg of R4's G.E membership
+// test. It checks the rows as it scans them: the β row only when the α row
+// does not hold the edge.
+func (m *matcher) hasEdge1NoGamma(p eval.Pair) (bool, error) {
+	n2 := m.k2.Len()
+	if has, err := graph.ContainsID(m.g.Alpha1.Row(int(p.E1)), p.E2, n2); has || err != nil {
+		return has, err
+	}
+	return graph.ContainsEdge(m.g.Beta1.Row(int(p.E1)), p.E2, n2)
+}
+
+// reciprocal is rule R4 for the match p (lines 24–26): both directed edges
+// exist in the pruned graph, E1→E2 under α, β or — gamma1, found while the
+// γ row was live — γ. Like graph.HasDirectedEdge2 it scans the α, β and γ
+// rows of p.E2 in turn, up to the first that holds the edge, checking what
+// it scans.
+func (m *matcher) reciprocal(p eval.Pair, gamma1 bool) (bool, error) {
+	has1, err := m.hasEdge1NoGamma(p)
+	if err != nil || !(has1 || gamma1) {
+		return false, err
+	}
+	n1, e2 := m.k1.Len(), int(p.E2)
+	if has, err := graph.ContainsID(m.g.Alpha2.Row(e2), p.E1, n1); has || err != nil {
+		return has, err
+	}
+	if has, err := graph.ContainsEdge(m.g.Beta2.Row(e2), p.E1, n1); has || err != nil {
+		return has, err
+	}
+	return graph.ContainsEdge(m.g.Gamma2.Row(e2), p.E1, n1)
 }
 
 // aggregate fuses the two ranked candidate lists of one node on the given

@@ -36,8 +36,11 @@ func TestStoredGamma1CountEqualsMaterialized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if meta.Gamma1Edges == 0 || meta.Gamma1Edges != len(g.Gamma1.Flat) {
-			t.Errorf("%s: stored γ₁ count %d, materialized rows hold %d", name, meta.Gamma1Edges, len(g.Gamma1.Flat))
+		if meta.Gamma1Edges == nil {
+			t.Fatalf("%s: meta stores no γ₁ count", name)
+		}
+		if stored := *meta.Gamma1Edges; stored == 0 || stored != len(g.Gamma1.Flat) {
+			t.Errorf("%s: stored γ₁ count %d, materialized rows hold %d", name, stored, len(g.Gamma1.Flat))
 		}
 		held := len(g.Alpha1.Flat) + len(g.Alpha2.Flat) + len(g.Beta1.Flat) + len(g.Beta2.Flat) + len(g.Gamma1.Flat) + len(g.Gamma2.Flat)
 		if g.Edges() != held {

@@ -7,12 +7,14 @@
 // construction.
 //
 // The open checks structure: the header, the section table, section sizes,
-// offset tables and the graph's shape (ErrTruncated, ErrMisaligned,
-// ErrCorrupt). What would take a walk over a whole section — entity and
-// dictionary IDs, sorted permutations, string offsets, the name index's
-// order, the graph's targets — is left to deferred checks that the first
-// reader of each section runs (kb.ErrCorrupt, graph.ErrOutOfRange,
-// graph.ErrBadWeight; core.Substrate.Verify runs them all).
+// offset tables, the meta section's keys and the graph's shape
+// (ErrTruncated, ErrMisaligned, ErrCorrupt). What would take a walk over a
+// whole section — entity and dictionary IDs, sorted permutations, string
+// offsets, the name index's order — is left to deferred checks that the
+// first reader of each section runs (kb.ErrCorrupt). The graph's targets
+// and weights are checked by whoever reads a row, as it reads it: the batch
+// resolve and the query kernels (graph.ErrOutOfRange, graph.ErrBadWeight).
+// core.Substrate.Verify runs every check over everything.
 package snapshot
 
 import (
@@ -112,6 +114,9 @@ func decode(data []byte, copyMode bool) (*core.Substrate, error) {
 	if err := json.Unmarshal(mb, &meta); err != nil {
 		return nil, fmt.Errorf("%w: meta: %v", ErrCorrupt, err)
 	}
+	if meta.Gamma1Edges == nil {
+		return nil, fmt.Errorf("%w: meta: no gamma1_edges", ErrCorrupt)
+	}
 
 	dict1, err := decodeDict(h, copyMode, dict1Base, "dict1")
 	if err != nil {
@@ -177,7 +182,7 @@ func decode(data []byte, copyMode bool) (*core.Substrate, error) {
 	}
 
 	if h.flags&flagQueryState != 0 {
-		if err := decodeQueryState(h, copyMode, sub, top1, meta.Gamma1Edges); err != nil {
+		if err := decodeQueryState(h, copyMode, sub, top1, *meta.Gamma1Edges); err != nil {
 			return nil, err
 		}
 	}

@@ -46,8 +46,9 @@ type metaV1 struct {
 	PurgeThreshold int64 `json:"purge_threshold"`
 
 	// Gamma1Edges is the graph's E1-side γ edge count, which the file
-	// holds no rows to count from.
-	Gamma1Edges int `json:"gamma1_edges"`
+	// holds no rows to count from. Every writer stores it, so a meta
+	// section without the key is corrupt: a pointer tells absent from 0.
+	Gamma1Edges *int `json:"gamma1_edges"`
 }
 
 // section is one entry of the section table with its bytes.
@@ -176,7 +177,7 @@ func WriteSubstrate(w io.Writer, sub *core.Substrate) error {
 		Config:     p.Config,
 		NameAttrs1: p.NameAttrs1, NameAttrs2: p.NameAttrs2,
 		PurgedBlocks: p.PurgedBlocks, PurgeThreshold: p.PurgeThreshold,
-		Gamma1Edges: qs.Graph.Gamma1Edges,
+		Gamma1Edges: &qs.Graph.Gamma1Edges,
 	}
 	metaBytes, err := json.Marshal(meta)
 	if err != nil {

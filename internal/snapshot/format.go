@@ -28,8 +28,8 @@
 // Version 4 differs from version 3 in the meta section only. It stores the
 // graph's E1-side γ edge count (gamma1_edges), which the file holds no rows
 // to count from, so an opened pair reports its edge count without building
-// every γ₁ row; the loader refuses a count that n1 rows of at most
-// min(K, n2) edges cannot hold (ErrCorrupt). Its config no longer stores
+// every γ₁ row; the loader refuses a meta section without the count, and a
+// count that n1 rows of at most min(K, n2) edges cannot hold (ErrCorrupt). Its config no longer stores
 // Workers. Version 3 differed from version 2 in that: version 2 also stored
 // the token index — its member CSRs and weights (sections 422–426) and, for
 // a pair without one token dictionary, a joint dictionary and translation

@@ -11,6 +11,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"minoaner/internal/blocking"
@@ -54,8 +55,8 @@ func tinySubstrate(t testing.TB) *core.Substrate {
 // and at what the token index is derived from: the KB token columns and,
 // the tiny pair's dictionaries being private, the strings that translate
 // them into one slot space. Edge damage is placed by the record layout
-// (edgeSize, edgeWeightAt). Two seeds rewrite the meta section with a γ₁
-// edge count no graph of the pair can hold.
+// (edgeSize, edgeWeightAt). Three seeds rewrite the meta section: with a γ₁
+// edge count no graph of the pair can hold, and without one.
 func fuzzSeeds(t testing.TB) map[string][]byte {
 	sub := tinySubstrate(t)
 	img := snapshotBytes(t, sub)
@@ -83,13 +84,16 @@ func fuzzSeeds(t testing.TB) map[string][]byte {
 		return out
 	}
 	// gamma1Edges re-lays the image, sections in table order, with the meta
-	// section's γ₁ edge count set to n.
-	gamma1Edges := func(n int) []byte {
+	// section's γ₁ edge count set to n, or without it when n is nil.
+	gamma1Edges := func(n any) []byte {
 		var meta map[string]json.RawMessage
 		if err := json.Unmarshal(h.sections[secMeta], &meta); err != nil {
 			t.Fatal(err)
 		}
 		meta["gamma1_edges"] = json.RawMessage(fmt.Sprint(n))
+		if n == nil {
+			delete(meta, "gamma1_edges")
+		}
 		mb, err := json.Marshal(meta)
 		if err != nil {
 			t.Fatal(err)
@@ -110,39 +114,41 @@ func fuzzSeeds(t testing.TB) map[string][]byte {
 	}
 	n1, n2, k := sub.K1().Len(), sub.K2().Len(), sub.Config().TopK
 	return map[string][]byte{
-		"valid":               img,
-		"cut-in-table":        img[:headerSize+tableEntry+3],
-		"cut-in-sections":     img[:len(img)*2/3],
-		"cut-last-byte":       img[:len(img)-1],
-		"table-length":        flip(headerSize+16, 0x10),
-		"table-offset":        flip(headerSize+tableEntry+9, 0x01),
-		"table-id":            flip(headerSize+2*tableEntry, 0x40),
-		"flags":               flip(12, 0x07),
-		"beta1-offsets":       flip(at(secBeta1Off)+8, 0x20),
-		"adj1-last-offset":    flip(last(secAdj1Off)-8, 0x01),
-		"gamma2-offsets-fall": flip(at(secGamma2Off)+9, 0x01),
-		"beta1-target":        flip(at(secBeta1Edges), 0x40),
-		"beta2-target-neg":    flip(at(secBeta2Edges)+3, 0x80),
-		"adj1-target":         flip(at(secAdj1Edges)+edgeSize, 0x10),
-		"adj1-weight-nan":     word(at(secAdj1Edges)+edgeWeightAt, math.Float64bits(math.NaN())),
-		"in2-entity":          flip(at(secIn2Flat), 0x20),
-		"alpha1-target":       flip(at(secAlpha1Flat), 0x08),
-		"top1-neighbor":       flip(at(secTop1Flat), 0x40),
-		"top1-last-offset":    word(last(secTop1Off)-8, 1<<40),
-		"dict-sorted":         flip(at(dict1Base+frozenSorted), 0x80),
-		"dict-sorted-swap":    flip(at(dict1Base+frozenSorted), 0x03),
-		"uri-sorted":          flip(at(kb1Base+kbURISorted)+4, 0x10),
-		"uri-offsets":         flip(at(kb1Base+kbURIOff)+8, 0x04),
-		"token-members":       flip(at(kb2Base+kbTokens), 0x10),
-		"token-translation":   flip(at(dict2Base+frozenOff)+8, 0x04),
-		"kb-tokens":           flip(at(kb1Base+kbTokens), 0x40),
-		"kb-statement-object": flip(at(kb2Base+kbStmtRelObj), 0x08),
-		"kb-attribute-name":   flip(at(kb1Base+kbStmtAttrName), 0x10),
-		"name-usage-carrier":  flip(at(secNamesE2), 0x10),
-		"name-block-member":   flip(at(secNameE1Flat), 0x20),
-		"meta-json":           flip(at(secMeta)+1, 0x01),
-		"gamma1-count-over":   gamma1Edges(n1*min(k, n2) + 1),
-		"gamma1-count-neg":    gamma1Edges(-1),
+		"valid":                img,
+		"cut-in-table":         img[:headerSize+tableEntry+3],
+		"cut-in-sections":      img[:len(img)*2/3],
+		"cut-last-byte":        img[:len(img)-1],
+		"table-length":         flip(headerSize+16, 0x10),
+		"table-offset":         flip(headerSize+tableEntry+9, 0x01),
+		"table-id":             flip(headerSize+2*tableEntry, 0x40),
+		"flags":                flip(12, 0x07),
+		"beta1-offsets":        flip(at(secBeta1Off)+8, 0x20),
+		"adj1-last-offset":     flip(last(secAdj1Off)-8, 0x01),
+		"gamma2-offsets-fall":  flip(at(secGamma2Off)+9, 0x01),
+		"beta1-target":         flip(at(secBeta1Edges), 0x40),
+		"beta2-target-neg":     flip(at(secBeta2Edges)+3, 0x80),
+		"adj1-target":          flip(at(secAdj1Edges)+edgeSize, 0x10),
+		"adj1-weight-nan":      word(at(secAdj1Edges)+edgeWeightAt, math.Float64bits(math.NaN())),
+		"beta2-weight-nan":     word(at(secBeta2Edges)+edgeWeightAt, math.Float64bits(math.NaN())),
+		"in2-entity":           flip(at(secIn2Flat), 0x20),
+		"alpha1-target":        flip(at(secAlpha1Flat), 0x08),
+		"top1-neighbor":        flip(at(secTop1Flat), 0x40),
+		"top1-last-offset":     word(last(secTop1Off)-8, 1<<40),
+		"dict-sorted":          flip(at(dict1Base+frozenSorted), 0x80),
+		"dict-sorted-swap":     flip(at(dict1Base+frozenSorted), 0x03),
+		"uri-sorted":           flip(at(kb1Base+kbURISorted)+4, 0x10),
+		"uri-offsets":          flip(at(kb1Base+kbURIOff)+8, 0x04),
+		"token-members":        flip(at(kb2Base+kbTokens), 0x10),
+		"token-translation":    flip(at(dict2Base+frozenOff)+8, 0x04),
+		"kb-tokens":            flip(at(kb1Base+kbTokens), 0x40),
+		"kb-statement-object":  flip(at(kb2Base+kbStmtRelObj), 0x08),
+		"kb-attribute-name":    flip(at(kb1Base+kbStmtAttrName), 0x10),
+		"name-usage-carrier":   flip(at(secNamesE2), 0x10),
+		"name-block-member":    flip(at(secNameE1Flat), 0x20),
+		"meta-json":            flip(at(secMeta)+1, 0x01),
+		"gamma1-count-over":    gamma1Edges(n1*min(k, n2) + 1),
+		"gamma1-count-neg":     gamma1Edges(-1),
+		"gamma1-count-missing": gamma1Edges(nil),
 	}
 }
 
@@ -170,10 +176,11 @@ func TestFuzzCorpusCommitted(t *testing.T) {
 }
 
 // A γ₁ edge count below zero, or above what n1 rows of at most min(K, n2)
-// edges hold, is refused by both decoders as a corrupt file.
+// edges hold, is refused by both decoders as a corrupt file, and so is a
+// meta section without one.
 func TestGamma1CountOutOfRangeIsCorrupt(t *testing.T) {
 	seeds := fuzzSeeds(t)
-	for _, name := range []string{"gamma1-count-over", "gamma1-count-neg"} {
+	for _, name := range []string{"gamma1-count-over", "gamma1-count-neg", "gamma1-count-missing"} {
 		if _, err := ReadSubstrate(seeds[name]); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: ReadSubstrate = %v, want ErrCorrupt", name, err)
 		}
@@ -232,20 +239,50 @@ func TestDamagedTargetIsRefusedAtFirstWalk(t *testing.T) {
 }
 
 // An edge weight that is not strictly positive and finite passes the loader
-// like a damaged target does, and is refused the same way: by the first walk
-// of the whole graph, every time, before any kernel runs.
+// like a damaged target does, and is refused by every walk that reads it:
+// the batch resolution, every time, for a β₂ weight its rule R4 reads, and a
+// replay whose γ row follows a damaged adjacency edge. A batch resolution
+// that reads no γ₁ row — the tiny pair's R2 matches every entity, and R4
+// finds each edge in β — is not affected by the damaged adjacency edge. The
+// whole-graph check refuses both: Verify, and a private graph.
 func TestDamagedWeightIsRefusedAtFirstWalk(t *testing.T) {
-	read, err := ReadSubstrate(fuzzSeeds(t)["adj1-weight-nan"])
+	ctx := context.Background()
+	built, err := core.ResolveWith(ctx, tinySubstrate(t), core.Config{Workers: 1})
 	if err != nil {
-		t.Fatalf("a damaged weight must not fail the load: %v", err)
+		t.Fatal(err)
 	}
-	for round := 0; round < 2; round++ {
-		if _, err := core.ResolveWith(context.Background(), read.Substrate(), core.Config{Workers: 2}); !errors.Is(err, graph.ErrBadWeight) {
-			t.Fatalf("round %d: ResolveWith = %v, want ErrBadWeight", round, err)
+	for _, c := range []struct {
+		seed    string
+		resolve bool // whether the batch resolution reads the damaged weight
+	}{{"beta2-weight-nan", true}, {"adj1-weight-nan", false}} {
+		read, err := ReadSubstrate(fuzzSeeds(t)[c.seed])
+		if err != nil {
+			t.Fatalf("%s: a damaged weight must not fail the load: %v", c.seed, err)
 		}
-	}
-	if _, err := core.ResolveWith(context.Background(), read.Substrate(), core.Config{TopK: 3}); !errors.Is(err, graph.ErrBadWeight) {
-		t.Fatalf("a private graph over the damaged substrate = %v, want ErrBadWeight", err)
+		sub := read.Substrate()
+		for round := 0; round < 2; round++ {
+			out, err := core.ResolveWith(ctx, sub, core.Config{Workers: 2})
+			switch {
+			case c.resolve && !errors.Is(err, graph.ErrBadWeight):
+				t.Fatalf("%s round %d: ResolveWith = %v, want ErrBadWeight", c.seed, round, err)
+			case !c.resolve && err != nil:
+				t.Fatalf("%s round %d: ResolveWith, which reads no γ₁ row, failed: %v", c.seed, round, err)
+			case !c.resolve && !reflect.DeepEqual(out.Matches, built.Matches):
+				t.Fatalf("%s round %d: ResolveWith gave %d matches, the built pair %d", c.seed, round, len(out.Matches), len(built.Matches))
+			}
+		}
+		if !c.resolve {
+			// t1:e1's top neighbor is t1:e0, whose first adjacency edge is the damaged one.
+			if _, err := core.ReplayEntity(ctx, sub, 1, core.Config{Workers: 1}); !errors.Is(err, graph.ErrBadWeight) {
+				t.Errorf("%s: a replay through the damaged edge = %v, want ErrBadWeight", c.seed, err)
+			}
+		}
+		if _, err := core.ResolveWith(ctx, sub, core.Config{TopK: 3}); !errors.Is(err, graph.ErrBadWeight) {
+			t.Errorf("%s: a private graph over the damaged substrate = %v, want ErrBadWeight", c.seed, err)
+		}
+		if err := sub.Verify(); !errors.Is(err, graph.ErrBadWeight) {
+			t.Errorf("%s: Verify = %v, want ErrBadWeight", c.seed, err)
+		}
 	}
 }
 

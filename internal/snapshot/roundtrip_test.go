@@ -333,7 +333,10 @@ func TestWriteDeterministic(t *testing.T) {
 // build's clocks (timings, build_wall_ns), which meta no longer records;
 // JSON decoding ignores all six. The fixture is the tiny pair's meta section
 // as a version 3 writer wrote it for a run in 8 shards without token blocks,
-// at one worker; it predates the γ₁ edge count, which decodes as 0.
+// at one worker. It predates the γ₁ edge count, which every version 4
+// writer stores, so as committed it is refused as corrupt (a missing count
+// would read as 0 and short the pair's edge count); with the image's own
+// count spliced in, it opens.
 func TestMetaWithRemovedConfigKeysOpens(t *testing.T) {
 	legacy, err := os.ReadFile(filepath.Join("testdata", "meta-with-removed-config-keys.json"))
 	if err != nil {
@@ -356,24 +359,44 @@ func TestMetaWithRemovedConfigKeysOpens(t *testing.T) {
 
 	tiny := tinySubstrate(t)
 	h := parsed(t, snapshotBytes(t, tiny))
-	secs := make([]section, 0, len(h.sections))
-	for id, data := range h.sections {
-		if id == secMeta {
-			data = legacy
-		}
-		secs = append(secs, section{id, data})
-	}
-	slices.SortFunc(secs, func(a, b section) int { return cmp.Compare(a.id, b.id) })
-	var img bytes.Buffer
 	ctx := context.Background()
-	if err := writeGroups(ctx, &img, h.flags, []group{ready(secs)}, parallel.New(1)); err != nil {
+	// open writes the tiny pair's image with the given meta section to a
+	// file and opens it.
+	open := func(meta []byte) (*Loaded, error) {
+		secs := make([]section, 0, len(h.sections))
+		for id, data := range h.sections {
+			if id == secMeta {
+				data = meta
+			}
+			secs = append(secs, section{id, data})
+		}
+		slices.SortFunc(secs, func(a, b section) int { return cmp.Compare(a.id, b.id) })
+		var img bytes.Buffer
+		if err := writeGroups(ctx, &img, h.flags, []group{ready(secs)}, parallel.New(1)); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "pair.snap")
+		if err := os.WriteFile(path, img.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return OpenSubstrate(path)
+	}
+	if refused, err := open(legacy); !errors.Is(err, ErrCorrupt) {
+		if err == nil {
+			refused.Close()
+		}
+		t.Fatalf("a meta section without the γ₁ edge count: %v, want ErrCorrupt", err)
+	}
+	var own, spliced map[string]json.RawMessage
+	if err := errors.Join(json.Unmarshal(h.sections[secMeta], &own), json.Unmarshal(legacy, &spliced)); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "pair.snap")
-	if err := os.WriteFile(path, img.Bytes(), 0o644); err != nil {
+	spliced["gamma1_edges"] = own["gamma1_edges"]
+	meta, err := json.Marshal(spliced)
+	if err != nil {
 		t.Fatal(err)
 	}
-	opened, err := OpenSubstrate(path)
+	opened, err := open(meta)
 	if err != nil {
 		t.Fatalf("a meta section with removed config keys: %v", err)
 	}
