@@ -14,10 +14,10 @@ race:
 	go test -race ./...
 
 # race-overlap exercises the overlapped substrate build, the concurrent γ
-# sides of graph construction and the streamed batch resolve, whose γ rows are
-# chosen by a row demand read while spans fill — narrowed to the rows R3 and
-# R4 can read, and checked against a demand for every row at 1, 2 and 8
-# workers — under the race detector at an
+# sides of graph construction and the batch resolve, whose γ₁ rows are built
+# in one walk for a row demand its workers read while the rows fill —
+# narrowed to the rows R3 and R4 can read, and checked against a demand for
+# every row at 1, 2 and 8 workers — under the race detector at an
 # explicit workers=2 engine (the smallest size where the removed barriers
 # matter), plus sixteen readers of a freshly opened snapshot racing for the
 # checks its open deferred (each must run exactly once), sixteen describe
@@ -66,8 +66,9 @@ cover:
 bench-test:
 	go test -bench . -run '^$$' -benchmem .
 
-# smoke is the fast CI variant: one small preset through the pipeline
-# benchmark and through cmd/experiments (Table 1, and Table 2, which reads
+# smoke is the fast CI variant: every Go benchmark of the root module run once
+# (-benchtime 1x, so each stage benchmark still executes its kernel), one
+# small preset through cmd/experiments (Table 1, and Table 2, which reads
 # the blocks of the substrate the pipeline resolves over), plus a CLI round
 # trip through the per-entity query path (-query, both output formats) on a
 # generated dataset, and a snapshot round trip: the substrate is persisted
@@ -79,7 +80,7 @@ bench-test:
 # files must be the same bytes. The generated files live in a temporary
 # directory removed when the recipe's shell exits.
 smoke:
-	go test -run '^$$' -bench '^BenchmarkPipelineRestaurant$$' -benchtime 1x .
+	go test -run '^$$' -bench . -benchtime 1x ./...
 	go run ./cmd/experiments -table 1 -datasets Restaurant -scale 0.2
 	go run ./cmd/experiments -table 2 -datasets Restaurant -scale 0.2
 	@set -ex; T="$$(mktemp -d)"; trap 'rm -rf "$$T"' EXIT; \

@@ -391,8 +391,8 @@ func BenchmarkBuildBeta(b *testing.B) {
 func BenchmarkGammaRows(b *testing.B) {
 	_, in, g := benchComponents()
 	eng := parallel.New(0)
-	whole := parallel.Span{Lo: 0, Hi: len(in.Top1)}
-	everyOther := make([]bool, whole.Hi)
+	n1 := len(in.Top1)
+	everyOther := make([]bool, n1)
 	for i := range everyOther {
 		everyOther[i] = i%2 == 0
 	}
@@ -403,11 +403,11 @@ func BenchmarkGammaRows(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rows, err := g.Gamma1Span(context.Background(), eng, whole, c.need, graph.Rows[graph.Edge]{})
+				rows, err := g.Gamma1Rows(context.Background(), eng, c.need)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if rows.Len() != whole.Hi {
+				if rows.Len() != n1 {
 					b.Fatal("wrong row count")
 				}
 			}

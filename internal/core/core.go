@@ -173,7 +173,7 @@ func ResolveContext(ctx context.Context, k1, k2 *kb.KB, cfg Config) (*Output, er
 	if err != nil {
 		return nil, err
 	}
-	return resolveWith(ctx, eng, sub, cfg, 1)
+	return resolveWith(ctx, eng, sub, cfg)
 }
 
 // ResolveWith runs resolution (stages 3–4) over a prebuilt substrate: it
@@ -195,29 +195,17 @@ func ResolveWith(ctx context.Context, sub *Substrate, cfg Config) (*Output, erro
 		return nil, err
 	}
 	eng := parallel.New(cfg.Workers)
-	return resolveWith(ctx, eng, sub, cfg, 1)
-}
-
-// gammaSpanRows bounds how many E1 entities' γ rows a resolution holds at a
-// time (2.9 MB at K = 15 if every row were needed; a span's array holds
-// the needed rows only).
-const gammaSpanRows = 1 << 14
-
-// shardSpans partitions [0, n) into at most p contiguous ascending spans of
-// near-equal size (never empty; nil for n == 0).
-func shardSpans(n, p int) []parallel.Span {
-	return parallel.New(p).Partitions(n)
+	return resolveWith(ctx, eng, sub, cfg)
 }
 
 // resolveWith is the internal resolution over a normalized Config. It
-// builds and matches E1's γ rows in contiguous spans of at most
-// gammaSpanRows entities, and in at least minSpans of them: only tests ask
-// for more than one, to show that the output does not depend on the span
-// plan. Output.Timings carries the wall clock of everything the output
+// builds, in one walk, the E1-side γ rows the matcher's rules can read —
+// (needed rows) × min(K, n2) edges, at worst n1 × min(K, n2) — and matches
+// over them. Output.Timings carries the wall clock of everything the output
 // rests on: the substrate's stages, the graph's one-time construction —
 // whichever call paid for it — and this call's own γ rows and matching;
 // Total is their sum, the historical whole-pipeline meaning.
-func resolveWith(ctx context.Context, eng *parallel.Engine, sub *Substrate, cfg Config, minSpans int) (*Output, error) {
+func resolveWith(ctx context.Context, eng *parallel.Engine, sub *Substrate, cfg Config) (*Output, error) {
 	// The output hands the name blocks out whole, so a substrate from parts
 	// checks their members first, and its matches name entities whose
 	// URIs every caller prints, so it checks both URI tables too.
@@ -240,26 +228,20 @@ func resolveWith(ctx context.Context, eng *parallel.Engine, sub *Substrate, cfg 
 		return nil, err
 	}
 
-	// Stage 4 — non-iterative matching (Algorithm 2). The γ rows of each E1
-	// span are built on demand, and only those R3 and R4 can read, each span
-	// in the arrays and on the scoreboards of the one before; the time spent
-	// on them is accounted to the graph stage. GraphEdges counts the
-	// whole graph from the count its build took, though its E1-side γ rows
-	// never exist at once and most are never built.
-	n1 := sub.k1.Len()
-	spans := shardSpans(n1, max(minSpans, (n1+gammaSpanRows-1)/gammaSpanRows))
+	// Stage 4 — non-iterative matching (Algorithm 2). The E1-side γ rows are
+	// built on demand, only those R3 and R4 can read; the time spent on
+	// them is accounted to the graph stage. GraphEdges counts the whole
+	// graph from the count its build took, though most of its E1-side γ
+	// rows are never built.
 	t0 := time.Now()
-	var (
-		gammaTime time.Duration
-		rows      graph.Rows[graph.Edge] // one span's, reused for the next
-	)
-	gammaFor := func(gctx context.Context, s parallel.Span, need []bool) (_ graph.Rows[graph.Edge], err error) {
+	var gammaTime time.Duration
+	gammaFor := func(gctx context.Context, need []bool) (graph.Rows[graph.Edge], error) {
 		gt := time.Now()
-		rows, err = pg.g.Gamma1Span(gctx, eng, s, need, rows)
-		gammaTime += time.Since(gt)
+		rows, err := pg.g.Gamma1Rows(gctx, eng, need)
+		gammaTime = time.Since(gt)
 		return rows, err
 	}
-	res, err := matching.RunShardedCtx(ctx, eng, pg.g, sub.k1, sub.k2, mc, spans, gammaFor)
+	res, err := matching.RunOnDemandCtx(ctx, eng, pg.g, sub.k1, sub.k2, mc, gammaFor)
 	if err != nil {
 		return nil, err
 	}

@@ -15,11 +15,12 @@ import (
 // pinnedDigestsPath is the committed fixture of output digests captured
 // BEFORE the substrate refactor split Resolve into BuildSubstrate +
 // ResolveWith. The pinned-digest test replays the same matrix — the skewed
-// determinism fixture and all four Table-1 presets, workers {1, 8} × a
-// minimum of {1, 8} γ spans (the fixture's "shards") — and requires every
-// sha256 to match: any drift in matches, provenance, R4 removals, graph
-// edge counts, purge state, name attributes or block statistics changes a
-// digest.
+// determinism fixture and all four Table-1 presets at workers {1, 8} — and
+// requires every sha256 to match: any drift in matches, provenance, R4
+// removals, graph edge counts, purge state, name attributes or block
+// statistics changes a digest. Each case also names the number of γ₁ spans
+// ("shards", 1 or 8) it was captured at; a resolve builds its γ₁ rows in
+// one walk, so that key selects nothing.
 //
 // Regenerate (only when the output contract intentionally changes) with:
 //
@@ -29,7 +30,7 @@ const pinnedDigestsPath = "testdata/pinned_digests.json"
 type pinnedCase struct {
 	Dataset string `json:"dataset"` // "skewed-300" or a preset name
 	Workers int    `json:"workers"`
-	Shards  int    `json:"shards"` // the minimum span count of the resolution
+	Shards  int    `json:"shards"` // the γ₁ span count the digest was captured at; ignored
 	SHA256  string `json:"sha256"`
 }
 
@@ -73,7 +74,7 @@ func pinnedMatrix() []pinnedCase {
 
 func runPinnedCase(t *testing.T, c pinnedCase, k1, k2 *kb.KB) [32]byte {
 	t.Helper()
-	_, sum := resolveSpans(t, k1, k2, Config{Workers: c.Workers}, c.Shards)
+	_, sum := resolveDigest(t, k1, k2, Config{Workers: c.Workers})
 	return sum
 }
 

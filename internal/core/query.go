@@ -260,7 +260,11 @@ func nameUsagesOf(s *Substrate) NameUsages {
 // and the substrate's frozen name attributes, relation ranks and purged
 // index drive the probes. For a query that re-describes a K1 entity
 // (SelfURI), the emitted rows and rule claims equal the batch pipeline's
-// per-entity view of that entity — the equivalence the property tests pin.
+// per-entity view of that entity — the equivalence the property tests pin —
+// and each candidate's R4 back-edge is read from its α₂, β₂ and γ₂ rows,
+// checked as the batch R4 checks them: on a graph from a snapshot, a
+// damaged entry the test scans fails the query (graph.ErrOutOfRange,
+// graph.ErrBadWeight).
 //
 // Concurrent QueryEntity calls on one substrate are race-free: the shared
 // state is read-only and each call takes its own scratch from the pool.
@@ -417,9 +421,10 @@ func QueryEntity(ctx context.Context, sub *Substrate, q EntityQuery, cfg Config)
 // ReplayEntity answers the query that re-describes K1 entity e — what
 // QueryEntity returns for QueryFromEntity(sub.K1(), e) — from the rows the
 // pair's graph stores for e: its α row, β row and top-neighbor list are read
-// (graph.StoredRows1 checks them), and only its γ row is computed. Nothing
-// of e is read as strings or looked up in a dictionary. cfg applies as in
-// QueryEntity, and concurrent calls are as safe.
+// (graph.StoredRows1 checks them), and only its γ row is computed; the R4
+// back-edges are checked as in QueryEntity. Nothing of e is read as strings
+// or looked up in a dictionary. cfg applies as in QueryEntity, and
+// concurrent calls are as safe.
 func ReplayEntity(ctx context.Context, sub *Substrate, e kb.EntityID, cfg Config) ([]QueryMatch, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -476,7 +481,7 @@ func (st *queryState) rank(sub *Substrate, slot *querySlot, mc matching.Config, 
 		return 0
 	}
 	emit := func(c kb.EntityID, rule matching.Rule, score float64) QueryMatch {
-		m := QueryMatch{
+		return QueryMatch{
 			Candidate:   c,
 			URI:         sub.k2.URI(c),
 			Rule:        rule,
@@ -484,10 +489,6 @@ func (st *queryState) rank(sub *Substrate, slot *querySlot, mc matching.Config, 
 			ValueSim:    weightIn(beta, c),
 			NeighborSim: weightIn(gamma, c),
 		}
-		if self != kb.NoEntity {
-			m.Reciprocal = st.g.HasDirectedEdge2(c, self)
-		}
-		return m
 	}
 
 	out := make([]QueryMatch, 0, len(alpha)+len(ranking))
@@ -506,6 +507,16 @@ func (st *queryState) rank(sub *Substrate, slot *querySlot, mc matching.Config, 
 			rule = matching.RuleRank
 		}
 		out = append(out, emit(e.To, rule, e.Weight()))
+	}
+	// R4's back-edge test, checked as the batch R4 checks it: a damaged
+	// entry it scans fails the query.
+	if self != kb.NoEntity {
+		for i := range out {
+			var err error
+			if out[i].Reciprocal, err = st.g.HasEdge2(out[i].Candidate, self, sub.k1.Len()); err != nil {
+				return nil, err
+			}
+		}
 	}
 	// The dictionaries, URI tables and schema of a snapshot-loaded pair
 	// check the strings they touch; damage they met fails the query.

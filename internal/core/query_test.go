@@ -65,6 +65,7 @@ func expectedQueryMatches(sub *Substrate, g *graph.Graph, e kb.EntityID, mc matc
 		return 0
 	}
 	emit := func(c kb.EntityID, rule matching.Rule, score float64) QueryMatch {
+		reciprocal, _ := g.HasEdge2(c, e, sub.k1.Len()) // a built graph holds no damaged entry
 		return QueryMatch{
 			Candidate:   c,
 			URI:         sub.k2.URI(c),
@@ -72,7 +73,7 @@ func expectedQueryMatches(sub *Substrate, g *graph.Graph, e kb.EntityID, mc matc
 			Score:       score,
 			ValueSim:    weightIn(beta, c),
 			NeighborSim: weightIn(gamma, c),
-			Reciprocal:  g.HasDirectedEdge2(c, e),
+			Reciprocal:  reciprocal,
 		}
 	}
 	out := make([]QueryMatch, 0, len(alpha)+len(ranking))
@@ -445,11 +446,11 @@ func TestQueryEntityNewEntity(t *testing.T) {
 }
 
 // BuildSubstrate + ResolveWith must equal Resolve byte for byte, across
-// repeated consumption of one substrate and in several spans.
+// repeated consumption of one substrate.
 func TestResolveWithMatchesResolve(t *testing.T) {
 	ctx := context.Background()
 	k1, k2 := skewedKBs(300)
-	_, refDigest := resolveSpans(t, k1, k2, Config{Workers: 4}, 1)
+	_, refDigest := resolveDigest(t, k1, k2, Config{Workers: 4})
 	sub, err := BuildSubstrate(ctx, k1, k2, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -462,13 +463,6 @@ func TestResolveWithMatchesResolve(t *testing.T) {
 		if digest(t, sub, out) != refDigest {
 			t.Fatalf("ResolveWith round %d differs from Resolve", round)
 		}
-	}
-	outSpans, err := ResolveWithSpans(ctx, sub, Config{Workers: 4}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if digest(t, sub, outSpans) != refDigest {
-		t.Fatal("ResolveWith in 8 spans differs from Resolve")
 	}
 	// Queries and batch resolution share one substrate without interference.
 	if _, err := QueryEntity(ctx, sub, QueryFromEntity(k1, 0), Config{}); err != nil {
@@ -520,8 +514,8 @@ func TestTopKOverrideBuildsPrivateGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wantDefault := resolveSpans(t, k1, k2, Config{Workers: 2}, 1)
-	_, wantK2 := resolveSpans(t, k1, k2, Config{Workers: 2, TopK: 2}, 1)
+	_, wantDefault := resolveDigest(t, k1, k2, Config{Workers: 2})
+	_, wantK2 := resolveDigest(t, k1, k2, Config{Workers: 2, TopK: 2})
 	if wantK2 == wantDefault {
 		t.Fatal("TopK 2 resolves like TopK 15; test is vacuous")
 	}
@@ -588,7 +582,7 @@ func TestCancelledGraphBuildFailsThatCallOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, want := resolveSpans(t, k1, k2, Config{Workers: 1}, 1)
+	_, want := resolveDigest(t, k1, k2, Config{Workers: 1})
 	ctx := &flipCtx{Context: context.Background(), after: 4, done: make(chan struct{})}
 	if _, err := ResolveWith(ctx, sub, Config{Workers: 1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ResolveWith under a context cancelled mid-build = %v, want context.Canceled", err)

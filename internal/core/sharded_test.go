@@ -12,7 +12,6 @@ import (
 	"minoaner/internal/datagen"
 	"minoaner/internal/kb"
 	"minoaner/internal/matching"
-	"minoaner/internal/testkb"
 )
 
 // digest serializes everything the pipeline is contracted to reproduce —
@@ -38,40 +37,57 @@ func digest(t *testing.T, sub *Substrate, out *Output) [32]byte {
 	return sum
 }
 
-// resolveSpans builds the substrate of (k1, k2, cfg) and resolves over it
-// with E1's γ rows in at least spans spans; spans = 1 is ResolveContext.
-// It returns the output and its digest.
-func resolveSpans(t *testing.T, k1, k2 *kb.KB, cfg Config, spans int) (*Output, [32]byte) {
+// resolveDigest builds the substrate of (k1, k2, cfg) and resolves over it
+// (ResolveContext in two steps). It returns the output and its digest.
+func resolveDigest(t *testing.T, k1, k2 *kb.KB, cfg Config) (*Output, [32]byte) {
 	t.Helper()
 	ctx := context.Background()
 	sub, err := BuildSubstrate(ctx, k1, k2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ResolveWithSpans(ctx, sub, cfg, spans)
+	out, err := ResolveWith(ctx, sub, cfg)
 	if err != nil {
-		t.Fatalf("%d spans: %v", spans, err)
+		t.Fatal(err)
 	}
 	return out, digest(t, sub, out)
 }
 
-func spanCounts() []int {
-	return []int{1, 2, 7, runtime.GOMAXPROCS(0)}
+// shardedDigests resolves over one substrate of (k1, k2, cfg) once per
+// worker count: the γ₁ walk and the R3 picks are sharded into chunks across
+// the workers. It returns the digest at one worker and at each count.
+func shardedDigests(t *testing.T, k1, k2 *kb.KB, cfg Config, workers []int) (want [32]byte, got map[int][32]byte) {
+	t.Helper()
+	ctx := context.Background()
+	sub, err := BuildSubstrate(ctx, k1, k2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = map[int][32]byte{}
+	for _, w := range append([]int{1}, workers...) {
+		c := cfg
+		c.Workers = w
+		out, err := ResolveWith(ctx, sub, c)
+		if err != nil {
+			t.Fatalf("%d workers: %v", w, err)
+		}
+		if w == 1 && len(out.Matches) == 0 {
+			t.Fatal("no matches; test is vacuous")
+		}
+		got[w] = digest(t, sub, out)
+	}
+	return got[1], got
 }
 
-// A sharded resolution builds and matches E1's γ rows in contiguous shards,
-// the spans of resolveWith; the output must be sha256-identical for every
-// shard count on the skewed determinism fixture.
+// A resolution shards its γ₁ walk and R3 picks across its workers; the
+// output must be sha256-identical for every worker count on the skewed
+// determinism fixture.
 func TestResolveShardedIdenticalOnSkewedInput(t *testing.T) {
 	k1, k2 := skewedKBs(300)
-	ref, want := resolveSpans(t, k1, k2, Config{}, 1)
-	if len(ref.Matches) == 0 {
-		t.Fatal("skewed fixture produced no matches; test is vacuous")
-	}
-	for _, p := range spanCounts() {
-		if got, sum := resolveSpans(t, k1, k2, Config{}, p); sum != want {
-			t.Fatalf("%d spans: output differs from one span:\n--- one span\n%s--- %d spans\n%s",
-				p, renderMatches(ref), p, renderMatches(got))
+	want, got := shardedDigests(t, k1, k2, Config{}, []int{2, 7, runtime.GOMAXPROCS(0)})
+	for w, sum := range got {
+		if sum != want {
+			t.Errorf("%d workers: output differs from one worker", w)
 		}
 	}
 }
@@ -88,21 +104,18 @@ func TestResolveShardedIdenticalOnPresets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, want := resolveSpans(t, d.K1, d.K2, Config{}, 1)
-		if len(ref.Matches) == 0 {
-			t.Fatalf("%s: no matches; test is vacuous", profile.Name)
-		}
-		for _, p := range []int{2, runtime.GOMAXPROCS(0)} {
-			if _, sum := resolveSpans(t, d.K1, d.K2, Config{}, p); sum != want {
-				t.Errorf("%s: output differs at %d spans", profile.Name, p)
+		want, got := shardedDigests(t, d.K1, d.K2, Config{}, []int{2, runtime.GOMAXPROCS(0)})
+		for w, sum := range got {
+			if sum != want {
+				t.Errorf("%s: output differs at %d workers", profile.Name, w)
 			}
 		}
 	}
 }
 
-// Sharding composes with the rule ablations: R4 relies on shard-local γ
-// evidence, R3-off still builds γ rows for R4, and the No-Neighbors ablation
-// still counts γ edges — each must match the one-shard run exactly.
+// Sharding composes with the rule ablations: R4 reads the demanded γ₁
+// rows, R3-off still builds γ rows for R4, and the No-Neighbors ablation
+// still counts γ edges — each must match the one-worker run exactly.
 func TestResolveShardedRuleAblations(t *testing.T) {
 	k1, k2 := skewedKBs(120)
 	cases := map[string]matching.Config{
@@ -114,60 +127,24 @@ func TestResolveShardedRuleAblations(t *testing.T) {
 		"nothingButR1": {Theta: 0.6, EnableR1: true},
 	}
 	for name, rules := range cases {
-		cfg := Config{Rules: &rules}
-		_, want := resolveSpans(t, k1, k2, cfg, 1)
-		for _, p := range []int{2, 5} {
-			if _, sum := resolveSpans(t, k1, k2, cfg, p); sum != want {
-				t.Errorf("%s: output differs at %d spans", name, p)
+		want, got := shardedDigests(t, k1, k2, Config{Rules: &rules}, []int{2, 5})
+		for w, sum := range got {
+			if sum != want {
+				t.Errorf("%s: output differs at %d workers", name, w)
 			}
 		}
 	}
 }
 
-func TestShardSpans(t *testing.T) {
-	if spans := shardSpans(0, 4); spans != nil {
-		t.Errorf("shardSpans(0, 4) = %v, want nil", spans)
-	}
-	spans := shardSpans(10, 3)
-	if len(spans) != 3 {
-		t.Fatalf("shardSpans(10, 3) = %v, want 3 spans", spans)
-	}
-	lo := 0
-	total := 0
-	for _, s := range spans {
-		if s.Lo != lo || s.Hi <= s.Lo {
-			t.Fatalf("spans not contiguous ascending: %v", spans)
-		}
-		lo = s.Hi
-		total += s.Len()
-	}
-	if total != 10 || lo != 10 {
-		t.Errorf("spans do not cover [0,10): %v", spans)
-	}
-	if spans := shardSpans(2, 8); len(spans) != 2 {
-		t.Errorf("shardSpans(2, 8) = %v, want 2 non-empty spans", spans)
-	}
-}
-
 func TestResolveShardedEmptyKBs(t *testing.T) {
-	out, _ := resolveSpans(t, kb.NewBuilder("a").Build(), kb.NewBuilder("b").Build(), Config{}, 4)
+	out, _ := resolveDigest(t, kb.NewBuilder("a").Build(), kb.NewBuilder("b").Build(), Config{Workers: 4})
 	if len(out.Matches) != 0 || out.GraphEdges != 0 {
-		t.Errorf("empty run in 4 spans produced output: %+v", out)
+		t.Errorf("empty run at 4 workers produced output: %+v", out)
 	}
 }
 
-// A shard count far above |E1| degrades to one entity per shard and still
-// reproduces the one-shard output (Figure 1 fixture).
-func TestResolveShardedMoreShardsThanEntities(t *testing.T) {
-	w, d := testkb.Figure1()
-	_, want := resolveSpans(t, w, d, Config{}, 1)
-	if _, sum := resolveSpans(t, w, d, Config{}, 1000); sum != want {
-		t.Error("one entity per span differs from one span")
-	}
-}
-
-// An expired deadline must abort a resolution in many shards promptly, like
-// one in a single shard.
+// An expired deadline must abort a resolution over a built substrate
+// promptly, at several workers as at one.
 func TestResolveShardedContextCancelled(t *testing.T) {
 	k1, k2 := skewedKBs(200)
 	sub, err := BuildSubstrate(context.Background(), k1, k2, Config{})
@@ -177,8 +154,8 @@ func TestResolveShardedContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 	defer cancel()
 	start := time.Now()
-	if _, err := ResolveWithSpans(ctx, sub, Config{}, 4); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("4 spans past deadline = %v, want context.DeadlineExceeded", err)
+	if _, err := ResolveWith(ctx, sub, Config{Workers: 4}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("4 workers past deadline = %v, want context.DeadlineExceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("cancellation took %v, want prompt return", elapsed)

@@ -145,14 +145,12 @@ func TestBuiltOpenedReadDigestsAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			for kind, sub := range map[string]*core.Substrate{"built": built, "opened": opened.Substrate(), "read": read.Substrate()} {
-				for _, spans := range []int{1, 8} {
-					out, err := core.ResolveWithSpans(ctx, sub, core.Config{Workers: workers}, spans)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if core.Digest(t, sub, out) != want {
-						t.Errorf("%s: %s substrate, workers=%d spans=%d: digest differs from Resolve", f.name, kind, workers, spans)
-					}
+				out, err := core.ResolveWith(ctx, sub, core.Config{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if core.Digest(t, sub, out) != want {
+					t.Errorf("%s: %s substrate, workers=%d: digest differs from Resolve", f.name, kind, workers)
 				}
 				if builds, loaded := sub.GraphBuilds(), kind != "built"; (loaded && builds != 0) || (!loaded && builds != 1) {
 					t.Errorf("%s: %s substrate built its graph %d times", f.name, kind, builds)

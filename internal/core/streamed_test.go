@@ -15,14 +15,14 @@ import (
 	"minoaner/internal/snapshot"
 )
 
-// The batch resolve streams E1's γ rows and computes only those R3 and R4
-// read; the reference materializes every row (graph.BuildTimedCtx) and
-// matches over all of them (matching.RunCtx). Both must agree on every
-// match with its rule, on R4's removals and on the graph's edge count, for
-// every Table-4 configuration, span plan and worker count, at the
-// substrate's K and at a K a private graph is built for — on a built
-// substrate and on one reopened from its snapshot. The race step of CI runs
-// this at workers=2, where the row demand is read while spans fill.
+// The batch resolve computes only the E1-side γ rows R3 and R4 read; the
+// reference materializes every row (graph.BuildTimedCtx) and matches over
+// all of them (matching.RunCtx). Both must agree on every match with its
+// rule, on R4's removals and on the graph's edge count, for every Table-4
+// configuration and worker count, at the substrate's K and at a K a private
+// graph is built for — on a built substrate and on one reopened from its
+// snapshot. The race step of CI runs this at workers=2, where the row
+// demand is read while the rows fill.
 func TestStreamedResolveMatchesMaterialized(t *testing.T) {
 	full := matching.DefaultConfig()
 	without := func(drop func(c *matching.Config)) matching.Config {
@@ -93,22 +93,20 @@ func TestStreamedResolveMatchesMaterialized(t *testing.T) {
 					if len(ref.Matches) == 0 {
 						t.Fatalf("%s %s %s: no matches; test is vacuous", profile.Name, kind, name)
 					}
-					for _, spans := range []int{1, 3} {
-						for _, workers := range []int{1, 2} {
-							out, err := core.ResolveWithSpans(ctx, sub, core.Config{TopK: k, Rules: &rules, Workers: workers}, spans)
-							if err != nil {
-								t.Fatal(err)
-							}
-							at := fmt.Sprintf("%s %s K=%d %s spans=%d workers=%d", profile.Name, kind, k, name, spans, workers)
-							if !reflect.DeepEqual(out.Matches, ref.Matches) {
-								t.Errorf("%s: %d streamed matches differ from the %d materialized ones", at, len(out.Matches), len(ref.Matches))
-							}
-							if out.RemovedByR4 != ref.RemovedByR4 {
-								t.Errorf("%s: R4 removed %d, materialized %d", at, out.RemovedByR4, ref.RemovedByR4)
-							}
-							if out.GraphEdges != g.Edges() {
-								t.Errorf("%s: %d graph edges, materialized %d", at, out.GraphEdges, g.Edges())
-							}
+					for _, workers := range []int{1, 2} {
+						out, err := core.ResolveWith(ctx, sub, core.Config{TopK: k, Rules: &rules, Workers: workers})
+						if err != nil {
+							t.Fatal(err)
+						}
+						at := fmt.Sprintf("%s %s K=%d %s workers=%d", profile.Name, kind, k, name, workers)
+						if !reflect.DeepEqual(out.Matches, ref.Matches) {
+							t.Errorf("%s: %d streamed matches differ from the %d materialized ones", at, len(out.Matches), len(ref.Matches))
+						}
+						if out.RemovedByR4 != ref.RemovedByR4 {
+							t.Errorf("%s: R4 removed %d, materialized %d", at, out.RemovedByR4, ref.RemovedByR4)
+						}
+						if out.GraphEdges != g.Edges() {
+							t.Errorf("%s: %d graph edges, materialized %d", at, out.GraphEdges, g.Edges())
 						}
 					}
 				}

@@ -62,10 +62,9 @@ type Graph struct {
 	// Beta1 row i holds up to K candidates sorted by decreasing valueSim.
 	Beta1, Beta2 Rows[Edge]
 	// Gamma2 row j holds up to K candidates sorted by decreasing
-	// neighborNSim. Gamma1 — the largest per-node structure — has no rows
-	// unless BuildTimedCtx materialized it: consumers stream the rows they
-	// will read in spans (Gamma1Span), or compute one (Gamma1RowFor) from
-	// the inputs below.
+	// neighborNSim. Gamma1 has no rows unless BuildTimedCtx materialized it:
+	// consumers build the rows they will read (Gamma1Rows), or compute one
+	// (Gamma1RowFor), from the inputs below.
 	Gamma1, Gamma2 Rows[Edge]
 	// Gamma1Edges is the number of edges the E1-side γ rows hold, counted
 	// once when the graph is built, whether Gamma1 is materialized or not.
@@ -109,7 +108,7 @@ type Timings struct {
 	// (Figure 4), so they are timed as one barrier. Gamma covers the
 	// adjacency merges, the in-neighbor reversals and the E2-side γ rows; the
 	// E1-side rows are added by whoever produces them (BuildTimedCtx, or the
-	// pipeline as it streams them through matching).
+	// pipeline as it builds the ones matching reads).
 	Beta, Gamma time.Duration
 }
 
@@ -164,7 +163,7 @@ func BuildSharedCtx(ctx context.Context, e *parallel.Engine, in Input, top1, top
 	err = e.ConcurrentCtx(ctx,
 		func(sc context.Context) (err error) {
 			in1 := TopInNeighbors(top1)
-			g.Gamma2, g.Gamma1Edges, err = gammaRows(sc, ce, parallel.Span{Lo: 0, Hi: n2}, top2, adj2, in1, in.K, nil, Rows[Edge]{}, true)
+			g.Gamma2, g.Gamma1Edges, err = gammaRows(sc, ce, top2, adj2, in1, in.K, nil, true)
 			return err
 		},
 		func(context.Context) error {
@@ -190,7 +189,7 @@ func BuildTimedCtx(ctx context.Context, e *parallel.Engine, in Input) (*Graph, T
 		return nil, tm, err
 	}
 	t0 := time.Now()
-	if g.Gamma1, err = g.Gamma1Span(ctx, e, parallel.Span{Lo: 0, Hi: in.K1.Len()}, nil, Rows[Edge]{}); err != nil {
+	if g.Gamma1, err = g.Gamma1Rows(ctx, e, nil); err != nil {
 		return nil, tm, err
 	}
 	tm.Gamma += time.Since(t0)
@@ -242,7 +241,7 @@ func buildAlpha(nameBlocks *blocking.Collection, n1, n2 int) (alpha1, alpha2 Row
 // retained weight — are bit-identical to the map-based reference the
 // property tests keep.
 func BetaRowsCtx(ctx context.Context, e *parallel.Engine, ix *blocking.TokenIndex, from *kb.KB, otherLen int, fromIsE1 bool, k int) (Rows[Edge], error) {
-	rows, _, err := emitRows(ctx, e, from.Len(), otherLen, k, nil, Rows[Edge]{}, false, func(board *Scoreboard, i int) error {
+	rows, _, err := emitRows(ctx, e, from.Len(), otherLen, k, nil, false, func(board *Scoreboard, i int) error {
 		ix.ForEachSharedTokens(from.TokenIDs(kb.EntityID(i)), fromIsE1, func(w float64, others []kb.EntityID) {
 			for _, o := range others {
 				board.Add(o, w)
@@ -254,26 +253,21 @@ func BetaRowsCtx(ctx context.Context, e *parallel.Engine, ix *blocking.TokenInde
 }
 
 // gammaRows propagates β weights to in-neighbor pairs (Algorithm 1, lines
-// 20–33) for one side's contiguous node span: if valueSim(x, y) = β and x is
-// a top neighbor of a while y is a top neighbor of b, then β contributes to
-// neighborNSim(a, b). Row i holds the pruned candidates of node s.Lo+i. top
-// is the side's own top-neighbor lists, adj its merged undirected β
-// adjacency — both directions' retained edges, so no contribution is
-// counted twice — and inOther the reverse top-neighbor index of the OTHER
-// side, whose length is also the candidate ID space. Rows are per-node
-// independent, so concatenating spans in order reproduces the full-range
-// pass exactly; per-candidate sums follow the neighbor-walk order of the
-// map-based reference, keeping the weights bit-identical. need (indexed by
-// the side's node IDs, nil for every row), reuse and mirror are those of
-// emitRows. γ's support is symmetric — a touches b exactly when b touches a
-// — so with mirror set, a pass over every node of one side counts the edges
-// of the other side's rows.
-func gammaRows(ctx context.Context, e *parallel.Engine, s parallel.Span, top Rows[kb.EntityID], adj Rows[Edge], inOther Rows[kb.EntityID], k int, need []bool, reuse Rows[Edge], mirror bool) (Rows[Edge], int, error) {
-	if need != nil {
-		need = need[s.Lo:s.Hi]
-	}
-	return emitRows(ctx, e, s.Len(), inOther.Len(), k, need, reuse, mirror, func(board *Scoreboard, i int) error {
-		return addGamma(board, top.Row(s.Lo+i), adj, inOther)
+// 20–33) for every node of one side: if valueSim(x, y) = β and x is a top
+// neighbor of a while y is a top neighbor of b, then β contributes to
+// neighborNSim(a, b). Row i holds the pruned candidates of node i. top is
+// the side's own top-neighbor lists, adj its merged undirected β adjacency
+// — both directions' retained edges, so no contribution is counted twice —
+// and inOther the reverse top-neighbor index of the OTHER side, whose
+// length is also the candidate ID space. Per-candidate sums follow the
+// neighbor-walk order of the map-based reference, keeping the weights
+// bit-identical. need (one flag per node, nil for every row) and mirror are
+// those of emitRows. γ's support is symmetric — a touches b exactly when b
+// touches a — so with mirror set, a pass over every node of one side counts
+// the edges of the other side's rows.
+func gammaRows(ctx context.Context, e *parallel.Engine, top Rows[kb.EntityID], adj Rows[Edge], inOther Rows[kb.EntityID], k int, need []bool, mirror bool) (Rows[Edge], int, error) {
+	return emitRows(ctx, e, top.Len(), inOther.Len(), k, need, mirror, func(board *Scoreboard, i int) error {
+		return addGamma(board, top.Row(i), adj, inOther)
 	})
 }
 
@@ -308,18 +302,16 @@ func addGamma(board *Scoreboard, top []kb.EntityID, adj Rows[Edge], in Rows[kb.E
 	return nil
 }
 
-// Gamma1Span computes the γ rows of one contiguous E1 span — s.Len() rows,
-// row i describing entity s.Lo+i. need, when not nil, flags per E1 entity
-// the rows a consumer will read: every other row comes back empty and costs
-// neither work nor memory, the array holding the needed rows alone.
-// Consumers that walk all of E1 pull the rows span by span and hand each set
-// back as reuse when asking for the next, so the arrays and the workers'
-// scoreboards are created once for the whole walk (emitRows). The walk
-// checks the Top1, Adj1 and In2 entries it follows (addGamma), so it may run
-// over a graph that only passed CheckShape. The edge count of all rows is
-// Gamma1Edges.
-func (g *Graph) Gamma1Span(ctx context.Context, e *parallel.Engine, s parallel.Span, need []bool, reuse Rows[Edge]) (Rows[Edge], error) {
-	rows, _, err := gammaRows(ctx, e.Chunked(), s, g.Top1, g.Adj1, g.In2, g.K, need, reuse, false)
+// Gamma1Rows computes the γ rows of E1, one per entity, in one walk. need,
+// when not nil, flags per E1 entity the rows a consumer will read: every
+// other row comes back empty and costs neither work nor memory, so the
+// array holds (needed rows) × min(K, n2) edges at most, and at worst
+// n1 × min(K, n2): the bound the β₁ rows the graph holds are built under.
+// The walk checks the Top1, Adj1 and In2 entries it follows (addGamma), so
+// it may run over a graph that only passed CheckShape. The edge count of
+// all rows is Gamma1Edges.
+func (g *Graph) Gamma1Rows(ctx context.Context, e *parallel.Engine, need []bool) (Rows[Edge], error) {
+	rows, _, err := gammaRows(ctx, e.Chunked(), g.Top1, g.Adj1, g.In2, g.K, need, false)
 	return rows, err
 }
 
@@ -466,11 +458,21 @@ func transposeEdges(r Rows[Edge], n int) Rows[Edge] {
 	return t
 }
 
-// HasDirectedEdge2 reports whether the directed edge from E2 node e2 to E1
-// node e1 survived pruning under any evidence (α, β or γ).
-func (g *Graph) HasDirectedEdge2(e2, e1 kb.EntityID) bool {
-	return slices.Contains(g.Alpha2.Row(int(e2)), e1) ||
-		indexEdge(g.Beta2.Row(int(e2)), e1) >= 0 || indexEdge(g.Gamma2.Row(int(e2)), e1) >= 0
+// HasEdge2 reports whether the directed edge from E2 node e2 to E1 node e1
+// survived pruning under any evidence (α, β or γ) — the E2 leg of rule R4's
+// G.E membership test, which the batch matcher and the query path share. It
+// scans the α, β and γ rows of e2 in turn, up to the first that holds the
+// edge, and checks what it scans against the n1 entities of E1 (ContainsID,
+// ContainsEdge), so a graph that only passed CheckShape can be asked. e2
+// must be an E2 entity.
+func (g *Graph) HasEdge2(e2, e1 kb.EntityID, n1 int) (bool, error) {
+	if has, err := ContainsID(g.Alpha2.Row(int(e2)), e1, n1); has || err != nil {
+		return has, err
+	}
+	if has, err := ContainsEdge(g.Beta2.Row(int(e2)), e1, n1); has || err != nil {
+		return has, err
+	}
+	return ContainsEdge(g.Gamma2.Row(int(e2)), e1, n1)
 }
 
 // EdgeListContains reports whether an edge list holds an edge to the given

@@ -155,18 +155,33 @@ func TestHasDirectedEdge(t *testing.T) {
 	chef1 := w.Lookup("w:JohnLakeA")
 	chef2 := d.Lookup("d:JonnyLake")
 	// The E1→E2 edge under α or β evidence; R4 adds γ₁ from the rows it
-	// streams.
+	// builds.
 	hasEdge1NoGamma := func(e1, e2 kb.EntityID) bool {
 		return slices.Contains(g.Alpha1.Row(int(e1)), e2) || EdgeListContains(g.Beta1.Row(int(e1)), e2)
 	}
-	if !hasEdge1NoGamma(chef1, chef2) || !g.HasDirectedEdge2(chef2, chef1) {
-		t.Error("chef pair must be reciprocally connected")
+	if has, err := g.HasEdge2(chef2, chef1, w.Len()); !hasEdge1NoGamma(chef1, chef2) || !has || err != nil {
+		t.Errorf("chef pair must be reciprocally connected (E2→E1: %v, %v)", has, err)
 	}
 	uk := w.Lookup("w:UK")
 	// UK shares tokens with England ("england"? no: UK's tokens are
 	// "united kingdom"); it should have no edge to the chef.
 	if hasEdge1NoGamma(uk, chef2) || EdgeListContains(g.Gamma1.Row(int(uk)), chef2) {
 		t.Error("UK → chef edge should not exist")
+	}
+	if has, err := g.HasEdge2(chef2, uk, w.Len()); has || err != nil {
+		t.Errorf("chef → UK edge = (%v, %v), want none", has, err)
+	}
+	// A target outside E1 in a row the scan reads is refused, not skipped.
+	for _, rows := range []Rows[Edge]{g.Beta2, g.Gamma2} {
+		if row := rows.Row(int(chef2)); len(row) > 0 {
+			saved := row[0]
+			rows.Flat[rows.Off[chef2]] = NewEdge(kb.EntityID(w.Len()), saved.Weight())
+			has, err := g.HasEdge2(chef2, uk, w.Len())
+			rows.Flat[rows.Off[chef2]] = saved
+			if has || !errors.Is(err, ErrOutOfRange) {
+				t.Errorf("damaged row: HasEdge2 = (%v, %v), want ErrOutOfRange", has, err)
+			}
+		}
 	}
 }
 
@@ -346,9 +361,8 @@ func BenchmarkBuildAlphaSkewedNames(b *testing.B) {
 }
 
 // The shared graph must be the materialized one minus Gamma1, and the γ1
-// rows pulled from it span by span, concatenated in span order, must equal
-// the materialized Gamma1 for every span plan.
-func TestGamma1SpansMatchMaterialized(t *testing.T) {
+// rows computed from it in one walk must equal the materialized Gamma1.
+func TestGamma1RowsMatchMaterialized(t *testing.T) {
 	w, d := testkb.Figure1()
 	in := InputFor(seq, w, d, 2, 5, 2)
 	want := mustBuild(t, seq, in)
@@ -364,18 +378,12 @@ func TestGamma1SpansMatchMaterialized(t *testing.T) {
 	if !reflect.DeepEqual(g, &whole) {
 		t.Error("shared graph differs from the materialized one outside Gamma1")
 	}
-	for _, p := range []int{1, 2, 3, 16} {
-		var gamma1 [][]Edge
-		for _, s := range parallel.New(p).Partitions(w.Len()) {
-			rows, err := g.Gamma1Span(context.Background(), seq, s, nil, Rows[Edge]{})
-			if err != nil {
-				t.Fatalf("p=%d span %v: %v", p, s, err)
-			}
-			gamma1 = append(gamma1, slicesOf(rows)...)
-		}
-		if !reflect.DeepEqual(gamma1, slicesOf(want.Gamma1)) {
-			t.Errorf("p=%d: concatenated gamma1 rows differ", p)
-		}
+	rows, err := g.Gamma1Rows(context.Background(), seq, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(slicesOf(rows), slicesOf(want.Gamma1)) {
+		t.Error("gamma1 rows differ from the materialized ones")
 	}
 	if err := errors.Join(g.CheckShape(w.Len(), d.Len()), g.CheckTargets(seq, w.Len(), d.Len())); err != nil {
 		t.Errorf("a built graph must pass both checks: %v", err)

@@ -71,10 +71,10 @@ func betaRowsMap(ctx context.Context, e *parallel.Engine, ix *blocking.TokenInde
 }
 
 // gammaRowsMap is the map-based reference of gammaRows.
-func gammaRowsMap(ctx context.Context, e *parallel.Engine, s parallel.Span, top [][]kb.EntityID, adj [][]Edge, inOther [][]kb.EntityID, k int) ([][]Edge, error) {
-	return parallel.MapCtx(ctx, e, s.Len(), func(i int) ([]Edge, error) {
+func gammaRowsMap(ctx context.Context, e *parallel.Engine, top [][]kb.EntityID, adj [][]Edge, inOther [][]kb.EntityID, k int) ([][]Edge, error) {
+	return parallel.MapCtx(ctx, e, len(top), func(i int) ([]Edge, error) {
 		var acc map[kb.EntityID]float64
-		for _, na := range top[s.Lo+i] {
+		for _, na := range top[i] {
 			for _, edge := range adj[na] {
 				ins := inOther[edge.To]
 				if len(ins) == 0 {

@@ -16,11 +16,6 @@ import (
 type Rows[T any] struct {
 	Off  []int64
 	Flat []T
-
-	// walk is set on the rows of one span of a streamed walk (emitRows with
-	// a demand): the scratch the next span of the walk takes over when it is
-	// handed these rows as reuse.
-	walk *spanWalk
 }
 
 // Len returns the number of rows.

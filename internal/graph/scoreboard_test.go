@@ -243,9 +243,7 @@ func randomGammaInputs(r *rand.Rand, n1, n2 int) (top [][]kb.EntityID, adj [][]E
 }
 
 // The scoreboard γ pass must reproduce the map reference for any worker
-// count, and concatenating arbitrary span partitions must reproduce the
-// full-range pass — the invariant streamed γ1 rows rely on, over reused
-// scratch state.
+// count, over per-worker scratch reused from row to row.
 func TestGammaRowsScoreboardMatchesMapReference(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	ctx := context.Background()
@@ -253,33 +251,18 @@ func TestGammaRowsScoreboardMatchesMapReference(t *testing.T) {
 		n1, n2 := 30+r.Intn(50), 30+r.Intn(50)
 		top, adj, inOther := randomGammaInputs(r, n1, n2)
 		flatAdj, flatIn := RowsOf(adj), RowsOf(inOther)
-		full := parallel.Span{Lo: 0, Hi: n1}
-		want, err := gammaRowsMap(ctx, parallel.Sequential(), full, top, adj, inOther, 4)
+		want, err := gammaRowsMap(ctx, parallel.Sequential(), top, adj, inOther, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, e := range []*parallel.Engine{parallel.Sequential(), parallel.New(3).Chunked(), parallel.New(8)} {
-			got, _, err := gammaRows(ctx, e, full, RowsOf(top), flatAdj, flatIn, 4, nil, Rows[Edge]{}, false)
+			got, _, err := gammaRows(ctx, e, RowsOf(top), flatAdj, flatIn, 4, nil, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(slicesOf(got), want) {
 				t.Fatalf("trial %d workers=%d: scoreboard γ rows differ from map reference", trial, e.Workers())
 			}
-		}
-		// Span concatenation in span order == full range, for a random cut.
-		var rows [][]Edge
-		for lo := 0; lo < n1; {
-			hi := lo + 1 + r.Intn(n1-lo)
-			part, _, err := gammaRows(ctx, parallel.New(2).Chunked(), parallel.Span{Lo: lo, Hi: hi}, RowsOf(top), flatAdj, flatIn, 4, nil, Rows[Edge]{}, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows = append(rows, slicesOf(part)...)
-			lo = hi
-		}
-		if !reflect.DeepEqual(rows, want) {
-			t.Fatalf("trial %d: concatenated γ spans differ from full-range pass", trial)
 		}
 	}
 }
@@ -291,96 +274,47 @@ func randomGamma1Graph(r *rand.Rand, n1, n2, k int) *Graph {
 	return &Graph{Top1: RowsOf(top), Adj1: RowsOf(adj), In2: RowsOf(in2), K: k}
 }
 
-// A span computed for a demand must hold, in every needed row, the row the
-// full pass computes, and leave every other row empty — whatever K, span
-// plan or worker count, and with reused arrays. Its array holds the needed
-// rows alone: a fresh one has room for no more than (needed rows) ×
-// min(K, n2) edges. A later span of the walk takes over the arrays and the
-// workers' scoreboards of the span before it, growing the array only when
-// it needs more room.
-func TestGamma1SpanComputesOnlyNeededRows(t *testing.T) {
+// The rows computed for a demand must hold, in every needed row, the row the
+// full pass computes, and leave every other row empty — whatever K or worker
+// count. Their array holds the needed rows alone: it has room for no more
+// than (needed rows) × min(K, n2) edges.
+func TestGamma1RowsComputesOnlyNeededRows(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	ctx := context.Background()
 	for trial := 0; trial < 40; trial++ {
 		n1, n2 := 20+r.Intn(60), 20+r.Intn(60)
 		g := randomGamma1Graph(r, n1, n2, []int{1, 2, 4, 15}[trial%4])
-		full, err := g.Gamma1Span(ctx, seq, parallel.Span{Lo: 0, Hi: n1}, nil, Rows[Edge]{})
+		full, err := g.Gamma1Rows(ctx, seq, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		need := make([]bool, n1)
+		needed := 0
 		for i := range need {
-			need[i] = r.Intn(3) == 0
+			if need[i] = r.Intn(3) == 0; need[i] {
+				needed++
+			}
 		}
-		stride := min(g.K, n2)
 		e := []*parallel.Engine{seq, parallel.New(2), parallel.New(5)}[trial%3]
-		var rows Rows[Edge]
-		for si, s := range parallel.New(1 + r.Intn(4)).Partitions(n1) {
-			needed := 0
-			for _, ok := range need[s.Lo:s.Hi] {
-				if ok {
-					needed++
-				}
+		rows, err := g.Gamma1Rows(ctx, e, need)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stride := min(g.K, n2); cap(rows.Flat) > needed*stride {
+			t.Fatalf("trial %d workers=%d: the array holds %d edges for %d needed rows of at most %d", trial, e.Workers(), cap(rows.Flat), needed, stride)
+		}
+		if rows.Len() != n1 {
+			t.Fatalf("trial %d: %d rows for %d entities", trial, rows.Len(), n1)
+		}
+		for i := range n1 {
+			want := full.Row(i)
+			if !need[i] {
+				want = nil
 			}
-			fresh, err := g.Gamma1Span(ctx, e, s, need, Rows[Edge]{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cap(fresh.Flat) > needed*stride {
-				t.Fatalf("trial %d span %d: a fresh array holds %d edges for %d needed rows of at most %d", trial, si, cap(fresh.Flat), needed, stride)
-			}
-			prev := rows
-			if rows, err = g.Gamma1Span(ctx, e, s, need, rows); err != nil {
-				t.Fatal(err)
-			}
-			if si > 0 {
-				if rows.walk != prev.walk || len(rows.walk.boards) > e.Workers() {
-					t.Fatalf("trial %d span %d: the walk's scoreboards were not reused (%d boards at %d workers)", trial, si, len(rows.walk.boards), e.Workers())
-				}
-				if fits := cap(prev.Flat) >= needed*stride; fits && needed > 0 && &rows.Flat[:1][0] != &prev.Flat[:1][0] {
-					t.Fatalf("trial %d span %d: an array with room for %d edges was not reused for %d rows", trial, si, cap(prev.Flat), needed)
-				}
-				if &rows.Off[0] != &prev.Off[0] && cap(prev.Off) >= s.Len()+1 {
-					t.Fatalf("trial %d span %d: the offset table was not reused", trial, si)
-				}
-			}
-			for i := s.Lo; i < s.Hi; i++ {
-				want := full.Row(i)
-				if !need[i] {
-					want = nil
-				}
-				if got := rows.Row(i - s.Lo); !slices.Equal(got, want) {
-					t.Fatalf("trial %d row %d (needed %v): got %v, want %v", trial, i, need[i], got, want)
-				}
+			if got := rows.Row(i); !slices.Equal(got, want) {
+				t.Fatalf("trial %d workers=%d row %d (needed %v): got %v, want %v", trial, e.Workers(), i, need[i], got, want)
 			}
 		}
-	}
-}
-
-// Streaming every span of a resolve through one reused row set must
-// allocate no more when half the rows are not needed than when all are: a
-// half-empty span must not be trimmed to its size, or the next span could
-// not reuse it.
-func TestGamma1SpanDemandKeepsReuse(t *testing.T) {
-	g := randomGamma1Graph(rand.New(rand.NewSource(31)), 2000, 600, 4)
-	spans := parallel.New(4).Partitions(g.Top1.Len())
-	half := make([]bool, g.Top1.Len())
-	for i := range half {
-		half[i] = i%2 == 0
-	}
-	stream := func(need []bool) float64 {
-		return testing.AllocsPerRun(10, func() {
-			var rows Rows[Edge]
-			for _, s := range spans {
-				var err error
-				if rows, err = g.Gamma1Span(context.Background(), seq, s, need, rows); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
-	}
-	if all, demand := stream(nil), stream(half); demand > all {
-		t.Errorf("streaming with half the rows needed allocates %v times, with all rows %v", demand, all)
 	}
 }
 
@@ -422,12 +356,11 @@ func BenchmarkGammaRowsStage(b *testing.B) {
 	r := rand.New(rand.NewSource(42))
 	top, adj, inOther := randomGammaInputs(r, 2000, 2000)
 	eng := parallel.New(0)
-	full := parallel.Span{Lo: 0, Hi: len(top)}
 	flatAdj, flatIn := RowsOf(adj), RowsOf(inOther)
 	b.Run("scoreboard", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := gammaRows(context.Background(), eng, full, RowsOf(top), flatAdj, flatIn, 15, nil, Rows[Edge]{}, false); err != nil {
+			if _, _, err := gammaRows(context.Background(), eng, RowsOf(top), flatAdj, flatIn, 15, nil, false); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -435,7 +368,7 @@ func BenchmarkGammaRowsStage(b *testing.B) {
 	b.Run("map", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := gammaRowsMap(context.Background(), eng, full, top, adj, inOther, 15); err != nil {
+			if _, err := gammaRowsMap(context.Background(), eng, top, adj, inOther, 15); err != nil {
 				b.Fatal(err)
 			}
 		}

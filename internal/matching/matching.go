@@ -17,6 +17,7 @@ package matching
 import (
 	"cmp"
 	"context"
+	"fmt"
 
 	"minoaner/internal/eval"
 	"minoaner/internal/graph"
@@ -106,17 +107,170 @@ type matcher struct {
 	matches  []Match
 }
 
+// GammaFor supplies the E1-side γ candidate rows (graph.Graph.Gamma1Rows
+// behind a timing wrapper in the core pipeline). The returned set must hold
+// one row per E1 entity. need flags, per E1 entity, the rows Algorithm 2
+// can read (see demand); a row whose flag is false may come back empty.
+// RunOnDemandCtx calls it once, after R2 and the E2-side R3 picks. An
+// error, such as a damaged input the rows follow, ends the run.
+type GammaFor func(ctx context.Context, need []bool) (graph.Rows[graph.Edge], error)
+
+// RunOnDemandCtx executes Algorithm 2 — the one matcher loop — over a graph
+// whose E1-side γ rows are not held: once R2 and the E2-side R3 picks have
+// fixed which rows the rules can read (demand), those rows are pulled from
+// gammaFor in one walk, and R3 and R4 read them there.
+// Candidate evaluation in R2/R3 is skewed per entity, so those passes use
+// the dynamic chunked scheduler; cancellation is observed between rules and
+// between chunks within a rule.
+//
+// The output does not depend on the worker count: R1 and R2 commit in
+// entity order; R3 takes its E2-side pick snapshot before any R3 commit,
+// computes every E1-side pick, and then commits in ascending E1 order; R4 —
+// both directed edges must exist in the pruned graph (lines 24–26) — reads
+// the graph and the γ₁ rows only.
+//
+// Only the γ rows the rules can read are asked for. R3 can commit an E1
+// entity only if some E2 entity picks it, so no other E1 entity is
+// aggregated, and no other row is built for R3.
+//
+// g may come from a file with only its shape checked (graph.CheckShape):
+// every rule checks the α, β and γ₂ entries it reads before it uses them
+// (graph.CheckIDs, CheckEdges, ContainsID, ContainsEdge), so a damaged
+// entry gives graph.ErrOutOfRange or graph.ErrBadWeight before any result
+// that reads it, and a run that does not read it is not affected.
+func RunOnDemandCtx(ctx context.Context, e *parallel.Engine, g *graph.Graph, k1, k2 *kb.KB, cfg Config, gammaFor GammaFor) (*Result, error) {
+	m := &matcher{
+		g: g, k1: k1, k2: k2, cfg: cfg, eng: e.Chunked(),
+		matched1: make([]bool, k1.Len()),
+		matched2: make([]bool, k2.Len()),
+		// The assignment is one-to-one, so this bound is never outgrown.
+		matches: make([]Match, 0, min(k1.Len(), k2.Len())),
+	}
+	if cfg.EnableR1 {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if err := m.runR1(); err != nil {
+			return nil, err
+		}
+	}
+	if cfg.EnableR2 {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if err := m.runR2(); err != nil {
+			return nil, err
+		}
+	}
+	var pick2 []kb.EntityID
+	if cfg.EnableR3 {
+		var err error
+		if pick2, err = m.pick2All(ctx); err != nil {
+			return nil, err
+		}
+	}
+	need, cand, err := m.demand(pick2)
+	if err != nil {
+		return nil, err
+	}
+	gamma1, err := gammaFor(ctx, need)
+	if err != nil {
+		return nil, err
+	}
+	if gamma1.Len() != k1.Len() {
+		return nil, fmt.Errorf("matching: gammaFor returned %d rows for %d entities", gamma1.Len(), k1.Len())
+	}
+	if cfg.EnableR3 {
+		picks, err := parallel.MapLocalCtx(ctx, m.eng, k1.Len(), newAggBoard,
+			func(sb *aggBoard, i int) (kb.EntityID, error) {
+				return m.pick1At(sb, cand, i, gamma1.Row(i))
+			})
+		if err != nil {
+			return nil, err
+		}
+		for i, to := range picks {
+			if to != kb.NoEntity && pick2[to] == kb.EntityID(i) {
+				m.commit(eval.Pair{E1: kb.EntityID(i), E2: to}, RuleRank)
+			}
+		}
+	}
+	res := &Result{}
+	if cfg.EnableR4 {
+		// Each test reads the graph and the γ₁ rows only, so they run in
+		// parallel; the filter keeps the matches' order.
+		keep, err := parallel.MapCtx(ctx, m.eng, len(m.matches), func(idx int) (bool, error) {
+			return m.reciprocal(m.matches[idx].Pair, gamma1)
+		})
+		if err != nil {
+			return nil, err
+		}
+		kept := m.matches[:0]
+		for idx, match := range m.matches {
+			if keep[idx] {
+				kept = append(kept, match)
+			} else {
+				res.RemovedByR4++
+			}
+		}
+		m.matches = kept
+	}
+	res.Matches = sortMatches(m.matches, k1.Len())
+	return res, nil
+}
+
 // RunCtx executes Algorithm 2 on a graph whose E1-side γ rows are
-// materialized (graph.BuildTimedCtx): the one-span form of RunShardedCtx,
-// with Gamma1 standing in for the streamed rows.
+// materialized (graph.BuildTimedCtx): RunOnDemandCtx with Gamma1 standing
+// in for the demanded rows.
 func RunCtx(ctx context.Context, e *parallel.Engine, g *graph.Graph, k1, k2 *kb.KB, cfg Config) (*Result, error) {
-	whole := []parallel.Span{{Lo: 0, Hi: k1.Len()}}
-	return RunShardedCtx(ctx, e, g, k1, k2, cfg, whole,
-		func(context.Context, parallel.Span, []bool) (graph.Rows[graph.Edge], error) { return g.Gamma1, nil })
+	return RunOnDemandCtx(ctx, e, g, k1, k2, cfg,
+		func(context.Context, []bool) (graph.Rows[graph.Edge], error) { return g.Gamma1, nil })
+}
+
+// demandEveryRow makes demand ask for every γ row and every unmatched E1
+// entity's R3 pick. Only tests set it, to show the narrow demand changes no
+// output.
+var demandEveryRow = false
+
+// demand returns, per E1 entity, whether Algorithm 2 can read its γ row
+// after R2 (need), and whether R3 can commit it (cand). R3 commits an
+// unmatched E1 entity only with an E2 entity that picks it (pick2), so only
+// those are candidates, and it reads a candidate's row only to fuse
+// neighbor evidence. R4 reads the row of an R1 or R2 match whose E1→E2 edge
+// the α and β rows do not hold. An R3 match needs nothing more: with
+// neighbor evidence its row is already needed, and without it its E2 entity
+// comes from the β row, where R4 finds the edge. The demand is taken
+// once, before R3 commits anything, so the workers that build the rows
+// read a value nothing writes. It checks the α and β rows it scans.
+func (m *matcher) demand(pick2 []kb.EntityID) (need, cand []bool, err error) {
+	need, cand = make([]bool, len(m.matched1)), make([]bool, len(m.matched1))
+	if demandEveryRow {
+		for i := range need {
+			need[i], cand[i] = true, m.cfg.EnableR3 && !m.matched1[i]
+		}
+		return need, cand, nil
+	}
+	for _, i := range pick2 {
+		if i != kb.NoEntity && !m.matched1[i] {
+			cand[i], need[i] = true, m.cfg.UseNeighbors
+		}
+	}
+	if m.cfg.EnableR4 {
+		for _, match := range m.matches {
+			p := match.Pair
+			has, err := m.hasEdge1NoGamma(p)
+			if err != nil {
+				return nil, nil, err
+			}
+			if !has {
+				need[p.E1] = true
+			}
+		}
+	}
+	return need, cand, nil
 }
 
 // sortMatches returns the matches ordered by (E1, E2) — the canonical
-// output order for every span plan. No two share an E1 entity (commit
+// output order whatever order they were committed in. No two share an E1 entity (commit
 // keeps the assignment one-to-one), so each is placed by its E1 ID, below
 // n1, without comparisons.
 func sortMatches(ms []Match, n1 int) []Match {
@@ -210,7 +364,7 @@ func (m *matcher) runR2() error {
 // worker (the worker-local-scratch discipline of the β/γ passes); commits
 // are sequential in entity order.
 //
-// RunShardedCtx drives it: pick2All first, then pick1At span by span.
+// RunOnDemandCtx drives it: pick2All first, then pick1At over E1.
 
 // pick is a candidate of one node under R3 with its fused score: an entry
 // of the aggregation board.
@@ -287,9 +441,8 @@ func (b *aggBoard) best() (kb.EntityID, float64) {
 
 func (b *aggBoard) reset() { b.cands, b.seen = b.cands[:0], 0 }
 
-// pick1At computes the R3 pick of E1 node i from its γ candidate row, which
-// the caller holds only while i's span is live, accumulating on the caller's
-// board; NoEntity unless i is an R3 candidate (cand, see demand). It checks
+// pick1At computes the R3 pick of E1 node i from its γ candidate row,
+// accumulating on the caller's board; NoEntity unless i is an R3 candidate (cand, see demand). It checks
 // the β row it fuses; the γ row was checked as it was built. A commit needs
 // the pick alone, not its score.
 func (m *matcher) pick1At(sb *aggBoard, cand []bool, i int, ngb []graph.Edge) (kb.EntityID, error) {
@@ -326,10 +479,9 @@ func (m *matcher) pick2All(ctx context.Context) ([]kb.EntityID, error) {
 }
 
 // hasEdge1NoGamma reports whether the directed edge of the pair p from E1
-// to E2 survived pruning under α or β evidence — with the γ₁ row, which the
-// caller holds while its span is live, the E1 leg of R4's G.E membership
-// test. It checks the rows as it scans them: the β row only when the α row
-// does not hold the edge.
+// to E2 survived pruning under α or β evidence — with the γ₁ row, the E1
+// leg of R4's G.E membership test. It checks the rows as it scans them: the
+// β row only when the α row does not hold the edge.
 func (m *matcher) hasEdge1NoGamma(p eval.Pair) (bool, error) {
 	n2 := m.k2.Len()
 	if has, err := graph.ContainsID(m.g.Alpha1.Row(int(p.E1)), p.E2, n2); has || err != nil {
@@ -339,23 +491,15 @@ func (m *matcher) hasEdge1NoGamma(p eval.Pair) (bool, error) {
 }
 
 // reciprocal is rule R4 for the match p (lines 24–26): both directed edges
-// exist in the pruned graph, E1→E2 under α, β or — gamma1, found while the
-// γ row was live — γ. Like graph.HasDirectedEdge2 it scans the α, β and γ
-// rows of p.E2 in turn, up to the first that holds the edge, checking what
-// it scans.
-func (m *matcher) reciprocal(p eval.Pair, gamma1 bool) (bool, error) {
+// exist in the pruned graph, E1→E2 under α, β or γ — the γ₁ row of p.E1 in
+// gamma1, built as it was walked — and E2→E1 under any evidence
+// (graph.Graph.HasEdge2). It checks the α, β and γ₂ entries it scans.
+func (m *matcher) reciprocal(p eval.Pair, gamma1 graph.Rows[graph.Edge]) (bool, error) {
 	has1, err := m.hasEdge1NoGamma(p)
-	if err != nil || !(has1 || gamma1) {
+	if err != nil || !(has1 || graph.EdgeListContains(gamma1.Row(int(p.E1)), p.E2)) {
 		return false, err
 	}
-	n1, e2 := m.k1.Len(), int(p.E2)
-	if has, err := graph.ContainsID(m.g.Alpha2.Row(e2), p.E1, n1); has || err != nil {
-		return has, err
-	}
-	if has, err := graph.ContainsEdge(m.g.Beta2.Row(e2), p.E1, n1); has || err != nil {
-		return has, err
-	}
-	return graph.ContainsEdge(m.g.Gamma2.Row(e2), p.E1, n1)
+	return m.g.HasEdge2(p.E2, p.E1, m.k1.Len())
 }
 
 // aggregate fuses the two ranked candidate lists of one node on the given

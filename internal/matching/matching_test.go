@@ -289,13 +289,13 @@ func TestAggregateScoreboardMatchesMapReference(t *testing.T) {
 // demanded serves the rows of a materialized Gamma1 the way a streaming
 // producer does: the rows the demand flags, and empty rows for the rest.
 func demanded(g *graph.Graph) GammaFor {
-	return func(_ context.Context, s parallel.Span, need []bool) (graph.Rows[graph.Edge], error) {
-		rows := graph.Rows[graph.Edge]{Off: make([]int64, s.Len()+1)}
-		for i := s.Lo; i < s.Hi; i++ {
-			if need[i] {
+	return func(_ context.Context, need []bool) (graph.Rows[graph.Edge], error) {
+		rows := graph.Rows[graph.Edge]{Off: make([]int64, len(need)+1)}
+		for i, ok := range need {
+			if ok {
 				rows.Flat = append(rows.Flat, g.Gamma1.Row(i)...)
 			}
-			rows.Off[i-s.Lo+1] = int64(len(rows.Flat))
+			rows.Off[i+1] = int64(len(rows.Flat))
 		}
 		return rows, nil
 	}
@@ -317,7 +317,6 @@ func TestRowDemandCoversR4(t *testing.T) {
 	b := kb.NewBuilder("B")
 	b.AddLiteral(b.AddEntity("B0"), "label", "x")
 	k1, k2 := twoEntityKB("A"), b.Build()
-	whole := []parallel.Span{{Lo: 0, Hi: k1.Len()}}
 	for name, cfg := range map[string]Config{
 		"R2+R4":    {Theta: 0.6, EnableR2: true, EnableR4: true, UseNeighbors: true},
 		"R2+R3+R4": {Theta: 0.6, EnableR2: true, EnableR3: true, EnableR4: true, UseNeighbors: true},
@@ -326,7 +325,7 @@ func TestRowDemandCoversR4(t *testing.T) {
 		if len(want.Matches) != 1 || want.RemovedByR4 != 0 {
 			t.Fatalf("%s: reference %+v, want the R2 match kept by its γ edge", name, want)
 		}
-		got, err := RunShardedCtx(context.Background(), seq, g, k1, k2, cfg, whole, demanded(g))
+		got, err := RunOnDemandCtx(context.Background(), seq, g, k1, k2, cfg, demanded(g))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +333,8 @@ func TestRowDemandCoversR4(t *testing.T) {
 			t.Errorf("%s: over the demanded rows %+v, over all rows %+v", name, got, want)
 		}
 	}
-	// The same on the Figure 1 graph, for every rule ablation and span plan.
+	// The same on the Figure 1 graph, for every rule ablation and worker
+	// count.
 	w, d := testkb.Figure1()
 	fig := buildGraph(t, seq, graph.InputFor(seq, w, d, 2, 5, 2))
 	for _, cfg := range []Config{
@@ -347,12 +347,12 @@ func TestRowDemandCoversR4(t *testing.T) {
 	} {
 		want := run(t, seq, fig, w, d, cfg)
 		for _, p := range []int{1, 3} {
-			got, err := RunShardedCtx(context.Background(), seq, fig, w, d, cfg, parallel.New(p).Partitions(w.Len()), demanded(fig))
+			got, err := RunOnDemandCtx(context.Background(), parallel.New(p), fig, w, d, cfg, demanded(fig))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%+v p=%d: over the demanded rows %+v, over all rows %+v", cfg, p, got, want)
+				t.Errorf("%+v workers=%d: over the demanded rows %+v, over all rows %+v", cfg, p, got, want)
 			}
 		}
 	}

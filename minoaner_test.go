@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -420,5 +421,104 @@ func damagedGraphRows(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The R4 back-edge flag a replay reports (QueryMatch.Reciprocal) is read as
+// the batch R4 reads it: checked. On BBCmusic-DBpedia ×0.1 read back from a
+// snapshot, one candidate of a replayed entity gets an out-of-range target
+// at the head of each of its α₂, β₂ and γ₂ rows that holds one. Replaying
+// that entity, by ID or through its re-description, fails with
+// graph.ErrOutOfRange instead of reporting a flag read from damaged rows; a
+// replay whose candidates exclude the damaged one answers as on the built
+// pair, and so does a description of a new entity, which has no back-edge
+// to test.
+func TestDamagedCandidateRowsFailReplay(t *testing.T) {
+	d, err := GenerateBenchmark(ScaleProfile(BBCMusicDBpediaProfile(), 0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cfg := context.Background(), Config{Workers: 1}
+	built, err := BuildSubstrate(ctx, d.K1, d.K2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var img bytes.Buffer
+	if err := WriteSnapshot(&img, built); err != nil {
+		t.Fatal(err)
+	}
+	qs, err := built.ExportQueryState(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := qs.Graph
+	n1 := built.K1().Len()
+	held := func(c EntityID) int {
+		k := 0
+		for _, off := range [][]int64{g.Alpha2.Off, g.Beta2.Off, g.Gamma2.Off} {
+			if off[c+1] > off[c] {
+				k++
+			}
+		}
+		return k
+	}
+	// The first entity with a reciprocal candidate whose three rows hold
+	// entries, and the first entity none of whose candidates is that one.
+	self, cand := kb.NoEntity, kb.NoEntity
+	replays := make([][]QueryMatch, n1)
+	for e := range n1 {
+		ms, err := ReplayEntity(ctx, built, EntityID(e), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replays[e] = ms
+		for _, m := range ms {
+			if self == kb.NoEntity && m.Reciprocal && held(m.Candidate) == 3 {
+				self, cand = EntityID(e), m.Candidate
+			}
+		}
+	}
+	if self == kb.NoEntity {
+		t.Fatal("no reciprocal candidate holds α₂, β₂ and γ₂ entries; the fixture no longer covers the case")
+	}
+	other := kb.NoEntity
+	for e, ms := range replays {
+		ranks := func(m QueryMatch) bool { return m.Candidate == cand }
+		if other == kb.NoEntity && len(ms) > 0 && !slices.ContainsFunc(ms, ranks) {
+			other = EntityID(e)
+		}
+	}
+	if other == kb.NoEntity {
+		t.Fatal("every replay ranks the damaged candidate; the fixture no longer covers the case")
+	}
+
+	loaded, err := ReadSnapshot(img.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := loaded.Substrate()
+	lqs, err := sub.ExportQueryState(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg := lqs.Graph
+	out := kb.EntityID(n1) // no E1 entity
+	lg.Alpha2.Flat[lg.Alpha2.Off[cand]] = out
+	for _, r := range []graph.Rows[graph.Edge]{lg.Beta2, lg.Gamma2} {
+		r.Flat[r.Off[cand]] = graph.NewEdge(out, r.Flat[r.Off[cand]].Weight())
+	}
+	if _, err := ReplayEntity(ctx, sub, self, cfg); !errors.Is(err, graph.ErrOutOfRange) {
+		t.Errorf("replay of entity %d, candidate %d damaged: error %v, want graph.ErrOutOfRange", self, cand, err)
+	}
+	if _, err := QueryEntity(ctx, sub, QueryFromEntity(sub.K1(), self), cfg); !errors.Is(err, graph.ErrOutOfRange) {
+		t.Errorf("re-description of entity %d, candidate %d damaged: error %v, want graph.ErrOutOfRange", self, cand, err)
+	}
+	if ms, err := ReplayEntity(ctx, sub, other, cfg); err != nil || !reflect.DeepEqual(ms, replays[other]) {
+		t.Errorf("replay of entity %d, which does not rank the damaged candidate: (%v, %v), want the built pair's answer", other, ms, err)
+	}
+	fresh := QueryFromEntity(sub.K1(), self)
+	fresh.URI, fresh.SelfURI = "q:new", ""
+	if _, err := QueryEntity(ctx, sub, fresh, cfg); err != nil {
+		t.Errorf("a new entity's description, which tests no back-edge: %v", err)
 	}
 }
