@@ -73,8 +73,11 @@ bench-test:
 # trip through the per-entity query path (-query, both output formats) on a
 # generated dataset, and a snapshot round trip: the substrate is persisted
 # with -save-snapshot, reloaded with -snapshot, and the two query paths must
-# emit byte-identical candidates JSON, and a batch resolve from the snapshot
-# must print the matches (with their rules) of a cold one, byte for byte.
+# emit byte-identical candidates JSON — for an E1 entity, and for a new
+# entity described by the statements of an E2 entity no E1 entity matches,
+# whose name α finds in the stored name table (an R1 candidate) — and a
+# batch resolve from the snapshot must print the matches (with their rules)
+# of a cold one, byte for byte.
 # The snapshot is written a second time at GOMAXPROCS=1, where the build runs
 # its stages one after another, and a third time with -workers 1; all three
 # files must be the same bytes. The generated files live in a temporary
@@ -91,6 +94,13 @@ smoke:
 		-query "$$Q" -json -quiet > "$$T/q-build.json"; \
 	go run ./cmd/minoaner -snapshot "$$T/pair.snap" -query "$$Q" -json -quiet > "$$T/q-snap.json"; \
 	cmp "$$T/q-build.json" "$$T/q-snap.json"; \
+	cut -f2 "$$T/gt.tsv" > "$$T/gt-e2"; \
+	D="$$(cut -d' ' -f1 "$$T/e2.nt" | tr -d '<>' | grep -vxF -f "$$T/gt-e2" | head -1)"; \
+	grep -F "<$$D> " "$$T/e2.nt" | sed -E 's/^<[^>]*> <([^>]*)> (.*) \.$$/\1\t\2/; s/\t"(.*)"$$/\t\1/; s/\t<(.*)>$$/\t\1/' > "$$T/describe.tsv"; \
+	go run ./cmd/minoaner -e1 "$$T/e1.nt" -e2 "$$T/e2.nt" -query "new:$$D" -json -quiet < "$$T/describe.tsv" > "$$T/d-build.json"; \
+	go run ./cmd/minoaner -snapshot "$$T/pair.snap" -query "new:$$D" -json -quiet < "$$T/describe.tsv" > "$$T/d-snap.json"; \
+	grep -q '"rule": "R1"' "$$T/d-snap.json"; \
+	cmp "$$T/d-build.json" "$$T/d-snap.json"; \
 	go run ./cmd/minoaner -e1 "$$T/e1.nt" -e2 "$$T/e2.nt" -rules -quiet > "$$T/batch-cold.tsv"; \
 	go run ./cmd/minoaner -snapshot "$$T/pair.snap" -rules -quiet > "$$T/batch-warm.tsv"; \
 	test -s "$$T/batch-cold.tsv"; \

@@ -321,8 +321,12 @@ func BenchmarkGraphBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	nameBlocks, err := sub.NameBlocks()
+	if err != nil {
+		b.Fatal(err)
+	}
 	in := graph.Input{
-		K1: sub.K1(), K2: sub.K2(), NameBlocks: sub.NameBlocks(), TokenIndex: ix,
+		K1: sub.K1(), K2: sub.K2(), NameBlocks: nameBlocks, TokenIndex: ix,
 		Top1: top1, Top2: top2, K: sub.Config().TopK,
 	}
 	eng := parallel.New(0)

@@ -2,8 +2,6 @@ package blocking
 
 import (
 	"context"
-	"slices"
-	"strings"
 
 	"minoaner/internal/kb"
 	"minoaner/internal/parallel"
@@ -26,9 +24,9 @@ import (
 // paying one string hash per DISTINCT value per KB — never per statement.
 //
 // A slot is live iff both sides indexed at least one entity under it — only
-// live slots suggest clean-clean comparisons. Collection() materializes
-// exactly the live slots as key-sorted blocks, byte-identical to the
-// historical string-grouped name blocking (NameBlocksMapRef, which the
+// live slots suggest clean-clean comparisons. Carried() lists the slots E2
+// carries in key order, and Collection() the live ones among them, byte-identical to
+// the historical string-grouped name blocking (NameBlocksMapRef, which the
 // property tests pin against).
 type NameIndex struct {
 	// sch is the shared value dictionary when both KBs intern into one
@@ -154,27 +152,46 @@ func (ix *NameIndex) key(s int32) string {
 // materializes.
 func (ix *NameIndex) Live() int { return ix.live }
 
-// Collection materializes the live slots as a block collection sorted by
-// key, with member lists aliasing the index's CSR arrays (read-only, as block
-// members always were). The result is byte-identical to the historical
-// string-grouped name blocking (NameBlocksMapRef).
-func (ix *NameIndex) Collection() *Collection {
-	n := len(ix.off1) - 1
-	liveSlots := make([]int32, 0, ix.live)
-	for s := 0; s < n; s++ {
-		if ix.off1[s+1] > ix.off1[s] && ix.off2[s+1] > ix.off2[s] {
-			liveSlots = append(liveSlots, int32(s))
+// Carried returns the name slots that at least one E2 entity carries,
+// sorted by key (kb.SortedOrder; the keys are distinct), with their keys.
+func (ix *NameIndex) Carried() (slots []int32, keys []string) {
+	n := 0
+	for s := range len(ix.off2) - 1 {
+		if ix.off2[s+1] > ix.off2[s] {
+			n++
 		}
 	}
-	slices.SortFunc(liveSlots, func(a, b int32) int {
-		return strings.Compare(ix.key(a), ix.key(b))
-	})
-	blocks := make([]Block, len(liveSlots))
-	for i, s := range liveSlots {
-		blocks[i] = Block{
-			Key: ix.key(s),
-			E1:  ix.mem1[ix.off1[s]:ix.off1[s+1]],
-			E2:  ix.mem2[ix.off2[s]:ix.off2[s+1]],
+	unsorted, unsortedKeys := make([]int32, 0, n), make([]string, 0, n)
+	for s := range len(ix.off2) - 1 {
+		if ix.off2[s+1] > ix.off2[s] {
+			unsorted = append(unsorted, int32(s))
+			unsortedKeys = append(unsortedKeys, ix.key(int32(s)))
+		}
+	}
+	slots, keys = make([]int32, n), make([]string, n)
+	for i, r := range kb.SortedOrder(unsortedKeys) {
+		slots[i], keys[i] = unsorted[r], unsortedKeys[r]
+	}
+	return slots, keys
+}
+
+// Members returns the entities of each KB that carry name slot s, sorted by
+// ID. They alias the index's CSR arrays and are read-only.
+func (ix *NameIndex) Members(s int32) (e1, e2 []kb.EntityID) {
+	return ix.mem1[ix.off1[s]:ix.off1[s+1]], ix.mem2[ix.off2[s]:ix.off2[s+1]]
+}
+
+// Collection materializes the live slots — those of Carried that an E1
+// entity carries too — as a block collection sorted by key, with member
+// lists aliasing the index's CSR arrays (read-only, as block members always
+// were). The result is byte-identical to the historical string-grouped name
+// blocking (NameBlocksMapRef).
+func (ix *NameIndex) Collection() *Collection {
+	slots, keys := ix.Carried()
+	blocks := make([]Block, 0, ix.live)
+	for i, s := range slots {
+		if e1, e2 := ix.Members(s); len(e1) > 0 {
+			blocks = append(blocks, Block{Key: keys[i], E1: e1, E2: e2})
 		}
 	}
 	return &Collection{Blocks: blocks}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"time"
 
-	"minoaner/internal/blocking"
 	"minoaner/internal/eval"
 	"minoaner/internal/graph"
 	"minoaner/internal/kb"
@@ -130,9 +129,6 @@ type Output struct {
 	Matches []matching.Match
 	// RemovedByR4 counts reciprocity-filtered matches.
 	RemovedByR4 int
-	// NameBlocks is the name block collection (with the substrate's
-	// TokenBlocks, the source of the Table 2 statistics).
-	NameBlocks *blocking.Collection
 	// PurgedBlocks is the number of token blocks removed by Block Purging;
 	// PurgeThreshold the applied per-block comparison cap (0 = none).
 	PurgedBlocks   int
@@ -206,14 +202,12 @@ func ResolveWith(ctx context.Context, sub *Substrate, cfg Config) (*Output, erro
 // whichever call paid for it — and this call's own γ rows and matching;
 // Total is their sum, the historical whole-pipeline meaning.
 func resolveWith(ctx context.Context, eng *parallel.Engine, sub *Substrate, cfg Config) (*Output, error) {
-	// The output hands the name blocks out whole, so a substrate from parts
-	// checks their members first, and its matches name entities whose
-	// URIs every caller prints, so it checks both URI tables too.
-	if err := errors.Join(sub.nameBlockCheck.Run(), sub.k1.CheckURIs(), sub.k2.CheckURIs()); err != nil {
+	// The matches name entities whose URIs every caller prints, so a
+	// substrate from parts checks both URI tables first.
+	if err := errors.Join(sub.k1.CheckURIs(), sub.k2.CheckURIs()); err != nil {
 		return nil, err
 	}
 	out := &Output{
-		NameBlocks:     sub.NameBlocks(),
 		PurgedBlocks:   sub.purgedBlocks,
 		PurgeThreshold: sub.purgeThreshold,
 		NameAttrs1:     sub.nameAttrs1,

@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"minoaner/internal/blocking"
+)
 
 // What the external tests of this directory (package core_test, which may
 // import internal/snapshot where this package's own tests may not) need from
@@ -17,3 +21,23 @@ func Digest(t *testing.T, sub *Substrate, out *Output) [32]byte { return digest(
 
 // TokenDerives reports how many times the substrate derived its token index.
 func (s *Substrate) TokenDerives() int { return int(s.tokenDerives.Load()) }
+
+// NameBlocksOf is s.NameBlocks(), with the damage it reports failing t.
+func NameBlocksOf(t testing.TB, s *Substrate) *blocking.Collection {
+	t.Helper()
+	c, err := s.NameBlocks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TokenBlocksOf is s.TokenBlocks(), with the damage it reports failing t.
+func TokenBlocksOf(t testing.TB, s *Substrate) *blocking.Collection {
+	t.Helper()
+	c, err := s.TokenBlocks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}

@@ -9,38 +9,40 @@ import (
 	"minoaner/internal/kb"
 )
 
-// refNameUsages is the name-usage index as a map tally over every entity's
-// normalized names, each side's last carrier kept, laid out in name order:
-// the form the query path had before nameUsagesOf, kept as its oracle.
-func refNameUsages(s *Substrate) (names []string, n1, n2 []int32, e1, e2 []kb.EntityID) {
-	type users struct {
-		n1, n2 int32
-		e1, e2 kb.EntityID
+// refNameTable is the name table as a map tally over every entity's
+// normalized names, laid out in name order with every carrier of each side,
+// less the names no E2 entity carries: its oracle.
+func refNameTable(s *Substrate) (names []string, e1, e2 [][]kb.EntityID) {
+	type carriers struct{ e1, e2 []kb.EntityID }
+	idx := map[string]*carriers{}
+	at := func(n string) *carriers {
+		if idx[n] == nil {
+			idx[n] = &carriers{}
+		}
+		return idx[n]
 	}
-	idx := map[string]users{}
 	for i := range s.k1.Len() {
 		for _, n := range s.names1.Names(kb.EntityID(i)) {
-			u := idx[n]
-			u.n1, u.e1 = u.n1+1, kb.EntityID(i)
-			idx[n] = u
+			c := at(n)
+			c.e1 = append(c.e1, kb.EntityID(i))
 		}
 	}
 	for j := range s.k2.Len() {
 		for _, n := range s.names2.Names(kb.EntityID(j)) {
-			u := idx[n]
-			u.n2, u.e2 = u.n2+1, kb.EntityID(j)
-			idx[n] = u
+			c := at(n)
+			c.e2 = append(c.e2, kb.EntityID(j))
 		}
 	}
-	for n := range idx {
-		names = append(names, n)
+	for n, c := range idx {
+		if len(c.e2) > 0 {
+			names = append(names, n)
+		}
 	}
 	slices.Sort(names)
 	for _, n := range names {
-		u := idx[n]
-		n1, n2, e1, e2 = append(n1, u.n1), append(n2, u.n2), append(e1, u.e1), append(e2, u.e2)
+		e1, e2 = append(e1, idx[n].e1), append(e2, idx[n].e2)
 	}
-	return names, n1, n2, e1, e2
+	return names, e1, e2
 }
 
 // reversed rebuilds k with its entities in reverse order, in a dictionary
@@ -60,11 +62,11 @@ func reversed(k *kb.KB) *kb.KB {
 	return b.Build()
 }
 
-// The sorted name index must equal the map tally column for column, on the
-// four presets (one shared dictionary and schema) and on skewedKBs, whose
-// KBs have a dictionary and a schema each — once as built, where equal names
-// happen to share ValueIDs, and once with E2 rebuilt in reverse, where they
-// do not.
+// The name table must equal the map tally row for row, carriers and all,
+// on the four presets (one shared dictionary and schema) and on skewedKBs,
+// whose KBs have a dictionary and a schema each — once as built, where
+// equal names happen to share ValueIDs, and once with E2 rebuilt in
+// reverse, where they do not.
 func TestNameUsagesMatchMapReference(t *testing.T) {
 	type pair struct {
 		name   string
@@ -88,27 +90,17 @@ func TestNameUsagesMatchMapReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := nameUsagesOf(sub)
-			names, n1, n2, e1, e2 := refNameUsages(sub)
+			got := sub.names
+			names, e1, e2 := refNameTable(sub)
 			if len(names) == 0 {
 				t.Fatal("no names; test is vacuous")
 			}
-			gotNames := make([]string, got.Names.Len())
-			for i := range gotNames {
-				gotNames[i] = got.Names.At(i)
+			if got.Keys.Len() != len(names) {
+				t.Fatalf("%d names, want %d", got.Keys.Len(), len(names))
 			}
-			for _, c := range []struct {
-				col string
-				eq  bool
-			}{
-				{"Names", slices.Equal(gotNames, names)},
-				{"N1", slices.Equal(got.N1, n1)},
-				{"N2", slices.Equal(got.N2, n2)},
-				{"E1", slices.Equal(got.E1, e1)},
-				{"E2", slices.Equal(got.E2, e2)},
-			} {
-				if !c.eq {
-					t.Errorf("column %s differs from the map tally (%d names, want %d)", c.col, got.Len(), len(names))
+			for i, n := range names {
+				if got.Keys.At(i) != n || !slices.Equal(got.E1.Row(i), e1[i]) || !slices.Equal(got.E2.Row(i), e2[i]) {
+					t.Fatalf("row %d: %q %v %v, want %q %v %v", i, got.Keys.At(i), got.E1.Row(i), got.E2.Row(i), n, e1[i], e2[i])
 				}
 			}
 		})

@@ -1,7 +1,7 @@
 // The per-entity query path: resolve ONE new (or re-described) entity
 // against a frozen substrate without a batch run. QueryEntity tokenizes the
 // description against the shared interner and schema, probes the purged
-// TokenIndex and the name-usage index, runs the β/γ/rank-aggregation kernel
+// TokenIndex and the name table, runs the β/γ/rank-aggregation kernel
 // for just that entity and returns ranked candidates with rule provenance —
 // the progressive-resolution primitive of Simonini et al. applied to
 // MinoanER's non-iterative rules. Queries reuse the batch scoreboards
@@ -94,35 +94,21 @@ func QueryFromEntity(k *kb.KB, id kb.EntityID) EntityQuery {
 	return q
 }
 
-// nameUsers is one normalized name's usage across the KB pair: how many
-// entities of each side carry it, and the sole carrier when that count is 1
-// (the only case α consults).
-type nameUsers struct {
-	n1, n2 int32
-	e1, e2 kb.EntityID
-}
-
 // queryState is the lazily built read-only state shared by every query on
 // one substrate: the pair's graph (per-query γ rows are computed on demand
-// from it, never materialized for all of E1), the name-usage index behind
-// the α rule, and the scratch pool.
+// from it, never materialized for all of E1) and the scratch pool.
 type queryState struct {
-	g *graph.Graph
-	// names is built by nameUsagesOf or installed from a snapshot (its
-	// columns may then alias a memory-mapped region).
-	names NameUsages
-	pool  sync.Pool // *querySlot
-	// The deferred checks of an installed state (nil for a built one): the
-	// graph's targets and weights (run by Verify and before a private graph
-	// is built; a batch resolution checks the rows it reads instead), and
-	// the name index's order and carriers.
-	graphCheck, namesCheck *kb.Deferred
+	g    *graph.Graph
+	pool sync.Pool // *querySlot
+	// graphCheck is the deferred check of an installed graph's targets and
+	// weights (nil for a built one), run by Verify and before a private
+	// graph is built; a batch resolution checks the rows it reads instead.
+	graphCheck *kb.Deferred
 }
 
-// newQueryState wraps a graph and a name index with a scratch pool sized
-// for the pair.
-func (s *Substrate) newQueryState(g *graph.Graph, names NameUsages) *queryState {
-	st := &queryState{g: g, names: names}
+// newQueryState wraps a graph with a scratch pool sized for the pair.
+func (s *Substrate) newQueryState(g *graph.Graph) *queryState {
+	st := &queryState{g: g}
 	n2, k := s.k2.Len(), s.cfg.TopK
 	st.pool.New = func() any {
 		return &querySlot{qs: graph.NewQueryScratch(n2, k), agg: matching.NewAggScratch()}
@@ -130,22 +116,32 @@ func (s *Substrate) newQueryState(g *graph.Graph, names NameUsages) *queryState 
 	return st
 }
 
-// lookupName resolves one normalized name by binary search over the name
-// index. Over an installed index it checks what it touches: a hit is exact
-// whatever the order, so only a miss — or a damaged entry — runs the
-// index's deferred check, whose failure every later lookup reports.
-func (st *queryState) lookupName(n string, n1, n2 int) (nameUsers, bool, error) {
-	t := st.names
-	if err := st.namesCheck.Known(); err != nil {
-		return nameUsers{}, false, err
+// lookupName returns the carriers of one normalized name, by binary search
+// over the name table: none where no E2 entity carries it. Over a table
+// from parts it checks what it touches: a hit is exact whatever the order,
+// so only a miss — or a damaged key or sole carrier — runs the table's
+// deferred check, whose failure every later lookup reports.
+func (s *Substrate) lookupName(n string) (e1, e2 []kb.EntityID, err error) {
+	t := s.names
+	if err := s.nameCheck.Known(); err != nil {
+		return nil, nil, err
 	}
-	i, ok := sort.Find(t.Len(), func(i int) int { return strings.Compare(n, t.Names.At(i)) })
-	if !ok || t.Names.Err() != nil || !t.carriersIn(i, n1, n2) {
-		if err := st.namesCheck.Run(); err != nil || !ok {
-			return nameUsers{}, false, err
+	i, ok := sort.Find(t.Keys.Len(), func(i int) int { return strings.Compare(n, t.Keys.At(i)) })
+	if ok {
+		e1, e2 = t.E1.Row(i), t.E2.Row(i)
+	}
+	if !ok || t.Keys.Err() != nil || !soleIn(e1, s.k1.Len()) || !soleIn(e2, s.k2.Len()) {
+		if err := s.nameCheck.Run(); err != nil || !ok {
+			return nil, nil, err
 		}
 	}
-	return nameUsers{n1: t.N1[i], n2: t.N2[i], e1: t.E1[i], e2: t.E2[i]}, true, nil
+	return e1, e2, nil
+}
+
+// soleIn reports whether a carrier row's sole carrier, where it has one,
+// is an entity of the n its KB holds.
+func soleIn(row []kb.EntityID, n int) bool {
+	return len(row) != 1 || (row[0] >= 0 && int(row[0]) < n)
 }
 
 // querySlot is the scratch one in-flight query owns.
@@ -171,7 +167,7 @@ func (s *Substrate) queryState(ctx context.Context) (*queryState, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := s.newQueryState(pg.g, nameUsagesOf(s))
+	st := s.newQueryState(pg.g)
 	s.query.Store(st)
 	return st, nil
 }
@@ -183,72 +179,6 @@ func (s *Substrate) queryState(ctx context.Context) (*queryState, error) {
 func (s *Substrate) PrewarmQueries(ctx context.Context) error {
 	_, err := s.queryState(ctx)
 	return err
-}
-
-// nameUsagesOf builds the pair's name-usage index. Every (name, side,
-// entity) of both KBs is gathered as a name ValueID — NameLookup already
-// deduplicates an entity's names, so each entity counts once per name, the
-// multiplicity the name blocks see — and read as a string through its KB's
-// schema (the KBs may not share one). One kb.SortedOrder puts them in name
-// order, equal names in gathering order: E1 before E2, entities ascending.
-// Run-length encoding that order yields the index, each side's last
-// carrier included.
-func nameUsagesOf(s *Substrate) NameUsages {
-	var vals []kb.ValueID
-	var ents []kb.EntityID
-	gather := func(names *stats.NameLookup, n int) {
-		for i := range n {
-			base := len(vals)
-			vals = names.AppendNameValueIDs(vals, kb.EntityID(i))
-			for range len(vals) - base {
-				ents = append(ents, kb.EntityID(i))
-			}
-		}
-	}
-	gather(s.names1, s.k1.Len())
-	side1 := len(vals)
-	gather(s.names2, s.k2.Len())
-	strs := make([]string, len(vals))
-	sch1, sch2 := s.k1.Schema(), s.k2.Schema()
-	for r, v := range vals[:side1] {
-		strs[r] = sch1.Value(v)
-	}
-	for r, v := range vals[side1:] {
-		strs[side1+r] = sch2.Value(v)
-	}
-	order := kb.SortedOrder(strs)
-	// Two entries name the same string where their ValueIDs are equal, if
-	// they were read through one schema.
-	sameName := func(a, b uint32) bool {
-		if sch1 == sch2 || (int(a) < side1) == (int(b) < side1) {
-			return vals[a] == vals[b]
-		}
-		return strs[a] == strs[b]
-	}
-	n := 0
-	for i := range order {
-		if i == 0 || !sameName(order[i-1], order[i]) {
-			n++
-		}
-	}
-	u := NameUsages{N1: make([]int32, n), N2: make([]int32, n), E1: make([]kb.EntityID, n), E2: make([]kb.EntityID, n)}
-	names := make([]string, n)
-	j := -1
-	for i, r := range order {
-		if i == 0 || !sameName(order[i-1], r) {
-			j++
-			names[j] = strs[r]
-		}
-		if int(r) < side1 {
-			u.N1[j]++
-			u.E1[j] = ents[r]
-		} else {
-			u.N2[j]++
-			u.E2[j] = ents[r]
-		}
-	}
-	u.Names = kb.FreezeStrings(names, false)
-	return u
 }
 
 // QueryEntity resolves one entity description against the substrate's K2
@@ -394,21 +324,20 @@ func QueryEntity(ctx context.Context, sub *Substrate, q EntityQuery, cfg Config)
 	var alpha []kb.EntityID
 	if mc.EnableR1 {
 		d := kb.Description{Attrs: attrs}
-		n1, n2 := sub.k1.Len(), sub.k2.Len()
 		for _, n := range stats.NamesOf(&d, sub.nameAttrs1) {
-			u, ok, err := st.lookupName(n, n1, n2)
+			e1, e2, err := sub.lookupName(n)
 			if err != nil {
 				return nil, err
 			}
-			if !ok || u.n2 != 1 {
+			if len(e2) != 1 {
 				continue
 			}
 			if self != kb.NoEntity {
-				if u.n1 == 1 && u.e1 == self {
-					alpha = append(alpha, u.e2)
+				if len(e1) == 1 && e1[0] == self {
+					alpha = append(alpha, e2[0])
 				}
-			} else if u.n1 == 0 {
-				alpha = append(alpha, u.e2)
+			} else if len(e1) == 0 {
+				alpha = append(alpha, e2[0])
 			}
 		}
 		slices.Sort(alpha)

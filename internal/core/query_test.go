@@ -28,7 +28,7 @@ func buildBatchGraph(t *testing.T, sub *Substrate) *graph.Graph {
 	eng := parallel.New(sub.cfg.Workers)
 	g, _, err := graph.BuildTimedCtx(context.Background(), eng, graph.Input{
 		K1: sub.k1, K2: sub.k2,
-		NameBlocks: sub.NameBlocks(),
+		NameBlocks: NameBlocksOf(t, sub),
 		TokenIndex: sub.tokenIx.Load(),
 		Top1:       sub.top1.Nested(),
 		Top2:       sub.top2.Nested(),
@@ -140,11 +140,11 @@ func randomPair(seed int64, n int) (*kb.KB, *kb.KB) {
 }
 
 // reassembled takes sub apart and puts it back together as a snapshot's
-// loader does (SubstrateFromParts, InstallQueryState), so its token index is
+// loader does (SubstrateFromParts, InstallGraph), so its token index is
 // derived on first use.
 func reassembled(t *testing.T, sub *Substrate) *Substrate {
 	t.Helper()
-	qs, err := sub.ExportQueryState(context.Background())
+	g, err := sub.ExportGraph(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func reassembled(t *testing.T, sub *Substrate) *Substrate {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.InstallQueryState(qs); err != nil {
+	if err := r.InstallGraph(g); err != nil {
 		t.Fatal(err)
 	}
 	return r
@@ -493,12 +493,12 @@ func TestSubstrateTokenBlocks(t *testing.T) {
 	if purged != sub.PurgedBlocks() || purged == 0 {
 		t.Fatalf("the collection purges %d blocks, the substrate %d; want the same, and some", purged, sub.PurgedBlocks())
 	}
-	tb := sub.TokenBlocks()
+	tb := TokenBlocksOf(t, sub)
 	if tb.Len() != want.Len() || tb.TotalComparisons() != want.TotalComparisons() {
 		t.Fatalf("TokenBlocks = (%d blocks, %d comparisons), want (%d, %d)",
 			tb.Len(), tb.TotalComparisons(), want.Len(), want.TotalComparisons())
 	}
-	if sub.TokenBlocks() != tb {
+	if TokenBlocksOf(t, sub) != tb {
 		t.Fatal("TokenBlocks must cache its materialization")
 	}
 }
@@ -603,7 +603,7 @@ func TestCancelledGraphBuildFailsThatCallOnly(t *testing.T) {
 }
 
 // A name whose sole carrier names no entity is refused by the first query
-// that hits it, and every query after that: an installed name index checks
+// that hits it, and every query after that: a name table from parts checks
 // the entries a lookup touches.
 func TestDamagedNameCarrierIsRefusedAtFirstUse(t *testing.T) {
 	ctx := context.Background()
@@ -612,28 +612,35 @@ func TestDamagedNameCarrierIsRefusedAtFirstUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, err := sub.ExportQueryState(ctx)
+	g, err := sub.ExportGraph(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := qs.Names
+	p := sub.Parts()
+	names := p.NameTable
 	hit := -1
-	for i := range names.Len() {
-		if names.N1[i] == 1 && names.N2[i] == 1 {
+	for i := range names.Keys.Len() {
+		if len(names.E1.Row(i)) == 1 && len(names.E2.Row(i)) == 1 {
 			hit = i
 		}
 	}
 	if hit < 0 {
 		t.Fatal("Figure 1 has no unique shared name; test is vacuous")
 	}
-	names.E2 = slices.Clone(names.E2)
-	names.E2[hit] = kb.EntityID(d.Len())
-	if err := sub.InstallQueryState(&QueryState{Graph: qs.Graph, Names: names}); err != nil {
-		t.Fatalf("a damaged carrier is the first lookup's to find, not the install's: %v", err)
+	self := names.E1.Row(hit)[0]
+	names.E2.Flat = slices.Clone(names.E2.Flat)
+	names.E2.Flat[names.E2.Off[hit]] = kb.EntityID(d.Len())
+	p.NameTable = names
+	damaged, err := SubstrateFromParts(p)
+	if err != nil {
+		t.Fatalf("a damaged carrier is the first lookup's to find, not the assembly's: %v", err)
+	}
+	if err := damaged.InstallGraph(g); err != nil {
+		t.Fatal(err)
 	}
 	for round := 0; round < 2; round++ {
-		q := QueryFromEntity(w, names.E1[hit])
-		if _, err := QueryEntity(ctx, sub, q, Config{Workers: 1}); !errors.Is(err, kb.ErrCorrupt) {
+		q := QueryFromEntity(w, self)
+		if _, err := QueryEntity(ctx, damaged, q, Config{Workers: 1}); !errors.Is(err, kb.ErrCorrupt) {
 			t.Fatalf("round %d: QueryEntity = %v, want kb.ErrCorrupt", round, err)
 		}
 	}

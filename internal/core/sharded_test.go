@@ -16,8 +16,8 @@ import (
 
 // digest serializes everything the pipeline is contracted to reproduce —
 // matches with provenance, R4 removals, graph edge count, purge state, name
-// attributes and the block statistics of the output's name blocks and of
-// the token blocks of the substrate it was resolved over — and hashes it,
+// attributes and the block statistics of the name and token blocks of the
+// substrate it was resolved over — and hashes it,
 // so runs can be compared as a single value.
 func digest(t *testing.T, sub *Substrate, out *Output) [32]byte {
 	t.Helper()
@@ -28,10 +28,10 @@ func digest(t *testing.T, sub *Substrate, out *Output) [32]byte {
 	fmt.Fprintf(h, "r4 %d edges %d purged %d threshold %d\n",
 		out.RemovedByR4, out.GraphEdges, out.PurgedBlocks, out.PurgeThreshold)
 	fmt.Fprintf(h, "names %v %v\n", out.NameAttrs1, out.NameAttrs2)
-	tokenBlocks := sub.TokenBlocks()
+	nameBlocks, tokenBlocks := NameBlocksOf(t, sub), TokenBlocksOf(t, sub)
 	fmt.Fprintf(h, "blocks %d %d comparisons %d %d\n",
-		out.NameBlocks.Len(), tokenBlocks.Len(),
-		out.NameBlocks.TotalComparisons(), tokenBlocks.TotalComparisons())
+		nameBlocks.Len(), tokenBlocks.Len(),
+		nameBlocks.TotalComparisons(), tokenBlocks.TotalComparisons())
 	var sum [32]byte
 	copy(sum[:], h.Sum(nil))
 	return sum

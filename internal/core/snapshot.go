@@ -1,14 +1,14 @@
 // Substrate decomposition for snapshot serialization: SubstrateParts is the
 // stable, exported view of what BuildSubstrate froze — the two KBs, the
 // normalized build config, name attributes, relation ranks, top-neighbor
-// rows, name blocks and the purge of the token index — and
+// rows, the name table and the purge of the token index — and
 // SubstrateFromParts is its inverse. The name lookups and the token index
 // are NOT serialized: stats.NewNameLookup is a cheap bitset over the
 // (already loaded) schema, so the loader re-derives them, and the token
-// index is the inverted KB token columns, derived on first use. QueryState
-// is the second half: the pair's graph and the name-usage index of the
-// query path, so a snapshot-loaded substrate resolves in batch and answers
-// its first query without re-running graph construction.
+// index is the inverted KB token columns, derived on first use. The pair's
+// graph is the second half (ExportGraph, InstallGraph), so a
+// snapshot-loaded substrate resolves in batch and answers its first query
+// without re-running graph construction.
 //
 // Every row set travels flat (graph.Rows, kb.FrozenStrings), so assembling
 // a substrate from a file's views allocates per section, not per entity or
@@ -40,26 +40,39 @@ type SubstrateParts struct {
 	Ranks1, Ranks2         []int32
 	Top1, Top2             graph.Rows[kb.EntityID]
 
-	NameBlocks     NameBlockRows
+	NameTable      NameTable
 	PurgedBlocks   int
 	PurgeThreshold int64
 }
 
-// NameBlockRows is the name-block collection in the flat form a snapshot
-// stores: block i has key Keys.At(i) and members E1.Row(i) and E2.Row(i).
-type NameBlockRows struct {
+// NameTable is the pair's name evidence (§3.1) in the flat form a snapshot
+// stores: every normalized name that at least one E2 entity carries, sorted
+// by name, with row i of E1 and of E2 listing the entities of that KB that
+// carry Keys.At(i), by ID. The name blocks are its rows with both sides
+// non-empty; the query path's α probe reads a row's length, and its one
+// carrier where it has one. A name no E2 entity carries is left out: α
+// needs exactly one E2 carrier, and a name block one on each side.
+type NameTable struct {
 	Keys   *kb.FrozenStrings
 	E1, E2 graph.Rows[kb.EntityID]
 }
 
-// nameBlockRowsOf lays a name-block collection out flat.
-func nameBlockRowsOf(c *blocking.Collection) NameBlockRows {
-	keys := make([]string, len(c.Blocks))
-	rows1, rows2 := make([][]kb.EntityID, len(c.Blocks)), make([][]kb.EntityID, len(c.Blocks))
-	for i, b := range c.Blocks {
-		keys[i], rows1[i], rows2[i] = b.Key, b.E1, b.E2
+// nameTableOf lays the names the index's E2 side carries out flat, in key
+// order, each row sized once.
+func nameTableOf(ix *blocking.NameIndex) NameTable {
+	slots, keys := ix.Carried()
+	t := NameTable{Keys: kb.FreezeStrings(keys, false)}
+	t.E1.Off, t.E2.Off = make([]int64, len(slots)+1), make([]int64, len(slots)+1)
+	for i, s := range slots {
+		e1, e2 := ix.Members(s)
+		t.E1.Off[i+1], t.E2.Off[i+1] = t.E1.Off[i]+int64(len(e1)), t.E2.Off[i]+int64(len(e2))
 	}
-	return NameBlockRows{Keys: kb.FreezeStrings(keys, false), E1: graph.RowsOf(rows1), E2: graph.RowsOf(rows2)}
+	t.E1.Flat, t.E2.Flat = make([]kb.EntityID, 0, t.E1.Off[len(slots)]), make([]kb.EntityID, 0, t.E2.Off[len(slots)])
+	for _, s := range slots {
+		e1, e2 := ix.Members(s)
+		t.E1.Flat, t.E2.Flat = append(t.E1.Flat, e1...), append(t.E2.Flat, e2...)
+	}
+	return t
 }
 
 // Parts decomposes the substrate for serialization. Slices alias the
@@ -70,7 +83,7 @@ func (s *Substrate) Parts() SubstrateParts {
 		NameAttrs1: s.nameAttrs1, NameAttrs2: s.nameAttrs2,
 		Ranks1: s.ranks1, Ranks2: s.ranks2,
 		Top1: s.top1, Top2: s.top2,
-		NameBlocks: s.nameRows, PurgedBlocks: s.purgedBlocks, PurgeThreshold: s.purgeThreshold,
+		NameTable: s.names, PurgedBlocks: s.purgedBlocks, PurgeThreshold: s.purgeThreshold,
 	}
 }
 
@@ -90,16 +103,16 @@ func (s *Substrate) TopNeighbors() (top1, top2 [][]kb.EntityID) {
 // everything else is installed as-is, so ResolveWith and QueryEntity over
 // the result are byte-identical to the originally built substrate. Parts may
 // come from a file: their shapes are checked here, and the entity IDs in the
-// top rows and the name blocks by deferred checks, before the first walk
-// over each (Verify runs them all).
+// top rows, and the name table's keys, order and members, by deferred
+// checks, before the first walk over each (Verify runs them all).
 func SubstrateFromParts(p SubstrateParts) (*Substrate, error) {
-	nb := p.NameBlocks
-	if p.K1 == nil || p.K2 == nil || nb.Keys == nil {
-		return nil, fmt.Errorf("core: substrate from parts: missing KB or name blocks")
+	nt := p.NameTable
+	if p.K1 == nil || p.K2 == nil || nt.Keys == nil {
+		return nil, fmt.Errorf("core: substrate from parts: missing KB or name table")
 	}
 	n1, n2 := p.K1.Len(), p.K2.Len()
 	if err := errors.Join(p.Top1.CheckShape(n1, "top1"), p.Top2.CheckShape(n2, "top2"),
-		nb.E1.CheckShape(nb.Keys.Len(), "name blocks e1"), nb.E2.CheckShape(nb.Keys.Len(), "name blocks e2")); err != nil {
+		nt.E1.CheckShape(nt.Keys.Len(), "name table e1"), nt.E2.CheckShape(nt.Keys.Len(), "name table e2")); err != nil {
 		return nil, fmt.Errorf("core: substrate from parts: %w", err)
 	}
 	if len(p.Ranks1) != p.K1.Schema().Preds() || len(p.Ranks2) != p.K2.Schema().Preds() {
@@ -117,12 +130,21 @@ func SubstrateFromParts(p SubstrateParts) (*Substrate, error) {
 		names2: stats.NewNameLookup(p.K2, p.NameAttrs2),
 		ranks1: p.Ranks1, ranks2: p.Ranks2,
 		top1: p.Top1, top2: p.Top2,
-		nameRows: nb, purgedBlocks: p.PurgedBlocks, purgeThreshold: p.PurgeThreshold,
+		names: nt, purgedBlocks: p.PurgedBlocks, purgeThreshold: p.PurgeThreshold,
 
 		top1Check: kb.NewDeferred("top1", func() error { return idsBelow(p.Top1.Flat, n1) }),
 		top2Check: kb.NewDeferred("top2", func() error { return idsBelow(p.Top2.Flat, n2) }),
-		nameBlockCheck: kb.NewDeferred("name blocks", func() error {
-			return errors.Join(nb.Keys.Check(), idsBelow(nb.E1.Flat, n1), idsBelow(nb.E2.Flat, n2))
+		nameCheck: kb.NewDeferred("name table", func() error {
+			if err := errors.Join(nt.Keys.Check(), idsBelow(nt.E1.Flat, n1), idsBelow(nt.E2.Flat, n2)); err != nil {
+				return err
+			}
+			// A name listed twice could read as sole-carried in each entry.
+			for i := 1; i < nt.Keys.Len(); i++ {
+				if nt.Keys.At(i-1) >= nt.Keys.At(i) {
+					return fmt.Errorf("names not strictly increasing at %d", i)
+				}
+			}
+			return nil
 		}),
 	}, nil
 }
@@ -136,89 +158,40 @@ func idsBelow(ids []kb.EntityID, n int) error {
 	return nil
 }
 
-// NameUsages is the name-usage index of the query path in flat columns,
-// sorted by name: entry i says how many entities of each side carry the
-// normalized name Names.At(i), and the sole carrier per side where that
-// count is 1 (the only case the α rule consults).
-type NameUsages struct {
-	Names  *kb.FrozenStrings
-	N1, N2 []int32
-	E1, E2 []kb.EntityID
-}
-
-// Len returns the number of names.
-func (u NameUsages) Len() int { return len(u.N1) }
-
-// QueryState is what a snapshot stores beyond the substrate's parts: the
-// pair's disjunctive blocking graph (Gamma1 not materialized — its rows are
-// produced on demand) and the name-usage index sorted by name.
-type QueryState struct {
-	Graph *graph.Graph
-	Names NameUsages
-}
-
-// ExportQueryState prewarms the substrate (if needed) and returns its graph
-// and name-usage index for serialization.
-func (s *Substrate) ExportQueryState(ctx context.Context) (*QueryState, error) {
+// ExportGraph prewarms the substrate (if needed) and returns its graph for
+// serialization.
+func (s *Substrate) ExportGraph(ctx context.Context) (*graph.Graph, error) {
 	st, err := s.queryState(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return &QueryState{Graph: st.g, Names: st.names}, nil
+	return st.g, nil
 }
 
-// InstallQueryState installs a previously exported graph and name index, so
-// neither ResolveWith nor the first QueryEntity call pays graph construction
-// (the snapshot warm-start path). The graph must be pruned to the
-// substrate's TopK and laid out for the pair (CheckShape), and the name
-// columns of one length, which is enough for the query kernels and the
-// batch resolution: they check the rows they touch. The graph's targets are
-// checked whole only by Verify and before a private graph is built; the
-// names' order and carriers before the first lookup that misses (a hit is
-// exact whatever the order) or when a lookup touches a damaged entry.
+// InstallGraph installs a previously exported graph (Gamma1 not
+// materialized — its rows are produced on demand), so neither ResolveWith
+// nor the first QueryEntity call pays graph construction (the snapshot
+// warm-start path). The graph must be pruned to the substrate's TopK and
+// laid out for the pair (CheckShape), which is enough for the query kernels
+// and the batch resolution: they check the rows they touch. Its targets are
+// checked whole only by Verify and before a private graph is built.
 // Installing over an already built state replaces it.
-func (s *Substrate) InstallQueryState(qs *QueryState) error {
-	if qs == nil || qs.Graph == nil {
-		return fmt.Errorf("core: install query state: missing graph")
+func (s *Substrate) InstallGraph(g *graph.Graph) error {
+	if g == nil {
+		return fmt.Errorf("core: install graph: missing graph")
 	}
-	g, names := qs.Graph, qs.Names
 	if g.K != s.cfg.TopK {
-		return fmt.Errorf("core: install query state: graph pruned to K=%d, substrate to %d", g.K, s.cfg.TopK)
+		return fmt.Errorf("core: install graph: graph pruned to K=%d, substrate to %d", g.K, s.cfg.TopK)
 	}
 	n1, n2 := s.k1.Len(), s.k2.Len()
 	if err := g.CheckShape(n1, n2); err != nil {
-		return fmt.Errorf("core: install query state: %w", err)
+		return fmt.Errorf("core: install graph: %w", err)
 	}
-	if n := names.Len(); names.Names == nil || names.Names.Len() != n || len(names.N2) != n || len(names.E1) != n || len(names.E2) != n {
-		return fmt.Errorf("core: install query state: name usage columns of unequal length")
-	}
-	st := s.newQueryState(g, names)
+	st := s.newQueryState(g)
 	st.graphCheck = kb.NewDeferredOn("installed graph", func(e *parallel.Engine) error { return g.CheckTargets(e, n1, n2) })
-	st.namesCheck = kb.NewDeferred("name usage", func() error {
-		if err := names.Names.Check(); err != nil {
-			return err
-		}
-		for i := range names.Len() {
-			// A name listed twice could read as sole-carried in each entry.
-			if i > 0 && names.Names.At(i-1) >= names.Names.At(i) {
-				return fmt.Errorf("names not strictly increasing at %d", i)
-			}
-			// The α rule reads a carrier only where it is the sole one.
-			if !names.carriersIn(i, n1, n2) {
-				return fmt.Errorf("name %d carried by an entity outside the pair", i)
-			}
-		}
-		return nil
-	})
 	s.lazyMu.Lock()
 	s.graph.Store(nil)
 	s.query.Store(st)
 	s.lazyMu.Unlock()
 	return nil
-}
-
-// carriersIn reports whether entry i's sole carriers, where it has them,
-// are entities of the pair.
-func (u NameUsages) carriersIn(i, n1, n2 int) bool {
-	return (u.N1[i] != 1 || (u.E1[i] >= 0 && int(u.E1[i]) < n1)) && (u.N2[i] != 1 || (u.E2[i] >= 0 && int(u.E2[i]) < n2))
 }

@@ -79,7 +79,7 @@ func TestStreamedResolveMatchesMaterialized(t *testing.T) {
 					t.Fatal(err)
 				}
 				g, _, err := graph.BuildTimedCtx(ctx, parallel.Sequential(), graph.Input{
-					K1: sub.K1(), K2: sub.K2(), NameBlocks: sub.NameBlocks(), TokenIndex: ix,
+					K1: sub.K1(), K2: sub.K2(), NameBlocks: core.NameBlocksOf(t, sub), TokenIndex: ix,
 					Top1: top1, Top2: top2, K: k,
 				})
 				if err != nil {

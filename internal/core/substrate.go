@@ -1,7 +1,7 @@
 // The build-once substrate: every expensive pair-level structure the
 // pipeline derives from a KB pair BEFORE any resolution decision is made —
 // discovered name attributes, name lookups, dense relation ranks,
-// top-neighbor rows, name blocks and the purged columnar TokenIndex — packed
+// top-neighbor rows, the name table and the purged columnar TokenIndex — packed
 // into one immutable value that can be built once and consumed many times:
 // by a full batch resolution (ResolveWith), by another resolution with
 // different matching rules, or by per-entity queries (QueryEntity). This is
@@ -44,11 +44,9 @@ type Substrate struct {
 	ranks1, ranks2         []int32
 	top1, top2             graph.Rows[kb.EntityID]
 
-	// nameRows are the name blocks in the flat form a snapshot holds; the
-	// collection NameBlocks hands out is laid over them on first use.
-	nameRows       NameBlockRows
-	nameOnce       sync.Once
-	nameBlocks     *blocking.Collection
+	// names is the name table, the source of the name blocks and of the
+	// query path's α probe.
+	names          NameTable
 	purgedBlocks   int
 	purgeThreshold int64
 
@@ -88,13 +86,14 @@ type Substrate struct {
 	lazyMu      sync.Mutex
 	graphBuilds atomic.Int32
 
-	// The deferred range checks of a substrate assembled from parts, which
-	// may have come from a file and were shape-checked only: the entity IDs
-	// of the top-neighbor rows and the name blocks' members, each run once,
-	// by the first reader that walks them whole, with the verdict kept. Nil
-	// for a built substrate. The installed query state carries its own
-	// (queryState).
-	top1Check, top2Check, nameBlockCheck *kb.Deferred
+	// The deferred checks of a substrate assembled from parts, which may
+	// have come from a file and was shape-checked only: the entity IDs of
+	// the top-neighbor rows, and the name table's keys, their order and its
+	// members, each run once, by the first reader that walks them whole (or
+	// a name lookup that misses or meets damage), with the verdict kept. Nil
+	// for a built substrate. The installed graph's check is the query
+	// state's (queryState).
+	top1Check, top2Check, nameCheck *kb.Deferred
 }
 
 // pairGraph is a built graph with the clock of its construction (zero for
@@ -111,10 +110,14 @@ func (s *Substrate) buildGraph(ctx context.Context, eng *parallel.Engine, k int)
 	if err != nil {
 		return nil, err
 	}
+	nameBlocks, err := s.NameBlocks()
+	if err != nil {
+		return nil, err
+	}
 	t0 := time.Now()
 	g, _, err := graph.BuildSharedCtx(ctx, eng, graph.Input{
 		K1: s.k1, K2: s.k2,
-		NameBlocks: s.NameBlocks(),
+		NameBlocks: nameBlocks,
 		TokenIndex: ix,
 		K:          k,
 	}, s.top1, s.top2)
@@ -307,13 +310,13 @@ func (sub *Substrate) statsTopNeighbors(ctx context.Context, eng *parallel.Engin
 }
 
 // blockNames builds the columnar name index over the published name lookups
-// and lays its blocks out flat.
+// and lays its table out flat.
 func (sub *Substrate) blockNames(ctx context.Context, eng *parallel.Engine) error {
 	ix, err := blocking.NewNameIndexLookupsCtx(ctx, eng, sub.names1, sub.names2)
 	if err != nil {
 		return err
 	}
-	sub.nameRows = nameBlockRowsOf(ix.Collection())
+	sub.names = nameTableOf(ix)
 	return nil
 }
 
@@ -395,10 +398,10 @@ func dictErr(k1, k2 *kb.KB) error {
 }
 
 // checkBuildInputs runs the deferred checks of everything a graph build
-// reads whole: both KBs, the top-neighbor rows and the name blocks.
+// reads whole: both KBs, the top-neighbor rows and the name table.
 func (s *Substrate) checkBuildInputs() error {
 	for _, check := range []func() error{s.k1.Verify, s.k2.Verify,
-		s.top1Check.Run, s.top2Check.Run, s.nameBlockCheck.Run} {
+		s.top1Check.Run, s.top2Check.Run, s.nameCheck.Run} {
 		if err := check(); err != nil {
 			return err
 		}
@@ -407,16 +410,16 @@ func (s *Substrate) checkBuildInputs() error {
 }
 
 // Verify runs every deferred check of a substrate assembled from parts —
-// both KBs with their string tables, the top-neighbor rows, the name blocks,
-// and the installed graph and name-usage index — and returns the first
-// failure. Each check runs once and its verdict sticks; the first reader of
-// each section would run it anyway. A built substrate has nothing to verify.
+// both KBs with their string tables, the top-neighbor rows, the name table
+// and the installed graph — and returns the first failure. Each check runs
+// once and its verdict sticks; the first reader of each section would run
+// it anyway. A built substrate has nothing to verify.
 func (s *Substrate) Verify() error {
 	if err := s.checkBuildInputs(); err != nil {
 		return err
 	}
 	if st := s.query.Load(); st != nil {
-		return errors.Join(st.graphCheck.Run(), st.namesCheck.Run())
+		return st.graphCheck.Run()
 	}
 	return nil
 }
@@ -435,24 +438,21 @@ func (s *Substrate) NameAttrs() (nameAttrs1, nameAttrs2 []string) {
 	return s.nameAttrs1, s.nameAttrs2
 }
 
-// NameBlocks returns the name block collection, laid over the flat name
-// blocks on first call. It has no error result: on a substrate from parts
-// callers run Verify first, since one whose name blocks are damaged returns
-// an empty collection. ResolveWith checks them and reports the error.
-func (s *Substrate) NameBlocks() *blocking.Collection {
-	s.nameOnce.Do(func() {
-		if s.nameBlockCheck.Run() != nil {
-			s.nameBlocks = &blocking.Collection{}
-			return
+// NameBlocks returns the name blocks — the name table's rows that both KBs
+// carry — as a collection laid over the table. On a substrate from parts it
+// runs the table's check first, and reports the damage it finds.
+func (s *Substrate) NameBlocks() (*blocking.Collection, error) {
+	if err := s.nameCheck.Run(); err != nil {
+		return nil, err
+	}
+	t := s.names
+	blocks := make([]blocking.Block, 0, t.Keys.Len())
+	for i := range t.Keys.Len() {
+		if e1, e2 := t.E1.Row(i), t.E2.Row(i); len(e1) > 0 && len(e2) > 0 {
+			blocks = append(blocks, blocking.Block{Key: t.Keys.At(i), E1: e1, E2: e2})
 		}
-		r := s.nameRows
-		blocks := make([]blocking.Block, r.Keys.Len())
-		for i := range blocks {
-			blocks[i] = blocking.Block{Key: r.Keys.At(i), E1: r.E1.Row(i), E2: r.E2.Row(i)}
-		}
-		s.nameBlocks = &blocking.Collection{Blocks: blocks}
-	})
-	return s.nameBlocks
+	}
+	return &blocking.Collection{Blocks: blocks}, nil
 }
 
 // PurgedBlocks reports how many token blocks Block Purging removed;
@@ -475,18 +475,16 @@ func (s *Substrate) Timings() Timings { return s.timings }
 // TokenBlocks materializes the token-block collection (the Table-2
 // statistics view of the purged index) on first call and caches it. No
 // resolution or query reads it: graph construction walks the TokenIndex.
-//
-// It has no error result: on a substrate from parts whose token index
-// cannot be derived (TokenIndex), or whose block keys are damaged, it
-// returns an empty collection. TokenIndex reports the first of these.
-func (s *Substrate) TokenBlocks() *blocking.Collection {
+// On a substrate from parts it fails where TokenIndex does, and where a
+// block key it read is a damaged dictionary string.
+func (s *Substrate) TokenBlocks() (*blocking.Collection, error) {
 	ix, err := s.TokenIndex(context.TODO())
 	if err != nil {
-		return &blocking.Collection{}
+		return nil, err
 	}
 	s.blocksOnce.Do(func() { s.blocks = ix.Collection() })
-	if dictErr(s.k1, s.k2) != nil {
-		return &blocking.Collection{}
+	if err := dictErr(s.k1, s.k2); err != nil {
+		return nil, err
 	}
-	return s.blocks
+	return s.blocks, nil
 }

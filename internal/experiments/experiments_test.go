@@ -107,7 +107,14 @@ func TestTable2ReadsPipelineBlocks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nb, tb := sub.NameBlocks(), sub.TokenBlocks()
+			nb, err := sub.NameBlocks()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb, err := sub.TokenBlocks()
+			if err != nil {
+				t.Fatal(err)
+			}
 			if tb.Len() == 0 {
 				t.Fatalf("%s ×%v: the substrate has no token block; test is vacuous", r.Dataset, scale)
 			}

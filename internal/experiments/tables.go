@@ -61,9 +61,17 @@ func (s *Suite) Table2() ([]Table2Row, error) {
 		if err != nil {
 			return nil, err
 		}
+		nameBlocks, err := sub.NameBlocks()
+		if err != nil {
+			return nil, err
+		}
+		tokenBlocks, err := sub.TokenBlocks()
+		if err != nil {
+			return nil, err
+		}
 		n1, _ := sub.NameAttrs()
 		nl1 := stats.NewNameLookup(d.K1, n1)
-		st := blocking.EvaluateBlocks(d.K1, d.K2, sub.NameBlocks(), sub.TokenBlocks(), d.GT, nl1.Names)
+		st := blocking.EvaluateBlocks(d.K1, d.K2, nameBlocks, tokenBlocks, d.GT, nl1.Names)
 		rows = append(rows, Table2Row{Dataset: name, Stats: st})
 	}
 	return rows, nil
@@ -127,7 +135,10 @@ func (s *Suite) Table3() ([]Table3Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		tokenBlocks := sub.TokenBlocks()
+		tokenBlocks, err := sub.TokenBlocks()
+		if err != nil {
+			return nil, err
+		}
 
 		sig := baselines.SiGMa(eng, d.K1, d.K2, tokenBlocks, baselines.DefaultSiGMaConfig())
 		rows = append(rows, Table3Row{name, "SiGMa", eval.Evaluate(sig, d.GT), ""})

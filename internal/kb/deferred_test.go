@@ -42,19 +42,20 @@ func openTracked(t *testing.T, scale float64) (*snapshot.Loaded, []*kb.Tracked) 
 	return loaded, checks
 }
 
-// The server's first answer after an open — a replay by URI — reads only the
+// The server's first answer after an open — a replay by URI, which it
+// answers from the entity's stored rows (core.ReplayEntity) — reads only the
 // rows it touches: it runs none of the checks the open deferred. A warm
-// batch resolution runs only those of what it reads whole: the name blocks
-// it hands out with their keys, and the two URI tables its matches are
-// printed from. It reads few of the installed graph's rows and checks each
-// as it reads it, so the graph's whole-scan check does not run.
+// batch resolution runs only those of what it reads whole: the two URI
+// tables its matches are printed from; it reads no name. It reads few of
+// the installed graph's rows and checks each as it reads it, so the graph's
+// whole-scan check does not run.
 func TestFirstAnswerRunsNoDeferredCheck(t *testing.T) {
 	loaded, checks := openTracked(t, 1)
 	sub := loaded.Substrate()
 	ctx, cfg := context.Background(), core.Config{Workers: 1}
 	k1 := sub.K1()
 	for id := kb.EntityID(0); ; id++ { // replays until one has candidates
-		ms, err := core.QueryEntity(ctx, sub, core.QueryFromEntity(k1, k1.Lookup(k1.URI(id))), cfg)
+		ms, err := core.ReplayEntity(ctx, sub, k1.Lookup(k1.URI(id)), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,17 +72,11 @@ func TestFirstAnswerRunsNoDeferredCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[*kb.Deferred]bool{
-		kb.FrozenCheck(sub.Parts().NameBlocks.Keys):   true,
 		kb.FrozenCheck(k1.SnapshotParts().URIs):       true,
 		kb.FrozenCheck(sub.K2().SnapshotParts().URIs): true,
 	}
-	for _, c := range checks {
-		if c.Name() == "name blocks" {
-			want[c.Deferred] = true
-		}
-	}
-	if len(want) != 4 {
-		t.Fatalf("found %d of the 4 checks a warm resolve runs", len(want))
+	if len(want) != 2 {
+		t.Fatalf("found %d of the 2 checks a warm resolve runs", len(want))
 	}
 	for _, c := range checks {
 		if ran := c.Runs() != 0; ran != want[c.Deferred] {
@@ -91,7 +86,7 @@ func TestFirstAnswerRunsNoDeferredCheck(t *testing.T) {
 }
 
 // Sixteen readers of a freshly opened substrate — queries that hit and miss
-// the name index, one batch resolution, each ending with a full Verify —
+// the name table, one batch resolution, each ending with a full Verify —
 // race for every deferred check; each runs exactly once, and its verdict
 // reaches all of them. Run under -race (make race-overlap).
 func TestDeferredChecksOverlap(t *testing.T) {

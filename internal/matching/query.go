@@ -11,7 +11,6 @@ import (
 	"slices"
 
 	"minoaner/internal/graph"
-	"minoaner/internal/kb"
 )
 
 // AggScratch is the per-query rank-aggregation scratch — the same bounded
@@ -55,13 +54,4 @@ func RankAggregateRow(sb *AggScratch, valCands, ngbCands []graph.Edge, theta flo
 	}
 	b.reset()
 	return out
-}
-
-// BestOf returns the top candidate of a fused ranking — (kb.NoEntity, 0)
-// when the ranking is empty. Mirrors aggregate()'s return contract.
-func BestOf(ranking []graph.Edge) (kb.EntityID, float64) {
-	if len(ranking) == 0 {
-		return kb.NoEntity, 0
-	}
-	return ranking[0].To, ranking[0].Weight()
 }

@@ -51,12 +51,15 @@ func TestRankAggregateRowMatchesAggregate(t *testing.T) {
 		ranking := RankAggregateRow(sc, val, ngb, theta, useNgb)
 		wantTo, wantScore := m.aggregate(newAggBoard(), val, ngb)
 		mapTo, mapScore := m.aggregateMap(val, ngb)
-		gotTo, gotScore := BestOf(ranking)
+		gotTo, gotScore := kb.NoEntity, 0.0 // an empty ranking has no pick, nor has aggregate
+		if len(ranking) > 0 {
+			gotTo, gotScore = ranking[0].To, ranking[0].Weight()
+		}
 		if gotTo != wantTo || gotScore != wantScore {
-			t.Fatalf("trial %d: BestOf = (%d, %v), aggregate = (%d, %v)", trial, gotTo, gotScore, wantTo, wantScore)
+			t.Fatalf("trial %d: ranking[0] = (%d, %v), aggregate = (%d, %v)", trial, gotTo, gotScore, wantTo, wantScore)
 		}
 		if gotTo != mapTo || gotScore != mapScore {
-			t.Fatalf("trial %d: BestOf = (%d, %v), aggregateMap = (%d, %v)", trial, gotTo, gotScore, mapTo, mapScore)
+			t.Fatalf("trial %d: ranking[0] = (%d, %v), aggregateMap = (%d, %v)", trial, gotTo, gotScore, mapTo, mapScore)
 		}
 
 		// Reference fused scores, candidate for candidate.
@@ -96,8 +99,9 @@ func TestRankAggregateRowEmpty(t *testing.T) {
 	if got := RankAggregateRow(sc, nil, []graph.Edge{graph.NewEdge(3, 1)}, 0.6, false); got != nil {
 		t.Fatalf("neighbors disabled with only a γ row → %v, want nil", got)
 	}
-	if to, s := BestOf(nil); to != kb.NoEntity || s != 0 {
-		t.Fatalf("BestOf(nil) = (%d, %v)", to, s)
+	m := &matcher{cfg: Config{Theta: 0.6, UseNeighbors: true}}
+	if to, s := m.aggregate(newAggBoard(), nil, nil); to != kb.NoEntity || s != 0 {
+		t.Fatalf("aggregate of empty rows = (%d, %v), want no pick where the ranking is empty", to, s)
 	}
 }
 

@@ -525,16 +525,16 @@ func TestDamagedGraphRowsAreAnInternalError(t *testing.T) {
 				t.Fatal(err)
 			}
 			sub := loaded.Substrate()
-			qs, err := sub.ExportQueryState(context.Background())
+			pg, err := sub.ExportGraph(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			g := *qs.Graph
+			g := *pg
 			if g.Beta1.Off[e] == g.Beta1.Off[e+1] {
 				t.Fatalf("%s has no β row; test is vacuous", uri)
 			}
 			c.damage(&g, e, sub.K2().Len())
-			if err := sub.InstallQueryState(&core.QueryState{Graph: &g, Names: qs.Names}); err != nil {
+			if err := sub.InstallGraph(&g); err != nil {
 				t.Fatal(err)
 			}
 			s := New(quietOptions())

@@ -29,8 +29,12 @@ func TestStoredGamma1CountEqualsMaterialized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		nameBlocks, err := sub.NameBlocks()
+		if err != nil {
+			t.Fatal(err)
+		}
 		g, _, err := graph.BuildTimedCtx(ctx, parallel.New(2), graph.Input{
-			K1: sub.K1(), K2: sub.K2(), NameBlocks: sub.NameBlocks(), TokenIndex: ix,
+			K1: sub.K1(), K2: sub.K2(), NameBlocks: nameBlocks, TokenIndex: ix,
 			Top1: top1, Top2: top2, K: sub.Config().TopK,
 		})
 		if err != nil {

@@ -3,14 +3,13 @@
 // installs as a view, so an open allocates per section, not per entity —
 // while ReadSubstrate decodes from any byte slice with explicit element
 // copies (the portable and cross-endian path). Both install the persisted
-// query state, so the first QueryEntity after a load pays no graph
-// construction.
+// graph, so the first QueryEntity after a load pays no graph construction.
 //
 // The open checks structure: the header, the section table, section sizes,
 // offset tables, the meta section's keys and the graph's shape
 // (ErrTruncated, ErrMisaligned, ErrCorrupt). What would take a walk over a
 // whole section — entity and dictionary IDs, sorted permutations, string
-// offsets, the name index's order — is left to deferred checks that the
+// offsets, the name table's order — is left to deferred checks that the
 // first reader of each section runs (kb.ErrCorrupt). The graph's targets
 // and weights are checked by whoever reads a row, as it reads it: the batch
 // resolve and the query kernels (graph.ErrOutOfRange, graph.ErrBadWeight).
@@ -165,7 +164,7 @@ func decode(data []byte, copyMode bool) (*core.Substrate, error) {
 	if err != nil {
 		return nil, err
 	}
-	nameBlocks, err := decodeNameBlocks(h, copyMode)
+	names, err := decodeNameTable(h, copyMode)
 	if err != nil {
 		return nil, err
 	}
@@ -175,14 +174,14 @@ func decode(data []byte, copyMode bool) (*core.Substrate, error) {
 		NameAttrs1: meta.NameAttrs1, NameAttrs2: meta.NameAttrs2,
 		Ranks1: ranks1, Ranks2: ranks2,
 		Top1: top1, Top2: top2,
-		NameBlocks: nameBlocks, PurgedBlocks: meta.PurgedBlocks, PurgeThreshold: meta.PurgeThreshold,
+		NameTable: names, PurgedBlocks: meta.PurgedBlocks, PurgeThreshold: meta.PurgeThreshold,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 
 	if h.flags&flagQueryState != 0 {
-		if err := decodeQueryState(h, copyMode, sub, top1, *meta.Gamma1Edges); err != nil {
+		if err := decodeGraph(h, copyMode, sub, top1, *meta.Gamma1Edges); err != nil {
 			return nil, err
 		}
 	}
@@ -308,24 +307,23 @@ func decodeKB(h *header, copyMode bool, base uint32, name string, triples int, d
 	return k, nil
 }
 
-func decodeNameBlocks(h *header, copyMode bool) (core.NameBlockRows, error) {
-	var nb core.NameBlockRows
+func decodeNameTable(h *header, copyMode bool) (core.NameTable, error) {
+	var nt core.NameTable
 	var err error
-	if nb.Keys, err = frozenSection(h, copyMode, secNameKeys, "name block keys"); err != nil {
-		return nb, err
+	if nt.Keys, err = frozenSection(h, copyMode, secNameKeys, "name table keys"); err != nil {
+		return nt, err
 	}
-	if nb.E1, err = idRowsSection(h, copyMode, secNameE1Off, secNameE1Flat, "name blocks e1"); err != nil {
-		return nb, err
+	if nt.E1, err = idRowsSection(h, copyMode, secNameE1Off, secNameE1Flat, "name table e1"); err != nil {
+		return nt, err
 	}
-	nb.E2, err = idRowsSection(h, copyMode, secNameE2Off, secNameE2Flat, "name blocks e2")
-	return nb, err
+	nt.E2, err = idRowsSection(h, copyMode, secNameE2Off, secNameE2Flat, "name table e2")
+	return nt, err
 }
 
-func decodeQueryState(h *header, copyMode bool, sub *core.Substrate, top1 graph.Rows[kb.EntityID], gamma1Edges int) error {
+func decodeGraph(h *header, copyMode bool, sub *core.Substrate, top1 graph.Rows[kb.EntityID], gamma1Edges int) error {
 	// The graph's row sets install as they are stored — two views each, no
-	// per-row work; core.InstallQueryState checks their shape and the γ₁
-	// edge count's range, and defers the range checks of targets to first
-	// use.
+	// per-row work; core.InstallGraph checks their shape and the γ₁ edge
+	// count's range, and defers the range checks of targets to first use.
 	g := &graph.Graph{Top1: top1, K: sub.Config().TopK, Gamma1Edges: gamma1Edges}
 	var err error
 	for _, r := range []struct {
@@ -363,23 +361,7 @@ func decodeQueryState(h *header, copyMode bool, sub *core.Substrate, top1 graph.
 		}
 	}
 
-	var names core.NameUsages
-	if names.Names, err = frozenSection(h, copyMode, secNamesText, "name usage text"); err != nil {
-		return err
-	}
-	if names.N1, err = readI32Section[int32](h, copyMode, secNamesN1, "name usage n1"); err != nil {
-		return err
-	}
-	if names.N2, err = readI32Section[int32](h, copyMode, secNamesN2, "name usage n2"); err != nil {
-		return err
-	}
-	if names.E1, err = readI32Section[kb.EntityID](h, copyMode, secNamesE1, "name usage e1"); err != nil {
-		return err
-	}
-	if names.E2, err = readI32Section[kb.EntityID](h, copyMode, secNamesE2, "name usage e2"); err != nil {
-		return err
-	}
-	if err := sub.InstallQueryState(&core.QueryState{Graph: g, Names: names}); err != nil {
+	if err := sub.InstallGraph(g); err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return nil

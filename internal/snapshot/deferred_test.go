@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"minoaner/internal/core"
@@ -94,7 +95,7 @@ func TestDamagedPermutationIsRefusedAtFirstUse(t *testing.T) {
 // verdict by whatever derives it — a query describing a new entity, the
 // token index itself — every time, and by nothing that does not: a warm
 // batch resolution, a replay of stored rows. No reader answers as if the
-// damaged entity had no tokens, and the token blocks are empty.
+// damaged entity had no tokens, and the token blocks are refused too.
 func TestDamagedTokenMemberIsRefusedAtFirstUse(t *testing.T) {
 	sub := readDamaged(t, kb2Base+kbTokens, func(b []byte) { binary.LittleEndian.PutUint32(b, 1<<20) })
 	ctx, cfg := context.Background(), core.Config{Workers: 1}
@@ -113,9 +114,10 @@ func TestDamagedTokenMemberIsRefusedAtFirstUse(t *testing.T) {
 		_, err := sub.TokenIndex(ctx)
 		return err
 	})
-	if n := sub.TokenBlocks().Len(); n != 0 {
-		t.Fatalf("a damaged token column gave %d token blocks", n)
-	}
+	refusedTwice(t, "the token blocks", kb.ErrCorrupt, func() error {
+		_, err := sub.TokenBlocks()
+		return err
+	})
 }
 
 // Token strings are read by the derive of a pair with two dictionaries,
@@ -149,11 +151,10 @@ func TestDamagedDictionaryStringIsRefused(t *testing.T) {
 	if _, err := core.ResolveWith(ctx, shared, cfg); err != nil {
 		t.Fatalf("a warm resolve reads no token string: %v", err)
 	}
-	for round := 0; round < 2; round++ {
-		if n := shared.TokenBlocks().Len(); n != 0 {
-			t.Fatalf("call %d: damaged token strings gave %d token blocks", round, n)
-		}
-	}
+	refusedTwice(t, "the token blocks", kb.ErrCorrupt, func() error {
+		_, err := shared.TokenBlocks()
+		return err
+	})
 	if err := shared.K1().TokenDict().Err(); !errors.Is(err, kb.ErrCorrupt) {
 		t.Fatalf("the dictionary after its keys were read: %v, want kb.ErrCorrupt", err)
 	}
@@ -190,10 +191,12 @@ func TestPurgeMismatchIsRefusedAtFirstUse(t *testing.T) {
 	})
 }
 
-// A name-block member naming no entity is refused by whatever hands the
-// name blocks out — a batch resolution, NameBlocks — and not by a query,
-// which never reads them. The tiny pair has no name block, so this damages a
-// preset's.
+// A member of the name table naming no entity is refused by whatever reads
+// the table whole — NameBlocks, a private graph, Verify — and by a query
+// whose name lookup misses, which runs the table's check; a warm batch
+// resolution, which reads no name, gives the built pair's matches. The
+// member is the first E1 carrier of a name block, so the tiny pair, which
+// has no name block, does not do; this damages a preset's.
 func TestDamagedNameBlockIsRefusedAtFirstUse(t *testing.T) {
 	img, err := os.ReadFile(presetSnapshot(t, "Restaurant", 0.5))
 	if err != nil {
@@ -206,27 +209,44 @@ func TestDamagedNameBlockIsRefusedAtFirstUse(t *testing.T) {
 	if len(h.sections[secNameE1Flat]) == 0 {
 		t.Fatal("the preset has no name block; test is vacuous")
 	}
+	ctx, cfg := context.Background(), core.Config{Workers: 1}
+	intact, err := ReadSubstrate(bytes.Clone(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.ResolveWith(ctx, intact.Substrate(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	binary.LittleEndian.PutUint32(h.sections[secNameE1Flat], 1<<20)
 	read, err := ReadSubstrate(img)
 	if err != nil {
 		t.Fatalf("a damaged member failed the open: %v", err)
 	}
-	sub, ctx, cfg := read.Substrate(), context.Background(), core.Config{Workers: 1}
-	if _, err := core.QueryEntity(ctx, sub, core.QueryFromEntity(sub.K1(), 0), cfg); err != nil {
-		t.Fatalf("a query reads no name block: %v", err)
+	sub := read.Substrate()
+	if out, err := core.ResolveWith(ctx, sub, cfg); err != nil || !reflect.DeepEqual(out.Matches, want.Matches) {
+		t.Fatalf("a warm resolve reads no name: %v", err)
 	}
 	for _, want := range []error{kb.ErrCorrupt, graph.ErrOutOfRange} {
-		refusedTwice(t, "a resolve handing the name blocks out", want, func() error {
-			_, err := core.ResolveWith(ctx, sub, cfg)
+		refusedTwice(t, "the name blocks", want, func() error {
+			_, err := sub.NameBlocks()
+			return err
+		})
+		refusedTwice(t, "a resolve over a private graph", want, func() error {
+			_, err := core.ResolveWith(ctx, sub, core.Config{Workers: 1, TopK: 3})
 			return err
 		})
 	}
-	if n := sub.NameBlocks().Len(); n != 0 {
-		t.Fatalf("damaged name blocks gave %d blocks", n)
-	}
+	attrs1, _ := sub.NameAttrs()
+	unknown := core.EntityQuery{URI: "q:new", Attrs: []kb.AttributeValue{{Attribute: attrs1[0], Value: "nobody by this name"}}}
+	refusedTwice(t, "a query whose name misses", kb.ErrCorrupt, func() error {
+		_, err := core.QueryEntity(ctx, sub, unknown, cfg)
+		return err
+	})
+	refusedTwice(t, "Verify", kb.ErrCorrupt, sub.Verify)
 }
 
-// readNamesDamaged loads the snapshot img with the text of its name index
+// readNamesDamaged loads the snapshot img with the keys of its name table
 // rewritten by damage, which gets the blob and the offset of each name. The
 // open must succeed: the order of the names is the first reader's to check.
 func readNamesDamaged(t *testing.T, img []byte, damage func(t *testing.T, blob []byte, off func(int) int, n int)) *core.Substrate {
@@ -236,7 +256,7 @@ func readNamesDamaged(t *testing.T, img []byte, damage func(t *testing.T, blob [
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, offs := h.sections[secNamesText+frozenBlob], h.sections[secNamesText+frozenOff]
+	blob, offs := h.sections[secNameKeys+frozenBlob], h.sections[secNameKeys+frozenOff]
 	off := func(i int) int { return int(binary.LittleEndian.Uint64(offs[8*i:])) }
 	damage(t, blob, off, len(offs)/8-1)
 	read, err := ReadSubstrate(img)
@@ -247,7 +267,7 @@ func readNamesDamaged(t *testing.T, img []byte, damage func(t *testing.T, blob [
 }
 
 // duplicateName overwrites a name with the name before it, of the same
-// length: the index is still in order, but lists that name twice, and each
+// length: the table is still in order, but lists that name twice, and each
 // entry could read as its only carrier.
 func duplicateName(t *testing.T, blob []byte, off func(int) int, n int) {
 	t.Helper()
@@ -260,7 +280,7 @@ func duplicateName(t *testing.T, blob []byte, off func(int) int, n int) {
 	t.Fatal("no two adjacent names of one length; test is vacuous")
 }
 
-// A name index out of order, or listing one name twice, cannot be trusted
+// A name table out of order, or listing one name twice, cannot be trusted
 // with a miss: Verify refuses it, and so does the first lookup that misses,
 // whose verdict refuses every query after it. The pair is Restaurant: the
 // tiny pair's names alternate in length, so none can be duplicated in place.
@@ -278,7 +298,7 @@ func TestDamagedNameOrderIsRefusedAtFirstUse(t *testing.T) {
 
 			sub, ctx, cfg := readNamesDamaged(t, img, tc.damage), context.Background(), core.Config{Workers: 1}
 			if _, err := core.ResolveWith(ctx, sub, cfg); err != nil {
-				t.Fatalf("a warm resolve reads no name index: %v", err)
+				t.Fatalf("a warm resolve reads no name table: %v", err)
 			}
 			attrs1, _ := sub.NameAttrs()
 			if len(attrs1) == 0 {

@@ -1,6 +1,6 @@
 // Snapshot encoder: WriteSubstrate serializes a built substrate — both KBs,
-// dictionaries, columnar spans, ranks, top-neighbor rows, name blocks, and
-// (always) the graph with the query path's name index — into the sectioned
+// dictionaries, columnar spans, ranks, top-neighbor rows, the name table,
+// and (always) the pair's graph — into the sectioned
 // format described in format.go. A file depends only on the pair and its
 // build configuration: section order and padding bytes are pinned, edge
 // records have no padding of their own, and nothing records how long the
@@ -133,12 +133,11 @@ func ready(secs ...[]section) group {
 	return group{len(all), func() []section { return all }}
 }
 
-// WriteSubstrate serializes sub, including its graph and query-path name
-// index (both are built first, by the prewarm, if nothing has needed them
-// yet — snapshots exist to make warm starts instant, so they always ship;
-// the name index is built sorted, so it is written as it is). On
-// little-endian hosts the graph, KB-column, dictionary and name-block
-// sections are the bytes of the arrays the substrate already holds. What is
+// WriteSubstrate serializes sub, including its graph (built first, by the
+// prewarm, if nothing has needed it yet — snapshots exist to make warm
+// starts instant, so it always ships). On little-endian hosts the graph,
+// KB-column, dictionary and name-table sections are the bytes of the arrays
+// the substrate already holds. What is
 // still derived here is prepared group by group on the substrate's workers
 // while this goroutine writes finished groups in table order: the
 // dictionaries' and URI tables' sorted permutations, by the radix
@@ -155,9 +154,9 @@ func WriteSubstrate(w io.Writer, sub *core.Substrate) error {
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	ctx := context.Background()
-	qs, err := sub.ExportQueryState(ctx)
+	g, err := sub.ExportGraph(ctx)
 	if err != nil {
-		return fmt.Errorf("snapshot: export query state: %w", err)
+		return fmt.Errorf("snapshot: export graph: %w", err)
 	}
 	p := sub.Parts()
 	dict1, dict2 := p.K1.TokenDict(), p.K2.TokenDict()
@@ -177,7 +176,7 @@ func WriteSubstrate(w io.Writer, sub *core.Substrate) error {
 		Config:     p.Config,
 		NameAttrs1: p.NameAttrs1, NameAttrs2: p.NameAttrs2,
 		PurgedBlocks: p.PurgedBlocks, PurgeThreshold: p.PurgeThreshold,
-		Gamma1Edges: &qs.Graph.Gamma1Edges,
+		Gamma1Edges: &g.Gamma1Edges,
 	}
 	metaBytes, err := json.Marshal(meta)
 	if err != nil {
@@ -198,19 +197,16 @@ func WriteSubstrate(w io.Writer, sub *core.Substrate) error {
 				[]section{{secRanks1, i32Bytes(p.Ranks1)}, {secRanks2, i32Bytes(p.Ranks2)}},
 				idRows(secTop1Off, secTop1Flat, p.Top1),
 				idRows(secTop2Off, secTop2Flat, p.Top2),
-				frozenSections(secNameKeys, p.NameBlocks.Keys),
-				idRows(secNameE1Off, secNameE1Flat, p.NameBlocks.E1),
-				idRows(secNameE2Off, secNameE2Flat, p.NameBlocks.E2))
-		}})
-	g := qs.Graph
-	plan = append(plan,
+				frozenSections(secNameKeys, p.NameTable.Keys),
+				idRows(secNameE1Off, secNameE1Flat, p.NameTable.E1),
+				idRows(secNameE2Off, secNameE2Flat, p.NameTable.E2))
+		}},
 		// The graph's E1 top-neighbor rows are the substrate's own (already
 		// in secTop1*).
 		ready(idRows(secAlpha1Off, secAlpha1Flat, g.Alpha1), idRows(secAlpha2Off, secAlpha2Flat, g.Alpha2),
 			edgeRows(secBeta1Off, secBeta1Edges, g.Beta1), edgeRows(secBeta2Off, secBeta2Edges, g.Beta2),
 			edgeRows(secGamma2Off, secGamma2Edges, g.Gamma2),
-			edgeRows(secAdj1Off, secAdj1Edges, g.Adj1), idRows(secIn2Off, secIn2Flat, g.In2)),
-		group{plainTable + 4, func() []section { return nameUsageSections(qs.Names) }})
+			edgeRows(secAdj1Off, secAdj1Edges, g.Adj1), idRows(secIn2Off, secIn2Flat, g.In2)))
 
 	return writeGroups(ctx, w, flags, plan, parallel.New(p.Config.Workers))
 }
@@ -308,12 +304,6 @@ func writeGroups(ctx context.Context, w io.Writer, flags uint32, plan []group, e
 	}
 	_, err := seeker.Seek(0, io.SeekEnd)
 	return err
-}
-
-func nameUsageSections(u core.NameUsages) []section {
-	return append(frozenSections(secNamesText, u.Names),
-		section{secNamesN1, i32Bytes(u.N1)}, section{secNamesN2, i32Bytes(u.N2)},
-		section{secNamesE1, i32Bytes(u.E1)}, section{secNamesE2, i32Bytes(u.E2)})
 }
 
 // fileSink is the temp file behind its write buffer: small sections and

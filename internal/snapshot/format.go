@@ -1,8 +1,8 @@
 // Package snapshot implements the versioned binary on-disk format for
 // build-once substrates: what core.BuildSubstrate produces — KB
-// dictionaries, columnar CSR spans, relation ranks, top-neighbor rows, name
-// blocks and the purge of the token index — plus (always, in files this
-// package writes) the prewarmed per-entity query state, serialized as
+// dictionaries, columnar CSR spans, relation ranks, top-neighbor rows, the
+// name table and the purge of the token index — plus (always, in files this
+// package writes) the pair's prewarmed graph, serialized as
 // 8-byte-aligned little-endian sections behind a magic+version+section-table
 // header. A file holds the pair and its normalized build configuration,
 // and nothing of how the build ran — no clocks, no worker count: builds of
@@ -25,12 +25,20 @@
 // meta section's purged_blocks and purge_threshold
 // (core.Substrate.TokenIndex).
 //
-// Version 4 differs from version 3 in the meta section only. It stores the
+// Version 5 stores one name table (sections 410–416): every normalized name
+// that at least one E2 entity carries, sorted by name, with the E1 and the
+// E2 entities carrying it (core.NameTable). The name blocks are its rows
+// with both sides non-empty, and the query path's α probe reads it too.
+// Version 4 stored two tables in its place: the name blocks alone in
+// sections 410–416, and the query path's name-usage index in 520–526 —
+// every name of either KB, with the number of carriers on each side and
+// each side's last carrier.
+// Version 4 differed from version 3 in the meta section only. It added the
 // graph's E1-side γ edge count (gamma1_edges), which the file holds no rows
 // to count from, so an opened pair reports its edge count without building
 // every γ₁ row; the loader refuses a meta section without the count, and a
-// count that n1 rows of at most min(K, n2) edges cannot hold (ErrCorrupt). Its config no longer stores
-// Workers. Version 3 differed from version 2 in that: version 2 also stored
+// count that n1 rows of at most min(K, n2) edges cannot hold (ErrCorrupt).
+// Its config dropped Workers. Version 3 differed from version 2 in that: version 2 also stored
 // the token index — its member CSRs and weights (sections 422–426) and, for
 // a pair without one token dictionary, a joint dictionary and translation
 // tables (320–322, 420 and 421, behind header flag bit 2, which is now
@@ -43,7 +51,7 @@
 // File layout (all integers little-endian):
 //
 //	offset 0   magic    "MINOSNP1" (8 bytes)
-//	offset 8   uint32   version (currently 4)
+//	offset 8   uint32   version (currently 5)
 //	offset 12  uint32   flags
 //	offset 16  uint32   section count
 //	offset 20  uint32   reserved (0)
@@ -60,7 +68,7 @@ import (
 // Magic and version of the format.
 var magic = [8]byte{'M', 'I', 'N', 'O', 'S', 'N', 'P', '1'}
 
-const formatVersion = 4
+const formatVersion = 5
 
 // Header flags.
 const (
@@ -68,7 +76,7 @@ const (
 	flagSharedDict = 1 << 0
 	// flagSharedSchema: KB2 shares KB1's schema (no schema2 sections).
 	flagSharedSchema = 1 << 1
-	// flagQueryState: the prewarmed query-state sections are present.
+	// flagQueryState: the prewarmed graph's sections are present.
 	flagQueryState = 1 << 3
 )
 
@@ -131,7 +139,7 @@ const (
 	secTop1Flat    uint32 = 403
 	secTop2Off     uint32 = 404
 	secTop2Flat    uint32 = 405
-	secNameKeys    uint32 = 410 // frozen trio base (sorted absent)
+	secNameKeys    uint32 = 410 // the name table: frozen trio base (sorted absent)
 	secNameE1Off   uint32 = 413
 	secNameE1Flat  uint32 = 414
 	secNameE2Off   uint32 = 415
@@ -150,11 +158,6 @@ const (
 	secAdj1Edges   uint32 = 511
 	secIn2Off      uint32 = 512
 	secIn2Flat     uint32 = 513
-	secNamesText   uint32 = 520 // frozen trio base (sorted absent)
-	secNamesN1     uint32 = 523
-	secNamesN2     uint32 = 524
-	secNamesE1     uint32 = 525
-	secNamesE2     uint32 = 526
 )
 
 // header is the parsed fixed-size prefix plus section table.

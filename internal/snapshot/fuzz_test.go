@@ -143,7 +143,7 @@ func fuzzSeeds(t testing.TB) map[string][]byte {
 		"kb-tokens":            flip(at(kb1Base+kbTokens), 0x40),
 		"kb-statement-object":  flip(at(kb2Base+kbStmtRelObj), 0x08),
 		"kb-attribute-name":    flip(at(kb1Base+kbStmtAttrName), 0x10),
-		"name-usage-carrier":   flip(at(secNamesE2), 0x10),
+		"name-table-carrier":   flip(at(secNameE2Flat), 0x10),
 		"name-block-member":    flip(at(secNameE1Flat), 0x20),
 		"meta-json":            flip(at(secMeta)+1, 0x01),
 		"gamma1-count-over":    gamma1Edges(n1*min(k, n2) + 1),
@@ -361,12 +361,14 @@ func exercise(sub *core.Substrate) {
 			}
 		}
 	}
-	if out, err := core.ResolveWith(ctx, sub, cfg); err == nil {
-		members(out.NameBlocks)
-	}
+	_, _ = core.ResolveWith(ctx, sub, cfg)
 	_, _ = core.ResolveWith(ctx, sub, core.Config{Workers: 1, TopK: 3}) // a private graph, built from every input
-	members(sub.NameBlocks())
-	members(sub.TokenBlocks())
+	if c, err := sub.NameBlocks(); err == nil {
+		members(c)
+	}
+	if c, err := sub.TokenBlocks(); err == nil {
+		members(c)
+	}
 	if k1.Len() > 0 {
 		last := kb.EntityID(k1.Len() - 1)
 		if d, err := k1.Describe(last); err == nil {

@@ -14,28 +14,35 @@ import (
 
 // goldenSectionsPath holds, per Table-1 preset at the pinned-fixture scale,
 // the digest of every snapshot section, meta included. It was last
-// regenerated when format version 4 added the γ₁ edge count to meta and
-// dropped the config's Workers from it, before that when the meta section
-// stopped recording the build's clocks, and before that when format version
-// 3 stopped storing the token index; goldenKeptPath shows that no other
-// section changed any of those times. A byte may
-// change only with the format. Regenerate (only when the format is changed
+// regenerated when format version 5 replaced the name blocks and the
+// name-usage index with one name table, before that when format version 4
+// added the γ₁ edge count to meta and dropped the config's Workers from it,
+// before that when the meta section stopped recording the build's clocks,
+// and before that when format version 3 stopped storing the token index;
+// goldenKeptPath shows that no other section changed any of those times. A
+// byte may change only with the format. Regenerate (only when the format is changed
 // deliberately) with:
 //
 //	MINOANER_UPDATE_GOLDEN=1 go test ./internal/snapshot -run TestSnapshotBytesUnchanged
 const goldenSectionsPath = "testdata/golden_sections.json"
 
 // goldenKeptPath holds, per preset, keptDigest of the same snapshots,
-// captured from format version 2 before version 3 stopped storing the token
-// index: every section a version 3 file still holds is pinned by its ID and
-// bytes, so no byte of them may change with the index's removal. It has no
-// update switch.
+// captured from format version 4 before version 5 replaced its two name
+// tables with one: every other section a version 5 file holds is pinned by
+// its ID and bytes, so no byte of them may change with the name tables'
+// replacement. Version 4 held the sections of version 2 but the token
+// index's byte for byte (this file's previous values were taken from
+// version 2 with the token index left out). It has no update switch.
 const goldenKeptPath = "testdata/golden_kept_sections.json"
 
-// indexSections are the IDs format version 2 gave the token index, which
-// version 3 derives: the joint dictionary's trio (320–322), the translation
-// tables (420, 421), and the member CSRs and weights (422–426).
-var indexSections = []uint32{320, 321, 322, 420, 421, 422, 423, 424, 425, 426}
+// changedSections are the IDs of sections a format version replaced since
+// version 2: the token index's, which version 3 derives — the joint
+// dictionary's trio (320–322), the translation tables (420, 421), and the
+// member CSRs and weights (422–426) — and the name tables of version 4,
+// which version 5 stores as one — the name blocks (410–416) and the
+// name-usage index (520–526).
+var changedSections = []uint32{320, 321, 322, 420, 421, 422, 423, 424, 425, 426,
+	410, 411, 412, 413, 414, 415, 416, 520, 521, 522, 523, 524, 525, 526}
 
 // sectionsDigest hashes the header flags and, in ID order, every section:
 // its ID, its length and its bytes.
@@ -47,13 +54,12 @@ func sectionsDigest(t *testing.T, data []byte) string {
 	return hex.EncodeToString(sum.Sum(nil))
 }
 
-// keptDigest hashes, in ID order, every section but meta and the token
-// index's: its ID, its length and its bytes. Unlike sectionsDigest it leaves
-// out the header's flags and section count, which the index's removal
-// changed.
+// keptDigest hashes, in ID order, every section but meta and the changed
+// ones: its ID, its length and its bytes. Unlike sectionsDigest it leaves
+// out the header's flags and section count, which the changes changed.
 func keptDigest(t *testing.T, data []byte) string {
 	sum := sha256.New()
-	hashSections(sum, parsed(t, data), func(id uint32) bool { return id != secMeta && !slices.Contains(indexSections, id) })
+	hashSections(sum, parsed(t, data), func(id uint32) bool { return id != secMeta && !slices.Contains(changedSections, id) })
 	return hex.EncodeToString(sum.Sum(nil))
 }
 
@@ -91,7 +97,7 @@ func TestSnapshotBytesUnchanged(t *testing.T) {
 }
 
 // TestKeptSectionsUnchanged requires the committed digest of every section
-// but meta and the token index's, the same way.
+// but meta and the changed ones, the same way.
 func TestKeptSectionsUnchanged(t *testing.T) {
 	checkGolden(t, goldenKeptPath, false, keptDigest)
 }

@@ -26,7 +26,8 @@ import (
 // over an Output and the substrate it was resolved over, so snapshot-loaded
 // substrates can be checked against the committed byte-identity fixtures
 // without an import cycle.
-func pinnedDigest(sub *core.Substrate, out *core.Output) string {
+func pinnedDigest(t *testing.T, sub *core.Substrate, out *core.Output) string {
+	t.Helper()
 	h := sha256.New()
 	for _, m := range out.Matches {
 		fmt.Fprintf(h, "m %d %d %s\n", m.Pair.E1, m.Pair.E2, m.Rule)
@@ -34,10 +35,17 @@ func pinnedDigest(sub *core.Substrate, out *core.Output) string {
 	fmt.Fprintf(h, "r4 %d edges %d purged %d threshold %d\n",
 		out.RemovedByR4, out.GraphEdges, out.PurgedBlocks, out.PurgeThreshold)
 	fmt.Fprintf(h, "names %v %v\n", out.NameAttrs1, out.NameAttrs2)
-	tokenBlocks := sub.TokenBlocks()
+	nameBlocks, err := sub.NameBlocks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tokenBlocks, err := sub.TokenBlocks()
+	if err != nil {
+		t.Fatal(err)
+	}
 	fmt.Fprintf(h, "blocks %d %d comparisons %d %d\n",
-		out.NameBlocks.Len(), tokenBlocks.Len(),
-		out.NameBlocks.TotalComparisons(), tokenBlocks.TotalComparisons())
+		nameBlocks.Len(), tokenBlocks.Len(),
+		nameBlocks.TotalComparisons(), tokenBlocks.TotalComparisons())
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -105,7 +113,7 @@ func resolveDigest(t *testing.T, sub *core.Substrate) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pinnedDigest(sub, out)
+	return pinnedDigest(t, sub, out)
 }
 
 func snapshotBytes(t testing.TB, sub *core.Substrate) []byte {
@@ -206,7 +214,7 @@ func TestRoundTripQueryRows(t *testing.T) {
 	for i := 0; i < n; i += 1 + n/50 { // ~50 spread-out entities
 		replay := core.QueryFromEntity(k1, kb.EntityID(i))
 		// The same description as a new entity, and one whose name no
-		// entity carries: the name index is read for a sole carrier on
+		// entity carries: the name table is read for a sole carrier on
 		// neither side, and missed.
 		fresh := replay
 		fresh.URI, fresh.SelfURI = "q:new", ""
@@ -275,11 +283,13 @@ func TestCorruptInputs(t *testing.T) {
 		{"cut-sections", mutate(func(b []byte) []byte { return b[:len(b)/2] }), ErrTruncated, ""},
 		{"bad-magic", mutate(func(b []byte) []byte { b[0] ^= 0xff; return b }), ErrBadMagic, ""},
 		{"bad-version", mutate(func(b []byte) []byte { b[8] = 99; return b }), ErrVersion, ""},
-		// A file of the 16-byte edge records, and one that stores the token
-		// index: refused by name, to be rebuilt.
+		// A file of the 16-byte edge records, one that stores the token
+		// index, one without the γ₁ edge count, and one with two name
+		// tables: refused by name, to be rebuilt.
 		{"version-1", mutate(func(b []byte) []byte { b[8] = 1; return b }), ErrVersion, fmt.Sprintf("version 1 (this build reads %d;", formatVersion)},
 		{"version-2", mutate(func(b []byte) []byte { b[8] = 2; return b }), ErrVersion, fmt.Sprintf("version 2 (this build reads %d;", formatVersion)},
 		{"version-3", mutate(func(b []byte) []byte { b[8] = 3; return b }), ErrVersion, fmt.Sprintf("version 3 (this build reads %d;", formatVersion)},
+		{"version-4", mutate(func(b []byte) []byte { b[8] = 4; return b }), ErrVersion, fmt.Sprintf("version 4 (this build reads %d;", formatVersion)},
 		{"misaligned-section", mutate(func(b []byte) []byte {
 			// Bump the first table entry's offset by 4: still in bounds (the
 			// length check uses the stored length), no longer 8-aligned.

@@ -69,7 +69,7 @@ func TestSharedVersusPrivateDictionaries(t *testing.T) {
 			if len(shared.Matches) == 0 || !reflect.DeepEqual(shared.Matches, separate.Matches) {
 				t.Fatalf("matches differ: %d shared, %d separate", len(shared.Matches), len(separate.Matches))
 			}
-			if got, want := pinnedDigest(subShared, shared), pinnedDigest(subSeparate, separate); got != want {
+			if got, want := pinnedDigest(t, subShared, shared), pinnedDigest(t, subSeparate, separate); got != want {
 				t.Errorf("output digest %s shared, %s separate", got, want)
 			}
 			if err := subShared.PrewarmQueries(ctx); err != nil {
@@ -112,7 +112,7 @@ func TestSharedVersusPrivateDictionaries(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer opened.Close()
-			if got, want := resolveDigest(t, opened.Substrate()), pinnedDigest(subShared, shared); got != want {
+			if got, want := resolveDigest(t, opened.Substrate()), pinnedDigest(t, subShared, shared); got != want {
 				t.Errorf("reopened snapshot resolves to digest %s, the built pair to %s", got, want)
 			}
 		})

@@ -164,9 +164,9 @@ func TestPublicAPIResolveCancellation(t *testing.T) {
 
 // A pair read back from a damaged snapshot never resolves to an Output with
 // silently empty parts. A batch resolution over the snapshot fails with
-// kb.ErrCorrupt where it reads the damage — the URI offsets or a name-block
-// member — and gives the undamaged answer where it does not, as for a KB
-// column; the token index, which is derived from the KB token columns,
+// kb.ErrCorrupt where it reads the damage — the URI offsets — and gives the
+// undamaged answer where it does not, as for a KB column or a member of the
+// name table; the token index, which is derived from the KB token columns,
 // refuses a damaged one; and a substrate build over the loaded KBs, which
 // reads them whole, fails wherever they are damaged. The graph's rows are
 // checked as the resolution reads them (damagedGraphRows).
@@ -200,7 +200,7 @@ func TestDamagedSnapshotNeverResolvesEmpty(t *testing.T) {
 			_, off, _ := s.K2().SnapshotParts().URIs.Parts()
 			off[1] = off[len(off)-1] + 1
 		}},
-		{"name-block member", true, false, false, func(s *Substrate) { s.Parts().NameBlocks.E1.Flat[0] = 1 << 20 }},
+		{"name-table member", false, false, false, func(s *Substrate) { s.Parts().NameTable.E1.Flat[0] = 1 << 20 }},
 		{"KB token column", false, true, true, func(s *Substrate) { s.K2().SnapshotParts().Tokens[0] = 1 << 20 }},
 	} {
 		loaded, err := ReadSnapshot(img.Bytes())
@@ -267,11 +267,10 @@ func damagedGraphRows(t *testing.T) {
 	if err := WriteSnapshot(&img, built); err != nil {
 		t.Fatal(err)
 	}
-	qs, err := built.ExportQueryState(ctx)
+	g, err := built.ExportGraph(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := qs.Graph
 	n1, n2 := built.K1().Len(), built.K2().Len()
 	var r1, r3 []matching.Match
 	for _, m := range want.Matches {
@@ -379,7 +378,7 @@ func damagedGraphRows(t *testing.T) {
 					t.Fatal(err)
 				}
 				sub := loaded.Substrate()
-				lqs, err := sub.ExportQueryState(ctx)
+				lg, err := sub.ExportGraph(ctx)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -389,13 +388,13 @@ func damagedGraphRows(t *testing.T) {
 				}
 				switch {
 				case c.ids != nil:
-					r := c.ids(lqs.Graph)
+					r := c.ids(lg)
 					r.Flat[r.Off[row]] = kb.EntityID(c.below)
 				case weight:
-					r := c.edges(lqs.Graph)
+					r := c.edges(lg)
 					r.Flat[r.Off[row]] = graph.NewEdge(r.Flat[r.Off[row]].To, badWeights[si%len(badWeights)])
 				default:
-					r := c.edges(lqs.Graph)
+					r := c.edges(lg)
 					r.Flat[r.Off[row]] = graph.NewEdge(kb.EntityID(c.below), r.Flat[r.Off[row]].Weight())
 				}
 				wantErr := graph.ErrOutOfRange
@@ -447,11 +446,10 @@ func TestDamagedCandidateRowsFailReplay(t *testing.T) {
 	if err := WriteSnapshot(&img, built); err != nil {
 		t.Fatal(err)
 	}
-	qs, err := built.ExportQueryState(ctx)
+	g, err := built.ExportGraph(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := qs.Graph
 	n1 := built.K1().Len()
 	held := func(c EntityID) int {
 		k := 0
@@ -497,11 +495,10 @@ func TestDamagedCandidateRowsFailReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	sub := loaded.Substrate()
-	lqs, err := sub.ExportQueryState(ctx)
+	lg, err := sub.ExportGraph(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg := lqs.Graph
 	out := kb.EntityID(n1) // no E1 entity
 	lg.Alpha2.Flat[lg.Alpha2.Off[cand]] = out
 	for _, r := range []graph.Rows[graph.Edge]{lg.Beta2, lg.Gamma2} {
