@@ -25,9 +25,9 @@ import (
 //
 // A slot is live iff both sides indexed at least one entity under it — only
 // live slots suggest clean-clean comparisons. Carried() lists the slots E2
-// carries in key order, and Collection() the live ones among them, byte-identical to
-// the historical string-grouped name blocking (NameBlocksMapRef, which the
-// property tests pin against).
+// carries in key order, and Collection() the live ones among them as
+// blocks, byte-identical to the historical string-grouped name blocking
+// (NameBlocksMapRef, which the property tests pin against).
 type NameIndex struct {
 	// sch is the shared value dictionary when both KBs intern into one
 	// Schema; keys holds per-slot strings in the merged-dictionary case.
