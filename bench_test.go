@@ -232,11 +232,10 @@ func BenchmarkStageTokenBlocking(b *testing.B) {
 	}
 }
 
-// BenchmarkNameBlocks guards the columnar name-index rewrite against the
-// retained string-grouped reference: "index" is the shipped NameIndex path
-// (CSR counting pass + scatter fill over interned ValueIDs), "map" the
-// historical string-keyed grouping. Allocation counts are part of the guard
-// — the index path must stay free of per-name string and map-cell churn.
+// BenchmarkNameBlocks times name blocking: the NameIndex path (CSR counting
+// pass + scatter fill over interned ValueIDs) and its collection.
+// Allocation counts are part of the guard — the path must stay free of
+// per-name string and map-cell churn.
 func BenchmarkNameBlocks(b *testing.B) {
 	d := benchStatsKB(b)
 	eng := parallel.New(0)
@@ -249,34 +248,16 @@ func BenchmarkNameBlocks(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	paths := []struct {
-		name string
-		fn   func() (*blocking.Collection, error)
-	}{
-		{"index", func() (*blocking.Collection, error) {
-			ix, err := blocking.NewNameIndexLookupsCtx(ctx, eng, stats.NewNameLookup(d.K1, na1), stats.NewNameLookup(d.K2, na2))
-			if err != nil {
-				return nil, err
-			}
-			return ix.Collection(), nil
-		}},
-		{"map", func() (*blocking.Collection, error) {
-			return blocking.NameBlocksMapRef(ctx, eng, d.K1, d.K2, na1, na2)
-		}},
-	}
-	for _, p := range paths {
-		b.Run(p.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				c, err := p.fn()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if c.Len() == 0 {
-					b.Fatal("no name blocks")
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix, err := blocking.NewNameIndexLookupsCtx(ctx, eng, stats.NewNameLookup(d.K1, na1), stats.NewNameLookup(d.K2, na2))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ix.Collection().Len() == 0 {
+			b.Fatal("no name blocks")
+		}
 	}
 }
 

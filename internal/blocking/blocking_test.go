@@ -166,22 +166,6 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-func TestPurgeAbove(t *testing.T) {
-	c := &Collection{Blocks: []Block{
-		{Key: "small", E1: []kb.EntityID{1}, E2: []kb.EntityID{2}},
-		{Key: "big", E1: []kb.EntityID{1, 2, 3}, E2: []kb.EntityID{4, 5, 6}},
-	}}
-	kept, purged := PurgeAbove(c, 4)
-	if purged != 1 || kept.Len() != 1 || kept.Blocks[0].Key != "small" {
-		t.Fatalf("PurgeAbove kept %v, purged %d", keysOf(kept), purged)
-	}
-	// Non-positive threshold is a no-op.
-	kept2, purged2 := PurgeAbove(c, 0)
-	if purged2 != 0 || kept2.Len() != 2 {
-		t.Error("PurgeAbove(0) must keep everything")
-	}
-}
-
 func TestIndexCoOccur(t *testing.T) {
 	c := &Collection{Blocks: []Block{
 		{Key: "x", E1: []kb.EntityID{1, 3, 5}, E2: []kb.EntityID{2, 4}},

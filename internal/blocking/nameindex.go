@@ -14,7 +14,7 @@ import (
 // map[string]*Block — one string materialization plus one map probe per
 // (entity, name) — the index is CSR-shaped: a per-span counting pass over
 // ValueIDs followed by a scatter fill of flat []EntityID member arrays, the
-// exact memberFill discipline of the token index (span-local counts merged in
+// exact member-fill discipline of the token index (span-local counts merged in
 // span order, disjoint fill regions, member lists sorted by construction, so
 // the result is independent of worker count and scheduling).
 //
@@ -26,8 +26,8 @@ import (
 // A slot is live iff both sides indexed at least one entity under it — only
 // live slots suggest clean-clean comparisons. Carried() lists the slots E2
 // carries in key order, and Collection() the live ones among them as
-// blocks, byte-identical to the historical string-grouped name blocking
-// (NameBlocksMapRef, which the property tests pin against).
+// blocks: name blocking as the paper defines it (core's oracle tests check
+// it against a naive grouping of the names).
 type NameIndex struct {
 	// sch is the shared value dictionary when both KBs intern into one
 	// Schema; keys holds per-slot strings in the merged-dictionary case.
@@ -81,8 +81,8 @@ func NewNameIndexLookupsCtx(ctx context.Context, e *parallel.Engine, nl1, nl2 *s
 }
 
 // nameMemberFill builds one side's CSR member array over n name slots —
-// memberFill with the entity's deduplicated name ValueIDs in place of its
-// token IDs. The per-entity ID scratch is span-local and reused across
+// the token index's member fill with the entity's deduplicated name
+// ValueIDs in place of its token IDs. The per-entity ID scratch is span-local and reused across
 // entities; both passes derive the same ID sets, so counts and fill agree.
 func nameMemberFill(ctx context.Context, e *parallel.Engine, nl *stats.NameLookup, t []int32, n int) ([]kb.EntityID, []int32, error) {
 	k := nl.KB()
@@ -184,8 +184,7 @@ func (ix *NameIndex) Members(s int32) (e1, e2 []kb.EntityID) {
 // Collection materializes the live slots — those of Carried that an E1
 // entity carries too — as a block collection sorted by key, with member
 // lists aliasing the index's CSR arrays (read-only, as block members always
-// were). The result is byte-identical to the historical string-grouped name
-// blocking (NameBlocksMapRef).
+// were).
 func (ix *NameIndex) Collection() *Collection {
 	slots, keys := ix.Carried()
 	blocks := make([]Block, 0, ix.live)

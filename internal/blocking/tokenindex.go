@@ -4,7 +4,6 @@ import (
 	"context"
 	"slices"
 	"strings"
-	"sync/atomic"
 
 	"minoaner/internal/kb"
 	"minoaner/internal/parallel"
@@ -28,8 +27,8 @@ import (
 // A slot is "live" iff its weight is positive: tokens present in only one KB
 // (no cross-KB comparisons) and tokens removed by Block Purging are dead and
 // contribute nothing. Collection() materializes exactly the live slots as
-// key-sorted blocks, byte-identical to the historical string-grouped token
-// blocking (the retained buildCollection reference the tests pin against).
+// key-sorted blocks: token blocking with Block Purging as the paper defines
+// it (core's oracle tests check it against a naive grouping of the tokens).
 type TokenIndex struct {
 	// dict is the joint token dictionary: its IDs are the slots, and its
 	// strings the block keys.
@@ -227,45 +226,6 @@ func spanCursors(locals [][]int32, n int) []int32 {
 	return off
 }
 
-// memberFillAtomic is the pre-refactor fill: one shared count array with an
-// atomic add per token occurrence under the chunked scheduler, then a
-// per-slot sort to restore determinism. Kept unexported as the reference
-// side of BenchmarkTokenIndexMembers and the agreement test.
-func memberFillAtomic(ctx context.Context, e *parallel.Engine, k *kb.KB, t []int32, n int) ([]kb.EntityID, []int32, error) {
-	ce := e.Chunked()
-	counts := make([]int32, n)
-	err := ce.ForCtx(ctx, k.Len(), func(i int) error {
-		for _, tid := range k.TokenIDs(kb.EntityID(i)) {
-			atomic.AddInt32(&counts[slotOf(t, tid)], 1)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	off := offsets(counts)
-	mem := make([]kb.EntityID, off[n])
-	cur := slices.Clone(off[:n])
-	err = ce.ForCtx(ctx, k.Len(), func(i int) error {
-		for _, tid := range k.TokenIDs(kb.EntityID(i)) {
-			s := slotOf(t, tid)
-			mem[atomic.AddInt32(&cur[s], 1)-1] = kb.EntityID(i)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	err = ce.ForCtx(ctx, n, func(s int) error {
-		slices.Sort(mem[off[s]:off[s+1]])
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return mem, off, nil
-}
-
 // mergeDict interns every token of src into joint and returns the
 // src-ID → joint-slot translation table.
 func mergeDict(src *kb.Interner, joint *kb.Interner) []int32 {
@@ -346,8 +306,7 @@ func (ix *TokenIndex) ForEachSharedTokens(tids []kb.TokenID, fromE1 bool, f func
 
 // Collection materializes the live slots as a block collection sorted by
 // key, with member lists aliasing the index (callers must treat blocks as
-// read-only, as they always had to). The result is byte-identical to the
-// historical string-grouped token blocking for the same purge state.
+// read-only, as they always had to).
 func (ix *TokenIndex) Collection() *Collection {
 	liveSlots := make([]int32, 0, ix.live)
 	for s, w := range ix.weight {
@@ -368,8 +327,8 @@ func (ix *TokenIndex) Collection() *Collection {
 // PurgeAbove returns a view of the index with every live token whose
 // comparison count |b1|·|b2| exceeds maxComparisons marked dead, plus the
 // number of purged tokens — Block Purging (§3.3) applied directly to the
-// columnar index, with the same predicate as PurgeAbove on a Collection. A
-// non-positive threshold keeps everything. The receiver is unchanged.
+// columnar index. A non-positive threshold keeps everything. The receiver
+// is unchanged.
 func (ix *TokenIndex) PurgeAbove(maxComparisons int64) (*TokenIndex, int) {
 	if maxComparisons <= 0 {
 		return ix, 0

@@ -9,7 +9,6 @@ import (
 	"minoaner/internal/datagen"
 	"minoaner/internal/kb"
 	"minoaner/internal/parallel"
-	"minoaner/internal/testkb"
 )
 
 // collectBeta runs the ForEachSharedTokens walk for every entity of one
@@ -24,46 +23,6 @@ func collectBeta(ix *TokenIndex, k *kb.KB, fromE1 bool) [][]float64 {
 		out[i] = row
 	}
 	return out
-}
-
-// The index's Collection must equal the historical grouped-and-sorted
-// blocking output exactly — same keys, same order, same members — as the
-// retained string-keyed buildCollection groups it.
-func TestTokenIndexCollectionMatchesTokenBlocks(t *testing.T) {
-	w, d := testkb.Figure1() // separate dictionaries → translation path
-	eng := parallel.New(2)
-	ix := newTokenIndex(t, eng, w, d)
-	got := ix.Collection()
-	if got.Len() == 0 {
-		t.Fatal("no token blocks")
-	}
-	if ix.Live() != got.Len() {
-		t.Errorf("Live = %d, Collection len = %d", ix.Live(), got.Len())
-	}
-	tokens := func(k *kb.KB) func(int, func(string)) {
-		return func(i int, yield func(string)) {
-			for _, tid := range k.TokenIDs(kb.EntityID(i)) {
-				yield(k.TokenDict().TokenString(tid))
-			}
-		}
-	}
-	want, err := buildCollection(context.Background(), eng, w, d, tokens(w), tokens(d))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("Collection() and the string-grouped reference disagree")
-	}
-	for i := 1; i < len(got.Blocks); i++ {
-		if got.Blocks[i-1].Key >= got.Blocks[i].Key {
-			t.Fatalf("blocks unsorted: %q before %q", got.Blocks[i-1].Key, got.Blocks[i].Key)
-		}
-	}
-	for _, b := range got.Blocks {
-		if len(b.E1) == 0 || len(b.E2) == 0 {
-			t.Fatalf("single-sided block %q survived", b.Key)
-		}
-	}
 }
 
 // A shared interner (identity token space) and two disjoint interners must
@@ -135,29 +94,6 @@ func TestTokenIndexDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// PurgeAbove on the index must agree with PurgeAbove on the collection and
-// leave the receiver untouched.
-func TestTokenIndexPurgeAboveMatchesCollectionPurge(t *testing.T) {
-	w, d := testkb.Figure1()
-	ix := newTokenIndex(t, parallel.Sequential(), w, d)
-	full := ix.Collection()
-	const threshold = 1 // keep only 1×1 blocks
-	purgedIx, n := ix.PurgeAbove(threshold)
-	purgedCol, n2 := PurgeAbove(full, threshold)
-	if n != n2 {
-		t.Errorf("purged counts differ: index %d vs collection %d", n, n2)
-	}
-	if !reflect.DeepEqual(purgedIx.Collection(), purgedCol) {
-		t.Error("purged index collection differs from purged collection")
-	}
-	if ix.Live() != full.Len() {
-		t.Error("PurgeAbove mutated the receiver")
-	}
-	if keep, n := ix.PurgeAbove(0); keep != ix || n != 0 {
-		t.Error("non-positive threshold must be a no-op view")
-	}
-}
-
 func TestComparisonBudget(t *testing.T) {
 	if got := ComparisonBudget(100, 200, 0.0005); got != 10 {
 		t.Errorf("budget = %d, want 10", got)
@@ -173,44 +109,9 @@ func TestComparisonBudget(t *testing.T) {
 	}
 }
 
-// The local-count/deterministic-fill member pass must reproduce the atomic
-// reference exactly — same offsets, same (sorted) member arrays — for any
-// worker count and either scheduler.
-func TestMemberFillStrategiesAgree(t *testing.T) {
-	w, d := testkb.Figure1()
-	joint := kb.NewInterner()
-	for _, k := range []*kb.KB{w, d} {
-		t1 := make([]int32, 0)
-		if dict := k.TokenDict(); dict != nil {
-			for id := 0; id < dict.Len(); id++ {
-				t1 = append(t1, int32(joint.Intern(dict.TokenString(kb.TokenID(id)))))
-			}
-		}
-		n := joint.Len()
-		for _, e := range []*parallel.Engine{parallel.Sequential(), parallel.New(3), parallel.New(7).Chunked()} {
-			mem, off, err := memberFill(t.Context(), e, k, t1, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refMem, refOff, err := memberFillAtomic(t.Context(), e, k, t1, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(off, refOff) {
-				t.Fatalf("workers=%d: offsets differ", e.Workers())
-			}
-			if !reflect.DeepEqual(mem, refMem) {
-				t.Fatalf("workers=%d: member arrays differ\nlocal:  %v\natomic: %v", e.Workers(), mem, refMem)
-			}
-		}
-	}
-}
-
-// BenchmarkTokenIndexMembers compares the member-fill pass before and after
-// the per-worker-local rewrite: "atomic" is the shared-array variant with
-// one atomic RMW per token occurrence plus the per-slot sort it needs,
-// "local" the span-local counts merged in span order with a sorted-by-
-// construction scatter fill (the NewTokenIndexCtx path).
+// BenchmarkTokenIndexMembers isolates one side's member fill: the
+// span-local counting pass and the sorted-by-construction scatter fill of
+// the NewTokenIndexCtx path.
 func BenchmarkTokenIndexMembers(b *testing.B) {
 	d, err := datagen.Generate(datagen.Scale(datagen.RexaDBLP(), 0.5))
 	if err != nil {
@@ -218,33 +119,17 @@ func BenchmarkTokenIndexMembers(b *testing.B) {
 	}
 	k := d.K2 // the big side: 15k entities' worth of token occurrences
 	n := k.TokenDict().Len()
+	ctx := context.Background()
 	eng := parallel.New(0)
-	b.Run("local", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := memberFill(context.Background(), eng, k, nil, n); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		locals, err := slotCounts(ctx, eng, k, nil, n)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("atomic", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := memberFillAtomic(context.Background(), eng, k, nil, n); err != nil {
-				b.Fatal(err)
-			}
+		if _, _, err := scatter(ctx, eng, k, nil, locals, n); err != nil {
+			b.Fatal(err)
 		}
-	})
-}
-
-// memberFill builds one side's CSR member array over n token slots, with
-// every occurrence's member: the counting pass and the scatter fill of the
-// index, kept as the side the agreement test and BenchmarkTokenIndexMembers
-// compare memberFillAtomic with.
-func memberFill(ctx context.Context, e *parallel.Engine, k *kb.KB, t []int32, n int) ([]kb.EntityID, []int32, error) {
-	locals, err := slotCounts(ctx, e, k, t, n)
-	if err != nil {
-		return nil, nil, err
 	}
-	return scatter(ctx, e, k, t, locals, n)
 }

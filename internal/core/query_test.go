@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"minoaner/internal/blocking"
 	"minoaner/internal/datagen"
 	"minoaner/internal/graph"
 	"minoaner/internal/kb"
@@ -478,25 +477,22 @@ func TestResolveWithMatchesResolve(t *testing.T) {
 }
 
 // The substrate's token blocks — the Table-2 view no resolution reads — are
-// the purged token-block collection, materialized on first ask and cached.
+// the oracle's purged token blocks, materialized on first ask and cached.
 func TestSubstrateTokenBlocks(t *testing.T) {
 	k1, k2 := skewedKBs(300)
 	sub, err := BuildSubstrate(context.Background(), k1, k2, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := blocking.NewTokenIndexCtx(context.Background(), parallel.New(0), k1, k2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, purged := blocking.PurgeAbove(full.Collection(), sub.PurgeThreshold())
-	if purged != sub.PurgedBlocks() || purged == 0 {
-		t.Fatalf("the collection purges %d blocks, the substrate %d; want the same, and some", purged, sub.PurgedBlocks())
+	budget := purgeBudget(k1.Len(), k2.Len(), DefaultConfig().MaxBlockFraction)
+	want, purged := purge(tokenBlocks(readSide(t, k1), readSide(t, k2)), budget)
+	if purged != sub.PurgedBlocks() || budget != sub.PurgeThreshold() || purged == 0 {
+		t.Fatalf("the oracle purges %d blocks above %d, the substrate %d above %d; want the same, and some",
+			purged, budget, sub.PurgedBlocks(), sub.PurgeThreshold())
 	}
 	tb := TokenBlocksOf(t, sub)
-	if tb.Len() != want.Len() || tb.TotalComparisons() != want.TotalComparisons() {
-		t.Fatalf("TokenBlocks = (%d blocks, %d comparisons), want (%d, %d)",
-			tb.Len(), tb.TotalComparisons(), want.Len(), want.TotalComparisons())
+	if !blocksEqual(kernelBlocks(tb), want) {
+		t.Fatal("TokenBlocks differ from the oracle's purged token blocks")
 	}
 	if TokenBlocksOf(t, sub) != tb {
 		t.Fatal("TokenBlocks must cache its materialization")

@@ -86,7 +86,7 @@ type Input struct {
 	NameBlocks *blocking.Collection
 	// TokenBlocks is not read by the builder: the β stage walks TokenIndex
 	// alone. The repository benchmark's layer replay still sets it; it is
-	// deleted with that replay (ROADMAP items 1(a) and 3(c)).
+	// deleted with that replay (ROADMAP items 1(a) and 11).
 	TokenBlocks *blocking.Collection
 	// TokenIndex is the (purged) columnar token index the β stage walks:
 	// token blocking of §3.1 with Block Purging applied. Required.

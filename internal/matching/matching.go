@@ -105,6 +105,7 @@ type matcher struct {
 	matched1 []bool
 	matched2 []bool
 	matches  []Match
+	has1     []bool // per R1/R2 match (matches' prefix), demand's α/β verdict on E1→E2
 }
 
 // GammaFor supplies the E1-side γ candidate rows (graph.Graph.Gamma1Rows
@@ -199,7 +200,7 @@ func RunOnDemandCtx(ctx context.Context, e *parallel.Engine, g *graph.Graph, k1,
 		// Each test reads the graph and the γ₁ rows only, so they run in
 		// parallel; the filter keeps the matches' order.
 		keep, err := parallel.MapCtx(ctx, m.eng, len(m.matches), func(idx int) (bool, error) {
-			return m.reciprocal(m.matches[idx].Pair, gamma1)
+			return m.reciprocal(idx, gamma1)
 		})
 		if err != nil {
 			return nil, err
@@ -240,7 +241,8 @@ var demandEveryRow = false
 // neighbor evidence its row is already needed, and without it its E2 entity
 // comes from the β row, where R4 finds the edge. The demand is taken
 // once, before R3 commits anything, so the workers that build the rows
-// read a value nothing writes. It checks the α and β rows it scans.
+// read a value nothing writes. It checks the α and β rows it scans, and
+// keeps each match's verdict for R4 (has1).
 func (m *matcher) demand(pick2 []kb.EntityID) (need, cand []bool, err error) {
 	need, cand = make([]bool, len(m.matched1)), make([]bool, len(m.matched1))
 	if demandEveryRow {
@@ -255,12 +257,14 @@ func (m *matcher) demand(pick2 []kb.EntityID) (need, cand []bool, err error) {
 		}
 	}
 	if m.cfg.EnableR4 {
-		for _, match := range m.matches {
+		m.has1 = make([]bool, len(m.matches))
+		for idx, match := range m.matches {
 			p := match.Pair
 			has, err := m.hasEdge1NoGamma(p)
 			if err != nil {
 				return nil, nil, err
 			}
+			m.has1[idx] = has
 			if !has {
 				need[p.E1] = true
 			}
@@ -490,12 +494,17 @@ func (m *matcher) hasEdge1NoGamma(p eval.Pair) (bool, error) {
 	return graph.ContainsEdge(m.g.Beta1.Row(int(p.E1)), p.E2, n2)
 }
 
-// reciprocal is rule R4 for the match p (lines 24–26): both directed edges
-// exist in the pruned graph, E1→E2 under α, β or γ — the γ₁ row of p.E1 in
-// gamma1, built as it was walked — and E2→E1 under any evidence
-// (graph.Graph.HasEdge2). It checks the α, β and γ₂ entries it scans.
-func (m *matcher) reciprocal(p eval.Pair, gamma1 graph.Rows[graph.Edge]) (bool, error) {
-	has1, err := m.hasEdge1NoGamma(p)
+// reciprocal is rule R4 for the match at idx (lines 24–26): both directed
+// edges exist in the pruned graph, E1→E2 under α, β or γ — the γ₁ row of
+// the E1 entity in gamma1, built as it was walked — and E2→E1 under any
+// evidence (graph.Graph.HasEdge2). The α/β verdict of an R1 or R2 match is
+// demand's; it checks the α, β and γ₂ entries it scans.
+func (m *matcher) reciprocal(idx int, gamma1 graph.Rows[graph.Edge]) (bool, error) {
+	p := m.matches[idx].Pair
+	has1, err := idx < len(m.has1) && m.has1[idx], error(nil)
+	if idx >= len(m.has1) { // an R3 match: demand did not scan it
+		has1, err = m.hasEdge1NoGamma(p)
+	}
 	if err != nil || !(has1 || graph.EdgeListContains(gamma1.Row(int(p.E1)), p.E2)) {
 		return false, err
 	}

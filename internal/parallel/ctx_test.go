@@ -64,19 +64,6 @@ func TestChunkedForVisitsEachOnce(t *testing.T) {
 	}
 }
 
-// The dynamic scheduler must preserve GroupByCtx's sequential value order
-// for any worker count, even though chunk boundaries differ per engine.
-func TestGroupByChunkedDeterministic(t *testing.T) {
-	n := 500
-	reference := groupBy(t, Sequential(), n, emitMod7)
-	for _, w := range []int{1, 2, 3, 8, 16} {
-		got := groupBy(t, New(w).Chunked(), n, emitMod7)
-		if !reflect.DeepEqual(got, reference) {
-			t.Fatalf("chunked GroupByCtx with %d workers differs from sequential", w)
-		}
-	}
-}
-
 func TestMapChunkedOrder(t *testing.T) {
 	e := New(5).Chunked()
 	got := Map(e, 333, func(i int) int { return i * i })
@@ -220,15 +207,6 @@ func TestConcurrentCtxParentCancellation(t *testing.T) {
 	cancel()
 	if err := e.ConcurrentCtx(ctx, func(context.Context) error { return nil }); !errors.Is(err, context.Canceled) {
 		t.Errorf("ConcurrentCtx on cancelled parent = %v, want context.Canceled", err)
-	}
-}
-
-func TestGroupByCtxPropagatesCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	e := New(4).Chunked()
-	if _, err := GroupByCtx(ctx, e, 100, func(i int, yield func(int, int)) { yield(i, i) }); !errors.Is(err, context.Canceled) {
-		t.Errorf("GroupByCtx = %v, want context.Canceled", err)
 	}
 }
 

@@ -27,7 +27,7 @@
 // allocation without any locking.
 //
 // Every operation has a context-aware variant (ForCtx, MapSpansCtx,
-// GroupByCtx, ConcurrentCtx, …) with cooperative cancellation and
+// ConcurrentCtx, …) with cooperative cancellation and
 // first-error propagation in the style of errgroup: the first failing task
 // cancels the rest, and its error is returned after all workers stop.
 // Cancellation is observed between spans/chunks, so the dynamic scheduler
@@ -421,43 +421,4 @@ func Map[T any](e *Engine, n int, fn func(i int) T) []T {
 		return fn(i), nil
 	})
 	return out
-}
-
-// GroupByCtx builds a grouped index from n input rows: emit is called for
-// every row index and may yield any number of (key, value) pairs; the result
-// maps each key to its values. Values for a key appear in deterministic
-// order: span order first, then row order within the span — and since spans
-// are contiguous ascending ranges under both schedulers, that is exactly the
-// order a sequential loop would produce.
-//
-// This is the engine's "shuffle": span-local grouping followed by an ordered
-// merge, the substitute for Spark's groupByKey. The pipeline builds its
-// blocks as columnar indexes instead; this groups the string-keyed reference
-// collection the blocking tests pin those indexes against.
-func GroupByCtx[K comparable, V any](ctx context.Context, e *Engine, n int, emit func(i int, yield func(K, V))) (map[K][]V, error) {
-	locals, err := MapSpansCtx(ctx, e, n, func(s Span) (map[K][]V, error) {
-		m := make(map[K][]V)
-		for i := s.Lo; i < s.Hi; i++ {
-			emit(i, func(k K, v V) {
-				m[k] = append(m[k], v)
-			})
-		}
-		return m, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	switch len(locals) {
-	case 0:
-		return map[K][]V{}, nil
-	case 1:
-		return locals[0], nil
-	}
-	out := locals[0]
-	for _, m := range locals[1:] {
-		for k, vs := range m {
-			out[k] = append(out[k], vs...)
-		}
-	}
-	return out, nil
 }

@@ -128,42 +128,6 @@ func forAll(t *testing.T, e *Engine, n int, fn func(i int)) {
 	}
 }
 
-// groupBy is GroupByCtx under the test's context.
-func groupBy[K comparable, V any](t *testing.T, e *Engine, n int, emit func(i int, yield func(K, V))) map[K][]V {
-	t.Helper()
-	out, err := GroupByCtx(t.Context(), e, n, emit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// GroupByCtx must produce sequential order regardless of worker count.
-func TestGroupByDeterministic(t *testing.T) {
-	n := 500
-	reference := groupBy(t, Sequential(), n, emitMod7)
-	for _, w := range []int{2, 3, 8, 16} {
-		got := groupBy(t, New(w), n, emitMod7)
-		if !reflect.DeepEqual(got, reference) {
-			t.Fatalf("GroupByCtx with %d workers differs from sequential", w)
-		}
-	}
-}
-
-func emitMod7(i int, yield func(int, int)) {
-	yield(i%7, i)
-	if i%2 == 0 {
-		yield(100+i%3, i)
-	}
-}
-
-func TestGroupByEmpty(t *testing.T) {
-	got := groupBy(t, New(4), 0, func(i int, yield func(string, int)) { yield("x", i) })
-	if len(got) != 0 {
-		t.Errorf("GroupByCtx(0 rows) = %v, want empty", got)
-	}
-}
-
 // Property: ForCtx over any n touches the sum correctly for any worker count.
 func TestForSumProperty(t *testing.T) {
 	f := func(n uint16, w uint8) bool {

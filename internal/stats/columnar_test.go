@@ -224,50 +224,18 @@ func TestNameLookupMatchesNamesOf(t *testing.T) {
 	}
 }
 
-// BenchmarkBuildEF compares the EF counting pass before and after the
-// contention fix: one shared array with an atomic add per token occurrence
-// (the pre-refactor path, kept as efCountsAtomic) vs per-worker local arrays
-// merged in span order (the BuildEFCtx path).
+// BenchmarkBuildEF times the EF counting pass: per-worker local count
+// arrays merged in span order.
 func BenchmarkBuildEF(b *testing.B) {
 	d, err := datagen.Generate(datagen.Scale(datagen.RexaDBLP(), 0.5))
 	if err != nil {
 		b.Fatal(err)
 	}
-	k := d.K2
-	n := k.TokenDict().Len()
 	eng := parallel.New(0)
-	b.Run("local", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := efCountsLocal(context.Background(), eng, k, n); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("atomic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := efCountsAtomic(context.Background(), eng, k, n); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// The two EF counting strategies must agree exactly.
-func TestEFCountStrategiesAgree(t *testing.T) {
-	k := randomKB(rand.New(rand.NewSource(42)), 80)
-	n := k.TokenDict().Len()
-	for _, workers := range []int{1, 4} {
-		e := parallel.New(workers)
-		local, err := efCountsLocal(context.Background(), e, k, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		atomicCounts, err := efCountsAtomic(context.Background(), e, k, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(local, atomicCounts) {
-			t.Fatalf("workers=%d: counting strategies disagree", workers)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildEFCtx(context.Background(), eng, d.K2); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -36,7 +36,8 @@ type EFIndex struct {
 
 // BuildEFCtx computes the EF index with a parallel count-by-token-ID pass,
 // honoring cancellation. Each worker counts into its own local array — one
-// static span per worker — and the partials are summed in span order, so the
+// static span per worker, which bounds the transient memory to one count
+// array per worker — and the partials are summed in span order, so the
 // pass is free of atomic contention on hot tokens (integer sums make the
 // merge trivially deterministic).
 func BuildEFCtx(ctx context.Context, e *parallel.Engine, k *kb.KB) (*EFIndex, error) {
@@ -45,24 +46,6 @@ func BuildEFCtx(ctx context.Context, e *parallel.Engine, k *kb.KB) (*EFIndex, er
 	if dict != nil {
 		n = dict.Len()
 	}
-	counts, err := efCountsLocal(ctx, e, k, n)
-	if err != nil {
-		return nil, err
-	}
-	ix := &EFIndex{dict: dict, counts: counts}
-	for _, c := range counts {
-		if c > 0 {
-			ix.distinct++
-		}
-	}
-	return ix, nil
-}
-
-// efCountsLocal is the per-worker-local counting pass behind BuildEFCtx.
-// Static spans (not the chunked scheduler) keep the transient memory at one
-// count array per worker; the per-entity walk is cheap enough that static
-// partitioning does not straggle.
-func efCountsLocal(ctx context.Context, e *parallel.Engine, k *kb.KB, n int) ([]int32, error) {
 	locals, err := parallel.MapSpansCtx(ctx, e, k.Len(), func(s parallel.Span) ([]int32, error) {
 		counts := make([]int32, n)
 		for i := s.Lo; i < s.Hi; i++ {
@@ -76,30 +59,19 @@ func efCountsLocal(ctx context.Context, e *parallel.Engine, k *kb.KB, n int) ([]
 		return nil, err
 	}
 	if len(locals) == 0 {
-		return make([]int32, n), nil
+		locals = [][]int32{make([]int32, n)}
 	}
 	counts := locals[0]
 	for _, l := range locals[1:] {
 		addCounts(counts, l)
 	}
-	return counts, nil
-}
-
-// efCountsAtomic is the pre-refactor counting pass (shared array, one atomic
-// add per token occurrence). Kept unexported as the reference side of
-// BenchmarkBuildEF's before/after comparison.
-func efCountsAtomic(ctx context.Context, e *parallel.Engine, k *kb.KB, n int) ([]int32, error) {
-	counts := make([]int32, n)
-	err := e.Chunked().ForCtx(ctx, k.Len(), func(i int) error {
-		for _, id := range k.TokenIDs(kb.EntityID(i)) {
-			atomic.AddInt32(&counts[id], 1)
+	ix := &EFIndex{dict: dict, counts: counts}
+	for _, c := range counts {
+		if c > 0 {
+			ix.distinct++
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return counts, nil
+	return ix, nil
 }
 
 // EF returns the entity frequency of token t (0 if the token never occurs).
